@@ -14,7 +14,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +50,14 @@ from .oracle import (
     path_from_quadratic_hamiltonian,
     path_from_samples,
 )
-from .scalars import PrecisionError, Scalar, get_precision, parse_scalar, set_precision
+from .scalars import (
+    PrecisionError,
+    Scalar,
+    env_int,
+    get_precision,
+    parse_scalar,
+    set_precision,
+)
 from . import selftest as selftest_mod
 
 EXIT_OK = 0
@@ -226,9 +232,6 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 
 def _parse_chi(text: str, h: int):
     if text == "auto":
-        if h > 12:
-            raise InputError(
-                f"chi auto enumerates vertices only up to h = 12, got h = {h}; pass explicit bits")
         return "auto"
     bits = text.strip()
     if not all(c in "01" for c in bits):
@@ -329,9 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", dest="out", default=None, help="output file (default stdout)")
-        p.add_argument("--precision", type=int,
-                       default=int(os.environ.get("SYMINDEX_PRECISION", "50")),
-                       help="working precision in decimal digits (>= 30)")
+        p.add_argument("--precision", type=int, default=None,
+                       help="working precision in decimal digits (>= 30; "
+                            "default SYMINDEX_PRECISION, else 50)")
 
     p = sub.add_parser("iterate", help="CSV table m, i, nu, mean_index*m from path data")
     p.add_argument("--data", dest="input", required=True)
@@ -362,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10 ** 6)
     p.add_argument("--m-scale", type=int, default=None, help="the M multiplier (default: lcm rule)")
     p.add_argument("--m0", type=int, default=None, help="required divisor of N (default: M)")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("SYMINDEX_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=None,
+                   help="scan processes (default SYMINDEX_WORKERS, else 1)")
     p.add_argument("--report-solutions", type=int, default=25)
     common(p)
 
@@ -375,14 +378,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", default="auto")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--delta", default=None)
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("SYMINDEX_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=None,
+                   help="scan processes (default SYMINDEX_WORKERS, else 1)")
     common(p)
 
     p = sub.add_parser("selftest", help="run the built-in property suites")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     return ap
+
+
+def _flag_or_env(args: argparse.Namespace, flag: str, env: str, default: int) -> int:
+    """An integer flag's value, or else the environment variable's."""
+    value = getattr(args, flag, None)
+    if value is not None:
+        return value
+    if not hasattr(args, flag):
+        return default
+    try:
+        return env_int(env, default)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -395,24 +411,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         subcommand=args.subcommand,
         input_path=getattr(args, "input", None),
         output_path=getattr(args, "out", None),
-        precision=getattr(args, "precision", 50),
+        precision=_flag_or_env(args, "precision", "SYMINDEX_PRECISION", 50),
         eps=getattr(args, "eps", None),
         delta=getattr(args, "delta", None),
         rank_tol=getattr(args, "rank_tol", 1e-9),
         n_max=getattr(args, "n_max", 10 ** 6),
         m_max=getattr(args, "m_max", 50),
         seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
+        workers=_flag_or_env(args, "workers", "SYMINDEX_WORKERS", 1),
         extra=extra,
     )
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
-    cfg = _config_from_args(args)
+    args = _build_parser().parse_args(argv)
     try:
-        return dispatch(cfg)
+        return dispatch(_config_from_args(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .scalars import (
     Scalar,
     floor_E_frac_phi,
+    get_precision,
     scalar_from_json,
     scalar_to_json,
 )
@@ -24,6 +26,7 @@ __all__ = [
     "DecompositionError",
     "NormalFormDecomposition",
     "PathIndexData",
+    "PathRecord",
     "SplittingPair",
     "ValidationReport",
     "floor_E_frac_phi",
@@ -35,6 +38,8 @@ __all__ = [
     "nullity_iterate",
     "mean_index",
     "I_value",
+    "path_record",
+    "s_minus_angles",
     "validate",
     "unit_spectrum",
 ]
@@ -49,13 +54,20 @@ TWO = Scalar.rational(2)
 ZERO = Scalar.rational(0)
 
 
-def _check_angle(x: Scalar, who: str):
+def _angle_problem(x: Scalar, who: str):
     if not isinstance(x, Scalar):
-        raise DecompositionError(f"{who}: angles must be Scalars (theta/pi), got {type(x)}")
+        return f"{who}: angles must be Scalars (theta/pi), got {type(x)}"
     if not (ZERO < x < TWO):
-        raise DecompositionError(f"{who}: theta/pi must lie in (0,2), got {x!r}")
+        return f"{who}: theta/pi must lie in (0,2), got {x!r}"
     if x == ONE:
-        raise DecompositionError(f"{who}: theta/pi = 1 belongs to the -1 eigenvalue blocks")
+        return f"{who}: theta/pi = 1 belongs to the -1 eigenvalue blocks"
+    return None
+
+
+def _check_angle(x: Scalar, who: str):
+    problem = _angle_problem(x, who)
+    if problem is not None:
+        raise DecompositionError(problem)
 
 
 @dataclass(frozen=True)
@@ -112,20 +124,28 @@ class NormalFormDecomposition:
                 + self.q_minus + self.q_zero + self.q_plus
                 + self.r + 2 * self.r_star + 2 * self.r_zero + self.k)
 
-    def check(self):
+    @cached_property
+    def _problem(self):
+        """Why the decomposition is invalid, or None; worked out once, since
+        the instance is frozen."""
         counts = (self.p_minus, self.p_zero, self.p_plus,
                   self.q_minus, self.q_zero, self.q_plus, self.k)
         if any(c < 0 for c in counts):
-            raise DecompositionError("block counts must be non-negative")
+            return "block counts must be non-negative"
         if self.count_sum() != self.n:
-            raise DecompositionError(
-                f"count sum {self.count_sum()} != n = {self.n}")
-        for x in self.thetas:
-            _check_angle(x, "thetas")
-        for x in self.alphas:
-            _check_angle(x, "alphas")
-        for x in self.betas:
-            _check_angle(x, "betas")
+            return f"count sum {self.count_sum()} != n = {self.n}"
+        for who, angles in (("thetas", self.thetas), ("alphas", self.alphas),
+                            ("betas", self.betas)):
+            for x in angles:
+                problem = _angle_problem(x, who)
+                if problem is not None:
+                    return problem
+        return None
+
+    def check(self):
+        """Raise DecompositionError when the decomposition is invalid."""
+        if self._problem is not None:
+            raise DecompositionError(self._problem)
 
     # ----- serialization -------------------------------------------------
 
@@ -182,6 +202,63 @@ class PathIndexData:
         return cls(decomp=NormalFormDecomposition.from_json(obj),
                    i1=int(obj["i1"]),
                    convex_mode=bool(obj.get("convex_mode", False)))
+
+
+@dataclass(frozen=True)
+class PathRecord:
+    """The per-path constants the formulas and the jump gates share.
+
+    Built once per PathIndexData from its validated decomposition (and again
+    only when the working precision changes): S^+(1), C(M), the mean index,
+    the S^- angles, and 1/(M ihat) for each M asked for.  Irrational values
+    are Scalars, so each keeps its fixed-point form cached.
+    """
+
+    dps: int
+    s_plus: int
+    C: int
+    mean: Scalar
+    angles: tuple
+    _inv_mean: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def inv_mean(self, M: int) -> Scalar:
+        """1 / (M ihat), computed once per M."""
+        inv = self._inv_mean.get(M)
+        if inv is None:
+            inv = self._inv_mean[M] = ONE / (M * self.mean)
+        return inv
+
+
+def path_record(data: PathIndexData) -> PathRecord:
+    """The PathRecord of data; raises DecompositionError when the
+    decomposition is invalid."""
+    rec = data.__dict__.get("_record")
+    if rec is not None and rec.dps == get_precision():
+        return rec
+    d = data.decomp
+    d.check()
+    mean = Scalar.rational(data.i1 + d.p_minus + d.p_zero - d.r)
+    for th in d.thetas:
+        mean = mean + th
+    rec = PathRecord(dps=get_precision(), s_plus=S_plus_one(d), C=C_of_M(d),
+                     mean=mean, angles=tuple(s_minus_angles(d)))
+    object.__setattr__(data, "_record", rec)
+    return rec
+
+
+def s_minus_angles(decomp) -> list:
+    """The angles theta/pi in (0,2) carrying positive S^-, with multiplicity.
+
+    Order: rotation angles as given, then one angle 1 per -I2 / N1(-1,-1)
+    block, then for each nontrivial N2 its angle and the conjugate 2 - angle.
+    This fixed order defines the coordinate layout of the jump vector.
+    """
+    out = list(decomp.thetas)
+    out += [ONE] * (decomp.q_zero + decomp.q_plus)
+    for al in decomp.alphas:
+        out.append(al)
+        out.append(TWO - al)
+    return out
 
 
 @dataclass(frozen=True)
@@ -342,8 +419,8 @@ def index_iterate(data: PathIndexData, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    path_record(data)  # the decomposition is valid
     d = data.decomp
-    d.check()
     total = m * (data.i1 + d.p_minus + d.p_zero - d.r)
     total += 2 * sum(_E_half(x, m) for x in d.thetas)
     total -= d.r + d.p_minus + d.p_zero
@@ -361,10 +438,9 @@ def index_iterate_via_splitting(data: PathIndexData, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    rec = path_record(data)
     d = data.decomp
-    d.check()
-    sp = S_plus_one(d)
-    C = C_of_M(d)
+    sp, C = rec.s_plus, rec.C
     total = m * (data.i1 + sp - C)
     esum = 0
     for th in d.thetas:
@@ -390,8 +466,8 @@ def nullity_iterate(data: PathIndexData, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    path_record(data)  # the decomposition is valid
     d = data.decomp
-    d.check()
     total = d.nu_one
     total += _even(m) * (d.q_minus + 2 * d.q_zero + d.q_plus)
     total += 2 * (d.r + d.r_star + d.r_zero)
@@ -406,12 +482,7 @@ def mean_index(data: PathIndexData) -> Scalar:
     """Mean index per period: i1 + p- + p0 - r + sum theta_j/pi.
 
     Rational exactly when every rotation angle is rational."""
-    d = data.decomp
-    d.check()
-    out = Scalar.rational(data.i1 + d.p_minus + d.p_zero - d.r)
-    for th in d.thetas:
-        out = out + th
-    return out
+    return path_record(data).mean
 
 
 def I_value(data: PathIndexData, m: int) -> int:
@@ -422,11 +493,9 @@ def I_value(data: PathIndexData, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
+    rec = path_record(data)
     d = data.decomp
-    d.check()
-    sp = S_plus_one(d)
-    C = C_of_M(d)
-    total = m * (data.i1 + sp - C)
+    total = m * (data.i1 + rec.s_plus - rec.C)
     esum = 0
     for th in d.thetas:
         esum += _E_full(th, m)

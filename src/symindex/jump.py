@@ -32,10 +32,14 @@ from .iteration import (
     index_iterate,
     mean_index,
     nullity_iterate,
+    path_record,
+    s_minus_angles,
 )
 from .scalars import (
+    PrecisionError,
     Scalar,
     detect_rational,
+    fixed_bits,
     get_precision,
     scalar_to_json,
 )
@@ -63,26 +67,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-TWO = Scalar.rational(2)
-
 
 class JumpError(ValueError):
     pass
-
-
-def s_minus_angles(decomp) -> list:
-    """The angles theta/pi in (0,2) carrying positive S^-, with multiplicity.
-
-    Order: rotation angles as given, then one angle 1 per -I2 / N1(-1,-1)
-    block, then for each nontrivial N2 its angle and the conjugate 2 - angle.
-    This fixed order defines the coordinate layout of the jump vector.
-    """
-    out = list(decomp.thetas)
-    out += [Scalar.rational(1)] * (decomp.q_zero + decomp.q_plus)
-    for al in decomp.alphas:
-        out.append(al)
-        out.append(TWO - al)
-    return out
 
 
 @dataclass(frozen=True)
@@ -204,8 +191,8 @@ def build_jump_vector(paths, M: Optional[int] = None, M0: Optional[int] = None) 
         M0 = M
     mu = tuple(C_of_M(d.decomp) for d in paths)
     coords = []
-    for mi in means:
-        coords.append(_retag(Scalar.rational(1) / (M * mi)))
+    for data in paths:
+        coords.append(_retag(path_record(data).inv_mean(M)))
     for data, mi in zip(paths, means):
         for ang in s_minus_angles(data.decomp):
             coords.append(_retag(ang / mi))
@@ -234,12 +221,7 @@ def _scaled_coord(s: Scalar, F: int) -> int:
     if s.is_rational:
         fr = s.fraction
         return (fr.numerator << F) // fr.denominator
-    X, F0 = s._fixed()
-    if F0 == F:
-        return X
-    if F0 > F:
-        return X >> (F0 - F)
-    return X << (F - F0)
+    return s._fixed(F)[0]
 
 
 def _scan_chunk(args):
@@ -282,46 +264,59 @@ def _scan_chunk(args):
 
 
 # ----- exact gates -----------------------------------------------------------
+#
+# Every decision below is made on integers or Fractions.  An irrational x is
+# read as X = floor(x 2**F), F = fixed_bits(dps); then (m X) mod 2**F is within
+# |m| of {m x} 2**F, and the guard band of Scalar.mul_frac keeps it away from
+# the wrap-around.  A comparison that lands within its slack of the boundary
+# is repeated at 2 * dps digits from the stored value; only an ambiguity that
+# survives that raises PrecisionError.
 
 
 def compute_m(N: int, path_k: PathIndexData, chi_k: int, M: int) -> int:
-    """m_k = ([N / (M ihat_k)] + chi_k) M; errors when the result is not positive."""
+    """m_k = ([N / (M ihat_k)] + chi_k) M; errors when the result is not positive.
+
+    The floor is the guarded mul_floor of the path's cached 1/(M ihat_k)."""
     if N < 1:
         raise JumpError("N must be positive")
-    mi = mean_index(path_k)
-    if mi.is_rational:
-        fr = Fraction(N) / (M * mi.fraction)
-        fl = fr.numerator // fr.denominator
-    else:
-        fl = (Scalar.rational(N) / (M * mi)).floor()
-    m = (fl + chi_k) * M
+    m = (path_record(path_k).inv_mean(M).mul_floor(N) + chi_k) * M
     if m <= 0:
         raise JumpError(f"m_k = {m} <= 0 at N = {N}")
     return m
 
 
-def _frac_of_multiple(ang: Scalar, m: int):
-    """{m * ang} as Fraction (rational tag) or mpf."""
-    if ang.is_rational:
-        fr = m * ang.fraction
-        return fr - (fr.numerator // fr.denominator)
-    with mp.workdps(get_precision()):
-        return m * ang.mpf() - ang.mul_floor(m)
+def _frac_below(x: Scalar, m: int, delta: Fraction) -> bool:
+    """{m x} < delta for an irrational x, with slack |m| + 2 (units of 2**-F)."""
+    dps = get_precision()
+    num, den = delta.numerator, delta.denominator
+    slack = (abs(m) + 2) * den
+    for digits in (dps, 2 * dps):
+        r, F = x.mul_frac(m, fixed_bits(digits))
+        gap = r * den - (num << F)
+        if gap < -slack:
+            return True
+        if gap > slack:
+            return False
+    raise PrecisionError(f"{{{m} * {x!r}}} is within {abs(m) + 2} * 2**-{F} of {delta}")
+
+
+def _as_fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def delta_k(path_k: PathIndexData, m_k: int, delta) -> int:
     """Delta_k: the number of S^- angles with 0 < {m_k theta/pi} < delta."""
     if not (0 < delta < 1):
         raise JumpError("delta must lie in (0,1)")
+    delta = _as_fraction(delta)
     total = 0
-    for ang in s_minus_angles(path_k.decomp):
-        fr = _frac_of_multiple(ang, m_k)
-        if isinstance(fr, Fraction):
-            if 0 < fr < delta:
+    for ang in path_record(path_k).angles:
+        if ang.is_rational:
+            fr = m_k * ang.fraction
+            if 0 < fr - fr.numerator // fr.denominator < delta:
                 total += 1
-        else:
-            if 0 < fr < float(delta):
-                total += 1
+        elif _frac_below(ang, m_k, delta):
+            total += 1
     return total
 
 
@@ -336,30 +331,50 @@ def delta_upper_bound(decomp) -> int:
 def _condition_339a_340(path_k: PathIndexData, m_k: int, delta) -> bool:
     """min({m theta/pi}, 1-{m theta/pi}) < delta for every unit eigenvalue
     angle, and m theta/pi integral for rational theta/pi."""
-    for ang in s_minus_angles(path_k.decomp):
-        fr = _frac_of_multiple(ang, m_k)
-        if isinstance(fr, Fraction):
-            if fr != 0:
+    delta = _as_fraction(delta)
+    for ang in path_record(path_k).angles:
+        if ang.is_rational:
+            if (m_k * ang.fraction).denominator != 1:
                 return False  # rational angle must land on an integer
-        else:
-            if not (fr < float(delta) or 1 - fr < float(delta)):
-                return False
+        # 1 - {m x} = {-m x} for irrational x
+        elif not (_frac_below(ang, m_k, delta) or _frac_below(ang, -m_k, delta)):
+            return False
     return True
 
 
-def _residual(v: JumpVector, N: int, bits, dps: int) -> float:
-    worst = 0.0
-    with mp.workdps(dps):
-        for coord, b in zip(v.coords, bits):
-            if coord.is_rational:
-                fr = N * coord.fraction
-                frac = fr - (fr.numerator // fr.denominator)
-                dist = float(abs(frac - b))
-            else:
-                frac = N * coord.mpf(dps) - coord.mul_floor(N)
-                dist = float(abs(frac - b))
-            worst = max(worst, dist)
-    return worst
+def _residual(v: JumpVector, N: int, bits, dps: int):
+    """Max-norm distance of {N v} from the vertex bits, scaled by 2**F.
+
+    Returns (worst, slack, F), F = fixed_bits(dps): the distance times 2**F
+    lies within slack of worst.  Rational coordinates are exact (Fractions);
+    each irrational one is within N, so slack is N when there is one.
+    """
+    F = fixed_bits(dps)
+    one = 1 << F
+    worst = slack = 0
+    for coord, b in zip(v.coords, bits):
+        if coord.is_rational:
+            p, q = coord.fraction.numerator, coord.fraction.denominator
+            d = abs((N * p) % q - b * q)
+            dist = Fraction(d << F, q) if d else 0
+        else:
+            r, _ = coord.mul_frac(N, F)
+            dist = one - r if b else r
+            slack = N
+        if dist > worst:
+            worst = dist
+    return worst, slack, F
+
+
+def _closer_than(worst, slack: int, F: int, eps: Fraction):
+    """True / False when the residual bounds of _residual decide
+    distance < eps, None when eps lies within the slack."""
+    gap = worst * eps.denominator - (eps.numerator << F)
+    if gap + slack * eps.denominator < 0:
+        return True
+    if gap - slack * eps.denominator >= 0:
+        return False
+    return None
 
 
 def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
@@ -388,9 +403,11 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
         if any(b not in (0, 1) for b in explicit_bits):
             raise JumpError("chi bits must be 0 or 1")
 
-    F = 16 + int(3.33 * (get_precision() + 40))
+    dps = get_precision()
+    F = fixed_bits(dps)
     Xs = [_scaled_coord(c, F) for c in v.coords]
-    eps_int = int(eps * (1 << F)) + N_max + 2
+    eps_exact = Fraction(eps)
+    eps_int = int(eps_exact * (1 << F)) + N_max + 2
 
     total_steps = N_max // v.M0
     chunk = 1 << 15
@@ -409,16 +426,20 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
 
     candidates = [c for ch in chunks for c in ch]
 
-    dps = get_precision()
     solutions = []
     rejects = []
     for N, bits_packed in candidates:
         bits = tuple((bits_packed >> i) & 1 for i in range(v.h))
-        res = _residual(v, N, bits, dps)
-        if abs(res - eps) < 10 * 10.0 ** (-dps):
-            res = _residual(v, N, bits, 2 * dps)  # re-verify near the boundary
-        if res >= eps:
+        worst, slack, F = _residual(v, N, bits, dps)
+        close = _closer_than(worst, slack, F, eps_exact)
+        if close is None:  # eps lies within the truncation slack
+            worst, slack, F = _residual(v, N, bits, 2 * dps)
+            close = _closer_than(worst, slack, F, eps_exact)
+            if close is None:
+                raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+        if not close:
             continue
+        res = float(worst / (1 << F))
         # (b) rational mean indices demand exact divisibility of N
         ok = True
         for k, mi in enumerate(v.mean_indices):

@@ -26,6 +26,8 @@ __all__ = [
     "get_precision",
     "set_precision",
     "detect_rational",
+    "env_int",
+    "fixed_bits",
     "parse_scalar",
     "scalar_to_json",
     "scalar_from_json",
@@ -39,20 +41,30 @@ _DEFAULT_PRECISION = 50
 # An irrational m*theta/pi closer than 1e-30 to an integer cannot be
 # resolved and raises PrecisionError instead of silently flooring.
 GUARD_BAND_DIGITS = 30
+_GUARD_BAND = 10 ** GUARD_BAND_DIGITS
 
 
 class PrecisionError(ArithmeticError):
     """A floor/ceil decision fell inside the ambiguity guard band."""
 
 
-def _env_precision() -> int:
-    raw = os.environ.get("SYMINDEX_PRECISION")
+def env_int(name: str, default: int) -> int:
+    """The integer value of environment variable ``name``, or ``default``
+    when it is unset; a value that is not an integer raises ValueError."""
+    raw = os.environ.get(name)
     if raw is None:
-        return _DEFAULT_PRECISION
+        return default
     try:
-        val = int(raw)
+        return int(raw)
     except ValueError:
-        return _DEFAULT_PRECISION
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _env_precision() -> int:
+    try:
+        val = env_int("SYMINDEX_PRECISION", _DEFAULT_PRECISION)
+    except ValueError:
+        return _DEFAULT_PRECISION  # the CLI reports the bad value and exits 1
     return max(val, _MIN_PRECISION)
 
 
@@ -69,6 +81,12 @@ def set_precision(digits: int) -> None:
         raise ValueError(f"precision must be >= {_MIN_PRECISION}, got {digits}")
     global _precision
     _precision = int(digits)
+
+
+def fixed_bits(dps: int) -> int:
+    """Fraction bits F of the fixed-point form used at ``dps`` working digits:
+    the guard band plus ten digits of headroom, and 16 spare bits."""
+    return 16 + int(3.33 * (dps + GUARD_BAND_DIGITS + 10))
 
 
 def _storage_dps() -> int:
@@ -264,13 +282,27 @@ class Scalar:
 
     # ----- floors with guard band ---------------------------------------
 
-    def _fixed(self):
-        """(X, F) with X = trunc(value * 2**F), exact from the stored mpf."""
-        if self._fixed_cache is None:
-            bits = 16 + int(3.33 * (get_precision() + GUARD_BAND_DIGITS + 10))
-            x = to_fixed(self._mpf._mpf_, bits)
-            self._fixed_cache = (x, bits)
-        return self._fixed_cache
+    def _fixed(self, bits: int | None = None):
+        """(X, F) with X = floor(value * 2**F), exact from the stored mpf.
+
+        F defaults to fixed_bits(get_precision()); the last pair is cached."""
+        F = fixed_bits(get_precision()) if bits is None else bits
+        cache = self._fixed_cache
+        if cache is None or cache[1] != F:
+            cache = self._fixed_cache = (int(to_fixed(self._mpf._mpf_, F)), F)
+        return cache
+
+    def mul_frac(self, m: int, bits: int | None = None):
+        """(r, F) with r = (m X) mod 2**F for an irrational, X as in _fixed.
+
+        {m * self} * 2**F lies within |m| of r.  Raises PrecisionError when
+        m * self is within the guard band of an integer, like mul_floor, so
+        r never sits near the wrap-around at 0 = 2**F.
+        """
+        X, F = self._fixed(bits)
+        r = (int(m) * X) & ((1 << F) - 1)
+        _guard(r, F, m, 1, self)
+        return r, F
 
     def mul_floor(self, m: int) -> int:
         """floor(m * self), exact for rationals, guarded for irrationals."""
@@ -278,14 +310,9 @@ class Scalar:
             fr = m * self._frac
             return fr.numerator // fr.denominator
         X, F = self._fixed()
-        q, r = divmod(int(m) * int(X), 1 << F)
-        # ambiguity window: guard band plus fixed-point truncation error
-        tol = ((1 << F) // 10 ** GUARD_BAND_DIGITS) + abs(m) + 2
-        if r < tol or r > (1 << F) - tol:
-            raise PrecisionError(
-                f"{m} * {self!r} is within 1e-{GUARD_BAND_DIGITS} of an integer; "
-                "increase precision or fix the rationality tag")
-        return int(q)
+        q, r = divmod(int(m) * X, 1 << F)
+        _guard(r, F, m, 1, self)
+        return q
 
     def mul_div_floor(self, m: int, d: int) -> int:
         """floor(m * self / d) for integers m and d > 0, guarded like mul_floor."""
@@ -295,13 +322,9 @@ class Scalar:
             fr = Fraction(m, d) * self._frac
             return fr.numerator // fr.denominator
         X, F = self._fixed()
-        q, r = divmod(int(m) * int(X), d << F)
-        tol = ((d << F) // 10 ** GUARD_BAND_DIGITS) + abs(m) + d + 2
-        if r < tol or r > (d << F) - tol:
-            raise PrecisionError(
-                f"{m}/{d} * {self!r} is within 1e-{GUARD_BAND_DIGITS} of an integer; "
-                "increase precision or fix the rationality tag")
-        return int(q)
+        q, r = divmod(int(m) * X, d << F)
+        _guard(r, F, m, d, self)
+        return q
 
     def floor(self) -> int:
         return self.mul_floor(1)
@@ -327,6 +350,17 @@ class Scalar:
         except PrecisionError:
             return True
         return False
+
+
+def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:
+    """Raise PrecisionError when the remainder r of m * X modulo d * 2**F
+    lies within the guard band (plus truncation error) of 0 or d * 2**F."""
+    tol = ((d << F) // _GUARD_BAND) + abs(m) + d + 2
+    if r < tol or r > (d << F) - tol:
+        what = f"{m} * {x!r}" if d == 1 else f"{m}/{d} * {x!r}"
+        raise PrecisionError(
+            f"{what} is within 1e-{GUARD_BAND_DIGITS} of an integer; "
+            "increase precision or fix the rationality tag")
 
 
 def floor_E_frac_phi(x):

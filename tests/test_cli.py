@@ -4,9 +4,10 @@ import math
 import pytest
 
 from symindex.cli import EXIT_INPUT, EXIT_OK, main
+from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.iteration import NormalFormDecomposition, PathIndexData
 from symindex.oracle import cz_index, path_from_quadratic_hamiltonian
-from symindex.scalars import Scalar
+from symindex.scalars import Scalar, get_precision, set_precision
 
 import numpy as np
 
@@ -112,6 +113,59 @@ def test_jump_search_deterministic_bytes(rot_fixture, tmp_path):
         assert rc == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_bad_precision_env_exits_1(rot_fixture, monkeypatch, capsys):
+    f, _ = rot_fixture
+    monkeypatch.setenv("SYMINDEX_PRECISION", "abc")
+    rc = main(["iterate", "--data", str(f)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.count("\n") == 1 and "SYMINDEX_PRECISION" in err and "'abc'" in err
+    # an explicit flag does not read the variable
+    assert main(["iterate", "--data", str(f), "--precision", "40"]) == EXIT_OK
+
+
+def test_bad_workers_env_exits_1(rot_fixture, tmp_path, monkeypatch, capsys):
+    f, data = rot_fixture
+    paths_file = tmp_path / "paths.json"
+    paths_file.write_text(json.dumps([data.to_json()]))
+    monkeypatch.setenv("SYMINDEX_WORKERS", "x")
+    rc = main(["jump-search", "--paths", str(paths_file), "--n-max", "100"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.count("\n") == 1 and "SYMINDEX_WORKERS" in err and "'x'" in err
+    # commands without --workers do not read it
+    assert main(["iterate", "--data", str(f)]) == EXIT_OK
+
+
+def test_chi_auto_runs_at_h16(tmp_path, capsys):
+    # the four axis orbits of alpha = (1, sqrt2, sqrt3, sqrt5): h = 4 + 4 * 3
+    spec = EllipsoidSpec(alphas=("1", "sqrt2", "sqrt3", "sqrt5"))
+    paths_file = tmp_path / "paths.json"
+    paths_file.write_text(json.dumps([orbit_data(spec, i)[0].to_json() for i in (1, 2, 3, 4)]))
+    rc = main(["jump-search", "--paths", str(paths_file), "--chi", "auto", "--n-max", "2000"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert out["jump_vector"]["h"] == 16
+
+
+def test_jump_search_high_precision(tmp_path, capsys):
+    # at 300 digits the scan's 2**F no longer fits a float
+    data = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
+    paths_file = tmp_path / "paths.json"
+    paths_file.write_text(json.dumps([data.to_json()]))
+    hits = {}
+    old = get_precision()
+    try:
+        for digits in ("300", "50"):
+            assert main(["jump-search", "--paths", str(paths_file), "--n-max", "3000",
+                         "--precision", digits]) == EXIT_OK
+            out = json.loads(capsys.readouterr().out)
+            hits[digits] = [s["N"] for s in out["search"]["solutions"]]
+    finally:
+        set_precision(old)
+    assert hits["300"] == hits["50"] and hits["50"]
 
 
 def test_jump_search_bad_chi(rot_fixture, tmp_path, capsys):

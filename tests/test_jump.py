@@ -1,7 +1,14 @@
+import json
 import logging
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import strategies as st
+from mpmath import mp
+
+from symindex import cli
+from symindex.ellipsoid import EllipsoidSpec, orbit_data
 
 from symindex.iteration import (
     I_value,
@@ -11,6 +18,9 @@ from symindex.iteration import (
 )
 from symindex.jump import (
     JumpError,
+    _closer_than,
+    _condition_339a_340,
+    _residual,
     build_jump_vector,
     chi_of,
     compute_m,
@@ -25,7 +35,7 @@ from symindex.jump import (
     theorem211_report,
     varrho,
 )
-from symindex.scalars import Scalar
+from symindex.scalars import PrecisionError, Scalar, get_precision
 
 HALF = Scalar.rational(1, 2)
 PHI = Scalar.golden()
@@ -295,3 +305,250 @@ def test_mean_ratio_detects_hidden_multiple():
     b = PathIndexData(d3, i1=3)                               # ihat = 3 phi
     matrix = mean_ratio_classify([b, a])
     assert matrix[0][1] == {"type": "rational", "value": "3/1"}
+
+
+# ----- integer gates against the former mpmath route --------------------------
+#
+# The functions below are the mpmath implementations the integer gates
+# replaced, kept as the reference: floats of {m x} at the working precision
+# compared against float(delta) and float(eps).  delta is drawn dyadic and
+# eps sits at least 2**-45 (relative) from the residual, so float rounding
+# cannot decide a reference comparison.
+
+def ref_compute_m(N, path_k, chi_k, M):
+    mi = mean_index(path_k)
+    if mi.is_rational:
+        fr = Fraction(N) / (M * mi.fraction)
+        fl = fr.numerator // fr.denominator
+    else:
+        fl = (Scalar.rational(N) / (M * mi)).floor()
+    m = (fl + chi_k) * M
+    if m <= 0:
+        raise JumpError(f"m_k = {m} <= 0 at N = {N}")
+    return m
+
+
+def _ref_frac_of_multiple(ang, m):
+    if ang.is_rational:
+        fr = m * ang.fraction
+        return fr - (fr.numerator // fr.denominator)
+    with mp.workdps(get_precision()):
+        return m * ang.mpf() - ang.mul_floor(m)
+
+
+def ref_delta_k(path_k, m_k, delta):
+    total = 0
+    for ang in s_minus_angles(path_k.decomp):
+        fr = _ref_frac_of_multiple(ang, m_k)
+        if isinstance(fr, Fraction):
+            total += 0 < fr < delta
+        else:
+            total += 0 < fr < float(delta)
+    return total
+
+
+def ref_condition(path_k, m_k, delta):
+    for ang in s_minus_angles(path_k.decomp):
+        fr = _ref_frac_of_multiple(ang, m_k)
+        if isinstance(fr, Fraction):
+            if fr != 0:
+                return False
+        elif not (fr < float(delta) or 1 - fr < float(delta)):
+            return False
+    return True
+
+
+def ref_residual(v, N, bits, dps):
+    worst = 0.0
+    with mp.workdps(dps):
+        for coord, b in zip(v.coords, bits):
+            if coord.is_rational:
+                fr = N * coord.fraction
+                frac = fr - (fr.numerator // fr.denominator)
+            else:
+                frac = N * coord.mpf(dps) - coord.mul_floor(N)
+            worst = max(worst, float(abs(frac - b)))
+    return worst
+
+
+def outcome(fn, *args):
+    """fn(*args), or the JumpError it raised."""
+    try:
+        return fn(*args)
+    except JumpError as exc:
+        return JumpError, str(exc)
+
+
+def exact_frac(x, m):
+    """{m x} of the stored value, exactly: the stored mpf is a dyadic rational."""
+    if x.is_rational:
+        fr = m * x.fraction
+    else:
+        man, exp = x._mpf.man_exp
+        fr = m * Fraction(man) * Fraction(2) ** exp
+    return fr - (fr.numerator // fr.denominator)
+
+
+SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
+
+
+@st.composite
+def quadratic_angles(draw):
+    """q sqrt(d) mod 2 for rational q: irrational, in (0, 2)."""
+    q = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    x = Scalar.sqrt(draw(st.sampled_from(SQUARE_FREE))) * q
+    return x - 2 * x.mul_div_floor(1, 2)
+
+
+@st.composite
+def rational_angles(draw):
+    den = draw(st.integers(2, 30))
+    num = draw(st.integers(1, 2 * den - 1).filter(lambda p: p != den))
+    return Scalar.from_fraction(Fraction(num, den))
+
+
+angles = st.one_of(quadratic_angles(), quadratic_angles(), rational_angles())
+
+
+@st.composite
+def path_data(draw):
+    thetas = tuple(draw(st.lists(angles, min_size=1, max_size=2)))
+    alphas = tuple(draw(st.lists(angles, max_size=1)))
+    q_zero = draw(st.integers(0, 1))
+    d = NormalFormDecomposition(n=len(thetas) + 2 * len(alphas) + q_zero,
+                                q_zero=q_zero, thetas=thetas, alphas=alphas)
+    return PathIndexData(d, i1=len(thetas) + draw(st.integers(0, 3)))
+
+
+# j / 2**k <= 7/16: exact as a float, inside (0, 1/2)
+dyadic_deltas = st.builds(lambda k, j: Fraction(j, 2 ** k), st.integers(4, 50), st.integers(1, 7))
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@seed(20240811)
+@PROPERTY
+@given(path_data(), st.integers(1, 10 ** 7), st.integers(1, 12), st.integers(0, 1))
+def test_compute_m_matches_reference(data, N, M, chi):
+    assert outcome(compute_m, N, data, chi, M) == outcome(ref_compute_m, N, data, chi, M)
+
+
+def convergent_numerators(x, limit):
+    """Numerators p <= limit of the continued-fraction convergents p/q of x:
+    p / x is then within 1/(q x) of an integer."""
+    with mp.workdps(200):
+        y = x.mpf(200)
+        p0, q0, p1, q1 = 1, 0, int(mp.floor(y)), 1
+        frac = y - p1
+        out = []
+        while p1 <= limit and frac != 0:
+            out.append(p1)
+            y = 1 / frac
+            a = int(mp.floor(y))
+            frac = y - a
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+    return out
+
+
+@seed(20240811)
+@PROPERTY
+@given(path_data(), st.integers(1, 12), st.integers(0, 1))
+def test_compute_m_next_to_integers(data, M, chi):
+    # N at the convergent numerators of M ihat, where N / (M ihat) comes
+    # closest to an integer
+    mi = mean_index(data)
+    assume(not mi.is_rational)
+    for p in convergent_numerators(mi * M, 10 ** 15):
+        for N in (p - 1, p, p + 1):
+            if N >= 1:
+                assert (outcome(compute_m, N, data, chi, M)
+                        == outcome(ref_compute_m, N, data, chi, M))
+
+
+@seed(20240811)
+@PROPERTY
+@given(path_data(), st.integers(1, 10 ** 6), dyadic_deltas)
+def test_angle_gates_match_reference(data, m, delta):
+    assert delta_k(data, m, delta) == ref_delta_k(data, m, delta)
+    assert _condition_339a_340(data, m, delta) == ref_condition(data, m, delta)
+
+
+@seed(20240811)
+@PROPERTY
+@given(quadratic_angles(), st.integers(1, 10 ** 6), st.integers(20, 50),
+       st.sampled_from((0, 1)), st.sampled_from(("low", "high")))
+def test_angle_gates_next_to_delta(x, m, k, side, which):
+    # delta within 2**-k of {m x} (which = low) or of 1 - {m x} (high), on
+    # either side of it
+    data = rot_data(x, i1=1)
+    t = exact_frac(x, m)
+    target = t if which == "low" else 1 - t
+    delta = Fraction(int(target * 2 ** k) + side, 2 ** k)
+    assume(0 < delta < Fraction(1, 2))
+    assert delta_k(data, m, delta) == ref_delta_k(data, m, delta)
+    assert _condition_339a_340(data, m, delta) == ref_condition(data, m, delta)
+    assert _condition_339a_340(data, m, delta) == (t < delta or 1 - t < delta)
+
+
+@seed(20240811)
+@PROPERTY
+@given(path_data(), st.integers(1, 10 ** 6), st.integers(20, 45), st.sampled_from((-1, 1)))
+def test_closeness_gate_next_to_eps(data, N, k, side):
+    v = build_jump_vector([data])
+    bits = tuple(int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords)  # nearest vertex
+    dps = get_precision()
+    ref = ref_residual(v, N, bits, dps)
+    worst, slack, F = _residual(v, N, bits, dps)
+    assert float(worst / (1 << F)) == ref
+    eps = ref * (1 + side * 2.0 ** -k)
+    assume(0 < eps < 0.5)
+    assert _closer_than(worst, slack, F, Fraction(eps)) == (ref < eps)
+
+
+def test_angle_gate_inside_slack_falls_back_or_raises():
+    x = Scalar.sqrt(3) * Fraction(1, 2)
+    data = rot_data(x, i1=1)
+    for m in (7, 12345, 987654):
+        r, F = x.mul_frac(m)
+        t = exact_frac(x, m)
+        # delta at r 2**-F is inside the slack at F bits; the 2 * dps
+        # recomputation decides it exactly against the stored value
+        delta = Fraction(r, 1 << F)
+        assert delta_k(data, m, delta) == (t < delta)
+        # delta equal to the stored {m x} stays ambiguous at 2 * dps as well
+        with pytest.raises(PrecisionError):
+            delta_k(data, m, t)
+
+
+def test_closeness_gate_slack_boundaries():
+    F = 64
+    eps = Fraction(1, 8)
+    E = eps * (1 << F)
+    for slack in (0, 5):
+        assert _closer_than(E - slack - 1, slack, F, eps) is True
+        assert _closer_than(E + slack, slack, F, eps) is False
+    assert _closer_than(E - 5, 5, F, eps) is None
+    assert _closer_than(E + 4, 5, F, eps) is None
+    assert _closer_than(E, 0, F, eps) is False  # residual == eps is rejected
+
+
+@pytest.fixture(scope="module")
+def sqrt2_pair_paths():
+    spec = EllipsoidSpec(alphas=("1", "sqrt2"), mode="convex")
+    return [orbit_data(spec, i)[0] for i in (1, 2)]
+
+
+def test_jump_search_json_identical_across_workers(sqrt2_pair_paths, tmp_path):
+    fixtures = {"golden": [rot_data(PHI, i1=1)], "sqrt2": sqrt2_pair_paths}
+    for name, paths in fixtures.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps([p.to_json() for p in paths]))
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{name}-{workers}.json"
+            assert cli.main(["jump-search", "--paths", str(f), "--n-max", "100000",
+                             "--workers", workers, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["search"]["solutions"]
