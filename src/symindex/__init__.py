@@ -24,7 +24,6 @@ from .normal_forms import (  # noqa: F401
     nu_omega,
     realize,
     realize_decomposition,
-    unit_spectrum,
 )
 from .iteration import (  # noqa: F401
     C_of_M,
@@ -39,6 +38,7 @@ from .iteration import (  # noqa: F401
     mean_index,
     nullity_iterate,
     splitting_numbers,
+    unit_spectrum,
     validate,
 )
 from .oracle import (  # noqa: F401

@@ -15,7 +15,6 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -67,32 +66,6 @@ EXIT_INTERNAL = 2
 
 class InputError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    precision: int = 50
-    eps: float | None = None
-    delta: str | None = None
-    rank_tol: float = 1e-9
-    n_max: int = 10 ** 6
-    m_max: int = 50
-    seed: int = 0
-    workers: int = 1
-    extra: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.precision < 30:
-            raise InputError(f"precision must be >= 30, got {self.precision}")
-        if self.m_max < 1:
-            raise InputError("m-max must be >= 1")
-        if self.n_max < 1:
-            raise InputError("n-max must be >= 1")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
 
 
 def _load_json(path: str):
@@ -176,26 +149,24 @@ def _mean_times_m(mi, m: int) -> str:
 # ----- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_iterate(cfg: RunConfig) -> int:
-    data = _load_path_data(_load_json(cfg.input_path))
+def _cmd_iterate(args: argparse.Namespace) -> int:
+    data = _load_path_data(_load_json(args.input))
     mi = mean_index(data)
     lines = ["m,i,nu,mean_index_times_m"]
-    for m in range(1, cfg.m_max + 1):
+    for m in range(1, args.m_max + 1):
         lines.append(f"{m},{index_iterate(data, m)},{nullity_iterate(data, m)},"
                      f"{_mean_times_m(mi, m)}")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _cmd_splitting(cfg: RunConfig) -> int:
-    data = _load_path_data(_load_json(cfg.input_path))
+def _cmd_splitting(args: argparse.Namespace) -> int:
+    data = _load_path_data(_load_json(args.input))
     d = data.decomp
-    omega_text = cfg.extra.get("omega")
     out = {"validation": validate(data).to_json()}
-    if omega_text is not None:
-        omega = _parse_omega_tagged(omega_text)
-        pair = splitting_numbers(d, omega)
-        out["omega"] = omega_text
+    if args.omega is not None:
+        pair = splitting_numbers(d, _parse_omega_tagged(args.omega))
+        out["omega"] = args.omega
         out["splitting"] = {"s_plus": pair.s_plus, "s_minus": pair.s_minus}
     else:
         table = []
@@ -209,24 +180,23 @@ def _cmd_splitting(cfg: RunConfig) -> int:
             table.append({"angle_over_pi": label, "multiplicity": mult,
                           "s_plus": pair.s_plus, "s_minus": pair.s_minus})
         out["spectrum"] = table
-    _dump_json(out, cfg.output_path)
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    path = _load_generator(_load_json(cfg.input_path))
-    omega = _parse_omega_complex(cfg.extra.get("omega", "1"))
-    m = int(cfg.extra.get("m", 1))
-    if m < 1:
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    path = _load_generator(_load_json(args.input))
+    omega = _parse_omega_complex(args.omega)
+    if args.m < 1:
         raise InputError("m must be >= 1")
-    eps = cfg.eps if cfg.eps is not None else 1e-4
-    iterated = iterate_path(path, m)
-    i_val, nu_val = cz_index(iterated, omega, eps=eps, rank_tol=cfg.rank_tol)
-    out = {"omega": cfg.extra.get("omega", "1"), "m": m, "i": i_val, "nu": nu_val}
-    if cfg.extra.get("splitting"):
+    eps = args.eps if args.eps is not None else 1e-4
+    iterated = iterate_path(path, args.m)
+    i_val, nu_val = cz_index(iterated, omega, eps=eps, rank_tol=args.rank_tol)
+    out = {"omega": args.omega, "m": args.m, "i": i_val, "nu": nu_val}
+    if args.splitting:
         sp, sm = estimate_splitting(iterated, omega)
         out["splitting_estimate"] = {"s_plus": sp, "s_minus": sm}
-    _dump_json(out, cfg.output_path)
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
@@ -241,24 +211,24 @@ def _parse_chi(text: str, h: int):
     return tuple(int(c) for c in bits)
 
 
-def _cmd_jump_search(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input_path)
+def _cmd_jump_search(args: argparse.Namespace) -> int:
+    obj = _load_json(args.input)
     raw_paths = obj["paths"] if isinstance(obj, dict) and "paths" in obj else obj
     if not isinstance(raw_paths, list) or not raw_paths:
         raise InputError("paths file must hold a non-empty list of path data objects")
     paths = [_load_path_data(p) for p in raw_paths]
     try:
-        v = build_jump_vector(paths, M=cfg.extra.get("m_scale"), M0=cfg.extra.get("m0"))
-        chi = _parse_chi(cfg.extra.get("chi", "auto"), v.h)
-        delta = Fraction(cfg.delta) if cfg.delta else default_delta(paths)
-        eps = cfg.eps if cfg.eps is not None else default_eps(paths, v.M, delta)
-        result = search_N(v, chi, eps=eps, N_max=cfg.n_max, paths=paths,
-                          delta=delta, workers=cfg.workers)
+        v = build_jump_vector(paths, M=args.m_scale, M0=args.m0)
+        chi = _parse_chi(args.chi, v.h)
+        delta = Fraction(args.delta) if args.delta else default_delta(paths)
+        eps = args.eps if args.eps is not None else default_eps(paths, v.M, delta)
+        result = search_N(v, chi, eps=eps, N_max=args.n_max, paths=paths,
+                          delta=delta, workers=args.workers)
     except JumpError as exc:
         raise InputError(str(exc)) from exc
     n = max(p.decomp.n for p in paths)
     reports = [theorem211_report(sol, paths, n).to_json()
-               for sol in result.solutions[:int(cfg.extra.get("report_solutions", 25))]]
+               for sol in result.solutions[:args.report_solutions]]
     out = {
         "schema_version": 1,
         "jump_vector": v.to_json(),
@@ -266,40 +236,40 @@ def _cmd_jump_search(cfg: RunConfig) -> int:
         "search": result.to_json(),
         "theorem211": reports,
     }
-    _dump_json(out, cfg.output_path)
+    _dump_json(out, args.out)
     return EXIT_OK
 
 
-def _cmd_ellipsoid(cfg: RunConfig) -> int:
-    alphas = [a for a in cfg.extra.get("alphas", "").split(",") if a]
+def _cmd_ellipsoid(args: argparse.Namespace) -> int:
+    alphas = [a for a in args.alphas.split(",") if a]
     if not alphas:
         raise InputError("--alphas requires a comma-separated list, e.g. 1,sqrt2")
     try:
-        spec = EllipsoidSpec(alphas=tuple(alphas), mode=cfg.extra.get("mode", "convex"))
+        spec = EllipsoidSpec(alphas=tuple(alphas), mode=args.mode)
         params = PipelineParams(
-            m_max=cfg.m_max,
-            N_max=cfg.n_max,
-            chi=cfg.extra.get("chi", "auto"),
-            eps=cfg.eps,
-            delta=Fraction(cfg.delta) if cfg.delta else None,
-            workers=cfg.workers,
+            m_max=args.m_max,
+            N_max=args.n_max,
+            chi=args.chi,
+            eps=args.eps,
+            delta=Fraction(args.delta) if args.delta else None,
+            workers=args.workers,
         )
         report = run_pipeline(spec, params)
     except (EllipsoidError, JumpError) as exc:
         raise InputError(str(exc)) from exc
-    _dump_json(report.to_json(), cfg.output_path)
+    _dump_json(report.to_json(), args.out)
     return EXIT_OK
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
-    results = selftest_mod.run_all(seed=cfg.seed)
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    results = selftest_mod.run_all(seed=args.seed)
     ok_all = True
     lines = []
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"
         ok_all &= ok
         lines.append(f"selftest {name}: {status} ({detail})")
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok_all else EXIT_INTERNAL
 
 
@@ -313,14 +283,41 @@ _HANDLERS = {
 }
 
 
-def dispatch(cfg: RunConfig) -> int:
-    """Run one subcommand; deterministic for a fixed config (and seed)."""
-    cfg.validate()
-    set_precision(cfg.precision)
-    handler = _HANDLERS.get(cfg.subcommand)
-    if handler is None:
-        raise InputError(f"unknown subcommand {cfg.subcommand!r}")
-    return handler(cfg)
+def _flag_or_env(args: argparse.Namespace, flag: str, env: str, default: int) -> int:
+    """An integer flag's value, or else the environment variable's."""
+    value = getattr(args, flag, None)
+    if value is not None:
+        return value
+    if not hasattr(args, flag):
+        return default
+    try:
+        return env_int(env, default)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed subcommand; deterministic for fixed arguments (and seed).
+
+    --precision and --workers fall back to their environment variables.  The
+    working precision is restored when the subcommand returns.
+    """
+    args.precision = _flag_or_env(args, "precision", "SYMINDEX_PRECISION", 50)
+    args.workers = _flag_or_env(args, "workers", "SYMINDEX_WORKERS", 1)
+    if args.precision < 30:
+        raise InputError(f"precision must be >= 30, got {args.precision}")
+    if getattr(args, "m_max", 1) < 1:
+        raise InputError("m-max must be >= 1")
+    if getattr(args, "n_max", 1) < 1:
+        raise InputError("n-max must be >= 1")
+    if args.workers < 1:
+        raise InputError("workers must be >= 1")
+    old_precision = get_precision()
+    set_precision(args.precision)
+    try:
+        return _HANDLERS[args.subcommand](args)
+    finally:
+        set_precision(old_precision)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,45 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _flag_or_env(args: argparse.Namespace, flag: str, env: str, default: int) -> int:
-    """An integer flag's value, or else the environment variable's."""
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    if not hasattr(args, flag):
-        return default
-    try:
-        return env_int(env, default)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("omega", "m", "chi", "alphas", "mode", "m_scale", "m0",
-                "splitting", "report_solutions"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            extra[key] = getattr(args, key)
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "out", None),
-        precision=_flag_or_env(args, "precision", "SYMINDEX_PRECISION", 50),
-        eps=getattr(args, "eps", None),
-        delta=getattr(args, "delta", None),
-        rank_tol=getattr(args, "rank_tol", 1e-9),
-        n_max=getattr(args, "n_max", 10 ** 6),
-        m_max=getattr(args, "m_max", 50),
-        seed=getattr(args, "seed", 0),
-        workers=_flag_or_env(args, "workers", "SYMINDEX_WORKERS", 1),
-        extra=extra,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return dispatch(_config_from_args(args))
+        return dispatch(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,30 +1,36 @@
-"""Symplectic matrices, basic normal forms, the diamond product and D_omega.
+"""Symplectic matrices, basic normal forms, the diamond product, D_omega and nu_omega.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n), so the standard symplectic
-form is J = [[0, -I], [I, 0]].  Matrices carry either exact Fraction
-entries or float64 entries; exact matrices admit exact determinant and
-kernel computations at omega = +-1.
+form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: D_omega,
+nu_omega and the diamond layout are implemented here once, and the
+crossing-count oracle runs them on its sampled paths.  The formulas take
+plain float64 arrays and do no per-call validation; SymplecticMatrix checks
+the symplectic relation once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar
 
 __all__ = [
     "SymplecticMatrix",
     "BasicNormalForm",
     "NormalFormError",
     "standard_J",
+    "symplectic_defect",
+    "diamond_index_maps",
     "diamond",
     "realize",
+    "realize_decomposition",
     "d_omega",
+    "kernel",
     "nu_omega",
     "nontrivial_n2_block",
     "trivial_n2_block",
@@ -45,112 +51,37 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def _exact_J(n: int) -> np.ndarray:
-    J = np.full((2 * n, 2 * n), Fraction(0), dtype=object)
-    for i in range(n):
-        J[i, n + i] = Fraction(-1)
-        J[n + i, i] = Fraction(1)
-    return J
+def symplectic_defect(M: np.ndarray) -> float:
+    """max |M^T J M - J| entry of a 2n x 2n float array."""
+    J = standard_J(M.shape[0] // 2)
+    return float(np.max(np.abs(M.T @ J @ M - J)))
 
 
 class SymplecticMatrix:
-    """A 2n x 2n real symplectic matrix.
+    """A 2n x 2n real symplectic matrix with float64 entries.
 
-    Entries are a numpy array, dtype object (Fractions, exact) or float64.
-    The symplectic relation M^T J M = J is checked on construction to the
-    1e-9 tolerance (exactly for rational entries).
+    The symplectic relation M^T J M = J is checked once, on construction,
+    to the 1e-9 tolerance.
     """
 
-    def __init__(self, n: int, entries, check: bool = True):
+    def __init__(self, n: int, entries):
         self.n = int(n)
-        arr = np.asarray(entries)
-        if arr.shape != (2 * n, 2 * n):
-            raise NormalFormError(f"expected shape {(2*n, 2*n)}, got {arr.shape}")
-        if arr.dtype == object:
-            self.entries = arr
-        else:
-            self.entries = arr.astype(float)
-        if check:
-            defect = self.symplectic_defect()
-            if defect > SYMPLECTIC_TOL:
-                raise NormalFormError(
-                    f"matrix is not symplectic: max |M^T J M - J| entry = {defect:.3e}")
-
-    # ----- basics ---------------------------------------------------------
-
-    @property
-    def exact(self) -> bool:
-        return self.entries.dtype == object
-
-    @classmethod
-    def identity(cls, n: int, exact: bool = True) -> "SymplecticMatrix":
-        if exact:
-            ent = np.full((2 * n, 2 * n), Fraction(0), dtype=object)
-            for i in range(2 * n):
-                ent[i, i] = Fraction(1)
-            return cls(n, ent, check=False)
-        return cls(n, np.eye(2 * n), check=False)
+        self.entries = np.asarray(entries, dtype=float)
+        if self.entries.shape != (2 * n, 2 * n):
+            raise NormalFormError(f"expected shape {(2*n, 2*n)}, got {self.entries.shape}")
+        defect = symplectic_defect(self.entries)
+        if defect > SYMPLECTIC_TOL:
+            raise NormalFormError(
+                f"matrix is not symplectic: max |M^T J M - J| entry = {defect:.3e}")
 
     def as_float(self) -> np.ndarray:
-        if self.exact:
-            return np.array([[float(x) for x in row] for row in self.entries])
         return self.entries
 
-    def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        if self.n != other.n:
-            raise NormalFormError("dimension mismatch")
-        if self.exact and other.exact:
-            prod = self.entries.dot(other.entries)
-        else:
-            prod = self.as_float() @ other.as_float()
-        return SymplecticMatrix(self.n, prod, check=False)
-
-    def transpose(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(self.n, self.entries.T.copy(), check=False)
-
     def symplectic_defect(self) -> float:
-        if self.exact:
-            J = _exact_J(self.n)
-            res = self.entries.T.dot(J).dot(self.entries) - J
-            return float(max(abs(x) for x in res.flat))
-        J = standard_J(self.n)
-        res = self.entries.T @ J @ self.entries - J
-        return float(np.max(np.abs(res)))
-
-    def is_symplectic(self, tol: float = SYMPLECTIC_TOL) -> bool:
-        return self.symplectic_defect() <= tol
+        return symplectic_defect(self.entries)
 
     def __repr__(self):
-        kind = "exact" if self.exact else "float"
-        return f"SymplecticMatrix(n={self.n}, {kind})"
-
-    # ----- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        rows = []
-        for row in self.entries:
-            out = []
-            for x in row:
-                if isinstance(x, Fraction):
-                    out.append(f"{x.numerator}/{x.denominator}")
-                else:
-                    out.append(float(x))
-            rows.append(out)
-        return {"n": self.n, "entries": rows}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SymplecticMatrix":
-        n = int(obj["n"])
-        raw = obj["entries"]
-        exact = any(isinstance(x, str) for row in raw for x in row)
-        if exact:
-            ent = np.full((2 * n, 2 * n), Fraction(0), dtype=object)
-            for i, row in enumerate(raw):
-                for j, x in enumerate(row):
-                    ent[i, j] = Fraction(x) if isinstance(x, str) else Fraction(x)
-        else:
-            ent = np.array(raw, dtype=float)
-        return cls(n, ent)
+        return f"SymplecticMatrix(n={self.n})"
 
 
 # ----- basic normal forms ---------------------------------------------------
@@ -216,74 +147,37 @@ class BasicNormalForm:
         val = (1 if diff > 0 else -1) * self.sin_sign()
         return val > 0
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind in ("D", "N1"):
-            out["lam"] = self.lam
-        if self.kind == "N1":
-            out["b"] = self.b
-        if self.theta is not None:
-            out["theta_over_pi"] = scalar_to_json(self.theta)
-        if self.b_block is not None:
-            out["b_block"] = [list(map(float, row)) for row in self.b_block]
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BasicNormalForm":
-        theta = scalar_from_json(obj["theta_over_pi"]) if "theta_over_pi" in obj else None
-        bb = obj.get("b_block")
-        if bb is not None:
-            bb = (tuple(bb[0]), tuple(bb[1]))
-        return cls(kind=obj["kind"], lam=obj.get("lam", 0), b=obj.get("b", 0),
-                   theta=theta, b_block=bb)
-
 
 def _rotation_entries(theta: Scalar):
-    """cos/sin of pi * (theta/pi); exact at the quarter turns."""
-    if theta.is_rational:
-        fr = theta.fraction
-        if fr.denominator == 2:  # pi/2 or 3pi/2
-            if fr == Fraction(1, 2):
-                return Fraction(0), Fraction(1)
-            if fr == Fraction(3, 2):
-                return Fraction(0), Fraction(-1)
+    """cos/sin of pi * (theta/pi); exactly 0.0 and +-1.0 at the quarter turns."""
+    if theta == Scalar.rational(1, 2):
+        return 0.0, 1.0
+    if theta == Scalar.rational(3, 2):
+        return 0.0, -1.0
     x = float(theta) * math.pi
     return math.cos(x), math.sin(x)
 
 
+def _block_entries(form: BasicNormalForm) -> np.ndarray:
+    """The literal float matrix of a basic normal form, unchecked."""
+    if form.kind == "D":
+        return np.diag([float(form.lam), 1.0 / form.lam])
+    if form.kind == "N1":
+        return np.array([[form.lam, form.b], [0, form.lam]], dtype=float)
+    c, s = _rotation_entries(form.theta)
+    R = np.array([[c, -s], [s, c]])
+    if form.kind == "R":
+        return R
+    # N2: [[R, b], [0, R]] in (p1, p2, q1, q2) coordinates
+    return np.block([[R, np.array(form.b_block, dtype=float)], [np.zeros((2, 2)), R]])
+
+
 def realize(form: BasicNormalForm) -> SymplecticMatrix:
     """The literal matrix of a basic normal form."""
-    if form.kind == "D":
-        lam = Fraction(form.lam)
-        ent = np.full((2, 2), Fraction(0), dtype=object)
-        ent[0, 0] = lam
-        ent[1, 1] = 1 / lam
-        return SymplecticMatrix(1, ent)
-    if form.kind == "N1":
-        ent = np.full((2, 2), Fraction(0), dtype=object)
-        ent[0, 0] = Fraction(form.lam)
-        ent[0, 1] = Fraction(form.b)
-        ent[1, 1] = Fraction(form.lam)
-        return SymplecticMatrix(1, ent)
-    if form.kind == "R":
-        c, s = _rotation_entries(form.theta)
-        if isinstance(c, Fraction):
-            ent = np.array([[c, -s], [s, c]], dtype=object)
-        else:
-            ent = np.array([[c, -s], [s, c]], dtype=float)
-        return SymplecticMatrix(1, ent)
-    # N2: [[R, b], [0, R]] in (p1, p2, q1, q2) coordinates
-    c, s = _rotation_entries(form.theta)
-    c, s = float(c), float(s)
-    b = np.array(form.b_block, dtype=float)
-    ent = np.zeros((4, 4))
-    R = np.array([[c, -s], [s, c]])
-    ent[:2, :2] = R
-    ent[:2, 2:] = b
-    ent[2:, 2:] = R
     try:
-        return SymplecticMatrix(2, ent)
+        return SymplecticMatrix(form.half_dim, _block_entries(form))
     except NormalFormError as exc:
+        # only an N2 block can fail: its b block is free input
         raise NormalFormError(
             "N2 b block incompatible with the rotation part "
             "(R(theta)^T b must be symmetric): " + str(exc)) from exc
@@ -292,160 +186,37 @@ def realize(form: BasicNormalForm) -> SymplecticMatrix:
 def nontrivial_n2_block(theta: Scalar) -> BasicNormalForm:
     """An N2(omega, b) with (b2-b3) sin(theta) < 0; here b = R(theta)."""
     c, s = _rotation_entries(theta)
-    c, s = float(c), float(s)
     return BasicNormalForm(kind="N2", theta=theta, b_block=((c, -s), (s, c)))
 
 
 def trivial_n2_block(theta: Scalar) -> BasicNormalForm:
     """An N2(omega, b) with (b2-b3) sin(theta) > 0; here b = -R(theta)."""
     c, s = _rotation_entries(theta)
-    c, s = float(c), float(s)
     return BasicNormalForm(kind="N2", theta=theta, b_block=((-c, s), (-s, -c)))
 
 
 # ----- diamond product ------------------------------------------------------
 
 
-def _diamond_index_maps(n1: int, n2: int):
+def diamond_index_maps(n1: int, n2: int):
+    """Rows/columns of the n1- and n2-blocks inside their diamond product."""
     n = n1 + n2
-    map1 = [i if i < n1 else n + (i - n1) for i in range(2 * n1)]
-    map2 = [n1 + i if i < n2 else n + n1 + (i - n2) for i in range(2 * n2)]
-    return map1, map2
+    return [*range(n1), *range(n, n + n1)], [*range(n1, n), *range(n + n1, 2 * n)]
 
 
-def diamond(M1: SymplecticMatrix, M2: SymplecticMatrix) -> SymplecticMatrix:
-    """Block-interleaved direct sum of two symplectic matrices.
+def diamond(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Block-interleaved direct sum of two 2n_i x 2n_i arrays.
 
     In (p, q)-ordered coordinates this is the displayed 4-block layout:
-    the p-coordinates of M1 come first, then those of M2, then the two
+    the p-coordinates of A come first, then those of B, then the two
     q-coordinate groups in the same order.
     """
-    for M in (M1, M2):
-        defect = M.symplectic_defect()
-        if defect > SYMPLECTIC_TOL:
-            raise NormalFormError(
-                f"diamond operand is not symplectic: max |M^T J M - J| entry = {defect:.3e}")
-    n = M1.n + M2.n
-    exact = M1.exact and M2.exact
-    if exact:
-        ent = np.full((2 * n, 2 * n), Fraction(0), dtype=object)
-    else:
-        ent = np.zeros((2 * n, 2 * n))
-    map1, map2 = _diamond_index_maps(M1.n, M2.n)
-    A1 = M1.entries if exact else M1.as_float()
-    A2 = M2.entries if exact else M2.as_float()
-    for i in range(2 * M1.n):
-        for j in range(2 * M1.n):
-            ent[map1[i], map1[j]] = A1[i, j]
-    for i in range(2 * M2.n):
-        for j in range(2 * M2.n):
-            ent[map2[i], map2[j]] = A2[i, j]
-    return SymplecticMatrix(n, ent, check=False)
-
-
-def diamond_all(mats) -> SymplecticMatrix:
-    mats = list(mats)
-    if not mats:
-        raise NormalFormError("empty diamond product")
-    out = mats[0]
-    for M in mats[1:]:
-        out = diamond(out, M)
+    map1, map2 = diamond_index_maps(A.shape[0] // 2, B.shape[0] // 2)
+    size = A.shape[0] + B.shape[0]
+    out = np.zeros((size, size))
+    out[np.ix_(map1, map1)] = A
+    out[np.ix_(map2, map2)] = B
     return out
-
-
-# ----- D_omega and nu_omega -------------------------------------------------
-
-
-def _det_exact(a) -> Fraction:
-    """Fraction Gaussian elimination determinant (matrices are tiny)."""
-    n = a.shape[0]
-    rows = [[Fraction(x) for x in a[i]] for i in range(n)]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if rows[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = -det
-        det *= rows[k][k]
-        inv = 1 / rows[k][k]
-        for i in range(k + 1, n):
-            if rows[i][k] == 0:
-                continue
-            f = rows[i][k] * inv
-            for j in range(k, n):
-                rows[i][j] -= f * rows[k][j]
-    return det
-
-
-def _rank_exact(a) -> int:
-    n, m = a.shape
-    rows = [[Fraction(x) for x in a[i]] for i in range(n)]
-    rank = 0
-    col = 0
-    while rank < n and col < m:
-        piv = None
-        for i in range(rank, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        for i in range(rank + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] * inv
-                for j in range(col, m):
-                    rows[i][j] -= f * rows[rank][j]
-        rank += 1
-        col += 1
-    return rank
-
-
-def d_omega(M: SymplecticMatrix, omega):
-    """D_omega(M) = (-1)^(n-1) * conj(omega)^n * det(M - omega I).
-
-    Real-valued on the unit circle; returned as an exact Fraction for
-    rational matrices at omega = +-1, as a float otherwise.
-    """
-    n = M.n
-    if omega in (1, -1) and M.exact:
-        shifted = M.entries.copy()
-        for i in range(2 * n):
-            shifted[i, i] = shifted[i, i] - Fraction(omega)
-        det = _det_exact(shifted)
-        return Fraction(-1) ** (n - 1) * Fraction(omega) ** n * det
-    om = complex(omega)
-    if abs(abs(om) - 1) > 1e-9:
-        raise NormalFormError(f"omega must lie on the unit circle, got |omega| = {abs(om)}")
-    A = M.as_float().astype(complex) - om * np.eye(2 * n)
-    val = (-1) ** (n - 1) * np.conj(om) ** n * np.linalg.det(A)
-    return val.real if omega in (1, -1) else val
-
-
-def nu_omega(M: SymplecticMatrix, omega, tol: float = RANK_TOL) -> int:
-    """dim_C ker(M - omega I), via exact rank for rational M at omega = +-1,
-    else via SVD with the given singular-value threshold."""
-    n = M.n
-    if omega in (1, -1) and M.exact:
-        shifted = M.entries.copy()
-        for i in range(2 * n):
-            shifted[i, i] = shifted[i, i] - Fraction(omega)
-        return 2 * n - _rank_exact(shifted)
-    om = complex(omega)
-    if abs(abs(om) - 1) > 1e-9:
-        raise NormalFormError(f"omega must lie on the unit circle, got |omega| = {abs(om)}")
-    A = M.as_float().astype(complex) - om * np.eye(2 * n)
-    sv = np.linalg.svd(A, compute_uv=False)
-    scale = max(1.0, float(sv[0]))
-    return int(np.sum(sv < tol * scale))
 
 
 def realize_decomposition(decomp) -> SymplecticMatrix:
@@ -467,9 +238,31 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
     blocks += [BasicNormalForm("D", lam=2)] * decomp.k
     if not blocks:
         raise NormalFormError("empty decomposition")
-    return diamond_all(realize(b) for b in blocks)
+    return SymplecticMatrix(decomp.n, reduce(diamond, map(_block_entries, blocks)))
 
 
-# re-exported here because the operation belongs to the normal-form surface,
-# while the decomposition type it consumes lives with the iteration formulas
-from .iteration import unit_spectrum  # noqa: E402,F401
+# ----- D_omega and nu_omega -------------------------------------------------
+
+
+def d_omega(mats: np.ndarray, omega, n: int) -> np.ndarray:
+    """D_omega(M) = (-1)^(n-1) * conj(omega)^n * det(M - omega I) over a stack
+    of 2n x 2n samples; the real part, since D_omega is real on Sp(2n) for
+    unit omega up to roundoff."""
+    A = mats.astype(complex) - omega * np.eye(2 * n)
+    det = np.linalg.det(A)
+    pref = (-1) ** (n - 1) * np.conj(omega) ** n
+    return (pref * det).real
+
+
+def kernel(M: np.ndarray, omega, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal columns spanning ker(M - omega I): the right singular
+    vectors whose singular value is below tol * max(1, largest)."""
+    A = M.astype(complex) - omega * np.eye(M.shape[0])
+    _, s, vh = np.linalg.svd(A)
+    k = int(np.sum(s < tol * max(1.0, float(s[0]))))
+    return vh[len(s) - k:].conj().T
+
+
+def nu_omega(M: np.ndarray, omega, tol: float = RANK_TOL) -> int:
+    """dim_C ker(M - omega I) of a float array."""
+    return kernel(M, omega, tol).shape[1]

@@ -26,7 +26,15 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .normal_forms import RANK_TOL, standard_J
+from .normal_forms import (
+    RANK_TOL,
+    d_omega,
+    diamond,
+    kernel,
+    nu_omega,
+    standard_J,
+    symplectic_defect,
+)
 
 __all__ = [
     "OracleError",
@@ -87,11 +95,8 @@ class SampledSymplecticPath:
         if steps.size and float(np.max(steps)) > eta:
             raise OracleError(
                 f"step-size bound violated: max entry change {float(np.max(steps)):.3g} > {eta}")
-        J = standard_J(self.n)
-        worst = 0.0
-        for idx in (0, len(self.mats) // 2, len(self.mats) - 1):
-            M = self.mats[idx]
-            worst = max(worst, float(np.max(np.abs(M.T @ J @ M - J))))
+        worst = max(symplectic_defect(self.mats[idx])
+                    for idx in (0, len(self.mats) // 2, len(self.mats) - 1))
         if worst > sympl_tol:
             raise OracleError(f"samples are not symplectic to {sympl_tol}: defect {worst:.3g}")
         return self
@@ -183,21 +188,11 @@ def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
     """Pointwise diamond product of two paths over a common period."""
     if abs(p1.tau - p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
-    n1, n2 = p1.n, p2.n
-    n = n1 + n2
-    idx1 = [i if i < n1 else n + (i - n1) for i in range(2 * n1)]
-    idx2 = [n1 + i if i < n2 else n + n1 + (i - n2) for i in range(2 * n2)]
-
-    def combine(M1, M2):
-        out = np.zeros((2 * n, 2 * n))
-        out[np.ix_(idx1, idx1)] = M1
-        out[np.ix_(idx2, idx2)] = M2
-        return out
 
     def f(t):
-        return combine(p1.evaluate(t), p2.evaluate(t))
+        return diamond(p1.evaluate(t), p2.evaluate(t))
 
-    return path_from_matrix_function(f, p1.tau, n, steps=steps, check=False)
+    return path_from_matrix_function(f, p1.tau, p1.n + p2.n, steps=steps, check=False)
 
 
 def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
@@ -261,37 +256,6 @@ def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
 
 
 # ----- crossing machinery ---------------------------------------------------
-
-
-def _d_batch(mats: np.ndarray, omega: complex, n: int) -> np.ndarray:
-    """Vectorized D_omega over stacked samples (real part; the function is
-    real on Sp(2n) up to roundoff)."""
-    A = mats.astype(complex) - omega * np.eye(2 * n)
-    det = np.linalg.det(A)
-    pref = (-1) ** (n - 1) * np.conj(omega) ** n
-    return (pref * det).real
-
-
-def _d_single(M: np.ndarray, omega: complex, n: int) -> float:
-    return float(_d_batch(M[None, :, :], omega, n)[0])
-
-
-def _kernel(M: np.ndarray, omega: complex, tol: float):
-    A = M.astype(complex) - omega * np.eye(M.shape[0])
-    u, s, vh = np.linalg.svd(A)
-    scale = max(1.0, float(s[0]))
-    k = int(np.sum(s < tol * scale))
-    if k == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex), s[-1] / scale
-    V = vh.conj().T[:, -k:]
-    return V, s[-1] / scale
-
-
-def _nu_of(M: np.ndarray, omega: complex, tol: float = RANK_TOL) -> int:
-    A = M.astype(complex) - omega * np.eye(M.shape[0])
-    s = np.linalg.svd(A, compute_uv=False)
-    scale = max(1.0, float(s[0]))
-    return int(np.sum(s < tol * scale))
 
 
 class _PerturbedPath:
@@ -429,7 +393,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
     ts = ext.ts
     N = len(ts)
     mats = pp.sample_mats()
-    d = _d_batch(mats, omega, n)
+    d = d_omega(mats, omega, n)
     scale = float(np.max(np.abs(d)))
     if scale == 0.0:
         raise _NeedPerturbation("D_omega vanishes along the whole path")
@@ -466,7 +430,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
         events.append(("junction", float(t_junction), contrib))
 
     def d_at(t: float) -> float:
-        return _d_single(pp.evaluate(t), omega, n)
+        return float(d_omega(pp.evaluate(t)[None], omega, n)[0])
 
     width = 1e-12 * max(1.0, T)
     boundary_margin = 50 * width
@@ -481,7 +445,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
             # domain by the perturbation, not an interior crossing
             return
         M = pp.evaluate(t_star)
-        V, _rel = _kernel(M, omega, kernel_tol)
+        V = kernel(M, omega, kernel_tol)
         k = V.shape[1]
         if k == 0:
             return  # near miss: no unit eigenvalue actually crosses here
@@ -568,7 +532,7 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
-    nu = _nu_of(path.endpoint(), omega, rank_tol)
+    nu = nu_omega(path.endpoint(), omega, rank_tol)
 
     # retry plan: perturbation scale shrinks while the sampling density
     # doubles (doubling needs an evaluator and is capped at MAX_STEPS)

@@ -101,6 +101,30 @@ def test_precision_floor_enforced(rot_fixture, capsys):
     assert rc == EXIT_INPUT
 
 
+def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
+    f, _ = rot_fixture
+    before = get_precision()
+    assert before != 300
+    assert main(["iterate", "--data", str(f), "--m-max", "3", "--precision", "300"]) == EXIT_OK
+    assert get_precision() == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["iterate", "--m-max", "0"], "m-max must be >= 1"),
+    (["jump-search", "--n-max", "0"], "n-max must be >= 1"),
+    (["jump-search", "--workers", "0"], "workers must be >= 1"),
+])
+def test_range_checks_exit_1(rot_fixture, tmp_path, capsys, argv, message):
+    f, data = rot_fixture
+    paths_file = tmp_path / "paths.json"
+    paths_file.write_text(json.dumps([data.to_json()]))
+    source = ["--data", str(f)] if argv[0] == "iterate" else ["--paths", str(paths_file)]
+    rc = main(argv[:1] + source + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err == f"error: {message}\n"
+
+
 def test_jump_search_deterministic_bytes(rot_fixture, tmp_path):
     f, data = rot_fixture
     paths_file = tmp_path / "paths.json"

@@ -12,12 +12,12 @@ from symindex.normal_forms import (
     SymplecticMatrix,
     d_omega,
     diamond,
-    diamond_all,
     nontrivial_n2_block,
     nu_omega,
     realize,
     realize_decomposition,
     standard_J,
+    symplectic_defect,
     trivial_n2_block,
 )
 from symindex.iteration import NormalFormDecomposition, unit_spectrum
@@ -33,13 +33,23 @@ def random_symplectic(rng, n, factors=3, scale=0.4):
                       for _ in range(2 * n)])
         S = 0.5 * (A + A.T)
         M = M @ expm(J @ S)
-    return SymplecticMatrix(n, M)
+    return SymplecticMatrix(n, M).entries
+
+
+def D(M, w):
+    """D_omega of one matrix through the batched d_omega."""
+    return float(d_omega(M[None], w, M.shape[0] // 2)[0])
+
+
+def block(form):
+    return realize(form).entries
 
 
 def test_realize_rotation_quarter_turn():
     M = realize(BasicNormalForm("R", theta=Scalar.rational(1, 2)))
-    assert M.entries.tolist() == [[0, -1], [1, 0]]
-    assert M.exact
+    assert M.entries.tolist() == [[0.0, -1.0], [1.0, 0.0]]
+    assert realize(BasicNormalForm("R", theta=Scalar.rational(3, 2))).entries.tolist() == \
+        [[0.0, 1.0], [-1.0, 0.0]]
 
 
 def test_realize_shear():
@@ -49,21 +59,26 @@ def test_realize_shear():
 
 def test_realize_hyperbolic():
     M = realize(BasicNormalForm("D", lam=-2))
-    assert M.entries.tolist() == [[-2, 0], [0, Fraction(-1, 2)]]
+    assert M.entries.tolist() == [[-2.0, 0.0], [0.0, -0.5]]
 
 
 def test_diamond_identity():
-    I2 = SymplecticMatrix.identity(1)
-    I4 = diamond(I2, I2)
-    assert I4.entries.tolist() == SymplecticMatrix.identity(2).entries.tolist()
+    assert diamond(np.eye(2), np.eye(2)).tolist() == np.eye(4).tolist()
 
 
 def test_diamond_hyperbolic_blocks():
-    D2 = realize(BasicNormalForm("D", lam=2))
+    D2 = block(BasicNormalForm("D", lam=2))
     M = diamond(D2, D2)
-    assert [M.entries[i, i] for i in range(4)] == [2, 2, Fraction(1, 2), Fraction(1, 2)]
-    off = [M.entries[i, j] for i in range(4) for j in range(4) if i != j]
-    assert all(x == 0 for x in off)
+    assert M.tolist() == np.diag([2.0, 2.0, 0.5, 0.5]).tolist()
+
+
+def test_diamond_layout_interleaves_p_then_q():
+    A = np.arange(4.0).reshape(2, 2) + 1
+    B = np.arange(16.0).reshape(4, 4) + 10
+    M = diamond(A, B)
+    assert M[np.ix_([0, 3], [0, 3])].tolist() == A.tolist()
+    assert M[np.ix_([1, 2, 4, 5], [1, 2, 4, 5])].tolist() == B.tolist()
+    assert np.count_nonzero(M) == 4 + 16
 
 
 def test_diamond_random_symplectic_stays_symplectic():
@@ -71,64 +86,63 @@ def test_diamond_random_symplectic_stays_symplectic():
     for _ in range(10):
         A = random_symplectic(rng, rng.randint(1, 3))
         B = random_symplectic(rng, rng.randint(1, 2))
-        out = diamond(A, B)
-        assert out.symplectic_defect() <= 1e-9
-
-
-def test_diamond_rejects_non_symplectic_with_diagnostic():
-    bad = SymplecticMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]), check=False)
-    I2 = SymplecticMatrix.identity(1)
-    with pytest.raises(NormalFormError, match=r"max \|M\^T J M - J\| entry"):
-        diamond(bad, I2)
+        assert symplectic_defect(diamond(A, B)) <= 1e-9
 
 
 def test_symplectic_constructor_rejects_bad_matrix():
-    with pytest.raises(NormalFormError):
+    with pytest.raises(NormalFormError, match=r"max \|M\^T J M - J\| entry"):
         SymplecticMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_d_omega_identity():
-    assert d_omega(SymplecticMatrix.identity(1), 1) == 0
+    assert D(np.eye(2), 1) == 0
 
 
 def test_d_omega_hyperbolic():
-    D2 = realize(BasicNormalForm("D", lam=2))
-    assert d_omega(D2, 1) == Fraction(-1, 2)
+    assert abs(D(block(BasicNormalForm("D", lam=2)), 1) - (-0.5)) <= 1e-12
 
 
 def test_d_omega_minus_one_on_shear():
-    N11 = realize(BasicNormalForm("N1", lam=1, b=1))
-    assert d_omega(N11, -1) == -4
+    assert abs(D(block(BasicNormalForm("N1", lam=1, b=1)), -1) - (-4)) <= 1e-12
+
+
+def test_d_omega_batched_matches_single():
+    rng = random.Random(5)
+    mats = np.stack([random_symplectic(rng, 2) for _ in range(6)])
+    w = complex(math.cos(0.7), math.sin(0.7))
+    batch = d_omega(mats, w, 2)
+    assert batch.shape == (6,)
+    assert batch.tolist() == [D(M, w) for M in mats]
 
 
 def test_d_omega_zero_set_multiplicativity():
     rng = random.Random(11)
     blocks = [
-        realize(BasicNormalForm("R", theta=Scalar.rational(1, 2))),
-        realize(BasicNormalForm("N1", lam=1, b=1)),
-        realize(BasicNormalForm("D", lam=2)),
+        block(BasicNormalForm("R", theta=Scalar.rational(1, 2))),
+        block(BasicNormalForm("N1", lam=1, b=1)),
+        block(BasicNormalForm("D", lam=2)),
         random_symplectic(rng, 1),
     ]
-    omegas = [1, -1, complex(math.cos(0.3), math.sin(0.3))]
+    omegas = [1, -1, complex(math.cos(0.3), math.sin(0.3)), 1j]
     for A in blocks:
         for B in blocks:
             for w in omegas:
-                da, db = d_omega(A, w), d_omega(B, w)
-                dd = d_omega(diamond(A, B), w)
-                assert (abs(complex(dd)) < 1e-9) == (
-                    abs(complex(da)) < 1e-9 or abs(complex(db)) < 1e-9)
+                da, db = D(A, w), D(B, w)
+                dd = D(diamond(A, B), w)
+                assert (abs(dd) < 1e-9) == (abs(da) < 1e-9 or abs(db) < 1e-9)
 
 
 def test_nu_omega_examples():
-    assert nu_omega(SymplecticMatrix.identity(1), 1) == 2
-    assert nu_omega(realize(BasicNormalForm("R", theta=Scalar.rational(1, 2))), 1) == 0
-    assert nu_omega(realize(BasicNormalForm("N1", lam=1, b=1)), 1) == 1
+    assert nu_omega(np.eye(2), 1) == 2
+    assert nu_omega(block(BasicNormalForm("R", theta=Scalar.rational(1, 2))), 1) == 0
+    assert nu_omega(block(BasicNormalForm("R", theta=Scalar.rational(1, 2))), 1j) == 1
+    assert nu_omega(block(BasicNormalForm("N1", lam=1, b=1)), 1) == 1
 
 
 def test_nu_omega_additive_over_diamond():
     rng = random.Random(3)
-    R = realize(BasicNormalForm("R", theta=Scalar.rational(1, 2)))
-    N = realize(BasicNormalForm("N1", lam=1, b=1))
+    R = block(BasicNormalForm("R", theta=Scalar.rational(1, 2)))
+    N = block(BasicNormalForm("N1", lam=1, b=1))
     Q = random_symplectic(rng, 2)
     omegas = [1, -1, 1j, complex(math.cos(1.1), math.sin(1.1))]
     for A in (R, N, Q):
@@ -161,6 +175,7 @@ def test_n2_realization_is_symplectic():
     for maker in (nontrivial_n2_block, trivial_n2_block):
         M = realize(maker(Scalar.rational(2, 5)))
         assert M.symplectic_defect() <= 1e-9
+        assert M.entries[2:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_angle_domain_enforced():
@@ -190,39 +205,5 @@ def test_realize_decomposition_matches_spectrum():
     M = realize_decomposition(d)
     assert M.n == 3
     assert M.symplectic_defect() <= 1e-9
-    assert nu_omega(M, 1) == 1
-    assert nu_omega(M, -1) == 2
-
-
-def test_matrix_json_round_trip():
-    M = realize(BasicNormalForm("D", lam=2))
-    back = SymplecticMatrix.from_json(M.to_json())
-    assert back.exact
-    assert back.entries.tolist() == M.entries.tolist()
-    F = SymplecticMatrix(1, np.array([[math.cos(1.0), -math.sin(1.0)],
-                                      [math.sin(1.0), math.cos(1.0)]]))
-    back2 = SymplecticMatrix.from_json(F.to_json())
-    assert np.allclose(back2.entries, F.entries)
-
-
-def test_diamond_all_three_blocks():
-    blocks = [realize(BasicNormalForm("R", theta=Scalar.rational(1, 2))),
-              realize(BasicNormalForm("N1", lam=1, b=1)),
-              realize(BasicNormalForm("D", lam=2))]
-    M = diamond_all(blocks)
-    assert M.n == 3
-    assert M.symplectic_defect() <= 1e-9
-
-
-def test_basic_form_json_round_trip():
-    forms = [
-        BasicNormalForm("D", lam=-2),
-        BasicNormalForm("N1", lam=-1, b=1),
-        BasicNormalForm("R", theta=Scalar.sqrt(3) * Fraction(1, 3)),
-        nontrivial_n2_block(Scalar.rational(2, 5)),
-    ]
-    for f in forms:
-        back = BasicNormalForm.from_json(f.to_json())
-        assert back.kind == f.kind
-        ra, rb = realize(f), realize(back)
-        assert np.allclose(ra.as_float(), rb.as_float(), atol=1e-12)
+    assert nu_omega(M.entries, 1) == 1
+    assert nu_omega(M.entries, -1) == 2

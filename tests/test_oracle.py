@@ -11,7 +11,15 @@ from symindex.iteration import (
     index_iterate,
     nullity_iterate,
 )
-from symindex.normal_forms import nontrivial_n2_block, realize, trivial_n2_block
+from symindex import normal_forms, oracle
+from symindex.normal_forms import (
+    d_omega,
+    diamond,
+    nontrivial_n2_block,
+    nu_omega,
+    realize,
+    trivial_n2_block,
+)
 from symindex.oracle import (
     OracleError,
     cz_index,
@@ -56,6 +64,32 @@ def test_quadratic_path_block_decoupling():
     assert np.allclose(p.mats, pd.mats, atol=1e-12)
 
 
+def _rotation_function_path(theta_times_pi: float, steps: int):
+    def f(t):
+        s = theta_times_pi * math.pi * t
+        return np.array([[math.cos(s), -math.sin(s)], [math.sin(s), math.cos(s)]])
+
+    return path_from_matrix_function(f, 1.0, 1, steps=steps)
+
+
+def test_diamond_paths_uses_the_normal_form_layout():
+    # sampled from their evaluators, so the samples are the evaluator's values
+    p1 = _rotation_function_path(0.3, steps=128)
+    p2 = diamond_paths(n1_minus_path(1, steps=128), _rotation_function_path(0.7, steps=128),
+                       steps=128)
+    pd = diamond_paths(p1, p2, steps=128)
+    assert len(pd.mats) == len(p1.mats) == len(p2.mats)
+    for k in range(len(pd.mats)):
+        assert np.array_equal(pd.mats[k], diamond(p1.mats[k], p2.mats[k]))
+
+
+def test_oracle_shares_the_matrix_layer():
+    # one D_omega and one nu_omega: the oracle must not grow its own copies
+    assert oracle.d_omega is normal_forms.d_omega
+    assert oracle.nu_omega is normal_forms.nu_omega
+    assert oracle.kernel is normal_forms.kernel
+
+
 def test_quadratic_path_requires_symmetric():
     with pytest.raises(OracleError):
         path_from_quadratic_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
@@ -86,10 +120,8 @@ def test_extend_constant_path():
 
 def test_extension_start_off_the_variety():
     # D_1(xi_n(0)) != 0: eigenvalues 2 and 1/2
-    from symindex.oracle import _d_single
-
     for n in (1, 2, 3):
-        assert abs(_d_single(xi_matrix(n, 0.0, 1.0), 1.0, n)) > 1e-6
+        assert abs(d_omega(xi_matrix(n, 0.0, 1.0)[None], 1.0, n)[0]) > 1e-6
 
 
 def test_extension_preserves_endpoint():
@@ -134,6 +166,14 @@ def test_rotation_iterates_match_formula():
     for m in range(1, 21):
         got = cz_index(iterate_path(p, m), 1)
         assert got == (index_iterate(data, m), nullity_iterate(data, m))
+
+
+def test_endpoint_nullity_is_nu_omega():
+    omegas = (1, -1, cmath.exp(0.5j * math.pi), cmath.exp(0.3j * math.pi))
+    for path in (rotation_path(0.5, steps=256), shear_path(1, steps=256),
+                 n1_minus_path(1, steps=256), rotation_path(0.3, steps=256)):
+        for w in omegas:
+            assert cz_index(path, w)[1] == nu_omega(path.endpoint(), w)
 
 
 def test_full_period_nullity():
