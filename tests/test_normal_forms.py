@@ -89,6 +89,14 @@ def test_diamond_random_symplectic_stays_symplectic():
         assert symplectic_defect(diamond(A, B)) <= 1e-9
 
 
+def test_diamond_rejects_non_symplectic_with_diagnostic():
+    bad = np.array([[1.0, 0.0], [0.0, 2.0]])
+    product = diamond(bad, np.eye(2))
+    assert symplectic_defect(product) == symplectic_defect(bad) > 1e-9
+    with pytest.raises(NormalFormError, match=r"max \|M\^T J M - J\| entry"):
+        SymplecticMatrix(2, product)
+
+
 def test_symplectic_constructor_rejects_bad_matrix():
     with pytest.raises(NormalFormError, match=r"max \|M\^T J M - J\| entry"):
         SymplecticMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
