@@ -312,6 +312,8 @@ def dispatch(args: argparse.Namespace) -> int:
         raise InputError("n-max must be >= 1")
     if args.workers < 1:
         raise InputError("workers must be >= 1")
+    if getattr(args, "report_solutions", 0) < 0:
+        raise InputError("report-solutions must be >= 0")
     old_precision = get_precision()
     set_precision(args.precision)
     try:

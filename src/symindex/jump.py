@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
+import numpy as np
 from mpmath import mp
 
 from .iteration import (
@@ -216,6 +217,8 @@ def chi_of(a) -> tuple:
 
 # ----- stage 1: integer-scaled fractional-part filter -----------------------
 
+_WRAP = 1 << 64  # numpy uint64 arithmetic is exact mod 2**64
+
 
 def _scaled_coord(s: Scalar, F: int) -> int:
     if s.is_rational:
@@ -225,41 +228,56 @@ def _scaled_coord(s: Scalar, F: int) -> int:
 
 
 def _scan_chunk(args):
-    """Pure integer pass over one N-chunk; returns (N, bits) candidates.
+    """One N-chunk of the stage-1 scan; returns the (N, bits) candidates.
 
-    Deterministic function of the chunk alone: worker count and chunk
-    assignment cannot change the result set.
+    A numpy uint64 prefilter drops most N, and each survivor gets the exact
+    big-int test: (N X mod 2**F) within eps_int of 0 (side 0) or of 2**F
+    (side 1), on the chi side when chi is explicit.  The prefilter keeps
+    every N the exact test keeps, so the candidates are exactly those of
+    stepping through every N.  Deterministic function of the chunk alone:
+    worker count and chunk assignment cannot change the result set.
     """
     (first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits) = args
     mask = (1 << F) - 1
     modulus = 1 << F
     N0 = first_step * step_N
-    rs = [(N0 * X) & mask for X in Xs]
-    incs = [(step_N * X) & mask for X in Xs]
+    N_last = N0 + (n_steps - 1) * step_N
+    # Prefilter on the top 64 of the F >= fixed_bits(0) = 149 fraction bits,
+    # s = F - 64 > 0.  X is reduced mod 2**F first, so that Xh < 2**64: an
+    # integer-valued coordinate has X = 2**F.  With Xh = (X mod 2**F) >> s,
+    # the exact top bits (N X mod 2**F) >> s exceed N Xh mod 2**64 by
+    # floor(N (X mod 2**s) / 2**s), which lies in [0, N), so by at most
+    # N_last.  The exact test passes only if those top bits lie within
+    # E = ceil(eps_int / 2**s) of 0 mod 2**64, so every passing N has
+    # (N Xh + E + N_last) mod 2**64 < 2 E + N_last.  When that window
+    # covers the whole circle, every N goes to the exact test.
+    s = F - 64
+    E = -(-eps_int >> s)
+    window = 2 * E + N_last
+    steps = np.arange(n_steps, dtype=np.uint64)
+    if window < _WRAP:
+        for X in Xs:
+            Xh = (X & mask) >> s
+            start = np.uint64((N0 * Xh + E + N_last) % _WRAP)
+            inc = np.uint64(step_N * Xh % _WRAP)
+            steps = steps[steps * inc + start < np.uint64(window)]
     out = []
-    N = N0
-    h = len(Xs)
-    for _ in range(n_steps):
+    for j in steps.tolist():
+        N = N0 + j * step_N
         bits = 0
-        ok = True
-        for i in range(h):
-            r = rs[i]
+        for i, X in enumerate(Xs):
+            r = (N * X) & mask
             if r < eps_int:
                 side = 0
             elif modulus - r < eps_int:
                 side = 1
             else:
-                ok = False
                 break
             if explicit_bits is not None and side != explicit_bits[i]:
-                ok = False
                 break
             bits |= side << i
-        if ok:
+        else:
             out.append((N, bits))
-        for i in range(h):
-            rs[i] = (rs[i] + incs[i]) & mask
-        N += step_N
     return out
 
 

@@ -240,10 +240,14 @@ def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
     tau = path.tau
     steps = max(64, int(round(tau / max(path.ts[1] - path.ts[0], 1e-12))))
     steps = min(steps, DEFAULT_STEPS)
-    xi_ts = np.linspace(0.0, tau, steps + 1)
-    xi_mats = np.stack([xi_matrix(n, t, tau) for t in xi_ts])
-    ts = np.concatenate([xi_ts[:-1], path.ts + tau])
-    mats = np.concatenate([xi_mats[:-1], path.mats])
+    xi_ts = np.linspace(0.0, tau, steps + 1)[:-1]
+    a = 2.0 - xi_ts / tau  # the diagonal of xi_matrix, all samples at once
+    xi_mats = np.zeros((steps, 2 * n, 2 * n))
+    diag = np.arange(n)
+    xi_mats[:, diag, diag] = a[:, None]
+    xi_mats[:, diag + n, diag + n] = (1.0 / a)[:, None]
+    ts = np.concatenate([xi_ts, path.ts + tau])
+    mats = np.concatenate([xi_mats, path.mats])
     junction_index = steps  # index of gamma(0) = I in the combined arrays
 
     def evaluator(t):
@@ -267,20 +271,28 @@ class _PerturbedPath:
         self.n = ext.n
         self.t0 = ext.ts[ext.junction_index]
         self.T = ext.ts[-1]
+        self.I = np.eye(2 * ext.n)
         self.J = standard_J(ext.n)
 
     def _rot(self, t: float) -> np.ndarray:
         if self.pert == 0.0 or t <= self.t0:
-            return np.eye(2 * self.n)
+            return self.I
         s = -self.pert * (t - self.t0) / (self.T - self.t0)
-        return math.cos(s) * np.eye(2 * self.n) + math.sin(s) * self.J
+        return math.cos(s) * self.I + math.sin(s) * self.J
 
     def sample_mats(self) -> np.ndarray:
+        """The samples times _rot, for all samples past the junction at once.
+
+        math.cos/math.sin keep each factor bitwise equal to _rot's."""
         if self.pert == 0.0:
             return self.ext.mats
+        j = self.ext.junction_index
+        ts = self.ext.ts[j:]
+        s = np.where(ts > self.t0, -self.pert * (ts - self.t0) / (self.T - self.t0), 0.0).tolist()
+        cos = np.array([math.cos(x) for x in s])[:, None, None]
+        sin = np.array([math.sin(x) for x in s])[:, None, None]
         out = self.ext.mats.copy()
-        for i in range(self.ext.junction_index, len(out)):
-            out[i] = out[i] @ self._rot(self.ext.ts[i])
+        out[j:] = out[j:] @ (cos * self.I + sin * self.J)
         return out
 
     def evaluate(self, t: float) -> np.ndarray:

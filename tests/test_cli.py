@@ -113,6 +113,7 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["iterate", "--m-max", "0"], "m-max must be >= 1"),
     (["jump-search", "--n-max", "0"], "n-max must be >= 1"),
     (["jump-search", "--workers", "0"], "workers must be >= 1"),
+    (["jump-search", "--report-solutions", "-1"], "report-solutions must be >= 0"),
 ])
 def test_range_checks_exit_1(rot_fixture, tmp_path, capsys, argv, message):
     f, data = rot_fixture

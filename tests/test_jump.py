@@ -21,6 +21,7 @@ from symindex.jump import (
     _closer_than,
     _condition_339a_340,
     _residual,
+    _scan_chunk,
     build_jump_vector,
     chi_of,
     compute_m,
@@ -35,7 +36,7 @@ from symindex.jump import (
     theorem211_report,
     varrho,
 )
-from symindex.scalars import PrecisionError, Scalar, get_precision
+from symindex.scalars import PrecisionError, Scalar, fixed_bits, get_precision
 
 HALF = Scalar.rational(1, 2)
 PHI = Scalar.golden()
@@ -531,6 +532,111 @@ def test_closeness_gate_slack_boundaries():
     assert _closer_than(E - 5, 5, F, eps) is None
     assert _closer_than(E + 4, 5, F, eps) is None
     assert _closer_than(E, 0, F, eps) is False  # residual == eps is rejected
+
+
+# ----- stage-1 scan against the stepping loop ---------------------------------
+
+def ref_scan_chunk(args):
+    """The former stage-1 scan: step N through the chunk, keeping each
+    residue N X mod 2**F up to date, and test every N exactly."""
+    (first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits) = args
+    mask = (1 << F) - 1
+    modulus = 1 << F
+    N0 = first_step * step_N
+    rs = [(N0 * X) & mask for X in Xs]
+    incs = [(step_N * X) & mask for X in Xs]
+    out = []
+    N = N0
+    h = len(Xs)
+    for _ in range(n_steps):
+        bits = 0
+        ok = True
+        for i in range(h):
+            r = rs[i]
+            if r < eps_int:
+                side = 0
+            elif modulus - r < eps_int:
+                side = 1
+            else:
+                ok = False
+                break
+            if explicit_bits is not None and side != explicit_bits[i]:
+                ok = False
+                break
+            bits |= side << i
+        if ok:
+            out.append((N, bits))
+        for i in range(h):
+            rs[i] = (rs[i] + incs[i]) & mask
+        N += step_N
+    return out
+
+
+@st.composite
+def scan_coords(draw, F):
+    """X = floor(x 2**F) for x irrational-like, rational, integer-valued
+    (X a multiple of 2**F, including X = 2**F), or within 2**-k of p/q."""
+    one = 1 << F
+    kind = draw(st.sampled_from(("irrational", "rational", "integer", "near rational")))
+    if kind == "irrational":
+        return draw(st.integers(0, one - 1))
+    if kind == "integer":
+        return draw(st.integers(0, 3)) * one
+    q = draw(st.integers(1, 12))
+    X = (draw(st.integers(0, 2 * q)) * one) // q
+    if kind == "near rational":
+        X += draw(st.integers(-one, one)) >> draw(st.integers(20, 60))
+    return X
+
+
+@st.composite
+def scan_chunks(draw):
+    F = fixed_bits(draw(st.sampled_from((30, 50, 300))))
+    h = draw(st.integers(1, 16))
+    Xs = [draw(scan_coords(F)) for _ in range(h)]
+    step_N = draw(st.integers(1, 40))
+    first_step = draw(st.one_of(
+        st.integers(1, 10 ** 6),
+        # N near 2**63, where the prefilter slack N_last is largest
+        st.integers(-300, 0).map(lambda d: (1 << 63) // step_N + d),
+        # N beyond 2**64: the window covers the whole circle
+        st.integers(0, 10 ** 6).map(lambda d: (1 << 64) + d)))
+    n_steps = draw(st.integers(1, 600))
+    # eps = j 2**-k, up to 1/2 - 2**-40
+    k = draw(st.integers(2, 40))
+    eps = Fraction(draw(st.integers(1, 2 ** (k - 1) - 1)), 2 ** k)
+    N_last = (first_step + n_steps - 1) * step_N
+    eps_int = int(eps * (1 << F)) + draw(st.integers(2, N_last + 2))
+    chi = draw(st.one_of(st.none(), st.tuples(*[st.sampled_from((0, 1))] * h)))
+    return first_step, n_steps, step_N, Xs, F, eps_int, chi
+
+
+@seed(20240811)
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scan_chunks())
+def test_scan_chunk_matches_stepping_loop(chunk):
+    assert _scan_chunk(chunk) == ref_scan_chunk(chunk)
+
+
+def test_scan_chunk_at_the_eps_boundary():
+    # X with its low F - 64 bits zero makes the prefilter's top bits exact,
+    # so the residue r sits exactly at the edge of the window: N survives
+    # iff r < eps_int (side 0) or 2**F - r < eps_int (side 1)
+    F = fixed_bits(50)
+    one = 1 << F
+    for Xh in (3, 0x9E3779B97F4A7C15, (1 << 64) - 5):
+        X = Xh << (F - 64)
+        for N in (1, 7, 12345):
+            r = (N * X) % one
+            for eps_int, want in ((r + 1, True), (r, False),
+                                  (one - r + 1, True), (one - r, False)):
+                if not 2 <= eps_int <= one // 2:
+                    continue
+                chunk = (1, 1, N, [X], F, eps_int, None)
+                got = _scan_chunk(chunk)
+                assert got == ref_scan_chunk(chunk)
+                assert bool(got) == want, (Xh, N, eps_int)
 
 
 @pytest.fixture(scope="module")

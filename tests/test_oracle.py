@@ -18,10 +18,13 @@ from symindex.normal_forms import (
     nontrivial_n2_block,
     nu_omega,
     realize,
+    standard_J,
     trivial_n2_block,
 )
 from symindex.oracle import (
+    DEFAULT_STEPS,
     OracleError,
+    _PerturbedPath,
     cz_index,
     diamond_paths,
     estimate_splitting,
@@ -128,6 +131,67 @@ def test_extension_preserves_endpoint():
     p = rotation_path(0.5, steps=128)
     ext = extend_with_xi(p)
     assert np.allclose(ext.mats[-1], p.endpoint())
+
+
+# ----- vectorised sampling against the per-sample loops ----------------------
+#
+# sample_mats and the xi arc of extend_with_xi build all samples at once; the
+# loops below are the per-sample code they replaced, kept as the reference.
+# The results must be equal, not merely close.
+
+def ref_xi_mats(path):
+    tau = path.tau
+    steps = max(64, int(round(tau / max(path.ts[1] - path.ts[0], 1e-12))))
+    steps = min(steps, DEFAULT_STEPS)
+    xi_ts = np.linspace(0.0, tau, steps + 1)
+    return np.stack([xi_matrix(path.n, t, tau) for t in xi_ts])[:-1]
+
+
+def ref_rot(pp, t):
+    if pp.pert == 0.0 or t <= pp.t0:
+        return np.eye(2 * pp.n)
+    s = -pp.pert * (t - pp.t0) / (pp.T - pp.t0)
+    return math.cos(s) * np.eye(2 * pp.n) + math.sin(s) * standard_J(pp.n)
+
+
+def ref_sample_mats(pp):
+    out = pp.ext.mats.copy()
+    for i in range(pp.ext.junction_index, len(out)):
+        out[i] = out[i] @ ref_rot(pp, pp.ext.ts[i])
+    return out
+
+
+def sampled_inputs():
+    rot = rotation_path(0.5, steps=256)
+    yield "rotation", rot
+    yield "rotation tau=0.7", rotation_path(0.3, tau=0.7, steps=300)
+    yield "shear", shear_path(1, steps=256)
+    yield "iterate m=9", iterate_path(rotation_path(math.sqrt(2) / 2), 9)
+    factors = [rot, shear_path(-1, steps=256), rotation_path(0.3, steps=256),
+               n1_minus_path(1, steps=256)]
+    path = factors[0]
+    for k, factor in enumerate(factors[1:], start=2):
+        path = diamond_paths(path, factor, steps=256)
+        yield f"diamond n={k}", path
+
+
+def test_vectorised_sampling_matches_per_sample_loops():
+    seen = set()
+    for name, path in sampled_inputs():
+        ext = extend_with_xi(path)
+        xi = ref_xi_mats(path)
+        assert np.array_equal(ext.mats[:len(xi)], xi), name
+        assert ext.junction_index == len(xi), name
+        assert np.array_equal(ext.mats[len(xi):], path.mats), name
+        for pert in (1e-4, 2.5e-5):
+            pp = _PerturbedPath(ext, pert)
+            assert np.array_equal(pp.sample_mats(), ref_sample_mats(pp)), (name, pert)
+            for t in (ext.ts[1], pp.t0, 0.5 * (pp.t0 + pp.T), pp.T):
+                want = ext.evaluate(t) @ ref_rot(pp, t)
+                assert np.array_equal(pp.evaluate(t), want), (name, pert, t)
+        assert _PerturbedPath(ext, 0.0).sample_mats() is ext.mats
+        seen.add(path.n)
+    assert seen == {1, 2, 3, 4}
 
 
 # ----- iteration -------------------------------------------------------------
