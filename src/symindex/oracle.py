@@ -398,6 +398,63 @@ def _golden_min(f, t_lo, t_hi, width: float):
     return t, f(t)
 
 
+def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
+    """The refinement windows of the sample walk past the junction, in order.
+
+    Returns (windows, longest zero run over all of d).  Each window is
+    (kind, lo, hi), sample indices of the bracket to refine:
+    - "zero": a cluster of samples with |d| <= z_tol, bracketed by its
+      neighbours (lo is the sample before the cluster);
+    - "sign": a sign change between samples lo and hi = lo + 1;
+    - "dip": a strict local minimum of |d| below dip_tol, possibly a run of
+      bitwise-equal |d| (a flat D_omega), refined once over the run and its
+      two strictly larger neighbours; a run reaching the last sample is
+      left to the edge window;
+    - "edge": |d| not rising into the last sample (always last).
+    At one sample a zero cluster comes before a sign change, and a sign
+    change before a dip.  The cluster of zeros holding the junction is the
+    junction itself, so the walk starts after it.
+    """
+    N = len(d)
+    a = np.abs(d)
+    is_zero = a <= z_tol
+    edges = np.diff(np.concatenate(([False], is_zero, [False])).astype(np.int8))
+    z_starts, z_ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1  # inclusive
+    longest = int(np.max(z_ends - z_starts + 1)) if z_starts.size else 0
+    scan_start = jidx
+    if is_zero[jidx]:
+        scan_start = int(z_ends[np.searchsorted(z_starts, jidx, side="right") - 1]) + 1
+    events = []  # (sample the walk meets it at, kind, lo, hi)
+
+    keep = (z_starts > scan_start) & (z_starts <= N - 2)
+    for s, e in zip(z_starts[keep].tolist(), z_ends[keep].tolist()):
+        events.append((s, "zero", s - 1, min(e + 1, N - 1)))
+
+    sign = d[:-1] * d[1:] < 0
+    sign_at = sign & ~is_zero[:-1]
+    sign_at[:scan_start] = False
+    for i in np.flatnonzero(sign_at).tolist():
+        events.append((i, "sign", i, i + 1))
+
+    # runs [s, e] of bitwise-equal |d|
+    change = np.flatnonzero(a[1:] != a[:-1])
+    s = np.concatenate(([0], change + 1))
+    e = np.concatenate((change, [N - 1]))
+    keep = (s > scan_start) & (e < N - 1)
+    s, e = s[keep], e[keep]
+    signs_before = np.concatenate(([0], np.cumsum(sign)))
+    dip = ((a[s] < dip_tol) & ~is_zero[s] & (a[s - 1] > a[s]) & (a[e + 1] > a[e])
+           & (signs_before[e + 1] == signs_before[s]))
+    for i, j in zip(s[dip].tolist(), e[dip].tolist()):
+        events.append((i, "dip", i - 1, j + 1))
+
+    events.sort()  # the samples are distinct
+    windows = [ev[1:] for ev in events]
+    if N - 2 >= scan_start and a[N - 1] < dip_tol and a[N - 2] >= a[N - 1]:
+        windows.append(("edge", N - 2, N - 1))
+    return windows, longest
+
+
 def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
           form_tol: float, pert_allowed: bool) -> _ScanResult:
     ext = pp.ext
@@ -409,20 +466,14 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
     scale = float(np.max(np.abs(d)))
     if scale == 0.0:
         raise _NeedPerturbation("D_omega vanishes along the whole path")
-    z_tol = 1e-10 * scale
-    dip_tol = 1e-3 * scale
-    is_zero = np.abs(d) <= z_tol
+    jidx = ext.junction_index
+    windows, longest_zero_run = _sample_windows(d, jidx, 1e-10 * scale, 1e-3 * scale)
 
-    if pp.pert == 0.0 and pert_allowed:
+    if pp.pert == 0.0 and pert_allowed and longest_zero_run >= 4:
         # unperturbed pass: any zero run beyond the junction sample means the
         # path sits inside the crossing variety and needs the perturbation
-        run = 0
-        for i in range(len(d)):
-            run = run + 1 if is_zero[i] else 0
-            if run >= 4:
-                raise _NeedPerturbation("path runs inside the crossing variety")
+        raise _NeedPerturbation("path runs inside the crossing variety")
 
-    jidx = ext.junction_index
     t_junction = ts[jidx]
     T = ts[-1]
     total = 0
@@ -465,7 +516,6 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
             # D_omega keeps its sign through a one-dimensional kernel: the
             # path dips onto a single smooth sheet and returns, so the two
             # resolved crossings cancel (Jordan-block passages land here)
-            total += 0
             handled.append(t_star)
             events.append((kind, float(t_star), 0))
             return
@@ -486,52 +536,27 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
         handled.append(t_star)
         events.append((kind, float(t_star), sig))
 
-    # walk the samples past the junction; the extension arc keeps D_omega < 0.
-    # The zero cluster attached to the junction is the junction itself.
-    i = jidx
-    if is_zero[jidx]:
-        while i < N - 1 and is_zero[i + 1]:
-            i += 1
-        i += 1
-    scan_start = i
+    # walk the windows past the junction; the extension arc keeps D_omega < 0
+    def abs_d_at(t: float) -> float:
+        return abs(d_at(t))
 
-    while i < N - 1:
-        a, b = d[i], d[i + 1]
-        if is_zero[i]:
-            j = i
-            while j < N - 1 and is_zero[j + 1]:
-                j += 1
-            lo = max(i - 1, scan_start - 1, jidx)
-            hi = min(j + 1, N - 1)
-            t_star, _ = _golden_min(lambda t: abs(d_at(t)), ts[lo], ts[hi], width)
-            kind = "crossing" if d[lo] * d[hi] < 0 else "touch"
-            contribute(t_star, kind)
-            i = j + 1
+    for kind, lo, hi in windows:
+        if kind == "sign":
+            contribute(_bisect_zero(d_at, ts[lo], ts[hi], d[lo], d[hi], width), "crossing")
             continue
-        if a * b < 0:
-            t_star = _bisect_zero(d_at, ts[i], ts[i + 1], a, b, width)
-            contribute(t_star, "crossing")
-            i += 1
-            continue
-        # interior |d| local minimum below the dip threshold: possible touch
-        if i > scan_start and abs(a) < dip_tol and \
-                abs(d[i - 1]) >= abs(a) and abs(b) >= abs(a):
-            t_star, f_star = _golden_min(lambda t: abs(d_at(t)), ts[i - 1], ts[i + 1], width)
-            if f_star < abs(a):
-                contribute(t_star, "touch")
-        i += 1
-
-    # edge minimum at the last sample: a touch may sit inside the final step
-    if N - 2 >= scan_start and abs(d[N - 1]) < dip_tol and abs(d[N - 2]) >= abs(d[N - 1]):
-        t_star, f_star = _golden_min(lambda t: abs(d_at(t)), ts[N - 2], T, width)
-        contribute(t_star, "touch")
+        t_star, f_star = _golden_min(abs_d_at, ts[lo], ts[hi], width)
+        if kind == "zero":
+            contribute(t_star, "crossing" if d[lo] * d[hi] < 0 else "touch")
+        elif kind == "edge" or f_star < abs(d[lo + 1]):
+            # a dip counts only if refinement went below the samples; a touch
+            # may sit inside the final step whatever the refined value
+            contribute(t_star, "touch")
 
     return _ScanResult(index=total, events=events)
 
 
 def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
-             rank_tol: float = RANK_TOL, max_retries: int = 5,
-             return_events: bool = False):
+             rank_tol: float = RANK_TOL, max_retries: int = 5):
     """(i_omega, nu_omega) of a sampled path by geometric crossing count.
 
     omega is a unit-circle complex number (1 and -1 included).  eps is the
@@ -578,8 +603,6 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
                     last_error = OracleError(
                         f"unstable count under perturbation ({res.index} vs {res2.index})")
                     continue
-            if return_events:
-                return res.index, nu, res.events
             return res.index, nu
         except _NeedPerturbation as exc:
             last_error = exc

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from symindex.iteration import (
     NormalFormDecomposition,
     PathIndexData,
     index_iterate,
     nullity_iterate,
+    splitting_numbers,
 )
 from symindex import normal_forms, oracle
 from symindex.normal_forms import (
@@ -25,6 +28,7 @@ from symindex.oracle import (
     DEFAULT_STEPS,
     OracleError,
     _PerturbedPath,
+    _sample_windows,
     cz_index,
     diamond_paths,
     estimate_splitting,
@@ -192,6 +196,163 @@ def test_vectorised_sampling_matches_per_sample_loops():
         assert _PerturbedPath(ext, 0.0).sample_mats() is ext.mats
         seen.add(path.n)
     assert seen == {1, 2, 3, 4}
+
+
+# ----- the sample walk against the per-sample loop ---------------------------
+#
+# _sample_windows finds the refinement windows of _scan with numpy masks; the
+# loop below is the per-sample walk it replaced, recording the windows it
+# refined instead of refining them.  The old walk took every sample of a run
+# of equal |d| as a local minimum; the new one refines a run once, and only
+# when both outer neighbours are strictly larger.
+
+Z_TOL, DIP_TOL = 1e-10, 1e-3
+
+
+def ref_sample_windows(d, jidx, z_tol, dip_tol):
+    N = len(d)
+    is_zero = np.abs(d) <= z_tol
+    run = longest = 0
+    for i in range(N):
+        run = run + 1 if is_zero[i] else 0
+        longest = max(longest, run)
+    windows = []
+    i = jidx
+    if is_zero[jidx]:
+        while i < N - 1 and is_zero[i + 1]:
+            i += 1
+        i += 1
+    scan_start = i
+    while i < N - 1:
+        a, b = d[i], d[i + 1]
+        if is_zero[i]:
+            j = i
+            while j < N - 1 and is_zero[j + 1]:
+                j += 1
+            windows.append(("zero", max(i - 1, scan_start - 1, jidx), min(j + 1, N - 1)))
+            i = j + 1
+            continue
+        if a * b < 0:
+            windows.append(("sign", i, i + 1))
+            i += 1
+            continue
+        if i > scan_start and abs(a) < dip_tol and \
+                abs(d[i - 1]) >= abs(a) and abs(b) >= abs(a):
+            windows.append(("dip", i - 1, i + 1))
+        i += 1
+    if N - 2 >= scan_start and abs(d[N - 1]) < dip_tol and abs(d[N - 2]) >= abs(d[N - 1]):
+        windows.append(("edge", N - 2, N - 1))
+    return windows, longest
+
+
+def equal_runs(a):
+    """Maximal runs (s, e) of bitwise-equal values, e inclusive."""
+    runs, s = [], 0
+    for i in range(1, len(a) + 1):
+        if i == len(a) or a[i] != a[i - 1]:
+            runs.append((s, i - 1))
+            s = i
+    return runs
+
+
+# magnitudes that tie often: the first two are zeros under Z_TOL, the next
+# two lie below DIP_TOL (listed twice, so that plateaus are frequent)
+TIED = (0.0, 1e-12, 2e-4, 5e-4, 2e-4, 5e-4, 0.3, 1.0)
+
+
+@st.composite
+def walk_inputs(draw):
+    if draw(st.booleans()):
+        # runs of equal magnitude and mostly equal sign
+        runs = draw(st.lists(st.tuples(st.sampled_from(TIED), st.integers(1, 4),
+                                       st.sampled_from((1.0, 1.0, 1.0, -1.0))),
+                             min_size=3, max_size=10))
+        mags = [m for m, k, _ in runs for _ in range(k)]
+        signs = [s for _, k, s in runs for _ in range(k)]
+        flips = draw(st.lists(st.sampled_from((1.0,) * 7 + (-1.0,)),
+                              min_size=len(mags), max_size=len(mags)))
+        signs = [s * f for s, f in zip(signs, flips)]
+    else:
+        # no two equal magnitudes; m * 2**-40 is below Z_TOL for m <= 109
+        # and below DIP_TOL for m < 1.1e9
+        n = draw(st.integers(3, 24))
+        ms = draw(st.lists(st.one_of(st.integers(1, 400), st.integers(1, 2 ** 32)),
+                           min_size=n, max_size=n, unique=True))
+        mags = [m * 2.0 ** -40 for m in ms]
+        signs = draw(st.lists(st.sampled_from((1.0, 1.0, -1.0)), min_size=n, max_size=n))
+    d = np.array([m * s for m, s in zip(mags, signs)])
+    return d, draw(st.one_of(st.integers(0, 2), st.integers(0, len(d) - 1)))
+
+
+def _position(window, N):
+    """The sample at which the per-sample walk meets a window."""
+    kind, lo, _hi = window
+    return {"sign": lo, "zero": lo + 1, "dip": lo + 1, "edge": N}[kind]
+
+
+@seed(20240811)
+@settings(max_examples=600, deadline=None, database=None)
+@given(walk_inputs())
+def test_sample_windows_match_the_per_sample_walk(inputs):
+    d, jidx = inputs
+    got, longest = _sample_windows(d, jidx, Z_TOL, DIP_TOL)
+    want, want_longest = ref_sample_windows(d, jidx, Z_TOL, DIP_TOL)
+    assert longest == want_longest
+    a = np.abs(d)
+    if np.all(a[1:] != a[:-1]):
+        assert got == want
+        return
+    # with ties only the dips differ; every window still comes in walk order
+    assert [w for w in got if w[0] != "dip"] == [w for w in want if w[0] != "dip"]
+    positions = [_position(w, len(d)) for w in got]
+    assert positions == sorted(set(positions))
+    dips = 0
+    for s, e in equal_runs(a):
+        mine = [w for w in got if w[0] == "dip" and w[1] == s - 1]
+        theirs = [w for w in want if w[0] == "dip" and s <= w[1] + 1 <= e]
+        assert len(mine) <= 1
+        dips += len(mine)
+        if mine:
+            assert mine == [("dip", s - 1, e + 1)]
+            assert a[s - 1] > a[s] and a[e + 1] > a[e]
+            assert all(lo >= s - 1 and hi <= e + 1 for _, lo, hi in theirs)
+        elif s == e:
+            assert theirs == []
+        elif ("dip", s - 1, s + 1) in theirs and e < len(d) - 1 \
+                and a[s - 1] > a[s] and a[e + 1] > a[e]:
+            # a strict minimum the old walk entered is refined, unless D
+            # changes sign inside the run (the sign windows cover that)
+            assert any(w[0] == "sign" and s <= w[1] <= e for w in got)
+    assert dips == sum(w[0] == "dip" for w in got)
+
+
+def test_flat_d_omega_is_refined_once(monkeypatch):
+    # Near omega = 1 the N1(1,1) shear keeps D_omega bitwise constant along
+    # gamma.  The old walk took each of those samples as a dip and refined
+    # every one (about 92k point evaluations per query); the flat run reaches
+    # the last sample, so only the edge window refines it.
+    path = shear_path(1)
+    data = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)
+    pair = splitting_numbers(data.decomp, 1)
+    ext = extend_with_xi(path)
+    calls = []
+    evaluate = _PerturbedPath.evaluate
+
+    def counted(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(_PerturbedPath, "evaluate", counted)
+    for sign, s in ((1, pair.s_plus), (-1, pair.s_minus)):
+        omega = cmath.exp(1j * sign * 1e-3)
+        d = d_omega(_PerturbedPath(ext, 0.0).sample_mats(), omega, 1)
+        assert np.unique(np.abs(d[ext.junction_index:])).size == 1
+        calls.clear()
+        assert cz_index(path, omega) == (index_iterate(data, 1) + s, 0)
+        assert len(calls) <= 200
+    calls.clear()
+    assert estimate_splitting(path, 1) == pair.as_tuple()
+    assert len(calls) <= 5 * 200
 
 
 # ----- iteration -------------------------------------------------------------
