@@ -15,7 +15,9 @@ identities, so no closed-subgroup machinery is needed.
 
 from __future__ import annotations
 
+import itertools
 import logging
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -303,9 +305,8 @@ def compute_m(N: int, path_k: PathIndexData, chi_k: int, M: int) -> int:
     return m
 
 
-def _frac_below(x: Scalar, m: int, delta: Fraction) -> bool:
+def _frac_below(x: Scalar, m: int, delta: Fraction, dps: int) -> bool:
     """{m x} < delta for an irrational x, with slack |m| + 2 (units of 2**-F)."""
-    dps = get_precision()
     num, den = delta.numerator, delta.denominator
     slack = (abs(m) + 2) * den
     for digits in (dps, 2 * dps):
@@ -326,14 +327,17 @@ def delta_k(path_k: PathIndexData, m_k: int, delta) -> int:
     """Delta_k: the number of S^- angles with 0 < {m_k theta/pi} < delta."""
     if not (0 < delta < 1):
         raise JumpError("delta must lie in (0,1)")
-    delta = _as_fraction(delta)
+    return _delta_count(path_k, m_k, _as_fraction(delta), get_precision())
+
+
+def _delta_count(path_k: PathIndexData, m_k: int, delta: Fraction, dps: int) -> int:
     total = 0
     for ang in path_record(path_k).angles:
         if ang.is_rational:
             fr = m_k * ang.fraction
             if 0 < fr - fr.numerator // fr.denominator < delta:
                 total += 1
-        elif _frac_below(ang, m_k, delta):
+        elif _frac_below(ang, m_k, delta, dps):
             total += 1
     return total
 
@@ -346,7 +350,7 @@ def delta_upper_bound(decomp) -> int:
     return r_irr + 2 * rs_irr
 
 
-def _condition_339a_340(path_k: PathIndexData, m_k: int, delta) -> bool:
+def _condition_339a_340(path_k: PathIndexData, m_k: int, delta, dps: int) -> bool:
     """min({m theta/pi}, 1-{m theta/pi}) < delta for every unit eigenvalue
     angle, and m theta/pi integral for rational theta/pi."""
     delta = _as_fraction(delta)
@@ -355,7 +359,7 @@ def _condition_339a_340(path_k: PathIndexData, m_k: int, delta) -> bool:
             if (m_k * ang.fraction).denominator != 1:
                 return False  # rational angle must land on an integer
         # 1 - {m x} = {-m x} for irrational x
-        elif not (_frac_below(ang, m_k, delta) or _frac_below(ang, -m_k, delta)):
+        elif not (_frac_below(ang, m_k, delta, dps) or _frac_below(ang, -m_k, delta, dps)):
             return False
     return True
 
@@ -395,6 +399,296 @@ def _closer_than(worst, slack: int, F: int, eps: Fraction):
     return None
 
 
+_ANGLE_REJECT = "angle condition (near-integrality) failed"
+
+
+def _identity_reject(N: int, ivals, deltas):
+    """The reject entry when I(k, m_k) != N + Delta_k for some k, else None."""
+    bad = [k for k, (i, d) in enumerate(zip(ivals, deltas)) if i != N + d]
+    if not bad:
+        return None
+    entry = {"N": N, "reason": "identity gate failed",
+             "detail": [{"k": k, "I": ivals[k], "N_plus_Delta": N + deltas[k]} for k in bad]}
+    logger.info("rejected N=%d at identity gate: %s", N, entry["detail"])
+    return entry
+
+
+def _certify_exact(v: JumpVector, paths, N: int, bits: tuple, eps: Fraction,
+                   delta: Fraction, dps: int):
+    """Gates (a)-(d) of one candidate in big integers: a JumpSolution, a
+    reject entry, or None for a silent closeness/divisibility miss."""
+    worst, slack, F = _residual(v, N, bits, dps)
+    close = _closer_than(worst, slack, F, eps)
+    if close is None:  # eps lies within the truncation slack
+        worst, slack, F = _residual(v, N, bits, 2 * dps)
+        close = _closer_than(worst, slack, F, eps)
+        if close is None:
+            raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+    if not close:
+        return None
+    # (b) rational mean indices demand exact divisibility of N
+    for mi in v.mean_indices:
+        if mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1:
+            return None
+    try:
+        ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
+    except JumpError as exc:
+        return {"N": N, "reason": str(exc)}
+    # (d) angle conditions
+    if not all(_condition_339a_340(paths[k], ms[k], delta, dps) for k in range(v.q)):
+        return {"N": N, "reason": _ANGLE_REJECT}
+    # (c) the identity gate, exact integers
+    deltas = tuple(_delta_count(paths[k], ms[k], delta, dps) for k in range(v.q))
+    ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
+    entry = _identity_reject(N, ivals, deltas)
+    if entry is not None:
+        return entry
+    return JumpSolution(N=N, m=ms, chi=bits, delta=deltas,
+                        residual=float(worst / (1 << F)), delta_threshold=delta)
+
+
+# ----- batched gates on uint64 top bits ---------------------------------------
+#
+# The gates of all candidates are decided at once on numpy uint64 arrays.
+# For an irrational x with X = floor(x 2**F) and a multiplier 1 <= w < 2**50
+# (N, or some m_k), let s = F - 64 (>= 85, as F >= fixed_bits(0) = 149),
+# Xh = (X mod 2**F) >> s, rh = w Xh mod 2**64 and H = floor(w Xh / 2**64).
+# As X mod 2**F = Xh 2**s + low with 0 <= low < 2**s, whenever
+#
+#     1 <= rh <= 2**64 - 1 - w                                    ("ok")
+#
+# the residue r = w X mod 2**F equals rh 2**s + w low, so
+#
+#     r in [rh 2**s, (rh + w) 2**s),   2**F - r in ((2**64 - rh - w) 2**s, (2**64 - rh) 2**s],
+#     floor(w X / 2**F) = w (X >> F) + H,
+#
+# and r lies in [2**s, 2**F - 2**s], clear of the guard band of _guard, whose
+# tolerance 2**F / 10**30 + w + 3 is below 2**s: no exact gate would raise.
+# A gate compares value +- slack with theta 2**F, theta = eps or delta (below
+# 1/2), for slack <= w + 2 < 2**s.  With value in [lo 2**s, hi 2**s] it is
+# decided
+#
+#     below when hi < floor(theta 2**64),   above when lo > ceil(theta 2**64),
+#
+# for then value + slack < (hi + 1) 2**s <= theta 2**F, resp.
+# value - slack > (lo - 1) 2**s >= theta 2**F.  Rational quantities are exact
+# integer residues.  A candidate that is not ok, or undecided, at a gate it
+# reaches goes to _certify_exact, in candidate order, so the solutions, the
+# rejects and any PrecisionError are those of the exact gates on every
+# candidate.  So do candidates with N >= _batch_limit(), where N, every m_k
+# or an int64 sum could leave the range these bounds assume.
+
+_LIMIT = 1 << 50
+_ONES = np.uint64(_WRAP - 1)
+_M32 = np.uint64(0xFFFFFFFF)
+_SKIP, _SOLVED, _M_FAIL, _ANGLE_FAIL, _ID_FAIL, _EXACT = range(6)
+
+
+def _mulhi(a, b: int):
+    """floor(a b / 2**64) for a uint64 array a and 0 <= b < 2**64, exactly,
+    from 32-bit limbs (every partial product is below 2**64)."""
+    a0, a1 = a & _M32, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    lo, m1, m2 = a0 * b0, a1 * b0, a0 * b1
+    mid = (lo >> np.uint64(32)) + (m1 & _M32) + (m2 & _M32)
+    return a1 * b1 + (m1 >> np.uint64(32)) + (m2 >> np.uint64(32)) + (mid >> np.uint64(32))
+
+
+def _top(w, X: int, F: int):
+    """(rh, Xh, ok) of the comment above for the uint64 multipliers w."""
+    Xh = (X & ((1 << F) - 1)) >> (F - 64)
+    rh = w * np.uint64(Xh)
+    return rh, Xh, (rh != 0) & (rh <= _ONES - w)
+
+
+def _floor_ceil(x: Fraction):
+    return x.numerator // x.denominator, -(-x.numerator // x.denominator)
+
+
+def _slope(rec, data) -> int:
+    """c with I(k, m) = c m + sum_theta E(m theta/pi) + #(irrational alphas)
+    once every rational angle times m is an integer."""
+    d = data.decomp
+    return data.i1 + rec.s_plus - rec.C + d.q_zero + d.q_plus + 2 * d.r_star
+
+
+def _batch_limit(v: JumpVector, recs, F: int) -> int:
+    """N below which the batch is exact: N and every m_k < 2**50, every
+    rational modulus < 2**32 and every |I(k, m_k)| < 2**63; 0 when some
+    constant is out of range."""
+    limit = _LIMIT if v.h <= 64 else 0
+    unit = _LIMIT // v.M - 2   # N / (M ihat_k) < unit keeps m_k < 2**50
+    moduli = [c.fraction.denominator for c in v.coords if c.is_rational]
+    moduli += [(v.M * mi.fraction).numerator for mi in v.mean_indices if mi.is_rational]
+    for rec, data in recs:
+        y = rec.inv_mean(v.M)
+        if y.is_rational:
+            p, q = y.fraction.numerator, y.fraction.denominator
+            moduli += [p, q]
+            limit = min(limit, unit * q // p)
+        else:
+            limit = min(limit, (unit << F) // (y._fixed(F)[0] + 1))
+        moduli += [a.fraction.denominator for a in rec.angles if a.is_rational]
+        # |I(k, m)| <= m (|c| + 2 r) + r*, as 0 <= E(m theta/pi) <= 2m
+        d = data.decomp
+        if abs(_slope(rec, data)) + 2 * d.r + d.r_star >= 1 << 13:
+            limit = 0
+    if any(q >= 1 << 32 for q in moduli):
+        return 0
+    return max(limit, 0)
+
+
+def _batch_gates(v: JumpVector, recs, N, packed, eps: Fraction, delta: Fraction, F: int):
+    """Gates (a)-(d) of the candidates (N, packed), uint64 arrays.
+
+    Returns (code, ms, deltas, ivals): code[i] is one of _SKIP, _SOLVED,
+    _M_FAIL, _ANGLE_FAIL, _ID_FAIL, _EXACT; ms, deltas and ivals are q x K
+    int64 arrays, meaningful for the candidates that reach the gate reading
+    them.
+    """
+    K = len(N)
+    if not K:  # the constants fit in uint64 only when _batch_limit() > 0
+        return np.zeros(0, np.int8), *[np.zeros((len(recs), 0), np.int64)] * 3
+    exact = np.zeros(K, bool)
+    Elo, Ehi = _floor_ceil(eps * _WRAP)
+    Dlo, Dhi = _floor_ceil(delta * _WRAP)
+
+    # (a) closeness: every coordinate within eps of its bit, the irrational
+    # ones with slack N (below _LIMIT; the rational ones are exact)
+    close = np.ones(K, bool)
+    far = np.zeros(K, bool)
+    S = Fraction(0 if all(c.is_rational for c in v.coords) else _LIMIT, 1 << F)
+    for i, c in enumerate(v.coords):
+        b = ((packed >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        if c.is_rational:
+            p, q = c.fraction.numerator, c.fraction.denominator
+            a = (N % np.uint64(q)) * np.uint64(p % q) % np.uint64(q)
+            d = np.where(b, np.uint64(q) - a, a)       # |{N c} - b| q
+            close &= d < max(_floor_ceil((eps - S) * q)[1], 0)
+            far |= d >= max(_floor_ceil((eps + S) * q)[1], 0)
+        else:
+            rh, _, ok = _top(N, _scaled_coord(c, F), F)
+            comp = np.uint64(0) - rh                   # 2**64 - rh
+            close &= np.where(b, comp, rh + N) < Elo
+            far |= np.where(b, comp - N, rh) > Ehi
+            exact |= ~ok
+    exact |= ~(close | far)
+    live = close & ~exact
+
+    # (b) divisibility: N / (M ihat_k) integral for rational ihat_k
+    for mi in v.mean_indices:
+        if mi.is_rational:
+            live &= N % np.uint64((v.M * mi.fraction).numerator) == 0
+
+    # m_k = ([N / (M ihat_k)] + chi_k) M, not positive only when both terms are 0
+    q = len(recs)
+    ms = np.zeros((q, K), np.uint64)
+    m_fail = np.zeros(K, bool)
+    for k, (rec, _) in enumerate(recs):
+        y = rec.inv_mean(v.M)
+        if y.is_rational:
+            p, d = np.uint64(y.fraction.numerator), np.uint64(y.fraction.denominator)
+            fl = (N // d) * p + (N % d) * p // d
+        else:
+            X = y._fixed(F)[0]
+            rh, Xh, ok = _top(N, X, F)
+            fl = N * np.uint64(X >> F) + _mulhi(N, Xh)
+            exact |= live & ~ok
+        ms[k] = (fl + ((packed >> np.uint64(k)) & np.uint64(1))) * np.uint64(v.M)
+        m_fail |= ms[k] == 0
+    live &= ~exact
+    m_fail &= live
+    live &= ~m_fail
+
+    # (d) angles: m_k theta/pi integral for rational angles, within delta of
+    # an integer for irrational ones; (c) Delta_k and I(k, m_k)
+    passed = live.copy()
+    deltas = np.zeros((q, K), np.int64)
+    ivals = np.zeros((q, K), np.int64)
+    for k, (rec, data) in enumerate(recs):
+        m = ms[k]
+        d = data.decomp
+        I = m.astype(np.int64) * _slope(rec, data)
+        for j, ang in enumerate(rec.angles):
+            if ang.is_rational:
+                num, den = ang.fraction.numerator, ang.fraction.denominator
+                passed &= (m % np.uint64(den)) * np.uint64(num % den) % np.uint64(den) == 0
+                if j < d.r:   # E(m theta/pi) of a rational theta, m theta/pi integral
+                    I += (m // np.uint64(den) * np.uint64(num)).astype(np.int64)
+                continue
+            X = ang._fixed(F)[0]
+            rh, Xh, ok = _top(m, X, F)
+            comp = np.uint64(0) - rh
+            below, above = rh + m < Dlo, rh > Dhi          # {m x} vs delta
+            cbelow, cabove = comp < Dlo, comp - m > Dhi    # {-m x} vs delta
+            exact |= passed & ~(ok & (below | (above & (cbelow | cabove))))
+            passed &= below | cbelow
+            deltas[k] += below
+            if j < d.r:   # E(m theta/pi) = floor + 1 for an irrational theta
+                I += (m * np.uint64(X >> F) + _mulhi(m, Xh) + np.uint64(1)).astype(np.int64)
+        # E(m alpha) + 2m - floor(m alpha) = 2m (+ 1 for an irrational alpha)
+        I += sum(1 for al in d.alphas if not al.is_rational)
+        ivals[k] = I
+    passed &= ~exact
+    angle_fail = live & ~passed & ~exact
+    id_fail = passed & (ivals != N.astype(np.int64) + deltas).any(axis=0)
+
+    code = np.full(K, _SKIP, np.int8)
+    code[exact] = _EXACT
+    code[m_fail] = _M_FAIL
+    code[angle_fail] = _ANGLE_FAIL
+    code[id_fail] = _ID_FAIL
+    code[passed & ~id_fail] = _SOLVED
+    return code, ms.astype(np.int64), deltas, ivals
+
+
+def _certify(v: JumpVector, candidates, paths, eps: Fraction, delta: Fraction,
+             dps: int, max_reject_log: int):
+    """Solutions and the first max_reject_log rejects of the stage-1
+    candidates (in increasing N); solutions in no particular order."""
+    F = fixed_bits(dps)
+    one = 1 << F
+    recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]
+    n_batch = bisect_left(candidates, (_batch_limit(v, recs, F),))
+    N = np.fromiter((c[0] for c in candidates[:n_batch]), np.uint64, n_batch)
+    packed = np.fromiter((c[1] for c in candidates[:n_batch]), np.uint64, n_batch)
+    code, ms, deltas, ivals = _batch_gates(v, recs, N, packed, eps, delta, F)
+    chis = {}   # packed bits -> chi tuple
+
+    def chi(p):
+        bits = chis.get(p)
+        if bits is None:
+            bits = chis[p] = tuple((p >> j) & 1 for j in range(v.h))
+        return bits
+
+    # batch-certified candidates: only the outputs are left to compute
+    s = np.flatnonzero(code == _SOLVED)
+    solutions = [JumpSolution(n, m, bits, d, float(_residual(v, n, bits, dps)[0] / one), delta)
+                 for n, p, m, d in zip(N[s].tolist(), packed[s].tolist(),
+                                       zip(*ms[:, s].tolist()), zip(*deltas[:, s].tolist()))
+                 for bits in (chi(p),)]
+    # rejects and the exact gates, in candidate order; m_k <= 0 means m_k = 0
+    r = np.flatnonzero((code != _SKIP) & (code != _SOLVED))
+    rest = zip(r.tolist(), code[r].tolist(), ivals[:, r].T.tolist(), deltas[:, r].T.tolist())
+    beyond = ((i, _EXACT, None, None) for i in range(n_batch, len(candidates)))
+    rejects = []
+    for i, c, ivs, ds in itertools.chain(rest, beyond):
+        N, p = candidates[i]
+        if c == _EXACT:
+            out = _certify_exact(v, paths, N, chi(p), eps, delta, dps)
+        elif c == _M_FAIL:
+            out = {"N": N, "reason": f"m_k = 0 <= 0 at N = {N}"}
+        elif c == _ANGLE_FAIL:
+            out = {"N": N, "reason": _ANGLE_REJECT}
+        else:
+            out = _identity_reject(N, ivs, ds)
+        if isinstance(out, JumpSolution):
+            solutions.append(out)
+        elif out is not None and len(rejects) < max_reject_log:
+            rejects.append(out)
+    return solutions, rejects
+
+
 def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
              workers: int = 1, max_reject_log: int = 50) -> SearchResult:
     """Enumerate N = M0, 2 M0, ... <= N_max and keep certified jump solutions.
@@ -405,7 +699,8 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     divisibility N/(M ihat_k) in Z for rational mean indices, (c) the
     integer identity I(k, m_k) = N + Delta_k, (d) the near-integrality of
     every m_k theta/pi.  Failures of (c) after passing (a) are logged.
-    An empty result is a valid outcome.
+    The stage-1 candidates are certified in one batch (_certify).  An empty
+    result is a valid outcome.
     """
     paths = list(paths)
     if not (0 < eps < 0.5):
@@ -443,56 +738,8 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
             chunks = list(pool.map(_scan_chunk, tasks))
 
     candidates = [c for ch in chunks for c in ch]
-
-    solutions = []
-    rejects = []
-    for N, bits_packed in candidates:
-        bits = tuple((bits_packed >> i) & 1 for i in range(v.h))
-        worst, slack, F = _residual(v, N, bits, dps)
-        close = _closer_than(worst, slack, F, eps_exact)
-        if close is None:  # eps lies within the truncation slack
-            worst, slack, F = _residual(v, N, bits, 2 * dps)
-            close = _closer_than(worst, slack, F, eps_exact)
-            if close is None:
-                raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
-        if not close:
-            continue
-        res = float(worst / (1 << F))
-        # (b) rational mean indices demand exact divisibility of N
-        ok = True
-        for k, mi in enumerate(v.mean_indices):
-            if mi.is_rational:
-                ratio = Fraction(N) / (v.M * mi.fraction)
-                if ratio.denominator != 1:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        try:
-            ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
-        except JumpError as exc:
-            if len(rejects) < max_reject_log:
-                rejects.append({"N": N, "reason": str(exc)})
-            continue
-        # (d) angle conditions
-        if not all(_condition_339a_340(paths[k], ms[k], delta) for k in range(v.q)):
-            if len(rejects) < max_reject_log:
-                rejects.append({"N": N, "reason": "angle condition (near-integrality) failed"})
-            continue
-        # (c) the identity gate, exact integers
-        deltas = tuple(delta_k(paths[k], ms[k], delta) for k in range(v.q))
-        ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
-        bad = [k for k in range(v.q) if ivals[k] != N + deltas[k]]
-        if bad:
-            entry = {"N": N, "reason": "identity gate failed",
-                     "detail": [{"k": k, "I": ivals[k], "N_plus_Delta": N + deltas[k]}
-                                for k in bad]}
-            if len(rejects) < max_reject_log:
-                rejects.append(entry)
-            logger.info("rejected N=%d at identity gate: %s", N, entry["detail"])
-            continue
-        solutions.append(JumpSolution(N=N, m=ms, chi=bits, delta=deltas,
-                                      residual=res, delta_threshold=delta))
+    solutions, rejects = _certify(v, candidates, paths, eps_exact, delta, dps,
+                                  max_reject_log)
     solutions.sort(key=lambda s: s.N)
     params = {"eps": eps, "delta": str(delta), "M": v.M, "M0": v.M0,
               "N_max": N_max, "chi": "auto" if explicit_bits is None else list(explicit_bits)}

@@ -1,11 +1,18 @@
 import math
+import os
 import random
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads BLAS: the matrices are tiny, and an
+# idle OpenBLAS thread spinning on a second core slows the oracle tests
+# several-fold whenever another process needs that core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from symindex import NormalFormDecomposition, PathIndexData, Scalar
-from symindex.oracle import path_from_matrix_function, path_from_quadratic_hamiltonian
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from symindex import NormalFormDecomposition, PathIndexData, Scalar  # noqa: E402
+from symindex.oracle import path_from_matrix_function, path_from_quadratic_hamiltonian  # noqa: E402
 
 
 @pytest.fixture

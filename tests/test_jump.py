@@ -1,6 +1,9 @@
 import json
 import logging
+from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
@@ -15,13 +18,26 @@ from symindex.iteration import (
     NormalFormDecomposition,
     PathIndexData,
     mean_index,
+    path_record,
 )
 from symindex.jump import (
+    _ANGLE_FAIL,
+    _EXACT,
+    _ID_FAIL,
+    _M_FAIL,
+    _SKIP,
+    _SOLVED,
     JumpError,
+    JumpSolution,
+    _batch_gates,
+    _batch_limit,
+    _certify,
     _closer_than,
     _condition_339a_340,
+    _mulhi,
     _residual,
     _scan_chunk,
+    _scaled_coord,
     build_jump_vector,
     chi_of,
     compute_m,
@@ -472,7 +488,7 @@ def test_compute_m_next_to_integers(data, M, chi):
 @given(path_data(), st.integers(1, 10 ** 6), dyadic_deltas)
 def test_angle_gates_match_reference(data, m, delta):
     assert delta_k(data, m, delta) == ref_delta_k(data, m, delta)
-    assert _condition_339a_340(data, m, delta) == ref_condition(data, m, delta)
+    assert _condition_339a_340(data, m, delta, get_precision()) == ref_condition(data, m, delta)
 
 
 @seed(20240811)
@@ -488,8 +504,8 @@ def test_angle_gates_next_to_delta(x, m, k, side, which):
     delta = Fraction(int(target * 2 ** k) + side, 2 ** k)
     assume(0 < delta < Fraction(1, 2))
     assert delta_k(data, m, delta) == ref_delta_k(data, m, delta)
-    assert _condition_339a_340(data, m, delta) == ref_condition(data, m, delta)
-    assert _condition_339a_340(data, m, delta) == (t < delta or 1 - t < delta)
+    assert _condition_339a_340(data, m, delta, get_precision()) == ref_condition(data, m, delta)
+    assert _condition_339a_340(data, m, delta, get_precision()) == (t < delta or 1 - t < delta)
 
 
 @seed(20240811)
@@ -658,3 +674,360 @@ def test_jump_search_json_identical_across_workers(sqrt2_pair_paths, tmp_path):
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["search"]["solutions"]
+
+
+# ----- batched certification against the per-candidate loop -------------------
+
+def ref_certify(v, candidates, paths, eps, delta, max_reject_log=50):
+    """The former certification loop of search_N: the exact gates of one
+    candidate after another.  Also returns the gate each candidate stopped
+    at, so that a fixture can show which gates it reaches."""
+    dps = get_precision()
+    eps_exact = Fraction(eps)
+    solutions = []
+    rejects = []
+    gates = Counter()
+    for N, bits_packed in candidates:
+        bits = tuple((bits_packed >> i) & 1 for i in range(v.h))
+        worst, slack, F = _residual(v, N, bits, dps)
+        close = _closer_than(worst, slack, F, eps_exact)
+        if close is None:  # eps lies within the truncation slack
+            worst, slack, F = _residual(v, N, bits, 2 * dps)
+            close = _closer_than(worst, slack, F, eps_exact)
+            if close is None:
+                raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+        if not close:
+            gates["closeness"] += 1
+            continue
+        res = float(worst / (1 << F))
+        # (b) rational mean indices demand exact divisibility of N
+        ok = True
+        for k, mi in enumerate(v.mean_indices):
+            if mi.is_rational:
+                ratio = Fraction(N) / (v.M * mi.fraction)
+                if ratio.denominator != 1:
+                    ok = False
+                    break
+        if not ok:
+            gates["divisibility"] += 1
+            continue
+        try:
+            ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
+        except JumpError as exc:
+            gates["m_k <= 0"] += 1
+            if len(rejects) < max_reject_log:
+                rejects.append({"N": N, "reason": str(exc)})
+            continue
+        # (d) angle conditions
+        if not all(_condition_339a_340(paths[k], ms[k], delta, dps) for k in range(v.q)):
+            gates["angle"] += 1
+            if len(rejects) < max_reject_log:
+                rejects.append({"N": N, "reason": "angle condition (near-integrality) failed"})
+            continue
+        # (c) the identity gate, exact integers
+        deltas = tuple(delta_k(paths[k], ms[k], delta) for k in range(v.q))
+        ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
+        bad = [k for k in range(v.q) if ivals[k] != N + deltas[k]]
+        if bad:
+            gates["identity"] += 1
+            entry = {"N": N, "reason": "identity gate failed",
+                     "detail": [{"k": k, "I": ivals[k], "N_plus_Delta": N + deltas[k]}
+                                for k in bad]}
+            if len(rejects) < max_reject_log:
+                rejects.append(entry)
+            logging.getLogger("symindex.jump").info(
+                "rejected N=%d at identity gate: %s", N, entry["detail"])
+            continue
+        gates["certified"] += 1
+        solutions.append(JumpSolution(N=N, m=ms, chi=bits, delta=deltas,
+                                      residual=res, delta_threshold=delta))
+    return solutions, rejects, gates
+
+
+def stage1(v, chi, eps, N_max):
+    """The stage-1 candidates of search_N."""
+    F = fixed_bits(get_precision())
+    Xs = [_scaled_coord(c, F) for c in v.coords]
+    explicit = None if chi == "auto" else tuple(chi)
+    eps_int = int(Fraction(eps) * (1 << F)) + N_max + 2
+    return _scan_chunk((1, N_max // v.M0, v.M0, Xs, F, eps_int, explicit))
+
+
+def batch_codes(v, paths, candidates, eps, delta):
+    F = fixed_bits(get_precision())
+    recs = [(path_record(p), p) for p in paths]
+    N = np.array([c[0] for c in candidates], np.uint64)
+    packed = np.array([c[1] for c in candidates], np.uint64)
+    return _batch_gates(v, recs, N, packed, Fraction(eps), Fraction(delta), F)
+
+
+ALPHA = Scalar.sqrt(5) * Fraction(1, 3)
+CERTIFY_FIXTURES = {
+    # name: (paths, chi, eps, delta, N_max, gates the candidates must reach)
+    "golden": ([rot_data(PHI)], "auto", None, None, 20000, {"certified"}),
+    "golden explicit chi": ([rot_data(PHI)], (1, 0), None, None, 20000, {"certified"}),
+    "loose golden": ([rot_data(PHI)], "auto", 0.45, Fraction(49, 100), 3000,
+                     {"angle", "identity", "certified"}),
+    "m_k <= 0": ([rot_data(PHI, i1=9)], "auto", 0.3, Fraction(3, 8), 400,
+                 {"m_k <= 0", "angle"}),
+    "rational mean": ([rot_data(HALF, i1=3)], "auto", 0.3, Fraction(1, 8), 500,
+                      {"closeness", "divisibility"}),
+    "rational mean, integer coordinates": ([rot_data(HALF, i1=1)], "auto", None, None, 500,
+                                           {"certified"}),
+    "-I2 block and N2 pair": ([PathIndexData(NormalFormDecomposition(
+        n=4, q_zero=1, thetas=(Scalar.sqrt(2) * HALF,), alphas=(ALPHA,)), i1=4)],
+        "auto", 0.3, Fraction(3, 8), 5000, {"angle", "identity", "certified"}),
+    "two paths, rational angle": ([
+        PathIndexData(NormalFormDecomposition(n=2, thetas=(HALF, Scalar.sqrt(3) * HALF)), i1=2),
+        rot_data(Scalar.sqrt(2) * Fraction(5, 7), i1=3)], "auto", 0.3, Fraction(3, 8), 20000,
+        {"angle", "identity", "certified"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_FIXTURES))
+def test_certify_matches_the_candidate_loop(name, caplog):
+    paths, chi, eps, delta, N_max, reached = CERTIFY_FIXTURES[name]
+    v = build_jump_vector(paths)
+    delta = default_delta(paths) if delta is None else delta
+    eps = default_eps(paths, v.M, delta) if eps is None else eps
+    cands = stage1(v, chi, eps, N_max)
+    for cap in (50, 10 ** 6):
+        with caplog.at_level(logging.INFO, logger="symindex.jump"):
+            caplog.clear()
+            ref_sol, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, cap)
+            ref_log = caplog.messages
+            caplog.clear()
+            sol, rej = _certify(v, cands, paths, Fraction(eps), delta, get_precision(), cap)
+            assert caplog.messages == ref_log
+        assert sorted(sol, key=lambda s: s.N) == ref_sol
+        assert rej == ref_rej
+    assert reached <= set(gates)
+    # every gate decided on the top bits: nothing went to the exact gates
+    code = batch_codes(v, paths, cands, eps, delta)[0]
+    assert not (code == _EXACT).any()
+    # and search_N is that certification after the stage-1 scan
+    res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
+    assert res.solutions == ref_sol
+
+
+def test_reject_cap_is_kept():
+    # more than 50 rejects: search_N keeps the first 50, in candidate order
+    paths, chi, eps, delta, N_max, _ = CERTIFY_FIXTURES["loose golden"]
+    v = build_jump_vector(paths)
+    cands = stage1(v, chi, eps, N_max)
+    _, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, 10 ** 6)
+    assert len(ref_rej) > 50
+    res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
+    assert res.rejects == ref_rej[:50]
+
+
+@pytest.mark.parametrize("theta", [PHI, Scalar.sqrt(2) * Fraction(1, 100)])
+def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
+    # ihat = phi > 1, and ihat = sqrt(2)/100, where m_k is about 70 N
+    data = rot_data(theta)
+    paths = [data]
+    v = build_jump_vector(paths)
+    eps, delta = 0.45, Fraction(49, 100)
+    F = fixed_bits(get_precision())
+    L = _batch_limit(v, [(path_record(data), data)], F)
+    assert 0 < L <= 1 << 50
+    cands = []
+    for N in range(L - 40, L + 40):
+        bits = [int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords]
+        cands.append((N, bits[0] | bits[1] << 1))
+    assert (batch_codes(v, paths, cands[:40], eps, delta)[0] != _EXACT).any()
+    # just below the limit, m_k and I(k, m_k) are inside the proven ranges
+    assert compute_m(L - 1, data, 1, v.M) < 1 << 50
+    assert I_value(data, compute_m(L - 1, data, 1, v.M)) < 1 << 63
+    ref_sol, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, 10 ** 6)
+    assert {"angle", "certified"} & set(gates)
+    sol, rej = _certify(v, cands, paths, Fraction(eps), delta, get_precision(), 10 ** 6)
+    assert sorted(sol, key=lambda s: s.N) == ref_sol and rej == ref_rej
+
+
+@pytest.mark.parametrize("paths, M", [
+    ([rot_data(PHI)], 2 ** 70),
+    ([PathIndexData(NormalFormDecomposition(
+        n=2, thetas=(PHI, Scalar.rational(1, 3 * 2 ** 64 + 1))), i1=2)], 1),
+])
+def test_out_of_range_constants_take_the_exact_gates(paths, M):
+    # M or a denominator past the batch's integer ranges: _batch_limit is 0
+    v = build_jump_vector(paths, M=M)
+    assert _batch_limit(v, [(path_record(p), p) for p in paths], fixed_bits(get_precision())) == 0
+    cands = stage1(v, "auto", 0.45, 400 * M)
+    ref_sol, ref_rej, gates = ref_certify(v, cands, paths, 0.45, Fraction(49, 100), 10 ** 6)
+    assert cands and ref_rej
+    sol, rej = _certify(v, cands, paths, Fraction(0.45), Fraction(49, 100), get_precision(), 10 ** 6)
+    assert sorted(sol, key=lambda s: s.N) == ref_sol and rej == ref_rej
+
+
+def test_precision_error_from_the_exact_fallback():
+    # delta equal to the stored {m x} of a certified N: the angle gate is
+    # undecided on the top bits and at 2 * dps, so both loops raise
+    data = rot_data(PHI)
+    v = build_jump_vector([data])
+    delta = default_delta([data])
+    eps = default_eps([data], v.M, delta)
+    cands = stage1(v, "auto", eps, 2000)
+    sols, _, _ = ref_certify(v, cands, [data], eps, delta)
+    m = next(s.m[0] for s in sols if exact_frac(PHI, s.m[0]) < Fraction(1, 2))
+    t = exact_frac(PHI, m)
+    code = batch_codes(v, [data], cands, eps, t)[0]
+    assert (code == _EXACT).sum() >= 1
+    with pytest.raises(PrecisionError) as ref_exc:
+        ref_certify(v, cands, [data], eps, t)
+    with pytest.raises(PrecisionError) as exc:
+        _certify(v, cands, [data], Fraction(eps), t, get_precision(), 50)
+    assert str(exc.value) == str(ref_exc.value)
+
+
+def test_mulhi_is_the_high_word():
+    rng = np.random.default_rng(20240811)
+    a = rng.integers(0, 2 ** 64, size=2000, dtype=np.uint64)
+    a[:4] = (0, 1, 2 ** 64 - 1, 2 ** 63)
+    for b in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 0x9E3779B97F4A7C15):
+        assert _mulhi(a, b).tolist() == [(x * b) >> 64 for x in a.tolist()]
+
+
+def scalar_gates(v, paths, N, bits, eps, delta):
+    """(code, ms, deltas, ivals) of one candidate from the scalar gates at
+    the working precision; None when one of them cannot decide there."""
+    dps = get_precision()
+    try:
+        worst, slack, F = _residual(v, N, bits, dps)
+        close = _closer_than(worst, slack, F, eps)
+        if close is None:
+            return None
+        if not close or any(mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1
+                            for mi in v.mean_indices):
+            return _SKIP, None, None, None
+        try:
+            ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
+        except JumpError:
+            return _M_FAIL, None, None, None
+        # one precision only: the batch must not decide what dps cannot
+        with_dps = [_frac_below_once(a, m, delta, dps) for k, m in enumerate(ms)
+                    for a in path_record(paths[k]).angles if not a.is_rational
+                    for m in (m, -m)]
+        if None in with_dps:
+            return None
+        if not all(_condition_339a_340(paths[k], ms[k], delta, dps) for k in range(v.q)):
+            return _ANGLE_FAIL, ms, None, None
+        deltas = tuple(delta_k(paths[k], ms[k], delta) for k in range(v.q))
+        ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
+    except PrecisionError:
+        return None
+    code = _SOLVED if all(i == N + d for i, d in zip(ivals, deltas)) else _ID_FAIL
+    return code, ms, deltas, ivals
+
+
+def _frac_below_once(x, m, delta, dps):
+    """_frac_below's decision at dps alone: True, False or None."""
+    r, F = x.mul_frac(m, fixed_bits(dps))
+    gap = r * delta.denominator - (delta.numerator << F)
+    slack = (abs(m) + 2) * delta.denominator
+    return True if gap < -slack else False if gap > slack else None
+
+
+@st.composite
+def gate_cases(draw):
+    """A path, M, and candidates N with delta and eps set next to the
+    quantities the gates compare."""
+    data = draw(path_data())
+    M = draw(st.integers(1, 12))
+    v = build_jump_vector([data], M=M)
+    mi = mean_index(data)
+    F = fixed_bits(get_precision())
+    L = _batch_limit(v, [(path_record(data), data)], F)
+    kind = draw(st.sampled_from(("random", "N near integers", "m near integers", "limit")))
+    if kind == "random":
+        N = draw(st.integers(1, 10 ** 7))
+    elif kind == "limit":
+        N = L - 1 - draw(st.integers(0, 1000))
+    elif kind == "N near integers" and not mi.is_rational:
+        # N / (M ihat) within about 1/N of an integer
+        N = draw(st.sampled_from(convergent_numerators(mi * M, 2 ** 40)))
+        N += draw(st.integers(-1, 1))
+    else:
+        # m_k = j M with j M x within about 1/j of an integer for an angle x
+        # of the path (up to the +-1 of the floor and of chi)
+        x = draw(st.sampled_from(path_record(data).angles))
+        if x.is_rational:
+            j = draw(st.integers(1, 10 ** 6)) * x.fraction.denominator
+        else:
+            j = draw(st.sampled_from([1] + convergent_numerators(1 / (x * M), 2 ** 40)[1:]))
+        N = -(mi * M).mul_floor(-j) + draw(st.integers(-1, 1))
+    assume(1 <= N < L)
+    near = [int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords]
+    bits = tuple(draw(st.sampled_from((b, 1 - b))) if draw(st.integers(0, 9)) == 0 else b
+                 for b in near)
+    # delta next to {m x} or 1 - {m x} for one angle: at 2**-k, or within
+    # the top bits' slack of m + 2 units of 2**-64
+    delta = draw(dyadic_deltas)
+    if draw(st.booleans()):
+        try:
+            m = compute_m(N, data, bits[0], M)
+        except (JumpError, PrecisionError):
+            m = None
+        irr = [a for a in path_record(data).angles if not a.is_rational]
+        if m is not None and irr:
+            t = exact_frac(draw(st.sampled_from(irr)), m)
+            t = t if draw(st.booleans()) else 1 - t
+            if draw(st.booleans()):
+                k = draw(st.integers(20, 62))
+                delta = Fraction(int(t * 2 ** k) + draw(st.sampled_from((0, 1))), 2 ** k)
+            else:
+                j = draw(st.integers(-m - 3, m + 3))
+                delta = Fraction(int(t * 2 ** 64) + j, 2 ** 64)
+    assume(0 < delta < Fraction(1, 2))
+    # eps loose, or next to the residual, down to its last bits
+    eps = 0.49
+    if draw(st.booleans()):
+        ref = ref_residual(v, N, bits, get_precision())
+        eps = ref * (1 + draw(st.sampled_from((-1, 1))) * 2.0 ** -draw(st.integers(20, 53)))
+        assume(0 < eps < 0.5)
+    return data, v, N, bits, Fraction(eps), delta
+
+
+@seed(20240811)
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(gate_cases())
+def test_batched_gates_match_the_scalar_gates(case):
+    data, v, N, bits, eps, delta = case
+    packed = sum(b << i for i, b in enumerate(bits))
+    code, ms, deltas, ivals = batch_codes(v, [data], [(N, packed)], eps, delta)
+    want = scalar_gates(v, [data], N, bits, eps, delta)
+    if code[0] == _EXACT:
+        return  # handed to the exact gates, which decide alone
+    assert want is not None, "the batch decided what the scalar gates cannot"
+    assert code[0] == want[0]
+    if want[1] is not None:
+        assert tuple(ms[:, 0].tolist()) == want[1]
+    if want[2] is not None:
+        assert tuple(deltas[:, 0].tolist()) == want[2]
+        assert tuple(ivals[:, 0].tolist()) == want[3]
+
+
+def test_angle_gates_within_the_top_bit_slack():
+    # delta within m + 3 units of 2**-64 of {m x} or of 1 - {m x}: the batch
+    # decides only what the top bits prove and hands the rest to the exact
+    # gates
+    data = rot_data(PHI)
+    v = build_jump_vector([data])
+    seen = Counter()
+    for N in range(30, 3000, 7):
+        bits = tuple(int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords)
+        m = compute_m(N, data, bits[0], v.M)
+        t = exact_frac(PHI, m)
+        for target in (t, 1 - t):
+            for j in sorted({-m - 3, -2, -1, 0, 1, 2, m // 2, m, m + 3}):
+                delta = Fraction(int(target * 2 ** 64) + j, 2 ** 64)
+                if not 0 < delta < Fraction(1, 2):
+                    continue
+                code = batch_codes(v, [data], [(N, bits[0] | bits[1] << 1)], 0.49, delta)[0][0]
+                want = scalar_gates(v, [data], N, bits, Fraction(0.49), delta)
+                seen[code == _EXACT] += 1
+                if code != _EXACT:
+                    assert want is not None and code == want[0], (N, m, j)
+    assert seen[True] and seen[False]
