@@ -4,8 +4,8 @@ ellipsoid / selftest, with JSON or CSV output.
 Exit codes: 0 success (a search with no hits is a success), 1 input
 validation failure, 2 internal invariant violation.  Output is
 deterministic for a fixed configuration and seed: JSON keys are sorted,
-numbers are formatted identically, and the jump search result does not
-depend on the worker count.
+numbers are formatted identically.  ``--workers`` is accepted and ignored:
+the jump search runs in one process.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def _cmd_jump_search(args: argparse.Namespace) -> int:
         delta = Fraction(args.delta) if args.delta else default_delta(paths)
         eps = args.eps if args.eps is not None else default_eps(paths, v.M, delta)
         result = search_N(v, chi, eps=eps, N_max=args.n_max, paths=paths,
-                          delta=delta, workers=args.workers)
+                          delta=delta)
     except JumpError as exc:
         raise InputError(str(exc)) from exc
     n = max(p.decomp.n for p in paths)
@@ -252,7 +252,6 @@ def _cmd_ellipsoid(args: argparse.Namespace) -> int:
             chi=args.chi,
             eps=args.eps,
             delta=Fraction(args.delta) if args.delta else None,
-            workers=args.workers,
         )
         report = run_pipeline(spec, params)
     except (EllipsoidError, JumpError) as exc:
@@ -283,15 +282,12 @@ _HANDLERS = {
 }
 
 
-def _flag_or_env(args: argparse.Namespace, flag: str, env: str, default: int) -> int:
-    """An integer flag's value, or else the environment variable's."""
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    if not hasattr(args, flag):
-        return default
+def _precision(args: argparse.Namespace) -> int:
+    """--precision, or else SYMINDEX_PRECISION, else 50."""
+    if args.precision is not None:
+        return args.precision
     try:
-        return env_int(env, default)
+        return env_int("SYMINDEX_PRECISION", 50)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -299,19 +295,16 @@ def _flag_or_env(args: argparse.Namespace, flag: str, env: str, default: int) ->
 def dispatch(args: argparse.Namespace) -> int:
     """Run one parsed subcommand; deterministic for fixed arguments (and seed).
 
-    --precision and --workers fall back to their environment variables.  The
-    working precision is restored when the subcommand returns.
+    --precision falls back to SYMINDEX_PRECISION.  The working precision is
+    restored when the subcommand returns.
     """
-    args.precision = _flag_or_env(args, "precision", "SYMINDEX_PRECISION", 50)
-    args.workers = _flag_or_env(args, "workers", "SYMINDEX_WORKERS", 1)
+    args.precision = _precision(args)
     if args.precision < 30:
         raise InputError(f"precision must be >= 30, got {args.precision}")
     if getattr(args, "m_max", 1) < 1:
         raise InputError("m-max must be >= 1")
     if getattr(args, "n_max", 1) < 1:
         raise InputError("n-max must be >= 1")
-    if args.workers < 1:
-        raise InputError("workers must be >= 1")
     if getattr(args, "report_solutions", 0) < 0:
         raise InputError("report-solutions must be >= 0")
     old_precision = get_precision()
@@ -365,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-scale", type=int, default=None, help="the M multiplier (default: lcm rule)")
     p.add_argument("--m0", type=int, default=None, help="required divisor of N (default: M)")
     p.add_argument("--workers", type=int, default=None,
-                   help="scan processes (default SYMINDEX_WORKERS, else 1)")
+                   help="ignored; the scan runs in one process")
     p.add_argument("--report-solutions", type=int, default=25)
     common(p)
 
@@ -378,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--delta", default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="scan processes (default SYMINDEX_WORKERS, else 1)")
+                   help="ignored; the scan runs in one process")
     common(p)
 
     p = sub.add_parser("selftest", help="run the built-in property suites")

@@ -178,7 +178,6 @@ class PipelineParams:
     delta: object = None
     M: int | None = None
     M0: int | None = None
-    workers: int = 1
     denominator_bound: int = 10 ** 6
     report_solutions: int = 25  # cap on per-solution theorem-2.11 reports
     steps: int = 2048
@@ -262,7 +261,7 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
         chi = "auto"
     try:
         result = search_N(v, chi, eps=eps, N_max=params.N_max, paths=datas,
-                          delta=delta, workers=params.workers)
+                          delta=delta)
         search_json = result.to_json()
         for sol in result.solutions[:params.report_solutions]:
             rep = theorem211_report(sol, datas, n)

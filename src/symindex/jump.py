@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import logging
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -94,10 +93,6 @@ class JumpVector:
     @property
     def h(self) -> int:
         return self.q + sum(self.mu)
-
-    def angle_coord_slice(self, k: int) -> slice:
-        start = self.q + sum(self.mu[:k])
-        return slice(start, start + self.mu[k])
 
     def to_json(self) -> dict:
         return {
@@ -223,23 +218,26 @@ _WRAP = 1 << 64  # numpy uint64 arithmetic is exact mod 2**64
 
 
 def _scaled_coord(s: Scalar, F: int) -> int:
+    """X of the coordinate s at F fraction bits: floor(s 2**F) for an
+    irrational s, ceil(s 2**F) for a rational one.  Rounding up puts an
+    integer N s exactly on side 0 (N X mod 2**F = N (X - s 2**F) < N), where
+    _residual measures it at distance 0."""
     if s.is_rational:
         fr = s.fraction
-        return (fr.numerator << F) // fr.denominator
+        return -(-(fr.numerator << F) // fr.denominator)
     return s._fixed(F)[0]
 
 
-def _scan_chunk(args):
-    """One N-chunk of the stage-1 scan; returns the (N, bits) candidates.
+def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits):
+    """N = first_step step_N, ... in n_steps steps of step_N; returns the
+    (N, bits) candidates, in increasing N.
 
     A numpy uint64 prefilter drops most N, and each survivor gets the exact
     big-int test: (N X mod 2**F) within eps_int of 0 (side 0) or of 2**F
     (side 1), on the chi side when chi is explicit.  The prefilter keeps
     every N the exact test keeps, so the candidates are exactly those of
-    stepping through every N.  Deterministic function of the chunk alone:
-    worker count and chunk assignment cannot change the result set.
+    stepping through every N.
     """
-    (first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits) = args
     mask = (1 << F) - 1
     modulus = 1 << F
     N0 = first_step * step_N
@@ -700,7 +698,8 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     integer identity I(k, m_k) = N + Delta_k, (d) the near-integrality of
     every m_k theta/pi.  Failures of (c) after passing (a) are logged.
     The stage-1 candidates are certified in one batch (_certify).  An empty
-    result is a valid outcome.
+    result is a valid outcome.  workers is accepted and ignored: the scan
+    runs in the calling process.
     """
     paths = list(paths)
     if not (0 < eps < 0.5):
@@ -722,22 +721,13 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     eps_exact = Fraction(eps)
     eps_int = int(eps_exact * (1 << F)) + N_max + 2
 
+    # chunks of 2**15 steps bound the memory of the scan's numpy arrays
     total_steps = N_max // v.M0
     chunk = 1 << 15
-    tasks = []
-    s = 1
-    while s <= total_steps:
-        n = min(chunk, total_steps - s + 1)
-        tasks.append((s, n, v.M0, Xs, F, eps_int, explicit_bits))
-        s += n
-
-    if workers <= 1 or len(tasks) <= 1:
-        chunks = [_scan_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_chunk, tasks))
-
-    candidates = [c for ch in chunks for c in ch]
+    candidates = []
+    for s in range(1, total_steps + 1, chunk):
+        candidates += _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F,
+                                  eps_int, explicit_bits)
     solutions, rejects = _certify(v, candidates, paths, eps_exact, delta, dps,
                                   max_reject_log)
     solutions.sort(key=lambda s: s.N)

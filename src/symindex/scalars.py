@@ -341,16 +341,6 @@ class Scalar:
         with mp.workdps(_storage_dps()):
             return self.mpf(_storage_dps()) - self.floor()
 
-    def is_near_integer(self) -> bool:
-        """True for integers, or when an irrational sits inside the guard band."""
-        if self._frac is not None:
-            return self._frac.denominator == 1
-        try:
-            self.floor()
-        except PrecisionError:
-            return True
-        return False
-
 
 def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:
     """Raise PrecisionError when the remainder r of m * X modulo d * 2**F

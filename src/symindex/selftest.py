@@ -166,25 +166,12 @@ def _suite_jump_golden(seed: int):
     return True, f"{len(res.solutions)} hits, {len(vertices)} vertices"
 
 
-def _suite_determinism(seed: int):
-    data = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
-    v = build_jump_vector([data])
-    delta = default_delta([data])
-    eps = default_eps([data], v.M, delta)
-    runs = [search_N(v, "auto", eps=eps, N_max=40_000, paths=[data], delta=delta,
-                     workers=w).to_json() for w in (1, 2)]
-    if runs[0] != runs[1]:
-        return False, "results differ across worker counts"
-    return True, "identical output for 1 and 2 workers"
-
-
 SUITES = [
     ("formula-equivalence", _suite_formula_equivalence),
     ("half-iterate-identity", _suite_half_iterate_identity),
     ("oracle-agreement", _suite_oracle_agreement),
     ("splitting-rows", _suite_splitting_rows),
     ("jump-golden-ratio", _suite_jump_golden),
-    ("search-determinism", _suite_determinism),
 ]
 
 

@@ -112,7 +112,6 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["iterate", "--m-max", "0"], "m-max must be >= 1"),
     (["jump-search", "--n-max", "0"], "n-max must be >= 1"),
-    (["jump-search", "--workers", "0"], "workers must be >= 1"),
     (["jump-search", "--report-solutions", "-1"], "report-solutions must be >= 0"),
 ])
 def test_range_checks_exit_1(rot_fixture, tmp_path, capsys, argv, message):
@@ -149,19 +148,6 @@ def test_bad_precision_env_exits_1(rot_fixture, monkeypatch, capsys):
     assert err.count("\n") == 1 and "SYMINDEX_PRECISION" in err and "'abc'" in err
     # an explicit flag does not read the variable
     assert main(["iterate", "--data", str(f), "--precision", "40"]) == EXIT_OK
-
-
-def test_bad_workers_env_exits_1(rot_fixture, tmp_path, monkeypatch, capsys):
-    f, data = rot_fixture
-    paths_file = tmp_path / "paths.json"
-    paths_file.write_text(json.dumps([data.to_json()]))
-    monkeypatch.setenv("SYMINDEX_WORKERS", "x")
-    rc = main(["jump-search", "--paths", str(paths_file), "--n-max", "100"])
-    err = capsys.readouterr().err
-    assert rc == EXIT_INPUT
-    assert err.count("\n") == 1 and "SYMINDEX_WORKERS" in err and "'x'" in err
-    # commands without --workers do not read it
-    assert main(["iterate", "--data", str(f)]) == EXIT_OK
 
 
 def test_chi_auto_runs_at_h16(tmp_path, capsys):
@@ -219,4 +205,4 @@ def test_selftest_exit_zero(capsys):
     rc = main(["selftest", "--seed", "7"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert out.count("PASS") == 5 and "FAIL" not in out

@@ -109,7 +109,7 @@ def test_nonpositive_frequency_rejected():
 
 
 def test_pipeline_small(spec12):
-    params = PipelineParams(m_max=6, N_max=20000, workers=1, report_solutions=5)
+    params = PipelineParams(m_max=6, N_max=20000, report_solutions=5)
     rep = run_pipeline(spec12, params)
     assert rep.problems == []
     assert rep.elliptic_count == 2

@@ -220,13 +220,6 @@ def test_search_rejects_bad_eps():
         search_N(v, "auto", eps=0.7, N_max=100, paths=[data], delta=Fraction(1, 8))
 
 
-def test_determinism_across_workers(golden_search):
-    data, v, delta, eps, res = golden_search
-    res4 = search_N(v, "auto", eps=eps, N_max=10 ** 5, paths=[data], delta=delta,
-                    workers=4)
-    assert res4.to_json() == res.to_json()
-
-
 # ----- varrho and the theorem-2.11 report -----------------------------------
 
 def test_varrho_single_convex_path():
@@ -632,7 +625,7 @@ def scan_chunks(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(scan_chunks())
 def test_scan_chunk_matches_stepping_loop(chunk):
-    assert _scan_chunk(chunk) == ref_scan_chunk(chunk)
+    assert _scan_chunk(*chunk) == ref_scan_chunk(chunk)
 
 
 def test_scan_chunk_at_the_eps_boundary():
@@ -650,7 +643,7 @@ def test_scan_chunk_at_the_eps_boundary():
                 if not 2 <= eps_int <= one // 2:
                     continue
                 chunk = (1, 1, N, [X], F, eps_int, None)
-                got = _scan_chunk(chunk)
+                got = _scan_chunk(*chunk)
                 assert got == ref_scan_chunk(chunk)
                 assert bool(got) == want, (Xh, N, eps_int)
 
@@ -750,7 +743,7 @@ def stage1(v, chi, eps, N_max):
     Xs = [_scaled_coord(c, F) for c in v.coords]
     explicit = None if chi == "auto" else tuple(chi)
     eps_int = int(Fraction(eps) * (1 << F)) + N_max + 2
-    return _scan_chunk((1, N_max // v.M0, v.M0, Xs, F, eps_int, explicit))
+    return _scan_chunk(1, N_max // v.M0, v.M0, Xs, F, eps_int, explicit)
 
 
 def batch_codes(v, paths, candidates, eps, delta):
@@ -771,7 +764,11 @@ CERTIFY_FIXTURES = {
     "m_k <= 0": ([rot_data(PHI, i1=9)], "auto", 0.3, Fraction(3, 8), 400,
                  {"m_k <= 0", "angle"}),
     "rational mean": ([rot_data(HALF, i1=3)], "auto", 0.3, Fraction(1, 8), 500,
-                      {"closeness", "divisibility"}),
+                      {"divisibility", "certified"}),
+    # v = (1/4, 1/4), M0 = 3: N = 3, 9 (mod 12) sit exactly eps from a vertex
+    "rational mean, residual equal to eps": ([rot_data(Scalar.rational(1, 3), i1=2)], "auto",
+                                             0.25, Fraction(1, 8), 500,
+                                             {"closeness", "certified"}),
     "rational mean, integer coordinates": ([rot_data(HALF, i1=1)], "auto", None, None, 500,
                                            {"certified"}),
     "-I2 block and N2 pair": ([PathIndexData(NormalFormDecomposition(
@@ -808,6 +805,17 @@ def test_certify_matches_the_candidate_loop(name, caplog):
     # and search_N is that certification after the stage-1 scan
     res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
     assert res.solutions == ref_sol
+
+
+def test_integer_rational_coordinates_are_on_vertex_0():
+    # ihat = 5/2 and v = (1/5, 1/5): N = 10 j puts N v on integers, which
+    # stage 1 must read as vertex 0, at distance 0 from it
+    data = rot_data(HALF, i1=3)
+    v = build_jump_vector([data])
+    res = search_N(v, "auto", eps=0.3, N_max=500, paths=[data], delta=Fraction(1, 8))
+    assert [s.N for s in res.solutions] == list(range(10, 501, 10))
+    assert all(s.chi == (0, 0) and s.residual == 0.0 for s in res.solutions)
+    assert res.solutions[0].m == (4,)
 
 
 def test_reject_cap_is_kept():
