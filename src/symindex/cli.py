@@ -91,25 +91,24 @@ def _dump_json(obj, out_path: str | None):
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
 
 
-def _parse_omega_complex(text: str) -> complex:
-    """1, -1, or an angle literal x meaning e^(i pi x)."""
-    s = text.strip()
-    if s == "1":
-        return complex(1.0)
-    if s == "-1":
-        return complex(-1.0)
-    x = float(parse_scalar(s))
-    return cmath.exp(1j * math.pi * x)
+def _parse_literal(flag: str, parse, text: str):
+    """parse(text); a literal it rejects is an input error naming the flag."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--{flag}: cannot parse {text!r}") from None
 
 
 def _parse_omega_tagged(text: str):
     """+-1 as integers, otherwise a tagged Scalar angle theta/pi."""
     s = text.strip()
-    if s == "1":
-        return 1
-    if s == "-1":
-        return -1
-    return parse_scalar(s)
+    return int(s) if s in ("1", "-1") else parse_scalar(s)
+
+
+def _parse_omega_complex(text: str) -> complex:
+    """1, -1, or an angle literal x meaning e^(i pi x)."""
+    w = _parse_omega_tagged(text)
+    return complex(w) if isinstance(w, int) else cmath.exp(1j * math.pi * float(w))
 
 
 def _load_path_data(obj) -> PathIndexData:
@@ -165,7 +164,7 @@ def _cmd_splitting(args: argparse.Namespace) -> int:
     d = data.decomp
     out = {"validation": validate(data).to_json()}
     if args.omega is not None:
-        pair = splitting_numbers(d, _parse_omega_tagged(args.omega))
+        pair = splitting_numbers(d, _parse_literal("omega", _parse_omega_tagged, args.omega))
         out["omega"] = args.omega
         out["splitting"] = {"s_plus": pair.s_plus, "s_minus": pair.s_minus}
     else:
@@ -186,7 +185,7 @@ def _cmd_splitting(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     path = _load_generator(_load_json(args.input))
-    omega = _parse_omega_complex(args.omega)
+    omega = _parse_literal("omega", _parse_omega_complex, args.omega)
     if args.m < 1:
         raise InputError("m must be >= 1")
     eps = args.eps if args.eps is not None else 1e-4
@@ -200,14 +199,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_chi(text: str, h: int):
+def _parse_chi(text: str):
+    """'auto', or the bits of a 0/1 string; search_N checks that there are h."""
     if text == "auto":
         return "auto"
     bits = text.strip()
     if not all(c in "01" for c in bits):
         raise InputError(f"chi must be 'auto' or a 0/1 string, got {text!r}")
-    if len(bits) != h:
-        raise InputError(f"chi needs exactly h = {h} bits, got {len(bits)}")
     return tuple(int(c) for c in bits)
 
 
@@ -217,15 +215,12 @@ def _cmd_jump_search(args: argparse.Namespace) -> int:
     if not isinstance(raw_paths, list) or not raw_paths:
         raise InputError("paths file must hold a non-empty list of path data objects")
     paths = [_load_path_data(p) for p in raw_paths]
-    try:
-        v = build_jump_vector(paths, M=args.m_scale, M0=args.m0)
-        chi = _parse_chi(args.chi, v.h)
-        delta = Fraction(args.delta) if args.delta else default_delta(paths)
-        eps = args.eps if args.eps is not None else default_eps(paths, v.M, delta)
-        result = search_N(v, chi, eps=eps, N_max=args.n_max, paths=paths,
-                          delta=delta)
-    except JumpError as exc:
-        raise InputError(str(exc)) from exc
+    # a JumpError is an input error, reported by main()
+    v = build_jump_vector(paths, M=args.m_scale, M0=args.m0)
+    chi = _parse_chi(args.chi)
+    delta = _parse_literal("delta", Fraction, args.delta) if args.delta else default_delta(paths)
+    eps = args.eps if args.eps is not None else default_eps(paths, v.M, delta)
+    result = search_N(v, chi, eps=eps, N_max=args.n_max, paths=paths, delta=delta)
     n = max(p.decomp.n for p in paths)
     reports = [theorem211_report(sol, paths, n).to_json()
                for sol in result.solutions[:args.report_solutions]]
@@ -241,21 +236,19 @@ def _cmd_jump_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_ellipsoid(args: argparse.Namespace) -> int:
-    alphas = [a for a in args.alphas.split(",") if a]
+    alphas = [_parse_literal("alphas", parse_scalar, a) for a in args.alphas.split(",") if a]
     if not alphas:
         raise InputError("--alphas requires a comma-separated list, e.g. 1,sqrt2")
-    try:
-        spec = EllipsoidSpec(alphas=tuple(alphas), mode=args.mode)
-        params = PipelineParams(
-            m_max=args.m_max,
-            N_max=args.n_max,
-            chi=args.chi,
-            eps=args.eps,
-            delta=Fraction(args.delta) if args.delta else None,
-        )
-        report = run_pipeline(spec, params)
-    except (EllipsoidError, JumpError) as exc:
-        raise InputError(str(exc)) from exc
+    # an EllipsoidError or JumpError is an input error, reported by main()
+    spec = EllipsoidSpec(alphas=tuple(alphas), mode=args.mode)
+    params = PipelineParams(
+        m_max=args.m_max,
+        N_max=args.n_max,
+        chi=_parse_chi(args.chi),
+        eps=args.eps,
+        delta=_parse_literal("delta", Fraction, args.delta) if args.delta else None,
+    )
+    report = run_pipeline(spec, params)
     _dump_json(report.to_json(), args.out)
     return EXIT_OK
 

@@ -26,7 +26,6 @@ from .iteration import (
     validate,
 )
 from .jump import (
-    JumpError,
     build_jump_vector,
     default_delta,
     default_eps,
@@ -176,11 +175,7 @@ class PipelineParams:
     chi: object = "auto"
     eps: float | None = None
     delta: object = None
-    M: int | None = None
-    M0: int | None = None
-    denominator_bound: int = 10 ** 6
     report_solutions: int = 25  # cap on per-solution theorem-2.11 reports
-    steps: int = 2048
 
 
 @dataclass
@@ -218,7 +213,8 @@ class EllipsoidReport:
 
 def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> EllipsoidReport:
     """Construct all axis orbits, tabulate iterates, search for common index
-    jumps, and check the model-scale stability claims."""
+    jumps, and check the model-scale stability claims.  A search parameter
+    out of range raises JumpError."""
     params = params or PipelineParams()
     n = spec.n
     problems = []
@@ -226,7 +222,7 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
     datas = []
     orbit_reports = []
     for i in range(1, n + 1):
-        data, path = orbit_data(spec, i, steps=params.steps)
+        data, path = orbit_data(spec, i)
         datas.append(data)
         mi = mean_index(data)
         vrep = validate(data)
@@ -249,30 +245,21 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
             "table": table,
         })
 
-    v = build_jump_vector(datas, M=params.M, M0=params.M0)
+    v = build_jump_vector(datas)
     delta = params.delta if params.delta is not None else default_delta(datas)
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     eps = params.eps if params.eps is not None else default_eps(datas, v.M, delta)
 
-    chi = params.chi
-    search_json: dict
+    result = search_N(v, "auto" if params.chi is None else params.chi, eps=eps,
+                      N_max=params.N_max, paths=datas, delta=delta)
     reports_211 = []
-    if chi == "auto" or chi is None:
-        chi = "auto"
-    try:
-        result = search_N(v, chi, eps=eps, N_max=params.N_max, paths=datas,
-                          delta=delta)
-        search_json = result.to_json()
-        for sol in result.solutions[:params.report_solutions]:
-            rep = theorem211_report(sol, datas, n)
-            reports_211.append(rep.to_json())
-            if not rep.ok:
-                problems.append(f"theorem-2.11 report at N={sol.N}: {rep.problems}")
-    except JumpError as exc:
-        search_json = {"error": str(exc)}
-        problems.append(f"jump search failed: {exc}")
+    for sol in result.solutions[:params.report_solutions]:
+        rep = theorem211_report(sol, datas, n)
+        reports_211.append(rep.to_json())
+        if not rep.ok:
+            problems.append(f"theorem-2.11 report at N={sol.N}: {rep.problems}")
 
-    matrix = mean_ratio_classify(datas, denominator_bound=params.denominator_bound)
+    matrix = mean_ratio_classify(datas)
     irr_count = 0
     for i in range(n):
         if all(matrix[i][j]["type"] == "irrational" for j in range(n) if j != i):
@@ -298,7 +285,7 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
         spec=spec.to_json(),
         orbits=orbit_reports,
         jump_vector=v.to_json(),
-        search=search_json,
+        search=result.to_json(),
         theorem211=reports_211,
         mean_ratio_matrix=matrix,
         varrho_n=rho,

@@ -20,7 +20,8 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import ceil, floor, lcm
 from typing import Optional
 
 import numpy as np
@@ -187,6 +188,8 @@ def build_jump_vector(paths, M: Optional[int] = None, M0: Optional[int] = None) 
         raise JumpError("M must be a positive integer")
     if M0 is None:
         M0 = M
+    if M0 < 1:
+        raise JumpError("M0 must be a positive integer")
     mu = tuple(C_of_M(d.decomp) for d in paths)
     coords = []
     for data in paths:
@@ -228,15 +231,16 @@ def _scaled_coord(s: Scalar, F: int) -> int:
     return s._fixed(F)[0]
 
 
-def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits):
+def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close_int, explicit_bits, band):
     """N = first_step step_N, ... in n_steps steps of step_N; returns the
-    (N, bits) candidates, in increasing N.
+    (N, bits, residual) of the close N, in increasing N.
 
     A numpy uint64 prefilter drops most N, and each survivor gets the exact
-    big-int test: (N X mod 2**F) within eps_int of 0 (side 0) or of 2**F
-    (side 1), on the chi side when chi is explicit.  The prefilter keeps
-    every N the exact test keeps, so the candidates are exactly those of
-    stepping through every N.
+    big-int test: every distance d of N X mod 2**F from 0 (side 0) or 2**F
+    (side 1) below eps_int, on the chi side when chi is explicit.  The
+    prefilter keeps every N that test keeps.  A survivor is close, with
+    residual None, when every d is below close_int - 2 N_last; else
+    band(N, bits) gives its residual, or None when it is not close.
     """
     mask = (1 << F) - 1
     modulus = 1 << F
@@ -261,23 +265,34 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits):
             start = np.uint64((N0 * Xh + E + N_last) % _WRAP)
             inc = np.uint64(step_N * Xh % _WRAP)
             steps = steps[steps * inc + start < np.uint64(window)]
+    # side 0 is r < eps_int, close when r < lim; side 1 is r > 2**F - eps_int,
+    # close when r > 2**F - lim
+    lim = close_int - 2 * N_last
+    side1, close1 = modulus - eps_int, modulus - lim
     out = []
     for j in steps.tolist():
         N = N0 + j * step_N
         bits = 0
+        close = True
         for i, X in enumerate(Xs):
             r = (N * X) & mask
             if r < eps_int:
                 side = 0
-            elif modulus - r < eps_int:
+                if r >= lim:
+                    close = False
+            elif r > side1:
                 side = 1
+                if r <= close1:
+                    close = False
             else:
                 break
             if explicit_bits is not None and side != explicit_bits[i]:
                 break
             bits |= side << i
         else:
-            out.append((N, bits))
+            residual = None if close else band(N, bits)
+            if close or residual is not None:
+                out.append((N, bits, residual))
     return out
 
 
@@ -398,6 +413,7 @@ def _closer_than(worst, slack: int, F: int, eps: Fraction):
 
 
 _ANGLE_REJECT = "angle condition (near-integrality) failed"
+_MAX_REJECT_LOG = 50
 
 
 def _identity_reject(N: int, ivals, deltas):
@@ -411,25 +427,30 @@ def _identity_reject(N: int, ivals, deltas):
     return entry
 
 
-def _certify_exact(v: JumpVector, paths, N: int, bits: tuple, eps: Fraction,
-                   delta: Fraction, dps: int):
-    """Gates (a)-(d) of one candidate in big integers: a JumpSolution, a
-    reject entry, or None for a silent closeness/divisibility miss."""
-    worst, slack, F = _residual(v, N, bits, dps)
-    close = _closer_than(worst, slack, F, eps)
-    if close is None:  # eps lies within the truncation slack
-        worst, slack, F = _residual(v, N, bits, 2 * dps)
+def _band_residual(v: JumpVector, N: int, packed: int, eps: Fraction, dps: int):
+    """The residual of N at the vertex of the packed bits when its distance
+    is below eps, else None: decided by _residual at dps digits, or at 2 dps
+    when eps lies within the slack at dps; PrecisionError when it does at
+    2 dps too."""
+    bits = tuple((packed >> i) & 1 for i in range(v.h))
+    for digits in (dps, 2 * dps):
+        worst, slack, F = _residual(v, N, bits, digits)
         close = _closer_than(worst, slack, F, eps)
-        if close is None:
-            raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
-    if not close:
-        return None
+        if close is not None:
+            return float(worst / (1 << F)) if close else None
+    raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+
+
+def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, dps: int):
+    """Gates (b)-(d) of one close candidate, its chi bits packed, in big
+    integers: (ms, deltas) of a solution, a reject entry, or None for a
+    silent divisibility miss."""
     # (b) rational mean indices demand exact divisibility of N
     for mi in v.mean_indices:
         if mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1:
             return None
     try:
-        ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
+        ms = tuple(compute_m(N, paths[k], (packed >> k) & 1, v.M) for k in range(v.q))
     except JumpError as exc:
         return {"N": N, "reason": str(exc)}
     # (d) angle conditions
@@ -438,18 +459,15 @@ def _certify_exact(v: JumpVector, paths, N: int, bits: tuple, eps: Fraction,
     # (c) the identity gate, exact integers
     deltas = tuple(_delta_count(paths[k], ms[k], delta, dps) for k in range(v.q))
     ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
-    entry = _identity_reject(N, ivals, deltas)
-    if entry is not None:
-        return entry
-    return JumpSolution(N=N, m=ms, chi=bits, delta=deltas,
-                        residual=float(worst / (1 << F)), delta_threshold=delta)
+    return _identity_reject(N, ivals, deltas) or (ms, deltas)
 
 
 # ----- batched gates on uint64 top bits ---------------------------------------
 #
-# The gates of all candidates are decided at once on numpy uint64 arrays.
-# For an irrational x with X = floor(x 2**F) and a multiplier 1 <= w < 2**50
-# (N, or some m_k), let s = F - 64 (>= 85, as F >= fixed_bits(0) = 149),
+# Stage 1 has decided closeness; the gates that need m_k are decided for all
+# candidates at once on numpy uint64 arrays.  For an irrational x with
+# X = floor(x 2**F) and a multiplier 1 <= w < 2**50 (N for the floor of
+# N / (M ihat_k), or some m_k), let s = F - 64 (>= 85, as F >= 149),
 # Xh = (X mod 2**F) >> s, rh = w Xh mod 2**64 and H = floor(w Xh / 2**64).
 # As X mod 2**F = Xh 2**s + low with 0 <= low < 2**s, whenever
 #
@@ -462,19 +480,19 @@ def _certify_exact(v: JumpVector, paths, N: int, bits: tuple, eps: Fraction,
 #
 # and r lies in [2**s, 2**F - 2**s], clear of the guard band of _guard, whose
 # tolerance 2**F / 10**30 + w + 3 is below 2**s: no exact gate would raise.
-# A gate compares value +- slack with theta 2**F, theta = eps or delta (below
-# 1/2), for slack <= w + 2 < 2**s.  With value in [lo 2**s, hi 2**s] it is
-# decided
+# An angle gate compares value +- slack with delta 2**F (delta < 1/2), for
+# slack <= w + 2 < 2**s.  With value in [lo 2**s, hi 2**s] it is decided
 #
-#     below when hi < floor(theta 2**64),   above when lo > ceil(theta 2**64),
+#     below when hi < floor(delta 2**64),   above when lo > ceil(delta 2**64),
 #
-# for then value + slack < (hi + 1) 2**s <= theta 2**F, resp.
-# value - slack > (lo - 1) 2**s >= theta 2**F.  Rational quantities are exact
+# for then value + slack < (hi + 1) 2**s <= delta 2**F, resp.
+# value - slack > (lo - 1) 2**s >= delta 2**F.  Rational quantities are exact
 # integer residues.  A candidate that is not ok, or undecided, at a gate it
-# reaches goes to _certify_exact, in candidate order, so the solutions, the
-# rejects and any PrecisionError are those of the exact gates on every
-# candidate.  So do candidates with N >= _batch_limit(), where N, every m_k
-# or an int64 sum could leave the range these bounds assume.
+# reaches goes to _certify_exact, in candidate order, so the solutions and
+# the rejects are those of the exact gates on every candidate.  So do
+# candidates with N >= _batch_limit(), where N, every m_k or an int64 sum
+# could leave the range these bounds assume, or whose q chi bits of m_k do
+# not fit a uint64.
 
 _LIMIT = 1 << 50
 _ONES = np.uint64(_WRAP - 1)
@@ -499,10 +517,6 @@ def _top(w, X: int, F: int):
     return rh, Xh, (rh != 0) & (rh <= _ONES - w)
 
 
-def _floor_ceil(x: Fraction):
-    return x.numerator // x.denominator, -(-x.numerator // x.denominator)
-
-
 def _slope(rec, data) -> int:
     """c with I(k, m) = c m + sum_theta E(m theta/pi) + #(irrational alphas)
     once every rational angle times m is an integer."""
@@ -513,11 +527,10 @@ def _slope(rec, data) -> int:
 def _batch_limit(v: JumpVector, recs, F: int) -> int:
     """N below which the batch is exact: N and every m_k < 2**50, every
     rational modulus < 2**32 and every |I(k, m_k)| < 2**63; 0 when some
-    constant is out of range."""
-    limit = _LIMIT if v.h <= 64 else 0
+    constant is out of range or q > 64."""
+    limit = _LIMIT if v.q <= 64 else 0
     unit = _LIMIT // v.M - 2   # N / (M ihat_k) < unit keeps m_k < 2**50
-    moduli = [c.fraction.denominator for c in v.coords if c.is_rational]
-    moduli += [(v.M * mi.fraction).numerator for mi in v.mean_indices if mi.is_rational]
+    moduli = [(v.M * mi.fraction).numerator for mi in v.mean_indices if mi.is_rational]
     for rec, data in recs:
         y = rec.inv_mean(v.M)
         if y.is_rational:
@@ -536,8 +549,9 @@ def _batch_limit(v: JumpVector, recs, F: int) -> int:
     return max(limit, 0)
 
 
-def _batch_gates(v: JumpVector, recs, N, packed, eps: Fraction, delta: Fraction, F: int):
-    """Gates (a)-(d) of the candidates (N, packed), uint64 arrays.
+def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
+    """Gates (b)-(d) of the close candidates N, a uint64 array, whose chi
+    bits of m_k are packed, another.
 
     Returns (code, ms, deltas, ivals): code[i] is one of _SKIP, _SOLVED,
     _M_FAIL, _ANGLE_FAIL, _ID_FAIL, _EXACT; ms, deltas and ivals are q x K
@@ -548,30 +562,8 @@ def _batch_gates(v: JumpVector, recs, N, packed, eps: Fraction, delta: Fraction,
     if not K:  # the constants fit in uint64 only when _batch_limit() > 0
         return np.zeros(0, np.int8), *[np.zeros((len(recs), 0), np.int64)] * 3
     exact = np.zeros(K, bool)
-    Elo, Ehi = _floor_ceil(eps * _WRAP)
-    Dlo, Dhi = _floor_ceil(delta * _WRAP)
-
-    # (a) closeness: every coordinate within eps of its bit, the irrational
-    # ones with slack N (below _LIMIT; the rational ones are exact)
-    close = np.ones(K, bool)
-    far = np.zeros(K, bool)
-    S = Fraction(0 if all(c.is_rational for c in v.coords) else _LIMIT, 1 << F)
-    for i, c in enumerate(v.coords):
-        b = ((packed >> np.uint64(i)) & np.uint64(1)).astype(bool)
-        if c.is_rational:
-            p, q = c.fraction.numerator, c.fraction.denominator
-            a = (N % np.uint64(q)) * np.uint64(p % q) % np.uint64(q)
-            d = np.where(b, np.uint64(q) - a, a)       # |{N c} - b| q
-            close &= d < max(_floor_ceil((eps - S) * q)[1], 0)
-            far |= d >= max(_floor_ceil((eps + S) * q)[1], 0)
-        else:
-            rh, _, ok = _top(N, _scaled_coord(c, F), F)
-            comp = np.uint64(0) - rh                   # 2**64 - rh
-            close &= np.where(b, comp, rh + N) < Elo
-            far |= np.where(b, comp - N, rh) > Ehi
-            exact |= ~ok
-    exact |= ~(close | far)
-    live = close & ~exact
+    live = np.ones(K, bool)
+    Dlo, Dhi = floor(delta * _WRAP), ceil(delta * _WRAP)
 
     # (b) divisibility: N / (M ihat_k) integral for rational ihat_k
     for mi in v.mean_indices:
@@ -640,40 +632,46 @@ def _batch_gates(v: JumpVector, recs, N, packed, eps: Fraction, delta: Fraction,
     return code, ms.astype(np.int64), deltas, ivals
 
 
-def _certify(v: JumpVector, candidates, paths, eps: Fraction, delta: Fraction,
-             dps: int, max_reject_log: int):
-    """Solutions and the first max_reject_log rejects of the stage-1
-    candidates (in increasing N); solutions in no particular order."""
+def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int,
+             max_reject_log: int):
+    """Solutions and the first max_reject_log rejects of the close stage-1
+    candidates (N, bits, residual), in increasing N; solutions in no
+    particular order."""
     F = fixed_bits(dps)
     one = 1 << F
     recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]
     n_batch = bisect_left(candidates, (_batch_limit(v, recs, F),))
+    low = (1 << v.q) - 1
     N = np.fromiter((c[0] for c in candidates[:n_batch]), np.uint64, n_batch)
-    packed = np.fromiter((c[1] for c in candidates[:n_batch]), np.uint64, n_batch)
-    code, ms, deltas, ivals = _batch_gates(v, recs, N, packed, eps, delta, F)
+    packed = np.fromiter((c[1] & low for c in candidates[:n_batch]), np.uint64, n_batch)
+    code, ms, deltas, ivals = _batch_gates(v, recs, N, packed, delta, F)
     chis = {}   # packed bits -> chi tuple
 
-    def chi(p):
+    def solution(i, m, d):
+        """Candidate i's JumpSolution, with its band residual or one at dps."""
+        n, p, residual = candidates[i]
         bits = chis.get(p)
         if bits is None:
             bits = chis[p] = tuple((p >> j) & 1 for j in range(v.h))
-        return bits
+        if residual is None:
+            residual = float(_residual(v, n, bits, dps)[0] / one)
+        return JumpSolution(n, m, bits, d, residual, delta)
 
     # batch-certified candidates: only the outputs are left to compute
     s = np.flatnonzero(code == _SOLVED)
-    solutions = [JumpSolution(n, m, bits, d, float(_residual(v, n, bits, dps)[0] / one), delta)
-                 for n, p, m, d in zip(N[s].tolist(), packed[s].tolist(),
-                                       zip(*ms[:, s].tolist()), zip(*deltas[:, s].tolist()))
-                 for bits in (chi(p),)]
+    solutions = [solution(i, m, d) for i, m, d in zip(
+        s.tolist(), zip(*ms[:, s].tolist()), zip(*deltas[:, s].tolist()))]
     # rejects and the exact gates, in candidate order; m_k <= 0 means m_k = 0
     r = np.flatnonzero((code != _SKIP) & (code != _SOLVED))
     rest = zip(r.tolist(), code[r].tolist(), ivals[:, r].T.tolist(), deltas[:, r].T.tolist())
     beyond = ((i, _EXACT, None, None) for i in range(n_batch, len(candidates)))
     rejects = []
     for i, c, ivs, ds in itertools.chain(rest, beyond):
-        N, p = candidates[i]
+        N, p, _ = candidates[i]
         if c == _EXACT:
-            out = _certify_exact(v, paths, N, chi(p), eps, delta, dps)
+            out = _certify_exact(v, paths, N, p, delta, dps)
+            if isinstance(out, tuple):
+                out = solution(i, *out)
         elif c == _M_FAIL:
             out = {"N": N, "reason": f"m_k = 0 <= 0 at N = {N}"}
         elif c == _ANGLE_FAIL:
@@ -687,26 +685,54 @@ def _certify(v: JumpVector, candidates, paths, eps: Fraction, delta: Fraction,
     return solutions, rejects
 
 
+def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
+    """The close candidates (N, bits, residual) of N = M0, 2 M0, ... <= N_max,
+    in increasing N (see _scan_chunk)."""
+    F = fixed_bits(dps)
+    Xs = [_scaled_coord(c, F) for c in v.coords]
+    # _residual accepts w + slack < eps 2**F, for the worst distance w from
+    # the vertex times 2**F and slack <= N.  A coordinate's scan distance d
+    # is its term of w when irrational; when rational, that term is below
+    # d + N (p/q is read as ceil(p 2**F / q), so N X exceeds N p 2**F / q by
+    # less than N, which cannot wrap past 2**F while q N_max < 2**F).  So
+    # d < int(eps 2**F) - 2 N_last on every coordinate proves N close; past
+    # that bound on q, every survivor gets the exact decision.
+    close_int = int(eps * (1 << F))
+    eps_int = close_int + N_max + 2
+    if any(c.is_rational and c.fraction.denominator * N_max >= 1 << F for c in v.coords):
+        close_int = 0
+    band = partial(_band_residual, v, eps=eps, dps=dps)
+    # chunks of 2**15 steps bound the memory of the scan's numpy arrays
+    total_steps = N_max // v.M0
+    chunk = 1 << 15
+    candidates = []
+    for s in range(1, total_steps + 1, chunk):
+        candidates += _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F,
+                                  eps_int, close_int, explicit_bits, band)
+    return candidates
+
+
 def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
-             workers: int = 1, max_reject_log: int = 50) -> SearchResult:
+             workers: int = 1) -> SearchResult:
     """Enumerate N = M0, 2 M0, ... <= N_max and keep certified jump solutions.
 
     chi is a bit tuple of length h, or "auto" to accept every vertex the
     orbit actually approaches (the nearest vertex is tested for each N).
-    Gates, in order: (a) max-norm closeness |{N v} - chi| < eps, (b) exact
-    divisibility N/(M ihat_k) in Z for rational mean indices, (c) the
-    integer identity I(k, m_k) = N + Delta_k, (d) the near-integrality of
-    every m_k theta/pi.  Failures of (c) after passing (a) are logged.
-    The stage-1 candidates are certified in one batch (_certify).  An empty
+    Gates, in order: (a) max-norm closeness |{N v} - chi| < eps, decided by
+    the stage-1 scan, (b) exact divisibility N/(M ihat_k) in Z for rational
+    mean indices, (c) the integer identity I(k, m_k) = N + Delta_k, (d) the
+    near-integrality of every m_k theta/pi.  Failures of (c) after passing
+    (a) are logged.  The close candidates are certified in one batch
+    (_certify), and the first _MAX_REJECT_LOG rejects are kept.  An empty
     result is a valid outcome.  workers is accepted and ignored: the scan
     runs in the calling process.
     """
     paths = list(paths)
-    if not (0 < eps < 0.5):
-        raise JumpError("eps must lie in (0, 1/2)")
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     if not (0 < delta < Fraction(1, 2)):
         raise JumpError("delta must lie in (0, 1/2)")
+    if not (0 < eps < 0.5):
+        raise JumpError("eps must lie in (0, 1/2)")
     explicit_bits = None
     if chi != "auto":
         explicit_bits = tuple(int(b) for b in chi)
@@ -716,20 +742,8 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
             raise JumpError("chi bits must be 0 or 1")
 
     dps = get_precision()
-    F = fixed_bits(dps)
-    Xs = [_scaled_coord(c, F) for c in v.coords]
-    eps_exact = Fraction(eps)
-    eps_int = int(eps_exact * (1 << F)) + N_max + 2
-
-    # chunks of 2**15 steps bound the memory of the scan's numpy arrays
-    total_steps = N_max // v.M0
-    chunk = 1 << 15
-    candidates = []
-    for s in range(1, total_steps + 1, chunk):
-        candidates += _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F,
-                                  eps_int, explicit_bits)
-    solutions, rejects = _certify(v, candidates, paths, eps_exact, delta, dps,
-                                  max_reject_log)
+    candidates = _stage1(v, explicit_bits, Fraction(eps), N_max, dps)
+    solutions, rejects = _certify(v, candidates, paths, delta, dps, _MAX_REJECT_LOG)
     solutions.sort(key=lambda s: s.N)
     params = {"eps": eps, "delta": str(delta), "M": v.M, "M0": v.M0,
               "N_max": N_max, "chi": "auto" if explicit_bits is None else list(explicit_bits)}

@@ -33,6 +33,7 @@ from .normal_forms import (
     kernel,
     nu_omega,
     standard_J,
+    SYMPLECTIC_TOL,
     symplectic_defect,
 )
 
@@ -54,6 +55,7 @@ DEFAULT_STEPS = 2048
 MAX_STEPS = 1 << 20
 DEFAULT_PERT = 1e-4
 STEP_BOUND = 0.05  # max entry change between consecutive samples
+SPLITTING_PROBES = (1e-3, 1e-4)  # angles of the one-sided probes of estimate_splitting
 
 
 class OracleError(RuntimeError):
@@ -88,17 +90,17 @@ class SampledSymplecticPath:
         if len(self.ts) != len(self.mats):
             raise OracleError("ts and mats length mismatch")
 
-    def validate(self, eta: float = STEP_BOUND, sympl_tol: float = 1e-9):
+    def validate(self):
         if not np.allclose(self.mats[0], np.eye(2 * self.n), atol=1e-12):
             raise OracleError("path must start at the identity")
         steps = np.max(np.abs(np.diff(self.mats, axis=0)), axis=(1, 2))
-        if steps.size and float(np.max(steps)) > eta:
-            raise OracleError(
-                f"step-size bound violated: max entry change {float(np.max(steps)):.3g} > {eta}")
+        if steps.size and float(np.max(steps)) > STEP_BOUND:
+            raise OracleError(f"step-size bound violated: max entry change "
+                              f"{float(np.max(steps)):.3g} > {STEP_BOUND}")
         worst = max(symplectic_defect(self.mats[idx])
                     for idx in (0, len(self.mats) // 2, len(self.mats) - 1))
-        if worst > sympl_tol:
-            raise OracleError(f"samples are not symplectic to {sympl_tol}: defect {worst:.3g}")
+        if worst > SYMPLECTIC_TOL:
+            raise OracleError(f"samples are not symplectic to {SYMPLECTIC_TOL}: defect {worst:.3g}")
         return self
 
     def endpoint(self) -> np.ndarray:
@@ -556,7 +558,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
 
 
 def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
-             rank_tol: float = RANK_TOL, max_retries: int = 5):
+             rank_tol: float = RANK_TOL):
     """(i_omega, nu_omega) of a sampled path by geometric crossing count.
 
     omega is a unit-circle complex number (1 and -1 included).  eps is the
@@ -589,7 +591,7 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
         return extensions[factor]
 
     last_error = None
-    for attempt, (pert, factor) in enumerate(plan[:max_retries]):
+    for attempt, (pert, factor) in enumerate(plan):
         try:
             ext = ext_at(factor)
             res = _scan(_PerturbedPath(ext, pert), omega,
@@ -608,7 +610,7 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
             last_error = exc
         except OracleError as exc:
             last_error = exc
-    raise OracleError(f"crossing count did not stabilize after {max_retries} attempts: {last_error}")
+    raise OracleError(f"crossing count did not stabilize after {len(plan)} attempts: {last_error}")
 
 
 def _resample(path: SampledSymplecticPath, factor: int) -> SampledSymplecticPath:
@@ -623,18 +625,17 @@ def _resample(path: SampledSymplecticPath, factor: int) -> SampledSymplecticPath
                                  evaluator=path.evaluator)
 
 
-def estimate_splitting(path: SampledSymplecticPath, omega, epsilons=(1e-3, 1e-4),
-                       eps: float = DEFAULT_PERT):
+def estimate_splitting(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT):
     """Oracle estimate of the splitting pair (S^+, S^-) at omega.
 
-    Computes i at omega e^{+- i eps'} for each probe eps' and requires the
-    two probes to agree (stability check of the one-sided limits).
+    Computes i at omega e^{+- i eps'} for each eps' in SPLITTING_PROBES and
+    requires the probes to agree (stability check of the one-sided limits).
     """
     omega = complex(omega)
     i_base, _ = cz_index(path, omega, eps=eps)
     plus_vals = []
     minus_vals = []
-    for e in epsilons:
+    for e in SPLITTING_PROBES:
         wp = omega * complex(math.cos(e), math.sin(e))
         wm = omega * complex(math.cos(e), -math.sin(e))
         plus_vals.append(cz_index(path, wp, eps=eps)[0] - i_base)

@@ -113,12 +113,27 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["iterate", "--m-max", "0"], "m-max must be >= 1"),
     (["jump-search", "--n-max", "0"], "n-max must be >= 1"),
     (["jump-search", "--report-solutions", "-1"], "report-solutions must be >= 0"),
+    (["jump-search", "--delta", "abc"], "--delta: cannot parse 'abc'"),
+    (["jump-search", "--delta", "0"], "delta must lie in (0, 1/2)"),
+    (["jump-search", "--m0", "0"], "M0 must be a positive integer"),
+    (["jump-search", "--m0", "-3"], "M0 must be a positive integer"),
+    (["ellipsoid", "--delta", "abc"], "--delta: cannot parse 'abc'"),
+    (["ellipsoid", "--delta", "0"], "delta must lie in (0, 1/2)"),
+    (["ellipsoid", "--alphas", "1,abc"], "--alphas: cannot parse 'abc'"),
+    (["ellipsoid", "--chi", "abc"], "chi must be 'auto' or a 0/1 string, got 'abc'"),
+    (["ellipsoid", "--chi", "01"], "chi needs 4 bits, got 2"),
+    (["ellipsoid", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
+    (["splitting", "--omega", "abc"], "--omega: cannot parse 'abc'"),
+    (["oracle", "--omega", "abc"], "--omega: cannot parse 'abc'"),
 ])
-def test_range_checks_exit_1(rot_fixture, tmp_path, capsys, argv, message):
+def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, message):
     f, data = rot_fixture
     paths_file = tmp_path / "paths.json"
     paths_file.write_text(json.dumps([data.to_json()]))
-    source = ["--data", str(f)] if argv[0] == "iterate" else ["--paths", str(paths_file)]
+    source = {"iterate": ["--data", str(f)], "splitting": ["--data", str(f)],
+              "oracle": ["--generator", str(gen_fixture)],
+              "jump-search": ["--paths", str(paths_file)],
+              "ellipsoid": ["--alphas", "1,sqrt2", "--m-max", "2", "--n-max", "100"]}[argv[0]]
     rc = main(argv[:1] + source + argv[1:])
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT

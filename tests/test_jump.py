@@ -29,6 +29,8 @@ from symindex.jump import (
     _SOLVED,
     JumpError,
     JumpSolution,
+    JumpVector,
+    _band_residual,
     _batch_gates,
     _batch_limit,
     _certify,
@@ -38,6 +40,7 @@ from symindex.jump import (
     _residual,
     _scan_chunk,
     _scaled_coord,
+    _stage1,
     build_jump_vector,
     chi_of,
     compute_m,
@@ -545,20 +548,20 @@ def test_closeness_gate_slack_boundaries():
 
 # ----- stage-1 scan against the stepping loop ---------------------------------
 
-def ref_scan_chunk(args):
+def ref_survivors(first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits):
     """The former stage-1 scan: step N through the chunk, keeping each
-    residue N X mod 2**F up to date, and test every N exactly."""
-    (first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits) = args
+    residue N X mod 2**F up to date, and test every N exactly.  Yields
+    (N, bits, distances) of the N within eps_int of a vertex."""
     mask = (1 << F) - 1
     modulus = 1 << F
     N0 = first_step * step_N
     rs = [(N0 * X) & mask for X in Xs]
     incs = [(step_N * X) & mask for X in Xs]
-    out = []
     N = N0
     h = len(Xs)
     for _ in range(n_steps):
         bits = 0
+        ds = []
         ok = True
         for i in range(h):
             r = rs[i]
@@ -573,12 +576,34 @@ def ref_scan_chunk(args):
                 ok = False
                 break
             bits |= side << i
+            ds.append(modulus - r if side else r)
         if ok:
-            out.append((N, bits))
+            yield N, bits, ds
         for i in range(h):
             rs[i] = (rs[i] + incs[i]) & mask
         N += step_N
+
+
+def ref_scan_chunk(args):
+    """_scan_chunk by the stepping loop: a survivor is close when all its
+    distances are below close_int - 2 N_last, else band decides."""
+    (first_step, n_steps, step_N, Xs, F, eps_int, close_int, explicit_bits, band) = args
+    lim = close_int - 2 * (first_step + n_steps - 1) * step_N
+    out = []
+    for N, bits, ds in ref_survivors(first_step, n_steps, step_N, Xs, F, eps_int,
+                                     explicit_bits):
+        if max(ds) < lim:
+            out.append((N, bits, None))
+        else:
+            residual = band(N, bits)
+            if residual is not None:
+                out.append((N, bits, residual))
     return out
+
+
+def fake_band(N, bits):
+    """A stand-in for the exact decision: drops a third of the N."""
+    return None if (N + bits) % 3 == 0 else float(N % 7)
 
 
 @st.composite
@@ -616,8 +641,10 @@ def scan_chunks(draw):
     eps = Fraction(draw(st.integers(1, 2 ** (k - 1) - 1)), 2 ** k)
     N_last = (first_step + n_steps - 1) * step_N
     eps_int = int(eps * (1 << F)) + draw(st.integers(2, N_last + 2))
+    # close_int - 2 N_last below, among or above the survivors' distances
+    close_int = draw(st.one_of(st.just(0), st.integers(0, eps_int + 2 * N_last)))
     chi = draw(st.one_of(st.none(), st.tuples(*[st.sampled_from((0, 1))] * h)))
-    return first_step, n_steps, step_N, Xs, F, eps_int, chi
+    return first_step, n_steps, step_N, Xs, F, eps_int, close_int, chi, fake_band
 
 
 @seed(20240811)
@@ -631,7 +658,8 @@ def test_scan_chunk_matches_stepping_loop(chunk):
 def test_scan_chunk_at_the_eps_boundary():
     # X with its low F - 64 bits zero makes the prefilter's top bits exact,
     # so the residue r sits exactly at the edge of the window: N survives
-    # iff r < eps_int (side 0) or 2**F - r < eps_int (side 1)
+    # iff r < eps_int (side 0) or 2**F - r < eps_int (side 1), and is kept
+    # whether it is close or the band accepts it
     F = fixed_bits(50)
     one = 1 << F
     for Xh in (3, 0x9E3779B97F4A7C15, (1 << 64) - 5):
@@ -642,10 +670,11 @@ def test_scan_chunk_at_the_eps_boundary():
                                   (one - r + 1, True), (one - r, False)):
                 if not 2 <= eps_int <= one // 2:
                     continue
-                chunk = (1, 1, N, [X], F, eps_int, None)
-                got = _scan_chunk(*chunk)
-                assert got == ref_scan_chunk(chunk)
-                assert bool(got) == want, (Xh, N, eps_int)
+                for close_int in (0, eps_int + 2 * N):
+                    chunk = (1, 1, N, [X], F, eps_int, close_int, None, lambda N, b: 0.0)
+                    got = _scan_chunk(*chunk)
+                    assert got == ref_scan_chunk(chunk)
+                    assert bool(got) == want, (Xh, N, eps_int)
 
 
 @pytest.fixture(scope="module")
@@ -671,28 +700,34 @@ def test_jump_search_json_identical_across_workers(sqrt2_pair_paths, tmp_path):
 
 # ----- batched certification against the per-candidate loop -------------------
 
+def ref_closeness(v, N, bits, eps, dps):
+    """The former closeness gate: (close, residual) from _residual at dps
+    digits, or at 2 dps when eps lies within the slack at dps."""
+    worst, slack, F = _residual(v, N, bits, dps)
+    close = _closer_than(worst, slack, F, eps)
+    if close is None:  # eps lies within the truncation slack
+        worst, slack, F = _residual(v, N, bits, 2 * dps)
+        close = _closer_than(worst, slack, F, eps)
+        if close is None:
+            raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+    return close, float(worst / (1 << F))
+
+
 def ref_certify(v, candidates, paths, eps, delta, max_reject_log=50):
     """The former certification loop of search_N: the exact gates of one
-    candidate after another.  Also returns the gate each candidate stopped
-    at, so that a fixture can show which gates it reaches."""
+    candidate after another, closeness included.  Also returns the gate
+    each candidate stopped at, so that a fixture can show which gates it
+    reaches."""
     dps = get_precision()
-    eps_exact = Fraction(eps)
     solutions = []
     rejects = []
     gates = Counter()
-    for N, bits_packed in candidates:
+    for N, bits_packed, _ in candidates:
         bits = tuple((bits_packed >> i) & 1 for i in range(v.h))
-        worst, slack, F = _residual(v, N, bits, dps)
-        close = _closer_than(worst, slack, F, eps_exact)
-        if close is None:  # eps lies within the truncation slack
-            worst, slack, F = _residual(v, N, bits, 2 * dps)
-            close = _closer_than(worst, slack, F, eps_exact)
-            if close is None:
-                raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+        close, res = ref_closeness(v, N, bits, Fraction(eps), dps)
         if not close:
             gates["closeness"] += 1
             continue
-        res = float(worst / (1 << F))
         # (b) rational mean indices demand exact divisibility of N
         ok = True
         for k, mi in enumerate(v.mean_indices):
@@ -738,20 +773,18 @@ def ref_certify(v, candidates, paths, eps, delta, max_reject_log=50):
 
 
 def stage1(v, chi, eps, N_max):
-    """The stage-1 candidates of search_N."""
-    F = fixed_bits(get_precision())
-    Xs = [_scaled_coord(c, F) for c in v.coords]
+    """The close stage-1 candidates of search_N."""
     explicit = None if chi == "auto" else tuple(chi)
-    eps_int = int(Fraction(eps) * (1 << F)) + N_max + 2
-    return _scan_chunk(1, N_max // v.M0, v.M0, Xs, F, eps_int, explicit)
+    return _stage1(v, explicit, Fraction(eps), N_max, get_precision())
 
 
-def batch_codes(v, paths, candidates, eps, delta):
+def batch_codes(v, paths, candidates, delta):
+    """_batch_gates of the candidates (N, bits, ...), on the chi bits of m_k."""
     F = fixed_bits(get_precision())
     recs = [(path_record(p), p) for p in paths]
     N = np.array([c[0] for c in candidates], np.uint64)
-    packed = np.array([c[1] for c in candidates], np.uint64)
-    return _batch_gates(v, recs, N, packed, Fraction(eps), Fraction(delta), F)
+    packed = np.array([c[1] & ((1 << v.q) - 1) for c in candidates], np.uint64)
+    return _batch_gates(v, recs, N, packed, Fraction(delta), F)
 
 
 ALPHA = Scalar.sqrt(5) * Fraction(1, 3)
@@ -765,10 +798,10 @@ CERTIFY_FIXTURES = {
                  {"m_k <= 0", "angle"}),
     "rational mean": ([rot_data(HALF, i1=3)], "auto", 0.3, Fraction(1, 8), 500,
                       {"divisibility", "certified"}),
-    # v = (1/4, 1/4), M0 = 3: N = 3, 9 (mod 12) sit exactly eps from a vertex
+    # v = (1/4, 1/4), M0 = 3: stage 1 drops N = 3, 9 (mod 12), exactly eps
+    # from a vertex (test_stage1_drops_a_residual_equal_to_eps)
     "rational mean, residual equal to eps": ([rot_data(Scalar.rational(1, 3), i1=2)], "auto",
-                                             0.25, Fraction(1, 8), 500,
-                                             {"closeness", "certified"}),
+                                             0.25, Fraction(1, 8), 500, {"certified"}),
     "rational mean, integer coordinates": ([rot_data(HALF, i1=1)], "auto", None, None, 500,
                                            {"certified"}),
     "-I2 block and N2 pair": ([PathIndexData(NormalFormDecomposition(
@@ -778,6 +811,10 @@ CERTIFY_FIXTURES = {
         PathIndexData(NormalFormDecomposition(n=2, thetas=(HALF, Scalar.sqrt(3) * HALF)), i1=2),
         rot_data(Scalar.sqrt(2) * Fraction(5, 7), i1=3)], "auto", 0.3, Fraction(3, 8), 20000,
         {"angle", "identity", "certified"}),
+    # h = 66 chi bits, of which the batch reads the q = 1 of m_k
+    "h = 66": ([PathIndexData(NormalFormDecomposition(
+        n=65, thetas=(HALF,) * 64 + (Scalar.sqrt(2) * HALF,)), i1=65)],
+        "auto", 0.3, Fraction(3, 8), 2000, {"m_k <= 0", "angle", "identity", "certified"}),
 }
 
 
@@ -794,17 +831,107 @@ def test_certify_matches_the_candidate_loop(name, caplog):
             ref_sol, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, cap)
             ref_log = caplog.messages
             caplog.clear()
-            sol, rej = _certify(v, cands, paths, Fraction(eps), delta, get_precision(), cap)
+            sol, rej = _certify(v, cands, paths, delta, get_precision(), cap)
             assert caplog.messages == ref_log
         assert sorted(sol, key=lambda s: s.N) == ref_sol
         assert rej == ref_rej
     assert reached <= set(gates)
     # every gate decided on the top bits: nothing went to the exact gates
-    code = batch_codes(v, paths, cands, eps, delta)[0]
+    code = batch_codes(v, paths, cands, delta)[0]
     assert not (code == _EXACT).any()
     # and search_N is that certification after the stage-1 scan
     res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
     assert res.solutions == ref_sol
+
+
+def test_stage1_drops_a_residual_equal_to_eps():
+    # v = (1/4, 1/4), M0 = 3, eps = 1/4: the N = 3, 9 (mod 12) exactly eps
+    # from a vertex survive the far test and are dropped as not close
+    paths, chi, eps, _, N_max, _ = CERTIFY_FIXTURES["rational mean, residual equal to eps"]
+    v = build_jump_vector(paths)
+    assert [c.fraction for c in v.coords] == [Fraction(1, 4)] * 2 and v.M0 == 3
+    F = fixed_bits(get_precision())
+    Xs = [_scaled_coord(c, F) for c in v.coords]
+    eps_int = int(Fraction(eps) * (1 << F)) + N_max + 2
+    survivors = [N for N, _, _ in ref_survivors(1, N_max // 3, 3, Xs, F, eps_int, None)]
+    assert {N % 12 for N in survivors} == {0, 3, 9}
+    assert [N for N, _, _ in stage1(v, chi, eps, N_max)] == list(range(12, N_max + 1, 12))
+
+
+def ref_stage1(v, explicit, eps, N_max, dps):
+    """Stage 1 by the stepping loop and the former closeness gate."""
+    F = fixed_bits(dps)
+    Xs = [_scaled_coord(c, F) for c in v.coords]
+    eps_int = int(eps * (1 << F)) + N_max + 2
+    out = []
+    for N, b, _ in ref_survivors(1, N_max // v.M0, v.M0, Xs, F, eps_int, explicit):
+        close, res = ref_closeness(v, N, tuple((b >> i) & 1 for i in range(v.h)), eps, dps)
+        if close:
+            out.append((N, b, res))
+    return out
+
+
+def raised_or(fn):
+    """fn(), or the PrecisionError it raised."""
+    try:
+        return fn()
+    except PrecisionError as exc:
+        return PrecisionError, str(exc)
+
+
+@st.composite
+def stage1_cases(draw):
+    """A jump vector, N_max, chi auto or explicit, and eps loose, equal to
+    the residual of one N at dps or at 2 dps digits, or within a few N_max
+    units of 2**-F of it."""
+    data = draw(path_data())
+    v = build_jump_vector([data], M=draw(st.integers(1, 6)))
+    N_max = draw(st.integers(v.M0, 2000))
+    N = v.M0 * draw(st.integers(1, N_max // v.M0))
+    bits = tuple(int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords)   # nearest vertex
+    explicit = draw(st.sampled_from((None, bits, tuple(1 - b for b in bits))))
+    kind = draw(st.sampled_from(("loose", "at dps", "at 2 dps", "next to")))
+    dps = get_precision()
+    if kind == "loose":
+        eps = Fraction(draw(st.integers(1, 2 ** 10 - 1)), 2 ** 13)
+    else:
+        worst, _, F = _residual(v, N, bits, 2 * dps if kind == "at 2 dps" else dps)
+        eps = Fraction(worst) / (1 << F)
+        if kind == "next to":
+            eps += Fraction(draw(st.integers(-3 * N_max, 3 * N_max)), 1 << F)
+    assume(0 < eps < Fraction(1, 2))
+    return v, explicit, eps, N_max
+
+
+@seed(20240811)
+@PROPERTY
+@given(stage1_cases())
+def test_stage1_matches_the_stepping_loop_and_the_exact_gate(case):
+    # the close candidates, each with the residual of the precision that
+    # decided it (the working one for the candidates stage 1 finds close),
+    # or the PrecisionError of the first undecided one
+    v, explicit, eps, N_max = case
+    dps = get_precision()
+    one = 1 << fixed_bits(dps)
+
+    def scan():
+        return [(N, b, float(_residual(v, N, tuple((b >> i) & 1 for i in range(v.h)), dps)[0]
+                             / one) if r is None else r)
+                for N, b, r in _stage1(v, explicit, eps, N_max, dps)]
+
+    assert raised_or(scan) == raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps))
+
+
+def test_stage1_rational_coordinate_past_2_to_the_F():
+    # x = 1 - 1/q with q > 2**F is read as X = 2**F, at distance 0 from
+    # vertex 0, while N x lies within N/q of 1: only the exact decision
+    # sees that N is far from vertex 0
+    dps = get_precision()
+    q = (1 << fixed_bits(dps)) + 1
+    v = JumpVector(q=1, mu=(1,), coords=(HALF, Scalar.from_fraction(Fraction(q - 1, q))),
+                   M=1, M0=1, mean_indices=(Scalar.rational(2),))
+    assert _stage1(v, None, Fraction(1, 4), 40, dps) == []
+    assert ref_stage1(v, None, Fraction(1, 4), 40, dps) == []
 
 
 def test_integer_rational_coordinates_are_on_vertex_0():
@@ -839,17 +966,19 @@ def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
     F = fixed_bits(get_precision())
     L = _batch_limit(v, [(path_record(data), data)], F)
     assert 0 < L <= 1 << 50
-    cands = []
+    cands = []   # the close N around the limit, at their nearest vertex
     for N in range(L - 40, L + 40):
-        bits = [int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords]
-        cands.append((N, bits[0] | bits[1] << 1))
-    assert (batch_codes(v, paths, cands[:40], eps, delta)[0] != _EXACT).any()
+        packed = sum(int(exact_frac(c, N) > Fraction(1, 2)) << i for i, c in enumerate(v.coords))
+        if _band_residual(v, N, packed, Fraction(eps), get_precision()) is not None:
+            cands.append((N, packed, None))
+    assert sum(N < L for N, _, _ in cands) >= 10 and sum(N >= L for N, _, _ in cands) >= 10
+    assert (batch_codes(v, paths, [c for c in cands if c[0] < L], delta)[0] != _EXACT).any()
     # just below the limit, m_k and I(k, m_k) are inside the proven ranges
     assert compute_m(L - 1, data, 1, v.M) < 1 << 50
     assert I_value(data, compute_m(L - 1, data, 1, v.M)) < 1 << 63
     ref_sol, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, 10 ** 6)
     assert {"angle", "certified"} & set(gates)
-    sol, rej = _certify(v, cands, paths, Fraction(eps), delta, get_precision(), 10 ** 6)
+    sol, rej = _certify(v, cands, paths, delta, get_precision(), 10 ** 6)
     assert sorted(sol, key=lambda s: s.N) == ref_sol and rej == ref_rej
 
 
@@ -865,7 +994,7 @@ def test_out_of_range_constants_take_the_exact_gates(paths, M):
     cands = stage1(v, "auto", 0.45, 400 * M)
     ref_sol, ref_rej, gates = ref_certify(v, cands, paths, 0.45, Fraction(49, 100), 10 ** 6)
     assert cands and ref_rej
-    sol, rej = _certify(v, cands, paths, Fraction(0.45), Fraction(49, 100), get_precision(), 10 ** 6)
+    sol, rej = _certify(v, cands, paths, Fraction(49, 100), get_precision(), 10 ** 6)
     assert sorted(sol, key=lambda s: s.N) == ref_sol and rej == ref_rej
 
 
@@ -880,12 +1009,12 @@ def test_precision_error_from_the_exact_fallback():
     sols, _, _ = ref_certify(v, cands, [data], eps, delta)
     m = next(s.m[0] for s in sols if exact_frac(PHI, s.m[0]) < Fraction(1, 2))
     t = exact_frac(PHI, m)
-    code = batch_codes(v, [data], cands, eps, t)[0]
+    code = batch_codes(v, [data], cands, t)[0]
     assert (code == _EXACT).sum() >= 1
     with pytest.raises(PrecisionError) as ref_exc:
         ref_certify(v, cands, [data], eps, t)
     with pytest.raises(PrecisionError) as exc:
-        _certify(v, cands, [data], Fraction(eps), t, get_precision(), 50)
+        _certify(v, cands, [data], t, get_precision(), 50)
     assert str(exc.value) == str(ref_exc.value)
 
 
@@ -897,17 +1026,14 @@ def test_mulhi_is_the_high_word():
         assert _mulhi(a, b).tolist() == [(x * b) >> 64 for x in a.tolist()]
 
 
-def scalar_gates(v, paths, N, bits, eps, delta):
-    """(code, ms, deltas, ivals) of one candidate from the scalar gates at
-    the working precision; None when one of them cannot decide there."""
+def scalar_gates(v, paths, N, bits, delta):
+    """(code, ms, deltas, ivals) of one close candidate from the scalar
+    gates at the working precision; None when one of them cannot decide
+    there."""
     dps = get_precision()
     try:
-        worst, slack, F = _residual(v, N, bits, dps)
-        close = _closer_than(worst, slack, F, eps)
-        if close is None:
-            return None
-        if not close or any(mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1
-                            for mi in v.mean_indices):
+        if any(mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1
+               for mi in v.mean_indices):
             return _SKIP, None, None, None
         try:
             ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
@@ -939,8 +1065,8 @@ def _frac_below_once(x, m, delta, dps):
 
 @st.composite
 def gate_cases(draw):
-    """A path, M, and candidates N with delta and eps set next to the
-    quantities the gates compare."""
+    """A path, M, and candidates N with delta set next to the quantities
+    the angle gates compare."""
     data = draw(path_data())
     M = draw(st.integers(1, 12))
     v = build_jump_vector([data], M=M)
@@ -988,13 +1114,7 @@ def gate_cases(draw):
                 j = draw(st.integers(-m - 3, m + 3))
                 delta = Fraction(int(t * 2 ** 64) + j, 2 ** 64)
     assume(0 < delta < Fraction(1, 2))
-    # eps loose, or next to the residual, down to its last bits
-    eps = 0.49
-    if draw(st.booleans()):
-        ref = ref_residual(v, N, bits, get_precision())
-        eps = ref * (1 + draw(st.sampled_from((-1, 1))) * 2.0 ** -draw(st.integers(20, 53)))
-        assume(0 < eps < 0.5)
-    return data, v, N, bits, Fraction(eps), delta
+    return data, v, N, bits, delta
 
 
 @seed(20240811)
@@ -1002,10 +1122,10 @@ def gate_cases(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(gate_cases())
 def test_batched_gates_match_the_scalar_gates(case):
-    data, v, N, bits, eps, delta = case
+    data, v, N, bits, delta = case
     packed = sum(b << i for i, b in enumerate(bits))
-    code, ms, deltas, ivals = batch_codes(v, [data], [(N, packed)], eps, delta)
-    want = scalar_gates(v, [data], N, bits, eps, delta)
+    code, ms, deltas, ivals = batch_codes(v, [data], [(N, packed)], delta)
+    want = scalar_gates(v, [data], N, bits, delta)
     if code[0] == _EXACT:
         return  # handed to the exact gates, which decide alone
     assert want is not None, "the batch decided what the scalar gates cannot"
@@ -1033,8 +1153,8 @@ def test_angle_gates_within_the_top_bit_slack():
                 delta = Fraction(int(target * 2 ** 64) + j, 2 ** 64)
                 if not 0 < delta < Fraction(1, 2):
                     continue
-                code = batch_codes(v, [data], [(N, bits[0] | bits[1] << 1)], 0.49, delta)[0][0]
-                want = scalar_gates(v, [data], N, bits, Fraction(0.49), delta)
+                code = batch_codes(v, [data], [(N, bits[0] | bits[1] << 1)], delta)[0][0]
+                want = scalar_gates(v, [data], N, bits, delta)
                 seen[code == _EXACT] += 1
                 if code != _EXACT:
                     assert want is not None and code == want[0], (N, m, j)
