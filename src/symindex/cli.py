@@ -40,8 +40,10 @@ from .jump import (
     theorem211_report,
     varrho,
 )
-from .normal_forms import NormalFormError
+from .normal_forms import RANK_TOL, NormalFormError
 from .oracle import (
+    DEFAULT_PERT,
+    DEFAULT_STEPS,
     OracleError,
     cz_index,
     estimate_splitting,
@@ -111,20 +113,27 @@ def _parse_omega_complex(text: str) -> complex:
     return complex(w) if isinstance(w, int) else cmath.exp(1j * math.pi * float(w))
 
 
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"invalid {what}: expected a JSON object, got {type(obj).__name__}")
+
+
 def _load_path_data(obj) -> PathIndexData:
+    _require_object(obj, "path data")
     try:
         data = PathIndexData.from_json(obj)
         data.decomp.check()
         return data
-    except (KeyError, ValueError, DecompositionError) as exc:
+    except (KeyError, TypeError, ValueError, DecompositionError) as exc:
         raise InputError(f"invalid path data: {exc}") from exc
 
 
 def _load_generator(obj):
+    _require_object(obj, "generator file")
     try:
         n = int(obj["n"])
         tau = float(obj["tau"])
-        steps = int(obj.get("steps", 2048))
+        steps = int(obj.get("steps", DEFAULT_STEPS))
         if "B" in obj:
             B = np.array(obj["B"], dtype=float)
             return path_from_quadratic_hamiltonian(B, tau, steps=steps)
@@ -133,7 +142,7 @@ def _load_generator(obj):
             mats = [np.array(s["mat"], dtype=float) for s in obj["samples"]]
             return path_from_samples(ts, mats, n=n, tau=tau)
         raise InputError("generator file needs a 'B' matrix or a 'samples' list")
-    except (KeyError, ValueError, OracleError) as exc:
+    except (KeyError, TypeError, ValueError, OracleError) as exc:
         raise InputError(f"invalid generator file: {exc}") from exc
 
 
@@ -188,12 +197,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     omega = _parse_literal("omega", _parse_omega_complex, args.omega)
     if args.m < 1:
         raise InputError("m must be >= 1")
-    eps = args.eps if args.eps is not None else 1e-4
+    eps = args.eps if args.eps is not None else DEFAULT_PERT
+    for flag, value in (("eps", eps), ("rank-tol", args.rank_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise InputError(f"--{flag} must be finite and > 0, got {value}")
     iterated = iterate_path(path, args.m)
     i_val, nu_val = cz_index(iterated, omega, eps=eps, rank_tol=args.rank_tol)
     out = {"omega": args.omega, "m": args.m, "i": i_val, "nu": nu_val}
     if args.splitting:
-        sp, sm = estimate_splitting(iterated, omega)
+        sp, sm = estimate_splitting(iterated, omega, eps=eps)
         out["splitting_estimate"] = {"s_plus": sp, "s_minus": sm}
     _dump_json(out, args.out)
     return EXIT_OK
@@ -337,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", default="1")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--eps", type=float, default=None, help="endpoint perturbation scale")
-    p.add_argument("--rank-tol", type=float, default=1e-9)
+    p.add_argument("--rank-tol", type=float, default=RANK_TOL)
     p.add_argument("--splitting", action="store_true",
                    help="also estimate the splitting pair at omega")
     common(p)

@@ -879,9 +879,13 @@ def ratio_consistency_check(sol: JumpSolution, v: JumpVector, i: int, j: int,
     return RatioVerdict("ok", detail)
 
 
-def mean_ratio_classify(paths, denominator_bound: int = 10 ** 6) -> list:
+_RATIO_DENOMINATOR_BOUND = 10 ** 6
+
+
+def mean_ratio_classify(paths) -> list:
     """Pairwise mean-index ratio matrix: exact rationals when both tags are
-    rational, else continued-fraction detection up to the denominator bound."""
+    rational, else continued-fraction detection up to denominators of
+    _RATIO_DENOMINATOR_BOUND."""
     paths = list(paths)
     means = [mean_index(d) for d in paths]
     out = []
@@ -893,10 +897,11 @@ def mean_ratio_classify(paths, denominator_bound: int = 10 ** 6) -> list:
                 row.append({"type": "rational", "value": f"{fr.numerator}/{fr.denominator}"})
                 continue
             ratio = a / b
-            fr = detect_rational(ratio, max_denominator=denominator_bound)
+            fr = detect_rational(ratio, max_denominator=_RATIO_DENOMINATOR_BOUND)
             if fr is not None:
                 row.append({"type": "rational", "value": f"{fr.numerator}/{fr.denominator}"})
             else:
-                row.append({"type": "irrational", "up_to_denominator": denominator_bound})
+                row.append({"type": "irrational",
+                            "up_to_denominator": _RATIO_DENOMINATOR_BOUND})
         out.append(row)
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -204,18 +204,26 @@ def diamond_index_maps(n1: int, n2: int):
     return [*range(n1), *range(n, n + n1)], [*range(n1, n), *range(n + n1, 2 * n)]
 
 
+@lru_cache(maxsize=None)
+def _diamond_slots(n1: int, n2: int):
+    """diamond_index_maps as broadcasting (rows, columns) index arrays, built
+    once per (n1, n2): one fancy-index assignment places a whole block."""
+    return tuple((np.array(idx)[:, None], np.array(idx)) for idx in diamond_index_maps(n1, n2))
+
+
 def diamond(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Block-interleaved direct sum of two 2n_i x 2n_i arrays.
+    """Block-interleaved direct sum of two 2n_i x 2n_i arrays, or of two
+    stacks (..., 2n_i, 2n_i) slice by slice.
 
     In (p, q)-ordered coordinates this is the displayed 4-block layout:
     the p-coordinates of A come first, then those of B, then the two
     q-coordinate groups in the same order.
     """
-    map1, map2 = diamond_index_maps(A.shape[0] // 2, B.shape[0] // 2)
-    size = A.shape[0] + B.shape[0]
-    out = np.zeros((size, size))
-    out[np.ix_(map1, map1)] = A
-    out[np.ix_(map2, map2)] = B
+    (rows1, cols1), (rows2, cols2) = _diamond_slots(A.shape[-1] // 2, B.shape[-1] // 2)
+    size = A.shape[-1] + B.shape[-1]
+    out = np.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (size, size))
+    out[..., rows1, cols1] = A
+    out[..., rows2, cols2] = B
     return out
 
 

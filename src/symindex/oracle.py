@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .normal_forms import (
     RANK_TOL,
@@ -62,6 +62,21 @@ class OracleError(RuntimeError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _scipy_linalg():
+    """scipy.linalg, imported on first use: importing the package, and every
+    command that builds no path, leave scipy unloaded."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm.  On a stack (..., 2n, 2n) it runs the one-matrix
+    algorithm slice by slice, so each slice is bitwise its own exponential."""
+    return _scipy_linalg().expm(A)
+
+
 class _NeedPerturbation(Exception):
     pass
 
@@ -72,14 +87,19 @@ class SampledSymplecticPath:
 
     ts / mats hold the samples; evaluator, when present, returns the exact
     matrix at arbitrary t and is what crossing localization refines with.
-    junction_index marks the concatenation point on extended paths.
+    An evaluator takes a float, giving one 2n x 2n matrix, or a 1-D numpy
+    array of times, giving the stack of those matrices (bitwise the same as
+    one call per time); only the evaluators of extend_with_xi and
+    _PerturbedPath take floats alone.  A float keeps a scalar route, as
+    cheap as before: crossing refinement calls one time at a time.  junction_index marks the concatenation point on
+    extended paths.
     """
 
     n: int
     tau: float
     ts: np.ndarray
     mats: np.ndarray
-    evaluator: Optional[Callable[[float], np.ndarray]] = None
+    evaluator: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     junction_index: Optional[int] = None
 
     def __post_init__(self):
@@ -106,17 +126,31 @@ class SampledSymplecticPath:
     def endpoint(self) -> np.ndarray:
         return self.mats[-1]
 
-    def evaluate(self, t: float) -> np.ndarray:
+    def evaluate(self, t: float | np.ndarray) -> np.ndarray:
+        """The matrix at a float t, or the stack at a 1-D array of times."""
         if self.evaluator is not None:
             return self.evaluator(t)
-        # fallback: linear interpolation between bracketing samples
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
+        # fallback: linear interpolation between bracketing samples; a bracket
+        # of two equal times gives its first sample
+        if not isinstance(t, np.ndarray):
+            i = int(np.searchsorted(self.ts, t, side="right")) - 1
+            i = min(max(i, 0), len(self.ts) - 2)
+            t0, t1 = self.ts[i], self.ts[i + 1]
+            if t1 == t0:
+                return self.mats[i]
+            w = (t - t0) / (t1 - t0)
+            return (1 - w) * self.mats[i] + w * self.mats[i + 1]
+        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
         t0, t1 = self.ts[i], self.ts[i + 1]
-        if t1 == t0:
-            return self.mats[i]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.mats[i] + w * self.mats[i + 1]
+        flat = t1 == t0
+        w = ((t - t0) / np.where(flat, 1.0, t1 - t0))[:, None, None]
+        return np.where(flat[:, None, None], self.mats[i],
+                        (1 - w) * self.mats[i] + w * self.mats[i + 1])
+
+
+def _check_period(tau) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise OracleError(f"tau must be finite and > 0, got {tau}")
 
 
 def path_from_quadratic_hamiltonian(B, tau: float, steps: int = DEFAULT_STEPS,
@@ -125,8 +159,12 @@ def path_from_quadratic_hamiltonian(B, tau: float, steps: int = DEFAULT_STEPS,
 
     Samples come from repeated multiplication by the one-step exponential
     (scaling-and-squaring under the hood); the evaluator recomputes the
-    exact exponential at arbitrary t.
+    exact exponential at arbitrary t, or at a whole time grid in one call.
+    steps must lie in [1, MAX_STEPS] and tau must be finite and > 0.
     """
+    if not 1 <= steps <= MAX_STEPS:
+        raise OracleError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
+    _check_period(tau)
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] % 2:
         raise OracleError("B must be a 2n x 2n matrix")
@@ -141,23 +179,37 @@ def path_from_quadratic_hamiltonian(B, tau: float, steps: int = DEFAULT_STEPS,
     for i in range(1, steps + 1):
         mats[i] = step @ mats[i - 1]
     ts = np.linspace(0.0, tau, steps + 1)
-    path = SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=mats,
-                                 evaluator=lambda t: expm(X * t))
+
+    def evaluator(t):
+        return expm(t[:, None, None] * X if isinstance(t, np.ndarray) else X * t)
+
+    path = SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=mats, evaluator=evaluator)
     if check:
         path.validate()
     return path
 
 
 def path_from_samples(ts, mats, n: int, tau: float) -> SampledSymplecticPath:
+    _check_period(tau)
     return SampledSymplecticPath(n=n, tau=tau, ts=ts, mats=mats).validate()
 
 
 def path_from_matrix_function(f: Callable[[float], np.ndarray], tau: float, n: int,
                               steps: int = DEFAULT_STEPS, check: bool = True) -> SampledSymplecticPath:
-    """Sample an explicit matrix path t -> f(t) on [0, tau]; f doubles as evaluator."""
+    """Sample an explicit matrix path t -> f(t) on [0, tau].
+
+    f takes one float.  This is the one adapter that loops a scalar function
+    over a time grid: the path's evaluator passes a float straight to f and
+    stacks f over an array of times."""
+
+    def evaluator(t):
+        if isinstance(t, np.ndarray):
+            return np.stack([np.asarray(f(s), dtype=float) for s in t])
+        return f(t)
+
     ts = np.linspace(0.0, tau, steps + 1)
-    mats = np.stack([np.asarray(f(t), dtype=float) for t in ts])
-    path = SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=mats, evaluator=f)
+    path = SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=evaluator(ts),
+                                 evaluator=evaluator)
     if check:
         path.validate()
     return path
@@ -169,11 +221,9 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
     Requires the principal matrix logarithm of M_target to be Hamiltonian,
     which holds for symplectic targets without negative real eigenvalues.
     """
-    from scipy.linalg import logm
-
     M = np.asarray(M_target, dtype=float)
     n = M.shape[0] // 2
-    X = logm(M)
+    X = _scipy_linalg().logm(M)
     if np.max(np.abs(X.imag)) > 1e-9:
         raise OracleError("target has no real logarithm (negative real eigenvalues?)")
     X = X.real
@@ -187,14 +237,17 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
 
 def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
                   steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
-    """Pointwise diamond product of two paths over a common period."""
+    """Pointwise diamond product of two paths over a common period; the
+    samples are one evaluator call on the whole grid."""
     if abs(p1.tau - p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
 
-    def f(t):
+    def evaluator(t):
         return diamond(p1.evaluate(t), p2.evaluate(t))
 
-    return path_from_matrix_function(f, p1.tau, p1.n + p2.n, steps=steps, check=False)
+    ts = np.linspace(0.0, p1.tau, steps + 1)
+    return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=evaluator(ts),
+                                 evaluator=evaluator)
 
 
 def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
@@ -207,6 +260,7 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
     powers = [np.eye(2 * path.n)]
     for _ in range(m):
         powers.append(mono @ powers[-1])
+    powers = np.stack(powers)
     ts_parts = []
     mats_parts = []
     for j in range(m):
@@ -219,11 +273,14 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
     base_eval = path.evaluator
     tau = path.tau
 
-    def evaluator(t, _powers=powers, _tau=tau, _m=m):
-        j = min(int(t // _tau), _m - 1)
+    def evaluator(t):
+        if isinstance(t, np.ndarray):
+            j = np.minimum(t // tau, m - 1).astype(int)
+        else:
+            j = min(int(t // tau), m - 1)
         if base_eval is not None:
-            return base_eval(t - j * _tau) @ _powers[j]
-        return path.evaluate(t - j * _tau) @ _powers[j]
+            return base_eval(t - j * tau) @ powers[j]
+        return path.evaluate(t - j * tau) @ powers[j]
 
     return SampledSymplecticPath(n=path.n, tau=m * path.tau, ts=ts, mats=mats,
                                  evaluator=evaluator)
@@ -326,11 +383,9 @@ class _PerturbedPath:
         Robust against reparametrizations with vanishing derivative: the
         average rotation direction over the window decides the junction
         contribution, not the instantaneous speed."""
-        from scipy.linalg import logm
-
         M0 = self.evaluate(t)
         M1 = self.evaluate(t + h)
-        X = logm(M1 @ np.linalg.inv(M0))
+        X = _scipy_linalg().logm(M1 @ np.linalg.inv(M0))
         S = -self.J @ X.real / h
         return 0.5 * (S + S.T)
 
@@ -620,8 +675,7 @@ def _resample(path: SampledSymplecticPath, factor: int) -> SampledSymplecticPath
         return path
     steps = min((len(path.ts) - 1) * factor, MAX_STEPS)
     ts = np.linspace(0.0, path.tau, steps + 1)
-    mats = np.stack([path.evaluator(t) for t in ts])
-    return SampledSymplecticPath(n=path.n, tau=path.tau, ts=ts, mats=mats,
+    return SampledSymplecticPath(n=path.n, tau=path.tau, ts=ts, mats=path.evaluator(ts),
                                  evaluator=path.evaluator)
 
 

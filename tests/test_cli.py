@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symindex
+from symindex import cli
 from symindex.cli import EXIT_INPUT, EXIT_OK, main
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.iteration import NormalFormDecomposition, PathIndexData
-from symindex.oracle import cz_index, path_from_quadratic_hamiltonian
+from symindex.oracle import MAX_STEPS, cz_index, path_from_quadratic_hamiltonian
 from symindex.scalars import Scalar, get_precision, set_precision
 
 import numpy as np
@@ -125,6 +131,11 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["ellipsoid", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
     (["splitting", "--omega", "abc"], "--omega: cannot parse 'abc'"),
     (["oracle", "--omega", "abc"], "--omega: cannot parse 'abc'"),
+    (["oracle", "--eps=-1e-4"], "--eps must be finite and > 0, got -0.0001"),
+    (["oracle", "--eps", "0"], "--eps must be finite and > 0, got 0.0"),
+    (["oracle", "--eps", "nan"], "--eps must be finite and > 0, got nan"),
+    (["oracle", "--rank-tol", "-1"], "--rank-tol must be finite and > 0, got -1.0"),
+    (["oracle", "--rank-tol", "inf"], "--rank-tol must be finite and > 0, got inf"),
 ])
 def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, message):
     f, data = rot_fixture
@@ -138,6 +149,74 @@ def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, m
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
     assert err == f"error: {message}\n"
+
+
+ROT_B = [[math.pi / 2, 0.0], [0.0, math.pi / 2]]
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("iterate", [{"n": 1}], "invalid path data: expected a JSON object, got list"),
+    ("splitting", [{"n": 1}], "invalid path data: expected a JSON object, got list"),
+    ("oracle", [{"n": 1}], "invalid generator file: expected a JSON object, got list"),
+    ("oracle", {"n": 1, "tau": 1.0, "steps": 0, "B": ROT_B},
+     f"invalid generator file: steps must lie in [1, {MAX_STEPS}], got 0"),
+    ("oracle", {"n": 1, "tau": 1.0, "steps": MAX_STEPS + 1, "B": ROT_B},
+     f"invalid generator file: steps must lie in [1, {MAX_STEPS}], got {MAX_STEPS + 1}"),
+    ("oracle", {"n": 1, "tau": -1.0, "B": ROT_B},
+     "invalid generator file: tau must be finite and > 0, got -1.0"),
+    ("oracle", {"n": 1, "tau": 0.0, "B": ROT_B},
+     "invalid generator file: tau must be finite and > 0, got 0.0"),
+    ("oracle", {"n": 1, "tau": -1.0, "samples": [{"t": 0.0, "mat": [[1, 0], [0, 1]]},
+                                                 {"t": 1.0, "mat": [[1, 0], [0, 1]]}]},
+     "invalid generator file: tau must be finite and > 0, got -1.0"),
+])
+def test_bad_input_files_exit_1(tmp_path, capsys, command, content, message):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(content))
+    flag = "--generator" if command == "oracle" else "--data"
+    rc = main([command, flag, str(f)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err == f"error: {message}\n"
+
+
+def test_oracle_splitting_uses_the_eps_flag(gen_fixture, monkeypatch, capsys):
+    seen = []
+    real = cli.estimate_splitting
+
+    def spy(path, omega, eps):
+        seen.append(eps)
+        return real(path, omega, eps=eps)
+
+    monkeypatch.setattr(cli, "estimate_splitting", spy)
+    rc = main(["oracle", "--generator", str(gen_fixture), "--omega", "1/2", "--splitting",
+               "--eps", "3e-5"])
+    assert rc == EXIT_OK
+    assert seen == [3e-5]
+    assert json.loads(capsys.readouterr().out)["splitting_estimate"] == {"s_plus": 0, "s_minus": 1}
+
+
+def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path):
+    # the oracle imports scipy at its first expm or logm; import symindex,
+    # iterate, splitting and jump-search never call either
+    f, data = rot_fixture
+    paths_file = tmp_path / "paths.json"
+    paths_file.write_text(json.dumps([data.to_json()]))
+    out = str(tmp_path / "out")
+    code = "\n".join([
+        "import sys, symindex",
+        "assert 'scipy' not in sys.modules, 'import symindex'",
+        "from symindex.cli import main",
+        f"for argv in (['iterate', '--data', {str(f)!r}, '--m-max', '3'],",
+        f"             ['splitting', '--data', {str(f)!r}],",
+        f"             ['jump-search', '--paths', {str(paths_file)!r}, '--n-max', '500']):",
+        f"    assert main(argv + ['--out', {out!r}]) == 0, argv",
+        "    assert 'scipy' not in sys.modules, argv[0]",
+    ])
+    src = str(Path(symindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_jump_search_deterministic_bytes(rot_fixture, tmp_path):

@@ -89,6 +89,16 @@ def test_diamond_random_symplectic_stays_symplectic():
         assert symplectic_defect(diamond(A, B)) <= 1e-9
 
 
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (2, 1)])
+def test_diamond_of_stacks_matches_slice_by_slice(n1, n2):
+    rng = np.random.default_rng(10 * n1 + n2)
+    A = rng.normal(size=(7, 2 * n1, 2 * n1))
+    B = rng.normal(size=(7, 2 * n2, 2 * n2))
+    stacked = diamond(A, B)
+    assert stacked.shape == (7, 2 * (n1 + n2), 2 * (n1 + n2))
+    assert np.array_equal(stacked, np.stack([diamond(a, b) for a, b in zip(A, B)]))
+
+
 def test_diamond_rejects_non_symplectic_with_diagnostic():
     bad = np.array([[1.0, 0.0], [0.0, 2.0]])
     product = diamond(bad, np.eye(2))

@@ -26,8 +26,10 @@ from symindex.normal_forms import (
 )
 from symindex.oracle import (
     DEFAULT_STEPS,
+    MAX_STEPS,
     OracleError,
     _PerturbedPath,
+    _resample,
     _sample_windows,
     cz_index,
     diamond_paths,
@@ -102,6 +104,20 @@ def test_quadratic_path_requires_symmetric():
         path_from_quadratic_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+@pytest.mark.parametrize("steps, tau, message", [
+    (0, 1.0, "steps must lie in"),
+    (-3, 1.0, "steps must lie in"),
+    (MAX_STEPS + 1, 1.0, "steps must lie in"),
+    (16, 0.0, "tau must be finite and > 0"),
+    (16, -1.0, "tau must be finite and > 0"),
+    (16, math.nan, "tau must be finite and > 0"),
+    (16, math.inf, "tau must be finite and > 0"),
+])
+def test_quadratic_path_rejects_bad_steps_and_tau(steps, tau, message):
+    with pytest.raises(OracleError, match=message):
+        path_from_quadratic_hamiltonian(np.eye(2), tau, steps=steps)
+
+
 def test_path_samples_must_start_at_identity():
     ts = [0.0, 0.5, 1.0]
     mats = [np.diag([2.0, 0.5])] * 3
@@ -113,6 +129,80 @@ def test_step_bound_enforced():
     p = path_from_quadratic_hamiltonian(4.0 * np.eye(2), 6.0, steps=16, check=False)
     with pytest.raises(OracleError, match="step-size"):
         p.validate()
+
+
+# ----- evaluators on a time grid ---------------------------------------------
+#
+# An evaluator takes a float or a 1-D array of times; on an array it must give
+# exactly the stack of its pointwise values, so that sampling a grid in one
+# call changes no sample bit.
+
+def grid_path(name: str):
+    rot = rotation_path(0.37, steps=64)
+    func = n1_minus_path(1, steps=128)
+    samples = path_from_samples(rot.ts, rot.mats, n=1, tau=1.0)
+    dia = diamond_paths(rot, func, steps=64)
+    return {
+        "quadratic": lambda: rot,
+        "matrix function": lambda: func,
+        "sample-only": lambda: samples,
+        "diamond": lambda: dia,
+        "nested diamond": lambda: diamond_paths(dia, shear_path(1, steps=64), steps=64),
+        "iterate of quadratic": lambda: iterate_path(rot, 3),
+        "iterate of diamond": lambda: iterate_path(dia, 2),
+        "iterate of sample-only": lambda: iterate_path(samples, 3),
+    }[name]()
+
+
+GRID_PATHS = ("quadratic", "matrix function", "sample-only", "diamond", "nested diamond",
+              "iterate of quadratic", "iterate of diamond", "iterate of sample-only")
+
+
+@pytest.mark.parametrize("name", GRID_PATHS)
+def test_evaluator_on_a_grid_matches_pointwise_calls(name):
+    path = grid_path(name)
+    ts = np.concatenate([np.linspace(0.0, path.tau, 41), [path.tau / 3, 0.999999 * path.tau]])
+    stacked = path.evaluate(ts)
+    assert stacked.shape == (len(ts), 2 * path.n, 2 * path.n)
+    assert np.array_equal(stacked, np.stack([path.evaluate(float(t)) for t in ts]))
+    if path.evaluator is not None:
+        assert np.array_equal(path.evaluator(ts), stacked)
+
+
+def test_sample_only_evaluator_returns_the_first_of_two_equal_times():
+    # the last bracket has two equal times: it gives its first sample
+    ts = [0.0, 0.5, 1.0, 1.0]
+    mats = [np.diag([1.0 + k / 100, 1 / (1.0 + k / 100)]) for k in range(4)]
+    p = path_from_samples(ts, mats, n=1, tau=1.0)
+    grid = np.array([0.25, 0.75, 1.0, 1.25])
+    assert np.array_equal(p.evaluate(grid), np.stack([p.evaluate(float(t)) for t in grid]))
+    assert np.array_equal(p.evaluate(1.0), mats[2])
+
+
+def test_diamond_paths_samples_match_the_pointwise_construction():
+    # the reference is the former construction: one diamond per grid time,
+    # stacked
+    rot, func = rotation_path(0.37, steps=64), n1_minus_path(1, steps=128)
+    for p1, p2 in ((rot, func), (diamond_paths(rot, func, steps=64), shear_path(-1, steps=64))):
+        pd = diamond_paths(p1, p2, steps=96)
+        ts = np.linspace(0.0, p1.tau, 97)
+        want = np.stack([np.asarray(diamond(p1.evaluate(t), p2.evaluate(t)), dtype=float)
+                         for t in ts])
+        assert np.array_equal(pd.ts, ts)
+        assert np.array_equal(pd.mats, want)
+
+
+@pytest.mark.parametrize("name", GRID_PATHS)
+def test_resample_matches_the_pointwise_loop(name):
+    path = grid_path(name)
+    res = _resample(path, 2)
+    if path.evaluator is None:
+        assert res is path
+        return
+    ts = np.linspace(0.0, path.tau, 2 * (len(path.ts) - 1) + 1)
+    assert np.array_equal(res.ts, ts)
+    assert np.array_equal(res.mats, np.stack([path.evaluator(t) for t in ts]))
+    assert res.evaluator is path.evaluator
 
 
 # ----- extension -------------------------------------------------------------
