@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,19 +61,14 @@ class OracleError(RuntimeError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _scipy_linalg():
-    """scipy.linalg, imported on first use: importing the package, and every
-    command that builds no path, leave scipy unloaded."""
-    import scipy.linalg
-
-    return scipy.linalg
-
-
 def expm(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm.  On a stack (..., 2n, 2n) it runs the one-matrix
-    algorithm slice by slice, so each slice is bitwise its own exponential."""
-    return _scipy_linalg().expm(A)
+    """scipy.linalg.expm, imported at the first call so that importing the
+    package, and every command that builds no path, leaves scipy unloaded.
+    On a stack (..., 2n, 2n) it runs the one-matrix algorithm slice by slice,
+    so each slice is bitwise its own exponential."""
+    from scipy.linalg import expm as _expm
+
+    return _expm(A)
 
 
 class _NeedPerturbation(Exception):
@@ -89,9 +83,8 @@ class SampledSymplecticPath:
     matrix at arbitrary t and is what crossing localization refines with.
     An evaluator takes a float, giving one 2n x 2n matrix, or a 1-D numpy
     array of times, giving the stack of those matrices (bitwise the same as
-    one call per time); only the evaluators of extend_with_xi and
-    _PerturbedPath take floats alone.  A float keeps a scalar route, as
-    cheap as before: crossing refinement calls one time at a time.  junction_index marks the concatenation point on
+    one call per time); the evaluators of extend_with_xi and _PerturbedPath
+    take floats only.  junction_index marks the concatenation point on
     extended paths.
     """
 
@@ -130,22 +123,16 @@ class SampledSymplecticPath:
         """The matrix at a float t, or the stack at a 1-D array of times."""
         if self.evaluator is not None:
             return self.evaluator(t)
-        # fallback: linear interpolation between bracketing samples; a bracket
-        # of two equal times gives its first sample
-        if not isinstance(t, np.ndarray):
-            i = int(np.searchsorted(self.ts, t, side="right")) - 1
-            i = min(max(i, 0), len(self.ts) - 2)
-            t0, t1 = self.ts[i], self.ts[i + 1]
-            if t1 == t0:
-                return self.mats[i]
-            w = (t - t0) / (t1 - t0)
-            return (1 - w) * self.mats[i] + w * self.mats[i + 1]
-        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
+        if isinstance(t, np.ndarray):
+            return np.stack([self.evaluate(float(s)) for s in t])
+        # fallback: linear interpolation between bracketing samples
+        i = int(np.searchsorted(self.ts, t, side="right")) - 1
+        i = min(max(i, 0), len(self.ts) - 2)
         t0, t1 = self.ts[i], self.ts[i + 1]
-        flat = t1 == t0
-        w = ((t - t0) / np.where(flat, 1.0, t1 - t0))[:, None, None]
-        return np.where(flat[:, None, None], self.mats[i],
-                        (1 - w) * self.mats[i] + w * self.mats[i + 1])
+        if t1 == t0:
+            return self.mats[i]
+        w = (t - t0) / (t1 - t0)
+        return (1 - w) * self.mats[i] + w * self.mats[i + 1]
 
 
 def _check_period(tau) -> None:
@@ -221,9 +208,11 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
     Requires the principal matrix logarithm of M_target to be Hamiltonian,
     which holds for symplectic targets without negative real eigenvalues.
     """
+    from scipy.linalg import logm
+
     M = np.asarray(M_target, dtype=float)
     n = M.shape[0] // 2
-    X = _scipy_linalg().logm(M)
+    X = logm(M)
     if np.max(np.abs(X.imag)) > 1e-9:
         raise OracleError("target has no real logarithm (negative real eigenvalues?)")
     X = X.real
@@ -383,9 +372,11 @@ class _PerturbedPath:
         Robust against reparametrizations with vanishing derivative: the
         average rotation direction over the window decides the junction
         contribution, not the instantaneous speed."""
+        from scipy.linalg import logm
+
         M0 = self.evaluate(t)
         M1 = self.evaluate(t + h)
-        X = _scipy_linalg().logm(M1 @ np.linalg.inv(M0))
+        X = logm(M1 @ np.linalg.inv(M0))
         S = -self.J @ X.real / h
         return 0.5 * (S + S.T)
 
