@@ -136,6 +136,9 @@ def _load_generator(obj):
         steps = int(obj.get("steps", DEFAULT_STEPS))
         if "B" in obj:
             B = np.array(obj["B"], dtype=float)
+            if B.shape != (2 * n, 2 * n):
+                raise InputError(f"B must be {2 * n} x {2 * n} for n = {n}, "
+                                 f"got shape {B.shape}")
             return path_from_quadratic_hamiltonian(B, tau, steps=steps)
         if "samples" in obj:
             ts = [float(s["t"]) for s in obj["samples"]]

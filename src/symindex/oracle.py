@@ -177,7 +177,18 @@ def path_from_quadratic_hamiltonian(B, tau: float, steps: int = DEFAULT_STEPS,
 
 
 def path_from_samples(ts, mats, n: int, tau: float) -> SampledSymplecticPath:
+    """A path known only by its samples.  The times must run from exactly 0
+    to exactly tau without decreasing; two equal neighbouring times are
+    allowed, and the evaluator gives the first of them."""
     _check_period(tau)
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or len(ts) < 2:
+        raise OracleError("a sample list needs at least 2 samples")
+    if ts[0] != 0.0 or ts[-1] != tau:
+        raise OracleError(f"sample times must run from 0 to tau = {tau}, "
+                          f"got {ts[0]} to {ts[-1]}")
+    if not np.all(np.diff(ts) >= 0):
+        raise OracleError("sample times must not decrease")
     return SampledSymplecticPath(n=n, tau=tau, ts=ts, mats=mats).validate()
 
 
@@ -326,21 +337,19 @@ class _PerturbedPath:
         if self.pert == 0.0 or t <= self.t0:
             return self.I
         s = -self.pert * (t - self.t0) / (self.T - self.t0)
-        return math.cos(s) * self.I + math.sin(s) * self.J
+        return np.cos(s) * self.I + np.sin(s) * self.J
 
     def sample_mats(self) -> np.ndarray:
-        """The samples times _rot, for all samples past the junction at once.
-
-        math.cos/math.sin keep each factor bitwise equal to _rot's."""
+        """The samples times _rot, for all samples past the junction at once,
+        with the same np.cos/np.sin as _rot."""
         if self.pert == 0.0:
             return self.ext.mats
         j = self.ext.junction_index
         ts = self.ext.ts[j:]
-        s = np.where(ts > self.t0, -self.pert * (ts - self.t0) / (self.T - self.t0), 0.0).tolist()
-        cos = np.array([math.cos(x) for x in s])[:, None, None]
-        sin = np.array([math.sin(x) for x in s])[:, None, None]
+        s = np.where(ts > self.t0, -self.pert * (ts - self.t0) / (self.T - self.t0), 0.0)
+        rot = np.cos(s)[:, None, None] * self.I + np.sin(s)[:, None, None] * self.J
         out = self.ext.mats.copy()
-        out[j:] = out[j:] @ (cos * self.I + sin * self.J)
+        out[j:] = out[j:] @ rot
         return out
 
     def evaluate(self, t: float) -> np.ndarray:
@@ -427,23 +436,61 @@ def _bisect_zero(f, t_lo, t_hi, f_lo, f_hi, width: float):
     return 0.5 * (t_lo + t_hi)
 
 
-def _golden_min(f, t_lo, t_hi, width: float):
-    invphi = (math.sqrt(5) - 1) / 2
+GOLDEN_STEP = (3 - math.sqrt(5)) / 2  # golden-section fraction of the larger side
+
+
+def _brent_min(f, t_lo, t_hi, width: float):
+    """(t*, f(t*)): the best point Brent's minimiser finds on [t_lo, t_hi].
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5:
+    a parabola through the three best points so far proposes each step; a
+    step that leaves the bracket, or fails to halve the step before last,
+    is replaced by a golden-section step into the larger side.  Each point
+    lies at least width / 4 from the points before it, and the search stops
+    once the bracket around t* is at most width wide.
+    """
+    tol = width / 4
     a, b = t_lo, t_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    x = w = v = a + GOLDEN_STEP * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0  # the last step and the one before it
+    while max(x - a, b - x) > 2 * tol:
+        m = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2 * tol:  # too near an end: step inwards
+                d = tol if x < m else -tol
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    t = 0.5 * (a + b)
-    return t, f(t)
+            e = (a if x >= m else b) - x
+            d = GOLDEN_STEP * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
@@ -592,7 +639,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
         if kind == "sign":
             contribute(_bisect_zero(d_at, ts[lo], ts[hi], d[lo], d[hi], width), "crossing")
             continue
-        t_star, f_star = _golden_min(abs_d_at, ts[lo], ts[hi], width)
+        t_star, f_star = _brent_min(abs_d_at, ts[lo], ts[hi], width)
         if kind == "zero":
             contribute(t_star, "crossing" if d[lo] * d[hi] < 0 else "touch")
         elif kind == "edge" or f_star < abs(d[lo + 1]):

@@ -154,6 +154,16 @@ def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, m
 ROT_B = [[math.pi / 2, 0.0], [0.0, math.pi / 2]]
 
 
+def rot_samples(times, angles):
+    """Sample list of R(pi a / 2) at each (t, a)."""
+    return [{"t": t, "mat": [[math.cos(math.pi / 2 * a), -math.sin(math.pi / 2 * a)],
+                             [math.sin(math.pi / 2 * a), math.cos(math.pi / 2 * a)]]}
+            for t, a in zip(times, angles)]
+
+
+GRID = [k / 512 for k in range(513)]
+
+
 @pytest.mark.parametrize("command, content, message", [
     ("iterate", [{"n": 1}], "invalid path data: expected a JSON object, got list"),
     ("splitting", [{"n": 1}], "invalid path data: expected a JSON object, got list"),
@@ -169,6 +179,18 @@ ROT_B = [[math.pi / 2, 0.0], [0.0, math.pi / 2]]
     ("oracle", {"n": 1, "tau": -1.0, "samples": [{"t": 0.0, "mat": [[1, 0], [0, 1]]},
                                                  {"t": 1.0, "mat": [[1, 0], [0, 1]]}]},
      "invalid generator file: tau must be finite and > 0, got -1.0"),
+    # times running from 1 down to 0, with gamma(0) = I listed first
+    ("oracle", {"n": 1, "tau": 1.0, "samples": rot_samples(GRID[::-1], GRID)},
+     "invalid generator file: sample times must run from 0 to tau = 1.0, got 1.0 to 0.0"),
+    ("oracle", {"n": 1, "tau": 1.0, "samples": rot_samples(GRID[:3] + [GRID[4], GRID[3]] + GRID[5:],
+                                                           GRID)},
+     "invalid generator file: sample times must not decrease"),
+    ("oracle", {"n": 1, "tau": 3.0, "samples": rot_samples(GRID, GRID)},
+     "invalid generator file: sample times must run from 0 to tau = 3.0, got 0.0 to 1.0"),
+    ("oracle", {"n": 1, "tau": 1.0, "samples": rot_samples([0.0], [0.0])},
+     "invalid generator file: a sample list needs at least 2 samples"),
+    ("oracle", {"n": 3, "tau": 1.0, "B": ROT_B},
+     "invalid generator file: B must be 6 x 6 for n = 3, got shape (2, 2)"),
 ])
 def test_bad_input_files_exit_1(tmp_path, capsys, command, content, message):
     f = tmp_path / "input.json"

@@ -29,6 +29,7 @@ from symindex.oracle import (
     MAX_STEPS,
     OracleError,
     _PerturbedPath,
+    _brent_min,
     _resample,
     _sample_windows,
     cz_index,
@@ -443,6 +444,79 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     calls.clear()
     assert estimate_splitting(path, 1) == pair.as_tuple()
     assert len(calls) <= 5 * 200
+
+
+# ----- crossing refinement ---------------------------------------------------
+#
+# _brent_min refines each zero cluster, dip and edge window of |D_omega|.  The
+# windows below are one sample step of a 1024-step path, refined to the
+# scan's width for T = 2.
+
+T_END = 2.0
+WIDTH = 1e-12 * T_END
+DIP_T = 0.3 + math.sqrt(2) * 1e-4
+
+
+def brent_on(f, t_lo, t_hi):
+    """_brent_min on f, checking that it returns the best point it evaluated;
+    gives (t*, f(t*), number of evaluations)."""
+    seen = {}
+
+    def counted(t):
+        seen[t] = f(t)
+        return seen[t]
+
+    t_star, f_star = _brent_min(counted, t_lo, t_hi, WIDTH)
+    assert t_lo <= t_star <= t_hi
+    assert seen[t_star] == f_star == min(seen.values())
+    return t_star, f_star, len(seen)
+
+
+def test_brent_min_converges_on_a_quadratic_dip_in_few_steps():
+    # |D_omega| near an eigenvalue touching omega: c (t - t0)^2
+    t_star, _, evaluations = brent_on(lambda t: 7.0 * (t - DIP_T) ** 2, 0.3, 0.3 + 2 ** -10)
+    assert abs(t_star - DIP_T) <= WIDTH
+    assert evaluations <= 20
+
+
+def test_brent_min_finds_a_kink():
+    # |D_omega| through a sign change: a V, where parabolas fit badly
+    t_star, _, _ = brent_on(lambda t: abs(t - DIP_T) * (3.0 if t < DIP_T else 1.0),
+                            0.3, 0.3 + 2 ** -10)
+    assert abs(t_star - DIP_T) <= WIDTH
+
+
+def test_brent_min_on_a_flat_function():
+    _, f_star, evaluations = brent_on(lambda t: 0.25, 0.3, 0.3 + 2 ** -10)
+    assert f_star == 0.25
+    assert evaluations <= 60
+
+
+def test_brent_min_pinned_at_the_upper_end_lands_in_the_boundary_margin():
+    # a minimum pushed past the endpoint: _scan's contribute skips a t*
+    # within 50 widths of T
+    t_star, _, _ = brent_on(lambda t: (t - T_END - 1e-4) ** 2, T_END - 2 ** -10, T_END)
+    assert T_END - t_star < 50 * WIDTH
+
+
+@pytest.mark.parametrize("theta, m, want, budget", [
+    (math.sqrt(2) / 2, 9, (7, 0), 50),
+    (1.7, 3, (5, 0), 40),
+])
+def test_refinement_point_evaluations(monkeypatch, theta, m, want, budget):
+    # i(R(theta pi)^m) = 2 floor(m theta / 2) + 1.  Each crossing of a
+    # rotation is a smooth dip of |D_omega|, which parabolic steps find in a
+    # few point evaluations; golden section alone takes about 45 per dip.
+    calls = []
+    evaluate = _PerturbedPath.evaluate
+
+    def counted(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(_PerturbedPath, "evaluate", counted)
+    assert cz_index(iterate_path(rotation_path(theta), m), 1) == want
+    assert len(calls) <= budget
 
 
 # ----- iteration -------------------------------------------------------------
