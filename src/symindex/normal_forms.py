@@ -252,11 +252,22 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
 # ----- D_omega and nu_omega -------------------------------------------------
 
 
-def d_omega(mats: np.ndarray, omega, n: int) -> np.ndarray:
+def d_omega(mats: np.ndarray, omega, n: int, U: Optional[np.ndarray] = None) -> np.ndarray:
     """D_omega(M) = (-1)^(n-1) * conj(omega)^n * det(M - omega I) over a stack
     of 2n x 2n samples; the real part, since D_omega is real on Sp(2n) for
-    unit omega up to roundoff."""
-    A = mats.astype(complex) - omega * np.eye(2 * n)
+    unit omega up to roundoff.
+
+    U, one matrix or a stack broadcasting against mats, takes the place of
+    I.  With det U = 1 the result is D_omega(M U^{-1}), so the oracle gets
+    D_omega of a perturbed sample M e^{sJ} by passing U = e^{-sJ}, without
+    forming the product.  At real omega (omega = 1, -1) the determinant is
+    taken in real arithmetic and the result is float64 as well."""
+    if U is None:
+        U = np.eye(2 * n)
+    if omega.imag == 0:
+        w = omega.real
+        return (-1) ** (n - 1) * w ** n * np.linalg.det(mats - w * U)
+    A = mats.astype(complex) - omega * U
     det = np.linalg.det(A)
     pref = (-1) ** (n - 1) * np.conj(omega) ** n
     return (pref * det).real

@@ -238,15 +238,22 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
 def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
                   steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
     """Pointwise diamond product of two paths over a common period; the
-    samples are one evaluator call on the whole grid."""
+    samples are one diamond of the two parts' stacks on the whole grid.
+
+    Asked for that same grid again, as by a diamond of this diamond with
+    the same steps, the evaluator returns the samples instead of
+    evaluating the parts a second time; they are bitwise the same."""
     if abs(p1.tau - p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
+    ts = np.linspace(0.0, p1.tau, steps + 1)
+    mats = diamond(p1.evaluate(ts), p2.evaluate(ts))
 
     def evaluator(t):
+        if isinstance(t, np.ndarray) and np.array_equal(t, ts):
+            return mats
         return diamond(p1.evaluate(t), p2.evaluate(t))
 
-    ts = np.linspace(0.0, p1.tau, steps + 1)
-    return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=evaluator(ts),
+    return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=mats,
                                  evaluator=evaluator)
 
 
@@ -321,8 +328,43 @@ def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
 # ----- crossing machinery ---------------------------------------------------
 
 
+SERIES_LOG_TERMS = 64  # cap on the number of odd powers in _series_log
+
+
+def _series_log(M: np.ndarray, where: str) -> np.ndarray:
+    """log M = 2 (Z + Z^3/3 + Z^5/5 + ...) with Z = (M - I)(M + I)^{-1}, the
+    Gregory series (Higham, Functions of Matrices, SIAM 2008, ch. 11).
+
+    It converges when the spectral radius of Z is below 1, fast for M near
+    I, and it stops once a term is below 1e-17 of the sum.  Odd powers of a
+    Hamiltonian Z are Hamiltonian, so a symplectic M gets a Hamiltonian log.
+    A singular M + I, or no convergence within SERIES_LOG_TERMS terms, is an
+    OracleError naming where.
+    """
+    I = np.eye(len(M))
+    try:
+        Z = np.linalg.solve(M + I, M - I)  # (M + I)^{-1} commutes with M - I
+    except np.linalg.LinAlgError:
+        raise OracleError(f"no series logarithm on {where}: M + I is singular") from None
+    Z2 = Z @ Z
+    power = total = Z
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging series may overflow
+        for k in range(1, SERIES_LOG_TERMS):
+            power = power @ Z2
+            term = power / (2 * k + 1)
+            total = total + term
+            if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(total)):
+                return 2 * total
+    raise OracleError(f"the series logarithm on {where} does not converge "
+                      f"in {SERIES_LOG_TERMS} terms")
+
+
 class _PerturbedPath:
-    """gamma multiplied by e^{-pert (t - t0)/(T - t0) J} past the junction."""
+    """gamma multiplied by e^{-pert (t - t0)/(T - t0) J} past the junction.
+
+    D_omega of the perturbed path (d_samples, d_at) passes the inverse
+    rotation to d_omega instead of forming the product; evaluate forms it
+    for the kernels and crossing forms."""
 
     def __init__(self, ext: SampledSymplecticPath, pert: float):
         self.ext = ext
@@ -333,24 +375,33 @@ class _PerturbedPath:
         self.I = np.eye(2 * ext.n)
         self.J = standard_J(ext.n)
 
+    def _angle(self, t: float | np.ndarray) -> float | np.ndarray:
+        """s(t) of the rotation e^{s(t) J}: 0 up to the junction, falling
+        linearly to -pert at T."""
+        return -self.pert * np.maximum(t - self.t0, 0.0) / (self.T - self.t0)
+
     def _rot(self, t: float) -> np.ndarray:
         if self.pert == 0.0 or t <= self.t0:
             return self.I
-        s = -self.pert * (t - self.t0) / (self.T - self.t0)
+        s = self._angle(t)
         return np.cos(s) * self.I + np.sin(s) * self.J
 
-    def sample_mats(self) -> np.ndarray:
-        """The samples times _rot, for all samples past the junction at once,
-        with the same np.cos/np.sin as _rot."""
+    def _unrot(self, t: float | np.ndarray) -> Optional[np.ndarray]:
+        """e^{-s(t) J} = cos s I - sin s J, the U that makes d_omega(M, U)
+        the D_omega of M e^{s(t) J}; a stack on an array of times, and None
+        (d_omega's exact default I) when pert is 0."""
         if self.pert == 0.0:
-            return self.ext.mats
-        j = self.ext.junction_index
-        ts = self.ext.ts[j:]
-        s = np.where(ts > self.t0, -self.pert * (ts - self.t0) / (self.T - self.t0), 0.0)
-        rot = np.cos(s)[:, None, None] * self.I + np.sin(s)[:, None, None] * self.J
-        out = self.ext.mats.copy()
-        out[j:] = out[j:] @ rot
-        return out
+            return None
+        s = self._angle(t)
+        return np.cos(s)[..., None, None] * self.I - np.sin(s)[..., None, None] * self.J
+
+    def d_samples(self, omega: complex) -> np.ndarray:
+        """D_omega of every perturbed sample, one real or complex LU each."""
+        return d_omega(self.ext.mats, omega, self.n, self._unrot(self.ext.ts))
+
+    def d_at(self, t: float, omega: complex) -> float:
+        """D_omega of the perturbed path at one time."""
+        return float(d_omega(self.ext.evaluate(t)[None], omega, self.n, self._unrot(t))[0])
 
     def evaluate(self, t: float) -> np.ndarray:
         return self.ext.evaluate(t) @ self._rot(t)
@@ -381,12 +432,10 @@ class _PerturbedPath:
         Robust against reparametrizations with vanishing derivative: the
         average rotation direction over the window decides the junction
         contribution, not the instantaneous speed."""
-        from scipy.linalg import logm
-
         M0 = self.evaluate(t)
         M1 = self.evaluate(t + h)
-        X = logm(M1 @ np.linalg.inv(M0))
-        S = -self.J @ X.real / h
+        X = _series_log(M1 @ np.linalg.inv(M0), f"the junction window [{t:.6g}, {t + h:.6g}]")
+        S = -self.J @ X / h
         return 0.5 * (S + S.T)
 
 
@@ -553,11 +602,9 @@ def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
 def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
           form_tol: float, pert_allowed: bool) -> _ScanResult:
     ext = pp.ext
-    n = pp.n
     ts = ext.ts
     N = len(ts)
-    mats = pp.sample_mats()
-    d = d_omega(mats, omega, n)
+    d = pp.d_samples(omega)
     scale = float(np.max(np.abs(d)))
     if scale == 0.0:
         raise _NeedPerturbation("D_omega vanishes along the whole path")
@@ -588,7 +635,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
         events.append(("junction", float(t_junction), contrib))
 
     def d_at(t: float) -> float:
-        return float(d_omega(pp.evaluate(t)[None], omega, n)[0])
+        return pp.d_at(t, omega)
 
     width = 1e-12 * max(1.0, T)
     boundary_margin = 50 * width

@@ -218,6 +218,15 @@ def test_oracle_splitting_uses_the_eps_flag(gen_fixture, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["splitting_estimate"] == {"s_plus": 0, "s_minus": 1}
 
 
+def run_fresh_python(*lines: str) -> None:
+    """Run lines of code in a new interpreter importing this symindex; it must exit 0."""
+    src = str(Path(symindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path):
     # the oracle imports scipy at its first expm or logm; import symindex,
     # iterate, splitting and jump-search never call either
@@ -225,7 +234,7 @@ def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path
     paths_file = tmp_path / "paths.json"
     paths_file.write_text(json.dumps([data.to_json()]))
     out = str(tmp_path / "out")
-    code = "\n".join([
+    run_fresh_python(
         "import sys, symindex",
         "assert 'scipy' not in sys.modules, 'import symindex'",
         "from symindex.cli import main",
@@ -234,11 +243,22 @@ def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path
         f"             ['jump-search', '--paths', {str(paths_file)!r}, '--n-max', '500']):",
         f"    assert main(argv + ['--out', {out!r}]) == 0, argv",
         "    assert 'scipy' not in sys.modules, argv[0]",
-    ])
-    src = str(Path(symindex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    )
+
+
+def test_the_oracle_scan_leaves_scipy_special_unloaded(gen_fixture, tmp_path):
+    # the junction generator takes its logarithm by a series, not by scipy's
+    # logm, whose first call loads scipy.special; only path_from_logm does
+    out = str(tmp_path / "out")
+    run_fresh_python(
+        "import sys",
+        "from symindex.cli import main",
+        "for argv in (['ellipsoid', '--alphas', '1,sqrt2', '--n-max', '1000'],",
+        f"             ['oracle', '--generator', {str(gen_fixture)!r}, '--m', '3']):",
+        f"    assert main(argv + ['--out', {out!r}]) == 0, argv",
+        "assert 'scipy.linalg' in sys.modules",
+        "assert 'scipy.special' not in sys.modules",
+    )
 
 
 def test_jump_search_deterministic_bytes(rot_fixture, tmp_path):

@@ -193,6 +193,29 @@ def test_diamond_paths_samples_match_the_pointwise_construction():
         assert np.array_equal(pd.mats, want)
 
 
+def test_nested_diamond_reuses_the_inner_samples(monkeypatch):
+    # an outer diamond on the inner diamond's grid takes its samples instead
+    # of exponentiating the inner parts again; on another grid it evaluates
+    steps = 64
+    inner = diamond_paths(rotation_path(0.37, steps=steps), rotation_path(1.0, steps=steps),
+                          steps=steps)
+    shear = shear_path(-1, steps=steps)
+    slices = []
+    expm = oracle.expm
+
+    def counted(A):
+        slices.append(A.shape[0] if A.ndim == 3 else 1)
+        return expm(A)
+
+    monkeypatch.setattr(oracle, "expm", counted)
+    outer = diamond_paths(inner, shear, steps=steps)
+    assert sum(slices) == steps + 1  # the shear's grid alone
+    assert np.array_equal(outer.mats, diamond(inner.mats, shear.evaluate(outer.ts)))
+    slices.clear()
+    diamond_paths(inner, shear, steps=steps // 2)
+    assert sum(slices) == 3 * (steps // 2 + 1)
+
+
 @pytest.mark.parametrize("name", GRID_PATHS)
 def test_resample_matches_the_pointwise_loop(name):
     path = grid_path(name)
@@ -230,9 +253,10 @@ def test_extension_preserves_endpoint():
 
 # ----- vectorised sampling against the per-sample loops ----------------------
 #
-# sample_mats and the xi arc of extend_with_xi build all samples at once; the
-# loops below are the per-sample code they replaced, kept as the reference.
-# The results must be equal, not merely close.
+# The xi arc of extend_with_xi builds all samples at once; the loops below
+# are the per-sample code it replaced, kept as the reference.  The results
+# must be equal, not merely close.  ref_sample_mats, the perturbed samples
+# M e^{sJ} one product at a time, is the reference for the folded D_omega.
 
 def ref_xi_mats(path):
     tau = path.tau
@@ -280,13 +304,110 @@ def test_vectorised_sampling_matches_per_sample_loops():
         assert np.array_equal(ext.mats[len(xi):], path.mats), name
         for pert in (1e-4, 2.5e-5):
             pp = _PerturbedPath(ext, pert)
-            assert np.array_equal(pp.sample_mats(), ref_sample_mats(pp)), (name, pert)
             for t in (ext.ts[1], pp.t0, 0.5 * (pp.t0 + pp.T), pp.T):
                 want = ext.evaluate(t) @ ref_rot(pp, t)
                 assert np.array_equal(pp.evaluate(t), want), (name, pert, t)
-        assert _PerturbedPath(ext, 0.0).sample_mats() is ext.mats
         seen.add(path.n)
     assert seen == {1, 2, 3, 4}
+
+
+# ----- one D_omega, with the perturbation folded in --------------------------
+#
+# det e^{sJ} = 1, so D_omega(M e^{sJ}) is d_omega(M) with e^{-sJ} in place of
+# I: the scan never forms the rotated samples.
+
+FOLD_OMEGAS = (1, -1, cmath.exp(0.3j), cmath.exp(1e-3j), cmath.exp(-1e-3j))
+
+
+def complex_d_omega(mats, omega, n, U):
+    """The complex formula of d_omega, kept as the reference for its real
+    branch."""
+    A = mats.astype(complex) - omega * U
+    return ((-1) ** (n - 1) * np.conj(omega) ** n * np.linalg.det(A)).real
+
+
+@pytest.mark.parametrize("omega", FOLD_OMEGAS)
+def test_folded_d_omega_matches_the_rotated_samples(omega):
+    seen = set()
+    for name, path in sampled_inputs():
+        ext = extend_with_xi(path)
+        n = path.n
+        for pert in (1e-4, 2.5e-5):
+            pp = _PerturbedPath(ext, pert)
+            got = pp.d_samples(omega)
+            want = d_omega(ref_sample_mats(pp), omega, n)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (name, pert)
+            # the stack's entries are bitwise one-sample stacks, and the point
+            # D_omega rotates by the same e^{-sJ} as the stack
+            U = pp._unrot(ext.ts)
+            for k in (0, ext.junction_index, ext.junction_index + 1, len(ext.ts) // 2, -1):
+                assert d_omega(ext.mats[k][None], omega, n, U[k][None])[0] == got[k], (name, k)
+                assert np.array_equal(pp._unrot(ext.ts[k]), U[k]), (name, k)
+        assert np.array_equal(_PerturbedPath(ext, 0.0).d_samples(omega),
+                              d_omega(ext.mats, omega, n)), name
+        seen.add(n)
+    assert seen == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("omega", (1, -1, 1 + 0j, -1 + 0j, 1.0, -1.0))
+def test_d_omega_at_real_omega_is_real_arithmetic(omega):
+    for name, path in sampled_inputs():
+        ext = extend_with_xi(path)
+        n = path.n
+        for U in (np.eye(2 * n), _PerturbedPath(ext, 1e-4)._unrot(ext.ts)):
+            got = d_omega(ext.mats, omega, n, U)
+            assert got.dtype == np.float64, name
+            want = complex_d_omega(ext.mats, complex(omega), n, U)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+# ----- the junction logarithm ------------------------------------------------
+#
+# windowed_generator takes log M1 M0^{-1} over a 4-sample window at the
+# junction by the Gregory series; scipy's logm is the reference.
+
+def junction_windows():
+    for name, path in sampled_inputs():
+        ext = extend_with_xi(path)
+        step = ext.ts[ext.junction_index + 1] - ext.ts[ext.junction_index]
+        for pert in (0.0, 1e-4):
+            pp = _PerturbedPath(ext, pert)
+            M0, M1 = pp.evaluate(pp.t0), pp.evaluate(pp.t0 + 4 * step)
+            yield f"{name} pert={pert}", M1 @ np.linalg.inv(M0)
+
+
+def hamiltonian_exponentials():
+    rng = np.random.default_rng(20240811)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            B = rng.standard_normal((2 * n, 2 * n))
+            X = standard_J(n) @ (B + B.T)
+            X *= rng.uniform(0.05, 0.5) / np.linalg.norm(X, 2)
+            yield f"e^X n={n}", oracle.expm(X)
+
+
+def test_series_log_matches_scipy_logm():
+    from scipy.linalg import logm
+
+    names = set()
+    for name, M in [*junction_windows(), *hamiltonian_exponentials()]:
+        X = oracle._series_log(M, name)
+        assert np.max(np.abs(X - logm(M))) <= 1e-12, name
+        J = standard_J(len(M) // 2)
+        assert np.max(np.abs(J @ X + X.T @ J)) <= 1e-12, name
+        names.add(name.split()[0])
+    assert {"shear", "diamond", "e^X"} <= names
+
+
+@pytest.mark.parametrize("M, message", [
+    # Z = (M - I)(M + I)^{-1} has spectral radius tan(0.48 pi), about 16
+    (np.array([[math.cos(0.96 * math.pi), -math.sin(0.96 * math.pi)],
+               [math.sin(0.96 * math.pi), math.cos(0.96 * math.pi)]]), "does not converge"),
+    (-np.eye(2), "M \\+ I is singular"),
+])
+def test_series_log_fails_with_the_window_named(M, message):
+    with pytest.raises(OracleError, match=f"the junction window \\[1, 1.1\\].*{message}"):
+        oracle._series_log(M, "the junction window [1, 1.1]")
 
 
 # ----- the sample walk against the per-sample loop ---------------------------
@@ -417,6 +538,25 @@ def test_sample_windows_match_the_per_sample_walk(inputs):
     assert dips == sum(w[0] == "dip" for w in got)
 
 
+def count_point_evaluations(monkeypatch):
+    """Record the time of every point evaluation of a perturbed path, the
+    matrix or D_omega at one t, in the list returned."""
+    calls = []
+    evaluate, d_at = _PerturbedPath.evaluate, _PerturbedPath.d_at
+
+    def counted_evaluate(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    def counted_d_at(self, t, omega):
+        calls.append(t)
+        return d_at(self, t, omega)
+
+    monkeypatch.setattr(_PerturbedPath, "evaluate", counted_evaluate)
+    monkeypatch.setattr(_PerturbedPath, "d_at", counted_d_at)
+    return calls
+
+
 def test_flat_d_omega_is_refined_once(monkeypatch):
     # Near omega = 1 the N1(1,1) shear keeps D_omega bitwise constant along
     # gamma.  The old walk took each of those samples as a dip and refined
@@ -426,17 +566,10 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     data = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)
     pair = splitting_numbers(data.decomp, 1)
     ext = extend_with_xi(path)
-    calls = []
-    evaluate = _PerturbedPath.evaluate
-
-    def counted(self, t):
-        calls.append(t)
-        return evaluate(self, t)
-
-    monkeypatch.setattr(_PerturbedPath, "evaluate", counted)
+    calls = count_point_evaluations(monkeypatch)
     for sign, s in ((1, pair.s_plus), (-1, pair.s_minus)):
         omega = cmath.exp(1j * sign * 1e-3)
-        d = d_omega(_PerturbedPath(ext, 0.0).sample_mats(), omega, 1)
+        d = _PerturbedPath(ext, 0.0).d_samples(omega)
         assert np.unique(np.abs(d[ext.junction_index:])).size == 1
         calls.clear()
         assert cz_index(path, omega) == (index_iterate(data, 1) + s, 0)
@@ -507,14 +640,7 @@ def test_refinement_point_evaluations(monkeypatch, theta, m, want, budget):
     # i(R(theta pi)^m) = 2 floor(m theta / 2) + 1.  Each crossing of a
     # rotation is a smooth dip of |D_omega|, which parabolic steps find in a
     # few point evaluations; golden section alone takes about 45 per dip.
-    calls = []
-    evaluate = _PerturbedPath.evaluate
-
-    def counted(self, t):
-        calls.append(t)
-        return evaluate(self, t)
-
-    monkeypatch.setattr(_PerturbedPath, "evaluate", counted)
+    calls = count_point_evaluations(monkeypatch)
     assert cz_index(iterate_path(rotation_path(theta), m), 1) == want
     assert len(calls) <= budget
 
