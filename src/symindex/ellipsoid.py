@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 
+REPORT_SOLUTIONS = 25  # cap on per-solution theorem-2.11 reports
+
+
 class EllipsoidError(ValueError):
     pass
 
@@ -133,7 +136,7 @@ def _convex_adjustment() -> int:
     return i_conv - i_quad
 
 
-def orbit_data(spec: EllipsoidSpec, i: int, steps: int = 2048):
+def orbit_data(spec: EllipsoidSpec, i: int):
     """PathIndexData and the sampled linearized path of the i-th axis orbit
     (1-based index), period 2 pi / alpha_i.
 
@@ -149,7 +152,7 @@ def orbit_data(spec: EllipsoidSpec, i: int, steps: int = 2048):
     tau = 2 * math.pi / float(alpha_i)
     freqs = np.array([float(a) for a in spec.alphas])
     B = np.diag(np.concatenate([freqs, freqs]))
-    path = path_from_quadratic_hamiltonian(B, tau, steps=steps)
+    path = path_from_quadratic_hamiltonian(B, tau)
 
     thetas = []
     for j in range(spec.n):
@@ -175,7 +178,6 @@ class PipelineParams:
     chi: object = "auto"
     eps: float | None = None
     delta: object = None
-    report_solutions: int = 25  # cap on per-solution theorem-2.11 reports
 
 
 @dataclass
@@ -250,10 +252,9 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
     eps = params.eps if params.eps is not None else default_eps(datas, v.M, delta)
 
-    result = search_N(v, "auto" if params.chi is None else params.chi, eps=eps,
-                      N_max=params.N_max, paths=datas, delta=delta)
+    result = search_N(v, params.chi, eps=eps, N_max=params.N_max, paths=datas, delta=delta)
     reports_211 = []
-    for sol in result.solutions[:params.report_solutions]:
+    for sol in result.solutions[:REPORT_SOLUTIONS]:
         rep = theorem211_report(sol, datas, n)
         reports_211.append(rep.to_json())
         if not rep.ok:

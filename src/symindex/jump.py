@@ -695,12 +695,15 @@ def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     # is its term of w when irrational; when rational, that term is below
     # d + N (p/q is read as ceil(p 2**F / q), so N X exceeds N p 2**F / q by
     # less than N, which cannot wrap past 2**F while q N_max < 2**F).  So
-    # d < int(eps 2**F) - 2 N_last on every coordinate proves N close; past
-    # that bound on q, every survivor gets the exact decision.
+    # d < int(eps 2**F) - 2 N_last on every coordinate proves N close.  Past
+    # that bound on q the read X can sit across a vertex from p/q (1 - 1/q
+    # reads as 2**F, at vertex 0), so the scan would miss N near vertex 1.
+    for k, c in enumerate(v.coords):
+        if c.is_rational and c.fraction.denominator * N_max >= 1 << F:
+            raise PrecisionError(f"coordinate {k} = {c.fraction} has denominator * N_max "
+                                 f">= 2**{F}; stage 1 needs a higher precision")
     close_int = int(eps * (1 << F))
     eps_int = close_int + N_max + 2
-    if any(c.is_rational and c.fraction.denominator * N_max >= 1 << F for c in v.coords):
-        close_int = 0
     band = partial(_band_residual, v, eps=eps, dps=dps)
     # chunks of 2**15 steps bound the memory of the scan's numpy arrays
     total_steps = N_max // v.M0

@@ -8,6 +8,12 @@ S = -J (d beta/dt) beta^{-1} is the symmetric generator; the junction of
 the extension (always at the identity when omega = 1) contributes a half
 signature, the corner convention for a one-sided crossing.
 
+The scan evaluates D_omega on the samples and refines every window that
+may hold a crossing or a touch (a zero cluster, a sign change, a dip of
+|D_omega|, the last step) by one method, Brent's minimiser on |D_omega|.
+The junction and every crossing form take S from one estimate, the
+series logarithm of beta(t + h) beta(t)^{-1} over a short window.
+
 Degenerate situations (endpoint on the crossing variety, paths running
 inside it) are resolved by multiplying gamma by e^{-eps (t/T) J}, which
 moves the endpoint to gamma(T) e^{-eps J}; the whole-path version of that
@@ -20,7 +26,7 @@ a crossing passed in the direction of the curve M e^{t eps J} counts +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,8 +146,8 @@ def _check_period(tau) -> None:
         raise OracleError(f"tau must be finite and > 0, got {tau}")
 
 
-def path_from_quadratic_hamiltonian(B, tau: float, steps: int = DEFAULT_STEPS,
-                                    check: bool = True) -> SampledSymplecticPath:
+def path_from_quadratic_hamiltonian(B, tau: float,
+                                    steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
     """Solution samples of d gamma/dt = J B gamma with constant symmetric B.
 
     Samples come from repeated multiplication by the one-step exponential
@@ -170,10 +176,8 @@ def path_from_quadratic_hamiltonian(B, tau: float, steps: int = DEFAULT_STEPS,
     def evaluator(t):
         return expm(t[:, None, None] * X if isinstance(t, np.ndarray) else X * t)
 
-    path = SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=mats, evaluator=evaluator)
-    if check:
-        path.validate()
-    return path
+    return SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=mats,
+                                 evaluator=evaluator).validate()
 
 
 def path_from_samples(ts, mats, n: int, tau: float) -> SampledSymplecticPath:
@@ -193,7 +197,7 @@ def path_from_samples(ts, mats, n: int, tau: float) -> SampledSymplecticPath:
 
 
 def path_from_matrix_function(f: Callable[[float], np.ndarray], tau: float, n: int,
-                              steps: int = DEFAULT_STEPS, check: bool = True) -> SampledSymplecticPath:
+                              steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
     """Sample an explicit matrix path t -> f(t) on [0, tau].
 
     f takes one float.  This is the one adapter that loops a scalar function
@@ -206,11 +210,8 @@ def path_from_matrix_function(f: Callable[[float], np.ndarray], tau: float, n: i
         return f(t)
 
     ts = np.linspace(0.0, tau, steps + 1)
-    path = SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=evaluator(ts),
-                                 evaluator=evaluator)
-    if check:
-        path.validate()
-    return path
+    return SampledSymplecticPath(n=n, tau=float(tau), ts=ts, mats=evaluator(ts),
+                                 evaluator=evaluator).validate()
 
 
 def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
@@ -293,11 +294,15 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
                                  evaluator=evaluator)
 
 
-def xi_matrix(n: int, t: float, tau: float) -> np.ndarray:
-    """The canonical extension block diag(2 - t/tau, (2 - t/tau)^-1) per mode."""
-    a = 2.0 - t / tau
-    d = np.concatenate([np.full(n, a), np.full(n, 1.0 / a)])
-    return np.diag(d)
+def xi_matrix(n: int, t: float | np.ndarray, tau: float) -> np.ndarray:
+    """The canonical extension block diag(2 - t/tau, (2 - t/tau)^-1) per mode
+    at a float t, or the stack of those matrices at a 1-D array of times."""
+    a = 2.0 - np.asarray(t, dtype=float) / tau
+    mats = np.zeros(a.shape + (2 * n, 2 * n))
+    diag = np.arange(n)
+    mats[..., diag, diag] = a[..., None]
+    mats[..., diag + n, diag + n] = 1.0 / a[..., None]
+    return mats
 
 
 def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
@@ -307,13 +312,8 @@ def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
     steps = max(64, int(round(tau / max(path.ts[1] - path.ts[0], 1e-12))))
     steps = min(steps, DEFAULT_STEPS)
     xi_ts = np.linspace(0.0, tau, steps + 1)[:-1]
-    a = 2.0 - xi_ts / tau  # the diagonal of xi_matrix, all samples at once
-    xi_mats = np.zeros((steps, 2 * n, 2 * n))
-    diag = np.arange(n)
-    xi_mats[:, diag, diag] = a[:, None]
-    xi_mats[:, diag + n, diag + n] = (1.0 / a)[:, None]
     ts = np.concatenate([xi_ts, path.ts + tau])
-    mats = np.concatenate([xi_mats, path.mats])
+    mats = np.concatenate([xi_matrix(n, xi_ts, tau), path.mats])
     junction_index = steps  # index of gamma(0) = I in the combined arrays
 
     def evaluator(t):
@@ -380,20 +380,19 @@ class _PerturbedPath:
         linearly to -pert at T."""
         return -self.pert * np.maximum(t - self.t0, 0.0) / (self.T - self.t0)
 
-    def _rot(self, t: float) -> np.ndarray:
-        if self.pert == 0.0 or t <= self.t0:
-            return self.I
+    def _rotation(self, t: float | np.ndarray, sign: float) -> np.ndarray:
+        """e^{sign s(t) J} = cos s I + sign sin s J; a stack on an array of times."""
         s = self._angle(t)
-        return np.cos(s) * self.I + np.sin(s) * self.J
+        return np.cos(s)[..., None, None] * self.I + sign * np.sin(s)[..., None, None] * self.J
+
+    def _rot(self, t: float) -> np.ndarray:
+        """e^{s(t) J}, which is exactly I up to the junction."""
+        return self.I if self.pert == 0.0 else self._rotation(t, 1.0)
 
     def _unrot(self, t: float | np.ndarray) -> Optional[np.ndarray]:
-        """e^{-s(t) J} = cos s I - sin s J, the U that makes d_omega(M, U)
-        the D_omega of M e^{s(t) J}; a stack on an array of times, and None
-        (d_omega's exact default I) when pert is 0."""
-        if self.pert == 0.0:
-            return None
-        s = self._angle(t)
-        return np.cos(s)[..., None, None] * self.I - np.sin(s)[..., None, None] * self.J
+        """e^{-s(t) J}, the U that makes d_omega(M, U) the D_omega of
+        M e^{s(t) J}; None (d_omega's exact default I) when pert is 0."""
+        return None if self.pert == 0.0 else self._rotation(t, -1.0)
 
     def d_samples(self, omega: complex) -> np.ndarray:
         """D_omega of every perturbed sample, one real or complex LU each."""
@@ -406,37 +405,25 @@ class _PerturbedPath:
     def evaluate(self, t: float) -> np.ndarray:
         return self.ext.evaluate(t) @ self._rot(t)
 
-    def generator(self, t: float, h: float) -> np.ndarray:
-        """Symmetric S(t) = -J dM/dt M^{-1}, central difference (one-sided at ends)."""
-        t_lo = max(t - h, 0.0)
-        t_hi = min(t + h, self.T)
-        M_lo = self.evaluate(t_lo)
-        M_hi = self.evaluate(t_hi)
-        Mdot = (M_hi - M_lo) / (t_hi - t_lo)
-        M = self.evaluate(t)
-        S = -self.J @ (Mdot @ np.linalg.inv(M))
-        return 0.5 * (S + S.T)
-
-    def generator_onesided(self, t: float, h: float, forward: bool) -> np.ndarray:
-        sgn = 1.0 if forward else -1.0
-        M0 = self.evaluate(t)
-        M1 = self.evaluate(t + sgn * h)
-        M2 = self.evaluate(t + 2 * sgn * h)
-        Mdot = sgn * (-3 * M0 + 4 * M1 - M2) / (2 * h)
-        S = -self.J @ (Mdot @ np.linalg.inv(M0))
-        return 0.5 * (S + S.T)
-
     def windowed_generator(self, t: float, h: float) -> np.ndarray:
-        """Effective generator over [t, t+h] via the matrix logarithm.
+        """Symmetric generator S = -J log(M(t+h) M(t)^{-1}) / h of the
+        window [t, t+h], by the series logarithm.
 
-        Robust against reparametrizations with vanishing derivative: the
-        average rotation direction over the window decides the junction
-        contribution, not the instantaneous speed."""
+        For a quadratic path this is its constant generator B.  It is robust
+        against reparametrizations with vanishing derivative: the average
+        rotation direction over the window decides the sign, not the
+        instantaneous speed."""
         M0 = self.evaluate(t)
         M1 = self.evaluate(t + h)
-        X = _series_log(M1 @ np.linalg.inv(M0), f"the junction window [{t:.6g}, {t + h:.6g}]")
+        X = _series_log(M1 @ np.linalg.inv(M0), f"the window [{t:.6g}, {t + h:.6g}]")
         S = -self.J @ X / h
         return 0.5 * (S + S.T)
+
+    def crossing_generator(self, t: float) -> np.ndarray:
+        """The generator of a crossing form at t: windowed_generator over
+        [t - h, t + h] with h = 1e-6 (T - t0), shifted to stay inside [0, T]."""
+        h = (self.T - self.t0) * 1e-6
+        return self.windowed_generator(min(max(t - h, 0.0), self.T - 2 * h), 2 * h)
 
 
 def _signature(gram: np.ndarray, tol: float):
@@ -460,29 +447,10 @@ def _half_signature_regularized(S: np.ndarray, reg: float) -> int:
     return (n_plus - n_rest) // 2
 
 
-@dataclass
-class _ScanResult:
-    index: int
-    events: list = field(default_factory=list)
-
-
 def _fail_or_perturb(pp, pert_allowed: bool, msg: str):
     if pp.pert == 0.0 and pert_allowed:
         return _NeedPerturbation(msg)
     return OracleError(msg + " (not resolved after refinement)")
-
-
-def _bisect_zero(f, t_lo, t_hi, f_lo, f_hi, width: float):
-    while t_hi - t_lo > width:
-        t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = f(t_mid)
-        if f_mid == 0.0:
-            return t_mid
-        if (f_lo < 0) != (f_mid < 0):
-            t_hi, f_hi = t_mid, f_mid
-        else:
-            t_lo, f_lo = t_mid, f_mid
-    return 0.5 * (t_lo + t_hi)
 
 
 GOLDEN_STEP = (3 - math.sqrt(5)) / 2  # golden-section fraction of the larger side
@@ -548,16 +516,18 @@ def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
     Returns (windows, longest zero run over all of d).  Each window is
     (kind, lo, hi), sample indices of the bracket to refine:
     - "zero": a cluster of samples with |d| <= z_tol, bracketed by its
-      neighbours (lo is the sample before the cluster);
-    - "sign": a sign change between samples lo and hi = lo + 1;
+      neighbours lo and hi; a sign change between samples lo and
+      hi = lo + 1 is a cluster of length 0;
     - "dip": a strict local minimum of |d| below dip_tol, possibly a run of
       bitwise-equal |d| (a flat D_omega), refined once over the run and its
       two strictly larger neighbours; a run reaching the last sample is
       left to the edge window;
     - "edge": |d| not rising into the last sample (always last).
-    At one sample a zero cluster comes before a sign change, and a sign
-    change before a dip.  The cluster of zeros holding the junction is the
-    junction itself, so the walk starts after it.
+    A window whose end samples differ in sign holds a crossing; every other
+    window can only hold a touch.  The windows before the edge come in the
+    order of (lo, hi), which is the order the sample walk meets them in.
+    The cluster of zeros holding the junction is the junction itself, so
+    the walk starts after it.
     """
     N = len(d)
     a = np.abs(d)
@@ -568,17 +538,16 @@ def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
     scan_start = jidx
     if is_zero[jidx]:
         scan_start = int(z_ends[np.searchsorted(z_starts, jidx, side="right") - 1]) + 1
-    events = []  # (sample the walk meets it at, kind, lo, hi)
-
-    keep = (z_starts > scan_start) & (z_starts <= N - 2)
-    for s, e in zip(z_starts[keep].tolist(), z_ends[keep].tolist()):
-        events.append((s, "zero", s - 1, min(e + 1, N - 1)))
-
+    # clusters [s, e]: the zero runs but one starting at the last sample (the
+    # edge window's), and each sign change between samples i and i + 1 as [i + 1, i]
     sign = d[:-1] * d[1:] < 0
-    sign_at = sign & ~is_zero[:-1]
-    sign_at[:scan_start] = False
-    for i in np.flatnonzero(sign_at).tolist():
-        events.append((i, "sign", i, i + 1))
+    changes = np.flatnonzero(sign & ~is_zero[:-1])
+    inner = z_starts <= N - 2
+    s = np.concatenate((z_starts[inner], changes + 1))
+    e = np.concatenate((z_ends[inner], changes))
+    keep = s > scan_start
+    windows = [("zero", first - 1, min(last + 1, N - 1))
+               for first, last in zip(s[keep].tolist(), e[keep].tolist())]
 
     # runs [s, e] of bitwise-equal |d|
     change = np.flatnonzero(a[1:] != a[:-1])
@@ -589,18 +558,21 @@ def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
     signs_before = np.concatenate(([0], np.cumsum(sign)))
     dip = ((a[s] < dip_tol) & ~is_zero[s] & (a[s - 1] > a[s]) & (a[e + 1] > a[e])
            & (signs_before[e + 1] == signs_before[s]))
-    for i, j in zip(s[dip].tolist(), e[dip].tolist()):
-        events.append((i, "dip", i - 1, j + 1))
+    windows += [("dip", first - 1, last + 1)
+                for first, last in zip(s[dip].tolist(), e[dip].tolist())]
 
-    events.sort()  # the samples are distinct
-    windows = [ev[1:] for ev in events]
+    windows.sort(key=lambda w: w[1:])  # no two windows share (lo, hi)
     if N - 2 >= scan_start and a[N - 1] < dip_tol and a[N - 2] >= a[N - 1]:
         windows.append(("edge", N - 2, N - 1))
     return windows, longest
 
 
-def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
-          form_tol: float, pert_allowed: bool) -> _ScanResult:
+KERNEL_TOL = 1e-8  # rank tolerance of ker(M - omega I) at a crossing
+FORM_TOL = 1e-5  # relative eigenvalue size below which a crossing form is degenerate
+
+
+def _scan(pp: _PerturbedPath, omega: complex, *, pert_allowed: bool) -> int:
+    """The signed crossing count of one perturbed extended path."""
     ext = pp.ext
     ts = ext.ts
     N = len(ts)
@@ -619,7 +591,6 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
     t_junction = ts[jidx]
     T = ts[-1]
     total = 0
-    events = []
 
     # junction: for omega = 1 the concatenation point sits on the variety
     if abs(omega - 1.0) < 1e-12:
@@ -630,12 +601,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
         ev_scale = max(1.0, float(np.max(np.abs(ev))))
         if pp.pert == 0.0 and pert_allowed and bool(np.any(np.abs(ev) < 1e-6 * ev_scale)):
             raise _NeedPerturbation("degenerate junction form")
-        contrib = _half_signature_regularized(S0, 1e-7)
-        total += contrib
-        events.append(("junction", float(t_junction), contrib))
-
-    def d_at(t: float) -> float:
-        return pp.d_at(t, omega)
+        total += _half_signature_regularized(S0, 1e-7)
 
     width = 1e-12 * max(1.0, T)
     boundary_margin = 50 * width
@@ -650,7 +616,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
             # domain by the perturbation, not an interior crossing
             return
         M = pp.evaluate(t_star)
-        V = kernel(M, omega, kernel_tol)
+        V = kernel(M, omega, KERNEL_TOL)
         k = V.shape[1]
         if k == 0:
             return  # near miss: no unit eigenvalue actually crosses here
@@ -659,33 +625,23 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
             # path dips onto a single smooth sheet and returns, so the two
             # resolved crossings cancel (Jordan-block passages land here)
             handled.append(t_star)
-            events.append((kind, float(t_star), 0))
             return
         if kind == "crossing" and k % 2 == 0:
             raise _fail_or_perturb(pp, pert_allowed,
                                    f"sign change with even kernel at t = {t_star:.6g}")
-        h = (T - t_junction) * 1e-6
-        if T - t_star < 2 * h:
-            S = pp.generator_onesided(t_star, h, forward=False)
-        else:
-            S = pp.generator(t_star, h)
-        gram = V.conj().T @ S @ V
-        sig, degenerate = _signature(gram, form_tol)
+        gram = V.conj().T @ pp.crossing_generator(t_star) @ V
+        sig, degenerate = _signature(gram, FORM_TOL)
         if degenerate:
             raise _fail_or_perturb(pp, pert_allowed,
                                    f"degenerate crossing form at t = {t_star:.6g}")
         total += sig
         handled.append(t_star)
-        events.append((kind, float(t_star), sig))
 
     # walk the windows past the junction; the extension arc keeps D_omega < 0
     def abs_d_at(t: float) -> float:
-        return abs(d_at(t))
+        return abs(pp.d_at(t, omega))
 
     for kind, lo, hi in windows:
-        if kind == "sign":
-            contribute(_bisect_zero(d_at, ts[lo], ts[hi], d[lo], d[hi], width), "crossing")
-            continue
         t_star, f_star = _brent_min(abs_d_at, ts[lo], ts[hi], width)
         if kind == "zero":
             contribute(t_star, "crossing" if d[lo] * d[hi] < 0 else "touch")
@@ -694,7 +650,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, kernel_tol: float,
             # may sit inside the final step whatever the refined value
             contribute(t_star, "touch")
 
-    return _ScanResult(index=total, events=events)
+    return total
 
 
 def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
@@ -720,8 +676,6 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
         plan = [(eps, 1), (eps / 4, 2), (eps / 16, 4), (eps / 64, 8)]
     else:
         plan = [(0.0, 1), (eps, 1), (eps / 4, 2), (eps / 16, 4), (eps / 64, 8)]
-    kernel_tol = 1e-8
-    form_tol = 1e-5
 
     extensions = {}
 
@@ -734,18 +688,15 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     for attempt, (pert, factor) in enumerate(plan):
         try:
             ext = ext_at(factor)
-            res = _scan(_PerturbedPath(ext, pert), omega,
-                        kernel_tol=kernel_tol, form_tol=form_tol,
-                        pert_allowed=(attempt + 1 < len(plan)))
+            index = _scan(_PerturbedPath(ext, pert), omega,
+                          pert_allowed=(attempt + 1 < len(plan)))
             if pert > 0.0:
-                res2 = _scan(_PerturbedPath(ext, pert / 2), omega,
-                             kernel_tol=kernel_tol, form_tol=form_tol,
-                             pert_allowed=False)
-                if res2.index != res.index:
+                index2 = _scan(_PerturbedPath(ext, pert / 2), omega, pert_allowed=False)
+                if index2 != index:
                     last_error = OracleError(
-                        f"unstable count under perturbation ({res.index} vs {res2.index})")
+                        f"unstable count under perturbation ({index} vs {index2})")
                     continue
-            return res.index, nu
+            return index, nu
         except _NeedPerturbation as exc:
             last_error = exc
         except OracleError as exc:

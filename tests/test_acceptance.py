@@ -293,7 +293,7 @@ def test_criterion_8_varrho_bound():
     lines = []
     for n, alphas in freqs.items():
         spec = EllipsoidSpec(alphas=alphas, mode="convex")
-        datas = [orbit_data(spec, i, steps=STEPS)[0] for i in range(1, n + 1)]
+        datas = [orbit_data(spec, i)[0] for i in range(1, n + 1)]
         rho = varrho(datas, n)
         bound = n // 2 + 1
         assert rho >= bound, f"n={n}: varrho {rho} < bound {bound}"

@@ -23,7 +23,7 @@ def spec12():
 
 def test_single_frequency_has_no_rotation_blocks():
     spec = EllipsoidSpec(alphas=("1",), mode="quadratic")
-    data, path = orbit_data(spec, 1, steps=512)
+    data, path = orbit_data(spec, 1)
     d = data.decomp
     assert d.r == 0 and d.p_zero == 1 and d.n == 1
     assert data.i1 == 1  # the circle orbit
@@ -32,7 +32,7 @@ def test_single_frequency_has_no_rotation_blocks():
 
 def test_convex_mode_n1_matches_classical_sequence():
     spec = EllipsoidSpec(alphas=("1",), mode="convex")
-    data, _ = orbit_data(spec, 1, steps=512)
+    data, _ = orbit_data(spec, 1)
     assert data.decomp.p_minus == 1
     for m in range(1, 8):
         assert index_iterate(data, m) == 2 * m - 1
@@ -40,22 +40,22 @@ def test_convex_mode_n1_matches_classical_sequence():
 
 
 def test_rotation_block_tag_and_angle(spec12):
-    data, _ = orbit_data(spec12, 1, steps=512)
+    data, _ = orbit_data(spec12, 1)
     (theta,) = data.decomp.thetas
     assert not theta.is_rational
     assert abs(float(theta) - (2 * math.sqrt(2) - 2)) < 1e-12
 
 
 def test_base_indices(spec12):
-    d1, _ = orbit_data(spec12, 1, steps=512)
-    d2, _ = orbit_data(spec12, 2, steps=512)
+    d1, _ = orbit_data(spec12, 1)
+    d2, _ = orbit_data(spec12, 2)
     assert (d1.i1, d2.i1) == (4, 2)
     assert validate(d1).ok and validate(d2).ok
 
 
 def test_mean_index_ratio_exact(spec12):
-    d1, _ = orbit_data(spec12, 1, steps=512)
-    d2, _ = orbit_data(spec12, 2, steps=512)
+    d1, _ = orbit_data(spec12, 1)
+    d2, _ = orbit_data(spec12, 2)
     with mpmath.mp.workdps(60):
         ratio = mean_index(d1).mpf(60) / mean_index(d2).mpf(60)
         assert abs(ratio - mpmath.mp.sqrt(2)) < mpmath.mpf(10) ** -40
@@ -64,13 +64,13 @@ def test_mean_index_ratio_exact(spec12):
 def test_resonant_integer_ratio_rejected():
     spec = EllipsoidSpec(alphas=("1", "2"), mode="quadratic")
     with pytest.raises(EllipsoidError, match="resonant"):
-        orbit_data(spec, 1, steps=256)
+        orbit_data(spec, 1)
 
 
 def test_resonant_half_integer_ratio_rejected():
     spec = EllipsoidSpec(alphas=("2", "3"), mode="quadratic")
     with pytest.raises(EllipsoidError, match="resonant"):
-        orbit_data(spec, 1, steps=256)
+        orbit_data(spec, 1)
 
 
 def test_masked_rational_ratio_detected():
@@ -78,12 +78,12 @@ def test_masked_rational_ratio_detected():
     spec = EllipsoidSpec(alphas=("sqrt2", "sqrt8"), mode="quadratic")
     assert not spec.non_resonant()
     with pytest.raises(EllipsoidError, match="resonant"):
-        orbit_data(spec, 2, steps=256)
+        orbit_data(spec, 2)
 
 
 def test_non_half_integer_rational_ratio_allowed():
     spec = EllipsoidSpec(alphas=("3", "4"), mode="quadratic")
-    data, _ = orbit_data(spec, 1, steps=512)
+    data, _ = orbit_data(spec, 1)
     (theta,) = data.decomp.thetas
     assert theta.fraction == Fraction(2, 3)
 
@@ -109,7 +109,7 @@ def test_nonpositive_frequency_rejected():
 
 
 def test_pipeline_small(spec12):
-    params = PipelineParams(m_max=6, N_max=20000, report_solutions=5)
+    params = PipelineParams(m_max=6, N_max=20000)
     rep = run_pipeline(spec12, params)
     assert rep.problems == []
     assert rep.elliptic_count == 2

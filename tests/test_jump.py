@@ -923,15 +923,18 @@ def test_stage1_matches_the_stepping_loop_and_the_exact_gate(case):
 
 
 def test_stage1_rational_coordinate_past_2_to_the_F():
-    # x = 1 - 1/q with q > 2**F is read as X = 2**F, at distance 0 from
-    # vertex 0, while N x lies within N/q of 1: only the exact decision
-    # sees that N is far from vertex 0
+    # x = 1 - 1/q with q > 2**F would read as X = 2**F, at distance 0 from
+    # vertex 0, while N x lies within N/q of 1, so the N near vertex 1 would
+    # be missed: stage 1 refuses the coordinate instead
     dps = get_precision()
     q = (1 << fixed_bits(dps)) + 1
     v = JumpVector(q=1, mu=(1,), coords=(HALF, Scalar.from_fraction(Fraction(q - 1, q))),
                    M=1, M0=1, mean_indices=(Scalar.rational(2),))
-    assert _stage1(v, None, Fraction(1, 4), 40, dps) == []
-    assert ref_stage1(v, None, Fraction(1, 4), 40, dps) == []
+    message = f"coordinate 1 = {q - 1}/{q} has denominator \\* N_max >= 2\\*\\*"
+    with pytest.raises(PrecisionError, match=message):
+        _stage1(v, None, Fraction(1, 4), 40, dps)
+    with pytest.raises(PrecisionError, match=message):
+        search_N(v, "auto", eps=0.25, N_max=40, paths=[], delta=Fraction(1, 8))
 
 
 def test_integer_rational_coordinates_are_on_vertex_0():

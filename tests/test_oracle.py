@@ -127,9 +127,8 @@ def test_path_samples_must_start_at_identity():
 
 
 def test_step_bound_enforced():
-    p = path_from_quadratic_hamiltonian(4.0 * np.eye(2), 6.0, steps=16, check=False)
     with pytest.raises(OracleError, match="step-size"):
-        p.validate()
+        path_from_quadratic_hamiltonian(4.0 * np.eye(2), 6.0, steps=16)
 
 
 # ----- evaluators on a time grid ---------------------------------------------
@@ -253,8 +252,8 @@ def test_extension_preserves_endpoint():
 
 # ----- vectorised sampling against the per-sample loops ----------------------
 #
-# The xi arc of extend_with_xi builds all samples at once; the loops below
-# are the per-sample code it replaced, kept as the reference.  The results
+# The xi arc of extend_with_xi builds all samples in one xi_matrix call; the
+# loops below take one sample at a time, as the reference.  The results
 # must be equal, not merely close.  ref_sample_mats, the perturbed samples
 # M e^{sJ} one product at a time, is the reference for the folded D_omega.
 
@@ -410,13 +409,33 @@ def test_series_log_fails_with_the_window_named(M, message):
         oracle._series_log(M, "the junction window [1, 1.1]")
 
 
+# ----- the crossing-form generator -------------------------------------------
+#
+# A crossing form takes its generator from windowed_generator over a window
+# of width 2h centred on t*, shifted to stay inside [0, T].  On a quadratic
+# path that is the constant generator B, at the end of the path too.
+
+def test_crossing_generator_of_a_quadratic_path_is_its_generator():
+    rng = np.random.default_rng(20240811)
+    for n in (1, 2, 3):
+        B = rng.standard_normal((2 * n, 2 * n))
+        B = B + B.T
+        B *= 2.0 / np.linalg.norm(B, 2)
+        pp = _PerturbedPath(extend_with_xi(path_from_quadratic_hamiltonian(B, 1.0)), 0.0)
+        h = (pp.T - pp.t0) * 1e-6
+        for t in (pp.t0 + 0.3, pp.t0 + 0.77, pp.T - h / 2, pp.T):
+            S = pp.crossing_generator(t)
+            assert np.max(np.abs(S - B)) <= 1e-8, (n, t)
+
+
 # ----- the sample walk against the per-sample loop ---------------------------
 #
 # _sample_windows finds the refinement windows of _scan with numpy masks; the
 # loop below is the per-sample walk it replaced, recording the windows it
-# refined instead of refining them.  The old walk took every sample of a run
-# of equal |d| as a local minimum; the new one refines a run once, and only
-# when both outer neighbours are strictly larger.
+# refined instead of refining them.  A sign change between two samples is a
+# zero cluster of length 0: a "zero" window with hi = lo + 1.  The old walk
+# took every sample of a run of equal |d| as a local minimum; the new one
+# refines a run once, and only when both outer neighbours are strictly larger.
 
 Z_TOL, DIP_TOL = 1e-10, 1e-3
 
@@ -445,7 +464,7 @@ def ref_sample_windows(d, jidx, z_tol, dip_tol):
             i = j + 1
             continue
         if a * b < 0:
-            windows.append(("sign", i, i + 1))
+            windows.append(("zero", i, i + 1))
             i += 1
             continue
         if i > scan_start and abs(a) < dip_tol and \
@@ -498,8 +517,10 @@ def walk_inputs(draw):
 
 def _position(window, N):
     """The sample at which the per-sample walk meets a window."""
-    kind, lo, _hi = window
-    return {"sign": lo, "zero": lo + 1, "dip": lo + 1, "edge": N}[kind]
+    kind, lo, hi = window
+    if kind == "zero" and hi == lo + 1:
+        return lo  # a sign change
+    return {"zero": lo + 1, "dip": lo + 1, "edge": N}[kind]
 
 
 @seed(20240811)
@@ -533,8 +554,8 @@ def test_sample_windows_match_the_per_sample_walk(inputs):
         elif ("dip", s - 1, s + 1) in theirs and e < len(d) - 1 \
                 and a[s - 1] > a[s] and a[e + 1] > a[e]:
             # a strict minimum the old walk entered is refined, unless D
-            # changes sign inside the run (the sign windows cover that)
-            assert any(w[0] == "sign" and s <= w[1] <= e for w in got)
+            # changes sign inside the run (the sign-change windows cover that)
+            assert any(w[0] == "zero" and w[2] == w[1] + 1 and s <= w[1] <= e for w in got)
     assert dips == sum(w[0] == "dip" for w in got)
 
 
