@@ -261,15 +261,22 @@ def d_omega(mats: np.ndarray, omega, n: int, U: Optional[np.ndarray] = None) -> 
     I.  With det U = 1 the result is D_omega(M U^{-1}), so the oracle gets
     D_omega of a perturbed sample M e^{sJ} by passing U = e^{-sJ}, without
     forming the product.  At real omega (omega = 1, -1) the determinant is
-    taken in real arithmetic and the result is float64 as well."""
+    taken in real arithmetic and the result is float64 as well.  For n = 1
+    the determinant is the 2 x 2 formula A00 A11 - A01 A10 of A = M - omega U,
+    elementwise over the stack; for n >= 2 it is numpy's LU."""
     if U is None:
         U = np.eye(2 * n)
     if omega.imag == 0:
         w = omega.real
-        return (-1) ** (n - 1) * w ** n * np.linalg.det(mats - w * U)
-    A = mats.astype(complex) - omega * U
-    det = np.linalg.det(A)
-    pref = (-1) ** (n - 1) * np.conj(omega) ** n
+        A = mats - w * U
+        pref = (-1) ** (n - 1) * w ** n
+    else:
+        A = mats.astype(complex) - omega * U
+        pref = (-1) ** (n - 1) * np.conj(omega) ** n
+    if n == 1:
+        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    else:
+        det = np.linalg.det(A)
     return (pref * det).real
 
 

@@ -305,6 +305,13 @@ def xi_matrix(n: int, t: float | np.ndarray, tau: float) -> np.ndarray:
     return mats
 
 
+def xi_d_omega(mats: np.ndarray, omega: complex, n: int) -> np.ndarray:
+    """D_omega of a stack of xi_matrix samples diag(a, ..., 1/a, ...):
+    -(a + 1/a - 2 Re omega)^n, with each sample's own a and 1/a.  It is
+    negative for a > 1, and at a = 2 (t = 0) its size is at least 2^-n."""
+    return -(mats[:, 0, 0] + mats[:, n, n] - 2 * omega.real) ** n
+
+
 def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
     """Concatenate: first the canonical arc from diag(2,...,1/2,...) to I, then gamma."""
     n = path.n
@@ -395,8 +402,11 @@ class _PerturbedPath:
         return None if self.pert == 0.0 else self._rotation(t, -1.0)
 
     def d_samples(self, omega: complex) -> np.ndarray:
-        """D_omega of every perturbed sample, one real or complex LU each."""
-        return d_omega(self.ext.mats, omega, self.n, self._unrot(self.ext.ts))
+        """D_omega of every perturbed sample: xi_d_omega's closed form on the
+        unperturbed xi arc before the junction, d_omega from the junction on."""
+        mats, j = self.ext.mats, self.ext.junction_index
+        return np.concatenate((xi_d_omega(mats[:j], omega, self.n),
+                               d_omega(mats[j:], omega, self.n, self._unrot(self.ext.ts[j:]))))
 
     def d_at(self, t: float, omega: complex) -> float:
         """D_omega of the perturbed path at one time."""
@@ -577,9 +587,7 @@ def _scan(pp: _PerturbedPath, omega: complex, *, pert_allowed: bool) -> int:
     ts = ext.ts
     N = len(ts)
     d = pp.d_samples(omega)
-    scale = float(np.max(np.abs(d)))
-    if scale == 0.0:
-        raise _NeedPerturbation("D_omega vanishes along the whole path")
+    scale = float(np.max(np.abs(d)))  # at least 2^-n, from the xi arc
     jidx = ext.junction_index
     windows, longest_zero_run = _sample_windows(d, jidx, 1e-10 * scale, 1e-3 * scale)
 

@@ -28,10 +28,12 @@ from symindex.oracle import (
     DEFAULT_STEPS,
     MAX_STEPS,
     OracleError,
+    _NeedPerturbation,
     _PerturbedPath,
     _brent_min,
     _resample,
     _sample_windows,
+    _scan,
     cz_index,
     diamond_paths,
     estimate_splitting,
@@ -41,6 +43,7 @@ from symindex.oracle import (
     path_from_matrix_function,
     path_from_quadratic_hamiltonian,
     path_from_samples,
+    xi_d_omega,
     xi_matrix,
 )
 from symindex.scalars import Scalar
@@ -313,14 +316,15 @@ def test_vectorised_sampling_matches_per_sample_loops():
 # ----- one D_omega, with the perturbation folded in --------------------------
 #
 # det e^{sJ} = 1, so D_omega(M e^{sJ}) is d_omega(M) with e^{-sJ} in place of
-# I: the scan never forms the rotated samples.
+# I: the scan never forms the rotated samples.  On the xi arc, before the
+# junction, d_samples takes xi_d_omega's closed form instead of a determinant.
 
 FOLD_OMEGAS = (1, -1, cmath.exp(0.3j), cmath.exp(1e-3j), cmath.exp(-1e-3j))
 
 
 def complex_d_omega(mats, omega, n, U):
-    """The complex formula of d_omega, kept as the reference for its real
-    branch."""
+    """The complex LU formula of d_omega, kept as the reference for its real
+    branch, its 2 x 2 formula and the xi arc's closed form."""
     A = mats.astype(complex) - omega * U
     return ((-1) ** (n - 1) * np.conj(omega) ** n * np.linalg.det(A)).real
 
@@ -331,21 +335,52 @@ def test_folded_d_omega_matches_the_rotated_samples(omega):
     for name, path in sampled_inputs():
         ext = extend_with_xi(path)
         n = path.n
+        j = ext.junction_index
+        xi_want = complex_d_omega(ext.mats[:j], complex(omega), n, np.eye(2 * n))
         for pert in (1e-4, 2.5e-5):
             pp = _PerturbedPath(ext, pert)
             got = pp.d_samples(omega)
             want = d_omega(ref_sample_mats(pp), omega, n)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (name, pert)
-            # the stack's entries are bitwise one-sample stacks, and the point
-            # D_omega rotates by the same e^{-sJ} as the stack
+            assert np.max(np.abs(got[:j] - xi_want)) <= 1e-14 * np.max(np.abs(xi_want)), name
+            # from the junction on, the stack's entries are bitwise one-sample
+            # stacks, and the point D_omega rotates by the same e^{-sJ}
             U = pp._unrot(ext.ts)
-            for k in (0, ext.junction_index, ext.junction_index + 1, len(ext.ts) // 2, -1):
+            for k in (j, j + 1, len(ext.ts) // 2, -1):
                 assert d_omega(ext.mats[k][None], omega, n, U[k][None])[0] == got[k], (name, k)
                 assert np.array_equal(pp._unrot(ext.ts[k]), U[k]), (name, k)
-        assert np.array_equal(_PerturbedPath(ext, 0.0).d_samples(omega),
-                              d_omega(ext.mats, omega, n)), name
+        assert np.array_equal(_PerturbedPath(ext, 0.0).d_samples(omega)[j:],
+                              d_omega(ext.mats[j:], omega, n)), name
         seen.add(n)
     assert seen == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("omega", FOLD_OMEGAS)
+def test_xi_d_omega_matches_lu(omega):
+    tau = 0.7
+    ts = np.linspace(0.0, tau, 513)[:-1]
+    for n in (1, 2, 3, 4):
+        mats = xi_matrix(n, ts, tau)
+        got = xi_d_omega(mats, complex(omega), n)
+        want = complex_d_omega(mats, complex(omega), n, np.eye(2 * n))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+        assert np.all(got < 0), n
+        assert int(np.argmax(np.abs(got))) == 0 and abs(got[0]) >= 2.0 ** -n, n
+
+
+@pytest.mark.parametrize("omega", [w for w in FOLD_OMEGAS if isinstance(w, complex)])
+def test_two_by_two_d_omega_matches_lu(omega):
+    seen = 0
+    for name, path in sampled_inputs():
+        if path.n != 1:
+            continue
+        ext = extend_with_xi(path)
+        for U in (np.eye(2), _PerturbedPath(ext, 1e-4)._unrot(ext.ts)):
+            got = d_omega(ext.mats, omega, 1, U)
+            want = complex_d_omega(ext.mats, omega, 1, U)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        seen += 1
+    assert seen == 4
 
 
 @pytest.mark.parametrize("omega", (1, -1, 1 + 0j, -1 + 0j, 1.0, -1.0))
@@ -598,6 +633,23 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     calls.clear()
     assert estimate_splitting(path, 1) == pair.as_tuple()
     assert len(calls) <= 5 * 200
+
+
+def test_xi_sample_before_the_junction_counts_in_the_zero_run():
+    # R(0.4pi)<>N1(1,1) at 512 steps, omega = e^{i 1e-3}: the last xi sample
+    # has |D_omega| about 2.3e-11, below z_tol = 1e-10 scale (2.5e-11), so
+    # the zero run at the junction is 4 samples long and the unperturbed pass
+    # asks for the perturbation.  Without that sample the run is 3, the
+    # pass goes on, and estimate_splitting(path, 1) returns (0, 0) for the
+    # true (1, 1) instead of reporting an unstable estimate.
+    path = diamond_paths(rotation_path(0.4, steps=512), shear_path(1, steps=512), steps=512)
+    pp = _PerturbedPath(extend_with_xi(path), 0.0)
+    omega = cmath.exp(1e-3j)
+    d = pp.d_samples(omega)
+    j = pp.ext.junction_index
+    assert abs(d[j - 1]) <= 1e-10 * np.max(np.abs(d))
+    with pytest.raises(_NeedPerturbation, match="inside the crossing variety"):
+        _scan(pp, omega, pert_allowed=True)
 
 
 # ----- crossing refinement ---------------------------------------------------
