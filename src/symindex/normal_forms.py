@@ -52,9 +52,10 @@ def standard_J(n: int) -> np.ndarray:
 
 
 def symplectic_defect(M: np.ndarray) -> float:
-    """max |M^T J M - J| entry of a 2n x 2n float array."""
-    J = standard_J(M.shape[0] // 2)
-    return float(np.max(np.abs(M.T @ J @ M - J)))
+    """max |M^T J M - J| entry of a 2n x 2n float array, or over a whole
+    stack (..., 2n, 2n) in one batched product."""
+    J = standard_J(M.shape[-1] // 2)
+    return float(np.max(np.abs(np.swapaxes(M, -1, -2) @ J @ M - J)))
 
 
 class SymplecticMatrix:
@@ -252,32 +253,12 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
 # ----- D_omega and nu_omega -------------------------------------------------
 
 
-def d_omega(mats: np.ndarray, omega, n: int, U: Optional[np.ndarray] = None) -> np.ndarray:
+def d_omega(mats: np.ndarray, omega, n: int) -> np.ndarray:
     """D_omega(M) = (-1)^(n-1) * conj(omega)^n * det(M - omega I) over a stack
     of 2n x 2n samples; the real part, since D_omega is real on Sp(2n) for
-    unit omega up to roundoff.
-
-    U, one matrix or a stack broadcasting against mats, takes the place of
-    I.  With det U = 1 the result is D_omega(M U^{-1}), so the oracle gets
-    D_omega of a perturbed sample M e^{sJ} by passing U = e^{-sJ}, without
-    forming the product.  At real omega (omega = 1, -1) the determinant is
-    taken in real arithmetic and the result is float64 as well.  For n = 1
-    the determinant is the 2 x 2 formula A00 A11 - A01 A10 of A = M - omega U,
-    elementwise over the stack; for n >= 2 it is numpy's LU."""
-    if U is None:
-        U = np.eye(2 * n)
-    if omega.imag == 0:
-        w = omega.real
-        A = mats - w * U
-        pref = (-1) ** (n - 1) * w ** n
-    else:
-        A = mats.astype(complex) - omega * U
-        pref = (-1) ** (n - 1) * np.conj(omega) ** n
-    if n == 1:
-        det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    else:
-        det = np.linalg.det(A)
-    return (pref * det).real
+    unit omega up to roundoff."""
+    A = mats.astype(complex) - omega * np.eye(2 * n)
+    return ((-1) ** (n - 1) * np.conj(omega) ** n * np.linalg.det(A)).real
 
 
 def kernel(M: np.ndarray, omega, tol: float = RANK_TOL) -> np.ndarray:

@@ -1,26 +1,25 @@
-"""Geometric index oracle: crossing counts of sampled symplectic paths.
+"""Geometric index oracle: eigen-phase counts of sampled symplectic paths.
 
-The index of a path gamma is computed from first principles as the signed
-count of crossings of t -> D_omega(beta(t)) along the extended path
-beta = gamma * xi_n.  Each crossing contributes the signature of the
-crossing form v* S(t) v restricted to ker(beta(t) - omega I), where
-S = -J (d beta/dt) beta^{-1} is the symmetric generator; the junction of
-the extension (always at the identity when omega = 1) contributes a half
-signature, the corner convention for a one-sided crossing.
+The index of a path gamma is computed from first principles on the extended
+path beta = gamma * xi_n, as the signed number of eigen-phases passing 0 of
+a unitary W(t) whose eigenvalue 1 has the multiplicity of the eigenvalue
+omega of beta(t) (the Souriau map; see "the eigen-phase count" below).  The
+xi arc never meets the crossing variety, so the count runs from the
+junction on; at omega = 1 the junction sits at the identity and contributes
+the half signature of the generator S = -J (d beta/dt) beta^{-1}, taken by
+the series logarithm over the first sample steps (the corner convention
+for a one-sided crossing).  The count trusts the sample spacing, which
+validate bounds by STEP_BOUND, takes eigen-data at coarse points only and
+needs no refinement: two crossings inside one sample step count 2, and a
+touch nets 0.
 
-The scan evaluates D_omega on the samples and refines every window that
-may hold a crossing or a touch (a zero cluster, a sign change, a dip of
-|D_omega|, the last step) by one method, Brent's minimiser on |D_omega|.
-The junction and every crossing form take S from one estimate, the
-series logarithm of beta(t + h) beta(t)^{-1} over a short window.
-
-Degenerate situations (endpoint on the crossing variety, paths running
-inside it) are resolved by multiplying gamma by e^{-eps (t/T) J}, which
-moves the endpoint to gamma(T) e^{-eps J}; the whole-path version of that
-endpoint convention shifts every crossing form downward and realizes the
-infimum over nearby nondegenerate paths.  The sign convention is pinned by
-agreement with the iteration formulas on rotation paths and recorded here:
-a crossing passed in the direction of the curve M e^{t eps J} counts +1.
+A degenerate endpoint (or a degenerate junction form at omega = 1) is
+resolved by multiplying gamma by e^{-eps (t/T) J}, which moves the endpoint
+to gamma(T) e^{-eps J}; the whole-path version of that endpoint convention
+shifts every crossing form downward and realizes the infimum over nearby
+nondegenerate paths.  The sign convention is pinned by agreement with the
+iteration formulas on rotation paths and recorded here: a crossing passed
+in the direction of the curve M e^{t eps J} counts +1.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ import numpy as np
 
 from .normal_forms import (
     RANK_TOL,
-    d_omega,
     diamond,
-    kernel,
     nu_omega,
     standard_J,
     SYMPLECTIC_TOL,
@@ -77,21 +74,16 @@ def expm(A: np.ndarray) -> np.ndarray:
     return _expm(A)
 
 
-class _NeedPerturbation(Exception):
-    pass
-
-
 @dataclass
 class SampledSymplecticPath:
     """A discretized path in Sp(2n) starting at the identity.
 
     ts / mats hold the samples; evaluator, when present, returns the exact
-    matrix at arbitrary t and is what crossing localization refines with.
+    matrix at arbitrary t, and the index count halves a sample step with it.
     An evaluator takes a float, giving one 2n x 2n matrix, or a 1-D numpy
     array of times, giving the stack of those matrices (bitwise the same as
-    one call per time); the evaluators of extend_with_xi and _PerturbedPath
-    take floats only.  junction_index marks the concatenation point on
-    extended paths.
+    one call per time); the evaluator of extend_with_xi takes floats only.
+    junction_index marks the concatenation point on extended paths.
     """
 
     n: int
@@ -116,8 +108,7 @@ class SampledSymplecticPath:
         if steps.size and float(np.max(steps)) > STEP_BOUND:
             raise OracleError(f"step-size bound violated: max entry change "
                               f"{float(np.max(steps)):.3g} > {STEP_BOUND}")
-        worst = max(symplectic_defect(self.mats[idx])
-                    for idx in (0, len(self.mats) // 2, len(self.mats) - 1))
+        worst = symplectic_defect(self.mats)  # every sample, in one batched M^T J M
         if worst > SYMPLECTIC_TOL:
             raise OracleError(f"samples are not symplectic to {SYMPLECTIC_TOL}: defect {worst:.3g}")
         return self
@@ -305,13 +296,6 @@ def xi_matrix(n: int, t: float | np.ndarray, tau: float) -> np.ndarray:
     return mats
 
 
-def xi_d_omega(mats: np.ndarray, omega: complex, n: int) -> np.ndarray:
-    """D_omega of a stack of xi_matrix samples diag(a, ..., 1/a, ...):
-    -(a + 1/a - 2 Re omega)^n, with each sample's own a and 1/a.  It is
-    negative for a > 1, and at a = 2 (t = 0) its size is at least 2^-n."""
-    return -(mats[:, 0, 0] + mats[:, n, n] - 2 * omega.real) ** n
-
-
 def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
     """Concatenate: first the canonical arc from diag(2,...,1/2,...) to I, then gamma."""
     n = path.n
@@ -332,8 +316,7 @@ def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
                                  evaluator=evaluator, junction_index=junction_index)
 
 
-# ----- crossing machinery ---------------------------------------------------
-
+# ----- the perturbed path and the junction generator --------------------------
 
 SERIES_LOG_TERMS = 64  # cap on the number of odd powers in _series_log
 
@@ -367,11 +350,7 @@ def _series_log(M: np.ndarray, where: str) -> np.ndarray:
 
 
 class _PerturbedPath:
-    """gamma multiplied by e^{-pert (t - t0)/(T - t0) J} past the junction.
-
-    D_omega of the perturbed path (d_samples, d_at) passes the inverse
-    rotation to d_omega instead of forming the product; evaluate forms it
-    for the kernels and crossing forms."""
+    """gamma multiplied by e^{-pert (t - t0)/(T - t0) J} past the junction."""
 
     def __init__(self, ext: SampledSymplecticPath, pert: float):
         self.ext = ext
@@ -382,38 +361,20 @@ class _PerturbedPath:
         self.I = np.eye(2 * ext.n)
         self.J = standard_J(ext.n)
 
-    def _angle(self, t: float | np.ndarray) -> float | np.ndarray:
-        """s(t) of the rotation e^{s(t) J}: 0 up to the junction, falling
-        linearly to -pert at T."""
-        return -self.pert * np.maximum(t - self.t0, 0.0) / (self.T - self.t0)
+    def _rotation(self, t: float | np.ndarray) -> np.ndarray:
+        """e^{s(t) J} = cos s I + sin s J, with s(t) 0 up to the junction and
+        falling linearly to -pert at T; a stack on an array of times."""
+        s = -self.pert * np.maximum(t - self.t0, 0.0) / (self.T - self.t0)
+        return np.cos(s)[..., None, None] * self.I + np.sin(s)[..., None, None] * self.J
 
-    def _rotation(self, t: float | np.ndarray, sign: float) -> np.ndarray:
-        """e^{sign s(t) J} = cos s I + sign sin s J; a stack on an array of times."""
-        s = self._angle(t)
-        return np.cos(s)[..., None, None] * self.I + sign * np.sin(s)[..., None, None] * self.J
-
-    def _rot(self, t: float) -> np.ndarray:
-        """e^{s(t) J}, which is exactly I up to the junction."""
-        return self.I if self.pert == 0.0 else self._rotation(t, 1.0)
-
-    def _unrot(self, t: float | np.ndarray) -> Optional[np.ndarray]:
-        """e^{-s(t) J}, the U that makes d_omega(M, U) the D_omega of
-        M e^{s(t) J}; None (d_omega's exact default I) when pert is 0."""
-        return None if self.pert == 0.0 else self._rotation(t, -1.0)
-
-    def d_samples(self, omega: complex) -> np.ndarray:
-        """D_omega of every perturbed sample: xi_d_omega's closed form on the
-        unperturbed xi arc before the junction, d_omega from the junction on."""
-        mats, j = self.ext.mats, self.ext.junction_index
-        return np.concatenate((xi_d_omega(mats[:j], omega, self.n),
-                               d_omega(mats[j:], omega, self.n, self._unrot(self.ext.ts[j:]))))
-
-    def d_at(self, t: float, omega: complex) -> float:
-        """D_omega of the perturbed path at one time."""
-        return float(d_omega(self.ext.evaluate(t)[None], omega, self.n, self._unrot(t))[0])
+    def samples(self, idx) -> np.ndarray:
+        """The perturbed samples at an index, an index array or a slice."""
+        mats = self.ext.mats[idx]
+        return mats if self.pert == 0.0 else mats @ self._rotation(self.ext.ts[idx])
 
     def evaluate(self, t: float) -> np.ndarray:
-        return self.ext.evaluate(t) @ self._rot(t)
+        M = self.ext.evaluate(t)
+        return M if self.pert == 0.0 else M @ self._rotation(t)
 
     def windowed_generator(self, t: float, h: float) -> np.ndarray:
         """Symmetric generator S = -J log(M(t+h) M(t)^{-1}) / h of the
@@ -429,22 +390,19 @@ class _PerturbedPath:
         S = -self.J @ X / h
         return 0.5 * (S + S.T)
 
-    def crossing_generator(self, t: float) -> np.ndarray:
-        """The generator of a crossing form at t: windowed_generator over
-        [t - h, t + h] with h = 1e-6 (T - t0), shifted to stay inside [0, T]."""
-        h = (self.T - self.t0) * 1e-6
-        return self.windowed_generator(min(max(t - h, 0.0), self.T - 2 * h), 2 * h)
+
+def _junction_generator(pp: _PerturbedPath) -> np.ndarray:
+    """S0 at the junction: windowed_generator over four sample steps of gamma
+    (at least 1e-9 of its span)."""
+    ts, j = pp.ext.ts, pp.ext.junction_index
+    h = max(4 * (ts[j + 1] - pp.t0), (pp.T - pp.t0) * 1e-9)
+    return pp.windowed_generator(pp.t0, h)
 
 
-def _signature(gram: np.ndarray, tol: float):
-    """(n_plus - n_minus, degenerate?) of a Hermitian form."""
-    if gram.size == 0:
-        return 0, False
-    ev = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    degenerate = bool(np.any(np.abs(ev) < tol * scale))
-    sig = int(np.sum(ev > 0)) - int(np.sum(ev < 0))
-    return sig, degenerate
+def _degenerate(S: np.ndarray) -> bool:
+    """Whether S has an eigenvalue below 1e-6 of its largest (at least 1)."""
+    ev = np.linalg.eigvalsh(S)
+    return bool(np.any(np.abs(ev) < 1e-6 * max(1.0, float(np.max(np.abs(ev))))))
 
 
 def _half_signature_regularized(S: np.ndarray, reg: float) -> int:
@@ -457,270 +415,169 @@ def _half_signature_regularized(S: np.ndarray, reg: float) -> int:
     return (n_plus - n_rest) // 2
 
 
-def _fail_or_perturb(pp, pert_allowed: bool, msg: str):
-    if pp.pert == 0.0 and pert_allowed:
-        return _NeedPerturbation(msg)
-    return OracleError(msg + " (not resolved after refinement)")
+# ----- the eigen-phase count -------------------------------------------------
+#
+# Gr(M) = {(x, Mx)} is Lagrangian for (-J) + J on C^{4n}, so it is the graph
+# of a unitary U(M) from the +1 to the -1 eigenspace of H = i diag(-J, J).
+# W(t) = U(omega I)* U(beta(t)) has eigenvalue 1 with multiplicity
+# nu_omega(beta(t)), and the index is the signed number of eigen-phases of W
+# passing 0 (Robbin and Salamon, Topology 32, 1993; Beck and Malham,
+# Proc. AMS 143, 2015).  Eigenvalues of unitaries move by at most the
+# distance of the unitaries (Bhatia and Davis, Linear Multilinear Algebra
+# 15, 1984), so over a step whose phases cannot reach a cut c, the net
+# number passing 0 is the change of #{phases in [0, c)}.  A sample step
+# moves them by at most 2 asin(min(1, sqrt2 r)), r the step's matrix change
+# (_motion).
+
+COARSE_BOUND = 0.5  # motion bound (rad) between the points that get eigen-data
+CHUNK = 4096  # sample steps per batch of motion bounds, which bounds the temporaries
+CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
+MAX_HALVINGS = 10  # halvings of one sample step through the evaluator
 
 
-GOLDEN_STEP = (3 - math.sqrt(5)) / 2  # golden-section fraction of the larger side
+def _frames(M: np.ndarray, n: int):
+    """(a, b) = sqrt2 (B+* Z, B-* Z) for Z = [I; M], per matrix of a stack M,
+    so that U(M) = b a^{-1}.  B+ and B- are the orthonormal +1 and -1
+    eigenbases of H spanned by (u, -iu, 0, 0), (0, 0, u, iu) and by
+    (u, iu, 0, 0), (0, 0, u, -iu), u in C^n."""
+    a = np.empty(M.shape, dtype=complex)
+    b = np.empty_like(a)
+    a[..., :n, :n] = b[..., :n, :n] = np.eye(n)
+    a[..., :n, n:] = 1j * np.eye(n)
+    b[..., :n, n:] = -1j * np.eye(n)
+    a[..., n:, :] = M[..., :n, :] - 1j * M[..., n:, :]
+    b[..., n:, :] = M[..., :n, :] + 1j * M[..., n:, :]
+    return a, b
 
 
-def _brent_min(f, t_lo, t_hi, width: float):
-    """(t*, f(t*)): the best point Brent's minimiser finds on [t_lo, t_hi].
-
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5:
-    a parabola through the three best points so far proposes each step; a
-    step that leaves the bracket, or fails to halve the step before last,
-    is replaced by a golden-section step into the larger side.  Each point
-    lies at least width / 4 from the points before it, and the search stops
-    once the bracket around t* is at most width wide.
-    """
-    tol = width / 4
-    a, b = t_lo, t_hi
-    x = w = v = a + GOLDEN_STEP * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0  # the last step and the one before it
-    while max(x - a, b - x) > 2 * tol:
-        m = 0.5 * (a + b)
-        parabolic = False
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
-        if parabolic:
-            e, d = d, p / q
-            if min(x + d - a, b - x - d) < 2 * tol:  # too near an end: step inwards
-                d = tol if x < m else -tol
-        else:
-            e = (a if x >= m else b) - x
-            d = GOLDEN_STEP * e
-        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
+def _motion(mats: np.ndarray, n: int) -> np.ndarray:
+    """A bound on the eigen-phase motion of W over each step of a stack of
+    samples: 2 asin(min(1, sqrt2 r)) with r = min(|dM|_F, |dM M^-1|_F), M the
+    step's first sample.  M^-1 = [[D^T, -B^T], [-C^T, A^T]] is taken by
+    slicing.  The bound trusts the path not to stray between samples."""
+    dM = np.diff(mats, axis=0)
+    MT = mats[:-1].swapaxes(1, 2)
+    inv = np.empty_like(MT)
+    inv[:, :n, :n] = MT[:, n:, n:]
+    np.negative(MT[:, n:, :n], out=inv[:, :n, n:])
+    np.negative(MT[:, :n, n:], out=inv[:, n:, :n])
+    inv[:, n:, n:] = MT[:, :n, :n]
+    rel = dM @ inv
+    r = np.sqrt(np.minimum(np.einsum("kij,kij->k", dM, dM), np.einsum("kij,kij->k", rel, rel)))
+    return 2 * np.arcsin(np.minimum(1.0, math.sqrt(2) * r))
 
 
-def _sample_windows(d: np.ndarray, jidx: int, z_tol: float, dip_tol: float):
-    """The refinement windows of the sample walk past the junction, in order.
-
-    Returns (windows, longest zero run over all of d).  Each window is
-    (kind, lo, hi), sample indices of the bracket to refine:
-    - "zero": a cluster of samples with |d| <= z_tol, bracketed by its
-      neighbours lo and hi; a sign change between samples lo and
-      hi = lo + 1 is a cluster of length 0;
-    - "dip": a strict local minimum of |d| below dip_tol, possibly a run of
-      bitwise-equal |d| (a flat D_omega), refined once over the run and its
-      two strictly larger neighbours; a run reaching the last sample is
-      left to the edge window;
-    - "edge": |d| not rising into the last sample (always last).
-    A window whose end samples differ in sign holds a crossing; every other
-    window can only hold a touch.  The windows before the edge come in the
-    order of (lo, hi), which is the order the sample walk meets them in.
-    The cluster of zeros holding the junction is the junction itself, so
-    the walk starts after it.
-    """
-    N = len(d)
-    a = np.abs(d)
-    is_zero = a <= z_tol
-    edges = np.diff(np.concatenate(([False], is_zero, [False])).astype(np.int8))
-    z_starts, z_ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1  # inclusive
-    longest = int(np.max(z_ends - z_starts + 1)) if z_starts.size else 0
-    scan_start = jidx
-    if is_zero[jidx]:
-        scan_start = int(z_ends[np.searchsorted(z_starts, jidx, side="right") - 1]) + 1
-    # clusters [s, e]: the zero runs but one starting at the last sample (the
-    # edge window's), and each sign change between samples i and i + 1 as [i + 1, i]
-    sign = d[:-1] * d[1:] < 0
-    changes = np.flatnonzero(sign & ~is_zero[:-1])
-    inner = z_starts <= N - 2
-    s = np.concatenate((z_starts[inner], changes + 1))
-    e = np.concatenate((z_ends[inner], changes))
-    keep = s > scan_start
-    windows = [("zero", first - 1, min(last + 1, N - 1))
-               for first, last in zip(s[keep].tolist(), e[keep].tolist())]
-
-    # runs [s, e] of bitwise-equal |d|
-    change = np.flatnonzero(a[1:] != a[:-1])
-    s = np.concatenate(([0], change + 1))
-    e = np.concatenate((change, [N - 1]))
-    keep = (s > scan_start) & (e < N - 1)
-    s, e = s[keep], e[keep]
-    signs_before = np.concatenate(([0], np.cumsum(sign)))
-    dip = ((a[s] < dip_tol) & ~is_zero[s] & (a[s - 1] > a[s]) & (a[e + 1] > a[e])
-           & (signs_before[e + 1] == signs_before[s]))
-    windows += [("dip", first - 1, last + 1)
-                for first, last in zip(s[dip].tolist(), e[dip].tolist())]
-
-    windows.sort(key=lambda w: w[1:])  # no two windows share (lo, hi)
-    if N - 2 >= scan_start and a[N - 1] < dip_tol and a[N - 2] >= a[N - 1]:
-        windows.append(("edge", N - 2, N - 1))
-    return windows, longest
+def _cuts(p0: np.ndarray, p1: np.ndarray):
+    """(cut, room) for steps whose end phases are the rows of p0 and p1: the
+    cut of CUTS farthest from every end phase, and that distance."""
+    room = np.full((len(p0), len(CUTS)), math.pi)
+    for p in np.concatenate((p0, p1), axis=-1).T:  # one end phase of every step at a time
+        d = np.abs(p[:, None] - CUTS)
+        np.minimum(room, np.minimum(d, 2 * math.pi - d), out=room)
+    best = room.argmax(axis=-1)
+    return CUTS[best], room[np.arange(len(best)), best]
 
 
-KERNEL_TOL = 1e-8  # rank tolerance of ker(M - omega I) at a crossing
-FORM_TOL = 1e-5  # relative eigenvalue size below which a crossing form is degenerate
+def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
+          S0: Optional[np.ndarray] = None) -> int:
+    """The index of one perturbed extended path: the signed count of
+    eigen-phases of W passing 0, from the junction on (the xi arc never meets
+    the crossing variety).  At omega = 1 the junction sits on the variety:
+    it adds the half signature of S0 and the count starts one sample past it.
 
-
-def _scan(pp: _PerturbedPath, omega: complex, *, pert_allowed: bool) -> int:
-    """The signed crossing count of one perturbed extended path."""
-    ext = pp.ext
-    ts = ext.ts
-    N = len(ts)
-    d = pp.d_samples(omega)
-    scale = float(np.max(np.abs(d)))  # at least 2^-n, from the xi arc
-    jidx = ext.junction_index
-    windows, longest_zero_run = _sample_windows(d, jidx, 1e-10 * scale, 1e-3 * scale)
-
-    if pp.pert == 0.0 and pert_allowed and longest_zero_run >= 4:
-        # unperturbed pass: any zero run beyond the junction sample means the
-        # path sits inside the crossing variety and needs the perturbation
-        raise _NeedPerturbation("path runs inside the crossing variety")
-
-    t_junction = ts[jidx]
-    T = ts[-1]
+    Sample steps are grouped into coarse steps of motion bound about
+    COARSE_BOUND; a coarse step whose best cut is not farther from its end
+    phases than its bound is halved, at sample indices and then, inside one
+    sample step, through the evaluator (halvable paths only)."""
+    n = pp.n
+    start = pp.ext.junction_index
     total = 0
-
-    # junction: for omega = 1 the concatenation point sits on the variety
     if abs(omega - 1.0) < 1e-12:
-        step = ts[min(jidx + 1, N - 1)] - t_junction
-        h = max(4 * step, (T - t_junction) * 1e-9)
-        S0 = pp.windowed_generator(t_junction, h)
-        ev = np.linalg.eigvalsh(S0)
-        ev_scale = max(1.0, float(np.max(np.abs(ev))))
-        if pp.pert == 0.0 and pert_allowed and bool(np.any(np.abs(ev) < 1e-6 * ev_scale)):
-            raise _NeedPerturbation("degenerate junction form")
-        total += _half_signature_regularized(S0, 1e-7)
+        total += _half_signature_regularized(_junction_generator(pp) if S0 is None else S0,
+                                             1e-7)
+        start += 1
+    ts = pp.ext.ts[start:]
+    N = len(ts)
+    if N < 2:
+        return total
+    a, b = _frames(omega * np.eye(2 * n), n)
+    U_omega_H = np.linalg.solve(a.T, b.T).conj()  # (b a^{-1})*
 
-    width = 1e-12 * max(1.0, T)
-    boundary_margin = 50 * width
-    handled = []
+    def phases(M):
+        a, b = _frames(M, n)
+        return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
 
-    def contribute(t_star: float, kind: str) -> None:
-        nonlocal total
-        if any(abs(t_star - t0) <= 10 * width for t0 in handled):
-            return
-        if T - t_star < boundary_margin:
-            # a minimum pinned at the endpoint is a crossing pushed off the
-            # domain by the perturbation, not an interior crossing
-            return
-        M = pp.evaluate(t_star)
-        V = kernel(M, omega, KERNEL_TOL)
-        k = V.shape[1]
-        if k == 0:
-            return  # near miss: no unit eigenvalue actually crosses here
-        if kind == "touch" and k == 1:
-            # D_omega keeps its sign through a one-dimensional kernel: the
-            # path dips onto a single smooth sheet and returns, so the two
-            # resolved crossings cancel (Jordan-block passages land here)
-            handled.append(t_star)
-            return
-        if kind == "crossing" and k % 2 == 0:
-            raise _fail_or_perturb(pp, pert_allowed,
-                                   f"sign change with even kernel at t = {t_star:.6g}")
-        gram = V.conj().T @ pp.crossing_generator(t_star) @ V
-        sig, degenerate = _signature(gram, FORM_TOL)
-        if degenerate:
-            raise _fail_or_perturb(pp, pert_allowed,
-                                   f"degenerate crossing form at t = {t_star:.6g}")
-        total += sig
-        handled.append(t_star)
+    motion = [_motion(pp.samples(np.s_[start + lo:start + min(lo + CHUNK, N - 1) + 1]), n)
+              for lo in range(0, N - 1, CHUNK)]
+    cum = np.concatenate(([0.0], np.cumsum(np.concatenate(motion))))
+    marks = np.searchsorted(cum, np.arange(COARSE_BOUND, cum[-1], COARSE_BOUND))
+    coarse = np.unique(np.concatenate(([0], marks, [N - 1])))
+    ph = phases(pp.samples(start + coarse))
+    bound = np.diff(cum[coarse])
+    cut, room = _cuts(ph[:-1], ph[1:])
+    ok = room > bound
+    total += int(np.sum(ph[1:][ok] < cut[ok, None]) - np.sum(ph[:-1][ok] < cut[ok, None]))
 
-    # walk the windows past the junction; the extension arc keeps D_omega < 0
-    def abs_d_at(t: float) -> float:
-        return abs(pp.d_at(t, omega))
-
-    for kind, lo, hi in windows:
-        t_star, f_star = _brent_min(abs_d_at, ts[lo], ts[hi], width)
-        if kind == "zero":
-            contribute(t_star, "crossing" if d[lo] * d[hi] < 0 else "touch")
-        elif kind == "edge" or f_star < abs(d[lo + 1]):
-            # a dip counts only if refinement went below the samples; a touch
-            # may sit inside the final step whatever the refined value
-            contribute(t_star, "touch")
-
+    # the steps whose cut is too near, as (point, point, bound, halvings left);
+    # a point is (sample index or None, t, M, phases)
+    todo = [((i0, ts[i0], pp.samples(start + i0), ph[k]),
+             (i1, ts[i1], pp.samples(start + i1), ph[k + 1]), bound[k], MAX_HALVINGS)
+            for k, i0, i1 in zip(np.flatnonzero(~ok), coarse[:-1][~ok], coarse[1:][~ok])]
+    while todo:
+        a, b, bnd, depth = todo.pop()
+        (i0, t0, M0, p0), (i1, t1, M1, p1) = a, b
+        cut, room = _cuts(p0[None], p1[None])
+        if room[0] > bnd:
+            total += int(np.sum(p1 < cut[0]) - np.sum(p0 < cut[0]))
+            continue
+        if None not in (i0, i1) and i1 - i0 >= 2:
+            k = (i0 + i1) // 2
+            M = pp.samples(start + k)
+            mid = (k, ts[k], M, phases(M))
+            b0, b1 = cum[k] - cum[i0], cum[i1] - cum[k]
+        else:
+            if not halvable:
+                raise OracleError(f"eigen-phases move too far over the sample step at "
+                                  f"t = {t0 - pp.t0:.6g}, and the path has no evaluator "
+                                  f"to halve it")
+            if depth == 0:
+                raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
+                                  f"of the sample step at t = {t0 - pp.t0:.6g}")
+            t = 0.5 * (t0 + t1)
+            M = pp.evaluate(t)
+            mid = (None, t, M, phases(M))
+            b0, b1 = _motion(np.stack((M0, M, M1)), n)
+            depth -= 1
+        todo += [(a, mid, b0, depth), (mid, b, b1, depth)]
     return total
 
 
 def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
              rank_tol: float = RANK_TOL):
-    """(i_omega, nu_omega) of a sampled path by geometric crossing count.
+    """(i_omega, nu_omega) of a sampled path by the eigen-phase count.
 
     omega is a unit-circle complex number (1 and -1 included).  eps is the
     perturbation scale of the degenerate-endpoint convention: when
     D_omega(gamma(tau)) = 0 the count is taken on gamma e^{-eps (t/T) J},
-    whose endpoint is gamma(tau) e^{-eps J}.  The scan retries with smaller
-    perturbations until two consecutive scales agree; persistent tangential
-    ambiguity is an explicit error.
+    whose endpoint is gamma(tau) e^{-eps J}, and the counts at eps and
+    eps / 2 must agree.  A nondegenerate endpoint is counted unperturbed,
+    unless the omega = 1 junction form is degenerate.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
     nu = nu_omega(path.endpoint(), omega, rank_tol)
-
-    # retry plan: perturbation scale shrinks while the sampling density
-    # doubles (doubling needs an evaluator and is capped at MAX_STEPS)
-    endpoint_degenerate = nu > 0
-    if endpoint_degenerate:
-        plan = [(eps, 1), (eps / 4, 2), (eps / 16, 4), (eps / 64, 8)]
-    else:
-        plan = [(0.0, 1), (eps, 1), (eps / 4, 2), (eps / 16, 4), (eps / 64, 8)]
-
-    extensions = {}
-
-    def ext_at(factor: int):
-        if factor not in extensions:
-            extensions[factor] = extend_with_xi(_resample(path, factor))
-        return extensions[factor]
-
-    last_error = None
-    for attempt, (pert, factor) in enumerate(plan):
-        try:
-            ext = ext_at(factor)
-            index = _scan(_PerturbedPath(ext, pert), omega,
-                          pert_allowed=(attempt + 1 < len(plan)))
-            if pert > 0.0:
-                index2 = _scan(_PerturbedPath(ext, pert / 2), omega, pert_allowed=False)
-                if index2 != index:
-                    last_error = OracleError(
-                        f"unstable count under perturbation ({index} vs {index2})")
-                    continue
-            return index, nu
-        except _NeedPerturbation as exc:
-            last_error = exc
-        except OracleError as exc:
-            last_error = exc
-    raise OracleError(f"crossing count did not stabilize after {len(plan)} attempts: {last_error}")
-
-
-def _resample(path: SampledSymplecticPath, factor: int) -> SampledSymplecticPath:
-    """Rebuild the samples at factor-times density via the evaluator;
-    sample-list paths without an evaluator keep their resolution."""
-    if factor <= 1 or path.evaluator is None:
-        return path
-    steps = min((len(path.ts) - 1) * factor, MAX_STEPS)
-    ts = np.linspace(0.0, path.tau, steps + 1)
-    return SampledSymplecticPath(n=path.n, tau=path.tau, ts=ts, mats=path.evaluator(ts),
-                                 evaluator=path.evaluator)
+    ext = extend_with_xi(path)
+    halvable = path.evaluator is not None
+    if nu == 0:
+        pp = _PerturbedPath(ext, 0.0)
+        S0 = _junction_generator(pp) if abs(omega - 1.0) < 1e-12 else None
+        if S0 is None or not _degenerate(S0):
+            return _scan(pp, omega, halvable, S0), nu
+    index, index2 = (_scan(_PerturbedPath(ext, pert), omega, halvable) for pert in (eps, eps / 2))
+    if index != index2:
+        raise OracleError(f"unstable count under perturbation ({index} vs {index2})")
+    return index, nu
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT):

@@ -71,6 +71,19 @@ def test_oracle_sample_list_generator(tmp_path, capsys):
     assert (out["i"], out["nu"]) == (1, 0)
 
 
+def test_oracle_splitting_at_one_on_a_rotation_and_a_shear(tmp_path, capsys):
+    # R(0.4pi t) <> N1(1, t): the rotation crosses the probes e^{+-i 1e-3}
+    # within two sample steps of the junction, beside the shear's flat D_omega
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"n": 2, "tau": 1.0,
+                             "B": np.diag([0.4 * math.pi, 0.0, 0.4 * math.pi, -1.0]).tolist()}))
+    rc = main(["oracle", "--generator", str(f), "--omega", "1", "--m", "3", "--splitting"])
+    assert rc == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert (out["i"], out["nu"]) == (0, 1)
+    assert out["splitting_estimate"] == {"s_plus": 1, "s_minus": 1}
+
+
 def test_oracle_splitting_flag(gen_fixture, capsys):
     rc = main(["oracle", "--generator", str(gen_fixture), "--omega", "1/2",
                "--splitting"])
@@ -164,6 +177,12 @@ def rot_samples(times, angles):
 GRID = [k / 512 for k in range(513)]
 
 
+def scaled(samples, k, factor):
+    """samples with the matrix of sample k multiplied by factor."""
+    samples[k]["mat"] = [[factor * x for x in row] for row in samples[k]["mat"]]
+    return samples
+
+
 @pytest.mark.parametrize("command, content, message", [
     ("iterate", [{"n": 1}], "invalid path data: expected a JSON object, got list"),
     ("splitting", [{"n": 1}], "invalid path data: expected a JSON object, got list"),
@@ -191,6 +210,9 @@ GRID = [k / 512 for k in range(513)]
      "invalid generator file: a sample list needs at least 2 samples"),
     ("oracle", {"n": 3, "tau": 1.0, "B": ROT_B},
      "invalid generator file: B must be 6 x 6 for n = 3, got shape (2, 2)"),
+    # 65 samples; only a check of every sample sees the one scaled by 1.02
+    ("oracle", {"n": 1, "tau": 1.0, "samples": scaled(rot_samples(GRID[::8], GRID[::8]), 10, 1.02)},
+     "invalid generator file: samples are not symplectic to 1e-09: defect 0.0404"),
 ])
 def test_bad_input_files_exit_1(tmp_path, capsys, command, content, message):
     f = tmp_path / "input.json"

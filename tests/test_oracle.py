@@ -13,6 +13,7 @@ from symindex.iteration import (
     index_iterate,
     nullity_iterate,
     splitting_numbers,
+    unit_spectrum,
 )
 from symindex import normal_forms, oracle
 from symindex.normal_forms import (
@@ -28,12 +29,9 @@ from symindex.oracle import (
     DEFAULT_STEPS,
     MAX_STEPS,
     OracleError,
-    _NeedPerturbation,
+    SampledSymplecticPath,
     _PerturbedPath,
-    _brent_min,
-    _resample,
-    _sample_windows,
-    _scan,
+    _junction_generator,
     cz_index,
     diamond_paths,
     estimate_splitting,
@@ -43,7 +41,6 @@ from symindex.oracle import (
     path_from_matrix_function,
     path_from_quadratic_hamiltonian,
     path_from_samples,
-    xi_d_omega,
     xi_matrix,
 )
 from symindex.scalars import Scalar
@@ -97,10 +94,11 @@ def test_diamond_paths_uses_the_normal_form_layout():
 
 
 def test_oracle_shares_the_matrix_layer():
-    # one D_omega and one nu_omega: the oracle must not grow its own copies
-    assert oracle.d_omega is normal_forms.d_omega
+    # one nu_omega and one J: the oracle must not grow its own copies; it
+    # counts eigen-phases and takes no determinant or kernel of its own
     assert oracle.nu_omega is normal_forms.nu_omega
-    assert oracle.kernel is normal_forms.kernel
+    assert oracle.standard_J is normal_forms.standard_J
+    assert not hasattr(oracle, "d_omega") and not hasattr(oracle, "kernel")
 
 
 def test_quadratic_path_requires_symmetric():
@@ -218,19 +216,6 @@ def test_nested_diamond_reuses_the_inner_samples(monkeypatch):
     assert sum(slices) == 3 * (steps // 2 + 1)
 
 
-@pytest.mark.parametrize("name", GRID_PATHS)
-def test_resample_matches_the_pointwise_loop(name):
-    path = grid_path(name)
-    res = _resample(path, 2)
-    if path.evaluator is None:
-        assert res is path
-        return
-    ts = np.linspace(0.0, path.tau, 2 * (len(path.ts) - 1) + 1)
-    assert np.array_equal(res.ts, ts)
-    assert np.array_equal(res.mats, np.stack([path.evaluator(t) for t in ts]))
-    assert res.evaluator is path.evaluator
-
-
 # ----- extension -------------------------------------------------------------
 
 def test_extend_constant_path():
@@ -257,8 +242,8 @@ def test_extension_preserves_endpoint():
 #
 # The xi arc of extend_with_xi builds all samples in one xi_matrix call; the
 # loops below take one sample at a time, as the reference.  The results
-# must be equal, not merely close.  ref_sample_mats, the perturbed samples
-# M e^{sJ} one product at a time, is the reference for the folded D_omega.
+# must be equal, not merely close.  ref_sample_mats forms the perturbed
+# samples M e^{sJ} one product at a time.
 
 def ref_xi_mats(path):
     tau = path.tau
@@ -309,90 +294,15 @@ def test_vectorised_sampling_matches_per_sample_loops():
             for t in (ext.ts[1], pp.t0, 0.5 * (pp.t0 + pp.T), pp.T):
                 want = ext.evaluate(t) @ ref_rot(pp, t)
                 assert np.array_equal(pp.evaluate(t), want), (name, pert, t)
+            # the stack takes numpy's vectorised cos and sin, which may differ
+            # from the scalar ones in the last bit
+            j = ext.junction_index
+            want = ref_sample_mats(pp)[j:]
+            got = pp.samples(np.s_[j:])
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+        assert np.array_equal(_PerturbedPath(ext, 0.0).samples(np.s_[:]), ext.mats), name
         seen.add(path.n)
     assert seen == {1, 2, 3, 4}
-
-
-# ----- one D_omega, with the perturbation folded in --------------------------
-#
-# det e^{sJ} = 1, so D_omega(M e^{sJ}) is d_omega(M) with e^{-sJ} in place of
-# I: the scan never forms the rotated samples.  On the xi arc, before the
-# junction, d_samples takes xi_d_omega's closed form instead of a determinant.
-
-FOLD_OMEGAS = (1, -1, cmath.exp(0.3j), cmath.exp(1e-3j), cmath.exp(-1e-3j))
-
-
-def complex_d_omega(mats, omega, n, U):
-    """The complex LU formula of d_omega, kept as the reference for its real
-    branch, its 2 x 2 formula and the xi arc's closed form."""
-    A = mats.astype(complex) - omega * U
-    return ((-1) ** (n - 1) * np.conj(omega) ** n * np.linalg.det(A)).real
-
-
-@pytest.mark.parametrize("omega", FOLD_OMEGAS)
-def test_folded_d_omega_matches_the_rotated_samples(omega):
-    seen = set()
-    for name, path in sampled_inputs():
-        ext = extend_with_xi(path)
-        n = path.n
-        j = ext.junction_index
-        xi_want = complex_d_omega(ext.mats[:j], complex(omega), n, np.eye(2 * n))
-        for pert in (1e-4, 2.5e-5):
-            pp = _PerturbedPath(ext, pert)
-            got = pp.d_samples(omega)
-            want = d_omega(ref_sample_mats(pp), omega, n)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (name, pert)
-            assert np.max(np.abs(got[:j] - xi_want)) <= 1e-14 * np.max(np.abs(xi_want)), name
-            # from the junction on, the stack's entries are bitwise one-sample
-            # stacks, and the point D_omega rotates by the same e^{-sJ}
-            U = pp._unrot(ext.ts)
-            for k in (j, j + 1, len(ext.ts) // 2, -1):
-                assert d_omega(ext.mats[k][None], omega, n, U[k][None])[0] == got[k], (name, k)
-                assert np.array_equal(pp._unrot(ext.ts[k]), U[k]), (name, k)
-        assert np.array_equal(_PerturbedPath(ext, 0.0).d_samples(omega)[j:],
-                              d_omega(ext.mats[j:], omega, n)), name
-        seen.add(n)
-    assert seen == {1, 2, 3, 4}
-
-
-@pytest.mark.parametrize("omega", FOLD_OMEGAS)
-def test_xi_d_omega_matches_lu(omega):
-    tau = 0.7
-    ts = np.linspace(0.0, tau, 513)[:-1]
-    for n in (1, 2, 3, 4):
-        mats = xi_matrix(n, ts, tau)
-        got = xi_d_omega(mats, complex(omega), n)
-        want = complex_d_omega(mats, complex(omega), n, np.eye(2 * n))
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
-        assert np.all(got < 0), n
-        assert int(np.argmax(np.abs(got))) == 0 and abs(got[0]) >= 2.0 ** -n, n
-
-
-@pytest.mark.parametrize("omega", [w for w in FOLD_OMEGAS if isinstance(w, complex)])
-def test_two_by_two_d_omega_matches_lu(omega):
-    seen = 0
-    for name, path in sampled_inputs():
-        if path.n != 1:
-            continue
-        ext = extend_with_xi(path)
-        for U in (np.eye(2), _PerturbedPath(ext, 1e-4)._unrot(ext.ts)):
-            got = d_omega(ext.mats, omega, 1, U)
-            want = complex_d_omega(ext.mats, omega, 1, U)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
-        seen += 1
-    assert seen == 4
-
-
-@pytest.mark.parametrize("omega", (1, -1, 1 + 0j, -1 + 0j, 1.0, -1.0))
-def test_d_omega_at_real_omega_is_real_arithmetic(omega):
-    for name, path in sampled_inputs():
-        ext = extend_with_xi(path)
-        n = path.n
-        for U in (np.eye(2 * n), _PerturbedPath(ext, 1e-4)._unrot(ext.ts)):
-            got = d_omega(ext.mats, omega, n, U)
-            assert got.dtype == np.float64, name
-            want = complex_d_omega(ext.mats, complex(omega), n, U)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 # ----- the junction logarithm ------------------------------------------------
@@ -444,180 +354,50 @@ def test_series_log_fails_with_the_window_named(M, message):
         oracle._series_log(M, "the junction window [1, 1.1]")
 
 
-# ----- the crossing-form generator -------------------------------------------
+# ----- the windowed generator -------------------------------------------------
 #
-# A crossing form takes its generator from windowed_generator over a window
-# of width 2h centred on t*, shifted to stay inside [0, T].  On a quadratic
-# path that is the constant generator B, at the end of the path too.
+# The junction's half signature takes its generator from windowed_generator
+# over the first four sample steps.  On a quadratic path that is the
+# constant generator B, over any window inside [0, T].
 
-def test_crossing_generator_of_a_quadratic_path_is_its_generator():
+def test_windowed_generator_of_a_quadratic_path_is_its_generator():
     rng = np.random.default_rng(20240811)
     for n in (1, 2, 3):
         B = rng.standard_normal((2 * n, 2 * n))
         B = B + B.T
         B *= 2.0 / np.linalg.norm(B, 2)
         pp = _PerturbedPath(extend_with_xi(path_from_quadratic_hamiltonian(B, 1.0)), 0.0)
-        h = (pp.T - pp.t0) * 1e-6
-        for t in (pp.t0 + 0.3, pp.t0 + 0.77, pp.T - h / 2, pp.T):
-            S = pp.crossing_generator(t)
+        h = (pp.T - pp.t0) * 2e-6
+        for t in (pp.t0 + 0.3, pp.t0 + 0.77, pp.T - h):
+            S = pp.windowed_generator(t, h)
             assert np.max(np.abs(S - B)) <= 1e-8, (n, t)
+        assert np.max(np.abs(_junction_generator(pp) - B)) <= 1e-8, n
 
 
-# ----- the sample walk against the per-sample loop ---------------------------
+# ----- point evaluations -------------------------------------------------------
 #
-# _sample_windows finds the refinement windows of _scan with numpy masks; the
-# loop below is the per-sample walk it replaced, recording the windows it
-# refined instead of refining them.  A sign change between two samples is a
-# zero cluster of length 0: a "zero" window with hi = lo + 1.  The old walk
-# took every sample of a run of equal |d| as a local minimum; the new one
-# refines a run once, and only when both outer neighbours are strictly larger.
-
-Z_TOL, DIP_TOL = 1e-10, 1e-3
-
-
-def ref_sample_windows(d, jidx, z_tol, dip_tol):
-    N = len(d)
-    is_zero = np.abs(d) <= z_tol
-    run = longest = 0
-    for i in range(N):
-        run = run + 1 if is_zero[i] else 0
-        longest = max(longest, run)
-    windows = []
-    i = jidx
-    if is_zero[jidx]:
-        while i < N - 1 and is_zero[i + 1]:
-            i += 1
-        i += 1
-    scan_start = i
-    while i < N - 1:
-        a, b = d[i], d[i + 1]
-        if is_zero[i]:
-            j = i
-            while j < N - 1 and is_zero[j + 1]:
-                j += 1
-            windows.append(("zero", max(i - 1, scan_start - 1, jidx), min(j + 1, N - 1)))
-            i = j + 1
-            continue
-        if a * b < 0:
-            windows.append(("zero", i, i + 1))
-            i += 1
-            continue
-        if i > scan_start and abs(a) < dip_tol and \
-                abs(d[i - 1]) >= abs(a) and abs(b) >= abs(a):
-            windows.append(("dip", i - 1, i + 1))
-        i += 1
-    if N - 2 >= scan_start and abs(d[N - 1]) < dip_tol and abs(d[N - 2]) >= abs(d[N - 1]):
-        windows.append(("edge", N - 2, N - 1))
-    return windows, longest
-
-
-def equal_runs(a):
-    """Maximal runs (s, e) of bitwise-equal values, e inclusive."""
-    runs, s = [], 0
-    for i in range(1, len(a) + 1):
-        if i == len(a) or a[i] != a[i - 1]:
-            runs.append((s, i - 1))
-            s = i
-    return runs
-
-
-# magnitudes that tie often: the first two are zeros under Z_TOL, the next
-# two lie below DIP_TOL (listed twice, so that plateaus are frequent)
-TIED = (0.0, 1e-12, 2e-4, 5e-4, 2e-4, 5e-4, 0.3, 1.0)
-
-
-@st.composite
-def walk_inputs(draw):
-    if draw(st.booleans()):
-        # runs of equal magnitude and mostly equal sign
-        runs = draw(st.lists(st.tuples(st.sampled_from(TIED), st.integers(1, 4),
-                                       st.sampled_from((1.0, 1.0, 1.0, -1.0))),
-                             min_size=3, max_size=10))
-        mags = [m for m, k, _ in runs for _ in range(k)]
-        signs = [s for _, k, s in runs for _ in range(k)]
-        flips = draw(st.lists(st.sampled_from((1.0,) * 7 + (-1.0,)),
-                              min_size=len(mags), max_size=len(mags)))
-        signs = [s * f for s, f in zip(signs, flips)]
-    else:
-        # no two equal magnitudes; m * 2**-40 is below Z_TOL for m <= 109
-        # and below DIP_TOL for m < 1.1e9
-        n = draw(st.integers(3, 24))
-        ms = draw(st.lists(st.one_of(st.integers(1, 400), st.integers(1, 2 ** 32)),
-                           min_size=n, max_size=n, unique=True))
-        mags = [m * 2.0 ** -40 for m in ms]
-        signs = draw(st.lists(st.sampled_from((1.0, 1.0, -1.0)), min_size=n, max_size=n))
-    d = np.array([m * s for m, s in zip(mags, signs)])
-    return d, draw(st.one_of(st.integers(0, 2), st.integers(0, len(d) - 1)))
-
-
-def _position(window, N):
-    """The sample at which the per-sample walk meets a window."""
-    kind, lo, hi = window
-    if kind == "zero" and hi == lo + 1:
-        return lo  # a sign change
-    return {"zero": lo + 1, "dip": lo + 1, "edge": N}[kind]
-
-
-@seed(20240811)
-@settings(max_examples=600, deadline=None, database=None)
-@given(walk_inputs())
-def test_sample_windows_match_the_per_sample_walk(inputs):
-    d, jidx = inputs
-    got, longest = _sample_windows(d, jidx, Z_TOL, DIP_TOL)
-    want, want_longest = ref_sample_windows(d, jidx, Z_TOL, DIP_TOL)
-    assert longest == want_longest
-    a = np.abs(d)
-    if np.all(a[1:] != a[:-1]):
-        assert got == want
-        return
-    # with ties only the dips differ; every window still comes in walk order
-    assert [w for w in got if w[0] != "dip"] == [w for w in want if w[0] != "dip"]
-    positions = [_position(w, len(d)) for w in got]
-    assert positions == sorted(set(positions))
-    dips = 0
-    for s, e in equal_runs(a):
-        mine = [w for w in got if w[0] == "dip" and w[1] == s - 1]
-        theirs = [w for w in want if w[0] == "dip" and s <= w[1] + 1 <= e]
-        assert len(mine) <= 1
-        dips += len(mine)
-        if mine:
-            assert mine == [("dip", s - 1, e + 1)]
-            assert a[s - 1] > a[s] and a[e + 1] > a[e]
-            assert all(lo >= s - 1 and hi <= e + 1 for _, lo, hi in theirs)
-        elif s == e:
-            assert theirs == []
-        elif ("dip", s - 1, s + 1) in theirs and e < len(d) - 1 \
-                and a[s - 1] > a[s] and a[e + 1] > a[e]:
-            # a strict minimum the old walk entered is refined, unless D
-            # changes sign inside the run (the sign-change windows cover that)
-            assert any(w[0] == "zero" and w[2] == w[1] + 1 and s <= w[1] <= e for w in got)
-    assert dips == sum(w[0] == "dip" for w in got)
-
+# The count takes eigen-data at samples and evaluates the path at a point
+# only for the junction's generator and for a sample step it has to halve.
 
 def count_point_evaluations(monkeypatch):
-    """Record the time of every point evaluation of a perturbed path, the
-    matrix or D_omega at one t, in the list returned."""
+    """Record the time of every point evaluation of a perturbed path in the
+    list returned."""
     calls = []
-    evaluate, d_at = _PerturbedPath.evaluate, _PerturbedPath.d_at
+    evaluate = _PerturbedPath.evaluate
 
     def counted_evaluate(self, t):
         calls.append(t)
         return evaluate(self, t)
 
-    def counted_d_at(self, t, omega):
-        calls.append(t)
-        return d_at(self, t, omega)
-
     monkeypatch.setattr(_PerturbedPath, "evaluate", counted_evaluate)
-    monkeypatch.setattr(_PerturbedPath, "d_at", counted_d_at)
     return calls
 
 
 def test_flat_d_omega_is_refined_once(monkeypatch):
     # Near omega = 1 the N1(1,1) shear keeps D_omega bitwise constant along
-    # gamma.  The old walk took each of those samples as a dip and refined
-    # every one (about 92k point evaluations per query); the flat run reaches
-    # the last sample, so only the edge window refines it.
+    # gamma.  A walk on D_omega once took each of those samples as a dip and
+    # refined every one (about 92k point evaluations per query); the phase
+    # count has no refinement and evaluates no point off the junction.
     path = shear_path(1)
     data = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)
     pair = splitting_numbers(data.decomp, 1)
@@ -625,8 +405,8 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     calls = count_point_evaluations(monkeypatch)
     for sign, s in ((1, pair.s_plus), (-1, pair.s_minus)):
         omega = cmath.exp(1j * sign * 1e-3)
-        d = _PerturbedPath(ext, 0.0).d_samples(omega)
-        assert np.unique(np.abs(d[ext.junction_index:])).size == 1
+        d = d_omega(ext.mats[ext.junction_index:], omega, 1)
+        assert np.unique(np.abs(d)).size == 1
         calls.clear()
         assert cz_index(path, omega) == (index_iterate(data, 1) + s, 0)
         assert len(calls) <= 200
@@ -635,84 +415,14 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     assert len(calls) <= 5 * 200
 
 
-def test_xi_sample_before_the_junction_counts_in_the_zero_run():
-    # R(0.4pi)<>N1(1,1) at 512 steps, omega = e^{i 1e-3}: the last xi sample
-    # has |D_omega| about 2.3e-11, below z_tol = 1e-10 scale (2.5e-11), so
-    # the zero run at the junction is 4 samples long and the unperturbed pass
-    # asks for the perturbation.  Without that sample the run is 3, the
-    # pass goes on, and estimate_splitting(path, 1) returns (0, 0) for the
-    # true (1, 1) instead of reporting an unstable estimate.
-    path = diamond_paths(rotation_path(0.4, steps=512), shear_path(1, steps=512), steps=512)
-    pp = _PerturbedPath(extend_with_xi(path), 0.0)
-    omega = cmath.exp(1e-3j)
-    d = pp.d_samples(omega)
-    j = pp.ext.junction_index
-    assert abs(d[j - 1]) <= 1e-10 * np.max(np.abs(d))
-    with pytest.raises(_NeedPerturbation, match="inside the crossing variety"):
-        _scan(pp, omega, pert_allowed=True)
-
-
-# ----- crossing refinement ---------------------------------------------------
-#
-# _brent_min refines each zero cluster, dip and edge window of |D_omega|.  The
-# windows below are one sample step of a 1024-step path, refined to the
-# scan's width for T = 2.
-
-T_END = 2.0
-WIDTH = 1e-12 * T_END
-DIP_T = 0.3 + math.sqrt(2) * 1e-4
-
-
-def brent_on(f, t_lo, t_hi):
-    """_brent_min on f, checking that it returns the best point it evaluated;
-    gives (t*, f(t*), number of evaluations)."""
-    seen = {}
-
-    def counted(t):
-        seen[t] = f(t)
-        return seen[t]
-
-    t_star, f_star = _brent_min(counted, t_lo, t_hi, WIDTH)
-    assert t_lo <= t_star <= t_hi
-    assert seen[t_star] == f_star == min(seen.values())
-    return t_star, f_star, len(seen)
-
-
-def test_brent_min_converges_on_a_quadratic_dip_in_few_steps():
-    # |D_omega| near an eigenvalue touching omega: c (t - t0)^2
-    t_star, _, evaluations = brent_on(lambda t: 7.0 * (t - DIP_T) ** 2, 0.3, 0.3 + 2 ** -10)
-    assert abs(t_star - DIP_T) <= WIDTH
-    assert evaluations <= 20
-
-
-def test_brent_min_finds_a_kink():
-    # |D_omega| through a sign change: a V, where parabolas fit badly
-    t_star, _, _ = brent_on(lambda t: abs(t - DIP_T) * (3.0 if t < DIP_T else 1.0),
-                            0.3, 0.3 + 2 ** -10)
-    assert abs(t_star - DIP_T) <= WIDTH
-
-
-def test_brent_min_on_a_flat_function():
-    _, f_star, evaluations = brent_on(lambda t: 0.25, 0.3, 0.3 + 2 ** -10)
-    assert f_star == 0.25
-    assert evaluations <= 60
-
-
-def test_brent_min_pinned_at_the_upper_end_lands_in_the_boundary_margin():
-    # a minimum pushed past the endpoint: _scan's contribute skips a t*
-    # within 50 widths of T
-    t_star, _, _ = brent_on(lambda t: (t - T_END - 1e-4) ** 2, T_END - 2 ** -10, T_END)
-    assert T_END - t_star < 50 * WIDTH
-
-
 @pytest.mark.parametrize("theta, m, want, budget", [
     (math.sqrt(2) / 2, 9, (7, 0), 50),
     (1.7, 3, (5, 0), 40),
 ])
 def test_refinement_point_evaluations(monkeypatch, theta, m, want, budget):
-    # i(R(theta pi)^m) = 2 floor(m theta / 2) + 1.  Each crossing of a
-    # rotation is a smooth dip of |D_omega|, which parabolic steps find in a
-    # few point evaluations; golden section alone takes about 45 per dip.
+    # i(R(theta pi)^m) = 2 floor(m theta / 2) + 1.  A refining walk on
+    # D_omega once took a few point evaluations per crossing (golden section
+    # alone about 45); the count needs two, for the junction's generator.
     calls = count_point_evaluations(monkeypatch)
     assert cz_index(iterate_path(rotation_path(theta), m), 1) == want
     assert len(calls) <= budget
@@ -841,9 +551,178 @@ SPLIT_ROWS = [
         realize(trivial_n2_block(Scalar.rational(2, 5))).as_float()),
      cmath.exp(0.4j * math.pi), (0, 0)),
     ("off-spectrum", lambda: rotation_path(0.4), -1, (0, 0)),
+    # the probes meet two crossings inside one sample step
+    ("R(2.5pi)@1", lambda: rotation_path(2.5), 1, (0, 0)),
+    ("R(0.4pi)<>N1(1,1)@1", lambda: diamond_paths(rotation_path(0.4), shear_path(1)), 1, (1, 1)),
 ]
 
 
 @pytest.mark.parametrize("name,maker,omega,want", SPLIT_ROWS, ids=[r[0] for r in SPLIT_ROWS])
 def test_splitting_recovery(name, maker, omega, want):
     assert estimate_splitting(maker(), omega) == want
+
+
+# ----- crossings closer than one sample step ---------------------------------
+#
+# A walk on the sign of D_omega read two crossings of the same sign inside one
+# sample step as a touch, and counted 0 for 2.  Every row below was miscounted
+# that way; the values are the closed forms'.
+
+def two_rotations():
+    return diamond_paths(rotation_path(7 / 6, steps=1024),
+                         rotation_path(2 * math.sqrt(21) - 8, steps=1024), steps=1024)
+
+
+def three_rotations():
+    return diamond_paths(diamond_paths(rotation_path(0.3), rotation_path(math.sqrt(2) / 2)),
+                         rotation_path(1.3))
+
+
+CLOSE_CROSSINGS = [
+    ("R(2.5pi) e^(i1e-3)", lambda: rotation_path(2.5), cmath.exp(1e-3j), (3, 0)),
+    ("R(2.5pi) e^(-i1e-3)", lambda: rotation_path(2.5), cmath.exp(-1e-3j), (3, 0)),
+    ("R(2.5pi) e^(i1e-4)", lambda: rotation_path(2.5), cmath.exp(1e-4j), (3, 0)),
+    ("R(1.7pi)^5 e^(i1e-3)", lambda: iterate_path(rotation_path(1.7), 5), cmath.exp(1e-3j),
+     (9, 0)),
+    ("R(1.7pi)^5 e^(-i1e-4)", lambda: iterate_path(rotation_path(1.7), 5), cmath.exp(-1e-4j),
+     (9, 0)),
+    ("three rotations^16 e^(0.4pi i)", lambda: iterate_path(three_rotations(), 16),
+     cmath.exp(0.4j * math.pi), (37, 0)),
+    ("three rotations^16 e^(i1e-3)", lambda: iterate_path(three_rotations(), 16),
+     cmath.exp(1e-3j), (37, 0)),
+    ("R(7/6pi)<>R((2sqrt21-8)pi) -1", two_rotations, -1, (4, 0)),
+    ("R(7/6pi)<>R((2sqrt21-8)pi)^3 1", lambda: iterate_path(two_rotations(), 3), 1, (6, 0)),
+    ("R(0.4pi)<>N1(1,1) e^(i1e-3)", lambda: diamond_paths(rotation_path(0.4), shear_path(1)),
+     cmath.exp(1e-3j), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("name,maker,omega,want", CLOSE_CROSSINGS,
+                         ids=[r[0] for r in CLOSE_CROSSINGS])
+def test_crossings_closer_than_one_sample_step(name, maker, omega, want):
+    assert cz_index(maker(), omega) == want
+
+
+# ----- the oracle against the closed forms on generated diamonds --------------
+#
+# The reference is Long's Bott-type formula (Index Theory for Symplectic
+# Paths, 2002): i_omega(gamma^m) is the sum of i_z(gamma) over z^m = omega, with
+#   i_z = i_1 + S+(1) + sum over eigen-angles in (0, arg z) of (S+ - S-) - S-(z),
+# every term from splitting_numbers and unit_spectrum.  It stays in this
+# module, apart from the package, so that it checks the oracle and the closed
+# forms against each other.
+
+def rotation_i1(theta: Fraction) -> int:
+    """i_1 of t -> R(theta pi t) on [0, 1], theta not an integer."""
+    k = 2 * math.floor(abs(theta) / 2) + 1
+    return k if theta > 0 else -k
+
+
+def bott_index(data: PathIndexData, m: int, omega_over_pi):
+    """(i, nu) of gamma^m at omega = e^{i pi omega_over_pi}, omega_over_pi a
+    Fraction or a float in [0, 2); every eigen-angle of data is rational."""
+    decomp = data.decomp
+    spectrum = [(phi, phi.fraction, mult) for phi, mult in unit_spectrum(decomp)]
+    index = nu = 0
+    for k in range(m):
+        a = (omega_over_pi + 2 * k) / m  # arg z / pi
+        index += data.i1
+        if a != 0:
+            index += splitting_numbers(decomp, 1).s_plus
+            for phi, f, _ in spectrum:
+                pair = splitting_numbers(decomp, phi)
+                if 0 < f < a:
+                    index += pair.s_plus - pair.s_minus
+                elif f == a:
+                    index -= pair.s_minus
+        nu += sum(mult for _, f, mult in spectrum if f == a)  # rotations are semisimple
+    return index, nu
+
+
+@st.composite
+def rotation_diamonds(draw):
+    thetas = []
+    for _ in range(draw(st.integers(1, 3))):
+        if thetas and draw(st.booleans()):
+            # crossings of omega less than one sample step (theta / 2048) apart
+            thetas.append(thetas[-1] + Fraction(draw(st.sampled_from((-3, -1, 1, 2))), 8192))
+        else:
+            # a rotation of either direction by up to 4 pi; 97 divides no
+            # numerator, so no angle here or above is an integer
+            turns, rest = draw(st.integers(0, 3)), draw(st.integers(1, 96))
+            thetas.append(draw(st.sampled_from((1, -1))) * Fraction(97 * turns + rest, 97))
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        point = Fraction(draw(st.integers(1, 23)), 12)
+    else:
+        point = (m * draw(st.sampled_from(thetas))) % 2  # on the spectrum of gamma^m
+    return thetas, m, point
+
+
+@seed(20240811)
+@settings(max_examples=30, deadline=None, database=None)
+@given(rotation_diamonds())
+def test_oracle_matches_the_bott_formula_on_rotation_diamonds(drawn):
+    thetas, m, point = drawn
+    path = rotation_path(float(thetas[0]))
+    for theta in thetas[1:]:
+        path = diamond_paths(path, rotation_path(float(theta)))
+    decomp = NormalFormDecomposition(n=len(thetas), thetas=tuple(
+        Scalar.rational((t % 2).numerator, (t % 2).denominator) for t in thetas))
+    data = PathIndexData(decomp, i1=sum(rotation_i1(t) for t in thetas))
+    iterate = iterate_path(path, m)
+    eps_over_pi = 1e-3 / math.pi
+    for omega, over_pi in ((1, Fraction(0)), (-1, Fraction(1)),
+                           (cmath.exp(1e-3j), eps_over_pi), (cmath.exp(-1e-3j), 2 - eps_over_pi),
+                           (cmath.exp(1j * math.pi * point), point)):
+        assert cz_index(iterate, omega) == bott_index(data, m, over_pi), (omega, over_pi)
+
+
+# ----- halving a step whose cut is too near ------------------------------------
+#
+# Four rotations spread eight eigen-phases of W around the circle, so some
+# steps find no cut farther from them than their motion bound.
+
+FOUR_THETAS = (Fraction(13, 10), Fraction(-29, 10), Fraction(7, 10), Fraction(18, 5))
+
+
+def four_rotations(steps):
+    path = rotation_path(float(FOUR_THETAS[0]), steps=steps)
+    for theta in FOUR_THETAS[1:]:
+        path = diamond_paths(path, rotation_path(float(theta), steps=steps), steps=steps)
+    return path
+
+
+def four_rotations_index(omega_over_pi):
+    decomp = NormalFormDecomposition(n=4, thetas=tuple(
+        Scalar.rational((t % 2).numerator, (t % 2).denominator) for t in FOUR_THETAS))
+    data = PathIndexData(decomp, i1=sum(rotation_i1(t) for t in FOUR_THETAS))
+    return bott_index(data, 1, omega_over_pi)
+
+
+@pytest.mark.parametrize("coarse_bound", [0.05, 0.5, 8.0])
+def test_the_count_does_not_depend_on_the_coarse_grid(monkeypatch, coarse_bound):
+    # at 8 rad every coarse step is too long for its cut and is halved at
+    # samples; at 0.5 rad (the default) only some are
+    monkeypatch.setattr(oracle, "COARSE_BOUND", coarse_bound)
+    path = four_rotations(2048)
+    for k in range(12):
+        want = four_rotations_index(Fraction(k, 6))
+        assert cz_index(path, cmath.exp(1j * math.pi * k / 6)) == want, k
+
+
+def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
+    # four sample steps, built without validate (they break STEP_BOUND): a
+    # single step moves the phases past every cut
+    ts = np.linspace(0.0, 1.0, 5)
+    fine = four_rotations(2048)
+    coarse = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=fine.evaluate(ts),
+                                   evaluator=fine.evaluator)
+    calls = count_point_evaluations(monkeypatch)
+    for over_pi in (Fraction(1, 12), Fraction(1, 6), Fraction(1, 3), Fraction(1)):
+        omega = cmath.exp(1j * math.pi * over_pi)
+        assert cz_index(coarse, omega) == four_rotations_index(over_pi), over_pi
+    assert len(calls) > 0
+    bare = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=coarse.mats)
+    with pytest.raises(OracleError, match="and the path has no evaluator to halve it"):
+        cz_index(bare, -1)
