@@ -305,6 +305,61 @@ def test_vectorised_sampling_matches_per_sample_loops():
     assert seen == {1, 2, 3, 4}
 
 
+# ----- D_omega against closed forms -------------------------------------------
+#
+# d_omega takes the complex LU determinant.  On the xi arc D_omega has a
+# closed form, a 2 x 2 determinant has the entry formula, and at real omega
+# the determinant is real; each is kept here as a reference for the LU.
+
+OMEGAS = (1, -1, cmath.exp(0.3j), cmath.exp(1e-3j), cmath.exp(-1e-3j))
+
+
+def xi_closed_form(mats, omega, n):
+    """D_omega of xi_matrix samples diag(a, ..., 1/a, ...):
+    -(a + 1/a - 2 Re omega)^n, with each sample's own a and 1/a."""
+    return -(mats[:, 0, 0] + mats[:, n, n] - 2 * omega.real) ** n
+
+
+@pytest.mark.parametrize("omega", OMEGAS)
+def test_xi_d_omega_matches_lu(omega):
+    tau = 0.7
+    ts = np.linspace(0.0, tau, 513)[:-1]
+    for n in (1, 2, 3, 4):
+        mats = xi_matrix(n, ts, tau)
+        got = xi_closed_form(mats, complex(omega), n)
+        want = d_omega(mats, complex(omega), n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+        assert np.all(want < 0), n
+        assert int(np.argmax(np.abs(want))) == 0 and abs(want[0]) >= 2.0 ** -n, n
+
+
+@pytest.mark.parametrize("omega", [w for w in OMEGAS if isinstance(w, complex)])
+def test_two_by_two_d_omega_matches_lu(omega):
+    seen = 0
+    for name, path in sampled_inputs():
+        if path.n != 1:
+            continue
+        ext = extend_with_xi(path)
+        A = ext.mats - omega * np.eye(2)
+        got = (np.conj(omega) * (A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])).real
+        want = d_omega(ext.mats, omega, 1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        seen += 1
+    assert seen == 4
+
+
+@pytest.mark.parametrize("omega", (1, -1, 1 + 0j, -1 + 0j, 1.0, -1.0))
+def test_d_omega_at_real_omega_is_real_arithmetic(omega):
+    w = float(complex(omega).real)
+    for name, path in sampled_inputs():
+        ext = extend_with_xi(path)
+        n = path.n
+        got = d_omega(ext.mats, omega, n)
+        assert got.dtype == np.float64, name
+        want = (-1) ** (n - 1) * w ** n * np.linalg.det(ext.mats - w * np.eye(2 * n))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
 # ----- the junction logarithm ------------------------------------------------
 #
 # windowed_generator takes log M1 M0^{-1} over a 4-sample window at the
