@@ -208,7 +208,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     i_val, nu_val = cz_index(iterated, omega, eps=eps, rank_tol=args.rank_tol)
     out = {"omega": args.omega, "m": args.m, "i": i_val, "nu": nu_val}
     if args.splitting:
-        sp, sm = estimate_splitting(iterated, omega, eps=eps)
+        sp, sm = estimate_splitting(iterated, omega)
         out["splitting_estimate"] = {"s_plus": sp, "s_minus": sm}
     _dump_json(out, args.out)
     return EXIT_OK

@@ -57,7 +57,7 @@ DEFAULT_STEPS = 2048
 MAX_STEPS = 1 << 20
 DEFAULT_PERT = 1e-4
 STEP_BOUND = 0.05  # max entry change between consecutive samples
-SPLITTING_PROBES = (1e-3, 1e-4)  # angles of the one-sided probes of estimate_splitting
+SPLITTING_PROBES = (1e-3, 1e-4)  # angles e of the arcs omega -> omega e^{+-ie} of estimate_splitting
 
 
 class OracleError(RuntimeError):
@@ -478,6 +478,14 @@ def _cuts(p0: np.ndarray, p1: np.ndarray):
     return CUTS[best], room[np.arange(len(best)), best]
 
 
+def _phases(M: np.ndarray, omega: complex, n: int) -> np.ndarray:
+    """The eigen-phases in [0, 2pi) of W = U(omega I)* U(M), per matrix of a stack M."""
+    a, b = _frames(omega * np.eye(2 * n), n)
+    U_omega_H = np.linalg.solve(a.T, b.T).conj()  # (b a^{-1})*
+    a, b = _frames(M, n)
+    return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
+
+
 def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
           S0: Optional[np.ndarray] = None) -> int:
     """The index of one perturbed extended path: the signed count of
@@ -500,19 +508,12 @@ def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
     N = len(ts)
     if N < 2:
         return total
-    a, b = _frames(omega * np.eye(2 * n), n)
-    U_omega_H = np.linalg.solve(a.T, b.T).conj()  # (b a^{-1})*
-
-    def phases(M):
-        a, b = _frames(M, n)
-        return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
-
     motion = [_motion(pp.samples(np.s_[start + lo:start + min(lo + CHUNK, N - 1) + 1]), n)
               for lo in range(0, N - 1, CHUNK)]
     cum = np.concatenate(([0.0], np.cumsum(np.concatenate(motion))))
     marks = np.searchsorted(cum, np.arange(COARSE_BOUND, cum[-1], COARSE_BOUND))
     coarse = np.unique(np.concatenate(([0], marks, [N - 1])))
-    ph = phases(pp.samples(start + coarse))
+    ph = _phases(pp.samples(start + coarse), omega, n)
     bound = np.diff(cum[coarse])
     cut, room = _cuts(ph[:-1], ph[1:])
     ok = room > bound
@@ -533,7 +534,7 @@ def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
         if None not in (i0, i1) and i1 - i0 >= 2:
             k = (i0 + i1) // 2
             M = pp.samples(start + k)
-            mid = (k, ts[k], M, phases(M))
+            mid = (k, ts[k], M, _phases(M, omega, n))
             b0, b1 = cum[k] - cum[i0], cum[i1] - cum[k]
         else:
             if not halvable:
@@ -545,7 +546,7 @@ def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
                                   f"of the sample step at t = {t0 - pp.t0:.6g}")
             t = 0.5 * (t0 + t1)
             M = pp.evaluate(t)
-            mid = (None, t, M, phases(M))
+            mid = (None, t, M, _phases(M, omega, n))
             b0, b1 = _motion(np.stack((M0, M, M1)), n)
             depth -= 1
         todo += [(a, mid, b0, depth), (mid, b, b1, depth)]
@@ -580,21 +581,28 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     return index, nu
 
 
-def estimate_splitting(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT):
-    """Oracle estimate of the splitting pair (S^+, S^-) at omega.
-
-    Computes i at omega e^{+- i eps'} for each eps' in SPLITTING_PROBES and
-    requires the probes to agree (stability check of the one-sided limits).
-    """
+def estimate_splitting(path: SampledSymplecticPath, omega):
+    """Oracle estimate of (S^+, S^-) at omega from the endpoint M alone (Long
+    2002): the net number of eigen-phases of U(w I)* U(M) passing 0 as w runs
+    from omega to omega e^{+-ie}, M first pushed to M e^{-dJ} if degenerate,
+    as in cz_index.  They move by at most e, so each count is read at a cut
+    farther than e from them; the probes e of SPLITTING_PROBES must agree."""
     omega = complex(omega)
-    i_base, _ = cz_index(path, omega, eps=eps)
+    n = path.n
+    M = path.endpoint()
+    if nu_omega(M, omega) > 0:
+        d = 1e-3 * min(SPLITTING_PROBES) ** 2 / max(1.0, np.linalg.norm(M, 2))
+        M = M @ (math.cos(d) * np.eye(2 * n) - math.sin(d) * standard_J(n))
+    p0 = _phases(M, omega, n)
     plus_vals = []
     minus_vals = []
     for e in SPLITTING_PROBES:
-        wp = omega * complex(math.cos(e), math.sin(e))
-        wm = omega * complex(math.cos(e), -math.sin(e))
-        plus_vals.append(cz_index(path, wp, eps=eps)[0] - i_base)
-        minus_vals.append(cz_index(path, wm, eps=eps)[0] - i_base)
+        for vals, sign in ((plus_vals, 1), (minus_vals, -1)):
+            p1 = _phases(M, omega * complex(math.cos(e), sign * math.sin(e)), n)
+            cut, room = _cuts(p0[None], p1[None])
+            if room[0] <= e:
+                raise OracleError(f"no cut farther than {e:g} from the eigen-phases at omega")
+            vals.append(int(np.sum(p1 < cut[0]) - np.sum(p0 < cut[0])))
     if len(set(plus_vals)) != 1 or len(set(minus_vals)) != 1:
         raise OracleError(
             f"splitting estimate unstable across probes: +{plus_vals}, -{minus_vals}")

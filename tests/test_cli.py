@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import symindex
-from symindex import cli
 from symindex.cli import EXIT_INPUT, EXIT_OK, main
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.iteration import NormalFormDecomposition, PathIndexData
@@ -90,6 +89,16 @@ def test_oracle_splitting_flag(gen_fixture, capsys):
     assert rc == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["splitting_estimate"] == {"s_plus": 0, "s_minus": 1}
+
+
+def test_oracle_splitting_on_a_sheared_iterate(tmp_path, capsys):
+    # N1(1,1)^4 = N1(1,4): five index scans per estimate once disagreed
+    # across the probes here and exited 2; the endpoint alone gives (1, 1)
+    f = tmp_path / "shear.json"
+    f.write_text(json.dumps({"n": 1, "tau": 1.0, "steps": 64, "B": [[0.0, 0.0], [0.0, -1.0]]}))
+    rc = main(["oracle", "--generator", str(f), "--m", "4", "--splitting"])
+    assert rc == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["splitting_estimate"] == {"s_plus": 1, "s_minus": 1}
 
 
 def test_splitting_subcommand(rot_fixture, capsys):
@@ -222,22 +231,6 @@ def test_bad_input_files_exit_1(tmp_path, capsys, command, content, message):
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
     assert err == f"error: {message}\n"
-
-
-def test_oracle_splitting_uses_the_eps_flag(gen_fixture, monkeypatch, capsys):
-    seen = []
-    real = cli.estimate_splitting
-
-    def spy(path, omega, eps):
-        seen.append(eps)
-        return real(path, omega, eps=eps)
-
-    monkeypatch.setattr(cli, "estimate_splitting", spy)
-    rc = main(["oracle", "--generator", str(gen_fixture), "--omega", "1/2", "--splitting",
-               "--eps", "3e-5"])
-    assert rc == EXIT_OK
-    assert seen == [3e-5]
-    assert json.loads(capsys.readouterr().out)["splitting_estimate"] == {"s_plus": 0, "s_minus": 1}
 
 
 def run_fresh_python(*lines: str) -> None:
