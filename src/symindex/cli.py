@@ -14,6 +14,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -54,7 +55,6 @@ from .oracle import (
 from .scalars import (
     PrecisionError,
     Scalar,
-    env_int,
     get_precision,
     parse_scalar,
     set_precision,
@@ -121,9 +121,7 @@ def _require_object(obj, what: str) -> None:
 def _load_path_data(obj) -> PathIndexData:
     _require_object(obj, "path data")
     try:
-        data = PathIndexData.from_json(obj)
-        data.decomp.check()
-        return data
+        return PathIndexData.from_json(obj)
     except (KeyError, TypeError, ValueError, DecompositionError) as exc:
         raise InputError(f"invalid path data: {exc}") from exc
 
@@ -294,10 +292,11 @@ def _precision(args: argparse.Namespace) -> int:
     """--precision, or else SYMINDEX_PRECISION, else 50."""
     if args.precision is not None:
         return args.precision
+    raw = os.environ.get("SYMINDEX_PRECISION", "50")
     try:
-        return env_int("SYMINDEX_PRECISION", 50)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+        return int(raw)
+    except ValueError:
+        raise InputError(f"SYMINDEX_PRECISION must be an integer, got {raw!r}") from None
 
 
 def dispatch(args: argparse.Namespace) -> int:

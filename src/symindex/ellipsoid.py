@@ -167,7 +167,6 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     else:
         decomp = NormalFormDecomposition(n=spec.n, p_minus=1, thetas=tuple(thetas))
         data = PathIndexData(decomp, i1=i1_quad + _convex_adjustment(), convex_mode=True)
-    decomp.check()
     return data, path
 
 

@@ -5,14 +5,14 @@ A path's monodromy is described by a :class:`NormalFormDecomposition`
 this determines the whole iteration sequence m -> (i(gamma,m), nu(gamma,m))
 through two independent closed forms (one written directly in block counts,
 one through splitting numbers), which the test suite holds against each
-other and against the geometric crossing-count oracle.
+other and against the geometric crossing-count oracle.  A decomposition is
+checked once, when it is built, so the formulas take it as valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .scalars import (
     Scalar,
@@ -54,20 +54,13 @@ TWO = Scalar.rational(2)
 ZERO = Scalar.rational(0)
 
 
-def _angle_problem(x: Scalar, who: str):
-    if not isinstance(x, Scalar):
-        return f"{who}: angles must be Scalars (theta/pi), got {type(x)}"
-    if not (ZERO < x < TWO):
-        return f"{who}: theta/pi must lie in (0,2), got {x!r}"
-    if x == ONE:
-        return f"{who}: theta/pi = 1 belongs to the -1 eigenvalue blocks"
-    return None
-
-
 def _check_angle(x: Scalar, who: str):
-    problem = _angle_problem(x, who)
-    if problem is not None:
-        raise DecompositionError(problem)
+    if not isinstance(x, Scalar):
+        raise DecompositionError(f"{who}: angles must be Scalars (theta/pi), got {type(x)}")
+    if not (ZERO < x < TWO):
+        raise DecompositionError(f"{who}: theta/pi must lie in (0,2), got {x!r}")
+    if x == ONE:
+        raise DecompositionError(f"{who}: theta/pi = 1 belongs to the -1 eigenvalue blocks")
 
 
 @dataclass(frozen=True)
@@ -83,6 +76,8 @@ class NormalFormDecomposition:
     k        : hyperbolic block count (eigenvalues off the unit circle)
 
     The counts satisfy n = p- + p0 + p+ + q- + q0 + q+ + r + 2 r* + 2 r0 + k.
+    The constructor checks that, non-negative counts and every angle, and
+    raises DecompositionError: an instance is valid once built.
     """
 
     n: int
@@ -101,6 +96,7 @@ class NormalFormDecomposition:
         object.__setattr__(self, "thetas", tuple(self.thetas))
         object.__setattr__(self, "alphas", tuple(self.alphas))
         object.__setattr__(self, "betas", tuple(self.betas))
+        self.check()
 
     @property
     def r(self) -> int:
@@ -124,28 +120,19 @@ class NormalFormDecomposition:
                 + self.q_minus + self.q_zero + self.q_plus
                 + self.r + 2 * self.r_star + 2 * self.r_zero + self.k)
 
-    @cached_property
-    def _problem(self):
-        """Why the decomposition is invalid, or None; worked out once, since
-        the instance is frozen."""
+    def check(self):
+        """Raise DecompositionError when the decomposition is invalid; run
+        once, by the constructor."""
         counts = (self.p_minus, self.p_zero, self.p_plus,
                   self.q_minus, self.q_zero, self.q_plus, self.k)
         if any(c < 0 for c in counts):
-            return "block counts must be non-negative"
+            raise DecompositionError("block counts must be non-negative")
         if self.count_sum() != self.n:
-            return f"count sum {self.count_sum()} != n = {self.n}"
+            raise DecompositionError(f"count sum {self.count_sum()} != n = {self.n}")
         for who, angles in (("thetas", self.thetas), ("alphas", self.alphas),
                             ("betas", self.betas)):
             for x in angles:
-                problem = _angle_problem(x, who)
-                if problem is not None:
-                    return problem
-        return None
-
-    def check(self):
-        """Raise DecompositionError when the decomposition is invalid."""
-        if self._problem is not None:
-            raise DecompositionError(self._problem)
+                _check_angle(x, who)
 
     # ----- serialization -------------------------------------------------
 
@@ -162,6 +149,11 @@ class NormalFormDecomposition:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NormalFormDecomposition":
+        def angles(key):
+            # an angle that is not a scalar object is left for check to reject
+            return tuple(scalar_from_json(x) if isinstance(x, dict) else x
+                         for x in obj.get(key, []))
+
         return cls(
             n=int(obj["n"]),
             p_minus=int(obj.get("p_minus", 0)),
@@ -170,9 +162,9 @@ class NormalFormDecomposition:
             q_minus=int(obj.get("q_minus", 0)),
             q_zero=int(obj.get("q_zero", 0)),
             q_plus=int(obj.get("q_plus", 0)),
-            thetas=tuple(scalar_from_json(x) for x in obj.get("thetas", [])),
-            alphas=tuple(scalar_from_json(x) for x in obj.get("alphas", [])),
-            betas=tuple(scalar_from_json(x) for x in obj.get("betas", [])),
+            thetas=angles("thetas"),
+            alphas=angles("alphas"),
+            betas=angles("betas"),
             k=int(obj.get("k", 0)),
         )
 
@@ -208,10 +200,10 @@ class PathIndexData:
 class PathRecord:
     """The per-path constants the formulas and the jump gates share.
 
-    Built once per PathIndexData from its validated decomposition (and again
-    only when the working precision changes): S^+(1), C(M), the mean index,
-    the S^- angles, and 1/(M ihat) for each M asked for.  Irrational values
-    are Scalars, so each keeps its fixed-point form cached.
+    Built once per PathIndexData (and again only when the working precision
+    changes): S^+(1), C(M), the mean index, the S^- angles, and 1/(M ihat)
+    for each M asked for.  Irrational values are Scalars, so each keeps its
+    fixed-point form cached.
     """
 
     dps: int
@@ -230,13 +222,11 @@ class PathRecord:
 
 
 def path_record(data: PathIndexData) -> PathRecord:
-    """The PathRecord of data; raises DecompositionError when the
-    decomposition is invalid."""
+    """The PathRecord of data, cached on it."""
     rec = data.__dict__.get("_record")
     if rec is not None and rec.dps == get_precision():
         return rec
     d = data.decomp
-    d.check()
     mean = Scalar.rational(data.i1 + d.p_minus + d.p_zero - d.r)
     for th in d.thetas:
         mean = mean + th
@@ -327,7 +317,6 @@ def splitting_numbers(decomp: NormalFormDecomposition, omega) -> SplittingPair:
     conjugation rule S^+-(conj omega) = S^-+(omega) is built in through the
     paired angle entries.
     """
-    decomp.check()
     if omega == 1 and not isinstance(omega, Scalar):
         s = decomp.p_minus + decomp.p_zero
         return SplittingPair(s, s)
@@ -360,13 +349,11 @@ def splitting_numbers(decomp: NormalFormDecomposition, omega) -> SplittingPair:
 
 def C_of_M(decomp: NormalFormDecomposition) -> int:
     """Sum of S^- over all unit eigenvalue angles in (0, 2 pi)."""
-    decomp.check()
     return decomp.q_zero + decomp.q_plus + decomp.r + 2 * decomp.r_star
 
 
 def S_plus_one(decomp: NormalFormDecomposition) -> int:
     """S^+ at omega = 1: the N1(1,1) and I2 blocks."""
-    decomp.check()
     return decomp.p_minus + decomp.p_zero
 
 
@@ -377,7 +364,6 @@ def unit_spectrum(decomp: NormalFormDecomposition):
     (eigenvalue -1); every complex angle is reported together with its
     conjugate 2 - theta/pi.
     """
-    decomp.check()
     entries = []
     plus_mult = 2 * (decomp.p_minus + decomp.p_zero + decomp.p_plus)
     if plus_mult:
@@ -419,7 +405,6 @@ def index_iterate(data: PathIndexData, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    path_record(data)  # the decomposition is valid
     d = data.decomp
     total = m * (data.i1 + d.p_minus + d.p_zero - d.r)
     total += 2 * sum(_E_half(x, m) for x in d.thetas)
@@ -466,7 +451,6 @@ def nullity_iterate(data: PathIndexData, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    path_record(data)  # the decomposition is valid
     d = data.decomp
     total = d.nu_one
     total += _even(m) * (d.q_minus + 2 * d.q_zero + d.q_plus)
@@ -536,20 +520,11 @@ _SINGLE_BLOCK_PARITY = {
 
 
 def validate(data: PathIndexData) -> ValidationReport:
-    """Diagnostics, not exceptions: count-sum violations, single-block
-    parity violations of i1, convex-mode requirements."""
+    """Diagnostics, not exceptions: single-block parity violations of i1 and
+    convex-mode requirements (the counts and angles were checked when the
+    decomposition was built)."""
     rep = ValidationReport()
     d = data.decomp
-    if d.count_sum() != d.n:
-        rep.problems.append(
-            f"count sum {d.count_sum()} does not match n = {d.n}")
-        return rep
-    try:
-        d.check()
-    except DecompositionError as exc:
-        rep.problems.append(str(exc))
-        return rep
-
     # parity is only pinned down for single-block decompositions
     counts = {
         "p_minus": d.p_minus, "p_zero": d.p_zero, "p_plus": d.p_plus,

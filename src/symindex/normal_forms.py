@@ -30,7 +30,6 @@ __all__ = [
     "realize",
     "realize_decomposition",
     "d_omega",
-    "kernel",
     "nu_omega",
     "nontrivial_n2_block",
     "trivial_n2_block",
@@ -261,15 +260,9 @@ def d_omega(mats: np.ndarray, omega, n: int) -> np.ndarray:
     return ((-1) ** (n - 1) * np.conj(omega) ** n * np.linalg.det(A)).real
 
 
-def kernel(M: np.ndarray, omega, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal columns spanning ker(M - omega I): the right singular
-    vectors whose singular value is below tol * max(1, largest)."""
-    A = M.astype(complex) - omega * np.eye(M.shape[0])
-    _, s, vh = np.linalg.svd(A)
-    k = int(np.sum(s < tol * max(1.0, float(s[0]))))
-    return vh[len(s) - k:].conj().T
-
-
 def nu_omega(M: np.ndarray, omega, tol: float = RANK_TOL) -> int:
-    """dim_C ker(M - omega I) of a float array."""
-    return kernel(M, omega, tol).shape[1]
+    """dim_C ker(M - omega I) of a float array: the number of singular values
+    below tol * max(1, largest)."""
+    A = M.astype(complex) - omega * np.eye(M.shape[0])
+    s = np.linalg.svd(A)[1]
+    return int(np.sum(s < tol * max(1.0, float(s[0]))))

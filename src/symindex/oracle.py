@@ -234,7 +234,8 @@ def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
 
     Asked for that same grid again, as by a diamond of this diamond with
     the same steps, the evaluator returns the samples instead of
-    evaluating the parts a second time; they are bitwise the same."""
+    evaluating the parts a second time; they are bitwise the same.  The
+    diamond has an evaluator only when both parts have one."""
     if abs(p1.tau - p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
     ts = np.linspace(0.0, p1.tau, steps + 1)
@@ -245,12 +246,14 @@ def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
             return mats
         return diamond(p1.evaluate(t), p2.evaluate(t))
 
+    halvable = p1.evaluator is not None and p2.evaluator is not None
     return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=mats,
-                                 evaluator=evaluator)
+                                 evaluator=evaluator if halvable else None)
 
 
 def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
-    """The m-fold iterate gamma^m(t) = gamma(t - j tau) gamma(tau)^j on [0, m tau]."""
+    """The m-fold iterate gamma^m(t) = gamma(t - j tau) gamma(tau)^j on [0, m tau],
+    with an evaluator only when the path has one."""
     if m < 1:
         raise OracleError("m must be >= 1")
     if m == 1:
@@ -277,12 +280,10 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
             j = np.minimum(t // tau, m - 1).astype(int)
         else:
             j = min(int(t // tau), m - 1)
-        if base_eval is not None:
-            return base_eval(t - j * tau) @ powers[j]
-        return path.evaluate(t - j * tau) @ powers[j]
+        return base_eval(t - j * tau) @ powers[j]
 
     return SampledSymplecticPath(n=path.n, tau=m * path.tau, ts=ts, mats=mats,
-                                 evaluator=evaluator)
+                                 evaluator=None if base_eval is None else evaluator)
 
 
 def xi_matrix(n: int, t: float | np.ndarray, tau: float) -> np.ndarray:

@@ -11,7 +11,6 @@ re-verified at doubled precision later).
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 
@@ -26,15 +25,15 @@ __all__ = [
     "get_precision",
     "set_precision",
     "detect_rational",
-    "env_int",
     "fixed_bits",
     "parse_scalar",
     "scalar_to_json",
     "scalar_from_json",
 ]
 
-# Working decimal digits for irrational arithmetic.  Tunable via CLI or the
-# SYMINDEX_PRECISION environment variable; never below 30.
+# Working decimal digits for irrational arithmetic, never below 30; library
+# callers tune it with set_precision, the CLI with --precision or the
+# SYMINDEX_PRECISION environment variable.
 _MIN_PRECISION = 30
 _DEFAULT_PRECISION = 50
 
@@ -48,27 +47,7 @@ class PrecisionError(ArithmeticError):
     """A floor/ceil decision fell inside the ambiguity guard band."""
 
 
-def env_int(name: str, default: int) -> int:
-    """The integer value of environment variable ``name``, or ``default``
-    when it is unset; a value that is not an integer raises ValueError."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _env_precision() -> int:
-    try:
-        val = env_int("SYMINDEX_PRECISION", _DEFAULT_PRECISION)
-    except ValueError:
-        return _DEFAULT_PRECISION  # the CLI reports the bad value and exits 1
-    return max(val, _MIN_PRECISION)
-
-
-_precision = _env_precision()
+_precision = _DEFAULT_PRECISION
 
 
 def get_precision() -> int:

@@ -222,6 +222,9 @@ def scaled(samples, k, factor):
     # 65 samples; only a check of every sample sees the one scaled by 1.02
     ("oracle", {"n": 1, "tau": 1.0, "samples": scaled(rot_samples(GRID[::8], GRID[::8]), 10, 1.02)},
      "invalid generator file: samples are not symplectic to 1e-09: defect 0.0404"),
+    ("iterate", {"n": 2, "p_minus": 1, "i1": 1}, "invalid path data: count sum 1 != n = 2"),
+    ("splitting", {"n": 1, "thetas": [{"rational": "1"}], "i1": 1},
+     "invalid path data: thetas: theta/pi = 1 belongs to the -1 eigenvalue blocks"),
 ])
 def test_bad_input_files_exit_1(tmp_path, capsys, command, content, message):
     f = tmp_path / "input.json"
@@ -299,6 +302,15 @@ def test_bad_precision_env_exits_1(rot_fixture, monkeypatch, capsys):
     assert err.count("\n") == 1 and "SYMINDEX_PRECISION" in err and "'abc'" in err
     # an explicit flag does not read the variable
     assert main(["iterate", "--data", str(f), "--precision", "40"]) == EXIT_OK
+
+
+def test_the_library_does_not_read_the_precision_env(monkeypatch):
+    # only the CLI reads SYMINDEX_PRECISION; library callers use set_precision
+    monkeypatch.setenv("SYMINDEX_PRECISION", "80")
+    run_fresh_python(
+        "from symindex.scalars import get_precision",
+        "assert get_precision() == 50, get_precision()",
+    )
 
 
 def test_chi_auto_runs_at_h16(tmp_path, capsys):

@@ -20,7 +20,7 @@ from symindex.iteration import (
     unit_spectrum,
     validate,
 )
-from symindex.scalars import Scalar
+from symindex.scalars import Scalar, scalar_to_json
 from symindex.selftest import random_decomposition, random_path_data
 
 HALF = Scalar.rational(1, 2)
@@ -149,10 +149,60 @@ def test_rejects_nonpositive_m():
 
 
 def test_invariant_violation_raises():
-    bad = NormalFormDecomposition(n=3, p_minus=1)
-    data = PathIndexData(bad, i1=1)
     with pytest.raises(DecompositionError):
-        index_iterate(data, 2)
+        NormalFormDecomposition(n=3, p_minus=1)
+
+
+BAD_DECOMPOSITIONS = [
+    ({"n": 1, "p_minus": -1, "p_zero": 2}, "block counts must be non-negative"),
+    ({"n": 2, "p_minus": 1}, "count sum 1 != n = 2"),
+    ({"n": 1, "thetas": (Scalar.rational(0),)}, r"thetas: theta/pi must lie in \(0,2\)"),
+    ({"n": 1, "thetas": (Scalar.rational(1),)},
+     "thetas: theta/pi = 1 belongs to the -1 eigenvalue blocks"),
+    ({"n": 1, "thetas": (Scalar.rational(2),)}, r"thetas: theta/pi must lie in \(0,2\)"),
+    ({"n": 1, "thetas": (0.5,)}, "thetas: angles must be Scalars"),
+]
+
+
+def as_json(kwargs):
+    """The path-data JSON of decomposition keywords; a plain float angle
+    stays a JSON number."""
+    obj = dict(kwargs, i1=1)
+    if "thetas" in obj:
+        obj["thetas"] = [scalar_to_json(x) if isinstance(x, Scalar) else x for x in obj["thetas"]]
+    return obj
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_DECOMPOSITIONS, ids=[
+    "negative-count", "count-sum", "angle-0", "angle-1", "angle-2", "float-angle"])
+def test_an_invalid_decomposition_cannot_be_built(kwargs, message):
+    with pytest.raises(DecompositionError, match=message):
+        NormalFormDecomposition(**kwargs)
+    with pytest.raises(DecompositionError, match=message):
+        PathIndexData.from_json(as_json(kwargs))
+
+
+def test_formulas_do_not_recheck_a_built_decomposition(monkeypatch):
+    d = NormalFormDecomposition(n=6, p_minus=1, q_zero=1, thetas=(HALF, Scalar.sqrt(2) - 1),
+                                alphas=(Scalar.rational(2, 5),))
+    data = PathIndexData(d, i1=7, convex_mode=True)
+    calls = []
+    check = NormalFormDecomposition.check
+    monkeypatch.setattr(NormalFormDecomposition, "check",
+                        lambda self: calls.append(self) or check(self))
+    for m in (1, 2, 5):
+        index_iterate(data, m)
+        index_iterate_via_splitting(data, m)
+        nullity_iterate(data, m)
+        I_value(data, m)
+    mean_index(data)
+    for omega in (1, -1, HALF, Scalar.rational(2, 5)):
+        splitting_numbers(d, omega)
+    unit_spectrum(d)
+    C_of_M(d)
+    S_plus_one(d)
+    assert validate(data).ok
+    assert calls == []
 
 
 # ----- nullity ---------------------------------------------------------------
@@ -250,9 +300,10 @@ def test_I_value_half_iterate_identity(rng):
 # ----- validation ------------------------------------------------------------
 
 def test_validate_count_mismatch():
-    rep = validate(PathIndexData(NormalFormDecomposition(n=2, p_minus=1), i1=1))
-    assert not rep.ok
-    assert "count sum" in rep.problems[0]
+    # the count sum is checked when the decomposition is built, before any
+    # validate could see it
+    with pytest.raises(DecompositionError, match="count sum 1 != n = 2"):
+        NormalFormDecomposition(n=2, p_minus=1)
 
 
 def test_validate_rotation_parity():

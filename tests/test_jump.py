@@ -108,7 +108,7 @@ def test_build_vector_retags_exact_ratios():
 
 
 def test_s_minus_angle_enumeration():
-    d = NormalFormDecomposition(n=4, q_zero=1, q_plus=1, thetas=(HALF,),
+    d = NormalFormDecomposition(n=5, q_zero=1, q_plus=1, thetas=(HALF,),
                                 alphas=(Scalar.rational(2, 5),))
     angs = s_minus_angles(d)
     assert [str(a.fraction) for a in angs] == ["1/2", "1", "1", "2/5", "8/5"]

@@ -802,5 +802,9 @@ def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
         assert cz_index(coarse, omega) == four_rotations_index(over_pi), over_pi
     assert len(calls) > 0
     bare = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=coarse.mats)
-    with pytest.raises(OracleError, match="and the path has no evaluator to halve it"):
-        cz_index(bare, -1)
+    # an iterate or a diamond of a sample-only path has no evaluator either:
+    # interpolated samples are not symplectic, so the motion bound fails there
+    for path in (bare, iterate_path(bare, 2)):
+        with pytest.raises(OracleError, match="and the path has no evaluator to halve it"):
+            cz_index(path, -1)
+    assert diamond_paths(bare, coarse, steps=4).evaluator is None
