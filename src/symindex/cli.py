@@ -196,13 +196,14 @@ def _cmd_splitting(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     path = _load_generator(_load_json(args.input))
     omega = _parse_literal("omega", _parse_omega_complex, args.omega)
-    if args.m < 1:
-        raise InputError("m must be >= 1")
     eps = args.eps if args.eps is not None else DEFAULT_PERT
     for flag, value in (("eps", eps), ("rank-tol", args.rank_tol)):
         if not (math.isfinite(value) and value > 0):
             raise InputError(f"--{flag} must be finite and > 0, got {value}")
-    iterated = iterate_path(path, args.m)
+    try:
+        iterated = iterate_path(path, args.m)
+    except OracleError as exc:  # m < 1, or an iterate over the step cap
+        raise InputError(str(exc)) from exc
     i_val, nu_val = cz_index(iterated, omega, eps=eps, rank_tol=args.rank_tol)
     out = {"omega": args.omega, "m": args.m, "i": i_val, "nu": nu_val}
     if args.splitting:

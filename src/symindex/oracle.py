@@ -4,22 +4,19 @@ The index of a path gamma is computed from first principles on the extended
 path beta = gamma * xi_n, as the signed number of eigen-phases passing 0 of
 a unitary W(t) whose eigenvalue 1 has the multiplicity of the eigenvalue
 omega of beta(t) (the Souriau map; see "the eigen-phase count" below).  The
-xi arc never meets the crossing variety, so the count runs from the
-junction on; at omega = 1 the junction sits at the identity and contributes
-the half signature of the generator S = -J (d beta/dt) beta^{-1}, taken by
-the series logarithm over the first sample steps (the corner convention
-for a one-sided crossing).  The count trusts the sample spacing, which
-validate bounds by STEP_BOUND, takes eigen-data at coarse points only and
-needs no refinement: two crossings inside one sample step count 2, and a
-touch nets 0.
+xi arc has no eigenvalue on the unit circle, so the count runs from its
+last sample on, and the junction gamma(0) = I is a sample like any other.
+The count trusts the sample spacing, which validate bounds by STEP_BOUND,
+takes eigen-data at coarse points only and needs no refinement: two
+crossings inside one sample step count 2, and a touch nets 0.
 
-A degenerate endpoint (or a degenerate junction form at omega = 1) is
-resolved by multiplying gamma by e^{-eps (t/T) J}, which moves the endpoint
-to gamma(T) e^{-eps J}; the whole-path version of that endpoint convention
-shifts every crossing form downward and realizes the infimum over nearby
-nondegenerate paths.  The sign convention is pinned by agreement with the
-iteration formulas on rotation paths and recorded here: a crossing passed
-in the direction of the curve M e^{t eps J} counts +1.
+A degenerate endpoint is resolved by multiplying gamma by e^{-eps (t/T) J},
+which moves the endpoint to gamma(T) e^{-eps J}; the whole-path version of
+that endpoint convention shifts every crossing form downward and realizes
+the infimum over nearby nondegenerate paths.  The sign convention is
+pinned by agreement with the iteration formulas on rotation paths and
+recorded here: a crossing passed in the direction of the curve
+M e^{t eps J} counts +1.
 """
 
 from __future__ import annotations
@@ -117,22 +114,17 @@ class SampledSymplecticPath:
         return self.mats[-1]
 
     def evaluate(self, t: float | np.ndarray) -> np.ndarray:
-        """The matrix at a float t, or the stack at a 1-D array of times."""
-        if self.evaluator is not None:
-            return self.evaluator(t)
-        if isinstance(t, np.ndarray):
-            return np.stack([self.evaluate(float(s)) for s in t])
-        # fallback: linear interpolation between bracketing samples
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        if t1 == t0:
-            return self.mats[i]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.mats[i] + w * self.mats[i + 1]
+        """The matrix at a float t, or the stack at a 1-D array of times; a
+        path known only by its samples has no values between them."""
+        if self.evaluator is None:
+            raise OracleError("the path is known only at its samples and has no evaluator")
+        return self.evaluator(t)
 
 
-def _check_period(tau) -> None:
+def _check_grid(tau, steps: int) -> None:
+    """The one size and period rule of every path constructor."""
+    if not 1 <= steps <= MAX_STEPS:
+        raise OracleError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     if not (math.isfinite(tau) and tau > 0):
         raise OracleError(f"tau must be finite and > 0, got {tau}")
 
@@ -146,9 +138,7 @@ def path_from_quadratic_hamiltonian(B, tau: float,
     exact exponential at arbitrary t, or at a whole time grid in one call.
     steps must lie in [1, MAX_STEPS] and tau must be finite and > 0.
     """
-    if not 1 <= steps <= MAX_STEPS:
-        raise OracleError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
-    _check_period(tau)
+    _check_grid(tau, steps)
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] % 2:
         raise OracleError("B must be a 2n x 2n matrix")
@@ -174,11 +164,11 @@ def path_from_quadratic_hamiltonian(B, tau: float,
 def path_from_samples(ts, mats, n: int, tau: float) -> SampledSymplecticPath:
     """A path known only by its samples.  The times must run from exactly 0
     to exactly tau without decreasing; two equal neighbouring times are
-    allowed, and the evaluator gives the first of them."""
-    _check_period(tau)
+    allowed.  There are at most MAX_STEPS sample steps."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or len(ts) < 2:
         raise OracleError("a sample list needs at least 2 samples")
+    _check_grid(tau, len(ts) - 1)
     if ts[0] != 0.0 or ts[-1] != tau:
         raise OracleError(f"sample times must run from 0 to tau = {tau}, "
                           f"got {ts[0]} to {ts[-1]}")
@@ -193,7 +183,9 @@ def path_from_matrix_function(f: Callable[[float], np.ndarray], tau: float, n: i
 
     f takes one float.  This is the one adapter that loops a scalar function
     over a time grid: the path's evaluator passes a float straight to f and
-    stacks f over an array of times."""
+    stacks f over an array of times.  steps must lie in [1, MAX_STEPS] and
+    tau must be finite and > 0."""
+    _check_grid(tau, steps)
 
     def evaluator(t):
         if isinstance(t, np.ndarray):
@@ -230,12 +222,12 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
 def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
                   steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
     """Pointwise diamond product of two paths over a common period; the
-    samples are one diamond of the two parts' stacks on the whole grid.
+    samples are one diamond of the two parts' stacks on the whole grid, so
+    both parts need an evaluator.
 
     Asked for that same grid again, as by a diamond of this diamond with
     the same steps, the evaluator returns the samples instead of
-    evaluating the parts a second time; they are bitwise the same.  The
-    diamond has an evaluator only when both parts have one."""
+    evaluating the parts a second time; they are bitwise the same."""
     if abs(p1.tau - p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
     ts = np.linspace(0.0, p1.tau, steps + 1)
@@ -246,18 +238,21 @@ def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
             return mats
         return diamond(p1.evaluate(t), p2.evaluate(t))
 
-    halvable = p1.evaluator is not None and p2.evaluator is not None
     return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=mats,
-                                 evaluator=evaluator if halvable else None)
+                                 evaluator=evaluator)
 
 
 def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
     """The m-fold iterate gamma^m(t) = gamma(t - j tau) gamma(tau)^j on [0, m tau],
-    with an evaluator only when the path has one."""
+    with an evaluator only when the path has one; refused, before anything is
+    allocated, past MAX_STEPS sample steps."""
     if m < 1:
         raise OracleError("m must be >= 1")
     if m == 1:
         return path
+    if m * (len(path.ts) - 1) > MAX_STEPS:
+        raise OracleError(f"the {m}-fold iterate would have {m} x {len(path.ts) - 1} "
+                          f"sample steps, more than {MAX_STEPS}")
     mono = path.endpoint()
     powers = [np.eye(2 * path.n)]
     for _ in range(m):
@@ -317,38 +312,7 @@ def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
                                  evaluator=evaluator, junction_index=junction_index)
 
 
-# ----- the perturbed path and the junction generator --------------------------
-
-SERIES_LOG_TERMS = 64  # cap on the number of odd powers in _series_log
-
-
-def _series_log(M: np.ndarray, where: str) -> np.ndarray:
-    """log M = 2 (Z + Z^3/3 + Z^5/5 + ...) with Z = (M - I)(M + I)^{-1}, the
-    Gregory series (Higham, Functions of Matrices, SIAM 2008, ch. 11).
-
-    It converges when the spectral radius of Z is below 1, fast for M near
-    I, and it stops once a term is below 1e-17 of the sum.  Odd powers of a
-    Hamiltonian Z are Hamiltonian, so a symplectic M gets a Hamiltonian log.
-    A singular M + I, or no convergence within SERIES_LOG_TERMS terms, is an
-    OracleError naming where.
-    """
-    I = np.eye(len(M))
-    try:
-        Z = np.linalg.solve(M + I, M - I)  # (M + I)^{-1} commutes with M - I
-    except np.linalg.LinAlgError:
-        raise OracleError(f"no series logarithm on {where}: M + I is singular") from None
-    Z2 = Z @ Z
-    power = total = Z
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging series may overflow
-        for k in range(1, SERIES_LOG_TERMS):
-            power = power @ Z2
-            term = power / (2 * k + 1)
-            total = total + term
-            if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(total)):
-                return 2 * total
-    raise OracleError(f"the series logarithm on {where} does not converge "
-                      f"in {SERIES_LOG_TERMS} terms")
-
+# ----- the perturbed path ----------------------------------------------------
 
 class _PerturbedPath:
     """gamma multiplied by e^{-pert (t - t0)/(T - t0) J} past the junction."""
@@ -376,44 +340,6 @@ class _PerturbedPath:
     def evaluate(self, t: float) -> np.ndarray:
         M = self.ext.evaluate(t)
         return M if self.pert == 0.0 else M @ self._rotation(t)
-
-    def windowed_generator(self, t: float, h: float) -> np.ndarray:
-        """Symmetric generator S = -J log(M(t+h) M(t)^{-1}) / h of the
-        window [t, t+h], by the series logarithm.
-
-        For a quadratic path this is its constant generator B.  It is robust
-        against reparametrizations with vanishing derivative: the average
-        rotation direction over the window decides the sign, not the
-        instantaneous speed."""
-        M0 = self.evaluate(t)
-        M1 = self.evaluate(t + h)
-        X = _series_log(M1 @ np.linalg.inv(M0), f"the window [{t:.6g}, {t + h:.6g}]")
-        S = -self.J @ X / h
-        return 0.5 * (S + S.T)
-
-
-def _junction_generator(pp: _PerturbedPath) -> np.ndarray:
-    """S0 at the junction: windowed_generator over four sample steps of gamma
-    (at least 1e-9 of its span)."""
-    ts, j = pp.ext.ts, pp.ext.junction_index
-    h = max(4 * (ts[j + 1] - pp.t0), (pp.T - pp.t0) * 1e-9)
-    return pp.windowed_generator(pp.t0, h)
-
-
-def _degenerate(S: np.ndarray) -> bool:
-    """Whether S has an eigenvalue below 1e-6 of its largest (at least 1)."""
-    ev = np.linalg.eigvalsh(S)
-    return bool(np.any(np.abs(ev) < 1e-6 * max(1.0, float(np.max(np.abs(ev))))))
-
-
-def _half_signature_regularized(S: np.ndarray, reg: float) -> int:
-    """Half signature with near-zero eigenvalues pushed down (infimum side);
-    the result is an integer because dim is even and zeros count negative."""
-    ev = np.linalg.eigvalsh(S)
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    n_plus = int(np.sum(ev > reg * scale))
-    n_rest = len(ev) - n_plus
-    return (n_plus - n_rest) // 2
 
 
 # ----- the eigen-phase count -------------------------------------------------
@@ -487,28 +413,22 @@ def _phases(M: np.ndarray, omega: complex, n: int) -> np.ndarray:
     return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
 
 
-def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
-          S0: Optional[np.ndarray] = None) -> int:
+def _scan(pp: _PerturbedPath, omega: complex, halvable: bool) -> int:
     """The index of one perturbed extended path: the signed count of
-    eigen-phases of W passing 0, from the junction on (the xi arc never meets
-    the crossing variety).  At omega = 1 the junction sits on the variety:
-    it adds the half signature of S0 and the count starts one sample past it.
+    eigen-phases of W passing 0, from the last xi sample diag(a, 1/a),
+    a >= 1 + 1/DEFAULT_STEPS, on: none has passed before it, and its phases
+    are resolved for every omega.  At omega = 1 the phases at the junction
+    I are 0 up to rounding, read once and on the same side of every cut of
+    CUTS in both steps that share them, so a passage there counts once.
 
     Sample steps are grouped into coarse steps of motion bound about
     COARSE_BOUND; a coarse step whose best cut is not farther from its end
     phases than its bound is halved, at sample indices and then, inside one
     sample step, through the evaluator (halvable paths only)."""
     n = pp.n
-    start = pp.ext.junction_index
-    total = 0
-    if abs(omega - 1.0) < 1e-12:
-        total += _half_signature_regularized(_junction_generator(pp) if S0 is None else S0,
-                                             1e-7)
-        start += 1
+    start = pp.ext.junction_index - 1
     ts = pp.ext.ts[start:]
     N = len(ts)
-    if N < 2:
-        return total
     motion = [_motion(pp.samples(np.s_[start + lo:start + min(lo + CHUNK, N - 1) + 1]), n)
               for lo in range(0, N - 1, CHUNK)]
     cum = np.concatenate(([0.0], np.cumsum(np.concatenate(motion))))
@@ -518,7 +438,7 @@ def _scan(pp: _PerturbedPath, omega: complex, halvable: bool,
     bound = np.diff(cum[coarse])
     cut, room = _cuts(ph[:-1], ph[1:])
     ok = room > bound
-    total += int(np.sum(ph[1:][ok] < cut[ok, None]) - np.sum(ph[:-1][ok] < cut[ok, None]))
+    total = int(np.sum(ph[1:][ok] < cut[ok, None]) - np.sum(ph[:-1][ok] < cut[ok, None]))
 
     # the steps whose cut is too near, as (point, point, bound, halvings left);
     # a point is (sample index or None, t, M, phases)
@@ -562,8 +482,8 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     perturbation scale of the degenerate-endpoint convention: when
     D_omega(gamma(tau)) = 0 the count is taken on gamma e^{-eps (t/T) J},
     whose endpoint is gamma(tau) e^{-eps J}, and the counts at eps and
-    eps / 2 must agree.  A nondegenerate endpoint is counted unperturbed,
-    unless the omega = 1 junction form is degenerate.
+    eps / 2 must agree.  A nondegenerate endpoint is counted unperturbed, in
+    one scan.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
@@ -572,10 +492,7 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     ext = extend_with_xi(path)
     halvable = path.evaluator is not None
     if nu == 0:
-        pp = _PerturbedPath(ext, 0.0)
-        S0 = _junction_generator(pp) if abs(omega - 1.0) < 1e-12 else None
-        if S0 is None or not _degenerate(S0):
-            return _scan(pp, omega, halvable, S0), nu
+        return _scan(_PerturbedPath(ext, 0.0), omega, halvable), nu
     index, index2 = (_scan(_PerturbedPath(ext, pert), omega, halvable) for pert in (eps, eps / 2))
     if index != index2:
         raise OracleError(f"unstable count under perturbation ({index} vs {index2})")

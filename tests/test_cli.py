@@ -158,6 +158,10 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["oracle", "--eps", "nan"], "--eps must be finite and > 0, got nan"),
     (["oracle", "--rank-tol", "-1"], "--rank-tol must be finite and > 0, got -1.0"),
     (["oracle", "--rank-tol", "inf"], "--rank-tol must be finite and > 0, got inf"),
+    (["oracle", "--m", "0"], "m must be >= 1"),
+    # the generator has 1024 steps: one more period than MAX_STEPS allows
+    (["oracle", "--m", "1025"],
+     f"the 1025-fold iterate would have 1025 x 1024 sample steps, more than {MAX_STEPS}"),
 ])
 def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, message):
     f, data = rot_fixture
@@ -265,8 +269,8 @@ def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path
 
 
 def test_the_oracle_scan_leaves_scipy_special_unloaded(gen_fixture, tmp_path):
-    # the junction generator takes its logarithm by a series, not by scipy's
-    # logm, whose first call loads scipy.special; only path_from_logm does
+    # the count takes no matrix logarithm: scipy's logm, whose first call
+    # loads scipy.special, is called by path_from_logm alone
     out = str(tmp_path / "out")
     run_fresh_python(
         "import sys",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,6 @@ from symindex.oracle import (
     OracleError,
     SampledSymplecticPath,
     _PerturbedPath,
-    _junction_generator,
     cz_index,
     diamond_paths,
     estimate_splitting,
@@ -106,7 +106,7 @@ def test_quadratic_path_requires_symmetric():
         path_from_quadratic_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
-@pytest.mark.parametrize("steps, tau, message", [
+BAD_GRIDS = [
     (0, 1.0, "steps must lie in"),
     (-3, 1.0, "steps must lie in"),
     (MAX_STEPS + 1, 1.0, "steps must lie in"),
@@ -114,10 +114,32 @@ def test_quadratic_path_requires_symmetric():
     (16, -1.0, "tau must be finite and > 0"),
     (16, math.nan, "tau must be finite and > 0"),
     (16, math.inf, "tau must be finite and > 0"),
-])
+]
+
+
+@pytest.mark.parametrize("steps, tau, message", BAD_GRIDS)
 def test_quadratic_path_rejects_bad_steps_and_tau(steps, tau, message):
     with pytest.raises(OracleError, match=message):
         path_from_quadratic_hamiltonian(np.eye(2), tau, steps=steps)
+
+
+@pytest.mark.parametrize("steps, tau, message", BAD_GRIDS)
+def test_matrix_function_path_rejects_bad_steps_and_tau(steps, tau, message):
+    # tau = 0 once gave NaN xi samples, and a huge steps an unbounded grid;
+    # the function is never called
+    def f(t):
+        raise AssertionError("sampled a refused grid")
+
+    with pytest.raises(OracleError, match=message):
+        path_from_matrix_function(f, tau, 1, steps=steps)
+
+
+def test_a_sample_list_over_the_step_cap_is_refused():
+    ts = np.linspace(0.0, 1.0, MAX_STEPS + 2)
+    mats = np.broadcast_to(np.eye(2), (len(ts), 2, 2))
+    with pytest.raises(OracleError, match=f"steps must lie in \\[1, {MAX_STEPS}\\], "
+                                          f"got {MAX_STEPS + 1}"):
+        path_from_samples(ts, mats, n=1, tau=1.0)
 
 
 def test_path_samples_must_start_at_identity():
@@ -141,22 +163,19 @@ def test_step_bound_enforced():
 def grid_path(name: str):
     rot = rotation_path(0.37, steps=64)
     func = n1_minus_path(1, steps=128)
-    samples = path_from_samples(rot.ts, rot.mats, n=1, tau=1.0)
     dia = diamond_paths(rot, func, steps=64)
     return {
         "quadratic": lambda: rot,
         "matrix function": lambda: func,
-        "sample-only": lambda: samples,
         "diamond": lambda: dia,
         "nested diamond": lambda: diamond_paths(dia, shear_path(1, steps=64), steps=64),
         "iterate of quadratic": lambda: iterate_path(rot, 3),
         "iterate of diamond": lambda: iterate_path(dia, 2),
-        "iterate of sample-only": lambda: iterate_path(samples, 3),
     }[name]()
 
 
-GRID_PATHS = ("quadratic", "matrix function", "sample-only", "diamond", "nested diamond",
-              "iterate of quadratic", "iterate of diamond", "iterate of sample-only")
+GRID_PATHS = ("quadratic", "matrix function", "diamond", "nested diamond",
+              "iterate of quadratic", "iterate of diamond")
 
 
 @pytest.mark.parametrize("name", GRID_PATHS)
@@ -166,18 +185,19 @@ def test_evaluator_on_a_grid_matches_pointwise_calls(name):
     stacked = path.evaluate(ts)
     assert stacked.shape == (len(ts), 2 * path.n, 2 * path.n)
     assert np.array_equal(stacked, np.stack([path.evaluate(float(t)) for t in ts]))
-    if path.evaluator is not None:
-        assert np.array_equal(path.evaluator(ts), stacked)
+    assert np.array_equal(path.evaluator(ts), stacked)
 
 
-def test_sample_only_evaluator_returns_the_first_of_two_equal_times():
-    # the last bracket has two equal times: it gives its first sample
-    ts = [0.0, 0.5, 1.0, 1.0]
-    mats = [np.diag([1.0 + k / 100, 1 / (1.0 + k / 100)]) for k in range(4)]
-    p = path_from_samples(ts, mats, n=1, tau=1.0)
-    grid = np.array([0.25, 0.75, 1.0, 1.25])
-    assert np.array_equal(p.evaluate(grid), np.stack([p.evaluate(float(t)) for t in grid]))
-    assert np.array_equal(p.evaluate(1.0), mats[2])
+def test_a_diamond_with_a_sample_only_part_is_refused():
+    # interpolating the 64 samples on the 100-step grid gave diamond samples
+    # of symplectic defect about 1e-4, which cz_index counted as (0, 0) at -1
+    rot = rotation_path(0.5, steps=64)
+    samples = path_from_samples(rot.ts, rot.mats, n=1, tau=1.0)
+    with pytest.raises(OracleError, match="known only at its samples"):
+        samples.evaluate(0.5)
+    for p1, p2 in ((samples, rot), (rot, samples)):
+        with pytest.raises(OracleError, match="known only at its samples"):
+            diamond_paths(p1, p2, steps=100)
 
 
 def test_diamond_paths_samples_match_the_pointwise_construction():
@@ -360,79 +380,10 @@ def test_d_omega_at_real_omega_is_real_arithmetic(omega):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
-# ----- the junction logarithm ------------------------------------------------
-#
-# windowed_generator takes log M1 M0^{-1} over a 4-sample window at the
-# junction by the Gregory series; scipy's logm is the reference.
-
-def junction_windows():
-    for name, path in sampled_inputs():
-        ext = extend_with_xi(path)
-        step = ext.ts[ext.junction_index + 1] - ext.ts[ext.junction_index]
-        for pert in (0.0, 1e-4):
-            pp = _PerturbedPath(ext, pert)
-            M0, M1 = pp.evaluate(pp.t0), pp.evaluate(pp.t0 + 4 * step)
-            yield f"{name} pert={pert}", M1 @ np.linalg.inv(M0)
-
-
-def hamiltonian_exponentials():
-    rng = np.random.default_rng(20240811)
-    for n in (1, 2, 3, 4):
-        for _ in range(5):
-            B = rng.standard_normal((2 * n, 2 * n))
-            X = standard_J(n) @ (B + B.T)
-            X *= rng.uniform(0.05, 0.5) / np.linalg.norm(X, 2)
-            yield f"e^X n={n}", oracle.expm(X)
-
-
-def test_series_log_matches_scipy_logm():
-    from scipy.linalg import logm
-
-    names = set()
-    for name, M in [*junction_windows(), *hamiltonian_exponentials()]:
-        X = oracle._series_log(M, name)
-        assert np.max(np.abs(X - logm(M))) <= 1e-12, name
-        J = standard_J(len(M) // 2)
-        assert np.max(np.abs(J @ X + X.T @ J)) <= 1e-12, name
-        names.add(name.split()[0])
-    assert {"shear", "diamond", "e^X"} <= names
-
-
-@pytest.mark.parametrize("M, message", [
-    # Z = (M - I)(M + I)^{-1} has spectral radius tan(0.48 pi), about 16
-    (np.array([[math.cos(0.96 * math.pi), -math.sin(0.96 * math.pi)],
-               [math.sin(0.96 * math.pi), math.cos(0.96 * math.pi)]]), "does not converge"),
-    (-np.eye(2), "M \\+ I is singular"),
-])
-def test_series_log_fails_with_the_window_named(M, message):
-    with pytest.raises(OracleError, match=f"the junction window \\[1, 1.1\\].*{message}"):
-        oracle._series_log(M, "the junction window [1, 1.1]")
-
-
-# ----- the windowed generator -------------------------------------------------
-#
-# The junction's half signature takes its generator from windowed_generator
-# over the first four sample steps.  On a quadratic path that is the
-# constant generator B, over any window inside [0, T].
-
-def test_windowed_generator_of_a_quadratic_path_is_its_generator():
-    rng = np.random.default_rng(20240811)
-    for n in (1, 2, 3):
-        B = rng.standard_normal((2 * n, 2 * n))
-        B = B + B.T
-        B *= 2.0 / np.linalg.norm(B, 2)
-        pp = _PerturbedPath(extend_with_xi(path_from_quadratic_hamiltonian(B, 1.0)), 0.0)
-        h = (pp.T - pp.t0) * 2e-6
-        for t in (pp.t0 + 0.3, pp.t0 + 0.77, pp.T - h):
-            S = pp.windowed_generator(t, h)
-            assert np.max(np.abs(S - B)) <= 1e-8, (n, t)
-        assert np.max(np.abs(_junction_generator(pp) - B)) <= 1e-8, n
-
-
 # ----- point evaluations -------------------------------------------------------
 #
 # The count takes eigen-data at samples and evaluates the path at a point
-# only for the junction's generator and for a sample step it has to halve.
+# only for a sample step it has to halve.
 
 def count_point_evaluations(monkeypatch):
     """Record the time of every point evaluation of a perturbed path in the
@@ -452,8 +403,8 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     # Near omega = 1 the N1(1,1) shear keeps D_omega bitwise constant along
     # gamma.  A walk on D_omega once took each of those samples as a dip and
     # refined every one (about 92k point evaluations per query); the phase
-    # count has no refinement and evaluates no point off the junction, and
-    # the splitting estimate reads the endpoint alone.
+    # count evaluates no point, and the splitting estimate reads the
+    # endpoint alone.
     path = shear_path(1)
     data = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)
     pair = splitting_numbers(data.decomp, 1)
@@ -465,7 +416,7 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
         assert np.unique(np.abs(d)).size == 1
         calls.clear()
         assert cz_index(path, omega) == (index_iterate(data, 1) + s, 0)
-        assert len(calls) <= 200
+        assert calls == []
     calls.clear()
     scans = []
     monkeypatch.setattr(oracle, "cz_index", lambda *args, **kwargs: scans.append(args))
@@ -474,17 +425,68 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("theta, m, want, budget", [
+@pytest.mark.parametrize("theta, m, want, walk_budget", [
     (math.sqrt(2) / 2, 9, (7, 0), 50),
     (1.7, 3, (5, 0), 40),
 ])
-def test_refinement_point_evaluations(monkeypatch, theta, m, want, budget):
+def test_refinement_point_evaluations(monkeypatch, theta, m, want, walk_budget):
     # i(R(theta pi)^m) = 2 floor(m theta / 2) + 1.  A refining walk on
     # D_omega once took a few point evaluations per crossing (golden section
-    # alone about 45); the count needs two, for the junction's generator.
+    # alone about 45) and was held to walk_budget; the count needs none.
     calls = count_point_evaluations(monkeypatch)
     assert cz_index(iterate_path(rotation_path(theta), m), 1) == want
-    assert len(calls) <= budget
+    assert calls == [], f"{len(calls)} point evaluations (the walk was held to {walk_budget})"
+
+
+# ----- the junction ------------------------------------------------------------
+#
+# The count starts at the last sample of the xi arc, so the junction I is an
+# interior sample like any other.  A path that stays at I for a while has a
+# whole run of samples whose phases at omega = 1 are 0, and needs no rule of
+# its own.
+
+FLAT_STARTS = [(2.5, 3), (1.5, 1), (-0.5, -1), (4.4, 5)]  # (Phi / pi, i_1)
+
+
+def flat_start(phi_over_pi: float):
+    """t -> R(phi(t)) with phi = 0 on [0, 1/2] and Phi (2t - 1)^2 after."""
+    def f(t):
+        s = 0.0 if t <= 0.5 else phi_over_pi * math.pi * (2 * t - 1) ** 2
+        return np.array([[math.cos(s), -math.sin(s)], [math.sin(s), math.cos(s)]])
+
+    return f
+
+
+def count_scans(monkeypatch):
+    """Record the perturbation of every scan in the list returned."""
+    perts = []
+    scan = oracle._scan
+
+    def counted_scan(pp, *args):
+        perts.append(pp.pert)
+        return scan(pp, *args)
+
+    monkeypatch.setattr(oracle, "_scan", counted_scan)
+    return perts
+
+
+@pytest.mark.parametrize("sample_only", [False, True], ids=["function", "sample-only"])
+@pytest.mark.parametrize("phi_over_pi, want", FLAT_STARTS)
+def test_a_flat_start_is_counted_in_one_unperturbed_scan(monkeypatch, phi_over_pi, want,
+                                                         sample_only):
+    f = flat_start(phi_over_pi)
+    if sample_only:  # on a nonuniform grid
+        rng = np.random.default_rng(20240811)
+        ts = np.concatenate(([0.0], (np.arange(1, 4096) + rng.uniform(-0.4, 0.4, 4095)) / 4096,
+                             [1.0]))
+        path = path_from_samples(ts, np.stack([f(t) for t in ts]), n=1, tau=1.0)
+    else:
+        path = path_from_matrix_function(f, 1.0, 1)
+    calls = count_point_evaluations(monkeypatch)
+    perts = count_scans(monkeypatch)
+    assert cz_index(path, 1) == (want, 0)
+    assert calls == []
+    assert perts == [0.0]
 
 
 # ----- iteration -------------------------------------------------------------
@@ -498,6 +500,21 @@ def test_iterate_path_endpoint_square():
     p = shear_path(1, steps=128)
     p2 = iterate_path(p, 2)
     assert np.allclose(p2.endpoint(), p.endpoint() @ p.endpoint(), atol=1e-12)
+
+
+def test_an_iterate_over_the_step_cap_is_refused_before_it_is_built():
+    p = rotation_path(0.5, steps=64)
+    m = MAX_STEPS // 64 + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleError, match=f"the {m}-fold iterate would have {m} x 64 "
+                                              f"sample steps, more than {MAX_STEPS}"):
+            iterate_path(p, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(iterate_path(p, MAX_STEPS // 64).ts) == MAX_STEPS + 1
 
 
 def test_iterate_rotation_is_resampled_group():
@@ -802,9 +819,10 @@ def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
         assert cz_index(coarse, omega) == four_rotations_index(over_pi), over_pi
     assert len(calls) > 0
     bare = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=coarse.mats)
-    # an iterate or a diamond of a sample-only path has no evaluator either:
-    # interpolated samples are not symplectic, so the motion bound fails there
+    # an iterate of a sample-only path has no evaluator either, and a diamond
+    # with a sample-only part cannot sample its grid
     for path in (bare, iterate_path(bare, 2)):
         with pytest.raises(OracleError, match="and the path has no evaluator to halve it"):
             cz_index(path, -1)
-    assert diamond_paths(bare, coarse, steps=4).evaluator is None
+    with pytest.raises(OracleError, match="known only at its samples"):
+        diamond_paths(bare, coarse, steps=4)
