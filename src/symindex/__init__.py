@@ -19,7 +19,6 @@ from .normal_forms import (  # noqa: F401
     BasicNormalForm,
     NormalFormError,
     SymplecticMatrix,
-    d_omega,
     diamond,
     nu_omega,
     realize,

@@ -1,8 +1,8 @@
-"""Symplectic matrices, basic normal forms, the diamond product, D_omega and nu_omega.
+"""Symplectic matrices, basic normal forms, the diamond product and nu_omega.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n), so the standard symplectic
-form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: D_omega,
-nu_omega and the diamond layout are implemented here once, and the
+form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: nu_omega
+and the diamond layout are implemented here once, and the
 crossing-count oracle runs them on its sampled paths.  The formulas take
 plain float64 arrays and do no per-call validation; SymplecticMatrix checks
 the symplectic relation once, when it is built.
@@ -29,7 +29,6 @@ __all__ = [
     "diamond",
     "realize",
     "realize_decomposition",
-    "d_omega",
     "nu_omega",
     "nontrivial_n2_block",
     "trivial_n2_block",
@@ -249,15 +248,7 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
     return SymplecticMatrix(decomp.n, reduce(diamond, map(_block_entries, blocks)))
 
 
-# ----- D_omega and nu_omega -------------------------------------------------
-
-
-def d_omega(mats: np.ndarray, omega, n: int) -> np.ndarray:
-    """D_omega(M) = (-1)^(n-1) * conj(omega)^n * det(M - omega I) over a stack
-    of 2n x 2n samples; the real part, since D_omega is real on Sp(2n) for
-    unit omega up to roundoff."""
-    A = mats.astype(complex) - omega * np.eye(2 * n)
-    return ((-1) ** (n - 1) * np.conj(omega) ** n * np.linalg.det(A)).real
+# ----- nu_omega ---------------------------------------------------------------
 
 
 def nu_omega(M: np.ndarray, omega, tol: float = RANK_TOL) -> int:

@@ -1,14 +1,17 @@
 """Geometric index oracle: eigen-phase counts of sampled symplectic paths.
 
-The index of a path gamma is computed from first principles on the extended
-path beta = gamma * xi_n, as the signed number of eigen-phases passing 0 of
-a unitary W(t) whose eigenvalue 1 has the multiplicity of the eigenvalue
-omega of beta(t) (the Souriau map; see "the eigen-phase count" below).  The
-xi arc has no eigenvalue on the unit circle, so the count runs from its
-last sample on, and the junction gamma(0) = I is a sample like any other.
-The count trusts the sample spacing, which validate bounds by STEP_BOUND,
-takes eigen-data at coarse points only and needs no refinement: two
-crossings inside one sample step count 2, and a touch nets 0.
+The index of a path gamma is Long's i_omega of gamma extended backwards by
+the canonical arc xi_n from diag(2, ..., 1/2, ...) to I, computed from
+first principles as the signed number of eigen-phases passing 0 of a
+unitary W(t) whose eigenvalue 1 has the multiplicity of the eigenvalue
+omega of the path (the Souriau map; see "the eigen-phase count" below).
+The xi arc has no eigenvalue on the unit circle, so no phase passes 0 on
+it: the count starts at one sample of it, S = extend_with_xi(gamma), and
+then runs over gamma's own samples, where gamma(0) = I is a sample like
+any other.  The count trusts the sample spacing, which validate bounds by
+STEP_BOUND, takes eigen-data at coarse points only and needs no
+refinement: two crossings inside one sample step count 2, and a touch
+nets 0.
 
 A degenerate endpoint is resolved by multiplying gamma by e^{-eps (t/T) J},
 which moves the endpoint to gamma(T) e^{-eps J}; the whole-path version of
@@ -79,8 +82,7 @@ class SampledSymplecticPath:
     matrix at arbitrary t, and the index count halves a sample step with it.
     An evaluator takes a float, giving one 2n x 2n matrix, or a 1-D numpy
     array of times, giving the stack of those matrices (bitwise the same as
-    one call per time); the evaluator of extend_with_xi takes floats only.
-    junction_index marks the concatenation point on extended paths.
+    one call per time).
     """
 
     n: int
@@ -88,7 +90,6 @@ class SampledSymplecticPath:
     ts: np.ndarray
     mats: np.ndarray
     evaluator: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
-    junction_index: Optional[int] = None
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -281,64 +282,42 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
                                  evaluator=None if base_eval is None else evaluator)
 
 
-def xi_matrix(n: int, t: float | np.ndarray, tau: float) -> np.ndarray:
-    """The canonical extension block diag(2 - t/tau, (2 - t/tau)^-1) per mode
-    at a float t, or the stack of those matrices at a 1-D array of times."""
-    a = 2.0 - np.asarray(t, dtype=float) / tau
-    mats = np.zeros(a.shape + (2 * n, 2 * n))
-    diag = np.arange(n)
-    mats[..., diag, diag] = a[..., None]
-    mats[..., diag + n, diag + n] = 1.0 / a[..., None]
-    return mats
+XI_START = 1.0 + 2.0 ** -11  # a of the xi sample the count starts at, exact in binary
 
 
-def extend_with_xi(path: SampledSymplecticPath) -> SampledSymplecticPath:
-    """Concatenate: first the canonical arc from diag(2,...,1/2,...) to I, then gamma."""
-    n = path.n
-    tau = path.tau
-    steps = max(64, int(round(tau / max(path.ts[1] - path.ts[0], 1e-12))))
-    steps = min(steps, DEFAULT_STEPS)
-    xi_ts = np.linspace(0.0, tau, steps + 1)[:-1]
-    ts = np.concatenate([xi_ts, path.ts + tau])
-    mats = np.concatenate([xi_matrix(n, xi_ts, tau), path.mats])
-    junction_index = steps  # index of gamma(0) = I in the combined arrays
-
-    def evaluator(t):
-        if t <= tau:
-            return xi_matrix(n, t, tau)
-        return path.evaluate(t - tau)
-
-    return SampledSymplecticPath(n=n, tau=tau + path.tau, ts=ts, mats=mats,
-                                 evaluator=evaluator, junction_index=junction_index)
+def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
+    """The sample of the canonical arc xi_n, from diag(2, ..., 1/2, ...) to
+    I, that the index count of gamma starts at: diag(a, ..., 1/a, ...) with
+    a = XI_START.  Its eigenvalues are real, positive and not 1, as on the
+    whole arc, so no eigen-phase passes 0 before it."""
+    return np.diag(np.repeat((XI_START, 1.0 / XI_START), path.n))
 
 
 # ----- the perturbed path ----------------------------------------------------
 
 class _PerturbedPath:
-    """gamma multiplied by e^{-pert (t - t0)/(T - t0) J} past the junction."""
+    """gamma multiplied by e^{-pert (t/tau) J}."""
 
-    def __init__(self, ext: SampledSymplecticPath, pert: float):
-        self.ext = ext
+    def __init__(self, path: SampledSymplecticPath, pert: float):
+        self.path = path
         self.pert = pert
-        self.n = ext.n
-        self.t0 = ext.ts[ext.junction_index]
-        self.T = ext.ts[-1]
-        self.I = np.eye(2 * ext.n)
-        self.J = standard_J(ext.n)
+        self.n = path.n
+        self.I = np.eye(2 * path.n)
+        self.J = standard_J(path.n)
 
     def _rotation(self, t: float | np.ndarray) -> np.ndarray:
-        """e^{s(t) J} = cos s I + sin s J, with s(t) 0 up to the junction and
-        falling linearly to -pert at T; a stack on an array of times."""
-        s = -self.pert * np.maximum(t - self.t0, 0.0) / (self.T - self.t0)
+        """e^{s(t) J} = cos s I + sin s J with s(t) = -pert t/tau, falling
+        linearly from 0 at gamma(0) to -pert at tau; a stack on an array of times."""
+        s = -self.pert * t / self.path.tau
         return np.cos(s)[..., None, None] * self.I + np.sin(s)[..., None, None] * self.J
 
     def samples(self, idx) -> np.ndarray:
         """The perturbed samples at an index, an index array or a slice."""
-        mats = self.ext.mats[idx]
-        return mats if self.pert == 0.0 else mats @ self._rotation(self.ext.ts[idx])
+        mats = self.path.mats[idx]
+        return mats if self.pert == 0.0 else mats @ self._rotation(self.path.ts[idx])
 
     def evaluate(self, t: float) -> np.ndarray:
-        M = self.ext.evaluate(t)
+        M = self.path.evaluate(t)
         return M if self.pert == 0.0 else M @ self._rotation(t)
 
 
@@ -413,37 +392,45 @@ def _phases(M: np.ndarray, omega: complex, n: int) -> np.ndarray:
     return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
 
 
-def _scan(pp: _PerturbedPath, omega: complex, halvable: bool) -> int:
-    """The index of one perturbed extended path: the signed count of
-    eigen-phases of W passing 0, from the last xi sample diag(a, 1/a),
-    a >= 1 + 1/DEFAULT_STEPS, on: none has passed before it, and its phases
-    are resolved for every omega.  At omega = 1 the phases at the junction
-    I are 0 up to rounding, read once and on the same side of every cut of
-    CUTS in both steps that share them, so a passage there counts once.
+def _scan(pp: _PerturbedPath, omega: complex) -> int:
+    """The index of one perturbed path: the signed count of eigen-phases of
+    W passing 0, over the start step from S = extend_with_xi(gamma) to
+    gamma(0) = I and then over gamma's own samples.  Scan point 0 is S, and
+    scan point j >= 1 is gamma's sample j - 1.  No phase has passed 0
+    before S, and its phases are resolved for every omega.  At omega = 1
+    the phases at I are 0 up to rounding, read once and on the same side of
+    every cut of CUTS in both steps that share them, so a passage there
+    counts once.
 
     Sample steps are grouped into coarse steps of motion bound about
     COARSE_BOUND; a coarse step whose best cut is not farther from its end
-    phases than its bound is halved, at sample indices and then, inside one
-    sample step, through the evaluator (halvable paths only)."""
+    phases than its bound is halved, at scan points and then, inside one
+    sample step of gamma, through the evaluator.  The start step is never
+    halved: its ends depend only on n and omega, and its motion bound is
+    about 2e-3 sqrt(n) rad."""
     n = pp.n
-    start = pp.ext.junction_index - 1
-    ts = pp.ext.ts[start:]
-    N = len(ts)
-    motion = [_motion(pp.samples(np.s_[start + lo:start + min(lo + CHUNK, N - 1) + 1]), n)
-              for lo in range(0, N - 1, CHUNK)]
+    S = extend_with_xi(pp.path)
+    ts = pp.path.ts
+    N = len(ts)  # gamma's samples; scan points 0..N
+    motion = [_motion(np.stack((S, pp.samples(0))), n)]
+    motion += [_motion(pp.samples(np.s_[lo:min(lo + CHUNK, N - 1) + 1]), n)
+               for lo in range(0, N - 1, CHUNK)]
     cum = np.concatenate(([0.0], np.cumsum(np.concatenate(motion))))
     marks = np.searchsorted(cum, np.arange(COARSE_BOUND, cum[-1], COARSE_BOUND))
-    coarse = np.unique(np.concatenate(([0], marks, [N - 1])))
-    ph = _phases(pp.samples(start + coarse), omega, n)
+    coarse = np.unique(np.concatenate(([0], marks, [N])))
+    ph = _phases(np.concatenate((S[None], pp.samples(coarse[1:] - 1))), omega, n)
     bound = np.diff(cum[coarse])
     cut, room = _cuts(ph[:-1], ph[1:])
     ok = room > bound
     total = int(np.sum(ph[1:][ok] < cut[ok, None]) - np.sum(ph[:-1][ok] < cut[ok, None]))
 
+    def point(j, phases):
+        """(scan point, t, M, phases); S shares gamma(0)'s time."""
+        return (j, ts[max(j - 1, 0)], S if j == 0 else pp.samples(j - 1), phases)
+
     # the steps whose cut is too near, as (point, point, bound, halvings left);
-    # a point is (sample index or None, t, M, phases)
-    todo = [((i0, ts[i0], pp.samples(start + i0), ph[k]),
-             (i1, ts[i1], pp.samples(start + i1), ph[k + 1]), bound[k], MAX_HALVINGS)
+    # a point made by halving a sample step has scan point None
+    todo = [(point(i0, ph[k]), point(i1, ph[k + 1]), bound[k], MAX_HALVINGS)
             for k, i0, i1 in zip(np.flatnonzero(~ok), coarse[:-1][~ok], coarse[1:][~ok])]
     while todo:
         a, b, bnd, depth = todo.pop()
@@ -454,17 +441,21 @@ def _scan(pp: _PerturbedPath, omega: complex, halvable: bool) -> int:
             continue
         if None not in (i0, i1) and i1 - i0 >= 2:
             k = (i0 + i1) // 2
-            M = pp.samples(start + k)
-            mid = (k, ts[k], M, _phases(M, omega, n))
+            M = pp.samples(k - 1)
+            mid = (k, ts[k - 1], M, _phases(M, omega, n))
             b0, b1 = cum[k] - cum[i0], cum[i1] - cum[k]
         else:
-            if not halvable:
+            if i0 == 0:
+                raise OracleError(f"eigen-phases move too far over the start step from "
+                                  f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
+                                  f"omega = {omega:.6g}")
+            if pp.path.evaluator is None:
                 raise OracleError(f"eigen-phases move too far over the sample step at "
-                                  f"t = {t0 - pp.t0:.6g}, and the path has no evaluator "
+                                  f"t = {t0:.6g}, and the path has no evaluator "
                                   f"to halve it")
             if depth == 0:
                 raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
-                                  f"of the sample step at t = {t0 - pp.t0:.6g}")
+                                  f"of the sample step at t = {t0:.6g}")
             t = 0.5 * (t0 + t1)
             M = pp.evaluate(t)
             mid = (None, t, M, _phases(M, omega, n))
@@ -478,22 +469,21 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
              rank_tol: float = RANK_TOL):
     """(i_omega, nu_omega) of a sampled path by the eigen-phase count.
 
-    omega is a unit-circle complex number (1 and -1 included).  eps is the
-    perturbation scale of the degenerate-endpoint convention: when
-    D_omega(gamma(tau)) = 0 the count is taken on gamma e^{-eps (t/T) J},
-    whose endpoint is gamma(tau) e^{-eps J}, and the counts at eps and
-    eps / 2 must agree.  A nondegenerate endpoint is counted unperturbed, in
-    one scan.
+    omega is a unit-circle complex number (1 and -1 included).  The count
+    runs on gamma's own samples, from the one xi sample extend_with_xi(gamma)
+    on.  eps is the perturbation scale of the degenerate-endpoint
+    convention: when nu_omega(gamma(tau)) > 0 the count is taken on
+    gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J}, and
+    the counts at eps and eps / 2 must agree.  A nondegenerate endpoint is
+    counted unperturbed, in one scan.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
     nu = nu_omega(path.endpoint(), omega, rank_tol)
-    ext = extend_with_xi(path)
-    halvable = path.evaluator is not None
     if nu == 0:
-        return _scan(_PerturbedPath(ext, 0.0), omega, halvable), nu
-    index, index2 = (_scan(_PerturbedPath(ext, pert), omega, halvable) for pert in (eps, eps / 2))
+        return _scan(_PerturbedPath(path, 0.0), omega), nu
+    index, index2 = (_scan(_PerturbedPath(path, pert), omega) for pert in (eps, eps / 2))
     if index != index2:
         raise OracleError(f"unstable count under perturbation ({index} vs {index2})")
     return index, nu

@@ -10,7 +10,6 @@ from symindex.normal_forms import (
     BasicNormalForm,
     NormalFormError,
     SymplecticMatrix,
-    d_omega,
     diamond,
     nontrivial_n2_block,
     nu_omega,
@@ -34,11 +33,6 @@ def random_symplectic(rng, n, factors=3, scale=0.4):
         S = 0.5 * (A + A.T)
         M = M @ expm(J @ S)
     return SymplecticMatrix(n, M).entries
-
-
-def D(M, w):
-    """D_omega of one matrix through the batched d_omega."""
-    return float(d_omega(M[None], w, M.shape[0] // 2)[0])
 
 
 def block(form):
@@ -110,44 +104,6 @@ def test_diamond_rejects_non_symplectic_with_diagnostic():
 def test_symplectic_constructor_rejects_bad_matrix():
     with pytest.raises(NormalFormError, match=r"max \|M\^T J M - J\| entry"):
         SymplecticMatrix(1, np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-
-def test_d_omega_identity():
-    assert D(np.eye(2), 1) == 0
-
-
-def test_d_omega_hyperbolic():
-    assert abs(D(block(BasicNormalForm("D", lam=2)), 1) - (-0.5)) <= 1e-12
-
-
-def test_d_omega_minus_one_on_shear():
-    assert abs(D(block(BasicNormalForm("N1", lam=1, b=1)), -1) - (-4)) <= 1e-12
-
-
-def test_d_omega_batched_matches_single():
-    rng = random.Random(5)
-    mats = np.stack([random_symplectic(rng, 2) for _ in range(6)])
-    w = complex(math.cos(0.7), math.sin(0.7))
-    batch = d_omega(mats, w, 2)
-    assert batch.shape == (6,)
-    assert batch.tolist() == [D(M, w) for M in mats]
-
-
-def test_d_omega_zero_set_multiplicativity():
-    rng = random.Random(11)
-    blocks = [
-        block(BasicNormalForm("R", theta=Scalar.rational(1, 2))),
-        block(BasicNormalForm("N1", lam=1, b=1)),
-        block(BasicNormalForm("D", lam=2)),
-        random_symplectic(rng, 1),
-    ]
-    omegas = [1, -1, complex(math.cos(0.3), math.sin(0.3)), 1j]
-    for A in blocks:
-        for B in blocks:
-            for w in omegas:
-                da, db = D(A, w), D(B, w)
-                dd = D(diamond(A, B), w)
-                assert (abs(dd) < 1e-9) == (abs(da) < 1e-9 or abs(db) < 1e-9)
 
 
 def test_nu_omega_examples():

@@ -18,7 +18,6 @@ from symindex.iteration import (
 )
 from symindex import normal_forms, oracle
 from symindex.normal_forms import (
-    d_omega,
     diamond,
     nontrivial_n2_block,
     nu_omega,
@@ -27,7 +26,6 @@ from symindex.normal_forms import (
     trivial_n2_block,
 )
 from symindex.oracle import (
-    DEFAULT_STEPS,
     MAX_STEPS,
     OracleError,
     SampledSymplecticPath,
@@ -41,7 +39,6 @@ from symindex.oracle import (
     path_from_matrix_function,
     path_from_quadratic_hamiltonian,
     path_from_samples,
-    xi_matrix,
 )
 from symindex.scalars import Scalar
 
@@ -236,55 +233,45 @@ def test_nested_diamond_reuses_the_inner_samples(monkeypatch):
     assert sum(slices) == 3 * (steps // 2 + 1)
 
 
-# ----- extension -------------------------------------------------------------
+# ----- the start sample --------------------------------------------------------
 
-def test_extend_constant_path():
-    p = path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=64)
-    ext = extend_with_xi(p)
-    assert np.allclose(ext.mats[0], np.diag([2.0, 0.5]))
-    assert np.allclose(ext.mats[ext.junction_index], np.eye(2))
-    assert np.allclose(ext.mats[-1], p.endpoint())
+def test_the_count_starts_at_one_xi_sample():
+    # diag(a, ..., 1/a, ...) with a > 1: no eigenvalue on the unit circle
+    path = rotation_path(0.5, steps=64)
+    for n in (1, 2, 3, 4):
+        if n > 1:
+            path = diamond_paths(path, rotation_path(0.3, steps=64), steps=64)
+        S = extend_with_xi(path)
+        a = S[0, 0]
+        assert a > 1.0
+        assert np.array_equal(S, np.diag([a] * n + [1.0 / a] * n)), n
+        assert np.min(np.abs(np.abs(np.linalg.eigvals(S)) - 1.0)) > 1e-4, n
 
 
-def test_extension_start_off_the_variety():
-    # D_1(xi_n(0)) != 0: eigenvalues 2 and 1/2
-    for n in (1, 2, 3):
-        assert abs(d_omega(xi_matrix(n, 0.0, 1.0)[None], 1.0, n)[0]) > 1e-6
-
-
-def test_extension_preserves_endpoint():
-    p = rotation_path(0.5, steps=128)
-    ext = extend_with_xi(p)
-    assert np.allclose(ext.mats[-1], p.endpoint())
+def test_the_start_step_is_never_halved(monkeypatch):
+    # the one cut is placed on a phase of W at the start sample: the first
+    # coarse step is halved at scan points down to the start step, which is
+    # refused; on a constant path every other step has bound 0
+    path = path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=64)
+    omega = cmath.exp(0.3j)
+    start = oracle._phases(extend_with_xi(path)[None], omega, 1)[0]
+    monkeypatch.setattr(oracle, "CUTS", start[:1].copy())
+    with pytest.raises(OracleError, match="over the start step from diag"):
+        cz_index(path, omega)
 
 
 # ----- vectorised sampling against the per-sample loops ----------------------
 #
-# The xi arc of extend_with_xi builds all samples in one xi_matrix call; the
-# loops below take one sample at a time, as the reference.  The results
-# must be equal, not merely close.  ref_sample_mats forms the perturbed
-# samples M e^{sJ} one product at a time.
-
-def ref_xi_mats(path):
-    tau = path.tau
-    steps = max(64, int(round(tau / max(path.ts[1] - path.ts[0], 1e-12))))
-    steps = min(steps, DEFAULT_STEPS)
-    xi_ts = np.linspace(0.0, tau, steps + 1)
-    return np.stack([xi_matrix(path.n, t, tau) for t in xi_ts])[:-1]
-
+# _PerturbedPath forms all perturbed samples M e^{sJ} in one batched product;
+# ref_sample_mats forms them one product at a time, as the reference.
 
 def ref_rot(pp, t):
-    if pp.pert == 0.0 or t <= pp.t0:
-        return np.eye(2 * pp.n)
-    s = -pp.pert * (t - pp.t0) / (pp.T - pp.t0)
+    s = -pp.pert * t / pp.path.tau
     return math.cos(s) * np.eye(2 * pp.n) + math.sin(s) * standard_J(pp.n)
 
 
 def ref_sample_mats(pp):
-    out = pp.ext.mats.copy()
-    for i in range(pp.ext.junction_index, len(out)):
-        out[i] = out[i] @ ref_rot(pp, pp.ext.ts[i])
-    return out
+    return np.stack([M @ ref_rot(pp, t) for t, M in zip(pp.path.ts, pp.path.mats)])
 
 
 def sampled_inputs():
@@ -304,80 +291,19 @@ def sampled_inputs():
 def test_vectorised_sampling_matches_per_sample_loops():
     seen = set()
     for name, path in sampled_inputs():
-        ext = extend_with_xi(path)
-        xi = ref_xi_mats(path)
-        assert np.array_equal(ext.mats[:len(xi)], xi), name
-        assert ext.junction_index == len(xi), name
-        assert np.array_equal(ext.mats[len(xi):], path.mats), name
         for pert in (1e-4, 2.5e-5):
-            pp = _PerturbedPath(ext, pert)
-            for t in (ext.ts[1], pp.t0, 0.5 * (pp.t0 + pp.T), pp.T):
-                want = ext.evaluate(t) @ ref_rot(pp, t)
+            pp = _PerturbedPath(path, pert)
+            for t in (path.ts[1], 0.0, 0.5 * path.tau, path.tau):
+                want = path.evaluate(t) @ ref_rot(pp, t)
                 assert np.array_equal(pp.evaluate(t), want), (name, pert, t)
             # the stack takes numpy's vectorised cos and sin, which may differ
             # from the scalar ones in the last bit
-            j = ext.junction_index
-            want = ref_sample_mats(pp)[j:]
-            got = pp.samples(np.s_[j:])
+            want = ref_sample_mats(pp)
+            got = pp.samples(np.s_[:])
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
-        assert np.array_equal(_PerturbedPath(ext, 0.0).samples(np.s_[:]), ext.mats), name
+        assert np.array_equal(_PerturbedPath(path, 0.0).samples(np.s_[:]), path.mats), name
         seen.add(path.n)
     assert seen == {1, 2, 3, 4}
-
-
-# ----- D_omega against closed forms -------------------------------------------
-#
-# d_omega takes the complex LU determinant.  On the xi arc D_omega has a
-# closed form, a 2 x 2 determinant has the entry formula, and at real omega
-# the determinant is real; each is kept here as a reference for the LU.
-
-OMEGAS = (1, -1, cmath.exp(0.3j), cmath.exp(1e-3j), cmath.exp(-1e-3j))
-
-
-def xi_closed_form(mats, omega, n):
-    """D_omega of xi_matrix samples diag(a, ..., 1/a, ...):
-    -(a + 1/a - 2 Re omega)^n, with each sample's own a and 1/a."""
-    return -(mats[:, 0, 0] + mats[:, n, n] - 2 * omega.real) ** n
-
-
-@pytest.mark.parametrize("omega", OMEGAS)
-def test_xi_d_omega_matches_lu(omega):
-    tau = 0.7
-    ts = np.linspace(0.0, tau, 513)[:-1]
-    for n in (1, 2, 3, 4):
-        mats = xi_matrix(n, ts, tau)
-        got = xi_closed_form(mats, complex(omega), n)
-        want = d_omega(mats, complex(omega), n)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
-        assert np.all(want < 0), n
-        assert int(np.argmax(np.abs(want))) == 0 and abs(want[0]) >= 2.0 ** -n, n
-
-
-@pytest.mark.parametrize("omega", [w for w in OMEGAS if isinstance(w, complex)])
-def test_two_by_two_d_omega_matches_lu(omega):
-    seen = 0
-    for name, path in sampled_inputs():
-        if path.n != 1:
-            continue
-        ext = extend_with_xi(path)
-        A = ext.mats - omega * np.eye(2)
-        got = (np.conj(omega) * (A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])).real
-        want = d_omega(ext.mats, omega, 1)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
-        seen += 1
-    assert seen == 4
-
-
-@pytest.mark.parametrize("omega", (1, -1, 1 + 0j, -1 + 0j, 1.0, -1.0))
-def test_d_omega_at_real_omega_is_real_arithmetic(omega):
-    w = float(complex(omega).real)
-    for name, path in sampled_inputs():
-        ext = extend_with_xi(path)
-        n = path.n
-        got = d_omega(ext.mats, omega, n)
-        assert got.dtype == np.float64, name
-        want = (-1) ** (n - 1) * w ** n * np.linalg.det(ext.mats - w * np.eye(2 * n))
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 # ----- point evaluations -------------------------------------------------------
@@ -408,12 +334,9 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     path = shear_path(1)
     data = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)
     pair = splitting_numbers(data.decomp, 1)
-    ext = extend_with_xi(path)
     calls = count_point_evaluations(monkeypatch)
     for sign, s in ((1, pair.s_plus), (-1, pair.s_minus)):
         omega = cmath.exp(1j * sign * 1e-3)
-        d = d_omega(ext.mats[ext.junction_index:], omega, 1)
-        assert np.unique(np.abs(d)).size == 1
         calls.clear()
         assert cz_index(path, omega) == (index_iterate(data, 1) + s, 0)
         assert calls == []
@@ -440,8 +363,8 @@ def test_refinement_point_evaluations(monkeypatch, theta, m, want, walk_budget):
 
 # ----- the junction ------------------------------------------------------------
 #
-# The count starts at the last sample of the xi arc, so the junction I is an
-# interior sample like any other.  A path that stays at I for a while has a
+# The count starts at one sample of the xi arc, so the junction gamma(0) = I
+# is an interior scan point like any other.  A path that stays at I for a while has a
 # whole run of samples whose phases at omega = 1 are 0, and needs no rule of
 # its own.
 
@@ -515,6 +438,23 @@ def test_an_iterate_over_the_step_cap_is_refused_before_it_is_built():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert len(iterate_path(p, MAX_STEPS // 64).ts) == MAX_STEPS + 1
+
+
+def test_cz_index_takes_less_memory_than_the_iterate():
+    # the count reads the iterate's own sample stack; an extended copy of it
+    # alone would take iterate.mats.nbytes (6.5 MB here)
+    steps = 2048
+    path = diamond_paths(rotation_path(1.348469, steps=steps),
+                         rotation_path(1.0, steps=steps), steps=steps)
+    iterate = iterate_path(diamond_paths(path, shear_path(-1, steps=steps), steps=steps), 11)
+    for omega in (1, cmath.exp(0.3j)):
+        tracemalloc.start()
+        try:
+            cz_index(iterate, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < iterate.mats.nbytes, (omega, peak, iterate.mats.nbytes)
 
 
 def test_iterate_rotation_is_resampled_group():
@@ -818,6 +758,7 @@ def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
         omega = cmath.exp(1j * math.pi * over_pi)
         assert cz_index(coarse, omega) == four_rotations_index(over_pi), over_pi
     assert len(calls) > 0
+    assert all(0.0 <= t <= coarse.tau for t in calls)  # on gamma's own times
     bare = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=coarse.mats)
     # an iterate of a sample-only path has no evaluator either, and a diamond
     # with a sample-only part cannot sample its grid
