@@ -13,13 +13,16 @@ STEP_BOUND, takes eigen-data at coarse points only and needs no
 refinement: two crossings inside one sample step count 2, and a touch
 nets 0.
 
-A degenerate endpoint is resolved by multiplying gamma by e^{-eps (t/T) J},
-which moves the endpoint to gamma(T) e^{-eps J}; the whole-path version of
-that endpoint convention shifts every crossing form downward and realizes
-the infimum over nearby nondegenerate paths.  The sign convention is
-pinned by agreement with the iteration formulas on rotation paths and
-recorded here: a crossing passed in the direction of the curve
-M e^{t eps J} counts +1.
+A degenerate endpoint follows the convention gamma(T) e^{-eps J}: its index
+is that of gamma e^{-eps (t/T) J}, which realizes the infimum over nearby
+nondegenerate paths.  The count is invariant under homotopies with fixed
+end points, and (t, s) -> gamma(t) e^{-sJ} on [0, T] x [0, eps] is one from
+that path to gamma followed by the arc gamma(T) e^{-sJ}, s in [0, eps]; so
+the count runs once over gamma's own samples, unperturbed, and goes on
+over that short arc.  The sign convention is pinned by agreement with the
+iteration formulas on rotation paths and recorded here: an eigen-phase
+passing 0 counterclockwise, as the phases at 0 do along M e^{sJ} with s
+increasing, counts +1.
 """
 
 from __future__ import annotations
@@ -293,34 +296,6 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
     return np.diag(np.repeat((XI_START, 1.0 / XI_START), path.n))
 
 
-# ----- the perturbed path ----------------------------------------------------
-
-class _PerturbedPath:
-    """gamma multiplied by e^{-pert (t/tau) J}."""
-
-    def __init__(self, path: SampledSymplecticPath, pert: float):
-        self.path = path
-        self.pert = pert
-        self.n = path.n
-        self.I = np.eye(2 * path.n)
-        self.J = standard_J(path.n)
-
-    def _rotation(self, t: float | np.ndarray) -> np.ndarray:
-        """e^{s(t) J} = cos s I + sin s J with s(t) = -pert t/tau, falling
-        linearly from 0 at gamma(0) to -pert at tau; a stack on an array of times."""
-        s = -self.pert * t / self.path.tau
-        return np.cos(s)[..., None, None] * self.I + np.sin(s)[..., None, None] * self.J
-
-    def samples(self, idx) -> np.ndarray:
-        """The perturbed samples at an index, an index array or a slice."""
-        mats = self.path.mats[idx]
-        return mats if self.pert == 0.0 else mats @ self._rotation(self.path.ts[idx])
-
-    def evaluate(self, t: float) -> np.ndarray:
-        M = self.path.evaluate(t)
-        return M if self.pert == 0.0 else M @ self._rotation(t)
-
-
 # ----- the eigen-phase count -------------------------------------------------
 #
 # Gr(M) = {(x, Mx)} is Lagrangian for (-J) + J on C^{4n}, so it is the graph
@@ -333,12 +308,16 @@ class _PerturbedPath:
 # 15, 1984), so over a step whose phases cannot reach a cut c, the net
 # number passing 0 is the change of #{phases in [0, c)}.  A sample step
 # moves them by at most 2 asin(min(1, sqrt2 r)), r the step's matrix change
-# (_motion).
+# (_motion).  An arc step M e^{-sJ}, s over an interval of length h, moves
+# them by at most 2 asin(min(1, 2 sin(h/2))) whatever M (_arc_motion):
+# Gr(M e^{-sJ}) = diag(e^{sJ}, I) Gr(M), and diag(e^{sJ}, I) commutes with H
+# and acts on its +1 and -1 eigenspaces as unitaries that move by at most
+# |e^{ih} - 1| = 2 sin(h/2) each.
 
 COARSE_BOUND = 0.5  # motion bound (rad) between the points that get eigen-data
-CHUNK = 4096  # sample steps per batch of motion bounds, which bounds the temporaries
+CHUNK = 1024  # sample steps per batch of motion bounds, which bounds the temporaries
 CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
-MAX_HALVINGS = 10  # halvings of one sample step through the evaluator
+MAX_HALVINGS = 10  # halvings of one sample step through the evaluator, or of one arc step
 
 
 def _frames(M: np.ndarray, n: int):
@@ -373,15 +352,32 @@ def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     return 2 * np.arcsin(np.minimum(1.0, math.sqrt(2) * r))
 
 
-def _cuts(p0: np.ndarray, p1: np.ndarray):
-    """(cut, room) for steps whose end phases are the rows of p0 and p1: the
-    cut of CUTS farthest from every end phase, and that distance."""
+def _arc(M: np.ndarray, s: float) -> np.ndarray:
+    """M e^{-sJ} = M (cos s I - sin s J), the arc that moves a degenerate
+    endpoint M off its eigenvalue."""
+    n = len(M) // 2
+    return M @ (math.cos(s) * np.eye(2 * n) - math.sin(s) * standard_J(n))
+
+
+def _arc_motion(h: float) -> float:
+    """A bound on the eigen-phase motion of W over the arc M e^{-sJ} as s
+    runs over an interval of length h, whatever M."""
+    return 2 * math.asin(min(1.0, 2 * math.sin(0.5 * abs(h))))
+
+
+def _count(p0: np.ndarray, p1: np.ndarray, bound):
+    """The step rule, for steps whose end phases are the rows of p0 and p1:
+    (net, ok), net the change of #{phases in [0, c)} at the cut c of CUTS
+    farthest from every end phase, and ok that c is farther than the step's
+    motion bound, so that net is the number of phases passing 0 over it."""
     room = np.full((len(p0), len(CUTS)), math.pi)
     for p in np.concatenate((p0, p1), axis=-1).T:  # one end phase of every step at a time
         d = np.abs(p[:, None] - CUTS)
         np.minimum(room, np.minimum(d, 2 * math.pi - d), out=room)
     best = room.argmax(axis=-1)
-    return CUTS[best], room[np.arange(len(best)), best]
+    cut = CUTS[best, None]
+    net = np.sum(p1 < cut, axis=-1) - np.sum(p0 < cut, axis=-1)
+    return net, room[np.arange(len(best)), best] > bound
 
 
 def _phases(M: np.ndarray, omega: complex, n: int) -> np.ndarray:
@@ -392,77 +388,84 @@ def _phases(M: np.ndarray, omega: complex, n: int) -> np.ndarray:
     return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
 
 
-def _scan(pp: _PerturbedPath, omega: complex) -> int:
-    """The index of one perturbed path: the signed count of eigen-phases of
-    W passing 0, over the start step from S = extend_with_xi(gamma) to
-    gamma(0) = I and then over gamma's own samples.  Scan point 0 is S, and
-    scan point j >= 1 is gamma's sample j - 1.  No phase has passed 0
-    before S, and its phases are resolved for every omega.  At omega = 1
-    the phases at I are 0 up to rounding, read once and on the same side of
-    every cut of CUTS in both steps that share them, so a passage there
-    counts once.
+def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
+    """The signed count of eigen-phases of W passing 0 over the start step
+    from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
+    and, for eps > 0, over the endpoint arc gamma(tau) e^{-sJ}, s from 0 to
+    eps / 2 to eps; no phase may pass 0 on the arc's second half.
 
-    Sample steps are grouped into coarse steps of motion bound about
-    COARSE_BOUND; a coarse step whose best cut is not farther from its end
-    phases than its bound is halved, at scan points and then, inside one
-    sample step of gamma, through the evaluator.  The start step is never
-    halved: its ends depend only on n and omega, and its motion bound is
-    about 2e-3 sqrt(n) rad."""
-    n = pp.n
-    S = extend_with_xi(pp.path)
-    ts = pp.path.ts
+    Scan point 0 is S, and scan point j >= 1 is gamma's sample j - 1.  No
+    phase has passed 0 before S, and its phases are resolved for every
+    omega.  The phases at I and at gamma(tau), 0 up to rounding when
+    degenerate, are read once and shared by the two steps that meet there,
+    so a passage there counts once.  Sample steps are grouped into coarse
+    steps of motion bound about COARSE_BOUND.  A step whose best cut is too
+    near is halved, at scan points, then inside one sample step through the
+    evaluator, and on the arc through _arc.  The start step is never halved:
+    its ends depend only on n and omega, and its motion bound is about
+    2e-3 sqrt(n) rad."""
+    n = path.n
+    S = extend_with_xi(path)
+    ts, mats = path.ts, path.mats
     N = len(ts)  # gamma's samples; scan points 0..N
-    motion = [_motion(np.stack((S, pp.samples(0))), n)]
-    motion += [_motion(pp.samples(np.s_[lo:min(lo + CHUNK, N - 1) + 1]), n)
-               for lo in range(0, N - 1, CHUNK)]
+    motion = [_motion(np.stack((S, mats[0])), n)]
+    motion += [_motion(mats[lo:min(lo + CHUNK, N - 1) + 1], n) for lo in range(0, N - 1, CHUNK)]
     cum = np.concatenate(([0.0], np.cumsum(np.concatenate(motion))))
     marks = np.searchsorted(cum, np.arange(COARSE_BOUND, cum[-1], COARSE_BOUND))
     coarse = np.unique(np.concatenate(([0], marks, [N])))
-    ph = _phases(np.concatenate((S[None], pp.samples(coarse[1:] - 1))), omega, n)
-    bound = np.diff(cum[coarse])
-    cut, room = _cuts(ph[:-1], ph[1:])
-    ok = room > bound
-    total = int(np.sum(ph[1:][ok] < cut[ok, None]) - np.sum(ph[:-1][ok] < cut[ok, None]))
+    # a point is (scan point, t, M, phases); a point made by halving a sample
+    # step has scan point None, and so has an arc point, which holds s for t
+    pts = [(j, ts[max(j - 1, 0)], S if j == 0 else mats[j - 1]) for j in coarse]
+    pts += [(None, s, _arc(mats[-1], s)) for s in (0.5 * eps, eps) if eps]
+    ph = _phases(np.stack([p[2] for p in pts]), omega, n)
+    bound = np.concatenate((np.diff(cum[coarse]),
+                            [_arc_motion(0.5 * eps)] * (len(pts) - len(coarse))))
+    counts, ok = _count(ph[:-1], ph[1:], bound)
 
-    def point(j, phases):
-        """(scan point, t, M, phases); S shares gamma(0)'s time."""
-        return (j, ts[max(j - 1, 0)], S if j == 0 else pp.samples(j - 1), phases)
+    def at(j, t, M):
+        return (j, t, M, _phases(M, omega, n))
 
-    # the steps whose cut is too near, as (point, point, bound, halvings left);
-    # a point made by halving a sample step has scan point None
-    todo = [(point(i0, ph[k]), point(i1, ph[k + 1]), bound[k], MAX_HALVINGS)
-            for k, i0, i1 in zip(np.flatnonzero(~ok), coarse[:-1][~ok], coarse[1:][~ok])]
-    while todo:
-        a, b, bnd, depth = todo.pop()
-        (i0, t0, M0, p0), (i1, t1, M1, p1) = a, b
-        cut, room = _cuts(p0[None], p1[None])
-        if room[0] > bnd:
-            total += int(np.sum(p1 < cut[0]) - np.sum(p0 < cut[0]))
-            continue
+    def halve_sample(a, b, depth):
+        (i0, t0, M0, _), (i1, t1, M1, _) = a, b
         if None not in (i0, i1) and i1 - i0 >= 2:
             k = (i0 + i1) // 2
-            M = pp.samples(k - 1)
-            mid = (k, ts[k - 1], M, _phases(M, omega, n))
-            b0, b1 = cum[k] - cum[i0], cum[i1] - cum[k]
-        else:
-            if i0 == 0:
-                raise OracleError(f"eigen-phases move too far over the start step from "
-                                  f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
-                                  f"omega = {omega:.6g}")
-            if pp.path.evaluator is None:
-                raise OracleError(f"eigen-phases move too far over the sample step at "
-                                  f"t = {t0:.6g}, and the path has no evaluator "
-                                  f"to halve it")
-            if depth == 0:
-                raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
-                                  f"of the sample step at t = {t0:.6g}")
-            t = 0.5 * (t0 + t1)
-            M = pp.evaluate(t)
-            mid = (None, t, M, _phases(M, omega, n))
-            b0, b1 = _motion(np.stack((M0, M, M1)), n)
-            depth -= 1
-        todo += [(a, mid, b0, depth), (mid, b, b1, depth)]
-    return total
+            return at(k, ts[k - 1], mats[k - 1]), cum[k] - cum[i0], cum[i1] - cum[k], depth
+        if i0 == 0:
+            raise OracleError(f"eigen-phases move too far over the start step from "
+                              f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
+                              f"omega = {omega:.6g}")
+        if path.evaluator is None:
+            raise OracleError(f"eigen-phases move too far over the sample step at "
+                              f"t = {t0:.6g}, and the path has no evaluator to halve it")
+        if depth == 0:
+            raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
+                              f"of the sample step at t = {t0:.6g}")
+        mid = at(None, 0.5 * (t0 + t1), path.evaluate(0.5 * (t0 + t1)))
+        return (mid, *_motion(np.stack((M0, mid[2], M1)), n), depth - 1)
+
+    def halve_arc(a, b, depth):
+        s0, s1 = (a[1] if a[0] is None else 0.0), b[1]  # the arc starts at scan point N
+        if depth == 0:
+            raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
+                              f"of the endpoint arc gamma(tau) e^{{-sJ}} at s = {s0:.6g}")
+        h = _arc_motion(0.5 * (s1 - s0))
+        return at(None, 0.5 * (s0 + s1), _arc(mats[-1], 0.5 * (s0 + s1))), h, h, depth - 1
+
+    for k in np.flatnonzero(~ok):  # the steps whose cut is too near, halved until it is not
+        counts[k] = 0
+        todo = [(pts[k] + (ph[k],), pts[k + 1] + (ph[k + 1],), bound[k], MAX_HALVINGS)]
+        while todo:
+            a, b, bnd, depth = todo.pop()
+            net, resolved = _count(a[3][None], b[3][None], bnd)
+            if resolved[0]:
+                counts[k] += net[0]
+                continue
+            mid, b0, b1, depth = (halve_sample if k < len(coarse) - 1 else halve_arc)(a, b, depth)
+            todo += [(a, mid, b0, depth), (mid, b, b1, depth)]
+    if eps and counts[-1]:
+        index = int(np.sum(counts[:-1]))
+        raise OracleError(f"unstable count under perturbation ({index + counts[-1]} vs {index})")
+    return int(np.sum(counts))
 
 
 def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
@@ -470,47 +473,42 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     """(i_omega, nu_omega) of a sampled path by the eigen-phase count.
 
     omega is a unit-circle complex number (1 and -1 included).  The count
-    runs on gamma's own samples, from the one xi sample extend_with_xi(gamma)
-    on.  eps is the perturbation scale of the degenerate-endpoint
-    convention: when nu_omega(gamma(tau)) > 0 the count is taken on
-    gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J}, and
-    the counts at eps and eps / 2 must agree.  A nondegenerate endpoint is
-    counted unperturbed, in one scan.
+    runs once, unperturbed, over gamma's own samples, from the one xi sample
+    extend_with_xi(gamma) on.  When nu_omega(gamma(tau)) > 0, the index is
+    that of gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J};
+    a homotopy with fixed end points, (t, s) -> gamma(t) e^{-sJ}, takes that
+    path to gamma followed by the arc gamma(tau) e^{-sJ}, s in [0, eps], so
+    the scan goes on over that arc.  The counts at eps and eps / 2 must agree.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
     nu = nu_omega(path.endpoint(), omega, rank_tol)
-    if nu == 0:
-        return _scan(_PerturbedPath(path, 0.0), omega), nu
-    index, index2 = (_scan(_PerturbedPath(path, pert), omega) for pert in (eps, eps / 2))
-    if index != index2:
-        raise OracleError(f"unstable count under perturbation ({index} vs {index2})")
-    return index, nu
+    return _scan(path, omega, eps if nu else 0.0), nu
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):
     """Oracle estimate of (S^+, S^-) at omega from the endpoint M alone (Long
     2002): the net number of eigen-phases of U(w I)* U(M) passing 0 as w runs
-    from omega to omega e^{+-ie}, M first pushed to M e^{-dJ} if degenerate,
-    as in cz_index.  They move by at most e, so each count is read at a cut
-    farther than e from them; the probes e of SPLITTING_PROBES must agree."""
+    from omega to omega e^{+-ie}, M first pushed along the arc to M e^{-dJ}
+    if degenerate, as in cz_index.  They move by at most e, so each count is
+    read at a cut farther than e from them; the probes e of SPLITTING_PROBES
+    must agree."""
     omega = complex(omega)
     n = path.n
     M = path.endpoint()
     if nu_omega(M, omega) > 0:
-        d = 1e-3 * min(SPLITTING_PROBES) ** 2 / max(1.0, np.linalg.norm(M, 2))
-        M = M @ (math.cos(d) * np.eye(2 * n) - math.sin(d) * standard_J(n))
+        M = _arc(M, 1e-3 * min(SPLITTING_PROBES) ** 2 / max(1.0, np.linalg.norm(M, 2)))
     p0 = _phases(M, omega, n)
     plus_vals = []
     minus_vals = []
     for e in SPLITTING_PROBES:
         for vals, sign in ((plus_vals, 1), (minus_vals, -1)):
             p1 = _phases(M, omega * complex(math.cos(e), sign * math.sin(e)), n)
-            cut, room = _cuts(p0[None], p1[None])
-            if room[0] <= e:
+            net, ok = _count(p0[None], p1[None], e)
+            if not ok[0]:
                 raise OracleError(f"no cut farther than {e:g} from the eigen-phases at omega")
-            vals.append(int(np.sum(p1 < cut[0]) - np.sum(p0 < cut[0])))
+            vals.append(int(net[0]))
     if len(set(plus_vals)) != 1 or len(set(minus_vals)) != 1:
         raise OracleError(
             f"splitting estimate unstable across probes: +{plus_vals}, -{minus_vals}")

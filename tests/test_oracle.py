@@ -17,19 +17,18 @@ from symindex.iteration import (
     unit_spectrum,
 )
 from symindex import normal_forms, oracle
+from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.normal_forms import (
     diamond,
     nontrivial_n2_block,
     nu_omega,
     realize,
-    standard_J,
     trivial_n2_block,
 )
 from symindex.oracle import (
     MAX_STEPS,
     OracleError,
     SampledSymplecticPath,
-    _PerturbedPath,
     cz_index,
     diamond_paths,
     estimate_splitting,
@@ -260,68 +259,22 @@ def test_the_start_step_is_never_halved(monkeypatch):
         cz_index(path, omega)
 
 
-# ----- vectorised sampling against the per-sample loops ----------------------
-#
-# _PerturbedPath forms all perturbed samples M e^{sJ} in one batched product;
-# ref_sample_mats forms them one product at a time, as the reference.
-
-def ref_rot(pp, t):
-    s = -pp.pert * t / pp.path.tau
-    return math.cos(s) * np.eye(2 * pp.n) + math.sin(s) * standard_J(pp.n)
-
-
-def ref_sample_mats(pp):
-    return np.stack([M @ ref_rot(pp, t) for t, M in zip(pp.path.ts, pp.path.mats)])
-
-
-def sampled_inputs():
-    rot = rotation_path(0.5, steps=256)
-    yield "rotation", rot
-    yield "rotation tau=0.7", rotation_path(0.3, tau=0.7, steps=300)
-    yield "shear", shear_path(1, steps=256)
-    yield "iterate m=9", iterate_path(rotation_path(math.sqrt(2) / 2), 9)
-    factors = [rot, shear_path(-1, steps=256), rotation_path(0.3, steps=256),
-               n1_minus_path(1, steps=256)]
-    path = factors[0]
-    for k, factor in enumerate(factors[1:], start=2):
-        path = diamond_paths(path, factor, steps=256)
-        yield f"diamond n={k}", path
-
-
-def test_vectorised_sampling_matches_per_sample_loops():
-    seen = set()
-    for name, path in sampled_inputs():
-        for pert in (1e-4, 2.5e-5):
-            pp = _PerturbedPath(path, pert)
-            for t in (path.ts[1], 0.0, 0.5 * path.tau, path.tau):
-                want = path.evaluate(t) @ ref_rot(pp, t)
-                assert np.array_equal(pp.evaluate(t), want), (name, pert, t)
-            # the stack takes numpy's vectorised cos and sin, which may differ
-            # from the scalar ones in the last bit
-            want = ref_sample_mats(pp)
-            got = pp.samples(np.s_[:])
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
-        assert np.array_equal(_PerturbedPath(path, 0.0).samples(np.s_[:]), path.mats), name
-        seen.add(path.n)
-    assert seen == {1, 2, 3, 4}
-
-
 # ----- point evaluations -------------------------------------------------------
 #
 # The count takes eigen-data at samples and evaluates the path at a point
 # only for a sample step it has to halve.
 
 def count_point_evaluations(monkeypatch):
-    """Record the time of every point evaluation of a perturbed path in the
-    list returned."""
+    """Record the time of every point evaluation of a path in the list
+    returned."""
     calls = []
-    evaluate = _PerturbedPath.evaluate
+    evaluate = SampledSymplecticPath.evaluate
 
     def counted_evaluate(self, t):
         calls.append(t)
         return evaluate(self, t)
 
-    monkeypatch.setattr(_PerturbedPath, "evaluate", counted_evaluate)
+    monkeypatch.setattr(SampledSymplecticPath, "evaluate", counted_evaluate)
     return calls
 
 
@@ -381,16 +334,17 @@ def flat_start(phi_over_pi: float):
 
 
 def count_scans(monkeypatch):
-    """Record the perturbation of every scan in the list returned."""
-    perts = []
+    """Record the endpoint arc length eps of every scan in the list returned;
+    0.0 is a scan without the arc."""
+    arcs = []
     scan = oracle._scan
 
-    def counted_scan(pp, *args):
-        perts.append(pp.pert)
-        return scan(pp, *args)
+    def counted_scan(path, omega, eps):
+        arcs.append(eps)
+        return scan(path, omega, eps)
 
     monkeypatch.setattr(oracle, "_scan", counted_scan)
-    return perts
+    return arcs
 
 
 @pytest.mark.parametrize("sample_only", [False, True], ids=["function", "sample-only"])
@@ -406,10 +360,95 @@ def test_a_flat_start_is_counted_in_one_unperturbed_scan(monkeypatch, phi_over_p
     else:
         path = path_from_matrix_function(f, 1.0, 1)
     calls = count_point_evaluations(monkeypatch)
-    perts = count_scans(monkeypatch)
+    arcs = count_scans(monkeypatch)
     assert cz_index(path, 1) == (want, 0)
     assert calls == []
-    assert perts == [0.0]
+    assert arcs == [0.0]
+
+
+# ----- the endpoint arc --------------------------------------------------------
+#
+# A degenerate endpoint M = gamma(tau) is counted by going on from M over the
+# arc M e^{-sJ}, s from 0 to eps, in the one scan of gamma's own samples.
+
+def hyperbolic_path(steps: int = 2048):
+    """gamma(t) = diag(2^t, 2^-t); generator log 2 times [[0, -1], [-1, 0]]."""
+    a = math.log(2)
+    return path_from_quadratic_hamiltonian(np.array([[0.0, -a], [-a, 0.0]]), 1.0, steps=steps)
+
+
+def orbit_path():
+    # the first axis orbit of the ellipsoid with alphas (1, sqrt2): one full
+    # turn on its own axis (1, degenerate) and a turn by 2 pi sqrt2 (3)
+    return orbit_data(EllipsoidSpec(alphas=("1", "sqrt2")), 1)[1]
+
+
+DEGENERATE_ENDPOINTS = [
+    ("N1(1,1)^4", lambda: iterate_path(shear_path(1, steps=256), 4),
+     PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1), 4),
+    ("R(pi/2)^4", lambda: iterate_path(rotation_path(0.5, steps=256), 4), rot_data(HALF), 4),
+    ("ellipsoid orbit", orbit_path, None, None),
+]
+
+
+@pytest.mark.parametrize("name, maker, data, m", DEGENERATE_ENDPOINTS,
+                         ids=[row[0] for row in DEGENERATE_ENDPOINTS])
+def test_a_degenerate_endpoint_is_counted_in_one_scan(monkeypatch, name, maker, data, m):
+    path = maker()
+    want = (4, 2) if data is None else (index_iterate(data, m), nullity_iterate(data, m))
+    calls = count_point_evaluations(monkeypatch)
+    arcs = count_scans(monkeypatch)
+    assert cz_index(path, 1) == want
+    assert calls == []
+    assert arcs == [oracle.DEFAULT_PERT]
+
+
+@pytest.mark.parametrize("m, want", [(16, (7, 2)), (20, (9, 2))])
+def test_a_large_endpoint_is_counted_on_the_arc(m, want):
+    # gamma(tau) = diag(2^m, 2^-m) diamond I has norm 2^m, and the arc's
+    # motion bound does not depend on it: the arc needs no halving and no
+    # evaluator.  i of R(pi/2)^m at I is m - 1, the hyperbolic part 0.
+    base = diamond_paths(hyperbolic_path(256), rotation_path(0.5, steps=256), steps=256)
+    path = iterate_path(base, m)
+    bare = SampledSymplecticPath(n=2, tau=path.tau, ts=path.ts, mats=path.mats)
+    assert cz_index(path, 1) == want
+    assert cz_index(bare, 1) == want
+
+
+@pytest.mark.parametrize("phi_over_eps, want", [(0.25, (-2, 1)), (1.5, (0, 1)), (0.75, None)])
+def test_the_counts_at_eps_and_eps_over_2_must_agree(phi_over_eps, want):
+    # gamma = N1(1,1) diamond R(phi): the arc turns R(phi) back through I at
+    # s = phi, which counts -2; on the arc's second half the counts at eps and
+    # eps / 2 disagree
+    eps = oracle.DEFAULT_PERT
+    path = diamond_paths(shear_path(1, steps=256),
+                         rotation_path(phi_over_eps * eps / math.pi, steps=256), steps=256)
+    if want is None:
+        with pytest.raises(OracleError, match=r"unstable count under perturbation \(-2 vs 0\)"):
+            cz_index(path, 1)
+    else:
+        assert cz_index(path, 1) == want
+
+
+def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
+    path = iterate_path(shear_path(1, steps=256), 4)
+    want = cz_index(path, 1)
+    arc_motion, arc = oracle._arc_motion, oracle._arc
+    arcs = []
+
+    def counted_arc(M, s):
+        arcs.append(s)
+        return arc(M, s)
+
+    monkeypatch.setattr(oracle, "_arc", counted_arc)
+    # a bound 2^20 times too wide: each half of the arc is halved about six times
+    monkeypatch.setattr(oracle, "_arc_motion", lambda h: 2 ** 20 * arc_motion(h))
+    assert cz_index(path, 1) == want
+    assert len(arcs) > 2 and all(0 < s <= oracle.DEFAULT_PERT for s in arcs)
+    monkeypatch.setattr(oracle, "_arc_motion", lambda h: 4.0)  # past every cut
+    with pytest.raises(OracleError, match=f"not resolved after {oracle.MAX_HALVINGS} halvings "
+                                          f"of the endpoint arc"):
+        cz_index(path, 1)
 
 
 # ----- iteration -------------------------------------------------------------
@@ -441,20 +480,22 @@ def test_an_iterate_over_the_step_cap_is_refused_before_it_is_built():
 
 
 def test_cz_index_takes_less_memory_than_the_iterate():
-    # the count reads the iterate's own sample stack; an extended copy of it
-    # alone would take iterate.mats.nbytes (6.5 MB here)
-    steps = 2048
-    path = diamond_paths(rotation_path(1.348469, steps=steps),
-                         rotation_path(1.0, steps=steps), steps=steps)
-    iterate = iterate_path(diamond_paths(path, shear_path(-1, steps=steps), steps=steps), 11)
-    for omega in (1, cmath.exp(0.3j)):
-        tracemalloc.start()
-        try:
-            cz_index(iterate, omega)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < iterate.mats.nbytes, (omega, peak, iterate.mats.nbytes)
+    # the count reads the iterate's own sample stack; an extended or a
+    # perturbed copy of it alone would take iterate.mats.nbytes (6.5 MB at
+    # 2,048 steps, 3.2 MB at 1,024), and the motion bounds' temporaries are
+    # held to CHUNK sample steps
+    for steps in (2048, 1024):
+        path = diamond_paths(rotation_path(1.348469, steps=steps),
+                             rotation_path(1.0, steps=steps), steps=steps)
+        iterate = iterate_path(diamond_paths(path, shear_path(-1, steps=steps), steps=steps), 11)
+        for omega in (1, cmath.exp(0.3j)):
+            tracemalloc.start()
+            try:
+                cz_index(iterate, omega)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < iterate.mats.nbytes, (steps, omega, peak, iterate.mats.nbytes)
 
 
 def test_iterate_rotation_is_resampled_group():
@@ -509,9 +550,7 @@ FAMILIES = [
      NormalFormDecomposition(n=1, q_zero=1), 1),
     ("constant", lambda: path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0),
      NormalFormDecomposition(n=1, p_zero=1), -1),
-    ("hyperbolic", lambda: path_from_quadratic_hamiltonian(
-        np.array([[0.0, -math.log(2)], [-math.log(2), 0.0]]), 1.0),
-     NormalFormDecomposition(n=1, k=1), 0),
+    ("hyperbolic", hyperbolic_path, NormalFormDecomposition(n=1, k=1), 0),
     ("clockwise", lambda: rotation_path(-0.5),
      NormalFormDecomposition(n=1, thetas=(Scalar.rational(3, 2),)), -1),
     ("q_minus", lambda: n1_minus_path(1),
@@ -592,7 +631,7 @@ def test_cz_index_near_one_on_sheared_iterates():
     # i_omega(N1(1,1)^m) = sum over z^m = omega of i_z(N1(1,1)) = 0 off omega = 1.
     # The smallest singular value of N1(1,m) - omega I is about 1e-8 / m, below
     # RANK_TOL times the largest (about m), so nu_omega reads 1 and the count
-    # runs on the perturbed path: (-1, 1) at m = 4 and 8.
+    # goes on over the endpoint arc: (-1, 1) at m = 4 and 8.
     got = [cz_index(iterate_path(shear_path(1, steps=64), m), cmath.exp(1e-4j)) for m in (4, 8)]
     assert got == [(0, 0), (0, 0)]
 
