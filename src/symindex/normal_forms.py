@@ -1,11 +1,11 @@
 """Symplectic matrices, basic normal forms, the diamond product and nu_omega.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n), so the standard symplectic
-form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: nu_omega
-and the diamond layout are implemented here once, and the
-crossing-count oracle runs them on its sampled paths.  The formulas take
-plain float64 arrays and do no per-call validation; SymplecticMatrix checks
-the symplectic relation once, when it is built.
+form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: the
+eigen-phases of W, nu_omega and the diamond layout are implemented here
+once, and the crossing-count oracle runs them on its sampled paths.  The
+formulas take plain float64 arrays and do no per-call validation;
+SymplecticMatrix checks the symplectic relation once, when it is built.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ __all__ = [
     "diamond",
     "realize",
     "realize_decomposition",
+    "eigen_phases",
     "nu_omega",
     "nontrivial_n2_block",
     "trivial_n2_block",
 ]
 
-RANK_TOL = 1e-9  # singular-value threshold for float kernels (CLI-tunable)
 SYMPLECTIC_TOL = 1e-9
+PHASE_TOL = 1e-10  # eigen-phases of W within this of 0 (rad) are counted by nu_omega
 
 
 class NormalFormError(ValueError):
@@ -248,12 +249,72 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
     return SymplecticMatrix(decomp.n, reduce(diamond, map(_block_entries, blocks)))
 
 
-# ----- nu_omega ---------------------------------------------------------------
+# ----- the eigen-phases of W and nu_omega --------------------------------------
+#
+# Gr(M) = {(x, Mx)} is Lagrangian for (-J) + J on C^{4n}, so it is the graph
+# of a unitary U(M) from the +1 to the -1 eigenspace of H = i diag(-J, J).
+# W = U(omega I)* U(M) has eigenvalue 1 with multiplicity nu_omega(M)
+# (Robbin and Salamon, Topology 32, 1993; Beck and Malham, Proc. AMS 143,
+# 2015).  W is normal, so the distance of an eigenvalue from 1 is a singular
+# value of W - I, and its phases do not scale with |M|.
 
 
-def nu_omega(M: np.ndarray, omega, tol: float = RANK_TOL) -> int:
-    """dim_C ker(M - omega I) of a float array: the number of singular values
-    below tol * max(1, largest)."""
-    A = M.astype(complex) - omega * np.eye(M.shape[0])
-    s = np.linalg.svd(A)[1]
-    return int(np.sum(s < tol * max(1.0, float(s[0]))))
+def _graph_basis(M: np.ndarray) -> np.ndarray:
+    """The basis [I; M] of Gr(M), per matrix of a stack M."""
+    k = M.shape[-1]
+    Z = np.empty(M.shape[:-2] + (2 * k, k))
+    Z[..., :k, :] = np.eye(k)
+    Z[..., k:, :] = M
+    return Z
+
+
+def _frame(Z: np.ndarray) -> np.ndarray:
+    """a = sqrt2 B+* Z for a real basis Z of Gr(M), per basis of a stack.
+    B+ and B- are the orthonormal +1 and -1 eigenbases of H spanned by
+    (u, -iu, 0, 0), (0, 0, u, iu) and by (u, iu, 0, 0), (0, 0, u, -iu),
+    u in C^n; Z is real, so sqrt2 B-* Z is conj(a), and U(M) =
+    conj(a) a^{-1}.  For an orthonormal Z, a*a - I = Z*HZ is the form of H
+    on Gr(M), which vanishes when M is symplectic: then a is unitary,
+    whatever |M|.  For Z = [I; M], a is as ill conditioned as M."""
+    k = Z.shape[-1]
+    n = k // 2
+    return np.concatenate((Z[..., :n, :] + 1j * Z[..., n:k, :],
+                           Z[..., k:k + n, :] - 1j * Z[..., k + n:, :]), axis=-2)
+
+
+def _times_u_omega(U: np.ndarray, omega) -> np.ndarray:
+    """U(omega I)* U: U(omega I) = [[0, conj(omega) I], [omega I, 0]] is its
+    own adjoint, so the product swaps the two row blocks of U and scales
+    them."""
+    omega = complex(omega)
+    n = U.shape[-1] // 2
+    return np.concatenate((omega.conjugate() * U[..., n:, :], omega * U[..., :n, :]), axis=-2)
+
+
+def eigen_phases(M: np.ndarray, omega) -> np.ndarray:
+    """The eigen-phases in [0, 2pi) of W, per matrix of a stack M, read from
+    the similar matrix a^{-1} U(omega I)* conj(a), a the frame of [I; M].
+    They are off by about 1e-16 cond(a), which the index count's cut
+    margins absorb; nu_omega, which decides phases near 0, orthonormalises
+    the basis first."""
+    a = _frame(_graph_basis(M))
+    similar = np.linalg.solve(a, _times_u_omega(a.conj(), omega))
+    return np.angle(np.linalg.eigvals(similar)) % (2 * math.pi)
+
+
+def nu_omega(M: np.ndarray, omega) -> int:
+    """dim_C ker(M - omega I) of a symplectic float array: the number of
+    eigen-phases of W within PHASE_TOL of 0.  W is taken from the frame a
+    of an orthonormal basis of Gr(M), as U(omega I)* conj(a) a*: unitary to
+    rounding, with no solve, whatever |M|.  A symplectic defect of M moves
+    the phases by about d = |a*a - I|_F, and a phase within 2 d of
+    PHASE_TOL could fall on either side of it: the count is then refused
+    with NormalFormError."""
+    a = _frame(np.linalg.qr(_graph_basis(M))[0])
+    d = np.linalg.norm(a.conj().T @ a - np.eye(len(a)))
+    p = np.abs(np.angle(np.linalg.eigvals(_times_u_omega((a @ a.T).conj(), omega))))
+    if np.any(np.abs(p - PHASE_TOL) <= 2 * d):
+        raise NormalFormError(f"an eigen-phase of W lies within 2 x {d:.3g} (the symplectic "
+                              f"defect of M) of PHASE_TOL = {PHASE_TOL:g}, so nu_omega "
+                              f"is undecided")
+    return int(np.sum(p <= PHASE_TOL))

@@ -34,8 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .normal_forms import (
-    RANK_TOL,
+    NormalFormError,
     diamond,
+    eigen_phases,
     nu_omega,
     standard_J,
     SYMPLECTIC_TOL,
@@ -67,14 +68,108 @@ class OracleError(RuntimeError):
     pass
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported at the first call so that importing the
-    package, and every command that builds no path, leaves scipy unloaded.
-    On a stack (..., 2n, 2n) it runs the one-matrix algorithm slice by slice,
-    so each slice is bitwise its own exponential."""
-    from scipy.linalg import expm as _expm
+# b_0..b_m of the [m/m] Pade approximants of exp, and the 1-norm up to which
+# each is accurate to double precision unscaled (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 2005, Table 2.3)
+PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+         9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
-    return _expm(A)
+
+def _pade(A: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of exp at each slice of a stack A:
+    (V - U)^{-1} (V + U), U the odd and V the even part of the numerator."""
+    b = PADE[m]
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    if m == 13:  # Higham's evaluation, from A^2, A^4 and A^6 alone
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    else:
+        powers = [eye, A2]  # A^0, A^2, ..., A^(m-1)
+        while len(powers) <= m // 2:
+            powers.append(powers[-1] @ A2)
+        U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+        V = sum(b[2 * j] * P for j, P in enumerate(powers))
+    return np.linalg.solve(V - U, V + U)
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """The exponential of a square float matrix, or of each slice of a stack
+    (..., k, k), by Higham's scaling and squaring: the [m/m] Pade
+    approximant with the least m of 3, 5, 7, 9 whose THETA bounds the
+    slice's 1-norm, else m = 13 at A / 2^s, squared s times, with the least
+    s >= 0 that brings the 1-norm to THETA[13].  m and s are chosen per
+    slice and every product is taken per slice, so a stack is bitwise one
+    call per slice."""
+    A = np.asarray(A, dtype=float)
+    flat = A.reshape((-1,) + A.shape[-2:])
+    norm = np.abs(flat).sum(axis=-2).max(axis=-1)
+    degree = np.select([norm <= THETA[m] for m in (3, 5, 7, 9)], [3, 5, 7, 9], 13)
+    out = np.empty_like(flat)
+    for m in (3, 5, 7, 9):
+        if np.any(degree == m):
+            out[degree == m] = _pade(flat[degree == m], m)
+    big = degree == 13
+    if np.any(big):
+        frac, e = np.frexp(norm[big] / THETA[13])
+        s = np.maximum(e - (frac == 0.5), 0)  # ceil(log2(|A|_1 / THETA[13])), at least 0
+        E = _pade(np.ldexp(flat[big], -s[:, None, None]), 13)
+        for k in range(int(s.max())):
+            sel = s > k
+            E[sel] = E[sel] @ E[sel]
+        out[big] = E
+    return out.reshape(A.shape)
+
+
+MAX_ROOT_ITERATIONS = 64  # Denman-Beavers iterations of one square root
+
+
+def _sqrtm(A: np.ndarray) -> np.ndarray:
+    """The principal square root of A by the Denman-Beavers iteration
+    Y <- (Y + Z^-1) / 2, Z <- (Z + Y^-1) / 2 from (A, I), which converges
+    quadratically when A has no eigenvalue on the closed negative real
+    axis.  It stops at the first step that changes Y by at most 1e-12 |Y|_1;
+    the error of that step's result is about the square of that change."""
+    Y, Z = A, np.eye(len(A))
+    for _ in range(MAX_ROOT_ITERATIONS):
+        Y_next, Z = 0.5 * (Y + np.linalg.inv(Z)), 0.5 * (Z + np.linalg.inv(Y))
+        if np.abs(Y_next - Y).sum(axis=0).max() <= 1e-12 * np.abs(Y_next).sum(axis=0).max():
+            return Y_next
+        Y = Y_next
+    raise OracleError("the square-root iteration of the target's logarithm did not converge")
+
+
+def _logm(M: np.ndarray) -> np.ndarray:
+    """The principal logarithm of a real matrix with no eigenvalue on the
+    closed negative real axis, by inverse scaling and squaring (Cheng,
+    Higham, Kenney and Laub, SIAM J. Matrix Anal. Appl. 22, 2001): k square
+    roots bring A = M^(1/2^k) to |A - I|_1 <= 1/4, and log A =
+    2 atanh(Z) = 2 (Z + Z^3/3 + Z^5/5 + ...) with Z = (A + I)^-1 (A - I),
+    |Z|_1 <= 1/7; then log M = 2^k log A."""
+    eye = np.eye(len(M))
+    A, k = M, 0
+    while np.abs(A - eye).sum(axis=0).max() > 0.25:
+        A, k = _sqrtm(A), k + 1
+    Z = np.linalg.solve(A + eye, A - eye)
+    Z2 = Z @ Z
+    X, term = Z.copy(), Z
+    for j in range(1, 11):  # the first term left out, Z^23 / 23, is below 2^-61 |Z|_1
+        term = term @ Z2
+        X += term / (2 * j + 1)
+    return math.ldexp(1.0, k + 1) * X
 
 
 @dataclass
@@ -137,9 +232,10 @@ def path_from_quadratic_hamiltonian(B, tau: float,
                                     steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
     """Solution samples of d gamma/dt = J B gamma with constant symmetric B.
 
-    Samples come from repeated multiplication by the one-step exponential
-    (scaling-and-squaring under the hood); the evaluator recomputes the
-    exact exponential at arbitrary t, or at a whole time grid in one call.
+    Sample i is the i-th power of the one-step exponential, built by
+    doubling: with samples 0..h known, samples h+1..2h are sample h times
+    samples 1..h, one batched product per doubling.  The evaluator computes
+    the exponential at arbitrary t, or at a whole time grid in one call.
     steps must lie in [1, MAX_STEPS] and tau must be finite and > 0.
     """
     _check_grid(tau, steps)
@@ -151,11 +247,14 @@ def path_from_quadratic_hamiltonian(B, tau: float,
     n = B.shape[0] // 2
     X = standard_J(n) @ B
     dt = tau / steps
-    step = expm(X * dt)
     mats = np.empty((steps + 1, 2 * n, 2 * n))
     mats[0] = np.eye(2 * n)
-    for i in range(1, steps + 1):
-        mats[i] = step @ mats[i - 1]
+    mats[1] = expm(X * dt)
+    h = 1
+    while h < steps:
+        k = min(h, steps - h)
+        mats[h + 1:h + 1 + k] = mats[h] @ mats[1:1 + k]
+        h += k
     ts = np.linspace(0.0, tau, steps + 1)
 
     def evaluator(t):
@@ -206,15 +305,15 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
 
     Requires the principal matrix logarithm of M_target to be Hamiltonian,
     which holds for symplectic targets without negative real eigenvalues.
+    A target with an eigenvalue on the closed negative real axis (to a
+    relative 1e-9) is refused.
     """
-    from scipy.linalg import logm
-
     M = np.asarray(M_target, dtype=float)
     n = M.shape[0] // 2
-    X = logm(M)
-    if np.max(np.abs(X.imag)) > 1e-9:
+    ev = np.linalg.eigvals(M)
+    if np.any((ev.real <= 0) & (np.abs(ev.imag) <= 1e-9 * np.abs(ev))):
         raise OracleError("target has no real logarithm (negative real eigenvalues?)")
-    X = X.real
+    X = _logm(M)
     J = standard_J(n)
     if np.max(np.abs(J @ X + X.T @ J)) > 1e-7:
         raise OracleError("log of target is not Hamiltonian")
@@ -225,21 +324,18 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
 
 def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
                   steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
-    """Pointwise diamond product of two paths over a common period; the
-    samples are one diamond of the two parts' stacks on the whole grid, so
-    both parts need an evaluator.
-
-    Asked for that same grid again, as by a diamond of this diamond with
-    the same steps, the evaluator returns the samples instead of
-    evaluating the parts a second time; they are bitwise the same."""
+    """Pointwise diamond product of two paths over a common period, sampled
+    at steps + 1 equally spaced times; both parts need an evaluator.  A part
+    whose own sample times are that grid gives its samples, so a diamond of
+    parts on one grid exponentiates nothing again; any other part is
+    evaluated on the grid in one call."""
     if abs(p1.tau - p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
     ts = np.linspace(0.0, p1.tau, steps + 1)
-    mats = diamond(p1.evaluate(ts), p2.evaluate(ts))
+    mats = diamond(*(p.mats if p.evaluator is not None and np.array_equal(p.ts, ts)
+                     else p.evaluate(ts) for p in (p1, p2)))
 
     def evaluator(t):
-        if isinstance(t, np.ndarray) and np.array_equal(t, ts):
-            return mats
         return diamond(p1.evaluate(t), p2.evaluate(t))
 
     return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=mats,
@@ -298,12 +394,10 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 
 # ----- the eigen-phase count -------------------------------------------------
 #
-# Gr(M) = {(x, Mx)} is Lagrangian for (-J) + J on C^{4n}, so it is the graph
-# of a unitary U(M) from the +1 to the -1 eigenspace of H = i diag(-J, J).
-# W(t) = U(omega I)* U(beta(t)) has eigenvalue 1 with multiplicity
-# nu_omega(beta(t)), and the index is the signed number of eigen-phases of W
-# passing 0 (Robbin and Salamon, Topology 32, 1993; Beck and Malham,
-# Proc. AMS 143, 2015).  Eigenvalues of unitaries move by at most the
+# W(t) = U(omega I)* U(beta(t)) (normal_forms) has eigenvalue 1
+# with multiplicity nu_omega(beta(t)), and the index is the signed number of
+# its eigen-phases passing 0 (Robbin and Salamon, Topology 32, 1993; Beck and
+# Malham, Proc. AMS 143, 2015).  Eigenvalues of unitaries move by at most the
 # distance of the unitaries (Bhatia and Davis, Linear Multilinear Algebra
 # 15, 1984), so over a step whose phases cannot reach a cut c, the net
 # number passing 0 is the change of #{phases in [0, c)}.  A sample step
@@ -318,21 +412,6 @@ COARSE_BOUND = 0.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps per batch of motion bounds, which bounds the temporaries
 CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
 MAX_HALVINGS = 10  # halvings of one sample step through the evaluator, or of one arc step
-
-
-def _frames(M: np.ndarray, n: int):
-    """(a, b) = sqrt2 (B+* Z, B-* Z) for Z = [I; M], per matrix of a stack M,
-    so that U(M) = b a^{-1}.  B+ and B- are the orthonormal +1 and -1
-    eigenbases of H spanned by (u, -iu, 0, 0), (0, 0, u, iu) and by
-    (u, iu, 0, 0), (0, 0, u, -iu), u in C^n."""
-    a = np.empty(M.shape, dtype=complex)
-    b = np.empty_like(a)
-    a[..., :n, :n] = b[..., :n, :n] = np.eye(n)
-    a[..., :n, n:] = 1j * np.eye(n)
-    b[..., :n, n:] = -1j * np.eye(n)
-    a[..., n:, :] = M[..., :n, :] - 1j * M[..., n:, :]
-    b[..., n:, :] = M[..., :n, :] + 1j * M[..., n:, :]
-    return a, b
 
 
 def _motion(mats: np.ndarray, n: int) -> np.ndarray:
@@ -380,14 +459,6 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
     return net, room[np.arange(len(best)), best] > bound
 
 
-def _phases(M: np.ndarray, omega: complex, n: int) -> np.ndarray:
-    """The eigen-phases in [0, 2pi) of W = U(omega I)* U(M), per matrix of a stack M."""
-    a, b = _frames(omega * np.eye(2 * n), n)
-    U_omega_H = np.linalg.solve(a.T, b.T).conj()  # (b a^{-1})*
-    a, b = _frames(M, n)
-    return np.angle(np.linalg.eigvals(np.linalg.solve(a, U_omega_H @ b))) % (2 * math.pi)
-
-
 def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
     """The signed count of eigen-phases of W passing 0 over the start step
     from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
@@ -417,13 +488,13 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
     # step has scan point None, and so has an arc point, which holds s for t
     pts = [(j, ts[max(j - 1, 0)], S if j == 0 else mats[j - 1]) for j in coarse]
     pts += [(None, s, _arc(mats[-1], s)) for s in (0.5 * eps, eps) if eps]
-    ph = _phases(np.stack([p[2] for p in pts]), omega, n)
+    ph = eigen_phases(np.stack([p[2] for p in pts]), omega)
     bound = np.concatenate((np.diff(cum[coarse]),
                             [_arc_motion(0.5 * eps)] * (len(pts) - len(coarse))))
     counts, ok = _count(ph[:-1], ph[1:], bound)
 
     def at(j, t, M):
-        return (j, t, M, _phases(M, omega, n))
+        return (j, t, M, eigen_phases(M, omega))
 
     def halve_sample(a, b, depth):
         (i0, t0, M0, _), (i1, t1, M1, _) = a, b
@@ -468,8 +539,15 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
     return int(np.sum(counts))
 
 
-def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
-             rank_tol: float = RANK_TOL):
+def _nu(M: np.ndarray, omega: complex) -> int:
+    """nu_omega(M), an undecided count raised as OracleError."""
+    try:
+        return nu_omega(M, omega)
+    except NormalFormError as exc:
+        raise OracleError(f"at gamma(tau), omega = {omega:.6g}: {exc}") from exc
+
+
+def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT):
     """(i_omega, nu_omega) of a sampled path by the eigen-phase count.
 
     omega is a unit-circle complex number (1 and -1 included).  The count
@@ -479,11 +557,14 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT,
     a homotopy with fixed end points, (t, s) -> gamma(t) e^{-sJ}, takes that
     path to gamma followed by the arc gamma(tau) e^{-sJ}, s in [0, eps], so
     the scan goes on over that arc.  The counts at eps and eps / 2 must agree.
+
+    An undecided nu_omega(gamma(tau)), a phase of W too near PHASE_TOL to
+    be told from it, raises OracleError.
     """
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
-    nu = nu_omega(path.endpoint(), omega, rank_tol)
+    nu = _nu(path.endpoint(), omega)
     return _scan(path, omega, eps if nu else 0.0), nu
 
 
@@ -495,16 +576,15 @@ def estimate_splitting(path: SampledSymplecticPath, omega):
     read at a cut farther than e from them; the probes e of SPLITTING_PROBES
     must agree."""
     omega = complex(omega)
-    n = path.n
     M = path.endpoint()
-    if nu_omega(M, omega) > 0:
+    if _nu(M, omega) > 0:
         M = _arc(M, 1e-3 * min(SPLITTING_PROBES) ** 2 / max(1.0, np.linalg.norm(M, 2)))
-    p0 = _phases(M, omega, n)
+    p0 = eigen_phases(M, omega)
     plus_vals = []
     minus_vals = []
     for e in SPLITTING_PROBES:
         for vals, sign in ((plus_vals, 1), (minus_vals, -1)):
-            p1 = _phases(M, omega * complex(math.cos(e), sign * math.sin(e)), n)
+            p1 = eigen_phases(M, omega * complex(math.cos(e), sign * math.sin(e)))
             net, ok = _count(p0[None], p1[None], e)
             if not ok[0]:
                 raise OracleError(f"no cut farther than {e:g} from the eigen-phases at omega")

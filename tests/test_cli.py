@@ -156,8 +156,8 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["oracle", "--eps=-1e-4"], "--eps must be finite and > 0, got -0.0001"),
     (["oracle", "--eps", "0"], "--eps must be finite and > 0, got 0.0"),
     (["oracle", "--eps", "nan"], "--eps must be finite and > 0, got nan"),
-    (["oracle", "--rank-tol", "-1"], "--rank-tol must be finite and > 0, got -1.0"),
-    (["oracle", "--rank-tol", "inf"], "--rank-tol must be finite and > 0, got inf"),
+    (["oracle", "--eps", "inf"], "--eps must be finite and > 0, got inf"),
+    (["oracle", "--eps=-inf"], "--eps must be finite and > 0, got -inf"),
     (["oracle", "--m", "0"], "m must be >= 1"),
     # the generator has 1024 steps: one more period than MAX_STEPS allows
     (["oracle", "--m", "1025"],
@@ -250,8 +250,8 @@ def run_fresh_python(*lines: str) -> None:
 
 
 def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path):
-    # the oracle imports scipy at its first expm or logm; import symindex,
-    # iterate, splitting and jump-search never call either
+    # the package never imports scipy; import symindex, iterate, splitting
+    # and jump-search load no module that might
     f, data = rot_fixture
     paths_file = tmp_path / "paths.json"
     paths_file.write_text(json.dumps([data.to_json()]))
@@ -268,18 +268,22 @@ def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path
     )
 
 
-def test_the_oracle_scan_leaves_scipy_special_unloaded(gen_fixture, tmp_path):
-    # the count takes no matrix logarithm: scipy's logm, whose first call
-    # loads scipy.special, is called by path_from_logm alone
+def test_commands_that_sample_paths_leave_scipy_unloaded(gen_fixture, tmp_path):
+    # the oracle's exponential and logarithm are numpy code, so sampling,
+    # counting and the N2 logarithm path load no scipy module
     out = str(tmp_path / "out")
     run_fresh_python(
         "import sys",
         "from symindex.cli import main",
+        "from symindex.normal_forms import nontrivial_n2_block, realize",
+        "from symindex.oracle import path_from_logm",
+        "from symindex.scalars import Scalar",
         "for argv in (['ellipsoid', '--alphas', '1,sqrt2', '--n-max', '1000'],",
         f"             ['oracle', '--generator', {str(gen_fixture)!r}, '--m', '3']):",
         f"    assert main(argv + ['--out', {out!r}]) == 0, argv",
-        "assert 'scipy.linalg' in sys.modules",
-        "assert 'scipy.special' not in sys.modules",
+        "path_from_logm(realize(nontrivial_n2_block(Scalar.rational(2, 5))).as_float(), steps=64)",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert not loaded, loaded",
     )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,11 @@ from symindex import normal_forms, oracle
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.normal_forms import (
     diamond,
+    eigen_phases,
     nontrivial_n2_block,
     nu_omega,
     realize,
+    standard_J,
     trivial_n2_block,
 )
 from symindex.oracle import (
@@ -93,6 +96,7 @@ def test_oracle_shares_the_matrix_layer():
     # one nu_omega and one J: the oracle must not grow its own copies; it
     # counts eigen-phases and takes no determinant or kernel of its own
     assert oracle.nu_omega is normal_forms.nu_omega
+    assert oracle.eigen_phases is normal_forms.eigen_phases
     assert oracle.standard_J is normal_forms.standard_J
     assert not hasattr(oracle, "d_omega") and not hasattr(oracle, "kernel")
 
@@ -150,6 +154,83 @@ def test_step_bound_enforced():
         path_from_quadratic_hamiltonian(4.0 * np.eye(2), 6.0, steps=16)
 
 
+# ----- the exponential and the logarithm ----------------------------------------
+#
+# scipy is the reference here only: the package computes both with numpy.
+
+def random_hamiltonian(rng, n: int, norm1: float) -> np.ndarray:
+    """J B for a random symmetric B, scaled to the given 1-norm."""
+    B = rng.standard_normal((2 * n, 2 * n))
+    X = standard_J(n) @ (B + B.T)
+    return X * (norm1 / np.abs(X).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expm_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    for norm1 in (1e-8, 1e-4, 1e-2, 0.3, 1.0, 5.4, 10.0, 30.0, 60.0):
+        for _ in range(10):
+            X = random_hamiltonian(rng, n, norm1)
+            want = scipy.linalg.expm(X)
+            err = np.abs(oracle.expm(X) - want).max() / np.abs(want).max()
+            assert err < 1e-11, (n, norm1, err)
+
+
+def test_expm_of_a_stack_is_bitwise_one_call_per_slice():
+    # the slices take Pade degrees 3, 5, 7, 9 and 13 with 0 to 4 squarings;
+    # each slice's degree and scaling are its own
+    rng = np.random.default_rng(7)
+    norms = (0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 5.0, 6.0, 40.0, 60.0)
+    X = np.stack([random_hamiltonian(rng, 3, c) for c in norms])
+    stacked = oracle.expm(X)
+    assert stacked.shape == X.shape
+    for k in range(len(X)):
+        assert np.array_equal(stacked[k], oracle.expm(X[k])), k
+    assert np.array_equal(oracle.expm(X.reshape(5, 2, 6, 6)), stacked.reshape(5, 2, 6, 6))
+
+
+N2_TARGETS = [(maker, th) for maker in (nontrivial_n2_block, trivial_n2_block)
+              for th in (Scalar.rational(2, 5), Scalar.rational(8, 5))]
+
+
+@pytest.mark.parametrize("maker, theta", N2_TARGETS)
+def test_logm_of_the_n2_targets(maker, theta):
+    M = realize(maker(theta)).as_float()
+    X = oracle._logm(M)
+    J = standard_J(2)
+    assert np.abs(oracle.expm(X) - M).max() < 1e-13
+    assert np.abs(J @ X + X.T @ J).max() < 1e-13  # Hamiltonian
+    assert np.abs(X - scipy.linalg.logm(M).real).max() < 1e-13
+    path = path_from_logm(M, steps=256)
+    assert np.abs(path.endpoint() - M).max() < 1e-12
+
+
+@pytest.mark.parametrize("target", [-np.eye(2), -np.eye(4), np.diag([-2.0, -0.5])],
+                         ids=["-I2", "-I4", "diag(-2,-1/2)"])
+def test_path_from_logm_refuses_negative_real_eigenvalues(target):
+    with pytest.raises(OracleError, match="target has no real logarithm"):
+        path_from_logm(target)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 64, 100, 1024])
+def test_doubled_samples_match_the_step_loop(steps):
+    # sample i is the i-th power of the one-step exponential, built in
+    # log2(steps) batched products; the reference multiplies one step at a
+    # time.  B is positive definite, so the path stays bounded.
+    rng = np.random.default_rng(steps)
+    A = rng.standard_normal((4, 4))
+    B = A @ A.T / np.abs(A @ A.T).max() + 0.1 * np.eye(4)
+    tau = steps / 64
+    path = path_from_quadratic_hamiltonian(B, tau, steps=steps)
+    step = oracle.expm((standard_J(2) @ B) * (tau / steps))
+    want = [np.eye(4)]
+    for _ in range(steps):
+        want.append(step @ want[-1])
+    assert np.array_equal(path.mats[:2], np.stack(want[:2]))
+    assert np.abs(path.mats - np.stack(want)).max() < 1e-12
+    path.validate()
+
+
 # ----- evaluators on a time grid ---------------------------------------------
 #
 # An evaluator takes a float or a 1-D array of times; on an array it must give
@@ -192,8 +273,9 @@ def test_a_diamond_with_a_sample_only_part_is_refused():
     with pytest.raises(OracleError, match="known only at its samples"):
         samples.evaluate(0.5)
     for p1, p2 in ((samples, rot), (rot, samples)):
-        with pytest.raises(OracleError, match="known only at its samples"):
-            diamond_paths(p1, p2, steps=100)
+        for steps in (100, 64):  # on its own grid too
+            with pytest.raises(OracleError, match="known only at its samples"):
+                diamond_paths(p1, p2, steps=steps)
 
 
 def test_diamond_paths_samples_match_the_pointwise_construction():
@@ -210,8 +292,9 @@ def test_diamond_paths_samples_match_the_pointwise_construction():
 
 
 def test_nested_diamond_reuses_the_inner_samples(monkeypatch):
-    # an outer diamond on the inner diamond's grid takes its samples instead
-    # of exponentiating the inner parts again; on another grid it evaluates
+    # a diamond takes the samples of every part on its own grid, so an outer
+    # diamond on that grid exponentiates nothing; on another grid it
+    # evaluates every part
     steps = 64
     inner = diamond_paths(rotation_path(0.37, steps=steps), rotation_path(1.0, steps=steps),
                           steps=steps)
@@ -225,8 +308,8 @@ def test_nested_diamond_reuses_the_inner_samples(monkeypatch):
 
     monkeypatch.setattr(oracle, "expm", counted)
     outer = diamond_paths(inner, shear, steps=steps)
-    assert sum(slices) == steps + 1  # the shear's grid alone
-    assert np.array_equal(outer.mats, diamond(inner.mats, shear.evaluate(outer.ts)))
+    assert sum(slices) == 0
+    assert np.array_equal(outer.mats, diamond(inner.mats, shear.mats))
     slices.clear()
     diamond_paths(inner, shear, steps=steps // 2)
     assert sum(slices) == 3 * (steps // 2 + 1)
@@ -253,7 +336,7 @@ def test_the_start_step_is_never_halved(monkeypatch):
     # refused; on a constant path every other step has bound 0
     path = path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=64)
     omega = cmath.exp(0.3j)
-    start = oracle._phases(extend_with_xi(path)[None], omega, 1)[0]
+    start = eigen_phases(extend_with_xi(path)[None], omega)[0]
     monkeypatch.setattr(oracle, "CUTS", start[:1].copy())
     with pytest.raises(OracleError, match="over the start step from diag"):
         cz_index(path, omega)
@@ -625,15 +708,59 @@ def test_splitting_recovery(name, maker, omega, want):
     assert estimate_splitting(maker(), omega) == want
 
 
-@pytest.mark.xfail(strict=True, reason="nu_omega's rank test is relative to the largest "
-                   "singular value, which grows with m while the smallest shrinks like 1/m")
 def test_cz_index_near_one_on_sheared_iterates():
     # i_omega(N1(1,1)^m) = sum over z^m = omega of i_z(N1(1,1)) = 0 off omega = 1.
-    # The smallest singular value of N1(1,m) - omega I is about 1e-8 / m, below
-    # RANK_TOL times the largest (about m), so nu_omega reads 1 and the count
-    # goes on over the endpoint arc: (-1, 1) at m = 4 and 8.
-    got = [cz_index(iterate_path(shear_path(1, steps=64), m), cmath.exp(1e-4j)) for m in (4, 8)]
-    assert got == [(0, 0), (0, 0)]
+    # W's phase near 0 is about 1e-8 / m.  A rank test relative to the largest
+    # singular value of N1(1,m) - omega I (about m) read nu = 1 here, and the
+    # count went on over the endpoint arc: (-1, 1) at m = 4 and 8.
+    got = [cz_index(iterate_path(shear_path(1, steps=64), m), cmath.exp(1e-4j))
+           for m in (4, 8, 16, 64)]
+    assert got == [(0, 0)] * 4
+
+
+def test_cz_index_on_a_large_hyperbolic_endpoint():
+    # gamma(tau) = diag(2^30, 2^-30) diamond -I: sigma_min(M - I), about 1, fell
+    # below 1e-9 sigma_max under the relative rank test, which read nu = 1 and
+    # gave (15, 1).  W's phases at 1 are pi/2 and pi.
+    base = diamond_paths(hyperbolic_path(256), rotation_path(0.5, steps=256), steps=256)
+    assert cz_index(iterate_path(base, 30), 1) == (15, 0)
+
+
+def test_nu_omega_reads_a_phase_within_the_tolerance_as_0():
+    # the boundary of the fixed tolerance: N1(1,1) at e^{i theta} has its phase
+    # at theta^2, which reads as 0 from theta = 1e-5 down
+    M = shear_path(1, steps=64).endpoint()
+    p = eigen_phases(M, cmath.exp(1e-5j))
+    assert abs(np.min(np.minimum(p, 2 * math.pi - p)) - 1e-10) < 1e-14
+    assert [nu_omega(M, cmath.exp(1j * t)) for t in (1e-4, 2e-5, 1e-6)] == [0, 0, 1]
+
+
+def test_an_undecided_nullity_is_refused(monkeypatch):
+    # a phase of W within twice the symplectic defect of M of PHASE_TOL could
+    # fall on either side of it.  The tolerance is moved onto the phase of
+    # N1(1,1) at e^{i 1e-4}, about 1e-8, and then just past it.
+    path = shear_path(1, steps=64)
+    omega = cmath.exp(1e-4j)
+    phase = np.min(eigen_phases(path.endpoint(), omega))
+    monkeypatch.setattr(normal_forms, "PHASE_TOL", phase)
+    with pytest.raises(OracleError, match="so nu_omega is undecided"):
+        cz_index(path, omega)
+    with pytest.raises(OracleError, match="so nu_omega is undecided"):
+        estimate_splitting(path, omega)
+    monkeypatch.setattr(normal_forms, "PHASE_TOL", phase * (1 + 1e-3))
+    assert cz_index(path, omega)[1] == 1
+
+
+def test_an_endpoint_too_far_from_symplectic_for_its_nullity_is_refused():
+    # a sample-only path ending at diag(1 + delta, 1), whose symplectic
+    # defect, about delta, moves W's phases by about as much: at delta = 1e-10
+    # its phases at 0 cannot be told from PHASE_TOL; at delta = 1e-12 they can
+    ts = np.linspace(0.0, 1.0, 9)
+    mats = np.stack([np.eye(2)] * 8 + [np.diag([1 + 1e-10, 1.0])])
+    with pytest.raises(OracleError, match="so nu_omega is undecided"):
+        cz_index(path_from_samples(ts, mats, n=1, tau=1.0), 1)
+    mats[-1, 0, 0] = 1 + 1e-12
+    assert cz_index(path_from_samples(ts, mats, n=1, tau=1.0), 1) == (-1, 2)
 
 
 # ----- crossings closer than one sample step ---------------------------------
