@@ -43,7 +43,6 @@ from .jump import (
 )
 from .normal_forms import NormalFormError
 from .oracle import (
-    DEFAULT_PERT,
     DEFAULT_STEPS,
     OracleError,
     cz_index,
@@ -196,14 +195,11 @@ def _cmd_splitting(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     path = _load_generator(_load_json(args.input))
     omega = _parse_literal("omega", _parse_omega_complex, args.omega)
-    eps = args.eps if args.eps is not None else DEFAULT_PERT
-    if not (math.isfinite(eps) and eps > 0):
-        raise InputError(f"--eps must be finite and > 0, got {eps}")
     try:
         iterated = iterate_path(path, args.m)
     except OracleError as exc:  # m < 1, or an iterate over the step cap
         raise InputError(str(exc)) from exc
-    i_val, nu_val = cz_index(iterated, omega, eps=eps)
+    i_val, nu_val = cz_index(iterated, omega)
     out = {"omega": args.omega, "m": args.m, "i": i_val, "nu": nu_val}
     if args.splitting:
         sp, sm = estimate_splitting(iterated, omega)
@@ -350,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", dest="input", required=True)
     p.add_argument("--omega", default="1")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--eps", type=float, default=None, help="endpoint perturbation scale")
     p.add_argument("--splitting", action="store_true",
                    help="also estimate the splitting pair at omega")
     common(p)

@@ -30,6 +30,8 @@ __all__ = [
     "realize",
     "realize_decomposition",
     "eigen_phases",
+    "graph_phases",
+    "read_graph",
     "nu_omega",
     "nontrivial_n2_block",
     "trivial_n2_block",
@@ -302,19 +304,34 @@ def eigen_phases(M: np.ndarray, omega) -> np.ndarray:
     return np.angle(np.linalg.eigvals(similar)) % (2 * math.pi)
 
 
-def nu_omega(M: np.ndarray, omega) -> int:
-    """dim_C ker(M - omega I) of a symplectic float array: the number of
-    eigen-phases of W within PHASE_TOL of 0.  W is taken from the frame a
-    of an orthonormal basis of Gr(M), as U(omega I)* conj(a) a*: unitary to
-    rounding, with no solve, whatever |M|.  A symplectic defect of M moves
-    the phases by about d = |a*a - I|_F, and a phase within 2 d of
-    PHASE_TOL could fall on either side of it: the count is then refused
-    with NormalFormError."""
+def graph_phases(U: np.ndarray, omegas) -> np.ndarray:
+    """The eigen-phases in (-pi, pi] of W = U(omega I)* U, one row per omega
+    of omegas, for the U(M) that read_graph returns."""
+    return np.angle(np.linalg.eigvals(np.stack([_times_u_omega(U, w) for w in omegas])))
+
+
+def read_graph(M: np.ndarray, omega) -> tuple[int, float, np.ndarray]:
+    """(nu_omega(M), g, U) from one read of M.  U = U(M) is taken from the
+    frame a of an orthonormal basis of Gr(M), as conj(a) a*: unitary to
+    rounding, with no solve, whatever |M|.  nu_omega is the number of
+    eigen-phases of W within PHASE_TOL of 0, and the gap g is the distance
+    from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or pi if there is
+    none.  A symplectic defect of M moves the phases by about
+    d = |a*a - I|_F, and a phase within 2 d of PHASE_TOL could fall on
+    either side of it: the count is then refused with NormalFormError."""
     a = _frame(np.linalg.qr(_graph_basis(M))[0])
     d = np.linalg.norm(a.conj().T @ a - np.eye(len(a)))
-    p = np.abs(np.angle(np.linalg.eigvals(_times_u_omega((a @ a.T).conj(), omega))))
+    U = (a @ a.T).conj()
+    p = np.abs(graph_phases(U, [omega])[0])
     if np.any(np.abs(p - PHASE_TOL) <= 2 * d):
         raise NormalFormError(f"an eigen-phase of W lies within 2 x {d:.3g} (the symplectic "
                               f"defect of M) of PHASE_TOL = {PHASE_TOL:g}, so nu_omega "
                               f"is undecided")
-    return int(np.sum(p <= PHASE_TOL))
+    far = p[p > PHASE_TOL]
+    return len(p) - len(far), float(far.min()) if len(far) else math.pi, U
+
+
+def nu_omega(M: np.ndarray, omega) -> int:
+    """dim_C ker(M - omega I) of a symplectic float array, read as in
+    read_graph."""
+    return read_graph(M, omega)[0]

@@ -15,14 +15,19 @@ nets 0.
 
 A degenerate endpoint follows the convention gamma(T) e^{-eps J}: its index
 is that of gamma e^{-eps (t/T) J}, which realizes the infimum over nearby
-nondegenerate paths.  The count is invariant under homotopies with fixed
+nondegenerate paths when eps is small against the endpoint's other
+eigenvalues.  So eps is read from the endpoint: the arc moves no phase of W
+by more than half the distance g from 0 of its nearest nonzero one
+(_arc_length).  The count is invariant under homotopies with fixed
 end points, and (t, s) -> gamma(t) e^{-sJ} on [0, T] x [0, eps] is one from
 that path to gamma followed by the arc gamma(T) e^{-sJ}, s in [0, eps]; so
 the count runs once over gamma's own samples, unperturbed, and goes on
 over that short arc.  The sign convention is pinned by agreement with the
 iteration formulas on rotation paths and recorded here: an eigen-phase
 passing 0 counterclockwise, as the phases at 0 do along M e^{sJ} with s
-increasing, counts +1.
+increasing, counts +1.  The splitting estimate reads the endpoint alone,
+with probes also bounded by g, and refuses a g too small for its probes to
+move the phases at 0 past rounding (estimate_splitting).
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from .normal_forms import (
     NormalFormError,
     diamond,
     eigen_phases,
-    nu_omega,
+    graph_phases,
+    read_graph,
     standard_J,
     SYMPLECTIC_TOL,
     symplectic_defect,
@@ -59,7 +65,7 @@ __all__ = [
 
 DEFAULT_STEPS = 2048
 MAX_STEPS = 1 << 20
-DEFAULT_PERT = 1e-4
+ARC_LENGTH = 1e-4  # the longest endpoint arc e^{-sJ} of a degenerate endpoint
 STEP_BOUND = 0.05  # max entry change between consecutive samples
 SPLITTING_PROBES = (1e-3, 1e-4)  # angles e of the arcs omega -> omega e^{+-ie} of estimate_splitting
 
@@ -539,15 +545,32 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
     return int(np.sum(counts))
 
 
-def _nu(M: np.ndarray, omega: complex) -> int:
-    """nu_omega(M), an undecided count raised as OracleError."""
+def _unit(omega) -> complex:
+    """omega as a complex number, refused off the unit circle."""
+    omega = complex(omega)
+    if abs(abs(omega) - 1.0) > 1e-9:
+        raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
+    return omega
+
+
+def _endpoint(M: np.ndarray, omega: complex) -> tuple[int, float, np.ndarray]:
+    """(nu_omega(M), g, U(M)) from normal_forms.read_graph, an undecided
+    count raised as OracleError."""
     try:
-        return nu_omega(M, omega)
+        return read_graph(M, omega)
     except NormalFormError as exc:
         raise OracleError(f"at gamma(tau), omega = {omega:.6g}: {exc}") from exc
 
 
-def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT):
+def _arc_length(gap: float) -> float:
+    """The length eps of the endpoint arc at an endpoint whose nearest
+    nonzero eigen-phase of W lies gap from 0: min(ARC_LENGTH,
+    2 asin(sin(gap/4) / 2)), so that _arc_motion(eps) <= gap / 2 and no
+    nonzero phase reaches 0 on the arc."""
+    return min(ARC_LENGTH, 2 * math.asin(0.5 * math.sin(0.25 * gap)))
+
+
+def cz_index(path: SampledSymplecticPath, omega):
     """(i_omega, nu_omega) of a sampled path by the eigen-phase count.
 
     omega is a unit-circle complex number (1 and -1 included).  The count
@@ -556,39 +579,55 @@ def cz_index(path: SampledSymplecticPath, omega, eps: float = DEFAULT_PERT):
     that of gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J};
     a homotopy with fixed end points, (t, s) -> gamma(t) e^{-sJ}, takes that
     path to gamma followed by the arc gamma(tau) e^{-sJ}, s in [0, eps], so
-    the scan goes on over that arc.  The counts at eps and eps / 2 must agree.
+    the scan goes on over that arc.  eps = min(ARC_LENGTH, 2 asin(sin(g/4)
+    / 2)) (_arc_length), g the distance from 0 of W's nearest nonzero
+    eigen-phase, read with nu_omega: the arc moves every phase by at most
+    g / 2, so only the phases at 0 pass 0 on it, and the index is Long's
+    i_omega, shared by every eps small against g.  The counts at eps and
+    eps / 2 must agree.
 
     An undecided nu_omega(gamma(tau)), a phase of W too near PHASE_TOL to
     be told from it, raises OracleError.
     """
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-9:
-        raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
-    nu = _nu(path.endpoint(), omega)
-    return _scan(path, omega, eps if nu else 0.0), nu
+    omega = _unit(omega)
+    nu, gap, _ = _endpoint(path.endpoint(), omega)
+    return _scan(path, omega, _arc_length(gap) if nu else 0.0), nu
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):
     """Oracle estimate of (S^+, S^-) at omega from the endpoint M alone (Long
-    2002): the net number of eigen-phases of U(w I)* U(M) passing 0 as w runs
-    from omega to omega e^{+-ie}, M first pushed along the arc to M e^{-dJ}
-    if degenerate, as in cz_index.  They move by at most e, so each count is
-    read at a cut farther than e from them; the probes e of SPLITTING_PROBES
-    must agree."""
-    omega = complex(omega)
+    2002): the net number of eigen-phases of W = U(w I)* U(M) passing 0 as w
+    runs from omega to omega e^{+-ie}, for M e^{-dJ} with d -> 0+ when M is
+    degenerate, as in cz_index.  Along M e^{-sJ} the nu_omega phases at 0
+    leave it clockwise, whatever M, so they are read at 0^-, outside every
+    [0, c).  The phases move by at most e, so each count is read at a cut
+    farther than e from them.  The probes are min(e, g/4) for e in
+    SPLITTING_PROBES, g the distance from 0 of W's nearest nonzero
+    eigen-phase, so that no nonzero phase reaches 0; they must agree.
+    Every phase is read from the one unitary U(M) that also gives nu_omega
+    and g (normal_forms.read_graph).
+
+    The floor: a probe e moves a phase at 0 of a sheared block (N1(1, b),
+    N2) by only about e^2 / |M|, and a read of W's phases from U(M) is exact
+    to about the unit roundoff 2^-52; so when nu_omega > 0 and
+    e_min^2 <= max(1, |M|) 2^-52, e_min the least probe, the estimate is
+    refused with OracleError.  For |M| about 1 that is g below about 6e-8.
+    """
+    omega = _unit(omega)
     M = path.endpoint()
-    if _nu(M, omega) > 0:
-        M = _arc(M, 1e-3 * min(SPLITTING_PROBES) ** 2 / max(1.0, np.linalg.norm(M, 2)))
-    p0 = eigen_phases(M, omega)
-    plus_vals = []
-    minus_vals = []
-    for e in SPLITTING_PROBES:
-        for vals, sign in ((plus_vals, 1), (minus_vals, -1)):
-            p1 = eigen_phases(M, omega * complex(math.cos(e), sign * math.sin(e)))
-            net, ok = _count(p0[None], p1[None], e)
-            if not ok[0]:
-                raise OracleError(f"no cut farther than {e:g} from the eigen-phases at omega")
-            vals.append(int(net[0]))
+    nu, gap, U = _endpoint(M, omega)
+    probes = [min(e, 0.25 * gap) for e in SPLITTING_PROBES]
+    if nu and min(probes) ** 2 <= max(1.0, np.linalg.norm(M, 2)) * np.finfo(float).eps:
+        raise OracleError(f"the nearest nonzero eigen-phase of W lies {gap:.3g} from 0: a probe "
+                          f"of {min(probes):.3g} cannot move the phases at 0 past rounding")
+    turns = [complex(math.cos(e), sign * math.sin(e)) for e in probes for sign in (1, -1)]
+    p = graph_phases(U, [omega] + [omega * t for t in turns]) % (2 * math.pi)
+    p[0, np.argsort(np.minimum(p[0], 2 * math.pi - p[0]))[:nu]] = 2 * math.pi  # at 0^-
+    bounds = np.repeat(probes, 2)
+    net, ok = _count(np.broadcast_to(p[0], p[1:].shape), p[1:], bounds)
+    if not ok.all():
+        raise OracleError(f"no cut farther than {bounds[~ok][0]:g} from the eigen-phases at omega")
+    plus_vals, minus_vals = net[0::2].tolist(), net[1::2].tolist()
     if len(set(plus_vals)) != 1 or len(set(minus_vals)) != 1:
         raise OracleError(
             f"splitting estimate unstable across probes: +{plus_vals}, -{minus_vals}")

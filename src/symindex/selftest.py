@@ -25,6 +25,7 @@ from .iteration import (
     nullity_iterate,
 )
 from .jump import build_jump_vector, default_delta, default_eps, search_N
+from .normal_forms import diamond
 from .oracle import cz_index, estimate_splitting, iterate_path, path_from_quadratic_hamiltonian
 from .scalars import Scalar
 
@@ -140,13 +141,15 @@ def _suite_splitting_rows(seed: int):
         (np.diag([0.0, -1.0]), 1, (1, 1)),
         (np.diag([0.0, 1.0]), 1, (0, 0)),
         ((0.4 * math.pi) * np.eye(2), complex(math.cos(0.4 * math.pi), math.sin(0.4 * math.pi)), (0, 1)),
+        # N1(1,-1) diamond R(5e-5): the probes must stay inside the rotation's phases
+        (diamond(np.diag([0.0, 1.0]), 5e-5 * np.eye(2)), 1, (0, 0)),
     ]
     for B, omega, want in rows:
         path = path_from_quadratic_hamiltonian(B, 1.0, steps=1024)
         got = estimate_splitting(path, omega)
         if got != want:
             return False, f"splitting {got} != {want}"
-    return True, "N1(1,1), N1(1,-1), R rows recovered"
+    return True, "N1(1,1), N1(1,-1), R, N1(1,-1)<>R(5e-5) rows recovered"
 
 
 def _suite_jump_golden(seed: int):

@@ -153,11 +153,11 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["ellipsoid", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
     (["splitting", "--omega", "abc"], "--omega: cannot parse 'abc'"),
     (["oracle", "--omega", "abc"], "--omega: cannot parse 'abc'"),
-    (["oracle", "--eps=-1e-4"], "--eps must be finite and > 0, got -0.0001"),
-    (["oracle", "--eps", "0"], "--eps must be finite and > 0, got 0.0"),
-    (["oracle", "--eps", "nan"], "--eps must be finite and > 0, got nan"),
-    (["oracle", "--eps", "inf"], "--eps must be finite and > 0, got inf"),
-    (["oracle", "--eps=-inf"], "--eps must be finite and > 0, got -inf"),
+    (["iterate", "--precision", "10"], "precision must be >= 30, got 10"),
+    (["ellipsoid", "--alphas", ","], "--alphas requires a comma-separated list, e.g. 1,sqrt2"),
+    (["jump-search", "--chi", "1x"], "chi must be 'auto' or a 0/1 string, got '1x'"),
+    (["jump-search", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
+    (["jump-search", "--delta", "1/2"], "delta must lie in (0, 1/2)"),
     (["oracle", "--m", "0"], "m must be >= 1"),
     # the generator has 1024 steps: one more period than MAX_STEPS allows
     (["oracle", "--m", "1025"],
@@ -175,6 +175,14 @@ def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, m
     err = capsys.readouterr().err
     assert rc == EXIT_INPUT
     assert err == f"error: {message}\n"
+
+
+def test_oracle_eps_is_an_unrecognized_argument(gen_fixture, capsys):
+    # the endpoint arc's length is read from the endpoint's own eigen-phases
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--generator", str(gen_fixture), "--eps", "1e-4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eps 1e-4" in capsys.readouterr().err
 
 
 ROT_B = [[math.pi / 2, 0.0], [0.0, math.pi / 2]]

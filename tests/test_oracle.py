@@ -93,9 +93,10 @@ def test_diamond_paths_uses_the_normal_form_layout():
 
 
 def test_oracle_shares_the_matrix_layer():
-    # one nu_omega and one J: the oracle must not grow its own copies; it
-    # counts eigen-phases and takes no determinant or kernel of its own
-    assert oracle.nu_omega is normal_forms.nu_omega
+    # one nu_omega read and one J: the oracle must not grow its own copies;
+    # it counts eigen-phases and takes no determinant or kernel of its own
+    assert oracle.read_graph is normal_forms.read_graph
+    assert oracle.graph_phases is normal_forms.graph_phases
     assert oracle.eigen_phases is normal_forms.eigen_phases
     assert oracle.standard_J is normal_forms.standard_J
     assert not hasattr(oracle, "d_omega") and not hasattr(oracle, "kernel")
@@ -483,7 +484,7 @@ def test_a_degenerate_endpoint_is_counted_in_one_scan(monkeypatch, name, maker, 
     arcs = count_scans(monkeypatch)
     assert cz_index(path, 1) == want
     assert calls == []
-    assert arcs == [oracle.DEFAULT_PERT]
+    assert arcs == [oracle.ARC_LENGTH]
 
 
 @pytest.mark.parametrize("m, want", [(16, (7, 2)), (20, (9, 2))])
@@ -498,19 +499,59 @@ def test_a_large_endpoint_is_counted_on_the_arc(m, want):
     assert cz_index(bare, 1) == want
 
 
-@pytest.mark.parametrize("phi_over_eps, want", [(0.25, (-2, 1)), (1.5, (0, 1)), (0.75, None)])
+def sheared_rotation(b: int, phi: float, m: int = 1, steps: int = 256):
+    """(N1(1, b) diamond R(phi))^m, R(phi) turning by phi over the period."""
+    base = diamond_paths(shear_path(b, steps=steps), rotation_path(phi / math.pi, steps=steps),
+                         steps=steps)
+    return iterate_path(base, m)
+
+
+def sheared_rotation_data(b: int, phi: float) -> PathIndexData:
+    theta = Fraction(abs(phi) / math.pi)
+    decomp = NormalFormDecomposition(
+        n=2, thetas=(Scalar.from_fraction(theta if phi > 0 else 2 - theta),),
+        **({"p_minus": 1} if b == 1 else {"p_plus": 1}))
+    return PathIndexData(decomp, i1=(-1 if b == 1 else 0) + (1 if phi > 0 else -1))
+
+
+@pytest.mark.parametrize("phi_over_eps, want", [(0.25, ((0, 1), (1, 1))), (1.5, ((0, 1), (1, 1))),
+                                                (0.75, ((0, 1), (1, 1)))])
 def test_the_counts_at_eps_and_eps_over_2_must_agree(phi_over_eps, want):
-    # gamma = N1(1,1) diamond R(phi): the arc turns R(phi) back through I at
-    # s = phi, which counts -2; on the arc's second half the counts at eps and
-    # eps / 2 disagree
-    eps = oracle.DEFAULT_PERT
-    path = diamond_paths(shear_path(1, steps=256),
-                         rotation_path(phi_over_eps * eps / math.pi, steps=256), steps=256)
-    if want is None:
-        with pytest.raises(OracleError, match=r"unstable count under perturbation \(-2 vs 0\)"):
-            cz_index(path, 1)
-    else:
-        assert cz_index(path, 1) == want
+    # gamma = N1(1, +-1) diamond R(phi), phi a fraction of ARC_LENGTH: W's
+    # phases of R(phi) lie phi from 0, so the arc is about phi / 4 long
+    # and never turns R(phi) back through I; a fixed arc of ARC_LENGTH read
+    # (-2, 1) at phi = 0.25 ARC_LENGTH and raised at 0.75 ARC_LENGTH.  The
+    # values are the closed forms'.
+    phi = phi_over_eps * oracle.ARC_LENGTH
+    for b, pair in zip((1, -1), want):
+        data = sheared_rotation_data(b, phi)
+        assert pair == (index_iterate(data, 1), nullity_iterate(data, 1))
+        assert cz_index(sheared_rotation(b, phi), 1) == pair, b
+
+
+def test_an_arc_past_the_gap_is_refused(monkeypatch):
+    # an arc longer than the gap turns R(phi) back through I at s = phi,
+    # which counts -2, on the arc's second half: the counts at eps and eps / 2
+    # disagree
+    monkeypatch.setattr(oracle, "_arc_length", lambda gap: 1e-4)
+    with pytest.raises(OracleError, match=r"unstable count under perturbation \(-2 vs 0\)"):
+        cz_index(sheared_rotation(1, 0.75e-4), 1)
+
+
+@pytest.mark.parametrize("b", [1, -1])
+def test_cz_index_needs_no_floor_above_the_phase_tolerance(b):
+    # (hyperbolic diamond N1(1, b) diamond R(1e-11))^20: |M| = 2^20 and W's
+    # nearest nonzero phase 2e-10, twice PHASE_TOL; the arc, about 5e-11
+    # long, still moves the phases at 0 past the rounding of the count
+    base = diamond_paths(hyperbolic_path(64), sheared_rotation(b, 1e-11, steps=64), steps=64)
+    data = sheared_rotation_data(b, 1e-11)
+    decomp = NormalFormDecomposition(n=3, k=1, thetas=data.decomp.thetas,
+                                     p_minus=data.decomp.p_minus, p_plus=data.decomp.p_plus)
+    path = iterate_path(base, 20)
+    assert np.linalg.norm(path.endpoint(), 2) > 2 ** 19.9
+    assert oracle._endpoint(path.endpoint(), 1)[:2] == (1, pytest.approx(2e-10, rel=1e-3))
+    assert cz_index(path, 1) == (index_iterate(PathIndexData(decomp, i1=data.i1), 20),
+                                 nullity_iterate(PathIndexData(decomp, i1=data.i1), 20))
 
 
 def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
@@ -527,7 +568,7 @@ def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
     # a bound 2^20 times too wide: each half of the arc is halved about six times
     monkeypatch.setattr(oracle, "_arc_motion", lambda h: 2 ** 20 * arc_motion(h))
     assert cz_index(path, 1) == want
-    assert len(arcs) > 2 and all(0 < s <= oracle.DEFAULT_PERT for s in arcs)
+    assert len(arcs) > 2 and all(0 < s <= oracle.ARC_LENGTH for s in arcs)
     monkeypatch.setattr(oracle, "_arc_motion", lambda h: 4.0)  # past every cut
     with pytest.raises(OracleError, match=f"not resolved after {oracle.MAX_HALVINGS} halvings "
                                           f"of the endpoint arc"):
@@ -667,8 +708,10 @@ def test_well_definedness_under_reparametrization():
 
 
 def test_omega_must_be_unimodular():
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match="omega must lie on the unit circle, got"):
         cz_index(rotation_path(0.5), 2.0)
+    with pytest.raises(OracleError, match="omega must lie on the unit circle, got"):
+        estimate_splitting(shear_path(1), 2.0)
 
 
 # ----- splitting recovery ----------------------------------------------------
@@ -700,12 +743,46 @@ SPLIT_ROWS = [
         steps=64), 1, (2, 2)),
     ("(R(0.4pi)<>N1(1,1))^5@1", lambda: iterate_path(diamond_paths(
         rotation_path(0.4, steps=64), shear_path(1, steps=64), steps=64), 5), 1, (2, 2)),
+    # W's phases of R(phi) lie phi from 0: fixed probes of 1e-3 and 1e-4 passed
+    # them, and read (-1, -1) at 5e-5 and two disagreeing counts at 5e-4
+    ("N1(1,-1)<>R(5e-5)@1", lambda: sheared_rotation(-1, 5e-5), 1, (0, 0)),
+    ("N1(1,-1)<>R(5e-4)@1", lambda: sheared_rotation(-1, 5e-4), 1, (0, 0)),
+    ("N1(1,1)<>R(-5e-5)@1", lambda: sheared_rotation(1, -5e-5), 1, (1, 1)),
 ]
 
 
 @pytest.mark.parametrize("name,maker,omega,want", SPLIT_ROWS, ids=[r[0] for r in SPLIT_ROWS])
 def test_splitting_recovery(name, maker, omega, want):
     assert estimate_splitting(maker(), omega) == want
+
+
+@seed(20240811)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.floats(-7.0, -2.0),
+                 st.integers(1, 6)))
+def test_the_oracle_matches_the_closed_forms_at_small_gaps(drawn):
+    # (N1(1, +-1) diamond R(+-phi))^m at 1, phi in [1e-7, 1e-2]: the arc and
+    # the probes shrink with the gap m phi, which fixed lengths of 1e-4 and
+    # 1e-3 passed
+    b, sign, log_phi, m = drawn
+    phi = sign * 10.0 ** log_phi
+    path = sheared_rotation(b, phi, m)
+    data = sheared_rotation_data(b, phi)
+    assert cz_index(path, 1) == (index_iterate(data, m), nullity_iterate(data, m))
+    pair = splitting_numbers(data.decomp, 1)
+    assert estimate_splitting(path, 1) == (pair.s_plus, pair.s_minus)
+
+
+@pytest.mark.parametrize("b", [1, -1])
+def test_a_splitting_gap_below_the_floor_is_refused(b):
+    # at phi = 3e-8 the probe, 7.5e-9, moves the phase at 0 of N1(1, b) by
+    # about 5.6e-17, below the rounding of the read: the estimate is refused,
+    # and the index still counts
+    path = sheared_rotation(b, 3e-8)
+    with pytest.raises(OracleError, match="lies 3e-08 from 0: a probe of 7.5e-09 cannot move"):
+        estimate_splitting(path, 1)
+    data = sheared_rotation_data(b, 3e-8)
+    assert cz_index(path, 1) == (index_iterate(data, 1), nullity_iterate(data, 1))
 
 
 def test_cz_index_near_one_on_sheared_iterates():
