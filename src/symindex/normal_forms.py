@@ -3,9 +3,12 @@
 Coordinates are ordered (p_1..p_n, q_1..q_n), so the standard symplectic
 form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: the
 eigen-phases of W, nu_omega and the diamond layout are implemented here
-once, and the crossing-count oracle runs them on its sampled paths.  The
-formulas take plain float64 arrays and do no per-call validation;
-SymplecticMatrix checks the symplectic relation once, when it is built.
+once, and the crossing-count oracle runs them on its sampled paths.  Every
+eigen-phase of W is read from one unitary U(M), graph_unitary, taken from
+an orthonormal basis of the graph of M, so its error does not grow with
+|M|; read_graph and nu_omega are built on it.  The formulas take plain
+float64 arrays and do no per-call validation; SymplecticMatrix checks the
+symplectic relation once, when it is built.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "diamond",
     "realize",
     "realize_decomposition",
-    "eigen_phases",
+    "graph_unitary",
     "graph_phases",
     "read_graph",
     "nu_omega",
@@ -261,74 +264,64 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
 # value of W - I, and its phases do not scale with |M|.
 
 
-def _graph_basis(M: np.ndarray) -> np.ndarray:
-    """The basis [I; M] of Gr(M), per matrix of a stack M."""
+def _times_u_omega(U: np.ndarray, omega) -> np.ndarray:
+    """U(omega I)* U, per omega of an array of them and per U of a stack:
+    U(omega I) = [[0, conj(omega) I], [omega I, 0]] is its own adjoint, so
+    the product swaps the two row blocks of U and scales them."""
+    omega = np.asarray(omega, dtype=complex)[..., None, None]
+    n = U.shape[-1] // 2
+    return np.concatenate((omega.conj() * U[..., n:, :], omega * U[..., :n, :]), axis=-2)
+
+
+def graph_unitary(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U(M), a), per matrix of a stack M: a = sqrt2 B+* Z is the frame of
+    the orthonormal basis Z of Gr(M) that a QR of [I; M] gives.  B+ and B-
+    are the orthonormal +1 and -1 eigenbases of H spanned by (u, -iu, 0, 0),
+    (0, 0, u, iu) and by (u, iu, 0, 0), (0, 0, u, -iu), u in C^n; Z is
+    real, so sqrt2 B-* Z is conj(a), and U(M) = conj(a) a^{-1}.  a*a - I =
+    Z*HZ is the form of H on Gr(M), which vanishes when M is symplectic:
+    then a is unitary, whatever |M|, and U(M) is taken as conj(a) a*, with
+    no solve."""
     k = M.shape[-1]
+    n = k // 2
     Z = np.empty(M.shape[:-2] + (2 * k, k))
     Z[..., :k, :] = np.eye(k)
     Z[..., k:, :] = M
-    return Z
+    Z = np.linalg.qr(Z)[0]
+    a = np.concatenate((Z[..., :n, :] + 1j * Z[..., n:k, :],
+                        Z[..., k:k + n, :] - 1j * Z[..., k + n:, :]), axis=-2)
+    return (a @ a.swapaxes(-1, -2)).conj(), a
 
 
-def _frame(Z: np.ndarray) -> np.ndarray:
-    """a = sqrt2 B+* Z for a real basis Z of Gr(M), per basis of a stack.
-    B+ and B- are the orthonormal +1 and -1 eigenbases of H spanned by
-    (u, -iu, 0, 0), (0, 0, u, iu) and by (u, iu, 0, 0), (0, 0, u, -iu),
-    u in C^n; Z is real, so sqrt2 B-* Z is conj(a), and U(M) =
-    conj(a) a^{-1}.  For an orthonormal Z, a*a - I = Z*HZ is the form of H
-    on Gr(M), which vanishes when M is symplectic: then a is unitary,
-    whatever |M|.  For Z = [I; M], a is as ill conditioned as M."""
-    k = Z.shape[-1]
-    n = k // 2
-    return np.concatenate((Z[..., :n, :] + 1j * Z[..., n:k, :],
-                           Z[..., k:k + n, :] - 1j * Z[..., k + n:, :]), axis=-2)
+def graph_phases(U: np.ndarray, omega) -> np.ndarray:
+    """The eigen-phases in (-pi, pi] of W = U(omega I)* U for a U(M) of
+    graph_unitary: per U of a stack at one omega, or one row per omega of
+    an array of them."""
+    return np.angle(np.linalg.eigvals(_times_u_omega(U, omega)))
 
 
-def _times_u_omega(U: np.ndarray, omega) -> np.ndarray:
-    """U(omega I)* U: U(omega I) = [[0, conj(omega) I], [omega I, 0]] is its
-    own adjoint, so the product swaps the two row blocks of U and scales
-    them."""
+def read_graph(M: np.ndarray, omega) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """(nu_omega(M), g, U, p) from one read of M: U = U(M) from
+    graph_unitary, and p the eigen-phases of W at omega.  nu_omega is the
+    number of them within PHASE_TOL of 0, and the gap g is the distance
+    from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or pi if there
+    is none.  omega off the unit circle is refused with NormalFormError.
+    A symplectic defect of M moves the phases by about d = |a*a - I|_F, a
+    the frame, and a phase within 2 d of PHASE_TOL could fall on either
+    side of it: the count is then refused with NormalFormError too."""
     omega = complex(omega)
-    n = U.shape[-1] // 2
-    return np.concatenate((omega.conjugate() * U[..., n:, :], omega * U[..., :n, :]), axis=-2)
-
-
-def eigen_phases(M: np.ndarray, omega) -> np.ndarray:
-    """The eigen-phases in [0, 2pi) of W, per matrix of a stack M, read from
-    the similar matrix a^{-1} U(omega I)* conj(a), a the frame of [I; M].
-    They are off by about 1e-16 cond(a), which the index count's cut
-    margins absorb; nu_omega, which decides phases near 0, orthonormalises
-    the basis first."""
-    a = _frame(_graph_basis(M))
-    similar = np.linalg.solve(a, _times_u_omega(a.conj(), omega))
-    return np.angle(np.linalg.eigvals(similar)) % (2 * math.pi)
-
-
-def graph_phases(U: np.ndarray, omegas) -> np.ndarray:
-    """The eigen-phases in (-pi, pi] of W = U(omega I)* U, one row per omega
-    of omegas, for the U(M) that read_graph returns."""
-    return np.angle(np.linalg.eigvals(np.stack([_times_u_omega(U, w) for w in omegas])))
-
-
-def read_graph(M: np.ndarray, omega) -> tuple[int, float, np.ndarray]:
-    """(nu_omega(M), g, U) from one read of M.  U = U(M) is taken from the
-    frame a of an orthonormal basis of Gr(M), as conj(a) a*: unitary to
-    rounding, with no solve, whatever |M|.  nu_omega is the number of
-    eigen-phases of W within PHASE_TOL of 0, and the gap g is the distance
-    from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or pi if there is
-    none.  A symplectic defect of M moves the phases by about
-    d = |a*a - I|_F, and a phase within 2 d of PHASE_TOL could fall on
-    either side of it: the count is then refused with NormalFormError."""
-    a = _frame(np.linalg.qr(_graph_basis(M))[0])
+    if abs(abs(omega) - 1.0) > 1e-9:
+        raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
+    U, a = graph_unitary(M)
     d = np.linalg.norm(a.conj().T @ a - np.eye(len(a)))
-    U = (a @ a.T).conj()
-    p = np.abs(graph_phases(U, [omega])[0])
-    if np.any(np.abs(p - PHASE_TOL) <= 2 * d):
+    p = graph_phases(U, omega)
+    dist = np.abs(p)
+    if np.any(np.abs(dist - PHASE_TOL) <= 2 * d):
         raise NormalFormError(f"an eigen-phase of W lies within 2 x {d:.3g} (the symplectic "
                               f"defect of M) of PHASE_TOL = {PHASE_TOL:g}, so nu_omega "
                               f"is undecided")
-    far = p[p > PHASE_TOL]
-    return len(p) - len(far), float(far.min()) if len(far) else math.pi, U
+    far = dist[dist > PHASE_TOL]
+    return len(p) - len(far), float(far.min()) if len(far) else math.pi, U, p
 
 
 def nu_omega(M: np.ndarray, omega) -> int:

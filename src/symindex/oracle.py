@@ -41,8 +41,8 @@ import numpy as np
 from .normal_forms import (
     NormalFormError,
     diamond,
-    eigen_phases,
     graph_phases,
+    graph_unitary,
     read_graph,
     standard_J,
     SYMPLECTIC_TOL,
@@ -412,7 +412,10 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # them by at most 2 asin(min(1, 2 sin(h/2))) whatever M (_arc_motion):
 # Gr(M e^{-sJ}) = diag(e^{sJ}, I) Gr(M), and diag(e^{sJ}, I) commutes with H
 # and acts on its +1 and -1 eigenspaces as unitaries that move by at most
-# |e^{ih} - 1| = 2 sin(h/2) each.
+# |e^{ih} - 1| = 2 sin(h/2) each.  Every phase the count takes is read through
+# normal_forms.graph_unitary, from an orthonormal basis of the graph, so W is
+# unitary to rounding and the phases' error does not grow with |beta(t)|;
+# the endpoint's are those of the read that gave nu_omega and g.
 
 COARSE_BOUND = 0.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps per batch of motion bounds, which bounds the temporaries
@@ -465,11 +468,17 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
     return net, room[np.arange(len(best)), best] > bound
 
 
-def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
+def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
+    """W's eigen-phases in [0, 2pi), per matrix of a stack M."""
+    return graph_phases(graph_unitary(M)[0], omega) % (2 * math.pi)
+
+
+def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarray) -> int:
     """The signed count of eigen-phases of W passing 0 over the start step
     from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
     and, for eps > 0, over the endpoint arc gamma(tau) e^{-sJ}, s from 0 to
-    eps / 2 to eps; no phase may pass 0 on the arc's second half.
+    eps / 2 to eps; no phase may pass 0 on the arc's second half.  end holds
+    the phases at gamma(tau), from the read that gave nu_omega and g.
 
     Scan point 0 is S, and scan point j >= 1 is gamma's sample j - 1.  No
     phase has passed 0 before S, and its phases are resolved for every
@@ -494,13 +503,15 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
     # step has scan point None, and so has an arc point, which holds s for t
     pts = [(j, ts[max(j - 1, 0)], S if j == 0 else mats[j - 1]) for j in coarse]
     pts += [(None, s, _arc(mats[-1], s)) for s in (0.5 * eps, eps) if eps]
-    ph = eigen_phases(np.stack([p[2] for p in pts]), omega)
+    last = len(coarse) - 1  # gamma(tau), whose phases are end
+    ph = np.insert(_phases(np.stack([p[2] for p in pts[:last] + pts[last + 1:]]), omega),
+                   last, end, axis=0)
     bound = np.concatenate((np.diff(cum[coarse]),
                             [_arc_motion(0.5 * eps)] * (len(pts) - len(coarse))))
     counts, ok = _count(ph[:-1], ph[1:], bound)
 
     def at(j, t, M):
-        return (j, t, M, eigen_phases(M, omega))
+        return (j, t, M, _phases(M, omega))
 
     def halve_sample(a, b, depth):
         (i0, t0, M0, _), (i1, t1, M1, _) = a, b
@@ -545,21 +556,14 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float) -> int:
     return int(np.sum(counts))
 
 
-def _unit(omega) -> complex:
-    """omega as a complex number, refused off the unit circle."""
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-9:
-        raise OracleError(f"omega must lie on the unit circle, got {omega!r}")
-    return omega
-
-
-def _endpoint(M: np.ndarray, omega: complex) -> tuple[int, float, np.ndarray]:
-    """(nu_omega(M), g, U(M)) from normal_forms.read_graph, an undecided
-    count raised as OracleError."""
+def _endpoint(M: np.ndarray, omega: complex) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """(nu_omega(M), g, U(M), W's phases in [0, 2pi)) from
+    normal_forms.read_graph, a refusal raised as OracleError."""
     try:
-        return read_graph(M, omega)
+        nu, gap, U, p = read_graph(M, omega)
     except NormalFormError as exc:
         raise OracleError(f"at gamma(tau), omega = {omega:.6g}: {exc}") from exc
+    return nu, gap, U, p % (2 * math.pi)
 
 
 def _arc_length(gap: float) -> float:
@@ -589,9 +593,9 @@ def cz_index(path: SampledSymplecticPath, omega):
     An undecided nu_omega(gamma(tau)), a phase of W too near PHASE_TOL to
     be told from it, raises OracleError.
     """
-    omega = _unit(omega)
-    nu, gap, _ = _endpoint(path.endpoint(), omega)
-    return _scan(path, omega, _arc_length(gap) if nu else 0.0), nu
+    omega = complex(omega)
+    nu, gap, _, end = _endpoint(path.endpoint(), omega)
+    return _scan(path, omega, _arc_length(gap) if nu else 0.0, end), nu
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):
@@ -607,24 +611,24 @@ def estimate_splitting(path: SampledSymplecticPath, omega):
     Every phase is read from the one unitary U(M) that also gives nu_omega
     and g (normal_forms.read_graph).
 
-    The floor: a probe e moves a phase at 0 of a sheared block (N1(1, b),
-    N2) by only about e^2 / |M|, and a read of W's phases from U(M) is exact
-    to about the unit roundoff 2^-52; so when nu_omega > 0 and
-    e_min^2 <= max(1, |M|) 2^-52, e_min the least probe, the estimate is
-    refused with OracleError.  For |M| about 1 that is g below about 6e-8.
+    The floor: a probe e moves a phase at 0 of a sheared block B (N1(1, b),
+    N2) by only about e^2 / |B|, and a read of W's phases from U(M) is exact
+    to about the unit roundoff 2^-52, whatever |M|; so when some probe
+    leaves a phase within 2^-52 of 0, which only the nu_omega phases at 0
+    can be, the estimate is refused with OracleError.  For |B| about 1 that
+    is g below about 6e-8, whatever else M holds.
     """
-    omega = _unit(omega)
-    M = path.endpoint()
-    nu, gap, U = _endpoint(M, omega)
+    omega = complex(omega)
+    nu, gap, U, p0 = _endpoint(path.endpoint(), omega)
     probes = [min(e, 0.25 * gap) for e in SPLITTING_PROBES]
-    if nu and min(probes) ** 2 <= max(1.0, np.linalg.norm(M, 2)) * np.finfo(float).eps:
+    turns = [complex(math.cos(e), sign * math.sin(e)) for e in probes for sign in (1, -1)]
+    p = graph_phases(U, [omega * t for t in turns]) % (2 * math.pi)
+    if nu and np.any(np.minimum(p, 2 * math.pi - p) <= np.finfo(float).eps):
         raise OracleError(f"the nearest nonzero eigen-phase of W lies {gap:.3g} from 0: a probe "
                           f"of {min(probes):.3g} cannot move the phases at 0 past rounding")
-    turns = [complex(math.cos(e), sign * math.sin(e)) for e in probes for sign in (1, -1)]
-    p = graph_phases(U, [omega] + [omega * t for t in turns]) % (2 * math.pi)
-    p[0, np.argsort(np.minimum(p[0], 2 * math.pi - p[0]))[:nu]] = 2 * math.pi  # at 0^-
+    p0[np.argsort(np.minimum(p0, 2 * math.pi - p0))[:nu]] = 2 * math.pi  # at 0^-
     bounds = np.repeat(probes, 2)
-    net, ok = _count(np.broadcast_to(p[0], p[1:].shape), p[1:], bounds)
+    net, ok = _count(np.broadcast_to(p0, p.shape), p, bounds)
     if not ok.all():
         raise OracleError(f"no cut farther than {bounds[~ok][0]:g} from the eigen-phases at omega")
     plus_vals, minus_vals = net[0::2].tolist(), net[1::2].tolist()

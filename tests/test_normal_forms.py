@@ -13,6 +13,7 @@ from symindex.normal_forms import (
     diamond,
     nontrivial_n2_block,
     nu_omega,
+    read_graph,
     realize,
     realize_decomposition,
     standard_J,
@@ -111,6 +112,16 @@ def test_nu_omega_examples():
     assert nu_omega(block(BasicNormalForm("R", theta=Scalar.rational(1, 2))), 1) == 0
     assert nu_omega(block(BasicNormalForm("R", theta=Scalar.rational(1, 2))), 1j) == 1
     assert nu_omega(block(BasicNormalForm("N1", lam=1, b=1)), 1) == 1
+
+
+def test_omega_off_the_unit_circle_is_refused():
+    # W's eigenvalue 1 has the multiplicity of omega only for |omega| = 1:
+    # at 2, diag(2, 1/2) read 0 where dim ker(M - 2 I) is 1, and I read 2
+    for M in (np.diag([2.0, 0.5]), np.eye(2)):
+        with pytest.raises(NormalFormError, match="omega must lie on the unit circle, got"):
+            nu_omega(M, 2.0)
+    with pytest.raises(NormalFormError, match="omega must lie on the unit circle, got"):
+        read_graph(np.eye(2), 0.5j)
 
 
 def test_nu_omega_additive_over_diamond():

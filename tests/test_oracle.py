@@ -21,7 +21,8 @@ from symindex import normal_forms, oracle
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.normal_forms import (
     diamond,
-    eigen_phases,
+    graph_phases,
+    graph_unitary,
     nontrivial_n2_block,
     nu_omega,
     realize,
@@ -97,7 +98,8 @@ def test_oracle_shares_the_matrix_layer():
     # it counts eigen-phases and takes no determinant or kernel of its own
     assert oracle.read_graph is normal_forms.read_graph
     assert oracle.graph_phases is normal_forms.graph_phases
-    assert oracle.eigen_phases is normal_forms.eigen_phases
+    assert oracle.graph_unitary is normal_forms.graph_unitary
+    assert not hasattr(normal_forms, "eigen_phases")
     assert oracle.standard_J is normal_forms.standard_J
     assert not hasattr(oracle, "d_omega") and not hasattr(oracle, "kernel")
 
@@ -337,7 +339,7 @@ def test_the_start_step_is_never_halved(monkeypatch):
     # refused; on a constant path every other step has bound 0
     path = path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=64)
     omega = cmath.exp(0.3j)
-    start = eigen_phases(extend_with_xi(path)[None], omega)[0]
+    start = graph_phases(graph_unitary(extend_with_xi(path))[0], omega) % (2 * math.pi)
     monkeypatch.setattr(oracle, "CUTS", start[:1].copy())
     with pytest.raises(OracleError, match="over the start step from diag"):
         cz_index(path, omega)
@@ -423,9 +425,9 @@ def count_scans(monkeypatch):
     arcs = []
     scan = oracle._scan
 
-    def counted_scan(path, omega, eps):
+    def counted_scan(path, omega, eps, end):
         arcs.append(eps)
-        return scan(path, omega, eps)
+        return scan(path, omega, eps, end)
 
     monkeypatch.setattr(oracle, "_scan", counted_scan)
     return arcs
@@ -506,6 +508,13 @@ def sheared_rotation(b: int, phi: float, m: int = 1, steps: int = 256):
     return iterate_path(base, m)
 
 
+def hyperbolic_sheared_rotation(b: int, phi: float):
+    """(D(2) diamond N1(1, b) diamond R(phi / 20))^20, |M| = 2^20, whose
+    nearest nonzero eigen-phase of W at 1 lies phi from 0."""
+    return iterate_path(diamond_paths(hyperbolic_path(64), sheared_rotation(b, phi / 20, steps=64),
+                                      steps=64), 20)
+
+
 def sheared_rotation_data(b: int, phi: float) -> PathIndexData:
     theta = Fraction(abs(phi) / math.pi)
     decomp = NormalFormDecomposition(
@@ -552,6 +561,48 @@ def test_cz_index_needs_no_floor_above_the_phase_tolerance(b):
     assert oracle._endpoint(path.endpoint(), 1)[:2] == (1, pytest.approx(2e-10, rel=1e-3))
     assert cz_index(path, 1) == (index_iterate(PathIndexData(decomp, i1=data.i1), 20),
                                  nullity_iterate(PathIndexData(decomp, i1=data.i1), 20))
+
+
+@pytest.mark.parametrize("turn", [5e-10, 1e-9, 3e-9])
+def test_cz_index_on_a_conjugated_large_endpoint(turn):
+    # (P (hyperbolic diamond R(turn / 20)) P^-1)^20, |M| about 1.4e6: read
+    # from the frame of [I; M], W's phases were off by about 1e-16 |M|, and
+    # the count read (0, 0) for R(turn)'s phase just above PHASE_TOL
+    A = np.random.default_rng(1).normal(size=(4, 4))
+    P = oracle.expm(0.3 * standard_J(2) @ (A + A.T))
+    P_inv = np.linalg.inv(P)
+    phi = turn / 20
+    a = math.log(2)
+    X = standard_J(2) @ diamond(np.array([[0.0, -a], [-a, 0.0]]), phi * np.eye(2))
+    path = iterate_path(path_from_matrix_function(lambda t: P @ oracle.expm(t * X) @ P_inv,
+                                                  1.0, 2, steps=256), 20)
+    assert np.linalg.norm(path.endpoint(), 2) > 1e6
+    data = PathIndexData(NormalFormDecomposition(
+        n=2, k=1, thetas=(Scalar.from_fraction(Fraction(phi / math.pi)),)), i1=1)
+    assert cz_index(path, 1) == (index_iterate(data, 20), nullity_iterate(data, 20)) == (1, 0)
+
+
+@pytest.mark.parametrize("maker", [lambda: iterate_path(shear_path(1, steps=64), 4),
+                                   lambda: rotation_path(0.4, steps=64)],
+                         ids=["degenerate", "nondegenerate"])
+def test_the_endpoint_is_read_once(monkeypatch, maker):
+    # nu_omega, the gap, the count's and the probes' phases at gamma(tau) all
+    # come from one graph_unitary of it
+    path = maker()
+    reads = []
+    unitary = normal_forms.graph_unitary
+
+    def counted(M):
+        stack = M.reshape((-1,) + M.shape[-2:])
+        reads.append(sum(np.array_equal(m, path.endpoint()) for m in stack))
+        return unitary(M)
+
+    monkeypatch.setattr(normal_forms, "graph_unitary", counted)
+    monkeypatch.setattr(oracle, "graph_unitary", counted)
+    cz_index(path, 1)
+    assert sum(reads) == 1
+    estimate_splitting(path, 1)
+    assert sum(reads) == 2
 
 
 def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
@@ -748,6 +799,12 @@ SPLIT_ROWS = [
     ("N1(1,-1)<>R(5e-5)@1", lambda: sheared_rotation(-1, 5e-5), 1, (0, 0)),
     ("N1(1,-1)<>R(5e-4)@1", lambda: sheared_rotation(-1, 5e-4), 1, (0, 0)),
     ("N1(1,1)<>R(-5e-5)@1", lambda: sheared_rotation(1, -5e-5), 1, (1, 1)),
+    # |M| = 2^20: a floor set from |M|_2 refused every gap up to about 6e-5,
+    # though the probes move the phases at 0 of N1(1, +-20) past rounding
+    ("(D(2)<>N1(1,1)<>R(5e-7))^20@1", lambda: hyperbolic_sheared_rotation(1, 1e-5), 1, (1, 1)),
+    ("(D(2)<>N1(1,-1)<>R(-5e-7))^20@1", lambda: hyperbolic_sheared_rotation(-1, -1e-5), 1, (0, 0)),
+    ("(D(2)<>N1(1,1)<>R(-5e-8))^20@1", lambda: hyperbolic_sheared_rotation(1, -1e-6), 1, (1, 1)),
+    ("(D(2)<>N1(1,-1)<>R(5e-8))^20@1", lambda: hyperbolic_sheared_rotation(-1, 1e-6), 1, (0, 0)),
 ]
 
 
@@ -807,8 +864,8 @@ def test_nu_omega_reads_a_phase_within_the_tolerance_as_0():
     # the boundary of the fixed tolerance: N1(1,1) at e^{i theta} has its phase
     # at theta^2, which reads as 0 from theta = 1e-5 down
     M = shear_path(1, steps=64).endpoint()
-    p = eigen_phases(M, cmath.exp(1e-5j))
-    assert abs(np.min(np.minimum(p, 2 * math.pi - p)) - 1e-10) < 1e-14
+    p = graph_phases(graph_unitary(M)[0], cmath.exp(1e-5j))
+    assert abs(np.min(np.abs(p)) - 1e-10) < 1e-14
     assert [nu_omega(M, cmath.exp(1j * t)) for t in (1e-4, 2e-5, 1e-6)] == [0, 0, 1]
 
 
@@ -818,7 +875,7 @@ def test_an_undecided_nullity_is_refused(monkeypatch):
     # N1(1,1) at e^{i 1e-4}, about 1e-8, and then just past it.
     path = shear_path(1, steps=64)
     omega = cmath.exp(1e-4j)
-    phase = np.min(eigen_phases(path.endpoint(), omega))
+    phase = np.min(np.abs(graph_phases(graph_unitary(path.endpoint())[0], omega)))
     monkeypatch.setattr(normal_forms, "PHASE_TOL", phase)
     with pytest.raises(OracleError, match="so nu_omega is undecided"):
         cz_index(path, omega)
