@@ -14,7 +14,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from .iteration import (
     DecompositionError,
     PathIndexData,
     index_iterate,
+    json_field,
     mean_index,
     nullity_iterate,
     splitting_numbers,
@@ -128,9 +128,9 @@ def _load_path_data(obj) -> PathIndexData:
 def _load_generator(obj):
     _require_object(obj, "generator file")
     try:
-        n = int(obj["n"])
+        n = json_field(obj, "n", int)
         tau = float(obj["tau"])
-        steps = int(obj.get("steps", DEFAULT_STEPS))
+        steps = json_field(obj, "steps", int, DEFAULT_STEPS)
         if "B" in obj:
             B = np.array(obj["B"], dtype=float)
             if B.shape != (2 * n, 2 * n):
@@ -284,24 +284,11 @@ _HANDLERS = {
 }
 
 
-def _precision(args: argparse.Namespace) -> int:
-    """--precision, or else SYMINDEX_PRECISION, else 50."""
-    if args.precision is not None:
-        return args.precision
-    raw = os.environ.get("SYMINDEX_PRECISION", "50")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"SYMINDEX_PRECISION must be an integer, got {raw!r}") from None
-
-
 def dispatch(args: argparse.Namespace) -> int:
     """Run one parsed subcommand; deterministic for fixed arguments (and seed).
 
-    --precision falls back to SYMINDEX_PRECISION.  The working precision is
-    restored when the subcommand returns.
+    The working precision is restored when the subcommand returns.
     """
-    args.precision = _precision(args)
     if args.precision < 30:
         raise InputError(f"precision must be >= 30, got {args.precision}")
     if getattr(args, "m_max", 1) < 1:
@@ -327,9 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", dest="out", default=None, help="output file (default stdout)")
-        p.add_argument("--precision", type=int, default=None,
-                       help="working precision in decimal digits (>= 30; "
-                            "default SYMINDEX_PRECISION, else 50)")
+        p.add_argument("--precision", type=int, default=50,
+                       help="working precision in decimal digits (>= 30; default 50)")
 
     p = sub.add_parser("iterate", help="CSV table m, i, nu, mean_index*m from path data")
     p.add_argument("--data", dest="input", required=True)

@@ -35,6 +35,9 @@ from .jump import (
     varrho,
 )
 from .oracle import (
+    DEFAULT_STEPS,
+    MAX_STEPS,
+    STEP_BOUND,
     SampledSymplecticPath,
     cz_index,
     path_from_matrix_function,
@@ -143,7 +146,11 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     The decomposition has one rotation block per other axis with angle
     2 pi alpha_j / alpha_i (mod 2 pi) and, on the orbit's own axis, I2 in
     quadratic mode or N1(1,1) in convex mode.  The base index comes from
-    the crossing-count oracle on the sampled path.
+    the crossing-count oracle on the sampled path, which has DEFAULT_STEPS
+    samples, or more when the fastest axis needs them: a sample step turns
+    axis j by 2 pi alpha_j / (alpha_i steps), and a rotation by a moves no
+    matrix entry by more than a, so that turn is kept within STEP_BOUND.
+    EllipsoidError past MAX_STEPS.
     """
     if not (1 <= i <= spec.n):
         raise EllipsoidError(f"axis index {i} out of range 1..{spec.n}")
@@ -152,7 +159,12 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     tau = 2 * math.pi / float(alpha_i)
     freqs = np.array([float(a) for a in spec.alphas])
     B = np.diag(np.concatenate([freqs, freqs]))
-    path = path_from_quadratic_hamiltonian(B, tau)
+    ratio = float(freqs.max() / freqs[idx])
+    need = 2 * math.pi * ratio / STEP_BOUND
+    if need > MAX_STEPS:
+        raise EllipsoidError(f"frequency ratio {ratio:.6g} needs {need:.6g} samples per "
+                             f"orbit, more than {MAX_STEPS}")
+    path = path_from_quadratic_hamiltonian(B, tau, max(DEFAULT_STEPS, math.ceil(need)))
 
     thetas = []
     for j in range(spec.n):

@@ -11,6 +11,7 @@ checked once, when it is built, so the formulas take it as valid.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ __all__ = [
     "nullity_iterate",
     "mean_index",
     "I_value",
+    "json_field",
     "path_record",
     "s_minus_angles",
     "validate",
@@ -52,6 +54,21 @@ class DecompositionError(ValueError):
 ONE = Scalar.rational(1)
 TWO = Scalar.rational(2)
 ZERO = Scalar.rational(0)
+
+_REQUIRED = object()
+_JSON_TYPES = {int: "an integer", bool: "true or false"}
+
+
+def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """obj[key], or default when the key is absent and a default is given,
+    as a JSON value of kind, int or bool: 1.0, "1" and true are not
+    integers and "false" is not a bool.  A value of any other type raises
+    TypeError naming the field; a required key that is absent, KeyError."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if type(value) is not kind:
+        got = json.dumps(value, default=repr)
+        raise TypeError(f"{key} must be {_JSON_TYPES[kind]}, got {got}")
+    return value
 
 
 def _check_angle(x: Scalar, who: str):
@@ -154,19 +171,11 @@ class NormalFormDecomposition:
             return tuple(scalar_from_json(x) if isinstance(x, dict) else x
                          for x in obj.get(key, []))
 
-        return cls(
-            n=int(obj["n"]),
-            p_minus=int(obj.get("p_minus", 0)),
-            p_zero=int(obj.get("p_zero", 0)),
-            p_plus=int(obj.get("p_plus", 0)),
-            q_minus=int(obj.get("q_minus", 0)),
-            q_zero=int(obj.get("q_zero", 0)),
-            q_plus=int(obj.get("q_plus", 0)),
-            thetas=angles("thetas"),
-            alphas=angles("alphas"),
-            betas=angles("betas"),
-            k=int(obj.get("k", 0)),
-        )
+        n = json_field(obj, "n", int)
+        counts = {key: json_field(obj, key, int, 0) for key in
+                  ("p_minus", "p_zero", "p_plus", "q_minus", "q_zero", "q_plus", "k")}
+        return cls(n=n, thetas=angles("thetas"), alphas=angles("alphas"),
+                   betas=angles("betas"), **counts)
 
 
 @dataclass(frozen=True)
@@ -192,8 +201,8 @@ class PathIndexData:
     @classmethod
     def from_json(cls, obj: dict) -> "PathIndexData":
         return cls(decomp=NormalFormDecomposition.from_json(obj),
-                   i1=int(obj["i1"]),
-                   convex_mode=bool(obj.get("convex_mode", False)))
+                   i1=json_field(obj, "i1", int),
+                   convex_mode=json_field(obj, "convex_mode", bool, False))
 
 
 @dataclass(frozen=True)

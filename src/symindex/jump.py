@@ -15,8 +15,6 @@ identities, so no closed-subgroup machinery is needed.
 
 from __future__ import annotations
 
-import itertools
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,8 +65,6 @@ __all__ = [
     "default_eps",
     "default_M",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class JumpError(ValueError):
@@ -129,14 +125,17 @@ class JumpSolution:
 
 @dataclass
 class SearchResult:
+    """The certified solutions, and gates: the number of close candidates
+    each gate stopped, and the number it certified, by gate name (_GATES)."""
+
     solutions: list
-    rejects: list
+    gates: dict
     params: dict
 
     def to_json(self) -> dict:
         return {
             "solutions": [s.to_json() for s in self.solutions],
-            "rejects": self.rejects,
+            "gates": self.gates,
             "params": self.params,
         }
 
@@ -412,21 +411,6 @@ def _closer_than(worst, slack: int, F: int, eps: Fraction):
     return None
 
 
-_ANGLE_REJECT = "angle condition (near-integrality) failed"
-_MAX_REJECT_LOG = 50
-
-
-def _identity_reject(N: int, ivals, deltas):
-    """The reject entry when I(k, m_k) != N + Delta_k for some k, else None."""
-    bad = [k for k, (i, d) in enumerate(zip(ivals, deltas)) if i != N + d]
-    if not bad:
-        return None
-    entry = {"N": N, "reason": "identity gate failed",
-             "detail": [{"k": k, "I": ivals[k], "N_plus_Delta": N + deltas[k]} for k in bad]}
-    logger.info("rejected N=%d at identity gate: %s", N, entry["detail"])
-    return entry
-
-
 def _band_residual(v: JumpVector, N: int, packed: int, eps: Fraction, dps: int):
     """The residual of N at the vertex of the packed bits when its distance
     is below eps, else None: decided by _residual at dps digits, or at 2 dps
@@ -443,23 +427,24 @@ def _band_residual(v: JumpVector, N: int, packed: int, eps: Fraction, dps: int):
 
 def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, dps: int):
     """Gates (b)-(d) of one close candidate, its chi bits packed, in big
-    integers: (ms, deltas) of a solution, a reject entry, or None for a
-    silent divisibility miss."""
+    integers: the gate code of _batch_gates, and (ms, deltas) of a solution,
+    else None."""
     # (b) rational mean indices demand exact divisibility of N
     for mi in v.mean_indices:
         if mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1:
-            return None
+            return _SKIP, None
     try:
         ms = tuple(compute_m(N, paths[k], (packed >> k) & 1, v.M) for k in range(v.q))
-    except JumpError as exc:
-        return {"N": N, "reason": str(exc)}
+    except JumpError:
+        return _M_FAIL, None
     # (d) angle conditions
     if not all(_condition_339a_340(paths[k], ms[k], delta, dps) for k in range(v.q)):
-        return {"N": N, "reason": _ANGLE_REJECT}
+        return _ANGLE_FAIL, None
     # (c) the identity gate, exact integers
     deltas = tuple(_delta_count(paths[k], ms[k], delta, dps) for k in range(v.q))
-    ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
-    return _identity_reject(N, ivals, deltas) or (ms, deltas)
+    if any(I_value(paths[k], ms[k]) != N + deltas[k] for k in range(v.q)):
+        return _ID_FAIL, None
+    return _SOLVED, (ms, deltas)
 
 
 # ----- batched gates on uint64 top bits ---------------------------------------
@@ -489,7 +474,7 @@ def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, d
 # value - slack > (lo - 1) 2**s >= delta 2**F.  Rational quantities are exact
 # integer residues.  A candidate that is not ok, or undecided, at a gate it
 # reaches goes to _certify_exact, in candidate order, so the solutions and
-# the rejects are those of the exact gates on every candidate.  So do
+# the gate codes are those of the exact gates on every candidate.  So do
 # candidates with N >= _batch_limit(), where N, every m_k or an int64 sum
 # could leave the range these bounds assume, or whose q chi bits of m_k do
 # not fit a uint64.
@@ -497,7 +482,10 @@ def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, d
 _LIMIT = 1 << 50
 _ONES = np.uint64(_WRAP - 1)
 _M32 = np.uint64(0xFFFFFFFF)
-_SKIP, _SOLVED, _M_FAIL, _ANGLE_FAIL, _ID_FAIL, _EXACT = range(6)
+# gate codes, in the order of the gates; _SKIP is a divisibility miss and
+# _EXACT a candidate the exact gates decide
+_SKIP, _M_FAIL, _ANGLE_FAIL, _ID_FAIL, _SOLVED, _EXACT = range(6)
+_GATES = ("divisibility", "m_nonpositive", "angle", "identity", "certified")
 
 
 def _mulhi(a, b: int):
@@ -553,14 +541,13 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
     """Gates (b)-(d) of the close candidates N, a uint64 array, whose chi
     bits of m_k are packed, another.
 
-    Returns (code, ms, deltas, ivals): code[i] is one of _SKIP, _SOLVED,
-    _M_FAIL, _ANGLE_FAIL, _ID_FAIL, _EXACT; ms, deltas and ivals are q x K
-    int64 arrays, meaningful for the candidates that reach the gate reading
-    them.
+    Returns (code, ms, deltas): code[i] is one of _SKIP, _M_FAIL,
+    _ANGLE_FAIL, _ID_FAIL, _SOLVED, _EXACT; ms and deltas are q x K int64
+    arrays, meaningful for the candidates that reach the gate reading them.
     """
     K = len(N)
     if not K:  # the constants fit in uint64 only when _batch_limit() > 0
-        return np.zeros(0, np.int8), *[np.zeros((len(recs), 0), np.int64)] * 3
+        return np.zeros(0, np.int8), *[np.zeros((len(recs), 0), np.int64)] * 2
     exact = np.zeros(K, bool)
     live = np.ones(K, bool)
     Dlo, Dhi = floor(delta * _WRAP), ceil(delta * _WRAP)
@@ -594,7 +581,7 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
     # an integer for irrational ones; (c) Delta_k and I(k, m_k)
     passed = live.copy()
     deltas = np.zeros((q, K), np.int64)
-    ivals = np.zeros((q, K), np.int64)
+    id_fail = np.zeros(K, bool)   # I(k, m_k) != N + Delta_k for some k
     for k, (rec, data) in enumerate(recs):
         m = ms[k]
         d = data.decomp
@@ -618,10 +605,10 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
                 I += (m * np.uint64(X >> F) + _mulhi(m, Xh) + np.uint64(1)).astype(np.int64)
         # E(m alpha) + 2m - floor(m alpha) = 2m (+ 1 for an irrational alpha)
         I += sum(1 for al in d.alphas if not al.is_rational)
-        ivals[k] = I
+        id_fail |= I != N.astype(np.int64) + deltas[k]
     passed &= ~exact
     angle_fail = live & ~passed & ~exact
-    id_fail = passed & (ivals != N.astype(np.int64) + deltas).any(axis=0)
+    id_fail &= passed
 
     code = np.full(K, _SKIP, np.int8)
     code[exact] = _EXACT
@@ -629,14 +616,13 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
     code[angle_fail] = _ANGLE_FAIL
     code[id_fail] = _ID_FAIL
     code[passed & ~id_fail] = _SOLVED
-    return code, ms.astype(np.int64), deltas, ivals
+    return code, ms.astype(np.int64), deltas
 
 
-def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int,
-             max_reject_log: int):
-    """Solutions and the first max_reject_log rejects of the close stage-1
-    candidates (N, bits, residual), in increasing N; solutions in no
-    particular order."""
+def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int):
+    """The solutions of the close stage-1 candidates (N, bits, residual), in
+    increasing N, in no particular order, and gates: the number of
+    candidates at each gate code, by gate name (_GATES)."""
     F = fixed_bits(dps)
     one = 1 << F
     recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]
@@ -644,7 +630,8 @@ def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int,
     low = (1 << v.q) - 1
     N = np.fromiter((c[0] for c in candidates[:n_batch]), np.uint64, n_batch)
     packed = np.fromiter((c[1] & low for c in candidates[:n_batch]), np.uint64, n_batch)
-    code, ms, deltas, ivals = _batch_gates(v, recs, N, packed, delta, F)
+    code, ms, deltas = _batch_gates(v, recs, N, packed, delta, F)
+    code = np.concatenate([code, np.full(len(candidates) - n_batch, _EXACT, np.int8)])
     chis = {}   # packed bits -> chi tuple
 
     def solution(i, m, d):
@@ -661,28 +648,13 @@ def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int,
     s = np.flatnonzero(code == _SOLVED)
     solutions = [solution(i, m, d) for i, m, d in zip(
         s.tolist(), zip(*ms[:, s].tolist()), zip(*deltas[:, s].tolist()))]
-    # rejects and the exact gates, in candidate order; m_k <= 0 means m_k = 0
-    r = np.flatnonzero((code != _SKIP) & (code != _SOLVED))
-    rest = zip(r.tolist(), code[r].tolist(), ivals[:, r].T.tolist(), deltas[:, r].T.tolist())
-    beyond = ((i, _EXACT, None, None) for i in range(n_batch, len(candidates)))
-    rejects = []
-    for i, c, ivs, ds in itertools.chain(rest, beyond):
-        N, p, _ = candidates[i]
-        if c == _EXACT:
-            out = _certify_exact(v, paths, N, p, delta, dps)
-            if isinstance(out, tuple):
-                out = solution(i, *out)
-        elif c == _M_FAIL:
-            out = {"N": N, "reason": f"m_k = 0 <= 0 at N = {N}"}
-        elif c == _ANGLE_FAIL:
-            out = {"N": N, "reason": _ANGLE_REJECT}
-        else:
-            out = _identity_reject(N, ivs, ds)
-        if isinstance(out, JumpSolution):
-            solutions.append(out)
-        elif out is not None and len(rejects) < max_reject_log:
-            rejects.append(out)
-    return solutions, rejects
+    # the exact gates, in candidate order
+    for i in np.flatnonzero(code == _EXACT).tolist():
+        n, p, _ = candidates[i]
+        code[i], out = _certify_exact(v, paths, n, p, delta, dps)
+        if out is not None:
+            solutions.append(solution(i, *out))
+    return solutions, dict(zip(_GATES, np.bincount(code, minlength=len(_GATES)).tolist()))
 
 
 def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
@@ -724,9 +696,9 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     Gates, in order: (a) max-norm closeness |{N v} - chi| < eps, decided by
     the stage-1 scan, (b) exact divisibility N/(M ihat_k) in Z for rational
     mean indices, (c) the integer identity I(k, m_k) = N + Delta_k, (d) the
-    near-integrality of every m_k theta/pi.  Failures of (c) after passing
-    (a) are logged.  The close candidates are certified in one batch
-    (_certify), and the first _MAX_REJECT_LOG rejects are kept.  An empty
+    near-integrality of every m_k theta/pi.  The close candidates are
+    certified in one batch (_certify), and the result counts, for each of
+    (b)-(d), the candidates it stopped, and the certified ones.  An empty
     result is a valid outcome.  workers is accepted and ignored: the scan
     runs in the calling process.
     """
@@ -746,11 +718,11 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
 
     dps = get_precision()
     candidates = _stage1(v, explicit_bits, Fraction(eps), N_max, dps)
-    solutions, rejects = _certify(v, candidates, paths, delta, dps, _MAX_REJECT_LOG)
+    solutions, gates = _certify(v, candidates, paths, delta, dps)
     solutions.sort(key=lambda s: s.N)
     params = {"eps": eps, "delta": str(delta), "M": v.M, "M0": v.M0,
               "N_max": N_max, "chi": "auto" if explicit_bits is None else list(explicit_bits)}
-    return SearchResult(solutions=solutions, rejects=rejects, params=params)
+    return SearchResult(solutions=solutions, gates=gates, params=params)
 
 
 # ----- consequences of a verified solution -----------------------------------

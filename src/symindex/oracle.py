@@ -204,6 +204,12 @@ class SampledSymplecticPath:
             raise OracleError("ts and mats length mismatch")
 
     def validate(self):
+        # NaN fails every comparison below, so the step and defect bounds
+        # would pass it
+        finite = np.isfinite(self.mats).all(axis=(1, 2))
+        if not finite.all():
+            raise OracleError(f"samples must be finite: sample {int(np.argmin(finite))} "
+                              f"has a non-finite entry")
         if not np.allclose(self.mats[0], np.eye(2 * self.n), atol=1e-12):
             raise OracleError("path must start at the identity")
         steps = np.max(np.abs(np.diff(self.mats, axis=0)), axis=(1, 2))
@@ -251,16 +257,19 @@ def path_from_quadratic_hamiltonian(B, tau: float,
     if not np.allclose(B, B.T, atol=1e-12):
         raise OracleError("B must be symmetric")
     n = B.shape[0] // 2
-    X = standard_J(n) @ B
     dt = tau / steps
     mats = np.empty((steps + 1, 2 * n, 2 * n))
     mats[0] = np.eye(2 * n)
-    mats[1] = expm(X * dt)
-    h = 1
-    while h < steps:
-        k = min(h, steps - h)
-        mats[h + 1:h + 1 + k] = mats[h] @ mats[1:1 + k]
-        h += k
+    # an infinite B, or a B or tau too large for floats, overflows here;
+    # validate refuses the non-finite samples that result
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = standard_J(n) @ B
+        mats[1] = expm(X * dt)
+        h = 1
+        while h < steps:
+            k = min(h, steps - h)
+            mats[h + 1:h + 1 + k] = mats[h] @ mats[1:1 + k]
+            h += k
     ts = np.linspace(0.0, tau, steps + 1)
 
     def evaluator(t):

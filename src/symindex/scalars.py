@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 # Working decimal digits for irrational arithmetic, never below 30; library
-# callers tune it with set_precision, the CLI with --precision or the
-# SYMINDEX_PRECISION environment variable.
+# callers tune it with set_precision, the CLI with --precision.
 _MIN_PRECISION = 30
 _DEFAULT_PRECISION = 50
 

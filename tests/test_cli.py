@@ -248,6 +248,56 @@ def test_bad_input_files_exit_1(tmp_path, capsys, command, content, message):
     assert err == f"error: {message}\n"
 
 
+def nan_at(samples, k):
+    """samples with the matrix of sample k made NaN."""
+    samples[k]["mat"] = [[math.nan] * 2] * 2
+    return samples
+
+
+@pytest.mark.parametrize("content", [
+    {"n": 1, "tau": 1.0, "samples": nan_at(rot_samples(GRID[::8], GRID[::8]), 10)},
+    {"n": 1, "tau": 1.0, "B": [[math.inf, 0.0], [0.0, math.pi / 2]]},
+    {"n": 1, "tau": 1e300, "B": [[1.0, 0.0], [0.0, 1.0]]},
+    {"n": 1, "tau": 1.0, "B": [[1e200, 0.0], [0.0, 1e200]]},
+], ids=["NaN sample", "infinite B", "tau 1e300", "B 1e200 I"])
+def test_non_finite_generators_exit_1(tmp_path, capsys, content):
+    # NaN compares False with every bound, so the step and symplectic
+    # checks alone would let these through to the count
+    f = tmp_path / "gen.json"
+    f.write_text(json.dumps(content))
+    rc = main(["oracle", "--generator", str(f)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: invalid generator file: samples must be finite: sample ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("iterate", {"n": 1, "thetas": [{"rational": "1/2"}], "i1": 1.7},
+     "invalid path data: i1 must be an integer, got 1.7"),
+    ("iterate", {"n": "1", "thetas": [{"rational": "1/2"}], "i1": 1},
+     'invalid path data: n must be an integer, got "1"'),
+    ("iterate", {"n": 1, "p_minus": True, "i1": 1},
+     "invalid path data: p_minus must be an integer, got true"),
+    ("splitting", {"n": 1, "p_minus": 1, "i1": 1, "convex_mode": "false"},
+     'invalid path data: convex_mode must be true or false, got "false"'),
+    ("splitting", {"n": 1, "p_minus": 1, "i1": 1, "convex_mode": 0},
+     "invalid path data: convex_mode must be true or false, got 0"),
+    ("oracle", {"n": 1, "tau": 1.0, "steps": 2.7, "B": ROT_B},
+     "invalid generator file: steps must be an integer, got 2.7"),
+    ("oracle", {"n": 1.0, "tau": 1.0, "B": ROT_B},
+     "invalid generator file: n must be an integer, got 1.0"),
+])
+def test_integer_and_bool_fields_are_read_strictly(tmp_path, capsys, command, content, message):
+    # each of these once ran: i1 = 1.7 as 1, "false" as true, "1" as 1
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(content))
+    flag = "--generator" if command == "oracle" else "--data"
+    rc = main([command, flag, str(f)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def run_fresh_python(*lines: str) -> None:
     """Run lines of code in a new interpreter importing this symindex; it must exit 0."""
     src = str(Path(symindex.__file__).resolve().parents[1])
@@ -309,26 +359,6 @@ def test_jump_search_deterministic_bytes(rot_fixture, tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_bad_precision_env_exits_1(rot_fixture, monkeypatch, capsys):
-    f, _ = rot_fixture
-    monkeypatch.setenv("SYMINDEX_PRECISION", "abc")
-    rc = main(["iterate", "--data", str(f)])
-    err = capsys.readouterr().err
-    assert rc == EXIT_INPUT
-    assert err.count("\n") == 1 and "SYMINDEX_PRECISION" in err and "'abc'" in err
-    # an explicit flag does not read the variable
-    assert main(["iterate", "--data", str(f), "--precision", "40"]) == EXIT_OK
-
-
-def test_the_library_does_not_read_the_precision_env(monkeypatch):
-    # only the CLI reads SYMINDEX_PRECISION; library callers use set_precision
-    monkeypatch.setenv("SYMINDEX_PRECISION", "80")
-    run_fresh_python(
-        "from symindex.scalars import get_precision",
-        "assert get_precision() == 50, get_precision()",
-    )
-
-
 def test_chi_auto_runs_at_h16(tmp_path, capsys):
     # the four axis orbits of alpha = (1, sqrt2, sqrt3, sqrt5): h = 4 + 4 * 3
     spec = EllipsoidSpec(alphas=("1", "sqrt2", "sqrt3", "sqrt5"))
@@ -373,6 +403,23 @@ def test_ellipsoid_subcommand(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["claims"]["at_least_two_elliptic"]
     assert out["varrho_n"] >= out["varrho_lower_bound"]
+
+
+def test_ellipsoid_with_a_wide_frequency_spread(capsys):
+    # sqrt(300) > 16: 2048 steps of the slow orbit would turn the fast axis
+    # by 0.053 per step, past the oracle's step bound
+    rc = main(["ellipsoid", "--alphas", "1,sqrt300", "--m-max", "2", "--n-max", "1000"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert all(out["claims"].values()) and out["problems"] == []
+
+
+def test_ellipsoid_with_a_spread_past_the_step_cap(capsys):
+    rc = main(["ellipsoid", "--alphas", "1,sqrt10000000001", "--m-max", "2", "--n-max", "100"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT
+    assert err.startswith("error: frequency ratio 100000 needs ") and err.count("\n") == 1
+    assert err.endswith(f"samples per orbit, more than {MAX_STEPS}\n")
 
 
 def test_ellipsoid_rejects_resonant(capsys):

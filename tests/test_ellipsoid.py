@@ -12,7 +12,7 @@ from symindex.ellipsoid import (
     run_pipeline,
 )
 from symindex.iteration import index_iterate, mean_index, nullity_iterate, validate
-from symindex.oracle import cz_index, iterate_path
+from symindex.oracle import DEFAULT_STEPS, STEP_BOUND, cz_index, iterate_path
 from symindex.scalars import Scalar
 
 
@@ -51,6 +51,17 @@ def test_base_indices(spec12):
     d2, _ = orbit_data(spec12, 2)
     assert (d1.i1, d2.i1) == (4, 2)
     assert validate(d1).ok and validate(d2).ok
+
+
+def test_orbit_grid_follows_the_frequency_spread():
+    # the slow orbit of (1, sqrt300) needs ceil(2 pi sqrt300 / STEP_BOUND)
+    # steps; the fast one, and every spread up to about 16, keep 2048
+    spec = EllipsoidSpec(alphas=("1", "sqrt300"))
+    (d1, p1), (d2, p2) = orbit_data(spec, 1), orbit_data(spec, 2)
+    assert len(p1.ts) - 1 == math.ceil(2 * math.pi * math.sqrt(300) / STEP_BOUND) == 2177
+    assert len(p2.ts) - 1 == DEFAULT_STEPS
+    assert (d1.i1, d2.i1) == (2 * 17 + 2, 2)   # 2 [alpha_j / alpha_i] + 2
+    assert len(orbit_data(EllipsoidSpec(alphas=("1", "sqrt255")), 1)[1].ts) - 1 == DEFAULT_STEPS
 
 
 def test_mean_index_ratio_exact(spec12):

@@ -1,5 +1,4 @@
 import json
-import logging
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from symindex.iteration import (
 from symindex.jump import (
     _ANGLE_FAIL,
     _EXACT,
+    _GATES,
     _ID_FAIL,
     _M_FAIL,
     _SKIP,
@@ -203,17 +203,14 @@ def test_explicit_chi_restricts_hits(golden_search):
 def test_gate_c_rejection_is_logged():
     # with tight defaults the closeness and angle gates force the identity,
     # so both tolerances are loosened to let stage-(a) survivors reach and
-    # fail the exact identity gate
+    # fail the exact identity gate, which the result's gate counts record
     data = rot_data(PHI, i1=1)
     v = build_jump_vector([data])
     res = search_N(v, "auto", eps=0.45, N_max=300, paths=[data],
                    delta=Fraction(49, 100))
-    for r in res.rejects:
-        if r["reason"] == "identity gate failed":
-            assert {"k", "I", "N_plus_Delta"} <= set(r["detail"][0])
-            break
-    else:
-        pytest.fail("no identity-gate rejection was logged")
+    assert res.gates["identity"] > 0
+    assert res.gates["certified"] == len(res.solutions)
+    assert res.to_json()["gates"] == res.gates
 
 
 def test_search_rejects_bad_eps():
@@ -713,14 +710,12 @@ def ref_closeness(v, N, bits, eps, dps):
     return close, float(worst / (1 << F))
 
 
-def ref_certify(v, candidates, paths, eps, delta, max_reject_log=50):
+def ref_certify(v, candidates, paths, eps, delta):
     """The former certification loop of search_N: the exact gates of one
-    candidate after another, closeness included.  Also returns the gate
-    each candidate stopped at, so that a fixture can show which gates it
-    reaches."""
+    candidate after another, closeness included.  Returns the solutions and
+    the number of candidates each gate stopped or certified."""
     dps = get_precision()
     solutions = []
-    rejects = []
     gates = Counter()
     for N, bits_packed, _ in candidates:
         bits = tuple((bits_packed >> i) & 1 for i in range(v.h))
@@ -741,35 +736,33 @@ def ref_certify(v, candidates, paths, eps, delta, max_reject_log=50):
             continue
         try:
             ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
-        except JumpError as exc:
-            gates["m_k <= 0"] += 1
-            if len(rejects) < max_reject_log:
-                rejects.append({"N": N, "reason": str(exc)})
+        except JumpError:
+            gates["m_nonpositive"] += 1
             continue
         # (d) angle conditions
         if not all(_condition_339a_340(paths[k], ms[k], delta, dps) for k in range(v.q)):
             gates["angle"] += 1
-            if len(rejects) < max_reject_log:
-                rejects.append({"N": N, "reason": "angle condition (near-integrality) failed"})
             continue
         # (c) the identity gate, exact integers
         deltas = tuple(delta_k(paths[k], ms[k], delta) for k in range(v.q))
-        ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
-        bad = [k for k in range(v.q) if ivals[k] != N + deltas[k]]
-        if bad:
+        if any(I_value(paths[k], ms[k]) != N + deltas[k] for k in range(v.q)):
             gates["identity"] += 1
-            entry = {"N": N, "reason": "identity gate failed",
-                     "detail": [{"k": k, "I": ivals[k], "N_plus_Delta": N + deltas[k]}
-                                for k in bad]}
-            if len(rejects) < max_reject_log:
-                rejects.append(entry)
-            logging.getLogger("symindex.jump").info(
-                "rejected N=%d at identity gate: %s", N, entry["detail"])
             continue
         gates["certified"] += 1
         solutions.append(JumpSolution(N=N, m=ms, chi=bits, delta=deltas,
                                       residual=res, delta_threshold=delta))
-    return solutions, rejects, gates
+    return solutions, gates
+
+
+def assert_certify_matches(v, cands, paths, eps, delta):
+    """_certify's solutions and gate counts are those of ref_certify, and the
+    counts cover every candidate; returns ref_certify's counts."""
+    ref_sol, ref_gates = ref_certify(v, cands, paths, eps, delta)
+    sol, gates = _certify(v, cands, paths, delta, get_precision())
+    assert sorted(sol, key=lambda s: s.N) == ref_sol
+    assert tuple(gates) == _GATES
+    assert Counter(gates) == ref_gates and sum(gates.values()) == len(cands)
+    return ref_gates
 
 
 def stage1(v, chi, eps, N_max):
@@ -795,7 +788,7 @@ CERTIFY_FIXTURES = {
     "loose golden": ([rot_data(PHI)], "auto", 0.45, Fraction(49, 100), 3000,
                      {"angle", "identity", "certified"}),
     "m_k <= 0": ([rot_data(PHI, i1=9)], "auto", 0.3, Fraction(3, 8), 400,
-                 {"m_k <= 0", "angle"}),
+                 {"m_nonpositive", "angle"}),
     "rational mean": ([rot_data(HALF, i1=3)], "auto", 0.3, Fraction(1, 8), 500,
                       {"divisibility", "certified"}),
     # v = (1/4, 1/4), M0 = 3: stage 1 drops N = 3, 9 (mod 12), exactly eps
@@ -814,34 +807,26 @@ CERTIFY_FIXTURES = {
     # h = 66 chi bits, of which the batch reads the q = 1 of m_k
     "h = 66": ([PathIndexData(NormalFormDecomposition(
         n=65, thetas=(HALF,) * 64 + (Scalar.sqrt(2) * HALF,)), i1=65)],
-        "auto", 0.3, Fraction(3, 8), 2000, {"m_k <= 0", "angle", "identity", "certified"}),
+        "auto", 0.3, Fraction(3, 8), 2000, {"m_nonpositive", "angle", "identity", "certified"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_FIXTURES))
-def test_certify_matches_the_candidate_loop(name, caplog):
+def test_certify_matches_the_candidate_loop(name):
     paths, chi, eps, delta, N_max, reached = CERTIFY_FIXTURES[name]
     v = build_jump_vector(paths)
     delta = default_delta(paths) if delta is None else delta
     eps = default_eps(paths, v.M, delta) if eps is None else eps
     cands = stage1(v, chi, eps, N_max)
-    for cap in (50, 10 ** 6):
-        with caplog.at_level(logging.INFO, logger="symindex.jump"):
-            caplog.clear()
-            ref_sol, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, cap)
-            ref_log = caplog.messages
-            caplog.clear()
-            sol, rej = _certify(v, cands, paths, delta, get_precision(), cap)
-            assert caplog.messages == ref_log
-        assert sorted(sol, key=lambda s: s.N) == ref_sol
-        assert rej == ref_rej
+    gates = assert_certify_matches(v, cands, paths, eps, delta)
     assert reached <= set(gates)
     # every gate decided on the top bits: nothing went to the exact gates
     code = batch_codes(v, paths, cands, delta)[0]
     assert not (code == _EXACT).any()
     # and search_N is that certification after the stage-1 scan
     res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
-    assert res.solutions == ref_sol
+    assert res.solutions == ref_certify(v, cands, paths, eps, delta)[0]
+    assert Counter(res.gates) == gates
 
 
 def test_stage1_drops_a_residual_equal_to_eps():
@@ -948,17 +933,6 @@ def test_integer_rational_coordinates_are_on_vertex_0():
     assert res.solutions[0].m == (4,)
 
 
-def test_reject_cap_is_kept():
-    # more than 50 rejects: search_N keeps the first 50, in candidate order
-    paths, chi, eps, delta, N_max, _ = CERTIFY_FIXTURES["loose golden"]
-    v = build_jump_vector(paths)
-    cands = stage1(v, chi, eps, N_max)
-    _, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, 10 ** 6)
-    assert len(ref_rej) > 50
-    res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
-    assert res.rejects == ref_rej[:50]
-
-
 @pytest.mark.parametrize("theta", [PHI, Scalar.sqrt(2) * Fraction(1, 100)])
 def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
     # ihat = phi > 1, and ihat = sqrt(2)/100, where m_k is about 70 N
@@ -979,10 +953,8 @@ def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
     # just below the limit, m_k and I(k, m_k) are inside the proven ranges
     assert compute_m(L - 1, data, 1, v.M) < 1 << 50
     assert I_value(data, compute_m(L - 1, data, 1, v.M)) < 1 << 63
-    ref_sol, ref_rej, gates = ref_certify(v, cands, paths, eps, delta, 10 ** 6)
+    gates = assert_certify_matches(v, cands, paths, eps, delta)
     assert {"angle", "certified"} & set(gates)
-    sol, rej = _certify(v, cands, paths, delta, get_precision(), 10 ** 6)
-    assert sorted(sol, key=lambda s: s.N) == ref_sol and rej == ref_rej
 
 
 @pytest.mark.parametrize("paths, M", [
@@ -995,10 +967,8 @@ def test_out_of_range_constants_take_the_exact_gates(paths, M):
     v = build_jump_vector(paths, M=M)
     assert _batch_limit(v, [(path_record(p), p) for p in paths], fixed_bits(get_precision())) == 0
     cands = stage1(v, "auto", 0.45, 400 * M)
-    ref_sol, ref_rej, gates = ref_certify(v, cands, paths, 0.45, Fraction(49, 100), 10 ** 6)
-    assert cands and ref_rej
-    sol, rej = _certify(v, cands, paths, Fraction(49, 100), get_precision(), 10 ** 6)
-    assert sorted(sol, key=lambda s: s.N) == ref_sol and rej == ref_rej
+    gates = assert_certify_matches(v, cands, paths, 0.45, Fraction(49, 100))
+    assert cands and gates["m_nonpositive"] + gates["angle"] + gates["identity"]
 
 
 def test_precision_error_from_the_exact_fallback():
@@ -1009,7 +979,7 @@ def test_precision_error_from_the_exact_fallback():
     delta = default_delta([data])
     eps = default_eps([data], v.M, delta)
     cands = stage1(v, "auto", eps, 2000)
-    sols, _, _ = ref_certify(v, cands, [data], eps, delta)
+    sols, _ = ref_certify(v, cands, [data], eps, delta)
     m = next(s.m[0] for s in sols if exact_frac(PHI, s.m[0]) < Fraction(1, 2))
     t = exact_frac(PHI, m)
     code = batch_codes(v, [data], cands, t)[0]
@@ -1017,7 +987,7 @@ def test_precision_error_from_the_exact_fallback():
     with pytest.raises(PrecisionError) as ref_exc:
         ref_certify(v, cands, [data], eps, t)
     with pytest.raises(PrecisionError) as exc:
-        _certify(v, cands, [data], t, get_precision(), 50)
+        _certify(v, cands, [data], t, get_precision())
     assert str(exc.value) == str(ref_exc.value)
 
 
@@ -1030,18 +1000,18 @@ def test_mulhi_is_the_high_word():
 
 
 def scalar_gates(v, paths, N, bits, delta):
-    """(code, ms, deltas, ivals) of one close candidate from the scalar
+    """(code, ms, deltas) of one close candidate from the scalar
     gates at the working precision; None when one of them cannot decide
     there."""
     dps = get_precision()
     try:
         if any(mi.is_rational and (Fraction(N) / (v.M * mi.fraction)).denominator != 1
                for mi in v.mean_indices):
-            return _SKIP, None, None, None
+            return _SKIP, None, None
         try:
             ms = tuple(compute_m(N, paths[k], bits[k], v.M) for k in range(v.q))
         except JumpError:
-            return _M_FAIL, None, None, None
+            return _M_FAIL, None, None
         # one precision only: the batch must not decide what dps cannot
         with_dps = [_frac_below_once(a, m, delta, dps) for k, m in enumerate(ms)
                     for a in path_record(paths[k]).angles if not a.is_rational
@@ -1049,13 +1019,13 @@ def scalar_gates(v, paths, N, bits, delta):
         if None in with_dps:
             return None
         if not all(_condition_339a_340(paths[k], ms[k], delta, dps) for k in range(v.q)):
-            return _ANGLE_FAIL, ms, None, None
+            return _ANGLE_FAIL, ms, None
         deltas = tuple(delta_k(paths[k], ms[k], delta) for k in range(v.q))
         ivals = tuple(I_value(paths[k], ms[k]) for k in range(v.q))
     except PrecisionError:
         return None
     code = _SOLVED if all(i == N + d for i, d in zip(ivals, deltas)) else _ID_FAIL
-    return code, ms, deltas, ivals
+    return code, ms, deltas
 
 
 def _frac_below_once(x, m, delta, dps):
@@ -1127,7 +1097,7 @@ def gate_cases(draw):
 def test_batched_gates_match_the_scalar_gates(case):
     data, v, N, bits, delta = case
     packed = sum(b << i for i, b in enumerate(bits))
-    code, ms, deltas, ivals = batch_codes(v, [data], [(N, packed)], delta)
+    code, ms, deltas = batch_codes(v, [data], [(N, packed)], delta)
     want = scalar_gates(v, [data], N, bits, delta)
     if code[0] == _EXACT:
         return  # handed to the exact gates, which decide alone
@@ -1137,7 +1107,6 @@ def test_batched_gates_match_the_scalar_gates(case):
         assert tuple(ms[:, 0].tolist()) == want[1]
     if want[2] is not None:
         assert tuple(deltas[:, 0].tolist()) == want[2]
-        assert tuple(ivals[:, 0].tolist()) == want[3]
 
 
 def test_angle_gates_within_the_top_bit_slack():
