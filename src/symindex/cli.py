@@ -129,7 +129,7 @@ def _load_generator(obj):
     _require_object(obj, "generator file")
     try:
         n = json_field(obj, "n", int)
-        tau = float(obj["tau"])
+        tau = json_field(obj, "tau", float)
         steps = json_field(obj, "steps", int, DEFAULT_STEPS)
         if "B" in obj:
             B = np.array(obj["B"], dtype=float)
@@ -138,7 +138,7 @@ def _load_generator(obj):
                                  f"got shape {B.shape}")
             return path_from_quadratic_hamiltonian(B, tau, steps=steps)
         if "samples" in obj:
-            ts = [float(s["t"]) for s in obj["samples"]]
+            ts = [json_field(s, "t", float) for s in obj["samples"]]
             mats = [np.array(s["mat"], dtype=float) for s in obj["samples"]]
             return path_from_samples(ts, mats, n=n, tau=tau)
         raise InputError("generator file needs a 'B' matrix or a 'samples' list")
@@ -331,7 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="geometric (i, nu) of a generator path")
     p.add_argument("--generator", dest="input", required=True)
     p.add_argument("--omega", default="1")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, default=1,
+                   help="iterate the path m times (held as one period and the powers of its "
+                        "endpoint); m x steps may be at most 2^20")
     p.add_argument("--splitting", action="store_true",
                    help="also estimate the splitting pair at omega")
     common(p)

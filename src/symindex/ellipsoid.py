@@ -81,9 +81,16 @@ class EllipsoidSpec:
             raise EllipsoidError(f"unknown mode {self.mode!r}")
         if not self.alphas:
             raise EllipsoidError("need at least one frequency")
-        for a in self.alphas:
+        for k, a in enumerate(self.alphas, 1):
             if not (a > Scalar.rational(0)):
                 raise EllipsoidError("frequencies must be positive")
+            try:
+                f = float(a)
+            except OverflowError:  # a Fraction past the float range
+                f = math.inf
+            if not (math.isfinite(f) and f > 0):  # orbit_data samples the orbits in floats
+                raise EllipsoidError(f"frequency {k} is {f:g} as a float: frequencies must be "
+                                     f"positive and finite as floats")
 
     @property
     def n(self) -> int:

@@ -56,19 +56,23 @@ TWO = Scalar.rational(2)
 ZERO = Scalar.rational(0)
 
 _REQUIRED = object()
-_JSON_TYPES = {int: "an integer", bool: "true or false"}
+# the Python types json.loads gives a JSON value of each kind
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+               bool: ("true or false", (bool,))}
 
 
 def json_field(obj: dict, key: str, kind: type, default=_REQUIRED):
     """obj[key], or default when the key is absent and a default is given,
-    as a JSON value of kind, int or bool: 1.0, "1" and true are not
-    integers and "false" is not a bool.  A value of any other type raises
+    as a JSON value of kind, int, float (any JSON number, returned as a
+    float) or bool: 1.0, "1" and true are not integers, "1.0" and true are
+    not numbers and "false" is not a bool.  A value of any other type raises
     TypeError naming the field; a required key that is absent, KeyError."""
     value = obj[key] if default is _REQUIRED else obj.get(key, default)
-    if type(value) is not kind:
+    name, types = _JSON_TYPES[kind]
+    if type(value) not in types:
         got = json.dumps(value, default=repr)
-        raise TypeError(f"{key} must be {_JSON_TYPES[kind]}, got {got}")
-    return value
+        raise TypeError(f"{key} must be {name}, got {got}")
+    return kind(value)
 
 
 def _check_angle(x: Scalar, who: str):

@@ -33,7 +33,7 @@ move the phases at 0 past rounding (estimate_splitting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -180,13 +180,17 @@ def _logm(M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SampledSymplecticPath:
-    """A discretized path in Sp(2n) starting at the identity.
+    """A discretized path in Sp(2n) starting at the identity: the m-fold
+    iterate of a base path gamma on [0, tau], held as one period.
 
-    ts / mats hold the samples; evaluator, when present, returns the exact
-    matrix at arbitrary t, and the index count halves a sample step with it.
-    An evaluator takes a float, giving one 2n x 2n matrix, or a 1-D numpy
-    array of times, giving the stack of those matrices (bitwise the same as
-    one call per time).
+    ts / mats hold gamma's samples over [0, tau], and powers holds P^0..P^m,
+    P = gamma(tau).  Copy j of the iterate, on [j tau, (j + 1) tau], is
+    gamma(t - j tau) P^j, so its samples are mats @ P^j; no stack of them is
+    built.  A plain path is the case m = 1.  evaluator, when present,
+    returns the exact matrix at arbitrary t in [0, m tau], and the index
+    count halves a sample step with it.  An evaluator takes a float, giving
+    one 2n x 2n matrix, or a 1-D numpy array of times, giving the stack of
+    those matrices (bitwise the same as one call per time).
     """
 
     n: int
@@ -194,6 +198,8 @@ class SampledSymplecticPath:
     ts: np.ndarray
     mats: np.ndarray
     evaluator: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
+    m: int = 1
+    powers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -202,6 +208,10 @@ class SampledSymplecticPath:
             raise OracleError("sample shape does not match half-dimension")
         if len(self.ts) != len(self.mats):
             raise OracleError("ts and mats length mismatch")
+        self.powers = np.empty((self.m + 1, 2 * self.n, 2 * self.n))
+        self.powers[0] = np.eye(2 * self.n)
+        for j in range(self.m):
+            np.matmul(self.mats[-1], self.powers[j], out=self.powers[j + 1])
 
     def validate(self):
         # NaN fails every comparison below, so the step and defect bounds
@@ -222,7 +232,7 @@ class SampledSymplecticPath:
         return self
 
     def endpoint(self) -> np.ndarray:
-        return self.mats[-1]
+        return self.powers[-1]
 
     def evaluate(self, t: float | np.ndarray) -> np.ndarray:
         """The matrix at a float t, or the stack at a 1-D array of times; a
@@ -339,51 +349,41 @@ def path_from_logm(M_target, tau: float = 1.0, steps: int = DEFAULT_STEPS) -> Sa
 
 def diamond_paths(p1: SampledSymplecticPath, p2: SampledSymplecticPath,
                   steps: int = DEFAULT_STEPS) -> SampledSymplecticPath:
-    """Pointwise diamond product of two paths over a common period, sampled
-    at steps + 1 equally spaced times; both parts need an evaluator.  A part
-    whose own sample times are that grid gives its samples, so a diamond of
+    """Pointwise diamond product of two paths over a common length m tau,
+    sampled at steps + 1 equally spaced times; both parts need an
+    evaluator.  A part whose own sample times are that grid (a plain path,
+    as an iterate's cover one period) gives its samples, so a diamond of
     parts on one grid exponentiates nothing again; any other part is
     evaluated on the grid in one call."""
-    if abs(p1.tau - p2.tau) > 1e-12:
+    length = p1.m * p1.tau
+    if abs(length - p2.m * p2.tau) > 1e-12:
         raise OracleError("diamond of paths needs a common period")
-    ts = np.linspace(0.0, p1.tau, steps + 1)
+    ts = np.linspace(0.0, length, steps + 1)
     mats = diamond(*(p.mats if p.evaluator is not None and np.array_equal(p.ts, ts)
                      else p.evaluate(ts) for p in (p1, p2)))
 
     def evaluator(t):
         return diamond(p1.evaluate(t), p2.evaluate(t))
 
-    return SampledSymplecticPath(n=p1.n + p2.n, tau=float(p1.tau), ts=ts, mats=mats,
+    return SampledSymplecticPath(n=p1.n + p2.n, tau=float(length), ts=ts, mats=mats,
                                  evaluator=evaluator)
 
 
 def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
     """The m-fold iterate gamma^m(t) = gamma(t - j tau) gamma(tau)^j on [0, m tau],
-    with an evaluator only when the path has one; refused, before anything is
-    allocated, past MAX_STEPS sample steps."""
+    held as gamma's one period, m and the powers of gamma(tau); with an
+    evaluator only when the path has one; refused past MAX_STEPS sample
+    steps.  An iterate of an iterate has the product of their m."""
     if m < 1:
         raise OracleError("m must be >= 1")
     if m == 1:
         return path
+    m *= path.m
     if m * (len(path.ts) - 1) > MAX_STEPS:
         raise OracleError(f"the {m}-fold iterate would have {m} x {len(path.ts) - 1} "
                           f"sample steps, more than {MAX_STEPS}")
-    mono = path.endpoint()
-    powers = [np.eye(2 * path.n)]
-    for _ in range(m):
-        powers.append(mono @ powers[-1])
-    powers = np.stack(powers)
-    ts_parts = []
-    mats_parts = []
-    for j in range(m):
-        sel = slice(0, -1) if j < m - 1 else slice(0, None)
-        ts_parts.append(path.ts[sel] + j * path.tau)
-        mats_parts.append(path.mats[sel] @ powers[j])
-    ts = np.concatenate(ts_parts)
-    mats = np.concatenate(mats_parts)
-
-    base_eval = path.evaluator
-    tau = path.tau
+    iterate = SampledSymplecticPath(n=path.n, tau=path.tau, ts=path.ts, mats=path.mats, m=m)
+    base_eval, tau, powers = path.evaluator, path.tau, iterate.powers
 
     def evaluator(t):
         if isinstance(t, np.ndarray):
@@ -392,8 +392,9 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
             j = min(int(t // tau), m - 1)
         return base_eval(t - j * tau) @ powers[j]
 
-    return SampledSymplecticPath(n=path.n, tau=m * path.tau, ts=ts, mats=mats,
-                                 evaluator=None if base_eval is None else evaluator)
+    if base_eval is not None:
+        iterate.evaluator = evaluator
+    return iterate
 
 
 XI_START = 1.0 + 2.0 ** -11  # a of the xi sample the count starts at, exact in binary
@@ -416,27 +417,32 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # distance of the unitaries (Bhatia and Davis, Linear Multilinear Algebra
 # 15, 1984), so over a step whose phases cannot reach a cut c, the net
 # number passing 0 is the change of #{phases in [0, c)}.  A sample step
-# moves them by at most 2 asin(min(1, sqrt2 r)), r the step's matrix change
-# (_motion).  An arc step M e^{-sJ}, s over an interval of length h, moves
-# them by at most 2 asin(min(1, 2 sin(h/2))) whatever M (_arc_motion):
+# moves them by at most 2 asin(min(1, sqrt2 r)), r = |dM M^-1|_F the step's
+# change relative to its first sample M, which is the same in every period
+# of an iterate (_motion).  An arc step M e^{-sJ}, s over an interval of
+# length h, moves them by at most 2 asin(min(1, 2 sin(h/2))) whatever M
+# (_arc_motion):
 # Gr(M e^{-sJ}) = diag(e^{sJ}, I) Gr(M), and diag(e^{sJ}, I) commutes with H
 # and acts on its +1 and -1 eigenspaces as unitaries that move by at most
 # |e^{ih} - 1| = 2 sin(h/2) each.  Every phase the count takes is read through
 # normal_forms.graph_unitary, from an orthonormal basis of the graph, so W is
 # unitary to rounding and the phases' error does not grow with |beta(t)|;
-# the endpoint's are those of the read that gave nu_omega and g.
+# the endpoint's are those of the read that gave nu_omega and g.  An
+# iterate's points are gathered from its one period (_samples).
 
 COARSE_BOUND = 0.5  # motion bound (rad) between the points that get eigen-data
-CHUNK = 1024  # sample steps per batch of motion bounds, which bounds the temporaries
+CHUNK = 1024  # sample steps, points or steps per batch of bounds, phases or counts
 CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
 MAX_HALVINGS = 10  # halvings of one sample step through the evaluator, or of one arc step
 
 
 def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     """A bound on the eigen-phase motion of W over each step of a stack of
-    samples: 2 asin(min(1, sqrt2 r)) with r = min(|dM|_F, |dM M^-1|_F), M the
-    step's first sample.  M^-1 = [[D^T, -B^T], [-C^T, A^T]] is taken by
-    slicing.  The bound trusts the path not to stray between samples."""
+    samples: 2 asin(min(1, sqrt2 r)) with r = |dM M^-1|_F, M the step's
+    first sample.  r is the step's change relative to M, so it is the same
+    in every period of an iterate: (dM P^j)(M P^j)^-1 = dM M^-1.  M^-1 =
+    [[D^T, -B^T], [-C^T, A^T]] is taken by slicing.  The bound trusts the
+    path not to stray between samples."""
     dM = np.diff(mats, axis=0)
     MT = mats[:-1].swapaxes(1, 2)
     inv = np.empty_like(MT)
@@ -445,7 +451,7 @@ def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     np.negative(MT[:, :n, n:], out=inv[:, n:, :n])
     inv[:, n:, n:] = MT[:, :n, :n]
     rel = dM @ inv
-    r = np.sqrt(np.minimum(np.einsum("kij,kij->k", dM, dM), np.einsum("kij,kij->k", rel, rel)))
+    r = np.sqrt(np.einsum("kij,kij->k", rel, rel))
     return 2 * np.arcsin(np.minimum(1.0, math.sqrt(2) * r))
 
 
@@ -466,11 +472,18 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
     """The step rule, for steps whose end phases are the rows of p0 and p1:
     (net, ok), net the change of #{phases in [0, c)} at the cut c of CUTS
     farthest from every end phase, and ok that c is farther than the step's
-    motion bound, so that net is the number of phases passing 0 over it."""
+    motion bound, so that net is the number of phases passing 0 over it.
+    Steps are taken CHUNK at a time, which bounds the temporaries."""
+    if len(p0) > CHUNK:
+        parts = [_count(p0[lo:lo + CHUNK], p1[lo:lo + CHUNK], bound[lo:lo + CHUNK])
+                 for lo in range(0, len(p0), CHUNK)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     room = np.full((len(p0), len(CUTS)), math.pi)
+    d = np.empty_like(room)
     for p in np.concatenate((p0, p1), axis=-1).T:  # one end phase of every step at a time
-        d = np.abs(p[:, None] - CUTS)
-        np.minimum(room, np.minimum(d, 2 * math.pi - d), out=room)
+        np.abs(np.subtract(p[:, None], CUTS, out=d), out=d)
+        np.minimum(room, d, out=room)
+        np.minimum(room, np.subtract(2 * math.pi, d, out=d), out=room)
     best = room.argmax(axis=-1)
     cut = CUTS[best, None]
     net = np.sum(p1 < cut, axis=-1) - np.sum(p0 < cut, axis=-1)
@@ -482,6 +495,17 @@ def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
     return graph_phases(graph_unitary(M)[0], omega) % (2 * math.pi)
 
 
+def _samples(path: SampledSymplecticPath, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(times, matrices) of the iterate's samples k, an int array, in one
+    batched product: sample k = j L + i, L the base's sample steps, is copy
+    j's base sample i, mats[i] P^j at ts[i] + j tau; the last, k = m L, is
+    copy m - 1's last sample."""
+    L = len(path.ts) - 1
+    j = np.minimum(k // L, path.m - 1)
+    i = k - j * L
+    return path.ts[i] + j * path.tau, path.mats[i] @ path.powers[j]
+
+
 def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarray) -> int:
     """The signed count of eigen-phases of W passing 0 over the start step
     from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
@@ -489,9 +513,12 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     eps / 2 to eps; no phase may pass 0 on the arc's second half.  end holds
     the phases at gamma(tau), from the read that gave nu_omega and g.
 
-    Scan point 0 is S, and scan point j >= 1 is gamma's sample j - 1.  No
-    phase has passed 0 before S, and its phases are resolved for every
-    omega.  The phases at I and at gamma(tau), 0 up to rounding when
+    Scan point 0 is S, and scan point p >= 1 is sample p - 1 of the iterate
+    (_samples).  The base's steps are bounded once: copy j's step has its
+    base step's bound (_motion), so the summed bound up to sample j L + i is
+    the start step's, plus j times the base's total, plus the base's up to
+    i.  No phase has passed 0 before S, and its phases are resolved for
+    every omega.  The phases at I and at gamma(tau), 0 up to rounding when
     degenerate, are read once and shared by the two steps that meet there,
     so a passage there counts once.  Sample steps are grouped into coarse
     steps of motion bound about COARSE_BOUND.  A step whose best cut is too
@@ -499,24 +526,38 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     evaluator, and on the arc through _arc.  The start step is never halved:
     its ends depend only on n and omega, and its motion bound is about
     2e-3 sqrt(n) rad."""
-    n = path.n
+    n, m, L = path.n, path.m, len(path.ts) - 1
     S = extend_with_xi(path)
-    ts, mats = path.ts, path.mats
-    N = len(ts)  # gamma's samples; scan points 0..N
-    motion = [_motion(np.stack((S, mats[0])), n)]
-    motion += [_motion(mats[lo:min(lo + CHUNK, N - 1) + 1], n) for lo in range(0, N - 1, CHUNK)]
-    cum = np.concatenate(([0.0], np.cumsum(np.concatenate(motion))))
-    marks = np.searchsorted(cum, np.arange(COARSE_BOUND, cum[-1], COARSE_BOUND))
+    N = m * L + 1  # the iterate's samples; scan points 0..N
+    start = _motion(np.stack((S, path.mats[0])), n)[0]
+    base = np.concatenate([_motion(path.mats[lo:min(lo + CHUNK, L) + 1], n)
+                           for lo in range(0, L, CHUNK)])
+    cum_base = np.concatenate(([0.0], np.cumsum(base)))
+    total = cum_base[-1]
+
+    def cum(p):  # the summed motion bound from scan point 0 to each of the scan points p
+        k = np.maximum(p - 1, 0)
+        j = np.minimum(k // L, m - 1)
+        return np.where(p == 0, 0.0, start + j * total + cum_base[k - j * L])
+
+    goal = np.arange(COARSE_BOUND, start + m * total, COARSE_BOUND) - start
+    j = np.clip(goal // total, 0, m - 1).astype(int)
+    marks = j * L + np.minimum(np.searchsorted(cum_base, goal - j * total), L) + 1
     coarse = np.unique(np.concatenate(([0], marks, [N])))
-    # a point is (scan point, t, M, phases); a point made by halving a sample
-    # step has scan point None, and so has an arc point, which holds s for t
-    pts = [(j, ts[max(j - 1, 0)], S if j == 0 else mats[j - 1]) for j in coarse]
-    pts += [(None, s, _arc(mats[-1], s)) for s in (0.5 * eps, eps) if eps]
+    arc = [0.5 * eps, eps] if eps else []
+    E = path.endpoint()
+    t, M = _samples(path, coarse[1:] - 1)
+    # point q is (scan point, t, M, phases) at coarse[q], then at the arc
+    # points; a point made by halving a sample step has scan point None, and
+    # so has an arc point, which holds s for t
+    scan = coarse.tolist() + [None] * len(arc)
+    t = np.concatenate(([0.0], t, arc))
+    M = np.concatenate([S[None], M] + [_arc(E, s)[None] for s in arc])
     last = len(coarse) - 1  # gamma(tau), whose phases are end
-    ph = np.insert(_phases(np.stack([p[2] for p in pts[:last] + pts[last + 1:]]), omega),
-                   last, end, axis=0)
-    bound = np.concatenate((np.diff(cum[coarse]),
-                            [_arc_motion(0.5 * eps)] * (len(pts) - len(coarse))))
+    rows = np.delete(M, last, axis=0)
+    ph = np.insert(np.concatenate([_phases(rows[lo:lo + CHUNK], omega)
+                                   for lo in range(0, len(rows), CHUNK)]), last, end, axis=0)
+    bound = np.concatenate((np.diff(cum(coarse)), [_arc_motion(0.5 * eps)] * len(arc)))
     counts, ok = _count(ph[:-1], ph[1:], bound)
 
     def at(j, t, M):
@@ -526,7 +567,9 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
         (i0, t0, M0, _), (i1, t1, M1, _) = a, b
         if None not in (i0, i1) and i1 - i0 >= 2:
             k = (i0 + i1) // 2
-            return at(k, ts[k - 1], mats[k - 1]), cum[k] - cum[i0], cum[i1] - cum[k], depth
+            (tk,), (Mk,) = _samples(path, np.array([k - 1]))
+            c0, ck, c1 = cum(np.array([i0, k, i1]))
+            return at(k, tk, Mk), ck - c0, c1 - ck, depth
         if i0 == 0:
             raise OracleError(f"eigen-phases move too far over the start step from "
                               f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
@@ -546,11 +589,12 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
             raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
                               f"of the endpoint arc gamma(tau) e^{{-sJ}} at s = {s0:.6g}")
         h = _arc_motion(0.5 * (s1 - s0))
-        return at(None, 0.5 * (s0 + s1), _arc(mats[-1], 0.5 * (s0 + s1))), h, h, depth - 1
+        return at(None, 0.5 * (s0 + s1), _arc(E, 0.5 * (s0 + s1))), h, h, depth - 1
 
     for k in np.flatnonzero(~ok):  # the steps whose cut is too near, halved until it is not
         counts[k] = 0
-        todo = [(pts[k] + (ph[k],), pts[k + 1] + (ph[k + 1],), bound[k], MAX_HALVINGS)]
+        a, b = ((scan[q], t[q], M[q], ph[q]) for q in (k, k + 1))
+        todo = [(a, b, bound[k], MAX_HALVINGS)]
         while todo:
             a, b, bnd, depth = todo.pop()
             net, resolved = _count(a[3][None], b[3][None], bnd)

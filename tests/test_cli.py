@@ -298,6 +298,32 @@ def test_integer_and_bool_fields_are_read_strictly(tmp_path, capsys, command, co
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    ({"n": 1, "tau": True, "B": ROT_B}, "tau must be a number, got true"),
+    ({"n": 1, "tau": "1.0", "B": ROT_B}, 'tau must be a number, got "1.0"'),
+    ({"n": 1, "tau": 1.0, "samples": [{"t": 0.0, "mat": [[1.0, 0.0], [0.0, 1.0]]},
+                                      {"t": True, "mat": [[1.0, 0.0], [0.0, 1.0]]}]},
+     "t must be a number, got true"),
+    ({"n": 1, "tau": 1.0, "samples": [{"t": "0", "mat": [[1.0, 0.0], [0.0, 1.0]]},
+                                      {"t": 1.0, "mat": [[1.0, 0.0], [0.0, 1.0]]}]},
+     't must be a number, got "0"'),
+], ids=["tau true", "tau string", "t true", "t string"])
+def test_generator_times_are_read_as_json_numbers(tmp_path, capsys, content, message):
+    # "tau": true once ran as tau = 1, and "1.0" as 1.0
+    f = tmp_path / "gen.json"
+    f.write_text(json.dumps(content))
+    rc = main(["oracle", "--generator", str(f)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: invalid generator file: {message}\n"
+
+
+def test_generator_times_may_be_json_integers(tmp_path, capsys):
+    f = tmp_path / "gen.json"
+    f.write_text(json.dumps({"n": 1, "tau": 1, "steps": 256, "B": ROT_B}))
+    assert main(["oracle", "--generator", str(f)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["i"] == 1
+
+
 def run_fresh_python(*lines: str) -> None:
     """Run lines of code in a new interpreter importing this symindex; it must exit 0."""
     src = str(Path(symindex.__file__).resolve().parents[1])
@@ -420,6 +446,18 @@ def test_ellipsoid_with_a_spread_past_the_step_cap(capsys):
     assert rc == EXIT_INPUT
     assert err.startswith("error: frequency ratio 100000 needs ") and err.count("\n") == 1
     assert err.endswith(f"samples per orbit, more than {MAX_STEPS}\n")
+
+
+@pytest.mark.parametrize("alphas, message", [
+    ("1e-400,1", "frequency 1 is 0 as a float"),
+    ("1,1e400", "frequency 2 is inf as a float"),
+], ids=["underflow", "overflow"])
+def test_ellipsoid_frequencies_must_be_floats(capsys, alphas, message):
+    # 1e-400 once died in orbit_data with a ZeroDivisionError traceback
+    rc = main(["ellipsoid", "--alphas", alphas, "--m-max", "2", "--n-max", "100"])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (f"error: {message}: frequencies must be positive "
+                                       f"and finite as floats\n")
 
 
 def test_ellipsoid_rejects_resonant(capsys):

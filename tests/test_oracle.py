@@ -261,7 +261,8 @@ GRID_PATHS = ("quadratic", "matrix function", "diamond", "nested diamond",
 @pytest.mark.parametrize("name", GRID_PATHS)
 def test_evaluator_on_a_grid_matches_pointwise_calls(name):
     path = grid_path(name)
-    ts = np.concatenate([np.linspace(0.0, path.tau, 41), [path.tau / 3, 0.999999 * path.tau]])
+    length = path.m * path.tau  # an iterate's tau is its period
+    ts = np.concatenate([np.linspace(0.0, length, 41), [length / 3, 0.999999 * length]])
     stacked = path.evaluate(ts)
     assert stacked.shape == (len(ts), 2 * path.n, 2 * path.n)
     assert np.array_equal(stacked, np.stack([path.evaluate(float(t)) for t in ts]))
@@ -496,7 +497,8 @@ def test_a_large_endpoint_is_counted_on_the_arc(m, want):
     # evaluator.  i of R(pi/2)^m at I is m - 1, the hyperbolic part 0.
     base = diamond_paths(hyperbolic_path(256), rotation_path(0.5, steps=256), steps=256)
     path = iterate_path(base, m)
-    bare = SampledSymplecticPath(n=2, tau=path.tau, ts=path.ts, mats=path.mats)
+    ts, mats = oracle._samples(path, np.arange(m * 256 + 1))  # the iterate's every sample
+    bare = SampledSymplecticPath(n=2, tau=m * path.tau, ts=ts, mats=mats)
     assert cz_index(path, 1) == want
     assert cz_index(bare, 1) == want
 
@@ -639,6 +641,17 @@ def test_iterate_path_endpoint_square():
     assert np.allclose(p2.endpoint(), p.endpoint() @ p.endpoint(), atol=1e-12)
 
 
+def test_an_iterate_of_an_iterate_is_one_iterate():
+    p = rotation_path(0.37, steps=128)
+    twice = iterate_path(iterate_path(p, 2), 3)
+    once = iterate_path(p, 6)
+    assert (twice.m, twice.tau) == (once.m, once.tau) == (6, 1.0)
+    assert np.array_equal(twice.endpoint(), once.endpoint())
+    ts = np.linspace(0.0, 6.0, 25)
+    assert np.allclose(twice.evaluate(ts), once.evaluate(ts), atol=1e-12)
+    assert cz_index(twice, 1) == cz_index(once, 1)
+
+
 def test_an_iterate_over_the_step_cap_is_refused_before_it_is_built():
     p = rotation_path(0.5, steps=64)
     m = MAX_STEPS // 64 + 1
@@ -651,14 +664,15 @@ def test_an_iterate_over_the_step_cap_is_refused_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert len(iterate_path(p, MAX_STEPS // 64).ts) == MAX_STEPS + 1
+    iterate = iterate_path(p, MAX_STEPS // 64)
+    assert iterate.m * (len(iterate.ts) - 1) == MAX_STEPS
 
 
 def test_cz_index_takes_less_memory_than_the_iterate():
-    # the count reads the iterate's own sample stack; an extended or a
-    # perturbed copy of it alone would take iterate.mats.nbytes (6.5 MB at
-    # 2,048 steps, 3.2 MB at 1,024), and the motion bounds' temporaries are
-    # held to CHUNK sample steps
+    # the count reads one period and the coarse points; the iterate's m L
+    # samples alone would take m L (2n)^2 8 bytes (6.5 MB at 2,048 steps,
+    # 3.2 MB at 1,024), and the motion bounds' temporaries are held to CHUNK
+    # sample steps
     for steps in (2048, 1024):
         path = diamond_paths(rotation_path(1.348469, steps=steps),
                              rotation_path(1.0, steps=steps), steps=steps)
@@ -670,7 +684,75 @@ def test_cz_index_takes_less_memory_than_the_iterate():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < iterate.mats.nbytes, (steps, omega, peak, iterate.mats.nbytes)
+            stack = iterate.m * steps * (2 * iterate.n) ** 2 * 8
+            assert peak < stack, (steps, omega, peak, stack)
+
+
+@pytest.mark.parametrize("name", ["iterate of quadratic", "iterate of diamond"])
+def test_the_gathered_samples_are_the_iterate_stack(name):
+    # the stack an iterate once held: copy j is the base's samples times P^j,
+    # P^j built as P P^(j-1); the last copy keeps the base's last sample
+    path = grid_path(name)
+    m, L = path.m, len(path.ts) - 1
+    powers = [np.eye(2 * path.n)]
+    for _ in range(m):
+        powers.append(path.mats[-1] @ powers[-1])
+    stack = np.concatenate([path.mats[:-1] @ powers[j] for j in range(m - 1)]
+                           + [path.mats @ powers[m - 1]])
+    times = np.concatenate([path.ts[:-1] + j * path.tau for j in range(m - 1)]
+                           + [path.ts + (m - 1) * path.tau])
+    assert len(stack) == m * L + 1
+    k = np.arange(m * L + 1)
+    for order in (k, k[::-1], k[1::7]):  # every k, in any order or subset, in one call
+        ts, mats = oracle._samples(path, order)
+        assert mats.tobytes() == stack[order].tobytes()
+        assert ts.tobytes() == times[order].tobytes()
+    assert path.endpoint().tobytes() == stack[-1].tobytes()
+
+
+def test_a_long_iterate_is_counted_from_one_period():
+    # 999 periods of 1,024 steps: a stack of the iterate's samples would take
+    # 32.8 MB, the count holds one period and the coarse points
+    path = iterate_path(rotation_path(0.37, steps=1024), 999)
+    data = rot_data(Scalar.from_fraction(Fraction(37, 100)))
+    tracemalloc.start()
+    try:
+        got = cz_index(path, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (index_iterate(data, 999), nullity_iterate(data, 999)) == (369, 0)
+    assert peak < 4 * 1024 * 1024, peak
+
+
+# a generator with a zero row and column, |gamma(tau)^6| about 2.7e8
+LARGE_B = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, -1.0, -0.6, -1.4, -2.2, -0.9],
+           [0.0, -0.6, 1.4, -1.6, -1.0, -2.7], [0.0, -1.4, -1.6, -2.5, 0.2, 1.2],
+           [0.0, -2.2, -1.0, 0.2, 0.2, -2.3], [0.0, -0.9, -2.7, 1.2, -2.3, -0.1]]
+
+
+@pytest.mark.parametrize("omega", [-1, 1j])
+def test_a_large_norm_iterate_obeys_the_bott_formula(omega):
+    # i_omega(gamma^m) is the sum of i_z(gamma) over z^m = omega.  A step's
+    # relative change read from the samples of gamma^6 itself lost its
+    # accuracy with |gamma(t)^j| and was refused after 10 halvings.
+    base = path_from_quadratic_hamiltonian(LARGE_B, 1.0, steps=2048)
+    roots = [cmath.exp(1j * (cmath.phase(omega) + 2 * math.pi * k) / 6) for k in range(6)]
+    want = np.sum([cz_index(base, z) for z in roots], axis=0).tolist()
+    assert list(cz_index(iterate_path(base, 6), omega)) == want
+
+
+def test_an_iterate_of_a_sample_only_path_counts_the_closed_forms():
+    # no evaluator anywhere: every count is read at the samples
+    rot = rotation_path(0.37, steps=1024)
+    base = path_from_samples(rot.ts, rot.mats, n=1, tau=1.0)
+    data = rot_data(Scalar.from_fraction(Fraction(37, 100)))
+    for m in (1, 2, 5, 27, 100):
+        path = iterate_path(base, m)
+        assert path.evaluator is None
+        for omega, over_pi in ((1, Fraction(0)), (-1, Fraction(1)),
+                               (cmath.exp(0.3j * math.pi), Fraction(3, 10))):
+            assert cz_index(path, omega) == bott_index(data, m, over_pi), (m, omega)
 
 
 def test_iterate_rotation_is_resampled_group():
