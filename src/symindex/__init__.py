@@ -58,7 +58,6 @@ from .jump import (  # noqa: F401
     compute_m,
     delta_k,
     mean_ratio_classify,
-    ratio_consistency_check,
     search_N,
     theorem211_report,
     varrho,

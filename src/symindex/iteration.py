@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .scalars import (
     Scalar,
-    floor_E_frac_phi,
     get_precision,
     scalar_from_json,
     scalar_to_json,
@@ -30,7 +29,6 @@ __all__ = [
     "PathRecord",
     "SplittingPair",
     "ValidationReport",
-    "floor_E_frac_phi",
     "splitting_numbers",
     "C_of_M",
     "S_plus_one",

@@ -58,7 +58,6 @@ __all__ = [
     "delta_upper_bound",
     "varrho",
     "theorem211_report",
-    "ratio_consistency_check",
     "mean_ratio_classify",
     "s_minus_angles",
     "default_delta",
@@ -819,60 +818,20 @@ def theorem211_report(sol: JumpSolution, paths, n: int) -> Theorem211Report:
                             problems=problems)
 
 
-@dataclass
-class RatioVerdict:
-    status: str  # "ok" | "violated" | "indeterminate"
-    detail: dict
-
-    def to_json(self):
-        return {"status": self.status, **self.detail}
-
-
-def ratio_consistency_check(sol: JumpSolution, v: JumpVector, i: int, j: int,
-                            p_over_q, tol: Optional[float] = None) -> RatioVerdict:
-    """On a hit, rationally dependent irrational coordinates v_j/v_i = p/q
-    must have residuals in that exact ratio and equal chi bits."""
-    p_over_q = Fraction(p_over_q)
-    ci, cj = v.coords[i], v.coords[j]
-    if ci.is_rational or cj.is_rational:
-        raise JumpError("ratio check requires irrational-tagged coordinates")
-    dps = get_precision()
-    if tol is None:
-        tol = 10.0 ** (-(dps - 15)) * max(1.0, abs(float(p_over_q)))
-    with mp.workdps(2 * dps):
-        ri = sol.N * ci.mpf(2 * dps) - ci.mul_floor(sol.N) - sol.chi[i]
-        rj = sol.N * cj.mpf(2 * dps) - cj.mul_floor(sol.N) - sol.chi[j]
-        if abs(ri) < 1e-15:
-            return RatioVerdict("indeterminate",
-                                {"reason": "residual below 1e-15", "r_i": float(ri)})
-        mismatch = float(abs(rj - p_over_q * ri))
-    detail = {"r_i": float(ri), "r_j": float(rj),
-              "expected_ratio": str(p_over_q), "mismatch": mismatch,
-              "chi_equal": sol.chi[i] == sol.chi[j]}
-    if sol.chi[i] != sol.chi[j] or mismatch > tol:
-        return RatioVerdict("violated", detail)
-    return RatioVerdict("ok", detail)
-
-
 _RATIO_DENOMINATOR_BOUND = 10 ** 6
 
 
 def mean_ratio_classify(paths) -> list:
-    """Pairwise mean-index ratio matrix: exact rationals when both tags are
-    rational, else continued-fraction detection up to denominators of
-    _RATIO_DENOMINATOR_BOUND."""
+    """Pairwise mean-index ratio matrix from detect_rational: the exact
+    fraction when both tags are rational, whatever its denominator, else
+    continued-fraction detection up to _RATIO_DENOMINATOR_BOUND."""
     paths = list(paths)
     means = [mean_index(d) for d in paths]
     out = []
     for a in means:
         row = []
         for b in means:
-            if a.is_rational and b.is_rational:
-                fr = a.fraction / b.fraction
-                row.append({"type": "rational", "value": f"{fr.numerator}/{fr.denominator}"})
-                continue
-            ratio = a / b
-            fr = detect_rational(ratio, max_denominator=_RATIO_DENOMINATOR_BOUND)
+            fr = detect_rational(a / b, max_denominator=_RATIO_DENOMINATOR_BOUND)
             if fr is not None:
                 row.append({"type": "rational", "value": f"{fr.numerator}/{fr.denominator}"})
             else:

@@ -82,9 +82,6 @@ class SymplecticMatrix:
     def as_float(self) -> np.ndarray:
         return self.entries
 
-    def symplectic_defect(self) -> float:
-        return symplectic_defect(self.entries)
-
     def __repr__(self):
         return f"SymplecticMatrix(n={self.n})"
 

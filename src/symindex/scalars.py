@@ -10,6 +10,7 @@ re-verified at doubled precision later).
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -108,10 +109,9 @@ class Scalar:
         return cls(frac=Fraction(fr))
 
     @classmethod
-    def irrational(cls, value, dps: int | None = None) -> "Scalar":
+    def irrational(cls, value) -> "Scalar":
         """Wrap an irrational value given as mpf, str or float."""
-        dps = dps or _storage_dps()
-        with mp.workdps(dps):
+        with mp.workdps(_storage_dps()):
             v = +mp.mpf(value)
         return cls(mpf_value=v)
 
@@ -352,12 +352,12 @@ def floor_E_frac_phi(x):
     raise TypeError(f"unsupported type {type(x).__name__}")
 
 
-def detect_rational(value, max_denominator: int = 10 ** 6, tol_dps: int | None = None):
+def detect_rational(value, max_denominator: int = 10 ** 6):
     """Detect a rational p/q hiding in a high-precision value.
 
     Runs the continued-fraction expansion and accepts a convergent p/q with
     q <= max_denominator whose residual is below the precision floor
-    (10**-(storage digits - 8) by default).  Returns a Fraction or None.
+    (10**-(storage digits - 8)).  Returns a Fraction or None.
     A genuine quadratic irrational at 50+ digit storage never false-positives:
     its best approximations with q <= 1e6 miss by ~1e-13, far above the floor.
     """
@@ -367,9 +367,8 @@ def detect_rational(value, max_denominator: int = 10 ** 6, tol_dps: int | None =
         v = value.mpf(_storage_dps())
     else:
         v = value
-    dps = tol_dps or (_storage_dps() - 8)
     with mp.workdps(_storage_dps()):
-        tol = mp.mpf(10) ** (-dps)
+        tol = mp.mpf(10) ** (8 - _storage_dps())
         x = mp.mpf(v)
         p0, q0, p1, q1 = 1, 0, int(mp.floor(x)), 1
         if abs(x - p1) < tol:
@@ -427,8 +426,16 @@ def scalar_to_json(s: Scalar) -> dict:
 
 
 def scalar_from_json(obj: dict) -> Scalar:
-    if "rational" in obj:
-        return Scalar(frac=Fraction(obj["rational"]))
-    if "irrational" in obj:
-        return Scalar.irrational(obj["irrational"])
+    """scalar_to_json's object: "rational" holds a JSON string p/q, q != 0,
+    and "irrational" a JSON string of a decimal; any other value, a JSON
+    number or a bool too, raises ValueError naming the key."""
+    for key, read, form in (("rational", Scalar.from_fraction, "p/q with q != 0"),
+                            ("irrational", Scalar.irrational, "of a decimal")):
+        if key in obj:
+            try:
+                if type(obj[key]) is str:
+                    return read(obj[key])
+            except (ValueError, ZeroDivisionError):
+                pass
+            raise ValueError(f"{key} must be a JSON string {form}, got {json.dumps(obj[key])}")
     raise ValueError(f"scalar object needs a 'rational' or 'irrational' key: {obj!r}")

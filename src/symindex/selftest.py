@@ -1,16 +1,18 @@
 """Built-in property suites for the CLI selftest subcommand.
 
-Each suite re-checks one cross-module invariant on seeded random data and
-returns (name, ok, detail).  The CLI prints one line per suite and exits
-nonzero if any fails; the pytest suite runs the same invariants at larger
-sample sizes.
+Each suite re-checks one cross-module invariant, on seeded random data or
+realize_path's block paths, and returns (name, ok, detail).  The CLI
+prints one line per suite and exits nonzero if any fails; the pytest
+suite runs the same invariants at larger sample sizes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -23,13 +25,16 @@ from .iteration import (
     index_iterate,
     index_iterate_via_splitting,
     nullity_iterate,
+    splitting_numbers,
+    unit_spectrum,
 )
 from .jump import build_jump_vector, default_delta, default_eps, search_N
-from .normal_forms import diamond
-from .oracle import cz_index, estimate_splitting, iterate_path, path_from_quadratic_hamiltonian
+from .oracle import (DEFAULT_STEPS, SampledSymplecticPath, cz_index, diamond_paths,
+                     estimate_splitting, iterate_path, path_from_matrix_function,
+                     path_from_quadratic_hamiltonian)
 from .scalars import Scalar
 
-__all__ = ["random_angle", "random_decomposition", "run_all", "SUITES"]
+__all__ = ["random_angle", "random_decomposition", "realize_path", "run_all", "SUITES"]
 
 _SQRT_BASES = (2, 3, 5, 7)
 
@@ -85,6 +90,42 @@ def random_path_data(rng: random.Random, n_max: int = 5) -> PathIndexData:
     return PathIndexData(d, i1=rng.randint(-6, 6))
 
 
+def realize_path(decomp: NormalFormDecomposition, windings=None,
+                 steps: int = DEFAULT_STEPS) -> tuple[SampledSymplecticPath, PathIndexData]:
+    """The diamond of the blocks' canonical paths on [0, 1], on one grid in
+    realize_decomposition's block order, and its PathIndexData: i1 is
+    additive under the diamond, so it is the sum of the blocks' (README's
+    block table).  windings holds one nonzero turn count per rotation, +1
+    each by default; a winding too fast for steps fails validate's
+    STEP_BOUND check.  N2 blocks are refused: their i1 is not derived yet."""
+    if decomp.alphas or decomp.betas:
+        raise ValueError("realize_path has no canonical path for an N2 block (alphas, betas)")
+    windings = (1,) * len(decomp.thetas) if windings is None else tuple(windings)
+    if len(windings) != len(decomp.thetas) or 0 in windings:
+        raise ValueError(f"windings must hold one nonzero turn count per rotation "
+                         f"({len(decomp.thetas)}), got {windings}")
+
+    def n1_minus(b):  # t -> R(pi t) N1(1, -b t), ending at N1(-1, b)
+        def f(t):
+            c, s = math.cos(math.pi * t), math.sin(math.pi * t)
+            return np.array([[c, -s], [s, c]]) @ np.array([[1.0, -b * t], [0.0, 1.0]])
+        return f
+
+    # (count, generator B or matrix function, i1) per block kind
+    blocks = [(decomp.p_minus, np.diag([0.0, -1.0]), -1), (decomp.p_zero, np.zeros((2, 2)), -1),
+              (decomp.p_plus, np.diag([0.0, 1.0]), 0), (decomp.q_minus, n1_minus(1), 1),
+              (decomp.q_zero, math.pi * np.eye(2), 1), (decomp.q_plus, n1_minus(-1), 1)]
+    for theta, w in zip(decomp.thetas, windings):
+        sign = 1 if w > 0 else -1
+        blocks.append((1, (float(theta) + 2 * w - 1 - sign) * math.pi * np.eye(2), 2 * w - sign))
+    blocks.append((decomp.k, math.log(2) * np.array([[0.0, -1.0], [-1.0, 0.0]]), 0))
+    parts = [path_from_matrix_function(g, 1.0, 1, steps) if callable(g)
+             else path_from_quadratic_hamiltonian(g, 1.0, steps)
+             for count, g, _ in blocks for _ in range(count)]
+    path = reduce(lambda p, q: diamond_paths(p, q, steps), parts)
+    return path, PathIndexData(decomp, i1=sum(count * i1 for count, _, i1 in blocks))
+
+
 # ----- suites ----------------------------------------------------------------
 
 
@@ -117,39 +158,38 @@ def _suite_half_iterate_identity(seed: int):
     return True, "30 decompositions, m up to 30"
 
 
+def _agreement_cases():  # every block kind realize_path offers, and a clockwise double turn
+    one = [{"p_minus": 1}, {"p_zero": 1}, {"p_plus": 1}, {"q_minus": 1}, {"q_zero": 1},
+           {"q_plus": 1}, {"thetas": (Scalar.rational(1, 2),)}, {"k": 1}]
+    cases = [(NormalFormDecomposition(n=1, **counts), None) for counts in one]
+    cases.append((NormalFormDecomposition(n=3, p_minus=1, q_zero=1,
+                                          thetas=(Scalar.rational(2, 5),)), (-2,)))
+    return cases
+
+
 def _suite_oracle_agreement(seed: int):
-    cases = [
-        ((math.pi / 2) * np.eye(2),
-         PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.rational(1, 2),)), i1=1)),
-        (np.diag([0.0, -1.0]),
-         PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)),
-        (math.pi * np.eye(2),
-         PathIndexData(NormalFormDecomposition(n=1, q_zero=1), i1=1)),
-    ]
-    for B, data in cases:
-        path = path_from_quadratic_hamiltonian(B, 1.0, steps=1024)
+    for decomp, windings in _agreement_cases():
+        path, data = realize_path(decomp, windings, steps=1024)
         for m in range(1, 7):
             got = cz_index(iterate_path(path, m), 1)
             want = (index_iterate(data, m), nullity_iterate(data, m))
             if got != want:
-                return False, f"oracle {got} != formula {want} at m={m}"
-    return True, "3 generator paths, m up to 6"
+                return False, f"{decomp.to_json()}: oracle {got} != formula {want} at m={m}"
+    return True, "9 realized decompositions, m up to 6"
 
 
 def _suite_splitting_rows(seed: int):
-    rows = [
-        (np.diag([0.0, -1.0]), 1, (1, 1)),
-        (np.diag([0.0, 1.0]), 1, (0, 0)),
-        ((0.4 * math.pi) * np.eye(2), complex(math.cos(0.4 * math.pi), math.sin(0.4 * math.pi)), (0, 1)),
-        # N1(1,-1) diamond R(5e-5): the probes must stay inside the rotation's phases
-        (diamond(np.diag([0.0, 1.0]), 5e-5 * np.eye(2)), 1, (0, 0)),
-    ]
-    for B, omega, want in rows:
-        path = path_from_quadratic_hamiltonian(B, 1.0, steps=1024)
-        got = estimate_splitting(path, omega)
-        if got != want:
-            return False, f"splitting {got} != {want}"
-    return True, "N1(1,1), N1(1,-1), R, N1(1,-1)<>R(5e-5) rows recovered"
+    # N1(1,-1) diamond R(5e-5 rad): the probes must stay inside the rotation's phases
+    tiny = Scalar.from_fraction(Fraction(5e-5 / math.pi))
+    cases = _agreement_cases() + [(NormalFormDecomposition(n=2, p_plus=1, thetas=(tiny,)), None)]
+    for decomp, windings in cases:
+        path, _ = realize_path(decomp, windings, steps=1024)
+        for phi, _ in unit_spectrum(decomp):
+            got = estimate_splitting(path, cmath.exp(1j * math.pi * float(phi)))
+            want = splitting_numbers(decomp, phi).as_tuple()
+            if got != want:
+                return False, f"{decomp.to_json()} at theta/pi = {phi}: splitting {got} != {want}"
+    return True, f"every unit eigenvalue of {len(cases)} realized decompositions"
 
 
 def _suite_jump_golden(seed: int):

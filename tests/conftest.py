@@ -11,8 +11,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from symindex import NormalFormDecomposition, PathIndexData, Scalar  # noqa: E402
-from symindex.oracle import path_from_matrix_function, path_from_quadratic_hamiltonian  # noqa: E402
+from symindex.iteration import NormalFormDecomposition  # noqa: E402
+from symindex.oracle import path_from_quadratic_hamiltonian  # noqa: E402
+from symindex.selftest import realize_path  # noqa: E402
 
 
 @pytest.fixture
@@ -31,17 +32,6 @@ def shear_path(b: int, tau: float = 1.0, steps: int = 2048):
     return path_from_quadratic_hamiltonian(np.diag([0.0, -float(b)]), tau, steps=steps)
 
 
-def n1_minus_path(b: int, tau: float = 1.0, steps: int = 2048):
-    """gamma(t) = R(t pi) N1(1, -b t/tau), ending at N1(-1, b)."""
-
-    def f(t):
-        s = math.pi * t / tau
-        c = -b * t / tau
-        R = np.array([[math.cos(s), -math.sin(s)], [math.sin(s), math.cos(s)]])
-        return R @ np.array([[1.0, c], [0.0, 1.0]])
-
-    return path_from_matrix_function(f, tau, 1, steps=steps)
-
-
-def rot_data(theta: Scalar, i1: int = 1) -> PathIndexData:
-    return PathIndexData(NormalFormDecomposition(n=1, thetas=(theta,)), i1=i1)
+def block_path(steps: int = 2048, **counts):
+    """realize_path's path of one n = 1 block, given as its count field."""
+    return realize_path(NormalFormDecomposition(n=1, **counts), steps=steps)[0]

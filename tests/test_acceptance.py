@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
@@ -39,18 +38,11 @@ from symindex.jump import (
     varrho,
 )
 from symindex.normal_forms import nontrivial_n2_block, realize, trivial_n2_block
-from symindex.oracle import (
-    cz_index,
-    diamond_paths,
-    estimate_splitting,
-    iterate_path,
-    path_from_logm,
-    path_from_quadratic_hamiltonian,
-)
+from symindex.oracle import cz_index, estimate_splitting, iterate_path, path_from_logm
 from symindex.scalars import Scalar, get_precision
-from symindex.selftest import random_path_data
+from symindex.selftest import random_path_data, realize_path
 
-from conftest import n1_minus_path, rotation_path, shear_path
+from conftest import block_path, rotation_path, shear_path
 
 HALF = Scalar.rational(1, 2)
 STEPS = 1024
@@ -108,43 +100,27 @@ def test_criterion_1_formula_equivalence():
 
 
 def _oracle_cases():
-    """Diamond products of rotation, +-identity, and shear blocks, n <= 3."""
-    rot_half = lambda: rotation_path(0.5, steps=STEPS)
-    rot_irr = lambda: rotation_path(math.sqrt(2) / 2, steps=STEPS)
+    """Diamond products of rotation, +-identity, and shear blocks, n <= 3,
+    with realize_path's data."""
     theta_irr = Scalar.sqrt(2) * Fraction(1, 2)
-    sh_plus = lambda: shear_path(1, steps=STEPS)
-    sh_minus = lambda: shear_path(-1, steps=STEPS)
-    minus_id = lambda: rotation_path(1.0, steps=STEPS)
-    const = lambda: path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=STEPS)
-
-    singles = [
-        (rot_half, NormalFormDecomposition(n=1, thetas=(HALF,))),
-        (rot_irr, NormalFormDecomposition(n=1, thetas=(theta_irr,))),
-        (sh_plus, NormalFormDecomposition(n=1, p_minus=1)),
-        (sh_minus, NormalFormDecomposition(n=1, p_plus=1)),
-        (minus_id, NormalFormDecomposition(n=1, q_zero=1)),
-        (const, NormalFormDecomposition(n=1, p_zero=1)),
-    ]
-    cases = [(mk(), d, (1, 2, 3, 5, 8, 13, 20)) for mk, d in singles]
-
-    cases.append((diamond_paths(rot_half(), sh_plus(), steps=STEPS),
-                  NormalFormDecomposition(n=2, p_minus=1, thetas=(HALF,)),
-                  (1, 2, 3, 6)))
-    cases.append((diamond_paths(rot_half(), rot_irr(), steps=STEPS),
-                  NormalFormDecomposition(n=2, thetas=(HALF, theta_irr)),
-                  (1, 2, 3, 6)))
-    cases.append((diamond_paths(diamond_paths(rot_irr(), minus_id(), steps=STEPS),
-                                sh_minus(), steps=STEPS),
-                  NormalFormDecomposition(n=3, p_plus=1, q_zero=1, thetas=(theta_irr,)),
+    singles = [{"thetas": (HALF,)}, {"thetas": (theta_irr,)}, {"p_minus": 1}, {"p_plus": 1},
+               {"q_zero": 1}, {"p_zero": 1}]
+    cases = [(NormalFormDecomposition(n=1, **counts), (1, 2, 3, 5, 8, 13, 20))
+             for counts in singles]
+    cases.append((NormalFormDecomposition(n=2, p_minus=1, thetas=(HALF,)), (1, 2, 3, 6)))
+    cases.append((NormalFormDecomposition(n=2, thetas=(HALF, theta_irr)), (1, 2, 3, 6)))
+    cases.append((NormalFormDecomposition(n=3, p_plus=1, q_zero=1, thetas=(theta_irr,)),
                   (1, 2, 4, 7)))
-    return cases
+    return [(*realize_path(decomp, steps=STEPS), ms) for decomp, ms in cases]
 
 
 def test_criterion_2_oracle_equivalence():
     t0 = time.perf_counter()
     combos = 0
-    for path, decomp, ms in _oracle_cases():
+    for path, realized, ms in _oracle_cases():
+        decomp = realized.decomp
         i1, nu1 = cz_index(path, 1)
+        assert i1 == realized.i1, f"n={decomp.n}: oracle i1 {i1} != realized {realized.i1}"
         data = PathIndexData(decomp, i1=i1)
         assert nu1 == nullity_iterate(data, 1)
         for m in ms:
@@ -166,16 +142,13 @@ def test_criterion_3_splitting_table_recovery():
     w = lambda x: complex(math.cos(x * math.pi), math.sin(x * math.pi))
     rows = [
         ("off-spectrum R", rotation_path(0.4, steps=STEPS), -1, (0, 0)),
-        ("off-spectrum D", path_from_quadratic_hamiltonian(
-            np.array([[0.0, -math.log(2)], [-math.log(2), 0.0]]), 1.0, steps=STEPS),
-         1, (0, 0)),
+        ("off-spectrum D", block_path(STEPS, k=1), 1, (0, 0)),
         ("N1(1,1) at 1", shear_path(1, steps=STEPS), 1, (1, 1)),
-        ("I2 at 1", path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=STEPS),
-         1, (1, 1)),
+        ("I2 at 1", block_path(STEPS, p_zero=1), 1, (1, 1)),
         ("N1(1,-1) at 1", shear_path(-1, steps=STEPS), 1, (0, 0)),
-        ("N1(-1,1) at -1", n1_minus_path(1, steps=STEPS), -1, (0, 0)),
+        ("N1(-1,1) at -1", block_path(STEPS, q_minus=1), -1, (0, 0)),
         ("-I2 at -1", rotation_path(1.0, steps=STEPS), -1, (1, 1)),
-        ("N1(-1,-1) at -1", n1_minus_path(-1, steps=STEPS), -1, (1, 1)),
+        ("N1(-1,-1) at -1", block_path(STEPS, q_plus=1), -1, (1, 1)),
         ("R(0.4pi)", rotation_path(0.4, steps=STEPS), w(0.4), (0, 1)),
         ("R(1.6pi)", rotation_path(1.6, steps=STEPS), w(1.6), (0, 1)),
         ("N2 nontrivial (0.4pi)", path_from_logm(

@@ -11,19 +11,18 @@ import symindex
 from symindex.cli import EXIT_INPUT, EXIT_OK, main
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.iteration import NormalFormDecomposition, PathIndexData
-from symindex.oracle import MAX_STEPS, cz_index, path_from_quadratic_hamiltonian
+from symindex.oracle import MAX_STEPS
 from symindex.scalars import Scalar, get_precision, set_precision
+from symindex.selftest import realize_path
 
 import numpy as np
 
 
 @pytest.fixture
 def rot_fixture(tmp_path):
-    """Path data for R(t pi/2) with the base index measured by the oracle."""
-    path = path_from_quadratic_hamiltonian((math.pi / 2) * np.eye(2), 1.0, steps=1024)
-    i1, _ = cz_index(path, 1)
-    data = PathIndexData(NormalFormDecomposition(
-        n=1, thetas=(Scalar.rational(1, 2),)), i1=i1)
+    """Path data for R(t pi/2), from realize_path."""
+    data = realize_path(NormalFormDecomposition(n=1, thetas=(Scalar.rational(1, 2),)),
+                        steps=1024)[1]
     f = tmp_path / "rot.json"
     f.write_text(json.dumps(data.to_json()))
     return f, data
@@ -287,12 +286,21 @@ def test_non_finite_generators_exit_1(tmp_path, capsys, content):
      "invalid generator file: steps must be an integer, got 2.7"),
     ("oracle", {"n": 1.0, "tau": 1.0, "B": ROT_B},
      "invalid generator file: n must be an integer, got 1.0"),
+    # a ZeroDivisionError traceback, an angle of 0.1's binary value, 1 and 0.5
+    ("splitting", {"n": 1, "thetas": [{"rational": "1/0"}], "i1": 1},
+     'invalid path data: rational must be a JSON string p/q with q != 0, got "1/0"'),
+    ("iterate", {"n": 1, "thetas": [{"rational": 0.1}], "i1": 1},
+     "invalid path data: rational must be a JSON string p/q with q != 0, got 0.1"),
+    ("jump-search", [{"n": 1, "thetas": [{"rational": True}], "i1": 1}],
+     "invalid path data: rational must be a JSON string p/q with q != 0, got true"),
+    ("iterate", {"n": 1, "thetas": [{"irrational": 0.5}], "i1": 1},
+     "invalid path data: irrational must be a JSON string of a decimal, got 0.5"),
 ])
 def test_integer_and_bool_fields_are_read_strictly(tmp_path, capsys, command, content, message):
     # each of these once ran: i1 = 1.7 as 1, "false" as true, "1" as 1
     f = tmp_path / "input.json"
     f.write_text(json.dumps(content))
-    flag = "--generator" if command == "oracle" else "--data"
+    flag = {"oracle": "--generator", "jump-search": "--paths"}.get(command, "--data")
     rc = main([command, flag, str(f)])
     assert rc == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -470,3 +478,11 @@ def test_selftest_exit_zero(capsys):
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_the_readme_path_data_example_loads():
+    # its count sum was 4 with n = 2, and its elided digits did not parse
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Path-index data", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    data = PathIndexData.from_json(json.loads(example))
+    assert (data.decomp.n, data.i1, data.convex_mode) == (4, 4, True)

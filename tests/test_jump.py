@@ -49,7 +49,6 @@ from symindex.jump import (
     delta_k,
     delta_upper_bound,
     mean_ratio_classify,
-    ratio_consistency_check,
     s_minus_angles,
     search_N,
     theorem211_report,
@@ -250,46 +249,20 @@ def test_theorem211_on_golden_hits(golden_search):
         assert rep.ordering_ok and rep.chi_monotone_ok
 
 
-# ----- ratio consistency -----------------------------------------------------
+# ----- a rationally dependent pair -------------------------------------------
 
-@pytest.fixture(scope="module")
-def dependent_pair_search():
-    # ihat_1 = phi, ihat_2 = phi/2: v = (1/phi, 2/phi, 1, 1)
-    d1 = rot_data(PHI, i1=1)
-    d2 = rot_data(PHI * Fraction(1, 2), i1=1)
-    paths = [d1, d2]
+def test_dependent_pair_search_certifies_equal_chi():
+    # ihat_1 = phi, ihat_2 = phi/2: v = (1/phi, 2/phi, 1, 1).  A hit puts
+    # N v_1 and N v_2 = 2 N v_1 both near integers, on the same side of them
+    paths = [rot_data(PHI, i1=1), rot_data(PHI * Fraction(1, 2), i1=1)]
     v = build_jump_vector(paths)
     delta = default_delta(paths)
     eps = default_eps(paths, v.M, delta)
     res = search_N(v, "auto", eps=eps, N_max=3 * 10 ** 5, paths=paths, delta=delta)
-    return paths, v, res
-
-
-def test_dependent_coordinates_ratio(dependent_pair_search):
-    paths, v, res = dependent_pair_search
     assert not v.coords[0].is_rational and not v.coords[1].is_rational
     assert res.solutions
-    checked = 0
-    for sol in res.solutions[:25]:
-        verdict = ratio_consistency_check(sol, v, 0, 1, Fraction(2))
-        assert verdict.status in ("ok", "indeterminate")
-        if verdict.status == "ok":
-            assert verdict.detail["chi_equal"]
-            checked += 1
-    assert checked > 0
-
-
-def test_identical_coordinates_trivial_ratio(dependent_pair_search):
-    paths, v, res = dependent_pair_search
-    sol = res.solutions[0]
-    verdict = ratio_consistency_check(sol, v, 0, 0, Fraction(1))
-    assert verdict.status in ("ok", "indeterminate")
-
-
-def test_ratio_check_rejects_rational_coordinate(dependent_pair_search):
-    paths, v, res = dependent_pair_search
-    with pytest.raises(JumpError, match="irrational"):
-        ratio_consistency_check(res.solutions[0], v, 0, 2, Fraction(1))
+    assert res.gates["certified"] == len(res.solutions)
+    assert all(sol.chi[0] == sol.chi[1] for sol in res.solutions)
 
 
 # ----- mean ratio classification ---------------------------------------------

@@ -26,6 +26,7 @@ from symindex.normal_forms import (
     nontrivial_n2_block,
     nu_omega,
     realize,
+    realize_decomposition,
     standard_J,
     trivial_n2_block,
 )
@@ -44,10 +45,31 @@ from symindex.oracle import (
     path_from_samples,
 )
 from symindex.scalars import Scalar
+from symindex.selftest import realize_path
 
-from conftest import n1_minus_path, rot_data, rotation_path, shear_path
+from conftest import block_path, rotation_path, shear_path
 
 HALF = Scalar.rational(1, 2)
+
+
+def rotation_diamond(thetas, steps: int = 2048):
+    """realize_path of the diamond of t -> R(theta pi t), theta in thetas,
+    Fractions that are not integers: theta mod 2 at winding floor(theta / 2),
+    plus 1 when theta > 0."""
+    decomp = NormalFormDecomposition(n=len(thetas), thetas=tuple(
+        Scalar.from_fraction(t % 2) for t in thetas))
+    return realize_path(decomp, tuple(t // 2 + (t > 0) for t in thetas), steps)
+
+
+def sheared_rotation(b: int, phi: float, m: int = 1, steps: int = 256, k: int = 0):
+    """(N1(1, b) diamond R(phi) diamond D(2)^k)^m, R(phi) turning by phi over
+    the period, and the base path's PathIndexData, both from realize_path."""
+    theta = Fraction(abs(phi) / math.pi)
+    decomp = NormalFormDecomposition(
+        n=2 + k, k=k, thetas=(Scalar.from_fraction(theta if phi > 0 else 2 - theta),),
+        **({"p_minus": 1} if b == 1 else {"p_plus": 1}))
+    path, data = realize_path(decomp, (1 if phi > 0 else -1,), steps)
+    return iterate_path(path, m), data
 
 
 # ----- constructors ----------------------------------------------------------
@@ -85,7 +107,7 @@ def _rotation_function_path(theta_times_pi: float, steps: int):
 def test_diamond_paths_uses_the_normal_form_layout():
     # sampled from their evaluators, so the samples are the evaluator's values
     p1 = _rotation_function_path(0.3, steps=128)
-    p2 = diamond_paths(n1_minus_path(1, steps=128), _rotation_function_path(0.7, steps=128),
+    p2 = diamond_paths(block_path(128, q_minus=1), _rotation_function_path(0.7, steps=128),
                        steps=128)
     pd = diamond_paths(p1, p2, steps=128)
     assert len(pd.mats) == len(p1.mats) == len(p2.mats)
@@ -242,7 +264,7 @@ def test_doubled_samples_match_the_step_loop(steps):
 
 def grid_path(name: str):
     rot = rotation_path(0.37, steps=64)
-    func = n1_minus_path(1, steps=128)
+    func = block_path(128, q_minus=1)
     dia = diamond_paths(rot, func, steps=64)
     return {
         "quadratic": lambda: rot,
@@ -285,7 +307,7 @@ def test_a_diamond_with_a_sample_only_part_is_refused():
 def test_diamond_paths_samples_match_the_pointwise_construction():
     # the reference is the former construction: one diamond per grid time,
     # stacked
-    rot, func = rotation_path(0.37, steps=64), n1_minus_path(1, steps=128)
+    rot, func = rotation_path(0.37, steps=64), block_path(128, q_minus=1)
     for p1, p2 in ((rot, func), (diamond_paths(rot, func, steps=64), shear_path(-1, steps=64))):
         pd = diamond_paths(p1, p2, steps=96)
         ts = np.linspace(0.0, p1.tau, 97)
@@ -371,8 +393,7 @@ def test_flat_d_omega_is_refined_once(monkeypatch):
     # refined every one (about 92k point evaluations per query); the phase
     # count evaluates no point, and the splitting estimate reads the
     # endpoint alone.
-    path = shear_path(1)
-    data = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1)
+    path, data = realize_path(NormalFormDecomposition(n=1, p_minus=1))
     pair = splitting_numbers(data.decomp, 1)
     calls = count_point_evaluations(monkeypatch)
     for sign, s in ((1, pair.s_plus), (-1, pair.s_minus)):
@@ -458,12 +479,6 @@ def test_a_flat_start_is_counted_in_one_unperturbed_scan(monkeypatch, phi_over_p
 # A degenerate endpoint M = gamma(tau) is counted by going on from M over the
 # arc M e^{-sJ}, s from 0 to eps, in the one scan of gamma's own samples.
 
-def hyperbolic_path(steps: int = 2048):
-    """gamma(t) = diag(2^t, 2^-t); generator log 2 times [[0, -1], [-1, 0]]."""
-    a = math.log(2)
-    return path_from_quadratic_hamiltonian(np.array([[0.0, -a], [-a, 0.0]]), 1.0, steps=steps)
-
-
 def orbit_path():
     # the first axis orbit of the ellipsoid with alphas (1, sqrt2): one full
     # turn on its own axis (1, degenerate) and a turn by 2 pi sqrt2 (3)
@@ -471,18 +486,20 @@ def orbit_path():
 
 
 DEGENERATE_ENDPOINTS = [
-    ("N1(1,1)^4", lambda: iterate_path(shear_path(1, steps=256), 4),
-     PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=-1), 4),
-    ("R(pi/2)^4", lambda: iterate_path(rotation_path(0.5, steps=256), 4), rot_data(HALF), 4),
-    ("ellipsoid orbit", orbit_path, None, None),
+    ("N1(1,1)^4", NormalFormDecomposition(n=1, p_minus=1), 4),
+    ("R(pi/2)^4", NormalFormDecomposition(n=1, thetas=(HALF,)), 4),
+    ("ellipsoid orbit", None, None),
 ]
 
 
-@pytest.mark.parametrize("name, maker, data, m", DEGENERATE_ENDPOINTS,
+@pytest.mark.parametrize("name, decomp, m", DEGENERATE_ENDPOINTS,
                          ids=[row[0] for row in DEGENERATE_ENDPOINTS])
-def test_a_degenerate_endpoint_is_counted_in_one_scan(monkeypatch, name, maker, data, m):
-    path = maker()
-    want = (4, 2) if data is None else (index_iterate(data, m), nullity_iterate(data, m))
+def test_a_degenerate_endpoint_is_counted_in_one_scan(monkeypatch, name, decomp, m):
+    if decomp is None:
+        path, want = orbit_path(), (4, 2)
+    else:
+        base, data = realize_path(decomp, steps=256)
+        path, want = iterate_path(base, m), (index_iterate(data, m), nullity_iterate(data, m))
     calls = count_point_evaluations(monkeypatch)
     arcs = count_scans(monkeypatch)
     assert cz_index(path, 1) == want
@@ -495,34 +512,12 @@ def test_a_large_endpoint_is_counted_on_the_arc(m, want):
     # gamma(tau) = diag(2^m, 2^-m) diamond I has norm 2^m, and the arc's
     # motion bound does not depend on it: the arc needs no halving and no
     # evaluator.  i of R(pi/2)^m at I is m - 1, the hyperbolic part 0.
-    base = diamond_paths(hyperbolic_path(256), rotation_path(0.5, steps=256), steps=256)
+    base = realize_path(NormalFormDecomposition(n=2, k=1, thetas=(HALF,)), steps=256)[0]
     path = iterate_path(base, m)
     ts, mats = oracle._samples(path, np.arange(m * 256 + 1))  # the iterate's every sample
     bare = SampledSymplecticPath(n=2, tau=m * path.tau, ts=ts, mats=mats)
     assert cz_index(path, 1) == want
     assert cz_index(bare, 1) == want
-
-
-def sheared_rotation(b: int, phi: float, m: int = 1, steps: int = 256):
-    """(N1(1, b) diamond R(phi))^m, R(phi) turning by phi over the period."""
-    base = diamond_paths(shear_path(b, steps=steps), rotation_path(phi / math.pi, steps=steps),
-                         steps=steps)
-    return iterate_path(base, m)
-
-
-def hyperbolic_sheared_rotation(b: int, phi: float):
-    """(D(2) diamond N1(1, b) diamond R(phi / 20))^20, |M| = 2^20, whose
-    nearest nonzero eigen-phase of W at 1 lies phi from 0."""
-    return iterate_path(diamond_paths(hyperbolic_path(64), sheared_rotation(b, phi / 20, steps=64),
-                                      steps=64), 20)
-
-
-def sheared_rotation_data(b: int, phi: float) -> PathIndexData:
-    theta = Fraction(abs(phi) / math.pi)
-    decomp = NormalFormDecomposition(
-        n=2, thetas=(Scalar.from_fraction(theta if phi > 0 else 2 - theta),),
-        **({"p_minus": 1} if b == 1 else {"p_plus": 1}))
-    return PathIndexData(decomp, i1=(-1 if b == 1 else 0) + (1 if phi > 0 else -1))
 
 
 @pytest.mark.parametrize("phi_over_eps, want", [(0.25, ((0, 1), (1, 1))), (1.5, ((0, 1), (1, 1))),
@@ -535,9 +530,9 @@ def test_the_counts_at_eps_and_eps_over_2_must_agree(phi_over_eps, want):
     # values are the closed forms'.
     phi = phi_over_eps * oracle.ARC_LENGTH
     for b, pair in zip((1, -1), want):
-        data = sheared_rotation_data(b, phi)
+        path, data = sheared_rotation(b, phi)
         assert pair == (index_iterate(data, 1), nullity_iterate(data, 1))
-        assert cz_index(sheared_rotation(b, phi), 1) == pair, b
+        assert cz_index(path, 1) == pair, b
 
 
 def test_an_arc_past_the_gap_is_refused(monkeypatch):
@@ -546,41 +541,33 @@ def test_an_arc_past_the_gap_is_refused(monkeypatch):
     # disagree
     monkeypatch.setattr(oracle, "_arc_length", lambda gap: 1e-4)
     with pytest.raises(OracleError, match=r"unstable count under perturbation \(-2 vs 0\)"):
-        cz_index(sheared_rotation(1, 0.75e-4), 1)
+        cz_index(sheared_rotation(1, 0.75e-4)[0], 1)
 
 
 @pytest.mark.parametrize("b", [1, -1])
 def test_cz_index_needs_no_floor_above_the_phase_tolerance(b):
-    # (hyperbolic diamond N1(1, b) diamond R(1e-11))^20: |M| = 2^20 and W's
+    # (N1(1, b) diamond R(1e-11) diamond hyperbolic)^20: |M| = 2^20 and W's
     # nearest nonzero phase 2e-10, twice PHASE_TOL; the arc, about 5e-11
     # long, still moves the phases at 0 past the rounding of the count
-    base = diamond_paths(hyperbolic_path(64), sheared_rotation(b, 1e-11, steps=64), steps=64)
-    data = sheared_rotation_data(b, 1e-11)
-    decomp = NormalFormDecomposition(n=3, k=1, thetas=data.decomp.thetas,
-                                     p_minus=data.decomp.p_minus, p_plus=data.decomp.p_plus)
-    path = iterate_path(base, 20)
+    path, data = sheared_rotation(b, 1e-11, m=20, steps=64, k=1)
     assert np.linalg.norm(path.endpoint(), 2) > 2 ** 19.9
     assert oracle._endpoint(path.endpoint(), 1)[:2] == (1, pytest.approx(2e-10, rel=1e-3))
-    assert cz_index(path, 1) == (index_iterate(PathIndexData(decomp, i1=data.i1), 20),
-                                 nullity_iterate(PathIndexData(decomp, i1=data.i1), 20))
+    assert cz_index(path, 1) == (index_iterate(data, 20), nullity_iterate(data, 20))
 
 
 @pytest.mark.parametrize("turn", [5e-10, 1e-9, 3e-9])
 def test_cz_index_on_a_conjugated_large_endpoint(turn):
-    # (P (hyperbolic diamond R(turn / 20)) P^-1)^20, |M| about 1.4e6: read
+    # (P (R(turn / 20) diamond hyperbolic) P^-1)^20, |M| about 1.4e6: read
     # from the frame of [I; M], W's phases were off by about 1e-16 |M|, and
     # the count read (0, 0) for R(turn)'s phase just above PHASE_TOL
     A = np.random.default_rng(1).normal(size=(4, 4))
     P = oracle.expm(0.3 * standard_J(2) @ (A + A.T))
     P_inv = np.linalg.inv(P)
-    phi = turn / 20
-    a = math.log(2)
-    X = standard_J(2) @ diamond(np.array([[0.0, -a], [-a, 0.0]]), phi * np.eye(2))
-    path = iterate_path(path_from_matrix_function(lambda t: P @ oracle.expm(t * X) @ P_inv,
+    base, data = realize_path(NormalFormDecomposition(
+        n=2, k=1, thetas=(Scalar.from_fraction(Fraction(turn / 20 / math.pi)),)), steps=256)
+    path = iterate_path(path_from_matrix_function(lambda t: P @ base.evaluate(t) @ P_inv,
                                                   1.0, 2, steps=256), 20)
     assert np.linalg.norm(path.endpoint(), 2) > 1e6
-    data = PathIndexData(NormalFormDecomposition(
-        n=2, k=1, thetas=(Scalar.from_fraction(Fraction(phi / math.pi)),)), i1=1)
     assert cz_index(path, 1) == (index_iterate(data, 20), nullity_iterate(data, 20)) == (1, 0)
 
 
@@ -713,8 +700,9 @@ def test_the_gathered_samples_are_the_iterate_stack(name):
 def test_a_long_iterate_is_counted_from_one_period():
     # 999 periods of 1,024 steps: a stack of the iterate's samples would take
     # 32.8 MB, the count holds one period and the coarse points
-    path = iterate_path(rotation_path(0.37, steps=1024), 999)
-    data = rot_data(Scalar.from_fraction(Fraction(37, 100)))
+    base, data = realize_path(NormalFormDecomposition(n=1, thetas=(Scalar.rational(37, 100),)),
+                              steps=1024)
+    path = iterate_path(base, 999)
     tracemalloc.start()
     try:
         got = cz_index(path, 1)
@@ -744,9 +732,9 @@ def test_a_large_norm_iterate_obeys_the_bott_formula(omega):
 
 def test_an_iterate_of_a_sample_only_path_counts_the_closed_forms():
     # no evaluator anywhere: every count is read at the samples
-    rot = rotation_path(0.37, steps=1024)
+    rot, data = realize_path(NormalFormDecomposition(n=1, thetas=(Scalar.rational(37, 100),)),
+                             steps=1024)
     base = path_from_samples(rot.ts, rot.mats, n=1, tau=1.0)
-    data = rot_data(Scalar.from_fraction(Fraction(37, 100)))
     for m in (1, 2, 5, 27, 100):
         path = iterate_path(base, m)
         assert path.evaluator is None
@@ -773,8 +761,7 @@ def test_rotation_base_index_is_odd():
 
 
 def test_rotation_iterates_match_formula():
-    p = rotation_path(0.5)
-    data = rot_data(HALF, i1=cz_index(p, 1)[0])
+    p, data = realize_path(NormalFormDecomposition(n=1, thetas=(HALF,)))
     for m in range(1, 21):
         got = cz_index(iterate_path(p, m), 1)
         assert got == (index_iterate(data, m), nullity_iterate(data, m))
@@ -783,7 +770,7 @@ def test_rotation_iterates_match_formula():
 def test_endpoint_nullity_is_nu_omega():
     omegas = (1, -1, cmath.exp(0.5j * math.pi), cmath.exp(0.3j * math.pi))
     for path in (rotation_path(0.5, steps=256), shear_path(1, steps=256),
-                 n1_minus_path(1, steps=256), rotation_path(0.3, steps=256)):
+                 block_path(256, q_minus=1), rotation_path(0.3, steps=256)):
         for w in omegas:
             assert cz_index(path, w)[1] == nu_omega(path.endpoint(), w)
 
@@ -794,38 +781,62 @@ def test_full_period_nullity():
     assert nu == 2
 
 
+# every block kind realize_path offers, and rotations at windings +-1, +-2, +-3
 FAMILIES = [
-    ("rot_half", lambda: rotation_path(0.5),
-     NormalFormDecomposition(n=1, thetas=(HALF,)), 1),
-    ("rot_irrational", lambda: rotation_path(float(Scalar.sqrt(2)) / 2),
-     NormalFormDecomposition(n=1, thetas=(Scalar.sqrt(2) * Fraction(1, 2),)), 1),
-    ("shear_plus", lambda: shear_path(1),
-     NormalFormDecomposition(n=1, p_minus=1), -1),
-    ("shear_minus", lambda: shear_path(-1),
-     NormalFormDecomposition(n=1, p_plus=1), 0),
-    ("minus_identity", lambda: rotation_path(1.0),
-     NormalFormDecomposition(n=1, q_zero=1), 1),
-    ("constant", lambda: path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0),
-     NormalFormDecomposition(n=1, p_zero=1), -1),
-    ("hyperbolic", hyperbolic_path, NormalFormDecomposition(n=1, k=1), 0),
-    ("clockwise", lambda: rotation_path(-0.5),
-     NormalFormDecomposition(n=1, thetas=(Scalar.rational(3, 2),)), -1),
-    ("q_minus", lambda: n1_minus_path(1),
-     NormalFormDecomposition(n=1, q_minus=1), 1),
-    ("q_plus", lambda: n1_minus_path(-1),
-     NormalFormDecomposition(n=1, q_plus=1), 1),
+    ("rot_half", NormalFormDecomposition(n=1, thetas=(HALF,)), None),
+    ("rot_irrational",
+     NormalFormDecomposition(n=1, thetas=(Scalar.sqrt(2) * Fraction(1, 2),)), None),
+    ("shear_plus", NormalFormDecomposition(n=1, p_minus=1), None),
+    ("shear_minus", NormalFormDecomposition(n=1, p_plus=1), None),
+    ("minus_identity", NormalFormDecomposition(n=1, q_zero=1), None),
+    ("constant", NormalFormDecomposition(n=1, p_zero=1), None),
+    ("hyperbolic", NormalFormDecomposition(n=1, k=1), None),
+    ("clockwise", NormalFormDecomposition(n=1, thetas=(Scalar.rational(3, 2),)), (-1,)),
+    ("q_minus", NormalFormDecomposition(n=1, q_minus=1), None),
+    ("q_plus", NormalFormDecomposition(n=1, q_plus=1), None),
+    ("rot_half_w2", NormalFormDecomposition(n=1, thetas=(HALF,)), (2,)),
+    ("rot_irrational_w3",
+     NormalFormDecomposition(n=1, thetas=(Scalar.sqrt(2) * Fraction(1, 2),)), (3,)),
+    ("rot_2/5_w-2", NormalFormDecomposition(n=1, thetas=(Scalar.rational(2, 5),)), (-2,)),
+    ("clockwise_w-3", NormalFormDecomposition(n=1, thetas=(Scalar.rational(3, 2),)), (-3,)),
 ]
 
 
-@pytest.mark.parametrize("name,maker,decomp,i1", FAMILIES, ids=[f[0] for f in FAMILIES])
-def test_single_block_families_match_formula(name, maker, decomp, i1):
-    path = maker()
-    data = PathIndexData(decomp, i1=i1)
-    assert cz_index(path, 1)[0] == i1
+@pytest.mark.parametrize("name,decomp,windings", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_single_block_families_match_formula(name, decomp, windings):
+    path, data = realize_path(decomp, windings)
+    assert cz_index(path, 1)[0] == data.i1
     for m in (1, 2, 3, 4, 5, 8, 11):
         got = cz_index(iterate_path(path, m), 1)
         want = (index_iterate(data, m), nullity_iterate(data, m))
         assert got == want, f"{name} m={m}: {got} != {want}"
+
+
+@pytest.mark.parametrize("decomp, windings", [row[1:] for row in FAMILIES] + [
+    (NormalFormDecomposition(n=3, p_minus=1, q_zero=1, thetas=(Scalar.rational(2, 5),)), (-2,)),
+    (NormalFormDecomposition(n=4, p_plus=1, q_plus=1, k=1, thetas=(Scalar.sqrt(2) - 1,)), (3,)),
+], ids=[row[0] for row in FAMILIES] + ["N1(1,1)<>-I<>R(2/5)", "N1(1,-1)<>N1(-1,-1)<>R<>D(2)"])
+def test_a_realized_path_ends_at_its_normal_form(decomp, windings):
+    path = realize_path(decomp, windings, steps=1024)[0]
+    assert np.abs(path.endpoint() - realize_decomposition(decomp).as_float()).max() < 1e-12
+
+
+@pytest.mark.parametrize("decomp, windings, message", [
+    (NormalFormDecomposition(n=2, alphas=(Scalar.rational(2, 5),)), None, "N2 block"),
+    (NormalFormDecomposition(n=2, betas=(Scalar.rational(2, 5),)), None, "N2 block"),
+    (NormalFormDecomposition(n=1, thetas=(HALF,)), (0,), r"one nonzero turn count .* got \(0,\)"),
+    (NormalFormDecomposition(n=2, thetas=(HALF, HALF)), (1,), r"per rotation \(2\), got \(1,\)"),
+    (NormalFormDecomposition(n=1, p_minus=1), (1,), r"per rotation \(0\), got \(1,\)"),
+], ids=["alphas", "betas", "zero winding", "too few windings", "too many windings"])
+def test_realize_path_refuses_what_it_cannot_realize(decomp, windings, message):
+    with pytest.raises(ValueError, match=message):
+        realize_path(decomp, windings)
+
+
+def test_a_winding_too_fast_for_the_grid_is_refused():
+    decomp = NormalFormDecomposition(n=1, thetas=(Scalar.rational(2, 5),))
+    with pytest.raises(OracleError, match="step-size bound violated"):
+        realize_path(decomp, (-3,), steps=256)
 
 
 def test_well_definedness_under_reparametrization():
@@ -853,9 +864,9 @@ SPLIT_ROWS = [
     ("N1(1,1)@1", lambda: shear_path(1), 1, (1, 1)),
     ("I2@1", lambda: path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0), 1, (1, 1)),
     ("N1(1,-1)@1", lambda: shear_path(-1), 1, (0, 0)),
-    ("N1(-1,1)@-1", lambda: n1_minus_path(1), -1, (0, 0)),
+    ("N1(-1,1)@-1", lambda: block_path(q_minus=1), -1, (0, 0)),
     ("-I2@-1", lambda: rotation_path(1.0), -1, (1, 1)),
-    ("N1(-1,-1)@-1", lambda: n1_minus_path(-1), -1, (1, 1)),
+    ("N1(-1,-1)@-1", lambda: block_path(q_plus=1), -1, (1, 1)),
     ("R(0.4pi)", lambda: rotation_path(0.4), cmath.exp(0.4j * math.pi), (0, 1)),
     ("R(1.6pi)", lambda: rotation_path(1.6), cmath.exp(1.6j * math.pi), (0, 1)),
     ("N2nontriv", lambda: path_from_logm(
@@ -878,15 +889,19 @@ SPLIT_ROWS = [
         rotation_path(0.4, steps=64), shear_path(1, steps=64), steps=64), 5), 1, (2, 2)),
     # W's phases of R(phi) lie phi from 0: fixed probes of 1e-3 and 1e-4 passed
     # them, and read (-1, -1) at 5e-5 and two disagreeing counts at 5e-4
-    ("N1(1,-1)<>R(5e-5)@1", lambda: sheared_rotation(-1, 5e-5), 1, (0, 0)),
-    ("N1(1,-1)<>R(5e-4)@1", lambda: sheared_rotation(-1, 5e-4), 1, (0, 0)),
-    ("N1(1,1)<>R(-5e-5)@1", lambda: sheared_rotation(1, -5e-5), 1, (1, 1)),
+    ("N1(1,-1)<>R(5e-5)@1", lambda: sheared_rotation(-1, 5e-5)[0], 1, (0, 0)),
+    ("N1(1,-1)<>R(5e-4)@1", lambda: sheared_rotation(-1, 5e-4)[0], 1, (0, 0)),
+    ("N1(1,1)<>R(-5e-5)@1", lambda: sheared_rotation(1, -5e-5)[0], 1, (1, 1)),
     # |M| = 2^20: a floor set from |M|_2 refused every gap up to about 6e-5,
     # though the probes move the phases at 0 of N1(1, +-20) past rounding
-    ("(D(2)<>N1(1,1)<>R(5e-7))^20@1", lambda: hyperbolic_sheared_rotation(1, 1e-5), 1, (1, 1)),
-    ("(D(2)<>N1(1,-1)<>R(-5e-7))^20@1", lambda: hyperbolic_sheared_rotation(-1, -1e-5), 1, (0, 0)),
-    ("(D(2)<>N1(1,1)<>R(-5e-8))^20@1", lambda: hyperbolic_sheared_rotation(1, -1e-6), 1, (1, 1)),
-    ("(D(2)<>N1(1,-1)<>R(5e-8))^20@1", lambda: hyperbolic_sheared_rotation(-1, 1e-6), 1, (0, 0)),
+    ("(D(2)<>N1(1,1)<>R(5e-7))^20@1", lambda: sheared_rotation(1, 5e-7, 20, 64, k=1)[0],
+     1, (1, 1)),
+    ("(D(2)<>N1(1,-1)<>R(-5e-7))^20@1", lambda: sheared_rotation(-1, -5e-7, 20, 64, k=1)[0],
+     1, (0, 0)),
+    ("(D(2)<>N1(1,1)<>R(-5e-8))^20@1", lambda: sheared_rotation(1, -5e-8, 20, 64, k=1)[0],
+     1, (1, 1)),
+    ("(D(2)<>N1(1,-1)<>R(5e-8))^20@1", lambda: sheared_rotation(-1, 5e-8, 20, 64, k=1)[0],
+     1, (0, 0)),
 ]
 
 
@@ -905,8 +920,7 @@ def test_the_oracle_matches_the_closed_forms_at_small_gaps(drawn):
     # 1e-3 passed
     b, sign, log_phi, m = drawn
     phi = sign * 10.0 ** log_phi
-    path = sheared_rotation(b, phi, m)
-    data = sheared_rotation_data(b, phi)
+    path, data = sheared_rotation(b, phi, m)
     assert cz_index(path, 1) == (index_iterate(data, m), nullity_iterate(data, m))
     pair = splitting_numbers(data.decomp, 1)
     assert estimate_splitting(path, 1) == (pair.s_plus, pair.s_minus)
@@ -917,10 +931,9 @@ def test_a_splitting_gap_below_the_floor_is_refused(b):
     # at phi = 3e-8 the probe, 7.5e-9, moves the phase at 0 of N1(1, b) by
     # about 5.6e-17, below the rounding of the read: the estimate is refused,
     # and the index still counts
-    path = sheared_rotation(b, 3e-8)
+    path, data = sheared_rotation(b, 3e-8)
     with pytest.raises(OracleError, match="lies 3e-08 from 0: a probe of 7.5e-09 cannot move"):
         estimate_splitting(path, 1)
-    data = sheared_rotation_data(b, 3e-8)
     assert cz_index(path, 1) == (index_iterate(data, 1), nullity_iterate(data, 1))
 
 
@@ -938,7 +951,7 @@ def test_cz_index_on_a_large_hyperbolic_endpoint():
     # gamma(tau) = diag(2^30, 2^-30) diamond -I: sigma_min(M - I), about 1, fell
     # below 1e-9 sigma_max under the relative rank test, which read nu = 1 and
     # gave (15, 1).  W's phases at 1 are pi/2 and pi.
-    base = diamond_paths(hyperbolic_path(256), rotation_path(0.5, steps=256), steps=256)
+    base = realize_path(NormalFormDecomposition(n=2, k=1, thetas=(HALF,)), steps=256)[0]
     assert cz_index(iterate_path(base, 30), 1) == (15, 0)
 
 
@@ -1029,12 +1042,6 @@ def test_crossings_closer_than_one_sample_step(name, maker, omega, want):
 # module, apart from the package, so that it checks the oracle and the closed
 # forms against each other.
 
-def rotation_i1(theta: Fraction) -> int:
-    """i_1 of t -> R(theta pi t) on [0, 1], theta not an integer."""
-    k = 2 * math.floor(abs(theta) / 2) + 1
-    return k if theta > 0 else -k
-
-
 def bott_index(data: PathIndexData, m: int, omega_over_pi):
     """(i, nu) of gamma^m at omega = e^{i pi omega_over_pi}, omega_over_pi a
     Fraction or a float in [0, 2); every eigen-angle of data is rational."""
@@ -1081,12 +1088,7 @@ def rotation_diamonds(draw):
 @given(rotation_diamonds())
 def test_oracle_matches_the_bott_formula_on_rotation_diamonds(drawn):
     thetas, m, point = drawn
-    path = rotation_path(float(thetas[0]))
-    for theta in thetas[1:]:
-        path = diamond_paths(path, rotation_path(float(theta)))
-    decomp = NormalFormDecomposition(n=len(thetas), thetas=tuple(
-        Scalar.rational((t % 2).numerator, (t % 2).denominator) for t in thetas))
-    data = PathIndexData(decomp, i1=sum(rotation_i1(t) for t in thetas))
+    path, data = rotation_diamond(thetas)
     iterate = iterate_path(path, m)
     eps_over_pi = 1e-3 / math.pi
     for omega, over_pi in ((1, Fraction(0)), (-1, Fraction(1)),
@@ -1103,28 +1105,14 @@ def test_oracle_matches_the_bott_formula_on_rotation_diamonds(drawn):
 FOUR_THETAS = (Fraction(13, 10), Fraction(-29, 10), Fraction(7, 10), Fraction(18, 5))
 
 
-def four_rotations(steps):
-    path = rotation_path(float(FOUR_THETAS[0]), steps=steps)
-    for theta in FOUR_THETAS[1:]:
-        path = diamond_paths(path, rotation_path(float(theta), steps=steps), steps=steps)
-    return path
-
-
-def four_rotations_index(omega_over_pi):
-    decomp = NormalFormDecomposition(n=4, thetas=tuple(
-        Scalar.rational((t % 2).numerator, (t % 2).denominator) for t in FOUR_THETAS))
-    data = PathIndexData(decomp, i1=sum(rotation_i1(t) for t in FOUR_THETAS))
-    return bott_index(data, 1, omega_over_pi)
-
-
 @pytest.mark.parametrize("coarse_bound", [0.05, 0.5, 8.0])
 def test_the_count_does_not_depend_on_the_coarse_grid(monkeypatch, coarse_bound):
     # at 8 rad every coarse step is too long for its cut and is halved at
     # samples; at 0.5 rad (the default) only some are
     monkeypatch.setattr(oracle, "COARSE_BOUND", coarse_bound)
-    path = four_rotations(2048)
+    path, data = rotation_diamond(FOUR_THETAS)
     for k in range(12):
-        want = four_rotations_index(Fraction(k, 6))
+        want = bott_index(data, 1, Fraction(k, 6))
         assert cz_index(path, cmath.exp(1j * math.pi * k / 6)) == want, k
 
 
@@ -1132,13 +1120,13 @@ def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
     # four sample steps, built without validate (they break STEP_BOUND): a
     # single step moves the phases past every cut
     ts = np.linspace(0.0, 1.0, 5)
-    fine = four_rotations(2048)
+    fine, data = rotation_diamond(FOUR_THETAS)
     coarse = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=fine.evaluate(ts),
                                    evaluator=fine.evaluator)
     calls = count_point_evaluations(monkeypatch)
     for over_pi in (Fraction(1, 12), Fraction(1, 6), Fraction(1, 3), Fraction(1)):
         omega = cmath.exp(1j * math.pi * over_pi)
-        assert cz_index(coarse, omega) == four_rotations_index(over_pi), over_pi
+        assert cz_index(coarse, omega) == bott_index(data, 1, over_pi), over_pi
     assert len(calls) > 0
     assert all(0.0 <= t <= coarse.tau for t in calls)  # on gamma's own times
     bare = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=coarse.mats)
