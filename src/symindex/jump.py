@@ -42,6 +42,7 @@ from .scalars import (
     detect_rational,
     fixed_bits,
     get_precision,
+    guard_tol,
     scalar_to_json,
 )
 
@@ -102,7 +103,7 @@ class JumpVector:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JumpSolution:
     N: int
     m: tuple
@@ -379,19 +380,26 @@ def _residual(v: JumpVector, N: int, bits, dps: int):
     """Max-norm distance of {N v} from the vertex bits, scaled by 2**F.
 
     Returns (worst, slack, F), F = fixed_bits(dps): the distance times 2**F
-    lies within slack of worst.  Rational coordinates are exact (Fractions);
-    each irrational one is within N, so slack is N when there is one.
+    lies within slack of worst.  Rational coordinates are exact (Fractions).
+    Each irrational one is read once as r = (N X) mod 2**F, X as in
+    Scalar._fixed, which is within N of {N x} 2**F, so slack is N when there
+    is one.  r is checked here against the guard band of Scalar.mul_frac
+    (guard_tol), and an r inside it raises mul_frac's PrecisionError.
     """
     F = fixed_bits(dps)
     one = 1 << F
+    tol = guard_tol(F, N)
     worst = slack = 0
     for coord, b in zip(v.coords, bits):
         if coord.is_rational:
-            p, q = coord.fraction.numerator, coord.fraction.denominator
-            d = abs((N * p) % q - b * q)
+            fr = coord.fraction
+            q = fr.denominator
+            d = abs((N * fr.numerator) % q - b * q)
             dist = Fraction(d << F, q) if d else 0
         else:
-            r, _ = coord.mul_frac(N, F)
+            r = (N * coord._fixed(F)[0]) & (one - 1)
+            if r < tol or r > one - tol:
+                coord.mul_frac(N, F)   # inside the guard band: raises
             dist = one - r if b else r
             slack = N
         if dist > worst:
@@ -619,9 +627,10 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
 
 
 def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int):
-    """The solutions of the close stage-1 candidates (N, bits, residual), in
-    increasing N, in no particular order, and gates: the number of
-    candidates at each gate code, by gate name (_GATES)."""
+    """The solutions of the close stage-1 candidates (N, bits, residual), and
+    gates: the number of candidates at each gate code, by gate name (_GATES).
+    The candidates come in increasing N; the solutions come in no particular
+    order (search_N sorts them)."""
     F = fixed_bits(dps)
     one = 1 << F
     recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]

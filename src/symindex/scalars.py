@@ -27,6 +27,7 @@ __all__ = [
     "set_precision",
     "detect_rational",
     "fixed_bits",
+    "guard_tol",
     "parse_scalar",
     "scalar_to_json",
     "scalar_from_json",
@@ -320,10 +321,16 @@ class Scalar:
             return self.mpf(_storage_dps()) - self.floor()
 
 
+def guard_tol(F: int, m: int, d: int = 1) -> int:
+    """Half-width of the guard band of a remainder of m * X modulo d * 2**F,
+    X as in Scalar._fixed: 1e-30 of d * 2**F plus the truncation error."""
+    return ((d << F) // _GUARD_BAND) + abs(m) + d + 2
+
+
 def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:
     """Raise PrecisionError when the remainder r of m * X modulo d * 2**F
-    lies within the guard band (plus truncation error) of 0 or d * 2**F."""
-    tol = ((d << F) // _GUARD_BAND) + abs(m) + d + 2
+    lies within the guard band (guard_tol) of 0 or d * 2**F."""
+    tol = guard_tol(F, m, d)
     if r < tol or r > (d << F) - tol:
         what = f"{m} * {x!r}" if d == 1 else f"{m}/{d} * {x!r}"
         raise PrecisionError(

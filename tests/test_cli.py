@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -391,6 +392,18 @@ def test_jump_search_deterministic_bytes(rot_fixture, tmp_path):
         assert rc == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_jump_search_golden_bytes(tmp_path, capsys):
+    # the golden rotation R(phi pi t), i1 = 1, as CI's golden.json: the
+    # stdout digest was recorded at commit 64616f2, so a change to the
+    # search, its gates or its output format shows here
+    data = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
+    paths_file = tmp_path / "golden.json"
+    paths_file.write_text(json.dumps([data.to_json()]))
+    assert main(["jump-search", "--paths", str(paths_file), "--n-max", "20000"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "8cbf8e1c805dae4c77576b6d71332c82f63bb00dc837ba71a4c39e85fc828d9f"
 
 
 def test_chi_auto_runs_at_h16(tmp_path, capsys):

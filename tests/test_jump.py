@@ -54,7 +54,7 @@ from symindex.jump import (
     theorem211_report,
     varrho,
 )
-from symindex.scalars import PrecisionError, Scalar, fixed_bits, get_precision
+from symindex.scalars import PrecisionError, Scalar, fixed_bits, get_precision, guard_tol
 
 HALF = Scalar.rational(1, 2)
 PHI = Scalar.golden()
@@ -514,6 +514,34 @@ def test_closeness_gate_slack_boundaries():
     assert _closer_than(E - 5, 5, F, eps) is None
     assert _closer_than(E + 4, 5, F, eps) is None
     assert _closer_than(E, 0, F, eps) is False  # residual == eps is rejected
+
+
+@pytest.mark.parametrize("value", ["0.25", "0.25" + "0" * 38 + "1", "0.24" + "9" * 39])
+def test_residual_inside_the_guard_band_raises_mul_fracs_error(value):
+    # an irrational-tagged 1/4 (or within 1e-40 of it) at N = 4: N x lies
+    # within 1e-30 of an integer, on either side of it, so the residual read
+    # must raise the PrecisionError of Scalar.mul_frac, text and all
+    x = Scalar.irrational(value)
+    v = JumpVector(q=1, mu=(1,), coords=(Scalar.rational(1, 2), x), M=1, M0=1,
+                   mean_indices=(Scalar.rational(2),))
+    dps = get_precision()
+    F = fixed_bits(dps)
+    with pytest.raises(PrecisionError) as ref:
+        x.mul_frac(4, F)
+    for bits in ((0, 0), (0, 1)):
+        with pytest.raises(PrecisionError) as exc:
+            _residual(v, 4, bits, dps)
+        assert str(exc.value) == str(ref.value)
+    # one step of N away the band is clear
+    assert _residual(v, 5, (1, 1), dps)[1] == 5
+
+
+def test_guard_tol_is_the_guard_band_of_the_floors():
+    for F in (fixed_bits(30), fixed_bits(get_precision()), 1000):
+        for m in (1, -7, 12345):
+            for d in (1, 2, 3, 1000):
+                assert guard_tol(F, m, d) == ((d << F) // 10 ** 30) + abs(m) + d + 2
+            assert guard_tol(F, m) == guard_tol(F, m, 1)
 
 
 # ----- stage-1 scan against the stepping loop ---------------------------------
