@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import mpmath
 import numpy as np
@@ -80,16 +82,85 @@ def _load_json(path: str):
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
 
 
-def _emit(text: str, out_path: str | None):
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The write method of the --out file, or one that passes stdout the
+    pieces in batches of 4096: stdout may be unbuffered (PYTHONUNBUFFERED,
+    python -u) or a terminal's line buffer, where every write of a piece
+    would be a system call."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh.write
+        return
+    pieces = []
+
+    def write(text: str):
+        pieces.append(text)
+        if len(pieces) == 4096:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+
+    yield write
+    sys.stdout.write("".join(pieces))
+
+
+def _emit(text: str, out_path: str | None):
+    with _output(out_path) as write:
+        write(text)
 
 
 def _dump_json(obj, out_path: str | None):
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, streamed
+    piece by piece as it is encoded: no string of the whole document is built."""
+    with _output(out_path) as write:
+        _write_json(obj, write, "\n")
+        write("\n")
+
+
+def _json_key(key) -> str:
+    # a non-str key is converted as json.dumps converts it, TypeError included
+    return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+
+
+def _write_json(obj, write, newline: str):
+    """json.dumps(obj, sort_keys=True, indent=2) as write calls; newline is
+    the line break and indentation of obj's own level."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):  # NaN and +-inf as json.dumps spells them
+        write(float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write_json(item, write, inner)
+            sep = "," + inner
+        write(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            write(sep + _json_key(key) + ": ")
+            _write_json(value, write, inner)
+            sep = "," + inner
+        write(newline + "}")
+    else:  # json.dumps raises the TypeError of an unserializable object
+        write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _parse_literal(flag: str, parse, text: str):

@@ -359,40 +359,38 @@ def floor_E_frac_phi(x):
     raise TypeError(f"unsupported type {type(x).__name__}")
 
 
-def detect_rational(value, max_denominator: int = 10 ** 6):
-    """Detect a rational p/q hiding in a high-precision value.
+def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
+    """Detect a rational p/q hiding in an irrational-tagged Scalar.
 
-    Runs the continued-fraction expansion and accepts a convergent p/q with
-    q <= max_denominator whose residual is below the precision floor
-    (10**-(storage digits - 8)).  Returns a Fraction or None.
-    A genuine quadratic irrational at 50+ digit storage never false-positives:
-    its best approximations with q <= 1e6 miss by ~1e-13, far above the floor.
+    Runs the continued fraction of X / 2**F, X = floor(value * 2**F) and
+    F = 16 + floor(3.33 * storage digits), in integers, and accepts the first
+    convergent p/q with q <= max_denominator and |X/2**F - p/q| below the
+    precision floor 10**-(storage digits - 8), decided exactly as
+    |X q - p 2**F| 10**(storage digits - 8) < 2**F q.  X/2**F is within
+    2**-F (about 1e-13 of the floor) of the value.  Returns a Fraction or
+    None; a rational-tagged Scalar returns its fraction.  A genuine quadratic
+    irrational at 50+ digit storage never false-positives: its best
+    approximations with q <= 1e6 miss by ~1e-13, far above the floor.
     """
-    if isinstance(value, Scalar):
-        if value.is_rational:
-            return value.fraction
-        v = value.mpf(_storage_dps())
-    else:
-        v = value
-    with mp.workdps(_storage_dps()):
-        tol = mp.mpf(10) ** (8 - _storage_dps())
-        x = mp.mpf(v)
-        p0, q0, p1, q1 = 1, 0, int(mp.floor(x)), 1
-        if abs(x - p1) < tol:
-            return Fraction(p1)
-        y = x - p1
-        for _ in range(200):
-            if y == 0:
-                break
-            y = 1 / y
-            a = int(mp.floor(y))
-            p0, p1 = p1, a * p1 + p0
-            q0, q1 = q1, a * q1 + q0
-            if q1 > max_denominator:
-                return None
-            if abs(x - mp.mpf(p1) / q1) < tol:
-                return Fraction(p1, q1)
-            y = y - a
+    if value.is_rational:
+        return value.fraction
+    dps = _storage_dps()
+    F = 16 + int(3.33 * dps)
+    one = 1 << F
+    scale = 10 ** (dps - 8)
+    # to_fixed, not _fixed: the cached working-precision pair stays
+    X = int(to_fixed(value._mpf._mpf_, F))
+    num, den = X, one
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den:
+        a, r = divmod(num, den)
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if q1 > max_denominator:
+            return None
+        if abs(X * q1 - p1 * one) * scale < one * q1:
+            return Fraction(p1, q1)
+        num, den = den, r
     return None
 
 
@@ -435,14 +433,24 @@ def scalar_to_json(s: Scalar) -> dict:
 def scalar_from_json(obj: dict) -> Scalar:
     """scalar_to_json's object: "rational" holds a JSON string p/q, q != 0,
     and "irrational" a JSON string of a decimal; any other value, a JSON
-    number or a bool too, raises ValueError naming the key."""
+    number or a bool too, raises ValueError naming the key.  So does an
+    "irrational" decimal that detect_rational finds equal to some p/q with
+    q <= 1e6: its floors would fall in the guard band."""
     for key, read, form in (("rational", Scalar.from_fraction, "p/q with q != 0"),
                             ("irrational", Scalar.irrational, "of a decimal")):
         if key in obj:
             try:
                 if type(obj[key]) is str:
-                    return read(obj[key])
+                    x = read(obj[key])
+                    break
             except (ValueError, ZeroDivisionError):
                 pass
             raise ValueError(f"{key} must be a JSON string {form}, got {json.dumps(obj[key])}")
-    raise ValueError(f"scalar object needs a 'rational' or 'irrational' key: {obj!r}")
+    else:
+        raise ValueError(f"scalar object needs a 'rational' or 'irrational' key: {obj!r}")
+    fr = None if x.is_rational else detect_rational(x)
+    if fr is not None:
+        pq = f"{fr.numerator}/{fr.denominator}"
+        raise ValueError(f"irrational {json.dumps(obj['irrational'])} equals {pq} within "
+                         f"1e-{_storage_dps() - 8}; tag it {{\"rational\": \"{pq}\"}}")
+    return x

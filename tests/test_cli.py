@@ -7,13 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import symindex
-from symindex.cli import EXIT_INPUT, EXIT_OK, main
+from symindex.cli import EXIT_INPUT, EXIT_OK, _dump_json, main
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.iteration import NormalFormDecomposition, PathIndexData
 from symindex.oracle import MAX_STEPS
-from symindex.scalars import Scalar, get_precision, set_precision
+from symindex.scalars import Scalar, _storage_dps, get_precision, set_precision
 from symindex.selftest import realize_path
 
 import numpy as np
@@ -404,6 +406,70 @@ def test_jump_search_golden_bytes(tmp_path, capsys):
     assert main(["jump-search", "--paths", str(paths_file), "--n-max", "20000"]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "8cbf8e1c805dae4c77576b6d71332c82f63bb00dc837ba71a4c39e85fc828d9f"
+
+
+def test_ellipsoid_golden_bytes(capsys):
+    # stdout digest recorded at commit 3bc2244: the ratio tags come from
+    # detect_rational and the bytes from the streaming JSON writer
+    assert main(["ellipsoid", "--alphas", "1,sqrt2,sqrt3", "--n-max", "20000"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "cb0139b2d1492cae52862d25291507032e39bf453f97b876100033122d1facc3"
+
+
+@pytest.mark.parametrize("command", ["iterate", "jump-search"])
+@pytest.mark.parametrize("text, pq", [("0.5", "1/2"), ("0." + "6" * 119 + "7", "2/3")])
+def test_an_irrational_tag_on_a_rational_exits_1(tmp_path, capsys, command, text, pq):
+    # {"irrational": "0.5"} once passed as irrational and died in the guard
+    # band with exit 2, "internal error: 4/2 * Scalar(~0.5) is within 1e-30 ..."
+    data = {"n": 1, "thetas": [{"irrational": text}], "i1": 1}
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data if command == "iterate" else [data]))
+    flag = "--data" if command == "iterate" else "--paths"
+    rc = main([command, flag, str(f)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f'error: invalid path data: irrational "{text}" equals {pq} within '
+        f'1e-{_storage_dps() - 8}; tag it {{"rational": "{pq}"}}\n')
+
+
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers() | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([-0.0, 1e-7, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+                | st.text() | st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f", "é∮😀\u2028"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+def _check_dump_json(obj, out_file, capsys):
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    _dump_json(obj, str(out_file))
+    assert out_file.read_text() == want
+    capsys.readouterr()
+    _dump_json(obj, None)
+    assert capsys.readouterr().out == want
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_dump_json_writes_the_bytes_of_json_dumps(tmp_path, capsys, obj):
+    _check_dump_json(obj, tmp_path / "out.json", capsys)
+
+
+def test_dump_json_on_empty_containers_and_special_values(tmp_path, capsys):
+    nested = {}
+    for _ in range(5):
+        nested = {"a": nested, "b": [], "c": (), "d": [{}, [], ()], "e": [nested]}
+    specials = [True, False, None, 0, -1, 2 ** 100, -(3 ** 70), -0.0, 1e-7, 1e16, 5e-324,
+                math.nan, math.inf, -math.inf, "", "\"quoted\" \\ \n\t", "é∮😀", ("tuple", 1)]
+    # 20,001 pieces: stdout gets four full batches of 4096 and the rest
+    for obj in ({}, [], (), nested, specials, {"z": specials, "A": nested, "": None},
+                [{"N": n, "m": [n, -n]} for n in range(2000)]):
+        _check_dump_json(obj, tmp_path / "out.json", capsys)
 
 
 def test_chi_auto_runs_at_h16(tmp_path, capsys):

@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from symindex.scalars import (
     PrecisionError,
     Scalar,
+    _storage_dps,
     detect_rational,
     floor_E_frac_phi,
     get_precision,
@@ -82,6 +85,96 @@ def test_detect_rational():
     assert detect_rational(Scalar.sqrt(2)) is None
     assert detect_rational(Scalar.sqrt(2) / Scalar.sqrt(8)) == Fraction(1, 2)
     assert detect_rational(Scalar.golden() * 3 / Scalar.golden()) == 3
+
+
+def _reference(x: Scalar, max_denominator: int = 10 ** 6):
+    """detect_rational's rule on the exact stored value: its nearest p/q with
+    q <= max_denominator, kept when closer than 10**-(storage digits - 8).
+    Any such p/q is a convergent and the first to pass, so the two agree."""
+    sign, man, exp, _ = x._mpf._mpf_
+    v = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+    c = v.limit_denominator(max_denominator)
+    return c if abs(v - c) < Fraction(1, 10 ** (_storage_dps() - 8)) else None
+
+
+def _near(fr: Fraction, tols: float = 0, shift: int = 0) -> Scalar:
+    """shift + fr + tols * 10**-(storage digits - 8), tagged irrational."""
+    dps = _storage_dps()
+    with mp.workdps(dps):
+        v = mp.mpf(shift) + mp.mpf(fr.numerator) / fr.denominator
+        return Scalar.irrational(v + mp.mpf(tols) * mp.mpf(10) ** (8 - dps))
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+       st.sampled_from((0, 0.5, -0.5, 2, -2)))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_detect_rational_finds_hidden_rationals(p, q, tols):
+    # at |p/q| <= 1e6 the stored value rounds by under 1e-110, so an offset
+    # of +-0.5 floors (1e-107 at 50 digits) stays inside and +-2 outside
+    fr = Fraction(p, q)
+    x = _near(fr, tols)
+    want = fr if abs(tols) < 1 else None
+    assert _reference(x) == want
+    assert detect_rational(x) == want
+
+
+@given(st.integers(1, 10 ** 4), st.integers(-10 ** 7, 10 ** 7))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_detect_rational_stops_at_max_denominator(excess, p):
+    q = 10 ** 6 + excess
+    fr = Fraction(p, q)
+    x = _near(fr)
+    want = fr if fr.denominator <= 10 ** 6 else None
+    assert _reference(x) == want
+    assert detect_rational(x) == want
+    assert detect_rational(x, max_denominator=q) == fr
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+       st.sampled_from((10 ** 3, 10 ** 6, 10 ** 12, 10 ** 30, 10 ** 60)), st.booleans())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_detect_rational_at_large_magnitude_matches_the_reference(p, q, big, negative):
+    # the floor is absolute: from about 1e10 on, rounding the stored sum
+    # can move it farther than the floor from shift + p/q, which is then
+    # found only when the rounding happens to be small; the integer always is
+    shift = -big if negative else big
+    x = _near(Fraction(p, q), shift=shift)
+    assert detect_rational(x) == _reference(x)
+    assert detect_rational(Scalar.irrational(str(shift))) == shift
+
+
+SQUARE_FREE = [d for d in range(2, 24) if all(d % (k * k) for k in range(2, 5))]
+
+
+@pytest.mark.parametrize("d", SQUARE_FREE)
+def test_detect_rational_on_quadratic_irrationals(d):
+    for q in (1, 2, 3, 7, 10 ** 6):
+        x = Scalar.sqrt(d) * q
+        assert _reference(x) is None and detect_rational(x) is None
+        assert detect_rational(-x) is None
+        assert detect_rational(x / Scalar.sqrt(d)) == q
+    phi = Scalar.golden()
+    for k in (-7, 1, 2, 3, 10 ** 6):
+        assert detect_rational(phi * k / phi) == k
+
+
+def test_detect_rational_keeps_the_cached_fixed_pair():
+    x = Scalar.sqrt(2)
+    pair = x._fixed()
+    assert detect_rational(x) is None
+    assert x._fixed_cache is pair
+
+
+def test_scalar_from_json_refuses_an_irrational_tag_on_a_rational():
+    third = "0." + "3" * 120
+    for text, pq in (("0.5", "1/2"), ("-3", "-3/1"), (third, "1/3")):
+        with pytest.raises(ValueError) as exc:
+            scalar_from_json({"irrational": text})
+        assert str(exc.value) == (f'irrational "{text}" equals {pq} within '
+                                  f'1e-{_storage_dps() - 8}; tag it {{"rational": "{pq}"}}')
+    # a decimal that is not a p/q with q <= 1e6 to 107 digits stays irrational
+    assert not scalar_from_json({"irrational": "0.5" + "0" * 100 + "1"}).is_rational
+    assert not scalar_from_json({"irrational": str(math.sqrt(2))}).is_rational
 
 
 def test_parse_scalar_literals():
