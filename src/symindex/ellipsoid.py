@@ -35,7 +35,6 @@ from .jump import (
     varrho,
 )
 from .oracle import (
-    DEFAULT_STEPS,
     MAX_STEPS,
     STEP_BOUND,
     SampledSymplecticPath,
@@ -153,11 +152,14 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     The decomposition has one rotation block per other axis with angle
     2 pi alpha_j / alpha_i (mod 2 pi) and, on the orbit's own axis, I2 in
     quadratic mode or N1(1,1) in convex mode.  The base index comes from
-    the crossing-count oracle on the sampled path, which has DEFAULT_STEPS
-    samples, or more when the fastest axis needs them: a sample step turns
-    axis j by 2 pi alpha_j / (alpha_i steps), and a rotation by a moves no
-    matrix entry by more than a, so that turn is kept within STEP_BOUND.
-    EllipsoidError past MAX_STEPS.
+    the crossing-count oracle on the sampled path e^{tJB}, B = diag(alpha,
+    alpha), every alpha_k > 0.  It has ceil(2 pi (alpha_max / alpha_i) /
+    STEP_BOUND) steps, so alpha_max dt <= STEP_BOUND, and the count is
+    exact on that grid: e^{sJB} turns each (q_k, p_k) plane by alpha_k s,
+    so |e^{sJB} - I|_F = (sum_k 8 sin^2(alpha_k s / 2))^{1/2}, which grows
+    with s while alpha_max s <= pi.  The relative change that the count
+    reads over a sample step then bounds every part of that step, and the
+    path does not stray between samples.  EllipsoidError past MAX_STEPS.
     """
     if not (1 <= i <= spec.n):
         raise EllipsoidError(f"axis index {i} out of range 1..{spec.n}")
@@ -171,7 +173,7 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     if need > MAX_STEPS:
         raise EllipsoidError(f"frequency ratio {ratio:.6g} needs {need:.6g} samples per "
                              f"orbit, more than {MAX_STEPS}")
-    path = path_from_quadratic_hamiltonian(B, tau, max(DEFAULT_STEPS, math.ceil(need)))
+    path = path_from_quadratic_hamiltonian(B, tau, math.ceil(need))
 
     thetas = []
     for j in range(spec.n):

@@ -1,7 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from symindex.ellipsoid import (
@@ -12,7 +14,8 @@ from symindex.ellipsoid import (
     run_pipeline,
 )
 from symindex.iteration import index_iterate, mean_index, nullity_iterate, validate
-from symindex.oracle import DEFAULT_STEPS, STEP_BOUND, cz_index, iterate_path
+from symindex.oracle import (DEFAULT_STEPS, STEP_BOUND, cz_index, iterate_path,
+                             path_from_quadratic_hamiltonian)
 from symindex.scalars import Scalar
 
 
@@ -53,15 +56,64 @@ def test_base_indices(spec12):
     assert validate(d1).ok and validate(d2).ok
 
 
+def orbit_steps(spec, i):
+    """The orbit grid: alpha_max dt <= STEP_BOUND and no more."""
+    ratio = max(float(a) for a in spec.alphas) / float(spec.alphas[i - 1])
+    return math.ceil(2 * math.pi * ratio / STEP_BOUND)
+
+
 def test_orbit_grid_follows_the_frequency_spread():
-    # the slow orbit of (1, sqrt300) needs ceil(2 pi sqrt300 / STEP_BOUND)
-    # steps; the fast one, and every spread up to about 16, keep 2048
+    # each orbit of (1, sqrt300) takes ceil(2 pi (alpha_max / alpha_i) /
+    # STEP_BOUND) steps: 2177 on the slow one, 126 on the fast one
     spec = EllipsoidSpec(alphas=("1", "sqrt300"))
     (d1, p1), (d2, p2) = orbit_data(spec, 1), orbit_data(spec, 2)
     assert len(p1.ts) - 1 == math.ceil(2 * math.pi * math.sqrt(300) / STEP_BOUND) == 2177
-    assert len(p2.ts) - 1 == DEFAULT_STEPS
+    assert len(p2.ts) - 1 == orbit_steps(spec, 2) == 126
     assert (d1.i1, d2.i1) == (2 * 17 + 2, 2)   # 2 [alpha_j / alpha_i] + 2
-    assert len(orbit_data(EllipsoidSpec(alphas=("1", "sqrt255")), 1)[1].ts) - 1 == DEFAULT_STEPS
+    assert len(orbit_data(EllipsoidSpec(alphas=("1", "sqrt255")), 1)[1].ts) - 1 == 2007
+
+
+SQUARE_FREE = [d for d in range(2, 301) if all(d % (k * k) for k in range(2, 18))]
+
+
+def random_frequency(rng):
+    """sqrt d, d square-free up to 300, or p/q in [1, 17]: every spread
+    stays within that of (1, sqrt300)."""
+    if rng.random() < 0.5:
+        return f"sqrt{rng.choice(SQUARE_FREE)}"
+    q = rng.randint(1, 9)
+    return f"{rng.randint(q, 17 * q)}/{q}"
+
+
+@pytest.mark.parametrize("mode, seed", [("quadratic", 11), ("convex", 12)])
+def test_oracle_base_index_matches_the_closed_form(mode, seed):
+    # i1 = n + 2 sum_{j != i} [alpha_j / alpha_i]: the orbit turns its own
+    # axis once and axis j by 2 pi alpha_j / alpha_i, on generated tuples
+    # of 1 to 5 frequencies; resonant tuples are refused and skipped.  On
+    # the first four orbits a grid of at least DEFAULT_STEPS steps gives
+    # the same count as the orbit's own, coarser one.
+    rng = random.Random(seed)
+    orbits = rebuilt = 0
+    while orbits < 200:
+        spec = EllipsoidSpec(alphas=tuple(random_frequency(rng) for _ in range(rng.randint(1, 5))),
+                             mode=mode)
+        try:
+            got = [orbit_data(spec, i) for i in range(1, spec.n + 1)]
+        except EllipsoidError as exc:
+            assert "resonant" in str(exc)
+            continue
+        for i, (data, path) in enumerate(got, 1):
+            want = spec.n + 2 * sum(spec.ratio(j, i - 1).mul_div_floor(1, 1)
+                                    for j in range(spec.n) if j != i - 1)
+            assert data.i1 == want, (spec.alphas, i)
+            assert len(path.ts) - 1 == orbit_steps(spec, i)
+            if rebuilt < 4:
+                freqs = [float(a) for a in spec.alphas]
+                dense = path_from_quadratic_hamiltonian(
+                    np.diag(freqs + freqs), path.tau, max(DEFAULT_STEPS, len(path.ts) - 1))
+                assert cz_index(dense, 1) == cz_index(path, 1), (spec.alphas, i)
+                rebuilt += 1
+        orbits += spec.n
 
 
 def test_mean_index_ratio_exact(spec12):
