@@ -10,7 +10,6 @@ from .scalars import (  # noqa: F401
     PrecisionError,
     Scalar,
     detect_rational,
-    floor_E_frac_phi,
     get_precision,
     parse_scalar,
     set_precision,
@@ -54,7 +53,6 @@ from .jump import (  # noqa: F401
     JumpSolution,
     JumpVector,
     build_jump_vector,
-    chi_of,
     compute_m,
     delta_k,
     mean_ratio_classify,

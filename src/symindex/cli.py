@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-import mpmath
 import numpy as np
 
 from .ellipsoid import EllipsoidError, EllipsoidSpec, PipelineParams, run_pipeline
@@ -56,6 +55,7 @@ from .oracle import (
 from .scalars import (
     PrecisionError,
     Scalar,
+    format_multiple,
     get_precision,
     parse_scalar,
     set_precision,
@@ -217,14 +217,6 @@ def _load_generator(obj):
         raise InputError(f"invalid generator file: {exc}") from exc
 
 
-def _mean_times_m(mi, m: int) -> str:
-    if mi.is_rational:
-        fr = mi.fraction * m
-        return f"{fr.numerator}/{fr.denominator}"
-    with mpmath.mp.workdps(get_precision()):
-        return mpmath.nstr(mi.mpf() * m, 30)
-
-
 # ----- subcommand handlers ----------------------------------------------------
 
 
@@ -234,7 +226,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     lines = ["m,i,nu,mean_index_times_m"]
     for m in range(1, args.m_max + 1):
         lines.append(f"{m},{index_iterate(data, m)},{nullity_iterate(data, m)},"
-                     f"{_mean_times_m(mi, m)}")
+                     f"{format_multiple(mi, m)}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -42,7 +42,7 @@ from .oracle import (
     path_from_matrix_function,
     path_from_quadratic_hamiltonian,
 )
-from .scalars import Scalar, detect_rational, parse_scalar, scalar_to_json
+from .scalars import Scalar, parse_scalar, retag, scalar_to_json
 
 __all__ = [
     "EllipsoidError",
@@ -98,15 +98,7 @@ class EllipsoidSpec:
     def ratio(self, j: int, i: int) -> Scalar:
         """alpha_j / alpha_i with the rationality tag re-derived, so exact
         rational dependencies between tagged-irrational inputs are caught."""
-        r = self.alphas[j] / self.alphas[i]
-        if r.is_rational:
-            return r
-        fr = detect_rational(r)
-        return Scalar.from_fraction(fr) if fr is not None else r
-
-    def non_resonant(self) -> bool:
-        return all(not self.ratio(j, i).is_rational
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        return retag(self.alphas[j] / self.alphas[i])
 
     def to_json(self) -> dict:
         return {"alphas": [scalar_to_json(a) for a in self.alphas], "mode": self.mode}

@@ -20,6 +20,7 @@ from .scalars import (
     get_precision,
     scalar_from_json,
     scalar_to_json,
+    tagged_equal,
 )
 
 __all__ = [
@@ -306,17 +307,6 @@ def _phi_half(x: Scalar, m: int) -> int:
     return 1
 
 
-def angles_equal(a: Scalar, b: Scalar) -> bool:
-    """Tag-respecting angle equality; within-tag irrational comparison uses
-    the storage precision (values constructed independently never collide)."""
-    if a.is_rational != b.is_rational:
-        return False
-    if a.is_rational:
-        return a.fraction == b.fraction
-    diff = abs(a - b)
-    return float(diff) < 1e-40
-
-
 # ----- splitting numbers (table rows summed by diamond additivity) -------
 
 
@@ -346,12 +336,12 @@ def splitting_numbers(decomp: NormalFormDecomposition, omega) -> SplittingPair:
     s_plus = 0
     s_minus = 0
     for th in decomp.thetas:
-        if angles_equal(omega, th):
+        if tagged_equal(omega, th):
             s_minus += 1          # (0,1) at the rotation eigenvalue itself
-        if angles_equal(omega, TWO - th):
+        if tagged_equal(omega, TWO - th):
             s_plus += 1           # conjugate eigenvalue: (1,0)
     for al in decomp.alphas:
-        if angles_equal(omega, al) or angles_equal(omega, TWO - al):
+        if tagged_equal(omega, al) or tagged_equal(omega, TWO - al):
             s_plus += 1           # nontrivial N2 contributes (1,1) on both
             s_minus += 1
     # trivial N2 blocks contribute (0,0); hyperbolic blocks never hit U
@@ -395,7 +385,7 @@ def unit_spectrum(decomp: NormalFormDecomposition):
     merged = []
     for ang, mult in entries:
         for i, (a0, m0) in enumerate(merged):
-            if angles_equal(ang, a0):
+            if tagged_equal(ang, a0):
                 merged[i] = (a0, m0 + mult)
                 break
         else:

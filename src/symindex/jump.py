@@ -23,7 +23,6 @@ from math import ceil, floor, lcm
 from typing import Optional
 
 import numpy as np
-from mpmath import mp
 
 from .iteration import (
     C_of_M,
@@ -43,6 +42,7 @@ from .scalars import (
     fixed_bits,
     get_precision,
     guard_tol,
+    retag,
     scalar_to_json,
 )
 
@@ -52,11 +52,9 @@ __all__ = [
     "JumpSolution",
     "SearchResult",
     "build_jump_vector",
-    "chi_of",
     "search_N",
     "compute_m",
     "delta_k",
-    "delta_upper_bound",
     "varrho",
     "theorem211_report",
     "mean_ratio_classify",
@@ -192,26 +190,12 @@ def build_jump_vector(paths, M: Optional[int] = None, M0: Optional[int] = None) 
     mu = tuple(C_of_M(d.decomp) for d in paths)
     coords = []
     for data in paths:
-        coords.append(_retag(path_record(data).inv_mean(M)))
+        coords.append(retag(path_record(data).inv_mean(M)))
     for data, mi in zip(paths, means):
         for ang in s_minus_angles(data.decomp):
-            coords.append(_retag(ang / mi))
+            coords.append(retag(ang / mi))
     return JumpVector(q=len(paths), mu=mu, coords=tuple(coords), M=M, M0=M0,
                       mean_indices=tuple(means))
-
-
-def _retag(s: Scalar) -> Scalar:
-    if s.is_rational:
-        return s
-    fr = detect_rational(s)
-    if fr is not None:
-        return Scalar.from_fraction(fr)
-    return s
-
-
-def chi_of(a) -> tuple:
-    """chi(a) componentwise: 0 for a_i >= 0, 1 for a_i < 0."""
-    return tuple(0 if float(x) >= 0 else 1 for x in a)
 
 
 # ----- stage 1: integer-scaled fractional-part filter -----------------------
@@ -352,14 +336,6 @@ def _delta_count(path_k: PathIndexData, m_k: int, delta: Fraction, dps: int) -> 
         elif _frac_below(ang, m_k, delta, dps):
             total += 1
     return total
-
-
-def delta_upper_bound(decomp) -> int:
-    """Upper estimate: Delta_k never exceeds the S^- weight of the
-    irrational angles, (r - r~) + 2 (r* - r~*)."""
-    r_irr = sum(1 for t in decomp.thetas if not t.is_rational)
-    rs_irr = sum(1 for a in decomp.alphas if not a.is_rational)
-    return r_irr + 2 * rs_irr
 
 
 def _condition_339a_340(path_k: PathIndexData, m_k: int, delta, dps: int) -> bool:
@@ -811,17 +787,13 @@ def theorem211_report(sol: JumpSolution, paths, n: int) -> Theorem211Report:
             problems.append(f"s={s}: ambiguous assignment {cands}")
         entries.append(entry)
 
-    # ordering of ([N/(M D)] + chi) M D = m_k ihat_k, strictly decreasing in s
-    ordering_ok = True
-    with mp.workdps(get_precision()):
-        prods = {k: sol.m[k] * mean_index(paths[k]).mpf() for _, k in assigned}
-        for (s1, k1), (s2, k2) in zip(assigned, assigned[1:]):
-            if not prods[k2] < prods[k1]:
-                ordering_ok = False
-    chi_ok = True
-    for (s1, k1), (s2, k2) in zip(assigned, assigned[1:]):
-        if not sol.chi[k2] <= sol.chi[k1]:
-            chi_ok = False
+    # ordering of ([N/(M D)] + chi) M D = m_k ihat_k, strictly decreasing in s;
+    # Scalar comparison is exact for rationals, at storage precision otherwise
+    prods = {k: sol.m[k] * mean_index(paths[k]) for _, k in assigned}
+    ordering_ok = all(prods[k2] < prods[k1]
+                      for (_, k1), (_, k2) in zip(assigned, assigned[1:]))
+    chi_ok = all(sol.chi[k2] <= sol.chi[k1]
+                 for (_, k1), (_, k2) in zip(assigned, assigned[1:]))
     return Theorem211Report(N=N, varrho_n=rho, entries=entries,
                             ordering_ok=ordering_ok, chi_monotone_ok=chi_ok,
                             problems=problems)

@@ -135,20 +135,6 @@ class BasicNormalForm:
     def half_dim(self) -> int:
         return 2 if self.kind == "N2" else 1
 
-    def sin_sign(self) -> int:
-        """Sign of sin(theta), decided from the tag (theta/pi < 1 or > 1)."""
-        if self.theta is None:
-            raise NormalFormError("no angle")
-        return 1 if self.theta < Scalar.rational(1) else -1
-
-    def is_trivial_n2(self) -> bool:
-        """Trivial iff (b_2 - b_3) sin(theta) > 0; defined only for N2."""
-        if self.kind != "N2":
-            raise NormalFormError("triviality is defined for N2 blocks only")
-        diff = self.b_block[0][1] - self.b_block[1][0]
-        val = (1 if diff > 0 else -1) * self.sin_sign()
-        return val > 0
-
 
 def _rotation_entries(theta: Scalar):
     """cos/sin of pi * (theta/pi); exactly 0.0 and +-1.0 at the quarter turns."""

@@ -5,7 +5,9 @@ so rationality must be tracked structurally, never inferred from numeric
 closeness.  A :class:`Scalar` is either an exact :class:`fractions.Fraction`
 or an irrational carrying an mpmath value stored with a generous number of
 digits (twice the working precision plus headroom, so that results can be
-re-verified at doubled precision later).
+re-verified at doubled precision later).  This is the only module that
+imports mpmath: re-tagging, equality, ordering and printing of irrationals
+all live here.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ from mpmath.libmp import to_fixed
 __all__ = [
     "PrecisionError",
     "Scalar",
-    "floor_E_frac_phi",
     "get_precision",
     "set_precision",
     "detect_rational",
     "fixed_bits",
+    "format_multiple",
     "guard_tol",
     "parse_scalar",
+    "retag",
     "scalar_to_json",
     "scalar_from_json",
+    "tagged_equal",
 ]
 
 # Working decimal digits for irrational arithmetic, never below 30; library
@@ -211,11 +215,6 @@ class Scalar:
             return Scalar(frac=-self._frac)
         return Scalar(mpf_value=-self._mpf)
 
-    def __abs__(self):
-        if self._frac is not None:
-            return Scalar(frac=abs(self._frac))
-        return Scalar(mpf_value=abs(self._mpf))
-
     # ----- comparisons ---------------------------------------------------
 
     def _cmp_value(self, other) -> int:
@@ -308,18 +307,6 @@ class Scalar:
     def floor(self) -> int:
         return self.mul_floor(1)
 
-    def ceil(self) -> int:
-        if self._frac is not None:
-            return -((-self._frac).numerator // self._frac.denominator)
-        return -(-self).floor()
-
-    def frac_part(self):
-        """{x} = x - [x]; Fraction for rationals, mpf otherwise."""
-        if self._frac is not None:
-            return self._frac - self.floor()
-        with mp.workdps(_storage_dps()):
-            return self.mpf(_storage_dps()) - self.floor()
-
 
 def guard_tol(F: int, m: int, d: int = 1) -> int:
     """Half-width of the guard band of a remainder of m * X modulo d * 2**F,
@@ -338,25 +325,14 @@ def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:
             "increase precision or fix the rationality tag")
 
 
-def floor_E_frac_phi(x):
-    """Return ([x], E(x), {x}, phi(x)) for the floor/ceiling function pair.
-
-    [x] is the greatest integer <= x, E(x) the least integer >= x,
-    {x} = x - [x], and phi(x) = E(x) - [x] (1 unless x is an integer).
-    Exact on int/Fraction/float inputs; guarded on irrational Scalars.
-    """
-    if isinstance(x, Scalar):
-        fl = x.floor()
-        ce = x.ceil()
-        return fl, ce, x.frac_part(), ce - fl
-    if isinstance(x, float):
-        x = Fraction(x)  # floats are exact binary rationals
-    if isinstance(x, (int, Fraction)):
-        fr = Fraction(x)
-        fl = fr.numerator // fr.denominator
-        ce = -((-fr).numerator // fr.denominator)
-        return fl, ce, fr - fl, ce - fl
-    raise TypeError(f"unsupported type {type(x).__name__}")
+def _storage_fixed(value: Scalar):
+    """(X, 2**F, 10**(S - 8)) for an irrational at S storage digits:
+    X = floor(value * 2**F), F = 16 + floor(3.33 * S), and the scale that
+    puts the precision floor 10**-(S - 8) on integers."""
+    dps = _storage_dps()
+    F = 16 + int(3.33 * dps)
+    # to_fixed, not _fixed: the cached working-precision pair stays
+    return int(to_fixed(value._mpf._mpf_, F)), 1 << F, 10 ** (dps - 8)
 
 
 def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
@@ -374,12 +350,7 @@ def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
     """
     if value.is_rational:
         return value.fraction
-    dps = _storage_dps()
-    F = 16 + int(3.33 * dps)
-    one = 1 << F
-    scale = 10 ** (dps - 8)
-    # to_fixed, not _fixed: the cached working-precision pair stays
-    X = int(to_fixed(value._mpf._mpf_, F))
+    X, one, scale = _storage_fixed(value)
     num, den = X, one
     p0, q0, p1, q1 = 0, 1, 1, 0
     while den:
@@ -392,6 +363,38 @@ def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
             return Fraction(p1, q1)
         num, den = den, r
     return None
+
+
+def retag(s: Scalar) -> Scalar:
+    """s with its rationality tag re-derived: an irrational-tagged value that
+    detect_rational finds equal to some p/q comes back rational."""
+    fr = None if s.is_rational else detect_rational(s)
+    return s if fr is None else Scalar.from_fraction(fr)
+
+
+def tagged_equal(a: Scalar, b: Scalar) -> bool:
+    """Tag-respecting equality: a rational never equals an irrational, two
+    rationals compare exactly, and two irrationals are equal when their X
+    (as in detect_rational) lie within the precision floor of each other,
+    decided in integers as |X_a - X_b| 10**(storage digits - 8) < 2**F.
+    So x, 2 - (2 - x) and (7 x) / 7 are equal, and values that differ
+    above the floor are not."""
+    if a.is_rational != b.is_rational:
+        return False
+    if a.is_rational:
+        return a.fraction == b.fraction
+    Xa, one, scale = _storage_fixed(a)
+    return abs(Xa - _storage_fixed(b)[0]) * scale < one
+
+
+def format_multiple(x: Scalar, m: int) -> str:
+    """m * x as text: p/q for a rational, 30 significant digits of the
+    product at working precision for an irrational."""
+    if x.is_rational:
+        fr = x.fraction * m
+        return f"{fr.numerator}/{fr.denominator}"
+    with mp.workdps(get_precision()):
+        return mpmath.nstr(x.mpf() * m, 30)
 
 
 _SQRT_RE = re.compile(r"^sqrt\(?(\d+)\)?$")

@@ -39,9 +39,9 @@ __all__ = ["random_angle", "random_decomposition", "realize_path", "run_all", "S
 _SQRT_BASES = (2, 3, 5, 7)
 
 
-def random_angle(rng: random.Random, allow_irrational: bool = True) -> Scalar:
+def random_angle(rng: random.Random) -> Scalar:
     """An angle theta/pi in (0,2) minus {1}, rational or sqrt-based irrational."""
-    if allow_irrational and rng.random() < 0.4:
+    if rng.random() < 0.4:
         base = Scalar.sqrt(rng.choice(_SQRT_BASES))
         num = rng.randint(1, 24)
         den = rng.randint(13, 40)
@@ -49,7 +49,7 @@ def random_angle(rng: random.Random, allow_irrational: bool = True) -> Scalar:
         # reduce into (0, 2); sqrt-based values never hit 1 exactly
         x = x - 2 * x.mul_div_floor(1, 2)
         if not (Scalar.rational(0) < x < Scalar.rational(2)):
-            return random_angle(rng, allow_irrational)
+            return random_angle(rng)
         return x
     while True:
         den = rng.randint(2, 12)
@@ -59,8 +59,7 @@ def random_angle(rng: random.Random, allow_irrational: bool = True) -> Scalar:
             return Scalar.from_fraction(fr)
 
 
-def random_decomposition(rng: random.Random, n_max: int = 5,
-                         allow_irrational: bool = True) -> NormalFormDecomposition:
+def random_decomposition(rng: random.Random, n_max: int = 5) -> NormalFormDecomposition:
     n = rng.randint(1, n_max)
     counts = {"p_minus": 0, "p_zero": 0, "p_plus": 0,
               "q_minus": 0, "q_zero": 0, "q_plus": 0, "k": 0}
@@ -73,11 +72,11 @@ def random_decomposition(rng: random.Random, n_max: int = 5,
         if cost > remaining:
             continue
         if slot == "r":
-            thetas.append(random_angle(rng, allow_irrational))
+            thetas.append(random_angle(rng))
         elif slot == "r_star":
-            alphas.append(random_angle(rng, allow_irrational))
+            alphas.append(random_angle(rng))
         elif slot == "r_zero":
-            betas.append(random_angle(rng, allow_irrational))
+            betas.append(random_angle(rng))
         else:
             counts[slot] += 1
         remaining -= cost

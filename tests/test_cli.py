@@ -416,6 +416,30 @@ def test_ellipsoid_golden_bytes(capsys):
     assert digest == "cb0139b2d1492cae52862d25291507032e39bf453f97b876100033122d1facc3"
 
 
+def test_iterate_golden_bytes(tmp_path, capsys):
+    # sqrt2 - 1 with an N1(1, 1) block: the irrational mean_index_times_m
+    # column is printed to 30 digits; the stdout digest was recorded at
+    # commit 1571534
+    data = PathIndexData(NormalFormDecomposition(
+        n=2, p_minus=1, thetas=(Scalar.sqrt(2) - 1,)), i1=3)
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(data.to_json()))
+    assert main(["iterate", "--data", str(f), "--m-max", "500"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b1cc06685bed6bf47ccc38c676cc8f7730619c9939e5468a9462176ee8d3865e"
+
+
+def test_splitting_keeps_irrationals_apart_below_a_float_tolerance(tmp_path, capsys):
+    # the two angles differ by 1e-47: distinct eigenvalues, one row each
+    thetas = [{"irrational": "0.3" + "0" * 45 + d} for d in "12"]
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps({"n": 2, "i1": 2, "thetas": thetas}))
+    assert main(["splitting", "--data", str(f)]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["spectrum"]
+    assert [(r["multiplicity"], r["s_plus"], r["s_minus"]) for r in rows] == \
+        [(1, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 0)]
+
+
 @pytest.mark.parametrize("command", ["iterate", "jump-search"])
 @pytest.mark.parametrize("text, pq", [("0.5", "1/2"), ("0." + "6" * 119 + "7", "2/3")])
 def test_an_irrational_tag_on_a_rational_exits_1(tmp_path, capsys, command, text, pq):

@@ -42,12 +42,10 @@ from symindex.jump import (
     _scaled_coord,
     _stage1,
     build_jump_vector,
-    chi_of,
     compute_m,
     default_delta,
     default_eps,
     delta_k,
-    delta_upper_bound,
     mean_ratio_classify,
     s_minus_angles,
     search_N,
@@ -114,24 +112,6 @@ def test_s_minus_angle_enumeration():
     assert len(angs) == 5  # = C(M)
 
 
-# ----- chi -------------------------------------------------------------------
-
-def test_chi_of_examples():
-    assert chi_of([0.1, -0.1]) == (0, 1)
-    assert chi_of([0.0, 0.0]) == (0, 0)
-
-
-def test_chi_of_antisymmetry():
-    a = [0.3, -0.2, 0.0, 1.5]
-    ca = chi_of(a)
-    cn = chi_of([-x for x in a])
-    for x, b1, b2 in zip(a, ca, cn):
-        if x != 0:
-            assert b1 + b2 == 1
-        else:
-            assert b1 == b2 == 0
-
-
 # ----- m and Delta -----------------------------------------------------------
 
 def test_compute_m_examples():
@@ -155,14 +135,6 @@ def test_delta_k_rational_angle_on_integer_contributes_zero():
     data = rot_data(HALF, i1=3)
     # m even makes m * (1/2) an integer; {x} = 0 is excluded by strictness
     assert delta_k(data, 4, Fraction(1, 8)) == 0
-
-
-def test_delta_upper_bound(golden_search):
-    data, v, delta, eps, res = golden_search
-    bound = delta_upper_bound(data.decomp)
-    assert bound == 1
-    for sol in res.solutions[:80]:
-        assert sol.delta[0] <= bound
 
 
 # ----- search ----------------------------------------------------------------

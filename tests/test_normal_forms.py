@@ -137,12 +137,14 @@ def test_nu_omega_additive_over_diamond():
 
 
 def test_n2_triviality_classification():
-    th_low = Scalar.rational(2, 5)    # sin > 0
-    th_high = Scalar.rational(8, 5)   # sin < 0
-    assert not nontrivial_n2_block(th_low).is_trivial_n2()
-    assert trivial_n2_block(th_low).is_trivial_n2()
-    assert not nontrivial_n2_block(th_high).is_trivial_n2()
-    assert trivial_n2_block(th_high).is_trivial_n2()
+    # N2(omega, b) is trivial iff (b_2 - b_3) sin(theta) > 0
+    def sign_rule(form):
+        (_, b2), (b3, _) = form.b_block
+        return (b2 - b3) * math.sin(math.pi * float(form.theta))
+
+    for th in (Scalar.rational(2, 5), Scalar.rational(8, 5)):   # sin > 0, sin < 0
+        assert sign_rule(nontrivial_n2_block(th)) < 0
+        assert sign_rule(trivial_n2_block(th)) > 0
 
 
 def test_n2_equal_off_diagonal_rejected():

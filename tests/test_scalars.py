@@ -11,38 +11,13 @@ from symindex.scalars import (
     Scalar,
     _storage_dps,
     detect_rational,
-    floor_E_frac_phi,
     get_precision,
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
     set_precision,
+    tagged_equal,
 )
-
-
-def test_floor_E_frac_phi_integer():
-    assert floor_E_frac_phi(1) == (1, 1, 0, 0)
-
-
-def test_floor_E_frac_phi_five_fourths():
-    assert floor_E_frac_phi(Fraction(5, 4)) == (1, 2, Fraction(1, 4), 1)
-
-
-def test_floor_E_frac_phi_negative_half():
-    fl, ce, fr, phi = floor_E_frac_phi(-0.5)
-    assert (fl, ce, phi) == (-1, 0, 1)
-    assert fr == Fraction(1, 2)
-
-
-@given(st.fractions(max_denominator=10 ** 6))
-@settings(max_examples=300, derandomize=True)
-def test_floor_E_frac_phi_rational_consistency(x):
-    fl, ce, fr, phi = floor_E_frac_phi(x)
-    assert fl <= x <= ce
-    assert ce - fl == phi
-    assert phi in (0, 1)
-    assert fr == x - fl
-    assert (phi == 0) == (x.denominator == 1)
 
 
 def test_floor_on_irrational_scalar():
@@ -194,7 +169,7 @@ def test_json_round_trip():
     s = Scalar.sqrt(3)
     back = scalar_from_json(scalar_to_json(s))
     assert not back.is_rational
-    assert float(abs(s - back)) < 1e-90
+    assert abs(float(s - back)) < 1e-90
 
 
 def test_precision_bounds():
@@ -206,3 +181,21 @@ def test_precision_bounds():
         assert get_precision() == 60
     finally:
         set_precision(old)
+
+
+def test_tagged_equal_survives_rounding_and_separates_neighbours():
+    # sqrt(k) mod 2 for the 114 non-square k in 2..125
+    angles = []
+    for k in range(2, 126):
+        if math.isqrt(k) ** 2 != k:
+            x = Scalar.sqrt(k)
+            angles.append(x - 2 * x.mul_div_floor(1, 2))
+    assert len(angles) == 114
+    for x in angles:
+        assert tagged_equal(x, 2 - (2 - x))
+        assert tagged_equal(x, (7 * x) / 7)
+        assert not tagged_equal(x, x + Fraction(1, 10 ** (_storage_dps() - 10)))
+    for x, y in zip(angles, angles[1:]):
+        assert not tagged_equal(x, y)
+    assert tagged_equal(Scalar.rational(1, 3), Scalar.rational(2, 6))
+    assert not tagged_equal(Scalar.rational(1, 2), Scalar.irrational("0.5"))
