@@ -58,6 +58,7 @@ from .scalars import (
     format_multiple,
     get_precision,
     parse_scalar,
+    scalar_to_json,
     set_precision,
 )
 from . import selftest as selftest_mod
@@ -247,7 +248,7 @@ def _cmd_splitting(args: argparse.Namespace) -> int:
                 label = "1"
             else:
                 pair = splitting_numbers(d, ang)
-                label = f"{ang.fraction}" if ang.is_rational else repr(float(ang))
+                label = f"{ang.fraction}" if ang.is_rational else scalar_to_json(ang)["irrational"]
             table.append({"angle_over_pi": label, "multiplicity": mult,
                           "s_plus": pair.s_plus, "s_minus": pair.s_minus})
         out["spectrum"] = table

@@ -20,7 +20,6 @@ from .scalars import (
     get_precision,
     scalar_from_json,
     scalar_to_json,
-    tagged_equal,
 )
 
 __all__ = [
@@ -336,12 +335,12 @@ def splitting_numbers(decomp: NormalFormDecomposition, omega) -> SplittingPair:
     s_plus = 0
     s_minus = 0
     for th in decomp.thetas:
-        if tagged_equal(omega, th):
+        if omega == th:
             s_minus += 1          # (0,1) at the rotation eigenvalue itself
-        if tagged_equal(omega, TWO - th):
+        if omega == TWO - th:
             s_plus += 1           # conjugate eigenvalue: (1,0)
     for al in decomp.alphas:
-        if tagged_equal(omega, al) or tagged_equal(omega, TWO - al):
+        if omega == al or omega == TWO - al:
             s_plus += 1           # nontrivial N2 contributes (1,1) on both
             s_minus += 1
     # trivial N2 blocks contribute (0,0); hyperbolic blocks never hit U
@@ -385,7 +384,7 @@ def unit_spectrum(decomp: NormalFormDecomposition):
     merged = []
     for ang, mult in entries:
         for i, (a0, m0) in enumerate(merged):
-            if tagged_equal(ang, a0):
+            if ang == a0:
                 merged[i] = (a0, m0 + mult)
                 break
         else:

@@ -283,10 +283,10 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close_int, explicit
 #
 # Every decision below is made on integers or Fractions.  An irrational x is
 # read as X = floor(x 2**F), F = fixed_bits(dps); then (m X) mod 2**F is within
-# |m| of {m x} 2**F, and the guard band of Scalar.mul_frac keeps it away from
-# the wrap-around.  A comparison that lands within its slack of the boundary
-# is repeated at 2 * dps digits from the stored value; only an ambiguity that
-# survives that raises PrecisionError.
+# |m| + 1 of {m x} 2**F (the storage error is far below a unit, see scalars),
+# and the guard band of Scalar.mul_frac keeps it away from the wrap-around.  A
+# comparison that lands within its slack of the boundary raises
+# PrecisionError, as a floor inside the guard band does.
 
 
 def compute_m(N: int, path_k: PathIndexData, chi_k: int, M: int) -> int:
@@ -305,13 +305,12 @@ def _frac_below(x: Scalar, m: int, delta: Fraction, dps: int) -> bool:
     """{m x} < delta for an irrational x, with slack |m| + 2 (units of 2**-F)."""
     num, den = delta.numerator, delta.denominator
     slack = (abs(m) + 2) * den
-    for digits in (dps, 2 * dps):
-        r, F = x.mul_frac(m, fixed_bits(digits))
-        gap = r * den - (num << F)
-        if gap < -slack:
-            return True
-        if gap > slack:
-            return False
+    r, F = x.mul_frac(m, fixed_bits(dps))
+    gap = r * den - (num << F)
+    if gap < -slack:
+        return True
+    if gap > slack:
+        return False
     raise PrecisionError(f"{{{m} * {x!r}}} is within {abs(m) + 2} * 2**-{F} of {delta}")
 
 
@@ -358,7 +357,8 @@ def _residual(v: JumpVector, N: int, bits, dps: int):
     Returns (worst, slack, F), F = fixed_bits(dps): the distance times 2**F
     lies within slack of worst.  Rational coordinates are exact (Fractions).
     Each irrational one is read once as r = (N X) mod 2**F, X as in
-    Scalar._fixed, which is within N of {N x} 2**F, so slack is N when there
+    Scalar._fixed, which is within N of {N x} 2**F for the stored x (the
+    storage error adds N |x| 2**(F - F_s) units), so slack is N when there
     is one.  r is checked here against the guard band of Scalar.mul_frac
     (guard_tol), and an r inside it raises mul_frac's PrecisionError.
     """
@@ -396,16 +396,13 @@ def _closer_than(worst, slack: int, F: int, eps: Fraction):
 
 def _band_residual(v: JumpVector, N: int, packed: int, eps: Fraction, dps: int):
     """The residual of N at the vertex of the packed bits when its distance
-    is below eps, else None: decided by _residual at dps digits, or at 2 dps
-    when eps lies within the slack at dps; PrecisionError when it does at
-    2 dps too."""
-    bits = tuple((packed >> i) & 1 for i in range(v.h))
-    for digits in (dps, 2 * dps):
-        worst, slack, F = _residual(v, N, bits, digits)
-        close = _closer_than(worst, slack, F, eps)
-        if close is not None:
-            return float(worst / (1 << F)) if close else None
-    raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+    is below eps, else None: decided by _residual at dps digits;
+    PrecisionError when eps lies within its slack."""
+    worst, slack, F = _residual(v, N, tuple((packed >> i) & 1 for i in range(v.h)), dps)
+    close = _closer_than(worst, slack, F, eps)
+    if close is None:
+        raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+    return float(worst / (1 << F)) if close else None
 
 
 def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, dps: int):

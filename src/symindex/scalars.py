@@ -3,11 +3,14 @@
 The iteration formulas are discontinuous at integer values of m*theta/pi,
 so rationality must be tracked structurally, never inferred from numeric
 closeness.  A :class:`Scalar` is either an exact :class:`fractions.Fraction`
-or an irrational carrying an mpmath value stored with a generous number of
-digits (twice the working precision plus headroom, so that results can be
-re-verified at doubled precision later).  This is the only module that
-imports mpmath: re-tagging, equality, ordering and printing of irrationals
-all live here.
+or an irrational: an mpmath value stored at the S = 2D + 15 digits that
+scalar_to_json prints, D the working precision, which is F_s = 385 bits at
+D = 50.  It is read once, as X_s = floor(x 2**F_s).  Floors, rationality,
+equality, order and hash read shifts of X_s; a read past F_s raises
+PrecisionError.  The working read X at F = fixed_bits(D) = 315 bits is
+within a unit 2**-F of the stored value, which is within about |x| 2**-F_s
+of the true one, so (m X) mod 2**F lies within |m| + 1 of {m x} 2**F while
+|m x| < 2**70.  This is the only module that imports mpmath.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, to_fixed
 
 __all__ = [
     "PrecisionError",
@@ -34,7 +37,6 @@ __all__ = [
     "retag",
     "scalar_to_json",
     "scalar_from_json",
-    "tagged_equal",
 ]
 
 # Working decimal digits for irrational arithmetic, never below 30; library
@@ -74,7 +76,8 @@ def fixed_bits(dps: int) -> int:
 
 
 def _storage_dps() -> int:
-    # irrationals are stored with headroom for doubled-precision re-checks
+    # irrationals are stored at the 2D + 15 digits scalar_to_json prints,
+    # 70 bits past the working read's fixed_bits(D) at D = 50
     return 2 * get_precision() + 15
 
 
@@ -89,19 +92,22 @@ class Scalar:
     Exactly one of ``_frac`` (a Fraction) and ``_mpf`` (an mpmath float) is
     set.  Arithmetic keeps the rational tag when both operands are rational
     and otherwise produces an irrational-tagged result computed at storage
-    precision.  Floors of irrationals go through an exact fixed-point cache
-    with a guard band, so a single Scalar can be swept over large iterate
-    ranges cheaply.
+    precision, whose F_s (``_bits``) is the least of the storage bits and of
+    its operands'.  The integer read X_s is cached (``_Xs``), so a single
+    Scalar can be swept over large iterate ranges cheaply.
     """
 
-    __slots__ = ("_frac", "_mpf", "_fixed_cache")
+    __slots__ = ("_frac", "_mpf", "_bits", "_Xs")
 
-    def __init__(self, frac=None, mpf_value=None):
+    def __init__(self, frac=None, mpf_value=None, bits=None):
         if (frac is None) == (mpf_value is None):
             raise ValueError("exactly one of frac/mpf_value must be given")
         self._frac = frac
         self._mpf = mpf_value
-        self._fixed_cache = None
+        if mpf_value is not None and bits is None:
+            bits = dps_to_prec(_storage_dps())
+        self._bits = bits
+        self._Xs = None
 
     # ----- constructors -------------------------------------------------
 
@@ -185,8 +191,9 @@ class Scalar:
         if self._frac is not None and other._frac is not None:
             return Scalar(frac=op(self._frac, other._frac))
         dps = _storage_dps()
+        bits = min([dps_to_prec(dps)] + [s._bits for s in (self, other) if s._frac is None])
         with mp.workdps(dps):
-            return Scalar(mpf_value=op(self.mpf(dps), other.mpf(dps)))
+            return Scalar(mpf_value=op(self.mpf(dps), other.mpf(dps)), bits=bits)
 
     def __add__(self, other):
         return self._binop(other, lambda a, b: a + b)
@@ -213,18 +220,24 @@ class Scalar:
     def __neg__(self):
         if self._frac is not None:
             return Scalar(frac=-self._frac)
-        return Scalar(mpf_value=-self._mpf)
+        return 0 - self   # at storage precision, not mpmath's 53-bit default
 
     # ----- comparisons ---------------------------------------------------
 
     def _cmp_value(self, other) -> int:
+        """Sign of self - other: exact for two rationals, else read in
+        integers at the fewer F_s of the irrationals, and 0 when the
+        difference lies within the precision floor 10**-(S - 8)."""
         other = self._coerce(other)
         if self._frac is not None and other._frac is not None:
             a, b = self._frac, other._frac
-        else:
-            dps = _storage_dps()
-            a, b = self.mpf(dps), other.mpf(dps)
-        return (a > b) - (a < b)
+            return (a > b) - (a < b)
+        # each side as n / (q 2**F): X at F bits over 1, or p 2**F over q
+        F = min(s._bits for s in (self, other) if s._frac is None)
+        (a, qa), (b, qb) = [(s._fixed(F)[0], 1) if s._frac is None else
+                            (s._frac.numerator << F, s._frac.denominator) for s in (self, other)]
+        d = a * qb - b * qa
+        return 0 if abs(d) * 10 ** (_storage_dps() - 8) < (qa * qb) << F else (d > 0) - (d < 0)
 
     def __lt__(self, other):
         return self._cmp_value(other) < 0
@@ -239,36 +252,35 @@ class Scalar:
         return self._cmp_value(other) >= 0
 
     def __eq__(self, other):
-        """Equality dispatches on the tag: a rational never equals an irrational."""
+        """Equality dispatches on the tag: a rational never equals an
+        irrational, two rationals compare exactly, and two irrationals are
+        equal when _cmp_value reads 0, so x, 2 - (2 - x) and (7 x) / 7 are
+        equal and values that differ above the floor are not."""
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        if self.is_rational != other.is_rational:
-            return False
-        if self.is_rational:
-            return self._frac == other._frac
-        return self._mpf == other._mpf
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+        return self.is_rational == other.is_rational and self._cmp_value(other) == 0
 
     def __hash__(self):
-        if self._frac is not None:
-            return hash(self._frac)
-        return hash(self._mpf)
+        # irrational equality is a tolerance, which only a constant hash
+        # respects; no caller keys a dict by an irrational
+        return hash(self._frac) if self._frac is not None else 0
 
     # ----- floors with guard band ---------------------------------------
 
     def _fixed(self, bits: int | None = None):
-        """(X, F) with X = floor(value * 2**F), exact from the stored mpf.
-
-        F defaults to fixed_bits(get_precision()); the last pair is cached."""
+        """(X, F) with X = floor(value * 2**F) of the stored value: X_s
+        shifted right by F_s - F.  F defaults to fixed_bits(get_precision());
+        a read at F > F_s raises PrecisionError."""
         F = fixed_bits(get_precision()) if bits is None else bits
-        cache = self._fixed_cache
-        if cache is None or cache[1] != F:
-            cache = self._fixed_cache = (int(to_fixed(self._mpf._mpf_, F)), F)
-        return cache
+        shift = self._bits - F
+        if shift < 0:
+            raise PrecisionError(f"{self!r} was stored with {self._bits} fraction bits, "
+                                 f"too few for a read at {F}; make it at a higher precision")
+        X = self._Xs
+        if X is None:
+            X = self._Xs = int(to_fixed(self._mpf._mpf_, self._bits))
+        return X >> shift, F
 
     def mul_frac(self, m: int, bits: int | None = None):
         """(r, F) with r = (m X) mod 2**F for an irrational, X as in _fixed.
@@ -325,32 +337,23 @@ def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:
             "increase precision or fix the rationality tag")
 
 
-def _storage_fixed(value: Scalar):
-    """(X, 2**F, 10**(S - 8)) for an irrational at S storage digits:
-    X = floor(value * 2**F), F = 16 + floor(3.33 * S), and the scale that
-    puts the precision floor 10**-(S - 8) on integers."""
-    dps = _storage_dps()
-    F = 16 + int(3.33 * dps)
-    # to_fixed, not _fixed: the cached working-precision pair stays
-    return int(to_fixed(value._mpf._mpf_, F)), 1 << F, 10 ** (dps - 8)
-
-
 def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
     """Detect a rational p/q hiding in an irrational-tagged Scalar.
 
-    Runs the continued fraction of X / 2**F, X = floor(value * 2**F) and
-    F = 16 + floor(3.33 * storage digits), in integers, and accepts the first
-    convergent p/q with q <= max_denominator and |X/2**F - p/q| below the
-    precision floor 10**-(storage digits - 8), decided exactly as
-    |X q - p 2**F| 10**(storage digits - 8) < 2**F q.  X/2**F is within
-    2**-F (about 1e-13 of the floor) of the value.  Returns a Fraction or
-    None; a rational-tagged Scalar returns its fraction.  A genuine quadratic
+    Runs the continued fraction of X_s / 2**F_s, the storage read of
+    Scalar._fixed, in integers, and accepts the first convergent p/q with
+    q <= max_denominator and |X_s/2**F_s - p/q| below the precision floor
+    10**-(storage digits - 8), decided exactly as
+    |X_s q - p 2**F_s| 10**(storage digits - 8) < 2**F_s q.  X_s/2**F_s is
+    within 2**-F_s (about 1e-9 of the floor) of the value.  Returns a
+    Fraction or None; a rational-tagged Scalar returns its fraction.  A genuine quadratic
     irrational at 50+ digit storage never false-positives: its best
     approximations with q <= 1e6 miss by ~1e-13, far above the floor.
     """
     if value.is_rational:
         return value.fraction
-    X, one, scale = _storage_fixed(value)
+    X, F = value._fixed(value._bits)
+    one, scale = 1 << F, 10 ** (_storage_dps() - 8)
     num, den = X, one
     p0, q0, p1, q1 = 0, 1, 1, 0
     while den:
@@ -370,21 +373,6 @@ def retag(s: Scalar) -> Scalar:
     detect_rational finds equal to some p/q comes back rational."""
     fr = None if s.is_rational else detect_rational(s)
     return s if fr is None else Scalar.from_fraction(fr)
-
-
-def tagged_equal(a: Scalar, b: Scalar) -> bool:
-    """Tag-respecting equality: a rational never equals an irrational, two
-    rationals compare exactly, and two irrationals are equal when their X
-    (as in detect_rational) lie within the precision floor of each other,
-    decided in integers as |X_a - X_b| 10**(storage digits - 8) < 2**F.
-    So x, 2 - (2 - x) and (7 x) / 7 are equal, and values that differ
-    above the floor are not."""
-    if a.is_rational != b.is_rational:
-        return False
-    if a.is_rational:
-        return a.fraction == b.fraction
-    Xa, one, scale = _storage_fixed(a)
-    return abs(Xa - _storage_fixed(b)[0]) * scale < one
 
 
 def format_multiple(x: Scalar, m: int) -> str:

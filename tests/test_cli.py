@@ -440,6 +440,18 @@ def test_splitting_keeps_irrationals_apart_below_a_float_tolerance(tmp_path, cap
         [(1, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 0)]
 
 
+def test_splitting_labels_irrational_rows_with_their_stored_digits(tmp_path, capsys):
+    # the two angles of the test above and their conjugates agree to a
+    # double's 17 digits; each row's label is the decimal of scalar_to_json
+    thetas = [{"irrational": "0.3" + "0" * 45 + d} for d in "12"]
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps({"n": 2, "i1": 2, "thetas": thetas}))
+    assert main(["splitting", "--data", str(f)]) == EXIT_OK
+    labels = [r["angle_over_pi"] for r in json.loads(capsys.readouterr().out)["spectrum"]]
+    assert labels[:2] == [t["irrational"] for t in thetas]
+    assert len(set(labels)) == 4 and all(label.startswith("1.69999") for label in labels[2:])
+
+
 @pytest.mark.parametrize("command", ["iterate", "jump-search"])
 @pytest.mark.parametrize("text, pq", [("0.5", "1/2"), ("0." + "6" * 119 + "7", "2/3")])
 def test_an_irrational_tag_on_a_rational_exits_1(tmp_path, capsys, command, text, pq):

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -461,19 +462,45 @@ def test_closeness_gate_next_to_eps(data, N, k, side):
     assert _closer_than(worst, slack, F, Fraction(eps)) == (ref < eps)
 
 
-def test_angle_gate_inside_slack_falls_back_or_raises():
+def test_angle_gate_inside_slack_raises():
     x = Scalar.sqrt(3) * Fraction(1, 2)
     data = rot_data(x, i1=1)
     for m in (7, 12345, 987654):
         r, F = x.mul_frac(m)
         t = exact_frac(x, m)
-        # delta at r 2**-F is inside the slack at F bits; the 2 * dps
-        # recomputation decides it exactly against the stored value
-        delta = Fraction(r, 1 << F)
-        assert delta_k(data, m, delta) == (t < delta)
-        # delta equal to the stored {m x} stays ambiguous at 2 * dps as well
-        with pytest.raises(PrecisionError):
-            delta_k(data, m, t)
+        # delta at r 2**-F, or equal to the stored {m x}, is inside the
+        # slack |m| + 2 of the working read: the gate cannot decide it
+        for delta in (Fraction(r, 1 << F), t):
+            with pytest.raises(PrecisionError, match=f"within {m + 2} \\* 2\\*\\*-{F} of"):
+                delta_k(data, m, delta)
+        # one unit past the slack on either side it decides, as the stored
+        # value does
+        above, below = Fraction(r + m + 3, 1 << F), Fraction(r - m - 3, 1 << F)
+        assert t < above and t > below
+        assert delta_k(data, m, above) == 1 and delta_k(data, m, below) == 0
+
+
+def true_frac_sqrt3_half(m, bits=2000):
+    """{m sqrt(3)/2} of the true value, as an interval of width 2**-bits:
+    floor(m sqrt(3) 2**bits / 2) from math.isqrt."""
+    lo = math.isqrt(3 * m * m << (2 * bits)) >> 1
+    return Fraction(lo, 1 << bits) % 1, Fraction(lo + 1, 1 << bits) % 1
+
+
+@pytest.mark.parametrize("m", [7, 12345, 987654])
+def test_delta_between_the_stored_and_the_true_frac_raises(m):
+    # the stored sqrt(3)/2 has 385 bits; delta halfway between its {m x}
+    # and the true one lies between the two, so a re-read of the stored
+    # value at more bits would decide for the stored value and give the
+    # wrong Delta_k: the gate must refuse
+    x = Scalar.sqrt(3) * Fraction(1, 2)
+    data = rot_data(x, i1=1)
+    lo, hi = true_frac_sqrt3_half(m)
+    stored = exact_frac(x, m)
+    assert not lo <= stored < hi
+    delta = (stored + lo) / 2
+    with pytest.raises(PrecisionError):
+        delta_k(data, m, delta)
 
 
 def test_closeness_gate_slack_boundaries():
@@ -672,15 +699,22 @@ def test_jump_search_json_identical_across_workers(sqrt2_pair_paths, tmp_path):
 
 def ref_closeness(v, N, bits, eps, dps):
     """The former closeness gate: (close, residual) from _residual at dps
-    digits, or at 2 dps when eps lies within the slack at dps."""
+    digits; PrecisionError when eps lies within its slack."""
     worst, slack, F = _residual(v, N, bits, dps)
     close = _closer_than(worst, slack, F, eps)
     if close is None:  # eps lies within the truncation slack
-        worst, slack, F = _residual(v, N, bits, 2 * dps)
-        close = _closer_than(worst, slack, F, eps)
-        if close is None:
-            raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+        raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
     return close, float(worst / (1 << F))
+
+
+def stored_residual(v, N, bits):
+    """The max-norm distance of {N v} from the vertex bits on the stored
+    values, exactly: each irrational is a dyadic rational."""
+    worst = 0
+    for c, b in zip(v.coords, bits):
+        f = exact_frac(c, N)
+        worst = max(worst, 1 - f if b else f)
+    return worst
 
 
 def ref_certify(v, candidates, paths, eps, delta):
@@ -840,20 +874,22 @@ def raised_or(fn):
 @st.composite
 def stage1_cases(draw):
     """A jump vector, N_max, chi auto or explicit, and eps loose, equal to
-    the residual of one N at dps or at 2 dps digits, or within a few N_max
-    units of 2**-F of it."""
+    the residual of one N at dps digits or on the stored values, or within
+    a few N_max units of 2**-F of it."""
     data = draw(path_data())
     v = build_jump_vector([data], M=draw(st.integers(1, 6)))
     N_max = draw(st.integers(v.M0, 2000))
     N = v.M0 * draw(st.integers(1, N_max // v.M0))
     bits = tuple(int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords)   # nearest vertex
     explicit = draw(st.sampled_from((None, bits, tuple(1 - b for b in bits))))
-    kind = draw(st.sampled_from(("loose", "at dps", "at 2 dps", "next to")))
+    kind = draw(st.sampled_from(("loose", "at dps", "stored", "next to")))
     dps = get_precision()
     if kind == "loose":
         eps = Fraction(draw(st.integers(1, 2 ** 10 - 1)), 2 ** 13)
+    elif kind == "stored":
+        eps = stored_residual(v, N, bits)
     else:
-        worst, _, F = _residual(v, N, bits, 2 * dps if kind == "at 2 dps" else dps)
+        worst, _, F = _residual(v, N, bits, dps)
         eps = Fraction(worst) / (1 << F)
         if kind == "next to":
             eps += Fraction(draw(st.integers(-3 * N_max, 3 * N_max)), 1 << F)
@@ -946,7 +982,8 @@ def test_out_of_range_constants_take_the_exact_gates(paths, M):
 
 def test_precision_error_from_the_exact_fallback():
     # delta equal to the stored {m x} of a certified N: the angle gate is
-    # undecided on the top bits and at 2 * dps, so both loops raise
+    # undecided on the top bits and inside its slack at dps, so both loops
+    # raise
     data = rot_data(PHI)
     v = build_jump_vector([data])
     delta = default_delta([data])

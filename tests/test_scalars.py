@@ -11,12 +11,12 @@ from symindex.scalars import (
     Scalar,
     _storage_dps,
     detect_rational,
+    fixed_bits,
     get_precision,
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
     set_precision,
-    tagged_equal,
 )
 
 
@@ -134,10 +134,14 @@ def test_detect_rational_on_quadratic_irrationals(d):
 
 
 def test_detect_rational_keeps_the_cached_fixed_pair():
+    # detect_rational reads the cached storage read X_s, and the working
+    # pair is a shift of that same integer
     x = Scalar.sqrt(2)
     pair = x._fixed()
+    Xs = x._Xs
     assert detect_rational(x) is None
-    assert x._fixed_cache is pair
+    assert x._Xs is Xs and x._fixed() == pair
+    assert pair == (Xs >> (x._bits - pair[1]), fixed_bits(get_precision()))
 
 
 def test_scalar_from_json_refuses_an_irrational_tag_on_a_rational():
@@ -183,8 +187,9 @@ def test_precision_bounds():
         set_precision(old)
 
 
-def test_tagged_equal_survives_rounding_and_separates_neighbours():
-    # sqrt(k) mod 2 for the 114 non-square k in 2..125
+def test_equality_survives_rounding_and_separates_neighbours():
+    # sqrt(k) mod 2 for the 114 non-square k in 2..125: == and the order
+    # agree, and equal values hash alike
     angles = []
     for k in range(2, 126):
         if math.isqrt(k) ** 2 != k:
@@ -192,10 +197,36 @@ def test_tagged_equal_survives_rounding_and_separates_neighbours():
             angles.append(x - 2 * x.mul_div_floor(1, 2))
     assert len(angles) == 114
     for x in angles:
-        assert tagged_equal(x, 2 - (2 - x))
-        assert tagged_equal(x, (7 * x) / 7)
-        assert not tagged_equal(x, x + Fraction(1, 10 ** (_storage_dps() - 10)))
+        for y in (2 - (2 - x), (7 * x) / 7, -(-x)):
+            assert x == y and y == x and not x != y
+            assert x <= y and x >= y and not (x < y or x > y)
+            assert hash(x) == hash(y)
+        above = x + Fraction(1, 10 ** (_storage_dps() - 10))
+        assert x != above and x < above and above > x
     for x, y in zip(angles, angles[1:]):
-        assert not tagged_equal(x, y)
-    assert tagged_equal(Scalar.rational(1, 3), Scalar.rational(2, 6))
-    assert not tagged_equal(Scalar.rational(1, 2), Scalar.irrational("0.5"))
+        assert x != y and (x < y) == (float(x) < float(y)) and (x < y) != (x > y)
+    third = Scalar.rational(1, 3)
+    assert third == Scalar.rational(2, 6) and hash(third) == hash(Scalar.rational(2, 6))
+    assert third == Fraction(1, 3) and hash(third) == hash(Fraction(1, 3))
+    assert Scalar.rational(1, 2) != Scalar.irrational("0.5")
+
+
+def test_a_read_past_the_stored_bits_raises():
+    # sqrt2 made at 50 digits is stored with 385 bits: the working read of
+    # precision 100 (482 bits) would be 99 bits past it
+    old = get_precision()
+    x = Scalar.sqrt(2)
+    assert x._bits == 385 and fixed_bits(old) == 315
+    assert abs(x._fixed(385)[0] - math.isqrt(2 << 770)) <= 1
+    with pytest.raises(PrecisionError, match="stored with 385 fraction bits"):
+        x._fixed(fixed_bits(100))
+    try:
+        set_precision(100)
+        with pytest.raises(PrecisionError):
+            x.mul_floor(3)
+        with pytest.raises(PrecisionError):
+            (x + 1).mul_frac(3)   # a sum keeps the fewer bits of its operands
+        y = Scalar.sqrt(2)
+        assert y._bits > fixed_bits(100) and y.mul_floor(3) == 4
+    finally:
+        set_precision(old)
