@@ -63,7 +63,6 @@ from .jump import (  # noqa: F401
 from .ellipsoid import (  # noqa: F401
     EllipsoidError,
     EllipsoidSpec,
-    PipelineParams,
     orbit_data,
     run_pipeline,
 )

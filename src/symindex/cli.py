@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .ellipsoid import EllipsoidError, EllipsoidSpec, PipelineParams, run_pipeline
+from .ellipsoid import EllipsoidError, EllipsoidSpec, run_pipeline
 from .iteration import (
     DecompositionError,
     PathIndexData,
@@ -33,15 +33,7 @@ from .iteration import (
     unit_spectrum,
     validate,
 )
-from .jump import (
-    JumpError,
-    build_jump_vector,
-    default_delta,
-    default_eps,
-    search_N,
-    theorem211_report,
-    varrho,
-)
+from .jump import REPORT_SOLUTIONS, JumpError, search_report
 from .normal_forms import NormalFormError
 from .oracle import (
     DEFAULT_STEPS,
@@ -235,7 +227,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
 def _cmd_splitting(args: argparse.Namespace) -> int:
     data = _load_path_data(_load_json(args.input))
     d = data.decomp
-    out = {"validation": validate(data).to_json()}
+    out = {"validation": validate(data)}
     if args.omega is not None:
         pair = splitting_numbers(d, _parse_literal("omega", _parse_omega_tagged, args.omega))
         out["omega"] = args.omega
@@ -282,6 +274,12 @@ def _parse_chi(text: str):
     return tuple(int(c) for c in bits)
 
 
+def _search_flags(args: argparse.Namespace) -> dict:
+    """The search keywords that jump-search and ellipsoid share."""
+    return {"N_max": args.n_max, "chi": _parse_chi(args.chi), "eps": args.eps,
+            "delta": _parse_literal("delta", Fraction, args.delta) if args.delta else None}
+
+
 def _cmd_jump_search(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
     raw_paths = obj["paths"] if isinstance(obj, dict) and "paths" in obj else obj
@@ -289,22 +287,9 @@ def _cmd_jump_search(args: argparse.Namespace) -> int:
         raise InputError("paths file must hold a non-empty list of path data objects")
     paths = [_load_path_data(p) for p in raw_paths]
     # a JumpError is an input error, reported by main()
-    v = build_jump_vector(paths, M=args.m_scale, M0=args.m0)
-    chi = _parse_chi(args.chi)
-    delta = _parse_literal("delta", Fraction, args.delta) if args.delta else default_delta(paths)
-    eps = args.eps if args.eps is not None else default_eps(paths, v.M, delta)
-    result = search_N(v, chi, eps=eps, N_max=args.n_max, paths=paths, delta=delta)
-    n = max(p.decomp.n for p in paths)
-    reports = [theorem211_report(sol, paths, n).to_json()
-               for sol in result.solutions[:args.report_solutions]]
-    out = {
-        "schema_version": 1,
-        "jump_vector": v.to_json(),
-        "varrho_n": varrho(paths, n),
-        "search": result.to_json(),
-        "theorem211": reports,
-    }
-    _dump_json(out, args.out)
+    report = search_report(paths, M=args.m_scale, M0=args.m0, reports=args.report_solutions,
+                           **_search_flags(args))
+    _dump_json({"schema_version": 1, **report}, args.out)
     return EXIT_OK
 
 
@@ -314,15 +299,7 @@ def _cmd_ellipsoid(args: argparse.Namespace) -> int:
         raise InputError("--alphas requires a comma-separated list, e.g. 1,sqrt2")
     # an EllipsoidError or JumpError is an input error, reported by main()
     spec = EllipsoidSpec(alphas=tuple(alphas), mode=args.mode)
-    params = PipelineParams(
-        m_max=args.m_max,
-        N_max=args.n_max,
-        chi=_parse_chi(args.chi),
-        eps=args.eps,
-        delta=_parse_literal("delta", Fraction, args.delta) if args.delta else None,
-    )
-    report = run_pipeline(spec, params)
-    _dump_json(report.to_json(), args.out)
+    _dump_json(run_pipeline(spec, m_max=args.m_max, **_search_flags(args)), args.out)
     return EXIT_OK
 
 
@@ -412,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0", type=int, default=None, help="required divisor of N (default: M)")
     p.add_argument("--workers", type=int, default=None,
                    help="ignored; the scan runs in one process")
-    p.add_argument("--report-solutions", type=int, default=25)
+    p.add_argument("--report-solutions", type=int, default=REPORT_SOLUTIONS)
     common(p)
 
     p = sub.add_parser("ellipsoid", help="full pipeline on a model ellipsoid")

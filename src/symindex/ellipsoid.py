@@ -10,8 +10,7 @@ the model is expected to exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 
@@ -25,15 +24,7 @@ from .iteration import (
     nullity_iterate,
     validate,
 )
-from .jump import (
-    build_jump_vector,
-    default_delta,
-    default_eps,
-    mean_ratio_classify,
-    search_N,
-    theorem211_report,
-    varrho,
-)
+from .jump import mean_ratio_classify, search_report
 from .oracle import (
     MAX_STEPS,
     STEP_BOUND,
@@ -49,12 +40,7 @@ __all__ = [
     "EllipsoidSpec",
     "orbit_data",
     "run_pipeline",
-    "PipelineParams",
-    "EllipsoidReport",
 ]
-
-
-REPORT_SOLUTIONS = 25  # cap on per-solution theorem-2.11 reports
 
 
 class EllipsoidError(ValueError):
@@ -183,53 +169,12 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     return data, path
 
 
-@dataclass
-class PipelineParams:
-    m_max: int = 50
-    N_max: int = 10 ** 6
-    chi: object = "auto"
-    eps: float | None = None
-    delta: object = None
-
-
-@dataclass
-class EllipsoidReport:
-    spec: dict
-    orbits: list
-    jump_vector: dict
-    search: dict
-    theorem211: list
-    mean_ratio_matrix: list
-    varrho_n: int
-    varrho_lower_bound: int
-    elliptic_count: int
-    pairwise_irrational_count: int
-    claims: dict
-    problems: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "spec": self.spec,
-            "orbits": self.orbits,
-            "jump_vector": self.jump_vector,
-            "search": self.search,
-            "theorem211": self.theorem211,
-            "mean_ratio_matrix": self.mean_ratio_matrix,
-            "varrho_n": self.varrho_n,
-            "varrho_lower_bound": self.varrho_lower_bound,
-            "elliptic_count": self.elliptic_count,
-            "pairwise_irrational_count": self.pairwise_irrational_count,
-            "claims": self.claims,
-            "problems": self.problems,
-        }
-
-
-def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> EllipsoidReport:
+def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi="auto",
+                 eps=None, delta=None) -> dict:
     """Construct all axis orbits, tabulate iterates, search for common index
-    jumps, and check the model-scale stability claims.  A search parameter
-    out of range raises JumpError."""
-    params = params or PipelineParams()
+    jumps (jump.search_report), and check the model-scale stability claims.
+    Returns the JSON report; a search parameter out of range raises
+    JumpError."""
     n = spec.n
     problems = []
 
@@ -238,39 +183,27 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
     for i in range(1, n + 1):
         data, path = orbit_data(spec, i)
         datas.append(data)
-        mi = mean_index(data)
         vrep = validate(data)
-        if not vrep.ok:
-            problems.extend(f"orbit {i}: {p}" for p in vrep.problems)
+        problems.extend(f"orbit {i}: {p}" for p in vrep["problems"])
         table = [{"m": m,
                   "i": index_iterate(data, m),
                   "nu": nullity_iterate(data, m)}
-                 for m in range(1, params.m_max + 1)]
-        d = data.decomp
-        elliptic = (d.k == 0)  # all blocks are rotations or unit-eigenvalue blocks
+                 for m in range(1, m_max + 1)]
         orbit_reports.append({
             "axis": i,
             "period_over_pi": float(2 / float(spec.alphas[i - 1])),
             "i1": data.i1,
-            "mean_index": scalar_to_json(mi),
-            "elliptic": elliptic,
-            "validation": vrep.to_json(),
+            "mean_index": scalar_to_json(mean_index(data)),
+            "elliptic": data.decomp.k == 0,  # all blocks are rotations or unit-eigenvalue blocks
+            "validation": vrep,
             "data": data.to_json(),
             "table": table,
         })
 
-    v = build_jump_vector(datas)
-    delta = params.delta if params.delta is not None else default_delta(datas)
-    delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
-    eps = params.eps if params.eps is not None else default_eps(datas, v.M, delta)
-
-    result = search_N(v, params.chi, eps=eps, N_max=params.N_max, paths=datas, delta=delta)
-    reports_211 = []
-    for sol in result.solutions[:REPORT_SOLUTIONS]:
-        rep = theorem211_report(sol, datas, n)
-        reports_211.append(rep.to_json())
-        if not rep.ok:
-            problems.append(f"theorem-2.11 report at N={sol.N}: {rep.problems}")
+    found = search_report(datas, N_max, chi=chi, eps=eps, delta=delta)
+    for rep in found["theorem211"]:
+        if not rep["ok"]:
+            problems.append(f"theorem-2.11 report at N={rep['N']}: {rep['problems']}")
 
     matrix = mean_ratio_classify(datas)
     irr_count = 0
@@ -278,7 +211,7 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
         if all(matrix[i][j]["type"] == "irrational" for j in range(n) if j != i):
             irr_count += 1
 
-    rho = varrho(datas, n)
+    rho = found["varrho_n"]
     bound = n // 2 + 1
     elliptic_count = sum(1 for rep in orbit_reports if rep["elliptic"])
 
@@ -294,17 +227,15 @@ def run_pipeline(spec: EllipsoidSpec, params: PipelineParams | None = None) -> E
     if not claims["pairwise_irrational_at_least_varrho"]:
         problems.append("not enough orbits with pairwise irrational mean-index ratios")
 
-    return EllipsoidReport(
-        spec=spec.to_json(),
-        orbits=orbit_reports,
-        jump_vector=v.to_json(),
-        search=result.to_json(),
-        theorem211=reports_211,
-        mean_ratio_matrix=matrix,
-        varrho_n=rho,
-        varrho_lower_bound=bound,
-        elliptic_count=elliptic_count,
-        pairwise_irrational_count=irr_count,
-        claims=claims,
-        problems=problems,
-    )
+    return {
+        "schema_version": 1,
+        "spec": spec.to_json(),
+        "orbits": orbit_reports,
+        **found,
+        "mean_ratio_matrix": matrix,
+        "varrho_lower_bound": bound,
+        "elliptic_count": elliptic_count,
+        "pairwise_irrational_count": irr_count,
+        "claims": claims,
+        "problems": problems,
+    }

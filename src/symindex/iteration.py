@@ -28,7 +28,6 @@ __all__ = [
     "PathIndexData",
     "PathRecord",
     "SplittingPair",
-    "ValidationReport",
     "splitting_numbers",
     "C_of_M",
     "S_plus_one",
@@ -495,18 +494,6 @@ def I_value(data: PathIndexData, m: int) -> int:
 # ----- validation -----------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "problems": list(self.problems)}
-
-
 _SINGLE_BLOCK_PARITY = {
     # field name -> required parity of i1 for a decomposition consisting of
     # that single block; hyperbolic blocks put no constraint.
@@ -519,11 +506,11 @@ _SINGLE_BLOCK_PARITY = {
 }
 
 
-def validate(data: PathIndexData) -> ValidationReport:
+def validate(data: PathIndexData) -> dict:
     """Diagnostics, not exceptions: single-block parity violations of i1 and
     convex-mode requirements (the counts and angles were checked when the
-    decomposition was built)."""
-    rep = ValidationReport()
+    decomposition was built), as the JSON object {"ok", "problems"}."""
+    problems = []
     d = data.decomp
     # parity is only pinned down for single-block decompositions
     counts = {
@@ -544,16 +531,15 @@ def validate(data: PathIndexData) -> ValidationReport:
         if want is not None:
             got = "odd" if data.i1 % 2 else "even"
             if got != want:
-                rep.problems.append(
-                    f"single-block decomposition requires i1 {want}, got {data.i1}")
+                problems.append(f"single-block decomposition requires i1 {want}, got {data.i1}")
 
     if data.convex_mode:
         if d.p_minus < 1:
-            rep.problems.append("convex mode requires p_minus >= 1")
+            problems.append("convex mode requires p_minus >= 1")
         if data.i1 < d.n:
-            rep.problems.append(f"convex mode requires i1 >= n, got {data.i1} < {d.n}")
+            problems.append(f"convex mode requires i1 >= n, got {data.i1} < {d.n}")
         if d.n >= 2:
             mi = mean_index(data)
             if not (mi > TWO):
-                rep.problems.append(f"convex mode with n >= 2 requires mean index > 2, got {float(mi):.6f}")
-    return rep
+                problems.append(f"convex mode with n >= 2 requires mean index > 2, got {float(mi):.6f}")
+    return {"ok": not problems, "problems": problems}

@@ -16,7 +16,7 @@ identities, so no closed-subgroup machinery is needed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import ceil, floor, lcm
@@ -53,6 +53,7 @@ __all__ = [
     "SearchResult",
     "build_jump_vector",
     "search_N",
+    "search_report",
     "compute_m",
     "delta_k",
     "varrho",
@@ -674,14 +675,14 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
 
     chi is a bit tuple of length h, or "auto" to accept every vertex the
     orbit actually approaches (the nearest vertex is tested for each N).
-    Gates, in order: (a) max-norm closeness |{N v} - chi| < eps, decided by
-    the stage-1 scan, (b) exact divisibility N/(M ihat_k) in Z for rational
-    mean indices, (c) the integer identity I(k, m_k) = N + Delta_k, (d) the
-    near-integrality of every m_k theta/pi.  The close candidates are
-    certified in one batch (_certify), and the result counts, for each of
-    (b)-(d), the candidates it stopped, and the certified ones.  An empty
-    result is a valid outcome.  workers is accepted and ignored: the scan
-    runs in the calling process.
+    Gates, in order: max-norm closeness |{N v} - chi| < eps, decided by the
+    stage-1 scan; then, for the close candidates in one batch (_certify),
+    divisibility (N/(M ihat_k) in Z for rational mean indices),
+    m_nonpositive (every m_k > 0), angle (the near-integrality of every
+    m_k theta/pi) and identity (I(k, m_k) = N + Delta_k).  The result
+    counts, by gate name (_GATES), the close candidates each of these four
+    stopped, and the certified ones.  An empty result is a valid outcome.
+    workers is accepted and ignored: the scan runs in the calling process.
     """
     paths = list(paths)
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
@@ -722,33 +723,13 @@ def varrho(paths, n: int) -> int:
     return min(vals)
 
 
-@dataclass
-class Theorem211Report:
-    N: int
-    varrho_n: int
-    entries: list
-    ordering_ok: bool
-    chi_monotone_ok: bool
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems and self.ordering_ok and self.chi_monotone_ok
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N, "varrho_n": self.varrho_n, "entries": self.entries,
-            "ordering_ok": self.ordering_ok, "chi_monotone_ok": self.chi_monotone_ok,
-            "problems": self.problems, "ok": self.ok,
-        }
-
-
-def theorem211_report(sol: JumpSolution, paths, n: int) -> Theorem211Report:
+def theorem211_report(sol: JumpSolution, paths, n: int) -> dict:
     """Locate j(s) for s = 1..varrho_n by the interval condition
     i <= 2N - 2s + n <= i + nu - 1 at the doubled iterates, then check the
     index identity, the two-sided s bounds, the ordering of the products
     m_k ihat_k, and the chi monotonicity.  Ambiguities are flagged, not
-    resolved."""
+    resolved.  The report is its JSON object; "ok" says that it found no
+    problem and both orderings hold."""
     paths = list(paths)
     N = sol.N
     rho = varrho(paths, n)
@@ -791,9 +772,35 @@ def theorem211_report(sol: JumpSolution, paths, n: int) -> Theorem211Report:
                       for (_, k1), (_, k2) in zip(assigned, assigned[1:]))
     chi_ok = all(sol.chi[k2] <= sol.chi[k1]
                  for (_, k1), (_, k2) in zip(assigned, assigned[1:]))
-    return Theorem211Report(N=N, varrho_n=rho, entries=entries,
-                            ordering_ok=ordering_ok, chi_monotone_ok=chi_ok,
-                            problems=problems)
+    return {"N": N, "varrho_n": rho, "entries": entries, "ordering_ok": ordering_ok,
+            "chi_monotone_ok": chi_ok, "problems": problems,
+            "ok": not problems and ordering_ok and chi_ok}
+
+
+REPORT_SOLUTIONS = 25  # solutions given a theorem-2.11 report, by default
+
+
+def search_report(paths, N_max: int, chi="auto", eps=None, delta=None, M=None, M0=None,
+                  reports: int = REPORT_SOLUTIONS) -> dict:
+    """The search over a path collection as the JSON object that jump-search
+    and ellipsoid print: the jump vector, varrho_n at n = the largest
+    half-dimension, the search result, and the theorem-2.11 report of each of
+    the first `reports` solutions.  delta and eps default to default_delta
+    and default_eps, M and M0 to build_jump_vector's; a parameter out of
+    range raises JumpError."""
+    paths = list(paths)
+    v = build_jump_vector(paths, M=M, M0=M0)
+    delta = default_delta(paths) if delta is None else Fraction(delta)
+    if eps is None:
+        eps = default_eps(paths, v.M, delta)
+    result = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
+    n = max(p.decomp.n for p in paths)
+    return {
+        "jump_vector": v.to_json(),
+        "varrho_n": varrho(paths, n),
+        "search": result.to_json(),
+        "theorem211": [theorem211_report(sol, paths, n) for sol in result.solutions[:reports]],
+    }
 
 
 _RATIO_DENOMINATOR_BOUND = 10 ** 6

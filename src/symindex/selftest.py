@@ -28,7 +28,7 @@ from .iteration import (
     splitting_numbers,
     unit_spectrum,
 )
-from .jump import build_jump_vector, default_delta, default_eps, search_N
+from .jump import search_report
 from .oracle import (DEFAULT_STEPS, SampledSymplecticPath, cz_index, diamond_paths,
                      estimate_splitting, iterate_path, path_from_matrix_function,
                      path_from_quadratic_hamiltonian)
@@ -193,19 +193,16 @@ def _suite_splitting_rows(seed: int):
 
 def _suite_jump_golden(seed: int):
     data = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
-    v = build_jump_vector([data])
-    delta = default_delta([data])
-    eps = default_eps([data], v.M, delta)
-    res = search_N(v, "auto", eps=eps, N_max=50_000, paths=[data], delta=delta)
-    if not res.solutions:
+    solutions = search_report([data], 50_000, reports=0)["search"]["solutions"]
+    if not solutions:
         return False, "no golden-ratio hits below 50000"
-    vertices = {s.chi for s in res.solutions}
+    vertices = {tuple(s["chi"]) for s in solutions}
     if len(vertices) < 2:
         return False, f"expected both chi vertices, got {vertices}"
-    for s in res.solutions[:50]:
-        if I_value(data, s.m[0]) != s.N + s.delta[0]:
-            return False, f"identity gate broken at N={s.N}"
-    return True, f"{len(res.solutions)} hits, {len(vertices)} vertices"
+    for s in solutions[:50]:
+        if I_value(data, s["m"][0]) != s["N"] + s["delta"][0]:
+            return False, f"identity gate broken at N={s['N']}"
+    return True, f"{len(solutions)} hits, {len(vertices)} vertices"
 
 
 SUITES = [

@@ -222,9 +222,9 @@ def test_criterion_6_theorem_211_consequences(ellipsoid_search):
     checked = 0
     for sol in sols:
         rep = theorem211_report(sol, datas, n)
-        assert rep.ordering_ok, f"ordering fails at N={sol.N}"
-        assert rep.chi_monotone_ok, f"chi monotonicity fails at N={sol.N}"
-        for entry in rep.entries:
+        assert rep["ordering_ok"], f"ordering fails at N={sol.N}"
+        assert rep["chi_monotone_ok"], f"chi monotonicity fails at N={sol.N}"
+        for entry in rep["entries"]:
             if entry["j"] is None:
                 continue
             k = entry["j"]

@@ -416,6 +416,33 @@ def test_ellipsoid_golden_bytes(capsys):
     assert digest == "cb0139b2d1492cae52862d25291507032e39bf453f97b876100033122d1facc3"
 
 
+def test_search_flags_golden_bytes(tmp_path, capsys, monkeypatch):
+    # every search flag the two commands pass on, beside the defaults the
+    # other golden tests pin; the stdout digests were recorded at commit
+    # ca38d82.  golden.json and two.json hold CI's golden and sqrt2 - 1
+    # path data
+    golden = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
+    sqrt2m1 = PathIndexData(NormalFormDecomposition(
+        n=2, p_minus=1, thetas=(Scalar.sqrt(2) - 1,)), i1=3)
+    (tmp_path / "golden.json").write_text(json.dumps([golden.to_json()]))
+    (tmp_path / "two.json").write_text(json.dumps([golden.to_json(), sqrt2m1.to_json()]))
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        # 13 solutions and 3 theorem-2.11 reports, two of them not ok
+        ("jump-search --paths two.json --n-max 200000 --m-scale 2 --m0 4 --delta 1/7 "
+         "--eps 0.02 --report-solutions 3",
+         "e2ffb348c1ba427af9bb46ada8537e3580d89cdcb9d5c2d72d3ee1419ae72232"),
+        ("jump-search --paths golden.json --n-max 300000 --chi 10 --report-solutions 0",
+         "33b9e3b43bdc47500dd6ef0f4c03ff5d3430fe7d52ccadd965e479dd81135a25"),
+        ("ellipsoid --alphas 1,sqrt2 --n-max 300000 --delta 1/9 --eps 0.002 --m-max 7",
+         "56e565e8763eac5e6174e83808b2eacdb88ecc38d8e69dca855ca5041c02bcfa"),
+    ]
+    for argv, expected in runs:
+        assert main(argv.split()) == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == expected, argv
+
+
 def test_iterate_golden_bytes(tmp_path, capsys):
     # sqrt2 - 1 with an N1(1, 1) block: the irrational mean_index_times_m
     # column is printed to 30 digits; the stdout digest was recorded at

@@ -9,7 +9,6 @@ import pytest
 from symindex.ellipsoid import (
     EllipsoidError,
     EllipsoidSpec,
-    PipelineParams,
     orbit_data,
     run_pipeline,
 )
@@ -53,7 +52,7 @@ def test_base_indices(spec12):
     d1, _ = orbit_data(spec12, 1)
     d2, _ = orbit_data(spec12, 2)
     assert (d1.i1, d2.i1) == (4, 2)
-    assert validate(d1).ok and validate(d2).ok
+    assert validate(d1)["ok"] and validate(d2)["ok"]
 
 
 def orbit_steps(spec, i):
@@ -172,18 +171,17 @@ def test_nonpositive_frequency_rejected():
 
 
 def test_pipeline_small(spec12):
-    params = PipelineParams(m_max=6, N_max=20000)
-    rep = run_pipeline(spec12, params)
-    assert rep.problems == []
-    assert rep.elliptic_count == 2
-    assert rep.varrho_n == 2 and rep.varrho_lower_bound == 2
-    assert rep.pairwise_irrational_count == 2
-    assert all(rep.claims.values())
-    assert rep.search["solutions"], "expected jump solutions below 20000"
-    for t in rep.theorem211:
+    rep = run_pipeline(spec12, m_max=6, N_max=20000)
+    assert rep["problems"] == []
+    assert rep["elliptic_count"] == 2
+    assert rep["varrho_n"] == 2 and rep["varrho_lower_bound"] == 2
+    assert rep["pairwise_irrational_count"] == 2
+    assert all(rep["claims"].values())
+    assert rep["search"]["solutions"], "expected jump solutions below 20000"
+    for t in rep["theorem211"]:
         assert t["ok"]
     # tables contain exactly m_max rows and start at the base index
-    for orb in rep.orbits:
+    for orb in rep["orbits"]:
         assert len(orb["table"]) == 6
         assert orb["table"][0]["i"] == orb["i1"]
 
@@ -191,7 +189,6 @@ def test_pipeline_small(spec12):
 def test_pipeline_json_serializable(spec12):
     import json
 
-    params = PipelineParams(m_max=3, N_max=5000)
-    rep = run_pipeline(spec12, params)
-    text = json.dumps(rep.to_json(), sort_keys=True)
+    rep = run_pipeline(spec12, m_max=3, N_max=5000)
+    text = json.dumps(rep, sort_keys=True)
     assert "schema_version" in text

@@ -199,7 +199,7 @@ def test_formulas_do_not_recheck_a_built_decomposition(monkeypatch):
     unit_spectrum(d)
     C_of_M(d)
     S_plus_one(d)
-    assert validate(data).ok
+    assert validate(data)["ok"]
     assert calls == []
 
 
@@ -306,20 +306,22 @@ def test_validate_count_mismatch():
 
 def test_validate_rotation_parity():
     rep = validate(rot_data(HALF, i1=2))
-    assert any("odd" in p for p in rep.problems)
-    assert validate(rot_data(HALF, i1=1)).ok
+    assert not rep["ok"]
+    assert any("odd" in p for p in rep["problems"])
+    assert validate(rot_data(HALF, i1=1)) == {"ok": True, "problems": []}
 
 
 def test_validate_convex_requirements():
     rep = validate(PathIndexData(NormalFormDecomposition(n=1, p_zero=1), i1=1,
                                  convex_mode=True))
-    assert any("p_minus" in p for p in rep.problems)
+    assert any("p_minus" in p for p in rep["problems"])
     d2 = NormalFormDecomposition(n=2, p_minus=1, thetas=(Scalar.rational(1, 5),))
     rep2 = validate(PathIndexData(d2, i1=1, convex_mode=True))
-    assert any("i1 >= n" in p for p in rep2.problems)
-    assert any("mean index > 2" in p for p in rep2.problems)
+    assert any("i1 >= n" in p for p in rep2["problems"])
+    assert any("mean index > 2" in p for p in rep2["problems"])
+    assert not rep2["ok"]
     good = validate(PathIndexData(d2, i1=4, convex_mode=True))
-    assert good.ok
+    assert good["ok"]
 
 
 def test_path_data_json_round_trip(rng):

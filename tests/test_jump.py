@@ -214,12 +214,13 @@ def test_theorem211_on_golden_hits(golden_search):
     data, v, delta, eps, res = golden_search
     for sol in res.solutions[:10]:
         rep = theorem211_report(sol, [data], 1)
-        assert rep.varrho_n == 1
-        for entry in rep.entries:
+        assert rep["varrho_n"] == 1
+        for entry in rep["entries"]:
             if entry["j"] is not None:
                 assert entry["index_identity_ok"]
                 assert entry["bounds_ok"]
-        assert rep.ordering_ok and rep.chi_monotone_ok
+        assert rep["ordering_ok"] and rep["chi_monotone_ok"]
+        assert rep["ok"] is (not rep["problems"])
 
 
 # ----- a rationally dependent pair -------------------------------------------
