@@ -80,10 +80,14 @@ def _output(out_path: str | None):
     """The write method of the --out file, or one that passes stdout the
     pieces in batches of 4096: stdout may be unbuffered (PYTHONUNBUFFERED,
     python -u) or a terminal's line buffer, where every write of a piece
-    would be a system call."""
+    would be a system call.  An --out file that cannot be opened or written
+    is an input error naming the path."""
     if out_path:
-        with open(out_path, "w") as fh:
-            yield fh.write
+        try:
+            with open(out_path, "w") as fh:
+                yield fh.write
+        except OSError as exc:
+            raise InputError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
         return
     pieces = []
 

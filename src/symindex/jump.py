@@ -16,9 +16,11 @@ identities, so no closed-subgroup machinery is needed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from math import ceil, floor, lcm
 from typing import Optional
 
@@ -104,6 +106,8 @@ class JumpVector:
 
 @dataclass(slots=True)
 class JumpSolution:
+    """One certified solution: a row of SearchResult, built on request."""
+
     N: int
     m: tuple
     chi: tuple
@@ -111,32 +115,74 @@ class JumpSolution:
     residual: float
     delta_threshold: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "m": list(self.m),
-            "chi": list(self.chi),
-            "delta": list(self.delta),
-            "residual": self.residual,
-            "delta_threshold": str(self.delta_threshold),
-        }
+
+class SolutionRows(Sequence):
+    """The solutions of a SearchResult as JumpSolution rows, each one built
+    when it is read."""
+
+    def __init__(self, result: "SearchResult"):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.N)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        r = self._result
+        p = r.chi[i]
+        return JumpSolution(r.N[i], tuple(col[i] for col in r.m),
+                            tuple((p >> j) & 1 for j in range(r.h)),
+                            tuple(col[i] for col in r.delta), r.residual[i], r.delta_threshold)
 
 
 @dataclass
 class SearchResult:
-    """The certified solutions, and gates: the number of close candidates
-    each gate stopped, and the number it certified, by gate name (_GATES)."""
+    """The certified solutions as columns, in increasing N, and gates: the
+    number of close candidates each gate stopped, and the number it
+    certified, by gate name (_GATES).
 
-    solutions: list
+    Solution i is N[i] (a Python int, exact at any size); chi[i], its h
+    vertex bits packed (bit j is chi_j); m[k][i] and delta[k][i] for each
+    path k; and residual[i].  Every solution has the threshold
+    delta_threshold.  A search builds no object per solution: those objects
+    and their tuples cost more than the batch gates, and kept the cyclic GC
+    busy.  solutions reads the rows as JumpSolutions.
+    """
+
+    N: list
+    chi: list
+    m: list
+    delta: list
+    residual: list
+    h: int
+    delta_threshold: Fraction
     gates: dict
-    params: dict
+    params: dict = field(default_factory=dict)
+
+    @property
+    def solutions(self) -> SolutionRows:
+        return SolutionRows(self)
+
+    def extend(self, more: "SearchResult") -> None:
+        """Append the solutions of more, a search of larger N, and add its
+        gate counts."""
+        for col, add in zip((self.N, self.chi, self.residual, *self.m, *self.delta),
+                            (more.N, more.chi, more.residual, *more.m, *more.delta)):
+            col += add
+        for name, count in more.gates.items():
+            self.gates[name] += count
 
     def to_json(self) -> dict:
-        return {
-            "solutions": [s.to_json() for s in self.solutions],
-            "gates": self.gates,
-            "params": self.params,
-        }
+        """The JSON object, one dict per solution; the solutions at one
+        vertex share its chi list."""
+        threshold = str(self.delta_threshold)
+        chis = {p: [(p >> j) & 1 for j in range(self.h)] for p in set(self.chi)}
+        solutions = [{"N": N, "m": list(m), "chi": chis[p], "delta": list(d),
+                      "residual": r, "delta_threshold": threshold}
+                     for N, p, m, d, r in zip(self.N, self.chi, zip(*self.m),
+                                              zip(*self.delta), self.residual)]
+        return {"solutions": solutions, "gates": self.gates, "params": self.params}
 
 
 def default_M(paths) -> int:
@@ -600,11 +646,11 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
     return code, ms.astype(np.int64), deltas
 
 
-def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int):
-    """The solutions of the close stage-1 candidates (N, bits, residual), and
-    gates: the number of candidates at each gate code, by gate name (_GATES).
-    The candidates come in increasing N; the solutions come in no particular
-    order (search_N sorts them)."""
+def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int) -> SearchResult:
+    """The certified solutions of the close stage-1 candidates (N, bits,
+    residual), a list in increasing N, as SearchResult columns in the same
+    order, with gates: the number of candidates at each gate code, by gate
+    name (_GATES).  A solution without a band residual is given one at dps."""
     F = fixed_bits(dps)
     one = 1 << F
     recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]
@@ -614,34 +660,44 @@ def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int):
     packed = np.fromiter((c[1] & low for c in candidates[:n_batch]), np.uint64, n_batch)
     code, ms, deltas = _batch_gates(v, recs, N, packed, delta, F)
     code = np.concatenate([code, np.full(len(candidates) - n_batch, _EXACT, np.int8)])
-    chis = {}   # packed bits -> chi tuple
-
-    def solution(i, m, d):
-        """Candidate i's JumpSolution, with its band residual or one at dps."""
-        n, p, residual = candidates[i]
-        bits = chis.get(p)
-        if bits is None:
-            bits = chis[p] = tuple((p >> j) & 1 for j in range(v.h))
-        if residual is None:
-            residual = float(_residual(v, n, bits, dps)[0] / one)
-        return JumpSolution(n, m, bits, d, residual, delta)
-
-    # batch-certified candidates: only the outputs are left to compute
-    s = np.flatnonzero(code == _SOLVED)
-    solutions = [solution(i, m, d) for i, m, d in zip(
-        s.tolist(), zip(*ms[:, s].tolist()), zip(*deltas[:, s].tolist()))]
     # the exact gates, in candidate order
+    exact = {}   # candidate index -> (ms, deltas) of an exact solution
     for i in np.flatnonzero(code == _EXACT).tolist():
         n, p, _ = candidates[i]
         code[i], out = _certify_exact(v, paths, n, p, delta, dps)
         if out is not None:
-            solutions.append(solution(i, *out))
-    return solutions, dict(zip(_GATES, np.bincount(code, minlength=len(_GATES)).tolist()))
+            exact[i] = out
+    if exact:   # merge them in by candidate index, as Python ints of any size
+        ms, deltas = (np.concatenate([a.astype(object), np.zeros(
+            (v.q, len(candidates) - n_batch), object)], axis=1) for a in (ms, deltas))
+        for i, (m, d) in exact.items():
+            ms[:, i], deltas[:, i] = m, d
+    s = np.flatnonzero(code == _SOLVED)
+    solved = [candidates[i] for i in s.tolist()]
+    chis = {}   # packed bits -> chi tuple
+
+    def residual(n, p):
+        bits = chis.get(p)
+        if bits is None:
+            bits = chis[p] = tuple((p >> j) & 1 for j in range(v.h))
+        return float(_residual(v, n, bits, dps)[0] / one)
+
+    return SearchResult(
+        N=[c[0] for c in solved], chi=[c[1] for c in solved],
+        m=ms[:, s].tolist(), delta=deltas[:, s].tolist(),
+        residual=[residual(n, p) if r is None else r for n, p, r in solved],
+        h=v.h, delta_threshold=delta,
+        gates=dict(zip(_GATES, np.bincount(code, minlength=len(_GATES)).tolist())))
+
+
+# close candidates certified at once: bounds the candidate list of a long search
+_CERTIFY_BATCH = 1 << 15
 
 
 def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     """The close candidates (N, bits, residual) of N = M0, 2 M0, ... <= N_max,
-    in increasing N (see _scan_chunk)."""
+    in increasing N (see _scan_chunk), yielded as the scan reaches them.  A
+    coordinate the scan cannot read at dps raises PrecisionError here."""
     F = fixed_bits(dps)
     Xs = [_scaled_coord(c, F) for c in v.coords]
     # _residual accepts w + slack < eps 2**F, for the worst distance w from
@@ -662,11 +718,9 @@ def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     # chunks of 2**15 steps bound the memory of the scan's numpy arrays
     total_steps = N_max // v.M0
     chunk = 1 << 15
-    candidates = []
-    for s in range(1, total_steps + 1, chunk):
-        candidates += _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F,
-                                  eps_int, close_int, explicit_bits, band)
-    return candidates
+    return (c for s in range(1, total_steps + 1, chunk)
+            for c in _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F,
+                                 eps_int, close_int, explicit_bits, band))
 
 
 def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
@@ -676,13 +730,16 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     chi is a bit tuple of length h, or "auto" to accept every vertex the
     orbit actually approaches (the nearest vertex is tested for each N).
     Gates, in order: max-norm closeness |{N v} - chi| < eps, decided by the
-    stage-1 scan; then, for the close candidates in one batch (_certify),
-    divisibility (N/(M ihat_k) in Z for rational mean indices),
-    m_nonpositive (every m_k > 0), angle (the near-integrality of every
-    m_k theta/pi) and identity (I(k, m_k) = N + Delta_k).  The result
-    counts, by gate name (_GATES), the close candidates each of these four
-    stopped, and the certified ones.  An empty result is a valid outcome.
-    workers is accepted and ignored: the scan runs in the calling process.
+    stage-1 scan; then, for the close candidates in batches of
+    _CERTIFY_BATCH taken as the scan yields them (_certify), divisibility
+    (N/(M ihat_k) in Z for rational mean indices), m_nonpositive (every
+    m_k > 0), angle (the near-integrality of every m_k theta/pi) and
+    identity (I(k, m_k) = N + Delta_k).  So at most one batch of candidates
+    is held at a time.  The result holds the solutions as columns in
+    increasing N, and counts, by gate name (_GATES), the close candidates
+    each of these four stopped, and the certified ones.  An empty result is
+    a valid outcome.  workers is accepted and ignored: the scan runs in the
+    calling process.
     """
     paths = list(paths)
     delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
@@ -700,11 +757,14 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
 
     dps = get_precision()
     candidates = _stage1(v, explicit_bits, Fraction(eps), N_max, dps)
-    solutions, gates = _certify(v, candidates, paths, delta, dps)
-    solutions.sort(key=lambda s: s.N)
-    params = {"eps": eps, "delta": str(delta), "M": v.M, "M0": v.M0,
-              "N_max": N_max, "chi": "auto" if explicit_bits is None else list(explicit_bits)}
-    return SearchResult(solutions=solutions, gates=gates, params=params)
+    batch = list(islice(candidates, _CERTIFY_BATCH))
+    result = _certify(v, batch, paths, delta, dps)
+    while len(batch) == _CERTIFY_BATCH:
+        batch = list(islice(candidates, _CERTIFY_BATCH))
+        result.extend(_certify(v, batch, paths, delta, dps))
+    result.params = {"eps": eps, "delta": str(delta), "M": v.M, "M0": v.M0,
+                     "N_max": N_max, "chi": "auto" if explicit_bits is None else list(explicit_bits)}
+    return result
 
 
 # ----- consequences of a verified solution -----------------------------------

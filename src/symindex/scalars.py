@@ -19,6 +19,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -320,10 +321,17 @@ class Scalar:
         return self.mul_floor(1)
 
 
+@lru_cache(maxsize=64)
+def _band(F: int, d: int) -> int:
+    """1e-30 of d * 2**F, rounded down: a division of a number of about F
+    bits, computed once per (F, d)."""
+    return (d << F) // _GUARD_BAND
+
+
 def guard_tol(F: int, m: int, d: int = 1) -> int:
     """Half-width of the guard band of a remainder of m * X modulo d * 2**F,
     X as in Scalar._fixed: 1e-30 of d * 2**F plus the truncation error."""
-    return ((d << F) // _GUARD_BAND) + abs(m) + d + 2
+    return _band(F, d) + abs(m) + d + 2
 
 
 def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:

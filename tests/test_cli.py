@@ -125,6 +125,19 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["iterate", "splitting"])   # CSV and JSON
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_an_out_path_that_cannot_be_written_exits_1(rot_fixture, tmp_path, capsys, command,
+                                                    where):
+    f, _ = rot_fixture
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "out.txt"
+    rc = main([command, "--data", str(f), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_precision_floor_enforced(rot_fixture, capsys):
     f, _ = rot_fixture
     rc = main(["iterate", "--data", str(f), "--precision", "10"])

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from symindex import cli
+from symindex import cli, jump
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 
 from symindex.iteration import (
@@ -50,6 +50,7 @@ from symindex.jump import (
     mean_ratio_classify,
     s_minus_angles,
     search_N,
+    search_report,
     theorem211_report,
     varrho,
 )
@@ -763,11 +764,13 @@ def ref_certify(v, candidates, paths, eps, delta):
 
 
 def assert_certify_matches(v, cands, paths, eps, delta):
-    """_certify's solutions and gate counts are those of ref_certify, and the
-    counts cover every candidate; returns ref_certify's counts."""
+    """_certify's solutions, in the order it gives them, and its gate counts
+    are those of ref_certify, and the counts cover every candidate; returns
+    ref_certify's counts."""
     ref_sol, ref_gates = ref_certify(v, cands, paths, eps, delta)
-    sol, gates = _certify(v, cands, paths, delta, get_precision())
-    assert sorted(sol, key=lambda s: s.N) == ref_sol
+    res = _certify(v, cands, paths, delta, get_precision())
+    gates = res.gates
+    assert list(res.solutions) == ref_sol
     assert tuple(gates) == _GATES
     assert Counter(gates) == ref_gates and sum(gates.values()) == len(cands)
     return ref_gates
@@ -776,7 +779,7 @@ def assert_certify_matches(v, cands, paths, eps, delta):
 def stage1(v, chi, eps, N_max):
     """The close stage-1 candidates of search_N."""
     explicit = None if chi == "auto" else tuple(chi)
-    return _stage1(v, explicit, Fraction(eps), N_max, get_precision())
+    return list(_stage1(v, explicit, Fraction(eps), N_max, get_precision()))
 
 
 def batch_codes(v, paths, candidates, delta):
@@ -833,7 +836,7 @@ def test_certify_matches_the_candidate_loop(name):
     assert not (code == _EXACT).any()
     # and search_N is that certification after the stage-1 scan
     res = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
-    assert res.solutions == ref_certify(v, cands, paths, eps, delta)[0]
+    assert list(res.solutions) == ref_certify(v, cands, paths, eps, delta)[0]
     assert Counter(res.gates) == gates
 
 
@@ -943,21 +946,31 @@ def test_integer_rational_coordinates_are_on_vertex_0():
     assert res.solutions[0].m == (4,)
 
 
-@pytest.mark.parametrize("theta", [PHI, Scalar.sqrt(2) * Fraction(1, 100)])
-def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
-    # ihat = phi > 1, and ihat = sqrt(2)/100, where m_k is about 70 N
+LIMIT_THETAS = [PHI, Scalar.sqrt(2) * Fraction(1, 100)]
+LIMIT_EPS, LIMIT_DELTA = 0.45, Fraction(49, 100)
+
+
+def limit_candidates(theta):
+    """The rotation by theta, its jump vector, the batch limit L and the
+    close candidates of the N within 40 of L, at their nearest vertex."""
     data = rot_data(theta)
-    paths = [data]
-    v = build_jump_vector(paths)
-    eps, delta = 0.45, Fraction(49, 100)
-    F = fixed_bits(get_precision())
-    L = _batch_limit(v, [(path_record(data), data)], F)
-    assert 0 < L <= 1 << 50
-    cands = []   # the close N around the limit, at their nearest vertex
+    v = build_jump_vector([data])
+    L = _batch_limit(v, [(path_record(data), data)], fixed_bits(get_precision()))
+    cands = []
     for N in range(L - 40, L + 40):
         packed = sum(int(exact_frac(c, N) > Fraction(1, 2)) << i for i, c in enumerate(v.coords))
-        if _band_residual(v, N, packed, Fraction(eps), get_precision()) is not None:
+        if _band_residual(v, N, packed, Fraction(LIMIT_EPS), get_precision()) is not None:
             cands.append((N, packed, None))
+    return data, v, L, cands
+
+
+@pytest.mark.parametrize("theta", LIMIT_THETAS)
+def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
+    # ihat = phi > 1, and ihat = sqrt(2)/100, where m_k is about 70 N
+    data, v, L, cands = limit_candidates(theta)
+    paths = [data]
+    eps, delta = LIMIT_EPS, LIMIT_DELTA
+    assert 0 < L <= 1 << 50
     assert sum(N < L for N, _, _ in cands) >= 10 and sum(N >= L for N, _, _ in cands) >= 10
     assert (batch_codes(v, paths, [c for c in cands if c[0] < L], delta)[0] != _EXACT).any()
     # just below the limit, m_k and I(k, m_k) are inside the proven ranges
@@ -965,6 +978,76 @@ def test_candidates_past_the_batch_limit_take_the_exact_gates(theta):
     assert I_value(data, compute_m(L - 1, data, 1, v.M)) < 1 << 63
     gates = assert_certify_matches(v, cands, paths, eps, delta)
     assert {"angle", "certified"} & set(gates)
+
+
+@pytest.mark.parametrize("theta", LIMIT_THETAS)
+def test_exact_solutions_merge_in_by_N(theta, monkeypatch):
+    # every other candidate is sent to the exact gates, which decide it as
+    # the batch would: the exact solutions, below the limit and past it,
+    # interleave with the batch ones, and the columns still come out in
+    # increasing N, as Python ints (test_out_of_range_constants_take_the_exact_gates
+    # has m_k past the int64 range)
+    data, v, L, cands = limit_candidates(theta)
+    batch_gates, certify_exact = jump._batch_gates, jump._certify_exact
+    exact_N = []
+
+    def every_other_exact(*args):
+        code, ms, deltas = batch_gates(*args)
+        code[::2] = _EXACT
+        return code, ms, deltas
+
+    def record(v, paths, N, *args):
+        code, out = certify_exact(v, paths, N, *args)
+        if out is not None:
+            exact_N.append(N)
+        return code, out
+
+    monkeypatch.setattr(jump, "_batch_gates", every_other_exact)
+    monkeypatch.setattr(jump, "_certify_exact", record)
+    res = _certify(v, cands, [data], LIMIT_DELTA, get_precision())
+    batch_N = sorted(set(res.N) - set(exact_N))
+    assert min(exact_N) < max(batch_N) and min(batch_N) < max(exact_N)
+    assert all(a < b for a, b in zip(res.N, res.N[1:]))
+    assert all(type(m) is int for col in res.m + res.delta for m in col)
+    assert_certify_matches(v, cands, [data], LIMIT_EPS, LIMIT_DELTA)
+
+
+@pytest.mark.parametrize("name", ["golden", "loose golden", "-I2 block and N2 pair",
+                                  "two paths, rational angle", "h = 66"])
+def test_certifying_in_small_batches_changes_nothing(name, monkeypatch):
+    paths, chi, eps, delta, N_max, _ = CERTIFY_FIXTURES[name]
+    v = build_jump_vector(paths)
+    delta = default_delta(paths) if delta is None else delta
+    eps = default_eps(paths, v.M, delta) if eps is None else eps
+    assert len(stage1(v, chi, eps, N_max)) > 3 * 64
+    one = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
+    monkeypatch.setattr(jump, "_CERTIFY_BATCH", 64)
+    small = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
+    assert small.to_json() == one.to_json()
+    assert tuple(small.gates) == _GATES and small.gates == one.gates
+
+
+def test_a_search_builds_no_solution_object(monkeypatch):
+    # the solutions are columns; search_report builds a JumpSolution only
+    # for each theorem-2.11 report
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return JumpSolution(*args)
+
+    monkeypatch.setattr(jump, "JumpSolution", counting)
+    data = rot_data(PHI)
+    v = build_jump_vector([data])
+    delta = default_delta([data])
+    res = search_N(v, "auto", eps=default_eps([data], v.M, delta), N_max=2 * 10 ** 5,
+                   paths=[data], delta=delta)
+    out = res.to_json()
+    assert built == [] and len(out["solutions"]) == res.gates["certified"] > 3
+    report = search_report([data], 2 * 10 ** 5, reports=3)
+    assert built == res.N[:3]
+    assert report["search"] == out
+    assert [r["N"] for r in report["theorem211"]] == res.N[:3]
 
 
 @pytest.mark.parametrize("paths, M", [
