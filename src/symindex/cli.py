@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -33,7 +35,7 @@ from .iteration import (
     unit_spectrum,
     validate,
 )
-from .jump import REPORT_SOLUTIONS, JumpError, search_report
+from .jump import REPORT_SOLUTIONS, JumpError, SearchResult, search_report
 from .normal_forms import NormalFormError
 from .oracle import (
     DEFAULT_STEPS,
@@ -75,13 +77,17 @@ def _load_json(path: str):
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}") from exc
 
 
+# characters of output held before stdout gets them
+_FLUSH = 1 << 16
+
+
 @contextlib.contextmanager
 def _output(out_path: str | None):
     """The write method of the --out file, or one that passes stdout the
-    pieces in batches of 4096: stdout may be unbuffered (PYTHONUNBUFFERED,
-    python -u) or a terminal's line buffer, where every write of a piece
-    would be a system call.  An --out file that cannot be opened or written
-    is an input error naming the path."""
+    pieces once they hold _FLUSH characters: stdout may be unbuffered
+    (PYTHONUNBUFFERED, python -u) or a terminal's line buffer, where every
+    write of a piece would be a system call.  An --out file that cannot be
+    opened or written is an input error naming the path."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -90,15 +96,35 @@ def _output(out_path: str | None):
             raise InputError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
         return
     pieces = []
+    size = 0
 
     def write(text: str):
+        nonlocal size
         pieces.append(text)
-        if len(pieces) == 4096:
+        size += len(text)
+        if size >= _FLUSH:
             sys.stdout.write("".join(pieces))
             pieces.clear()
+            size = 0
 
     yield write
     sys.stdout.write("".join(pieces))
+
+
+def _check_out(out_path: str | None) -> None:
+    """Refuse, before the run, an --out path that is a directory or whose
+    directory does not exist, with the error open() would give; the file
+    itself is opened only when the output is written."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT if not os.path.exists(parent) else errno.ENOTDIR
+    else:
+        return
+    raise InputError(f"cannot write --out {out_path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path: str | None):
@@ -156,6 +182,8 @@ def _write_json(obj, write, newline: str):
             _write_json(value, write, inner)
             sep = "," + inner
         write(newline + "}")
+    elif isinstance(obj, SearchResult):   # written from its columns
+        obj.write_json(write, newline)
     else:  # json.dumps raises the TypeError of an unserializable object
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
@@ -342,6 +370,7 @@ def dispatch(args: argparse.Namespace) -> int:
         raise InputError("n-max must be >= 1")
     if getattr(args, "report_solutions", 0) < 0:
         raise InputError("report-solutions must be >= 0")
+    _check_out(args.out)
     old_precision = get_precision()
     set_precision(args.precision)
     try:

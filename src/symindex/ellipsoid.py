@@ -173,8 +173,8 @@ def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi
                  eps=None, delta=None) -> dict:
     """Construct all axis orbits, tabulate iterates, search for common index
     jumps (jump.search_report), and check the model-scale stability claims.
-    Returns the JSON report; a search parameter out of range raises
-    JumpError."""
+    Returns the report the CLI prints, whose "search" is the SearchResult; a
+    search parameter out of range raises JumpError."""
     n = spec.n
     problems = []
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from json import dumps
 from math import ceil, floor, lcm
 from typing import Optional
 
@@ -136,6 +137,9 @@ class SolutionRows(Sequence):
                             tuple(col[i] for col in r.delta), r.residual[i], r.delta_threshold)
 
 
+_JSON_CHUNK = 1 << 14   # characters of solution rows per write call of write_json
+
+
 @dataclass
 class SearchResult:
     """The certified solutions as columns, in increasing N, and gates: the
@@ -147,7 +151,8 @@ class SearchResult:
     path k; and residual[i].  Every solution has the threshold
     delta_threshold.  A search builds no object per solution: those objects
     and their tuples cost more than the batch gates, and kept the cyclic GC
-    busy.  solutions reads the rows as JumpSolutions.
+    busy.  solutions reads the rows as JumpSolutions; write_json prints
+    the JSON text straight from the columns, and to_json builds its dicts.
     """
 
     N: list
@@ -183,6 +188,46 @@ class SearchResult:
                      for N, p, m, d, r in zip(self.N, self.chi, zip(*self.m),
                                               zip(*self.delta), self.residual)]
         return {"solutions": solutions, "gates": self.gates, "params": self.params}
+
+    def write_json(self, write, newline: str) -> None:
+        """The text of json.dumps(self.to_json(), sort_keys=True, indent=2)
+        as write calls, with newline the line break and indentation of the
+        object's own level; no dict or list is built per solution.
+
+        gates and params go through json.dumps.  Each solution is one
+        %-format of its column values in a row template that holds the
+        indentation and the quoted threshold (a Fraction's str needs no
+        escapes), with one cached chi text per distinct packed value.  The
+        ints print as int.__repr__ and the residual, a finite float, as
+        float.__repr__, as json.dumps prints them.  Rows go out about
+        _JSON_CHUNK characters per write call.
+        """
+        head = dumps({"gates": self.gates, "params": self.params}, sort_keys=True, indent=2)
+        inner = newline + "  "
+        write(head[:-2].replace("\n", newline) + "," + inner + '"solutions": ')
+        if not self.N:
+            write("[]" + newline + "}")
+            return
+        row = inner + "  "    # a solution's own level
+        key = row + "  "      # its keys
+        item = key + "  "     # their list items
+
+        def array(texts):
+            return "[" + item + ("," + item).join(texts) + key + "]"
+
+        ints = array(["%d"] * len(self.m))
+        template = (row + "{" + key + '"N": %d,' + key + '"chi": %s,' + key + '"delta": '
+                    + ints + "," + key + f'"delta_threshold": "{self.delta_threshold}",'
+                    + key + '"m": ' + ints + "," + key + '"residual": %r' + row + "}")
+        chis = {p: array([str((p >> j) & 1) for j in range(self.h)]) for p in set(self.chi)}
+        rows = map(template.__mod__, zip(self.N, map(chis.__getitem__, self.chi),
+                                         *self.delta, *self.m, self.residual))
+        first = next(rows)
+        write("[" + first)
+        step = max(1, _JSON_CHUNK // len(first))
+        while chunk := ",".join(islice(rows, step)):
+            write("," + chunk)
+        write(inner + "]" + newline + "}")
 
 
 def default_M(paths) -> int:
@@ -842,10 +887,11 @@ REPORT_SOLUTIONS = 25  # solutions given a theorem-2.11 report, by default
 
 def search_report(paths, N_max: int, chi="auto", eps=None, delta=None, M=None, M0=None,
                   reports: int = REPORT_SOLUTIONS) -> dict:
-    """The search over a path collection as the JSON object that jump-search
-    and ellipsoid print: the jump vector, varrho_n at n = the largest
-    half-dimension, the search result, and the theorem-2.11 report of each of
-    the first `reports` solutions.  delta and eps default to default_delta
+    """The search over a path collection as the object that jump-search and
+    ellipsoid print: the jump vector, varrho_n at n = the largest
+    half-dimension, the SearchResult itself (printed by its write_json; its
+    to_json is the same JSON as dicts), and the theorem-2.11 report of each
+    of the first `reports` solutions.  delta and eps default to default_delta
     and default_eps, M and M0 to build_jump_vector's; a parameter out of
     range raises JumpError."""
     paths = list(paths)
@@ -858,7 +904,7 @@ def search_report(paths, N_max: int, chi="auto", eps=None, delta=None, M=None, M
     return {
         "jump_vector": v.to_json(),
         "varrho_n": varrho(paths, n),
-        "search": result.to_json(),
+        "search": result,
         "theorem211": [theorem211_report(sol, paths, n) for sol in result.solutions[:reports]],
     }
 

@@ -193,15 +193,15 @@ def _suite_splitting_rows(seed: int):
 
 def _suite_jump_golden(seed: int):
     data = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
-    solutions = search_report([data], 50_000, reports=0)["search"]["solutions"]
+    solutions = search_report([data], 50_000, reports=0)["search"].solutions
     if not solutions:
         return False, "no golden-ratio hits below 50000"
-    vertices = {tuple(s["chi"]) for s in solutions}
+    vertices = {s.chi for s in solutions}
     if len(vertices) < 2:
         return False, f"expected both chi vertices, got {vertices}"
     for s in solutions[:50]:
-        if I_value(data, s["m"][0]) != s["N"] + s["delta"][0]:
-            return False, f"identity gate broken at N={s['N']}"
+        if I_value(data, s.m[0]) != s.N + s.delta[0]:
+            return False, f"identity gate broken at N={s.N}"
     return True, f"{len(solutions)} hits, {len(vertices)} vertices"
 
 

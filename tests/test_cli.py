@@ -11,9 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symindex
+from symindex import cli, jump
 from symindex.cli import EXIT_INPUT, EXIT_OK, _dump_json, main
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.iteration import NormalFormDecomposition, PathIndexData
+from symindex.jump import SearchResult
 from symindex.oracle import MAX_STEPS
 from symindex.scalars import Scalar, _storage_dps, get_precision, set_precision
 from symindex.selftest import realize_path
@@ -125,17 +127,109 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert rc == EXIT_INPUT
 
 
-@pytest.mark.parametrize("command", ["iterate", "splitting"])   # CSV and JSON
-@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
-def test_an_out_path_that_cannot_be_written_exits_1(rot_fixture, tmp_path, capsys, command,
-                                                    where):
+@pytest.fixture
+def golden_file(tmp_path):
+    """CI's golden.json: the golden rotation R(phi pi t), i1 = 1."""
+    data = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
+    f = tmp_path / "golden.json"
+    f.write_text(json.dumps([data.to_json()]))
+    return f
+
+
+def _input_flags(command, data_file):
+    if command == "jump-search":
+        paths_file = data_file.with_name("paths.json")
+        paths_file.write_text(json.dumps([json.loads(data_file.read_text())]))
+        return ["--paths", str(paths_file)]
+    if command == "ellipsoid":
+        return ["--alphas", "1,sqrt2", "--n-max", "1000"]
+    return ["--data", str(data_file)]
+
+
+@pytest.mark.parametrize("command", ["iterate", "splitting",     # CSV and JSON
+                                     "jump-search", "ellipsoid"])
+@pytest.mark.parametrize("where", ["a directory", "a missing directory", "a file"])
+def test_an_out_path_that_cannot_be_written_exits_1(rot_fixture, tmp_path, capsys, monkeypatch,
+                                                    command, where):
+    # the path is refused before the run, with the reason open() gives
+    def no_search(*args, **kwargs):
+        raise AssertionError("search_N ran")
+
+    monkeypatch.setattr(jump, "search_N", no_search)
     f, _ = rot_fixture
-    out = tmp_path if where == "a directory" else tmp_path / "missing" / "out.txt"
-    rc = main([command, "--data", str(f), "--out", str(out)])
+    (tmp_path / "file.txt").write_text("")
+    out = {"a directory": tmp_path, "a missing directory": tmp_path / "missing" / "out.txt",
+           "a file": tmp_path / "file.txt" / "out.txt"}[where]
+    with pytest.raises(OSError) as exc:
+        open(out, "w")
+    rc = main([command, *_input_flags(command, f), "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == EXIT_INPUT and captured.out == ""
-    assert captured.err.startswith(f"error: cannot write --out {out}: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: cannot write --out {out}: {exc.value.strerror}\n"
+
+
+@pytest.mark.parametrize("argv", [["jump-search", "--paths", "empty.json"],
+                                  ["ellipsoid", "--alphas", "1,2", "--n-max", "100"]])
+def test_an_existing_out_file_is_kept_when_the_run_fails(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text("[]")
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    assert out.read_text() == "kept\n"
+
+
+class _Stdout:
+    """A stdout that records its write calls."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_stdout_gets_the_output_once_it_holds_flush_characters(monkeypatch):
+    stdout = _Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    pieces = ["x" * (k % 1000) for k in range(1000)]
+    with cli._output(None) as write:
+        for piece in pieces:
+            write(piece)
+    assert "".join(stdout.writes) == "".join(pieces)
+    *full, last = stdout.writes
+    assert len(full) == sum(map(len, pieces)) // cli._FLUSH
+    assert all(cli._FLUSH <= len(text) < cli._FLUSH + 1000 for text in full)
+    assert len(last) < cli._FLUSH
+
+
+@pytest.mark.parametrize("argv", [["jump-search", "--paths", "golden.json", "--n-max", "100000"],
+                                  ["ellipsoid", "--alphas", "1,sqrt2", "--n-max", "300000"]])
+def test_stdout_and_out_give_the_same_bytes(golden_file, tmp_path, monkeypatch, argv):
+    # and stdout is never handed much more than _FLUSH characters at once
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out.json"]) == EXIT_OK
+    stdout = _Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == EXIT_OK
+    assert "".join(stdout.writes) == (tmp_path / "out.json").read_text()
+    assert json.loads("".join(stdout.writes))["search"]["solutions"]
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) < cli._FLUSH + 2 * jump._JSON_CHUNK
+
+
+@pytest.mark.parametrize("argv", [["jump-search", "--paths", "golden.json", "--n-max", "20000"],
+                                  ["ellipsoid", "--alphas", "1,sqrt2", "--n-max", "20000"]])
+def test_the_commands_build_no_solution_dicts(golden_file, tmp_path, capsys, monkeypatch, argv):
+    # the solutions are printed from the columns; to_json is for in-process callers
+    def no_dicts(self):
+        raise AssertionError("SearchResult.to_json ran")
+
+    monkeypatch.setattr(SearchResult, "to_json", no_dicts)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["search"]["solutions"]
 
 
 def test_precision_floor_enforced(rot_fixture, capsys):
@@ -542,7 +636,7 @@ def test_dump_json_on_empty_containers_and_special_values(tmp_path, capsys):
         nested = {"a": nested, "b": [], "c": (), "d": [{}, [], ()], "e": [nested]}
     specials = [True, False, None, 0, -1, 2 ** 100, -(3 ** 70), -0.0, 1e-7, 1e16, 5e-324,
                 math.nan, math.inf, -math.inf, "", "\"quoted\" \\ \n\t", "é∮😀", ("tuple", 1)]
-    # 20,001 pieces: stdout gets four full batches of 4096 and the rest
+    # 20,001 pieces, 127 KB: stdout gets them in two batches of about _FLUSH characters
     for obj in ({}, [], (), nested, specials, {"z": specials, "A": nested, "": None},
                 [{"N": n, "m": [n, -n]} for n in range(2000)]):
         _check_dump_json(obj, tmp_path / "out.json", capsys)

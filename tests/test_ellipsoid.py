@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from symindex.cli import _dump_json
 from symindex.ellipsoid import (
     EllipsoidError,
     EllipsoidSpec,
@@ -177,7 +179,7 @@ def test_pipeline_small(spec12):
     assert rep["varrho_n"] == 2 and rep["varrho_lower_bound"] == 2
     assert rep["pairwise_irrational_count"] == 2
     assert all(rep["claims"].values())
-    assert rep["search"]["solutions"], "expected jump solutions below 20000"
+    assert rep["search"].solutions, "expected jump solutions below 20000"
     for t in rep["theorem211"]:
         assert t["ok"]
     # tables contain exactly m_max rows and start at the base index
@@ -186,9 +188,11 @@ def test_pipeline_small(spec12):
         assert orb["table"][0]["i"] == orb["i1"]
 
 
-def test_pipeline_json_serializable(spec12):
-    import json
-
+def test_pipeline_json_serializable(spec12, tmp_path):
+    # the report holds the SearchResult itself; the CLI's writer prints it
     rep = run_pipeline(spec12, m_max=3, N_max=5000)
-    text = json.dumps(rep, sort_keys=True)
+    out = tmp_path / "rep.json"
+    _dump_json(rep, str(out))
+    text = out.read_text()
     assert "schema_version" in text
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text

@@ -1012,6 +1012,56 @@ def test_exact_solutions_merge_in_by_N(theta, monkeypatch):
     assert_certify_matches(v, cands, [data], LIMIT_EPS, LIMIT_DELTA)
 
 
+def _golden_search(N_max, chi="auto"):
+    data = rot_data(PHI)
+    v = build_jump_vector([data])
+    delta = default_delta([data])
+    return search_N(v, chi, eps=default_eps([data], v.M, delta), N_max=N_max, paths=[data],
+                    delta=delta)
+
+
+def _past_the_batch_limit():
+    # exact-gate solutions, object columns, with m_k >= 2**50
+    data, v, L, cands = limit_candidates(LIMIT_THETAS[1])
+    res = _certify(v, cands, [data], LIMIT_DELTA, get_precision())
+    assert max(max(col) for col in res.m) >= 1 << 50
+    return res
+
+
+WRITER_FIXTURES = {
+    "empty": lambda: _golden_search(1),
+    "golden": lambda: _golden_search(20000),
+    "golden, chi 10": lambda: _golden_search(30000, chi=(1, 0)),
+    # two paths at delta = 1/7, with the flags of test_search_flags_golden_bytes
+    "golden and sqrt2 - 1, delta 1/7": lambda: search_report(
+        [rot_data(PHI), PathIndexData(NormalFormDecomposition(
+            n=2, p_minus=1, thetas=(Scalar.sqrt(2) - 1,)), i1=3)],
+        200000, M=2, M0=4, delta=Fraction(1, 7), eps=0.02, reports=0)["search"],
+    # the four axis orbits of test_chi_auto_runs_at_h16, at loose eps and
+    # delta: its defaults certify nothing up to N_max 1e6
+    "h = 16": lambda: search_report(
+        [orbit_data(EllipsoidSpec(alphas=("1", "sqrt2", "sqrt3", "sqrt5")), i)[0]
+         for i in (1, 2, 3, 4)], 20000, eps=LIMIT_EPS, delta=LIMIT_DELTA, reports=0)["search"],
+    "past the batch limit": _past_the_batch_limit,
+}
+
+
+@pytest.mark.parametrize("name", list(WRITER_FIXTURES))
+def test_write_json_gives_the_bytes_of_json_dumps(name):
+    res = WRITER_FIXTURES[name]()
+    assert (len(res.N) == 0) == (name == "empty")
+    want = json.dumps(res.to_json(), sort_keys=True, indent=2)
+    for newline in ("\n", "\n  ", "\n      "):
+        pieces = []
+        res.write_json(pieces.append, newline)
+        assert "".join(pieces) == want.replace("\n", newline)
+    # under "search" of the object jump-search and ellipsoid print
+    pieces = []
+    cli._write_json({"schema_version": 1, "search": res}, pieces.append, "\n")
+    assert "".join(pieces) == json.dumps({"schema_version": 1, "search": res.to_json()},
+                                         sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("name", ["golden", "loose golden", "-I2 block and N2 pair",
                                   "two paths, rational angle", "h = 66"])
 def test_certifying_in_small_batches_changes_nothing(name, monkeypatch):
@@ -1046,7 +1096,7 @@ def test_a_search_builds_no_solution_object(monkeypatch):
     assert built == [] and len(out["solutions"]) == res.gates["certified"] > 3
     report = search_report([data], 2 * 10 ** 5, reports=3)
     assert built == res.N[:3]
-    assert report["search"] == out
+    assert report["search"].to_json() == out
     assert [r["N"] for r in report["theorem211"]] == res.N[:3]
 
 
