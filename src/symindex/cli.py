@@ -203,9 +203,13 @@ def _parse_omega_tagged(text: str):
 
 
 def _parse_omega_complex(text: str) -> complex:
-    """1, -1, or an angle literal x meaning e^(i pi x)."""
+    """1, -1, or an angle literal x meaning e^(i pi x).  x is reduced mod 2
+    before it is rounded to a float: exactly for a rational, at its stored
+    bits for an irrational."""
     w = _parse_omega_tagged(text)
-    return complex(w) if isinstance(w, int) else cmath.exp(1j * math.pi * float(w))
+    if isinstance(w, int):
+        return complex(w)
+    return cmath.exp(1j * math.pi * float(w - 2 * w.mul_div_floor(1, 2)))
 
 
 def _require_object(obj, what: str) -> None:

@@ -9,9 +9,9 @@ The xi arc has no eigenvalue on the unit circle, so no phase passes 0 on
 it: the count starts at one sample of it, S = extend_with_xi(gamma), and
 then runs over gamma's own samples, where gamma(0) = I is a sample like
 any other.  The count trusts the sample spacing, which validate bounds by
-STEP_BOUND, takes eigen-data at coarse points only and needs no
-refinement: two crossings inside one sample step count 2, and a touch
-nets 0.
+STEP_BOUND, takes eigen-data at coarse points and refines a step only to
+find a cut far enough from its end phases: two crossings inside one sample
+step count 2, and a touch nets 0.
 
 A degenerate endpoint follows the convention gamma(T) e^{-eps J}: its index
 is that of gamma e^{-eps (t/T) J}, which realizes the infimum over nearby
@@ -430,7 +430,7 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # the endpoint's are those of the read that gave nu_omega and g.  An
 # iterate's points are gathered from its one period (_samples).
 
-COARSE_BOUND = 0.5  # motion bound (rad) between the points that get eigen-data
+COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps, points or steps per batch of bounds, phases or counts
 CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
 MAX_HALVINGS = 10  # halvings of one sample step through the evaluator, or of one arc step
@@ -438,34 +438,36 @@ MAX_HALVINGS = 10  # halvings of one sample step through the evaluator, or of on
 
 def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     """A bound on the eigen-phase motion of W over each step of a stack of
-    samples: 2 asin(min(1, sqrt2 r)) with r = |dM M^-1|_F, M the step's
-    first sample.  r is the step's change relative to M, so it is the same
-    in every period of an iterate: (dM P^j)(M P^j)^-1 = dM M^-1.  M^-1 =
+    samples (k + 1, 2n, 2n), or of each stack of a batch (..., k + 1, 2n,
+    2n): 2 asin(min(1, sqrt2 r)) with r = |dM M^-1|_F, M the step's first
+    sample.  r is the step's change relative to M, so it is the same in
+    every period of an iterate: (dM P^j)(M P^j)^-1 = dM M^-1.  M^-1 =
     [[D^T, -B^T], [-C^T, A^T]] is taken by slicing.  The bound trusts the
     path not to stray between samples."""
-    dM = np.diff(mats, axis=0)
-    MT = mats[:-1].swapaxes(1, 2)
+    dM = np.diff(mats, axis=-3)
+    MT = mats[..., :-1, :, :].swapaxes(-1, -2)
     inv = np.empty_like(MT)
-    inv[:, :n, :n] = MT[:, n:, n:]
-    np.negative(MT[:, n:, :n], out=inv[:, :n, n:])
-    np.negative(MT[:, :n, n:], out=inv[:, n:, :n])
-    inv[:, n:, n:] = MT[:, :n, :n]
+    inv[..., :n, :n] = MT[..., n:, n:]
+    np.negative(MT[..., n:, :n], out=inv[..., :n, n:])
+    np.negative(MT[..., :n, n:], out=inv[..., n:, :n])
+    inv[..., n:, n:] = MT[..., :n, :n]
     rel = dM @ inv
-    r = np.sqrt(np.einsum("kij,kij->k", rel, rel))
+    r = np.sqrt(np.einsum("...ij,...ij->...", rel, rel))
     return 2 * np.arcsin(np.minimum(1.0, math.sqrt(2) * r))
 
 
-def _arc(M: np.ndarray, s: float) -> np.ndarray:
-    """M e^{-sJ} = M (cos s I - sin s J), the arc that moves a degenerate
-    endpoint M off its eigenvalue."""
+def _arc(M: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """M e^{-sJ} = M (cos s I - sin s J) at each s of a 1-D array, the arc
+    that moves a degenerate endpoint M off its eigenvalue."""
     n = len(M) // 2
-    return M @ (math.cos(s) * np.eye(2 * n) - math.sin(s) * standard_J(n))
+    c, si = np.cos(s)[:, None, None], np.sin(s)[:, None, None]
+    return M @ (c * np.eye(2 * n) - si * standard_J(n))
 
 
-def _arc_motion(h: float) -> float:
+def _arc_motion(h):
     """A bound on the eigen-phase motion of W over the arc M e^{-sJ} as s
-    runs over an interval of length h, whatever M."""
-    return 2 * math.asin(min(1.0, 2 * math.sin(0.5 * abs(h))))
+    runs over an interval of length h, whatever M; h a float or an array."""
+    return 2 * np.arcsin(np.minimum(1.0, 2 * np.sin(0.5 * np.abs(h))))
 
 
 def _count(p0: np.ndarray, p1: np.ndarray, bound):
@@ -491,8 +493,10 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
 
 
 def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
-    """W's eigen-phases in [0, 2pi), per matrix of a stack M."""
-    return graph_phases(graph_unitary(M)[0], omega) % (2 * math.pi)
+    """W's eigen-phases in [0, 2pi), per matrix of a stack M, read CHUNK
+    matrices at a time."""
+    return np.concatenate([graph_phases(graph_unitary(M[lo:lo + CHUNK])[0], omega)
+                           for lo in range(0, len(M), CHUNK)]) % (2 * math.pi)
 
 
 def _samples(path: SampledSymplecticPath, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -520,12 +524,24 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     i.  No phase has passed 0 before S, and its phases are resolved for
     every omega.  The phases at I and at gamma(tau), 0 up to rounding when
     degenerate, are read once and shared by the two steps that meet there,
-    so a passage there counts once.  Sample steps are grouped into coarse
-    steps of motion bound about COARSE_BOUND.  A step whose best cut is too
-    near is halved, at scan points, then inside one sample step through the
-    evaluator, and on the arc through _arc.  The start step is never halved:
-    its ends depend only on n and omega, and its motion bound is about
-    2e-3 sqrt(n) rad."""
+    so a passage there counts once.
+
+    Sample steps are grouped into coarse steps of motion bound about
+    COARSE_BOUND.  A coarse step's bound is the sum of its sample steps'
+    bounds, and a step whose best cut is not farther than its bound is
+    refined until each of its parts is counted at a cut farther than that
+    part's bound; so COARSE_BOUND sets only the cost, never the count.  The
+    refinement runs in rounds, each over every step still unresolved: a
+    step between two scan points at least 2 apart is halved at the scan
+    point between them, any other sample step at its mid-time through the
+    evaluator, and an arc step at its mid-s through _arc.  A round gathers
+    all its midpoints in one _samples product, one path.evaluate call and
+    one _arc call, reads their phases in one _phases call, bounds the
+    halves by the summed bounds, one batched _motion of the (M0, mid, M1)
+    triples and _arc_motion, and counts them in one _count.  The start step
+    is never halved: its ends depend only on n and omega, and its motion
+    bound is about 2e-3 sqrt(n) rad.  An evaluator or arc step is halved at
+    most MAX_HALVINGS times."""
     n, m, L = path.n, path.m, len(path.ts) - 1
     S = extend_with_xi(path)
     N = m * L + 1  # the iterate's samples; scan points 0..N
@@ -544,65 +560,74 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     j = np.clip(goal // total, 0, m - 1).astype(int)
     marks = j * L + np.minimum(np.searchsorted(cum_base, goal - j * total), L) + 1
     coarse = np.unique(np.concatenate(([0], marks, [N])))
-    arc = [0.5 * eps, eps] if eps else []
+    arc = np.array([0.5 * eps, eps] if eps else [])
     E = path.endpoint()
     t, M = _samples(path, coarse[1:] - 1)
     # point q is (scan point, t, M, phases) at coarse[q], then at the arc
-    # points; a point made by halving a sample step has scan point None, and
-    # so has an arc point, which holds s for t
-    scan = coarse.tolist() + [None] * len(arc)
+    # points; a point off the samples, a midpoint through the evaluator or
+    # on the arc, has scan point -1, and an arc point holds s for t
+    i = np.concatenate((coarse, np.full(len(arc), -1)))
     t = np.concatenate(([0.0], t, arc))
-    M = np.concatenate([S[None], M] + [_arc(E, s)[None] for s in arc])
+    M = np.concatenate((S[None], M, _arc(E, arc)))
     last = len(coarse) - 1  # gamma(tau), whose phases are end
-    rows = np.delete(M, last, axis=0)
-    ph = np.insert(np.concatenate([_phases(rows[lo:lo + CHUNK], omega)
-                                   for lo in range(0, len(rows), CHUNK)]), last, end, axis=0)
-    bound = np.concatenate((np.diff(cum(coarse)), [_arc_motion(0.5 * eps)] * len(arc)))
+    ph = _phases(np.concatenate((M[:last], M[last + 1:])), omega)
+    ph = np.concatenate((ph[:last], end[None], ph[last:]))
+    bound = np.concatenate((np.diff(cum(coarse)), np.full(len(arc), _arc_motion(0.5 * eps))))
     counts, ok = _count(ph[:-1], ph[1:], bound)
 
-    def at(j, t, M):
-        return (j, t, M, _phases(M, omega))
+    # the steps whose cut is too near, in path order, each held as its ends
+    # (lo, hi) and the coarse step it is part of
+    step = np.flatnonzero(~ok)
+    counts[step] = 0
+    lo = (i[step], t[step], M[step], ph[step])
+    hi = (i[step + 1], t[step + 1], M[step + 1], ph[step + 1])
+    depth = np.full(len(step), MAX_HALVINGS)
 
-    def halve_sample(a, b, depth):
-        (i0, t0, M0, _), (i1, t1, M1, _) = a, b
-        if None not in (i0, i1) and i1 - i0 >= 2:
-            k = (i0 + i1) // 2
-            (tk,), (Mk,) = _samples(path, np.array([k - 1]))
-            c0, ck, c1 = cum(np.array([i0, k, i1]))
-            return at(k, tk, Mk), ck - c0, c1 - ck, depth
-        if i0 == 0:
-            raise OracleError(f"eigen-phases move too far over the start step from "
-                              f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
-                              f"omega = {omega:.6g}")
-        if path.evaluator is None:
-            raise OracleError(f"eigen-phases move too far over the sample step at "
-                              f"t = {t0:.6g}, and the path has no evaluator to halve it")
-        if depth == 0:
+    def pairs(x, y):  # each step's left half, then its right half
+        return np.stack((x, y), axis=1).reshape((-1,) + x.shape[1:])
+
+    while len(step):
+        (i0, t0, M0, _), (i1, t1, M1, _) = lo, hi
+        on_samples = (i0 >= 0) & (i1 - i0 >= 2)
+        on_arc = ~on_samples & (step >= last)
+        through = ~on_samples & ~on_arc
+        s0 = np.where(i0 >= 0, 0.0, t0)  # the arc starts at scan point N
+        refused = ~on_samples & (depth == 0) | through & ((i0 == 0) | (path.evaluator is None))
+        if refused.any():
+            q = int(np.argmax(refused))
+            if on_arc[q]:
+                raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
+                                  f"of the endpoint arc gamma(tau) e^{{-sJ}} at s = {s0[q]:.6g}")
+            if i0[q] == 0:
+                raise OracleError(f"eigen-phases move too far over the start step from "
+                                  f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
+                                  f"omega = {omega:.6g}")
+            if path.evaluator is None:
+                raise OracleError(f"eigen-phases move too far over the sample step at "
+                                  f"t = {t0[q]:.6g}, and the path has no evaluator to halve it")
             raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
-                              f"of the sample step at t = {t0:.6g}")
-        mid = at(None, 0.5 * (t0 + t1), path.evaluate(0.5 * (t0 + t1)))
-        return (mid, *_motion(np.stack((M0, mid[2], M1)), n), depth - 1)
-
-    def halve_arc(a, b, depth):
-        s0, s1 = (a[1] if a[0] is None else 0.0), b[1]  # the arc starts at scan point N
-        if depth == 0:
-            raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
-                              f"of the endpoint arc gamma(tau) e^{{-sJ}} at s = {s0:.6g}")
-        h = _arc_motion(0.5 * (s1 - s0))
-        return at(None, 0.5 * (s0 + s1), _arc(E, 0.5 * (s0 + s1))), h, h, depth - 1
-
-    for k in np.flatnonzero(~ok):  # the steps whose cut is too near, halved until it is not
-        counts[k] = 0
-        a, b = ((scan[q], t[q], M[q], ph[q]) for q in (k, k + 1))
-        todo = [(a, b, bound[k], MAX_HALVINGS)]
-        while todo:
-            a, b, bnd, depth = todo.pop()
-            net, resolved = _count(a[3][None], b[3][None], bnd)
-            if resolved[0]:
-                counts[k] += net[0]
-                continue
-            mid, b0, b1, depth = (halve_sample if k < len(coarse) - 1 else halve_arc)(a, b, depth)
-            todo += [(a, mid, b0, depth), (mid, b, b1, depth)]
+                              f"of the sample step at t = {t0[q]:.6g}")
+        k = np.where(on_samples, (i0 + i1) // 2, -1)
+        tk, Mk, halves = np.empty_like(t0), np.empty_like(M0), np.empty((len(step), 2))
+        if on_samples.any():
+            tk[on_samples], Mk[on_samples] = _samples(path, k[on_samples] - 1)
+            halves[on_samples] = np.diff(cum(np.stack((i0, k, i1), axis=1)[on_samples]), axis=1)
+        if through.any():
+            tk[through] = 0.5 * (t0[through] + t1[through])
+            Mk[through] = path.evaluate(tk[through])
+            halves[through] = _motion(np.stack((M0[through], Mk[through], M1[through]), axis=1), n)
+        if on_arc.any():
+            tk[on_arc] = 0.5 * (s0[on_arc] + t1[on_arc])
+            Mk[on_arc] = _arc(E, tk[on_arc])
+            halves[on_arc] = _arc_motion(0.5 * (t1[on_arc] - s0[on_arc]))[:, None]
+        mid = (k, tk, Mk, _phases(Mk, omega))
+        lo, hi = tuple(map(pairs, lo, mid)), tuple(map(pairs, mid, hi))
+        step = np.repeat(step, 2)
+        depth = np.repeat(np.where(on_samples, depth, depth - 1), 2)
+        net, ok = _count(lo[3], hi[3], halves.reshape(-1))
+        np.add.at(counts, step[ok], net[ok])
+        step, depth = step[~ok], depth[~ok]
+        lo, hi = (tuple(x[~ok] for x in ends) for ends in (lo, hi))
     if eps and counts[-1]:
         index = int(np.sum(counts[:-1]))
         raise OracleError(f"unstable count under perturbation ({index + counts[-1]} vs {index})")

@@ -105,6 +105,23 @@ def test_oracle_splitting_on_a_sheared_iterate(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["splitting_estimate"] == {"s_plus": 1, "s_minus": 1}
 
 
+@pytest.mark.parametrize("large, small, want", [
+    ("10000000000000001", "-1", (0, 0)), ("1e300", "0", (1, 0)), ("1e400", "0", (1, 0)),
+    # sqrt(K) = 2 j + 1.82645500380721..., j an integer
+    ("sqrt4726605078643867556437127750161630234573", "1.8264550038072116", (1, 0))])
+def test_a_large_omega_angle_is_reduced_mod_2_exactly(tmp_path, capsys, large, small, want):
+    # B = I, tau = 1 reads i = 0 at omega = -1 and i = 1 at omega = 1.  The
+    # angle was once rounded to a float before its reduction mod 2:
+    # 10000000000000001 became the even 1e16, 1e300 and the square root an
+    # angle of rounding noise, and 1e400 raised OverflowError
+    f = tmp_path / "unit.json"
+    f.write_text(json.dumps({"n": 1, "tau": 1.0, "B": [[1.0, 0.0], [0.0, 1.0]]}))
+    for omega in (large, small):
+        assert main(["oracle", "--generator", str(f), "--omega", omega]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["i"], out["nu"]) == want, omega
+
+
 def test_splitting_subcommand(rot_fixture, capsys):
     f, _ = rot_fixture
     rc = main(["splitting", "--data", str(f), "--omega", "1/2"])

@@ -375,12 +375,12 @@ def test_the_start_step_is_never_halved(monkeypatch):
 
 def count_point_evaluations(monkeypatch):
     """Record the time of every point evaluation of a path in the list
-    returned."""
+    returned, each time of an array of them."""
     calls = []
     evaluate = SampledSymplecticPath.evaluate
 
     def counted_evaluate(self, t):
-        calls.append(t)
+        calls.extend(np.atleast_1d(t).tolist())
         return evaluate(self, t)
 
     monkeypatch.setattr(SampledSymplecticPath, "evaluate", counted_evaluate)
@@ -601,7 +601,7 @@ def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
     arcs = []
 
     def counted_arc(M, s):
-        arcs.append(s)
+        arcs.extend(s)
         return arc(M, s)
 
     monkeypatch.setattr(oracle, "_arc", counted_arc)
@@ -609,7 +609,7 @@ def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
     monkeypatch.setattr(oracle, "_arc_motion", lambda h: 2 ** 20 * arc_motion(h))
     assert cz_index(path, 1) == want
     assert len(arcs) > 2 and all(0 < s <= oracle.ARC_LENGTH for s in arcs)
-    monkeypatch.setattr(oracle, "_arc_motion", lambda h: 4.0)  # past every cut
+    monkeypatch.setattr(oracle, "_arc_motion", lambda h: np.full_like(h, 4.0))  # past every cut
     with pytest.raises(OracleError, match=f"not resolved after {oracle.MAX_HALVINGS} halvings "
                                           f"of the endpoint arc"):
         cz_index(path, 1)
@@ -1105,15 +1105,49 @@ def test_oracle_matches_the_bott_formula_on_rotation_diamonds(drawn):
 FOUR_THETAS = (Fraction(13, 10), Fraction(-29, 10), Fraction(7, 10), Fraction(18, 5))
 
 
-@pytest.mark.parametrize("coarse_bound", [0.05, 0.5, 8.0])
+@pytest.mark.parametrize("coarse_bound", [0.05, 0.5, 1.5, 2.0, 8.0])
 def test_the_count_does_not_depend_on_the_coarse_grid(monkeypatch, coarse_bound):
-    # at 8 rad every coarse step is too long for its cut and is halved at
-    # samples; at 0.5 rad (the default) only some are
+    # at 8 rad every coarse step is too long for its cut and is refined at
+    # samples; at 1.5 rad (the default) only some are.  gamma^3(tau) has the
+    # eigenvalue e^{i 3 (7/10) pi} = e^{i pi / 10}, so that count goes on
+    # over the endpoint arc
     monkeypatch.setattr(oracle, "COARSE_BOUND", coarse_bound)
     path, data = rotation_diamond(FOUR_THETAS)
-    for k in range(12):
-        want = bott_index(data, 1, Fraction(k, 6))
-        assert cz_index(path, cmath.exp(1j * math.pi * k / 6)) == want, k
+    degenerate = 3 * FOUR_THETAS[2] % 2
+    assert bott_index(data, 3, degenerate)[1] > 0
+    for m, over_pi in [(m, Fraction(k, 6)) for m in (1, 3) for k in range(12)] + [(3, degenerate)]:
+        want = bott_index(data, m, over_pi)
+        assert cz_index(iterate_path(path, m), cmath.exp(1j * math.pi * over_pi)) == want, (m, over_pi)
+
+
+def test_a_refinement_round_reads_its_midpoints_at_once(monkeypatch):
+    # at 8 rad every coarse step is refined.  Each round reads the phases of
+    # all its midpoints in one call and counts all its halves in one
+    # _count, so a count reads the endpoint, the coarse points and then
+    # once per round; halving depth-first read once per halved point
+    monkeypatch.setattr(oracle, "COARSE_BOUND", 8.0)
+    path, data = rotation_diamond(FOUR_THETAS)
+    reads, counts = [], []
+    unitary, count = normal_forms.graph_unitary, oracle._count
+
+    def counted_unitary(M):
+        reads.append(len(M.reshape((-1,) + M.shape[-2:])))
+        return unitary(M)
+
+    def counted_count(p0, p1, bound):
+        counts.append(len(p0))
+        return count(p0, p1, bound)
+
+    monkeypatch.setattr(normal_forms, "graph_unitary", counted_unitary)
+    monkeypatch.setattr(oracle, "graph_unitary", counted_unitary)
+    monkeypatch.setattr(oracle, "_count", counted_count)
+    for over_pi in (Fraction(1, 6), Fraction(5, 6), Fraction(3, 2)):
+        reads.clear()
+        counts.clear()
+        assert cz_index(path, cmath.exp(1j * math.pi * over_pi)) == bott_index(data, 1, over_pi)
+        rounds = len(counts) - 1  # the coarse steps' _count, then one per round
+        assert rounds >= 2 and len(reads) == 2 + rounds, (over_pi, reads, counts)
+        assert sum(reads[2:]) > rounds  # some round reads more than one midpoint
 
 
 def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
