@@ -252,11 +252,11 @@ def _load_generator(obj):
 def _cmd_iterate(args: argparse.Namespace) -> int:
     data = _load_path_data(_load_json(args.input))
     mi = mean_index(data)
-    lines = ["m,i,nu,mean_index_times_m"]
-    for m in range(1, args.m_max + 1):
-        lines.append(f"{m},{index_iterate(data, m)},{nullity_iterate(data, m)},"
-                     f"{format_multiple(mi, m)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as write:   # each row is written as it is computed
+        write("m,i,nu,mean_index_times_m\n")
+        for m in range(1, args.m_max + 1):
+            write(f"{m},{index_iterate(data, m)},{nullity_iterate(data, m)},"
+                  f"{format_multiple(mi, m)}\n")
     return EXIT_OK
 
 

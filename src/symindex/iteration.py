@@ -240,8 +240,9 @@ def path_record(data: PathIndexData) -> PathRecord:
     mean = Scalar.rational(data.i1 + d.p_minus + d.p_zero - d.r)
     for th in d.thetas:
         mean = mean + th
-    rec = PathRecord(dps=get_precision(), s_plus=S_plus_one(d), C=C_of_M(d),
-                     mean=mean, angles=tuple(s_minus_angles(d)))
+    angles = tuple(s_minus_angles(d))
+    rec = PathRecord(dps=get_precision(), s_plus=S_plus_one(d), C=len(angles),
+                     mean=mean, angles=angles)
     object.__setattr__(data, "_record", rec)
     return rec
 
@@ -348,7 +349,7 @@ def splitting_numbers(decomp: NormalFormDecomposition, omega) -> SplittingPair:
 
 def C_of_M(decomp: NormalFormDecomposition) -> int:
     """Sum of S^- over all unit eigenvalue angles in (0, 2 pi)."""
-    return decomp.q_zero + decomp.q_plus + decomp.r + 2 * decomp.r_star
+    return len(s_minus_angles(decomp))
 
 
 def S_plus_one(decomp: NormalFormDecomposition) -> int:
@@ -423,22 +424,8 @@ def index_iterate_via_splitting(data: PathIndexData, m: int) -> int:
     if m < 1:
         raise ValueError("m must be a positive integer")
     rec = path_record(data)
-    d = data.decomp
-    sp, C = rec.s_plus, rec.C
-    total = m * (data.i1 + sp - C)
-    esum = 0
-    for th in d.thetas:
-        esum += _E_half(th, m)                  # S^- = 1 at theta_j
-    if d.q_zero or d.q_plus:
-        esum += _E_half(ONE, m) * (d.q_zero + d.q_plus)   # angle pi
-    for al in d.alphas:
-        # nontrivial N2: S^- = 1 at both alpha and 2 pi - alpha, and
-        # E(m (2 - alpha)/2) = m - [m alpha / 2]
-        esum += _E_half(al, m)
-        esum += m - al.mul_div_floor(m, 2)
-    total += 2 * esum
-    total -= sp + C
-    return total
+    esum = sum(_E_half(a, m) for a in rec.angles)
+    return m * (data.i1 + rec.s_plus - rec.C) + 2 * esum - (rec.s_plus + rec.C)
 
 
 def nullity_iterate(data: PathIndexData, m: int) -> int:
@@ -477,18 +464,7 @@ def I_value(data: PathIndexData, m: int) -> int:
     if m < 1:
         raise ValueError("m must be a positive integer")
     rec = path_record(data)
-    d = data.decomp
-    total = m * (data.i1 + rec.s_plus - rec.C)
-    esum = 0
-    for th in d.thetas:
-        esum += _E_full(th, m)
-    esum += m * (d.q_zero + d.q_plus)           # E(m * 1) = m at angle pi
-    for al in d.alphas:
-        esum += _E_full(al, m)
-        # E(m (2 - alpha)) = 2m - floor(m alpha)
-        esum += 2 * m - al.mul_floor(m)
-    total += esum
-    return total
+    return m * (data.i1 + rec.s_plus - rec.C) + sum(_E_full(a, m) for a in rec.angles)
 
 
 # ----- validation -----------------------------------------------------------

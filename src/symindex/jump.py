@@ -28,15 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .iteration import (
-    C_of_M,
     I_value,
     PathIndexData,
-    S_plus_one,
     index_iterate,
     mean_index,
     nullity_iterate,
     path_record,
-    s_minus_angles,
+    s_minus_angles,   # re-exported: bench/workloads.py imports it from here
 )
 from .scalars import (
     PrecisionError,
@@ -235,17 +233,13 @@ def default_M(paths) -> int:
     S^- angles, so that every m_k theta/pi with rational theta/pi is integral."""
     dens = [1]
     for data in paths:
-        mi = mean_index(data)
-        if mi.is_rational:
-            dens.append(mi.fraction.denominator)
-        for ang in s_minus_angles(data.decomp):
-            if ang.is_rational:
-                dens.append(ang.fraction.denominator)
+        rec = path_record(data)
+        dens += [x.fraction.denominator for x in (rec.mean, *rec.angles) if x.is_rational]
     return lcm(*dens)
 
 
 def default_delta(paths) -> Fraction:
-    mu_max = max(C_of_M(d.decomp) for d in paths)
+    mu_max = max(path_record(d).C for d in paths)
     return Fraction(1, 4 * (mu_max + 1))
 
 
@@ -265,12 +259,10 @@ def build_jump_vector(paths, M: Optional[int] = None, M0: Optional[int] = None) 
     paths = list(paths)
     if not paths:
         raise JumpError("need at least one path")
-    means = []
-    for data in paths:
-        mi = mean_index(data)
-        if not (mi > Scalar.rational(0)):
-            raise JumpError(f"mean index must be positive, got {float(mi):.6g}")
-        means.append(mi)
+    recs = [path_record(data) for data in paths]
+    for rec in recs:
+        if not (rec.mean > Scalar.rational(0)):
+            raise JumpError(f"mean index must be positive, got {float(rec.mean):.6g}")
     if M is None:
         M = default_M(paths)
     if M < 1:
@@ -279,15 +271,10 @@ def build_jump_vector(paths, M: Optional[int] = None, M0: Optional[int] = None) 
         M0 = M
     if M0 < 1:
         raise JumpError("M0 must be a positive integer")
-    mu = tuple(C_of_M(d.decomp) for d in paths)
-    coords = []
-    for data in paths:
-        coords.append(retag(path_record(data).inv_mean(M)))
-    for data, mi in zip(paths, means):
-        for ang in s_minus_angles(data.decomp):
-            coords.append(retag(ang / mi))
-    return JumpVector(q=len(paths), mu=mu, coords=tuple(coords), M=M, M0=M0,
-                      mean_indices=tuple(means))
+    coords = [retag(rec.inv_mean(M)) for rec in recs]
+    coords += [retag(ang / rec.mean) for rec in recs for ang in rec.angles]
+    return JumpVector(q=len(paths), mu=tuple(rec.C for rec in recs), coords=tuple(coords),
+                      M=M, M0=M0, mean_indices=tuple(rec.mean for rec in recs))
 
 
 # ----- stage 1: integer-scaled fractional-part filter -----------------------
@@ -577,13 +564,6 @@ def _top(w, X: int, F: int):
     return rh, Xh, (rh != 0) & (rh <= _ONES - w)
 
 
-def _slope(rec, data) -> int:
-    """c with I(k, m) = c m + sum_theta E(m theta/pi) + #(irrational alphas)
-    once every rational angle times m is an integer."""
-    d = data.decomp
-    return data.i1 + rec.s_plus - rec.C + d.q_zero + d.q_plus + 2 * d.r_star
-
-
 def _batch_limit(v: JumpVector, recs, F: int) -> int:
     """N below which the batch is exact: N and every m_k < 2**50, every
     rational modulus < 2**32 and every |I(k, m_k)| < 2**63; 0 when some
@@ -600,9 +580,8 @@ def _batch_limit(v: JumpVector, recs, F: int) -> int:
         else:
             limit = min(limit, (unit << F) // (y._fixed(F)[0] + 1))
         moduli += [a.fraction.denominator for a in rec.angles if a.is_rational]
-        # |I(k, m)| <= m (|c| + 2 r) + r*, as 0 <= E(m theta/pi) <= 2m
-        d = data.decomp
-        if abs(_slope(rec, data)) + 2 * d.r + d.r_star >= 1 << 13:
+        # |I(k, m)| <= m (|i1 + S+(1) - C| + 2 C), as 0 <= E(m theta/pi) <= 2m
+        if abs(data.i1 + rec.s_plus - rec.C) + 2 * rec.C >= 1 << 13:
             limit = 0
     if any(q >= 1 << 32 for q in moduli):
         return 0
@@ -656,14 +635,14 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
     id_fail = np.zeros(K, bool)   # I(k, m_k) != N + Delta_k for some k
     for k, (rec, data) in enumerate(recs):
         m = ms[k]
-        d = data.decomp
-        I = m.astype(np.int64) * _slope(rec, data)
-        for j, ang in enumerate(rec.angles):
+        # I(k, m) = m (i1 + S+(1) - C) + the E(m theta/pi) of every S^- angle
+        I = m.astype(np.int64) * (data.i1 + rec.s_plus - rec.C)
+        for ang in rec.angles:
             if ang.is_rational:
                 num, den = ang.fraction.numerator, ang.fraction.denominator
                 passed &= (m % np.uint64(den)) * np.uint64(num % den) % np.uint64(den) == 0
-                if j < d.r:   # E(m theta/pi) of a rational theta, m theta/pi integral
-                    I += (m // np.uint64(den) * np.uint64(num)).astype(np.int64)
+                # E(m theta/pi) = m theta/pi where the gate passes: an integer
+                I += (m // np.uint64(den) * np.uint64(num)).astype(np.int64)
                 continue
             X = ang._fixed(F)[0]
             rh, Xh, ok = _top(m, X, F)
@@ -673,10 +652,8 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
             exact |= passed & ~(ok & (below | (above & (cbelow | cabove))))
             passed &= below | cbelow
             deltas[k] += below
-            if j < d.r:   # E(m theta/pi) = floor + 1 for an irrational theta
-                I += (m * np.uint64(X >> F) + _mulhi(m, Xh) + np.uint64(1)).astype(np.int64)
-        # E(m alpha) + 2m - floor(m alpha) = 2m (+ 1 for an irrational alpha)
-        I += sum(1 for al in d.alphas if not al.is_rational)
+            # E(m theta/pi) = floor + 1 for an irrational theta
+            I += (m * np.uint64(X >> F) + _mulhi(m, Xh) + np.uint64(1)).astype(np.int64)
         id_fail |= I != N.astype(np.int64) + deltas[k]
     passed &= ~exact
     angle_fail = live & ~passed & ~exact
@@ -820,12 +797,8 @@ def varrho(paths, n: int) -> int:
     paths = list(paths)
     if not paths:
         raise JumpError("need at least one path")
-    vals = []
-    for data in paths:
-        d = data.decomp
-        num = data.i1 + 2 * S_plus_one(d) - d.nu_one + n
-        vals.append(num // 2)
-    return min(vals)
+    return min((data.i1 + 2 * path_record(data).s_plus - data.decomp.nu_one + n) // 2
+               for data in paths)
 
 
 def theorem211_report(sol: JumpSolution, paths, n: int) -> dict:
@@ -840,7 +813,7 @@ def theorem211_report(sol: JumpSolution, paths, n: int) -> dict:
     rho = varrho(paths, n)
     i2 = [index_iterate(paths[k], 2 * sol.m[k]) for k in range(len(paths))]
     nu2 = [nullity_iterate(paths[k], 2 * sol.m[k]) for k in range(len(paths))]
-    spc = [S_plus_one(p.decomp) + C_of_M(p.decomp) for p in paths]
+    spc = [path_record(p).s_plus + path_record(p).C for p in paths]
     entries = []
     problems = []
     assigned = []

@@ -567,6 +567,29 @@ def test_search_flags_golden_bytes(tmp_path, capsys, monkeypatch):
         assert digest == expected, argv
 
 
+@pytest.mark.parametrize("decomp, i1, expected", [
+    # a rotation beside a -I2 block: angle 1 in the identity's E sum
+    (dict(n=2, q_zero=1, thetas=(Scalar.golden() - 1,)), 3,
+     "0246e0a8d6b8b63a8de4e70de2ef7aa09686a390a370f4ea99fed3355f016085"),  # 2,387 solutions
+    # an irrational nontrivial N2 beside an N1(-1,-1) block: alpha and 2 - alpha
+    (dict(n=3, q_plus=1, alphas=(Scalar.sqrt(2) - 1,)), 4,
+     "6bfc7a12a29abcfc169ace1a6ebafcb10047e6f059099c51c937b4b31542275c"),  # 585 solutions
+    # a rational nontrivial N2 beside an N1(1,1) block
+    (dict(n=3, p_minus=1, alphas=(Scalar.rational(2, 5),)), 5,
+     "5ab8b4b1290913de6e488b671c42d6baf05eb6b6f66834c002ed6123adf02cba"),  # 10,000 solutions
+], ids=["golden_q_zero", "sqrt2_q_plus", "two_fifths_p_minus"])
+def test_one_path_golden_bytes(tmp_path, capsys, decomp, i1, expected):
+    # the I(m) terms of -I2, N1(-1,-1) and N2 blocks, which the rotation-only
+    # goldens leave out; stdout digests recorded at commit 0f18940, as CI's
+    # one-path golden step
+    data = PathIndexData(NormalFormDecomposition(**decomp), i1=i1)
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps([data.to_json()]))
+    assert main(["jump-search", "--paths", str(f), "--n-max", "300000"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == expected
+
+
 def test_iterate_golden_bytes(tmp_path, capsys):
     # sqrt2 - 1 with an N1(1, 1) block: the irrational mean_index_times_m
     # column is printed to 30 digits; the stdout digest was recorded at
@@ -578,6 +601,20 @@ def test_iterate_golden_bytes(tmp_path, capsys):
     assert main(["iterate", "--data", str(f), "--m-max", "500"]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "b1cc06685bed6bf47ccc38c676cc8f7730619c9939e5468a9462176ee8d3865e"
+
+
+def test_iterate_writes_its_rows_as_they_are_computed(rot_fixture, tmp_path, monkeypatch):
+    # stdout gets the CSV in pieces of about _FLUSH characters, the bytes
+    # that --out gets, and no string of the whole table is built
+    f, _ = rot_fixture
+    argv = ["iterate", "--data", str(f), "--m-max", "6000"]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    stdout = _Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == EXIT_OK
+    assert "".join(stdout.writes) == (tmp_path / "out.csv").read_text()
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) < cli._FLUSH + 100
 
 
 def test_splitting_keeps_irrationals_apart_below_a_float_tolerance(tmp_path, capsys):

@@ -16,6 +16,7 @@ from symindex.iteration import (
     index_iterate_via_splitting,
     mean_index,
     nullity_iterate,
+    s_minus_angles,
     splitting_numbers,
     unit_spectrum,
     validate,
@@ -93,6 +94,23 @@ def test_C_of_M_matches_spectrum_sum(rng):
             if Scalar.rational(0) < ang < Scalar.rational(2):
                 total += splitting_numbers(d, ang if ang != Scalar.rational(1) else -1).s_minus
         assert total == C_of_M(d)
+
+
+def test_s_minus_angles_count_the_s_minus_of_the_spectrum(rng):
+    # the path record's angle list against the splitting table, on draws
+    # that together hold every block kind
+    kinds = set()
+    for _ in range(80):
+        d = random_decomposition(rng, n_max=8)
+        kinds |= {key for key, value in d.to_json().items() if value and key != "n"}
+        angles = s_minus_angles(d)
+        spectrum = [ang for ang, _mult in unit_spectrum(d)]
+        for phi in spectrum:
+            if phi != Scalar.rational(0):
+                assert sum(a == phi for a in angles) == splitting_numbers(d, phi).s_minus
+        assert all(any(a == phi for phi in spectrum) for a in angles)
+    assert kinds == {"p_minus", "p_zero", "p_plus", "q_minus", "q_zero", "q_plus",
+                     "thetas", "alphas", "betas", "k"}
 
 
 def test_S_plus_one_examples():
