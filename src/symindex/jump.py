@@ -284,28 +284,19 @@ _WRAP = 1 << 64  # numpy uint64 arithmetic is exact mod 2**64
 
 def _scaled_coord(s: Scalar, F: int) -> int:
     """X of the coordinate s at F fraction bits: floor(s 2**F) for an
-    irrational s, ceil(s 2**F) for a rational one.  Rounding up puts an
-    integer N s exactly on side 0 (N X mod 2**F = N (X - s 2**F) < N), where
-    _residual measures it at distance 0."""
+    irrational s, ceil(s 2**F) for a rational one, whose N X then lies less
+    than N above N s 2**F: the bound that _stage1's proof uses."""
     if s.is_rational:
         fr = s.fraction
         return -(-(fr.numerator << F) // fr.denominator)
     return s._fixed(F)[0]
 
 
-def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close_int, explicit_bits, band):
-    """N = first_step step_N, ... in n_steps steps of step_N; returns the
-    (N, bits, residual) of the close N, in increasing N.
-
-    A numpy uint64 prefilter drops most N, and each survivor gets the exact
-    big-int test: every distance d of N X mod 2**F from 0 (side 0) or 2**F
-    (side 1) below eps_int, on the chi side when chi is explicit.  The
-    prefilter keeps every N that test keeps.  A survivor is close, with
-    residual None, when every d is below close_int - 2 N_last; else
-    band(N, bits) gives its residual, or None when it is not close.
-    """
-    mask = (1 << F) - 1
-    modulus = 1 << F
+def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close):
+    """close(N) of N = first_step step_N, ... in n_steps steps of step_N,
+    where it is not None, in increasing N.  close is called only on the N
+    that a numpy uint64 prefilter keeps, which keeps every N whose residues
+    N X mod 2**F all lie within eps_int of 0 or 2**F."""
     N0 = first_step * step_N
     N_last = N0 + (n_steps - 1) * step_N
     # Prefilter on the top 64 of the F >= fixed_bits(0) = 149 fraction bits,
@@ -313,49 +304,22 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close_int, explicit
     # integer-valued coordinate has X = 2**F.  With Xh = (X mod 2**F) >> s,
     # the exact top bits (N X mod 2**F) >> s exceed N Xh mod 2**64 by
     # floor(N (X mod 2**s) / 2**s), which lies in [0, N), so by at most
-    # N_last.  The exact test passes only if those top bits lie within
-    # E = ceil(eps_int / 2**s) of 0 mod 2**64, so every passing N has
+    # N_last.  A residue within eps_int of 0 or 2**F has its top bits within
+    # E = ceil(eps_int / 2**s) of 0 mod 2**64, so every such N has
     # (N Xh + E + N_last) mod 2**64 < 2 E + N_last.  When that window
-    # covers the whole circle, every N goes to the exact test.
+    # covers the whole circle, every N is kept.
     s = F - 64
     E = -(-eps_int >> s)
     window = 2 * E + N_last
     steps = np.arange(n_steps, dtype=np.uint64)
     if window < _WRAP:
+        mask = (1 << F) - 1
         for X in Xs:
             Xh = (X & mask) >> s
             start = np.uint64((N0 * Xh + E + N_last) % _WRAP)
             inc = np.uint64(step_N * Xh % _WRAP)
             steps = steps[steps * inc + start < np.uint64(window)]
-    # side 0 is r < eps_int, close when r < lim; side 1 is r > 2**F - eps_int,
-    # close when r > 2**F - lim
-    lim = close_int - 2 * N_last
-    side1, close1 = modulus - eps_int, modulus - lim
-    out = []
-    for j in steps.tolist():
-        N = N0 + j * step_N
-        bits = 0
-        close = True
-        for i, X in enumerate(Xs):
-            r = (N * X) & mask
-            if r < eps_int:
-                side = 0
-                if r >= lim:
-                    close = False
-            elif r > side1:
-                side = 1
-                if r <= close1:
-                    close = False
-            else:
-                break
-            if explicit_bits is not None and side != explicit_bits[i]:
-                break
-            bits |= side << i
-        else:
-            residual = None if close else band(N, bits)
-            if close or residual is not None:
-                out.append((N, bits, residual))
-    return out
+    return [c for j in steps.tolist() if (c := close(N0 + j * step_N)) is not None]
 
 
 # ----- exact gates -----------------------------------------------------------
@@ -397,6 +361,14 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _checked_delta(delta) -> Fraction:
+    """delta as a Fraction; JumpError unless it lies in (0, 1/2)."""
+    delta = _as_fraction(delta)
+    if not (0 < delta < Fraction(1, 2)):
+        raise JumpError("delta must lie in (0, 1/2)")
+    return delta
+
+
 def delta_k(path_k: PathIndexData, m_k: int, delta) -> int:
     """Delta_k: the number of S^- angles with 0 < {m_k theta/pi} < delta."""
     if not (0 < delta < 1):
@@ -431,35 +403,43 @@ def _condition_339a_340(path_k: PathIndexData, m_k: int, delta, dps: int) -> boo
 
 
 def _residual(v: JumpVector, N: int, bits, dps: int):
-    """Max-norm distance of {N v} from the vertex bits, scaled by 2**F.
+    """Max-norm distance of {N v} from the vertex bits, the nearest vertex
+    of each coordinate when bits is None, scaled by 2**F.
 
-    Returns (worst, slack, F), F = fixed_bits(dps): the distance times 2**F
-    lies within slack of worst.  Rational coordinates are exact (Fractions).
-    Each irrational one is read once as r = (N X) mod 2**F, X as in
-    Scalar._fixed, which is within N of {N x} 2**F for the stored x (the
-    storage error adds N |x| 2**(F - F_s) units), so slack is N when there
-    is one.  r is checked here against the guard band of Scalar.mul_frac
-    (guard_tol), and an r inside it raises mul_frac's PrecisionError.
+    Returns (worst, slack, F, packed), F = fixed_bits(dps) and packed the
+    vertex bits (bit j is chi_j): the distance times 2**F lies within slack
+    of worst.  Rational coordinates are exact (Fractions); p/q is nearest
+    vertex 1 when 2 (N p mod q) > q.  Each irrational one is read once as
+    r = (N X) mod 2**F, X as in Scalar._fixed, within N of {N x} 2**F for
+    the stored x (the storage error adds N |x| 2**(F - F_s) units), so
+    slack is N when there is one; it is nearest vertex 1 when
+    r >= 2**(F - 1).  An r inside the guard band of Scalar.mul_frac
+    (guard_tol) raises mul_frac's PrecisionError.
     """
     F = fixed_bits(dps)
     one = 1 << F
     tol = guard_tol(F, N)
-    worst = slack = 0
-    for coord, b in zip(v.coords, bits):
+    worst = slack = packed = 0
+    for i, coord in enumerate(v.coords):
         if coord.is_rational:
             fr = coord.fraction
             q = fr.denominator
-            d = abs((N * fr.numerator) % q - b * q)
+            d = (N * fr.numerator) % q
+            b = 2 * d > q if bits is None else bits[i]
+            if b:
+                d = q - d
             dist = Fraction(d << F, q) if d else 0
         else:
             r = (N * coord._fixed(F)[0]) & (one - 1)
             if r < tol or r > one - tol:
                 coord.mul_frac(N, F)   # inside the guard band: raises
+            b = r >> (F - 1) if bits is None else bits[i]
             dist = one - r if b else r
             slack = N
+        packed |= b << i
         if dist > worst:
             worst = dist
-    return worst, slack, F
+    return worst, slack, F, packed
 
 
 def _closer_than(worst, slack: int, F: int, eps: Fraction):
@@ -473,15 +453,20 @@ def _closer_than(worst, slack: int, F: int, eps: Fraction):
     return None
 
 
-def _band_residual(v: JumpVector, N: int, packed: int, eps: Fraction, dps: int):
-    """The residual of N at the vertex of the packed bits when its distance
-    is below eps, else None: decided by _residual at dps digits;
-    PrecisionError when eps lies within its slack."""
-    worst, slack, F = _residual(v, N, tuple((packed >> i) & 1 for i in range(v.h)), dps)
-    close = _closer_than(worst, slack, F, eps)
-    if close is None:
-        raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
-    return float(worst / (1 << F)) if close else None
+def _close(v: JumpVector, bits, eps: Fraction, eps_floor: int, dps: int, N: int):
+    """(N, packed vertex bits, residual) when {N v} lies within eps of the
+    vertex bits (the nearest one when bits is None), else None, from one
+    read of _residual at dps: close at once when worst + slack < eps_floor
+    = floor(eps 2**F), else as _closer_than decides; PrecisionError when
+    eps lies within the slack.  The residual is worst / 2**F as a float."""
+    worst, slack, F, packed = _residual(v, N, bits, dps)
+    if not worst < eps_floor - slack:
+        close = _closer_than(worst, slack, F, eps)
+        if close is None:
+            raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
+        if not close:
+            return None
+    return N, packed, float(worst / (1 << F))
 
 
 def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, dps: int):
@@ -672,9 +657,8 @@ def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int) -> Sea
     """The certified solutions of the close stage-1 candidates (N, bits,
     residual), a list in increasing N, as SearchResult columns in the same
     order, with gates: the number of candidates at each gate code, by gate
-    name (_GATES).  A solution without a band residual is given one at dps."""
+    name (_GATES).  A solution keeps its candidate's residual."""
     F = fixed_bits(dps)
-    one = 1 << F
     recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]
     n_batch = bisect_left(candidates, (_batch_limit(v, recs, F),))
     low = (1 << v.q) - 1
@@ -696,18 +680,9 @@ def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int) -> Sea
             ms[:, i], deltas[:, i] = m, d
     s = np.flatnonzero(code == _SOLVED)
     solved = [candidates[i] for i in s.tolist()]
-    chis = {}   # packed bits -> chi tuple
-
-    def residual(n, p):
-        bits = chis.get(p)
-        if bits is None:
-            bits = chis[p] = tuple((p >> j) & 1 for j in range(v.h))
-        return float(_residual(v, n, bits, dps)[0] / one)
-
     return SearchResult(
         N=[c[0] for c in solved], chi=[c[1] for c in solved],
-        m=ms[:, s].tolist(), delta=deltas[:, s].tolist(),
-        residual=[residual(n, p) if r is None else r for n, p, r in solved],
+        m=ms[:, s].tolist(), delta=deltas[:, s].tolist(), residual=[c[2] for c in solved],
         h=v.h, delta_threshold=delta,
         gates=dict(zip(_GATES, np.bincount(code, minlength=len(_GATES)).tolist())))
 
@@ -718,31 +693,32 @@ _CERTIFY_BATCH = 1 << 15
 
 def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     """The close candidates (N, bits, residual) of N = M0, 2 M0, ... <= N_max,
-    in increasing N (see _scan_chunk), yielded as the scan reaches them.  A
-    coordinate the scan cannot read at dps raises PrecisionError here."""
+    in increasing N, yielded as the scan reaches them: _close of each N the
+    prefilter of _scan_chunk keeps.  A coordinate the scan cannot read at
+    dps raises PrecisionError here."""
     F = fixed_bits(dps)
     Xs = [_scaled_coord(c, F) for c in v.coords]
-    # _residual accepts w + slack < eps 2**F, for the worst distance w from
-    # the vertex times 2**F and slack <= N.  A coordinate's scan distance d
-    # is its term of w when irrational; when rational, that term is below
-    # d + N (p/q is read as ceil(p 2**F / q), so N X exceeds N p 2**F / q by
-    # less than N, which cannot wrap past 2**F while q N_max < 2**F).  So
-    # d < int(eps 2**F) - 2 N_last on every coordinate proves N close.  Past
-    # that bound on q the read X can sit across a vertex from p/q (1 - 1/q
-    # reads as 2**F, at vertex 0), so the scan would miss N near vertex 1.
+    # The prefilter keeps every N that _close accepts.  _close accepts only
+    # worst + slack < eps 2**F, for the worst distance from the vertex times
+    # 2**F.  Let c be the distance of N X mod 2**F from 0 mod 2**F, for the
+    # X of one coordinate.  An irrational coordinate's X is _residual's
+    # read, so c is at most its term of worst.  A rational p/q is read as
+    # ceil(p 2**F / q), so N X lies less than N above N p 2**F / q, whose
+    # distance from 0 mod 2**F is at most the exact term; so c is below
+    # worst + N.  Either way c < eps 2**F + N_max < eps_int, the window of
+    # the prefilter, and _close decides each survivor exactly.
     for k, c in enumerate(v.coords):
         if c.is_rational and c.fraction.denominator * N_max >= 1 << F:
             raise PrecisionError(f"coordinate {k} = {c.fraction} has denominator * N_max "
                                  f">= 2**{F}; stage 1 needs a higher precision")
-    close_int = int(eps * (1 << F))
-    eps_int = close_int + N_max + 2
-    band = partial(_band_residual, v, eps=eps, dps=dps)
+    eps_floor = int(eps * (1 << F))
+    eps_int = eps_floor + N_max + 2
+    close = partial(_close, v, explicit_bits, eps, eps_floor, dps)
     # chunks of 2**15 steps bound the memory of the scan's numpy arrays
     total_steps = N_max // v.M0
     chunk = 1 << 15
     return (c for s in range(1, total_steps + 1, chunk)
-            for c in _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F,
-                                 eps_int, close_int, explicit_bits, band))
+            for c in _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F, eps_int, close))
 
 
 def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
@@ -764,9 +740,7 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     calling process.
     """
     paths = list(paths)
-    delta = Fraction(delta) if not isinstance(delta, Fraction) else delta
-    if not (0 < delta < Fraction(1, 2)):
-        raise JumpError("delta must lie in (0, 1/2)")
+    delta = _checked_delta(delta)
     if not (0 < eps < 0.5):
         raise JumpError("eps must lie in (0, 1/2)")
     explicit_bits = None
@@ -869,9 +843,12 @@ def search_report(paths, N_max: int, chi="auto", eps=None, delta=None, M=None, M
     range raises JumpError."""
     paths = list(paths)
     v = build_jump_vector(paths, M=M, M0=M0)
-    delta = default_delta(paths) if delta is None else Fraction(delta)
+    delta = default_delta(paths) if delta is None else _checked_delta(delta)
     if eps is None:
         eps = default_eps(paths, v.M, delta)
+        if not (0 < eps < 0.5):
+            raise JumpError(f"the default eps = delta / (4 M max mean index) is {eps!r} "
+                            "at this delta, outside (0, 1/2)")
     result = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
     n = max(p.decomp.n for p in paths)
     return {

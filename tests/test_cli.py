@@ -263,6 +263,10 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     assert get_precision() == before
 
 
+DEFAULT_EPS_ZERO = ("the default eps = delta / (4 M max mean index) is 0.0 at this delta, "
+                    "outside (0, 1/2)")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["iterate", "--m-max", "0"], "m-max must be >= 1"),
     (["jump-search", "--n-max", "0"], "n-max must be >= 1"),
@@ -284,6 +288,12 @@ def test_precision_flag_is_restored_after_the_command(rot_fixture, capsys):
     (["jump-search", "--chi", "1x"], "chi must be 'auto' or a 0/1 string, got '1x'"),
     (["jump-search", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
     (["jump-search", "--delta", "1/2"], "delta must lie in (0, 1/2)"),
+    # checked before the default eps is formed: float(1e999) overflows
+    (["jump-search", "--delta", "1e999"], "delta must lie in (0, 1/2)"),
+    (["ellipsoid", "--delta", "1e999"], "delta must lie in (0, 1/2)"),
+    # a default eps that underflows to 0.0 names delta
+    (["jump-search", "--delta", "1e-999"], DEFAULT_EPS_ZERO),
+    (["ellipsoid", "--delta", "1e-999"], DEFAULT_EPS_ZERO),
     (["oracle", "--m", "0"], "m must be >= 1"),
     # the generator has 1024 steps: one more period than MAX_STEPS allows
     (["oracle", "--m", "1025"],

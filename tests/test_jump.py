@@ -31,10 +31,10 @@ from symindex.jump import (
     JumpError,
     JumpSolution,
     JumpVector,
-    _band_residual,
     _batch_gates,
     _batch_limit,
     _certify,
+    _close,
     _closer_than,
     _condition_339a_340,
     _mulhi,
@@ -457,7 +457,8 @@ def test_closeness_gate_next_to_eps(data, N, k, side):
     bits = tuple(int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords)  # nearest vertex
     dps = get_precision()
     ref = ref_residual(v, N, bits, dps)
-    worst, slack, F = _residual(v, N, bits, dps)
+    worst, slack, F, packed = _residual(v, N, bits, dps)
+    assert packed == sum(b << i for i, b in enumerate(bits))
     assert float(worst / (1 << F)) == ref
     eps = ref * (1 + side * 2.0 ** -k)
     assume(0 < eps < 0.5)
@@ -515,6 +516,93 @@ def test_closeness_gate_slack_boundaries():
     assert _closer_than(E - 5, 5, F, eps) is None
     assert _closer_than(E + 4, 5, F, eps) is None
     assert _closer_than(E, 0, F, eps) is False  # residual == eps is rejected
+
+
+@seed(20240811)
+@PROPERTY
+@given(path_data(), st.integers(1, 10 ** 6), st.integers(1, 6))
+def test_residual_picks_the_nearest_vertex(data, N, M):
+    # bits None: the vertex bits of the nearest vertex, and the worst and
+    # slack that _residual gives at those bits
+    v = build_jump_vector([data], M=M)
+    dps = get_precision()
+    near = tuple(int(exact_frac(c, N) > Fraction(1, 2)) for c in v.coords)
+    got = _residual(v, N, None, dps)
+    assert got[3] == sum(b << i for i, b in enumerate(near))
+    assert got == _residual(v, N, near, dps)
+
+
+@seed(20240811)
+@PROPERTY
+@given(st.integers(3, 60), st.integers(1, 59), st.integers(0, 10 ** 4), quadratic_angles())
+def test_residual_puts_rational_coordinates_at_q_minus_1_on_vertex_1(q, p, k, x):
+    # N p = q - 1 (mod q): {N p/q} = 1 - 1/q, at distance 1/q from vertex 1
+    assume(math.gcd(p, q) == 1)
+    N = (q - 1) * pow(p, -1, q) % q + k * q
+    v = JumpVector(q=1, mu=(1,), coords=(Scalar.from_fraction(Fraction(p, q)), x), M=1, M0=1,
+                   mean_indices=(Scalar.rational(q, p),))
+    dps = get_precision()
+    worst, slack, F, packed = _residual(v, N, None, dps)
+    assert packed & 1 == 1
+    assert worst >= Fraction(1 << F, q)
+    assert (worst, slack, F, packed) == _residual(v, N, (1, packed >> 1), dps)
+    # a multiple of q lies on vertex 0
+    assert _residual(v, (k + 1) * q, None, dps)[3] & 1 == 0
+
+
+MIXED_PATHS = [rot_data(PHI), PathIndexData(NormalFormDecomposition(
+    n=3, p_minus=1, alphas=(Scalar.rational(2, 5),)), i1=5)]
+
+
+@pytest.mark.parametrize("paths", [[rot_data(PHI)], MIXED_PATHS])
+def test_close_shortcut_accepts_only_what_closer_than_accepts(paths, monkeypatch):
+    # eps 2**F at worst + slack + j/3: _closer_than accepts from j = 1 on,
+    # the integer shortcut worst + slack < floor(eps 2**F) from j = 3 on,
+    # and _close gives the decision of _closer_than at every j
+    v = build_jump_vector(paths)
+    dps = get_precision()
+    closer_than = jump._closer_than
+    shortcut = 0
+    for N in range(1, 400, 7):
+        worst, slack, F, packed = _residual(v, N, None, dps)
+        for j in range(-6, 7):
+            eps = (worst + slack + Fraction(j, 3)) / (1 << F)
+            if not 0 < eps < Fraction(1, 2):
+                continue
+            eps_floor = int(eps * (1 << F))
+            want = closer_than(worst, slack, F, eps)
+            calls = []
+            monkeypatch.setattr(jump, "_closer_than", lambda *a: calls.append(a) or closer_than(*a))
+            if want is None:
+                with pytest.raises(PrecisionError, match=f"residual at N = {N} is within"):
+                    _close(v, None, eps, eps_floor, dps, N)
+                continue
+            got = _close(v, None, eps, eps_floor, dps, N)
+            assert (got is not None) == want == (j >= 1), (N, j)
+            if got is not None:
+                assert got == (N, packed, float(worst / (1 << F)))
+            shortcut += not calls
+            assert (not calls) == (worst + slack < eps_floor)
+    assert shortcut
+
+
+def test_explicit_chi_gives_the_auto_solutions_of_its_vertex():
+    # h = 5 with four rational coordinates (1/(M ihat) and both angles of
+    # the second path, and phi / phi of the first): each vertex that auto
+    # reports gives, as an explicit chi, exactly auto's N and residuals there
+    v = build_jump_vector(MIXED_PATHS)
+    assert v.h == 5 and sum(c.is_rational for c in v.coords) == 4
+    delta = default_delta(MIXED_PATHS)
+    eps = default_eps(MIXED_PATHS, v.M, delta)
+    auto = search_N(v, "auto", eps=eps, N_max=10 ** 6, paths=MIXED_PATHS, delta=delta)
+    assert len(auto.N) == 47
+    by_vertex = {}
+    for N, p, r in zip(auto.N, auto.chi, auto.residual):
+        by_vertex.setdefault(p, []).append((N, r))
+    for p, want in by_vertex.items():
+        chi = tuple((p >> j) & 1 for j in range(v.h))
+        got = search_N(v, chi, eps=eps, N_max=10 ** 6, paths=MIXED_PATHS, delta=delta)
+        assert list(zip(got.N, got.residual)) == want and set(got.chi) == {p}
 
 
 @pytest.mark.parametrize("value", ["0.25", "0.25" + "0" * 38 + "1", "0.24" + "9" * 39])
@@ -583,26 +671,29 @@ def ref_survivors(first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits):
         N += step_N
 
 
-def ref_scan_chunk(args):
-    """_scan_chunk by the stepping loop: a survivor is close when all its
-    distances are below close_int - 2 N_last, else band decides."""
-    (first_step, n_steps, step_N, Xs, F, eps_int, close_int, explicit_bits, band) = args
-    lim = close_int - 2 * (first_step + n_steps - 1) * step_N
-    out = []
-    for N, bits, ds in ref_survivors(first_step, n_steps, step_N, Xs, F, eps_int,
-                                     explicit_bits):
-        if max(ds) < lim:
-            out.append((N, bits, None))
-        else:
-            residual = band(N, bits)
-            if residual is not None:
-                out.append((N, bits, residual))
-    return out
+def fake_close(N):
+    """A stand-in for _close: drops a third of the N."""
+    return None if N % 3 == 0 else (N, N % 7, float(N % 5))
 
 
-def fake_band(N, bits):
-    """A stand-in for the exact decision: drops a third of the N."""
-    return None if (N + bits) % 3 == 0 else float(N % 7)
+def assert_scan_reaches_the_survivors(chunk):
+    """_scan_chunk(*chunk, close) calls close once per N, in increasing N,
+    on N of the chunk only, and on every N that ref_survivors keeps within
+    eps_int of a vertex; it returns close's results that are not None.
+    Returns the N that reached close."""
+    first_step, n_steps, step_N = chunk[:3]
+    seen = []
+
+    def close(N):
+        seen.append(N)
+        return fake_close(N)
+
+    got = _scan_chunk(*chunk, close)
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+    assert set(seen) <= set(range(first_step * step_N, (first_step + n_steps) * step_N, step_N))
+    assert {N for N, _, _ in ref_survivors(*chunk, None)} <= set(seen)
+    assert got == [c for c in map(fake_close, seen) if c is not None]
+    return seen
 
 
 @st.composite
@@ -640,40 +731,31 @@ def scan_chunks(draw):
     eps = Fraction(draw(st.integers(1, 2 ** (k - 1) - 1)), 2 ** k)
     N_last = (first_step + n_steps - 1) * step_N
     eps_int = int(eps * (1 << F)) + draw(st.integers(2, N_last + 2))
-    # close_int - 2 N_last below, among or above the survivors' distances
-    close_int = draw(st.one_of(st.just(0), st.integers(0, eps_int + 2 * N_last)))
-    chi = draw(st.one_of(st.none(), st.tuples(*[st.sampled_from((0, 1))] * h)))
-    return first_step, n_steps, step_N, Xs, F, eps_int, close_int, chi, fake_band
+    return first_step, n_steps, step_N, Xs, F, eps_int
 
 
 @seed(20240811)
 @settings(max_examples=400, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scan_chunks())
-def test_scan_chunk_matches_stepping_loop(chunk):
-    assert _scan_chunk(*chunk) == ref_scan_chunk(chunk)
+def test_scan_chunk_reaches_every_survivor_of_the_stepping_loop(chunk):
+    assert_scan_reaches_the_survivors(chunk)
 
 
 def test_scan_chunk_at_the_eps_boundary():
     # X with its low F - 64 bits zero makes the prefilter's top bits exact,
-    # so the residue r sits exactly at the edge of the window: N survives
-    # iff r < eps_int (side 0) or 2**F - r < eps_int (side 1), and is kept
-    # whether it is close or the band accepts it
+    # so the residue r sits exactly at the edge of the window: an N with r
+    # just inside eps_int of 0 or 2**F reaches close
     F = fixed_bits(50)
     one = 1 << F
     for Xh in (3, 0x9E3779B97F4A7C15, (1 << 64) - 5):
         X = Xh << (F - 64)
         for N in (1, 7, 12345):
             r = (N * X) % one
-            for eps_int, want in ((r + 1, True), (r, False),
-                                  (one - r + 1, True), (one - r, False)):
-                if not 2 <= eps_int <= one // 2:
-                    continue
-                for close_int in (0, eps_int + 2 * N):
-                    chunk = (1, 1, N, [X], F, eps_int, close_int, None, lambda N, b: 0.0)
-                    got = _scan_chunk(*chunk)
-                    assert got == ref_scan_chunk(chunk)
-                    assert bool(got) == want, (Xh, N, eps_int)
+            for eps_int in (r + 1, r, one - r + 1, one - r):
+                if 2 <= eps_int <= one // 2:
+                    seen = assert_scan_reaches_the_survivors((1, 1, N, [X], F, eps_int))
+                    assert seen == [N] or min(r, one - r) >= eps_int, (Xh, N, eps_int)
 
 
 @pytest.fixture(scope="module")
@@ -702,7 +784,7 @@ def test_jump_search_json_identical_across_workers(sqrt2_pair_paths, tmp_path):
 def ref_closeness(v, N, bits, eps, dps):
     """The former closeness gate: (close, residual) from _residual at dps
     digits; PrecisionError when eps lies within its slack."""
-    worst, slack, F = _residual(v, N, bits, dps)
+    worst, slack, F, _ = _residual(v, N, bits, dps)
     close = _closer_than(worst, slack, F, eps)
     if close is None:  # eps lies within the truncation slack
         raise PrecisionError(f"residual at N = {N} is within {slack} * 2**-{F} of eps")
@@ -893,7 +975,7 @@ def stage1_cases(draw):
     elif kind == "stored":
         eps = stored_residual(v, N, bits)
     else:
-        worst, _, F = _residual(v, N, bits, dps)
+        worst, _, F, _ = _residual(v, N, bits, dps)
         eps = Fraction(worst) / (1 << F)
         if kind == "next to":
             eps += Fraction(draw(st.integers(-3 * N_max, 3 * N_max)), 1 << F)
@@ -910,20 +992,14 @@ def test_stage1_matches_the_stepping_loop_and_the_exact_gate(case):
     # or the PrecisionError of the first undecided one
     v, explicit, eps, N_max = case
     dps = get_precision()
-    one = 1 << fixed_bits(dps)
 
-    def scan():
-        return [(N, b, float(_residual(v, N, tuple((b >> i) & 1 for i in range(v.h)), dps)[0]
-                             / one) if r is None else r)
-                for N, b, r in _stage1(v, explicit, eps, N_max, dps)]
-
-    assert raised_or(scan) == raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps))
+    assert (raised_or(lambda: list(_stage1(v, explicit, eps, N_max, dps)))
+            == raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps)))
 
 
 def test_stage1_rational_coordinate_past_2_to_the_F():
-    # x = 1 - 1/q with q > 2**F would read as X = 2**F, at distance 0 from
-    # vertex 0, while N x lies within N/q of 1, so the N near vertex 1 would
-    # be missed: stage 1 refuses the coordinate instead
+    # x = 1 - 1/q with q > 2**F reads as X = 2**F, though N x lies within
+    # N/q of 1: stage 1 refuses a rational coordinate with q N_max >= 2**F
     dps = get_precision()
     q = (1 << fixed_bits(dps)) + 1
     v = JumpVector(q=1, mu=(1,), coords=(HALF, Scalar.from_fraction(Fraction(q - 1, q))),
@@ -956,11 +1032,10 @@ def limit_candidates(theta):
     data = rot_data(theta)
     v = build_jump_vector([data])
     L = _batch_limit(v, [(path_record(data), data)], fixed_bits(get_precision()))
-    cands = []
-    for N in range(L - 40, L + 40):
-        packed = sum(int(exact_frac(c, N) > Fraction(1, 2)) << i for i, c in enumerate(v.coords))
-        if _band_residual(v, N, packed, Fraction(LIMIT_EPS), get_precision()) is not None:
-            cands.append((N, packed, None))
+    eps = Fraction(LIMIT_EPS)
+    eps_floor = int(eps * (1 << fixed_bits(get_precision())))
+    cands = [c for N in range(L - 40, L + 40)
+             if (c := _close(v, None, eps, eps_floor, get_precision(), N)) is not None]
     return data, v, L, cands
 
 
