@@ -288,16 +288,16 @@ DEFAULT_EPS_ZERO = ("the default eps = delta / (4 M max mean index) is 0.0 at th
     (["jump-search", "--chi", "1x"], "chi must be 'auto' or a 0/1 string, got '1x'"),
     (["jump-search", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
     (["jump-search", "--delta", "1/2"], "delta must lie in (0, 1/2)"),
+    (["oracle", "--m", "0"], "m must be >= 1"),
+    # the generator has 1024 steps: one more period than MAX_STEPS allows
+    (["oracle", "--m", "1025"],
+     f"the 1025-fold iterate would have 1025 x 1024 sample steps, more than {MAX_STEPS}"),
     # checked before the default eps is formed: float(1e999) overflows
     (["jump-search", "--delta", "1e999"], "delta must lie in (0, 1/2)"),
     (["ellipsoid", "--delta", "1e999"], "delta must lie in (0, 1/2)"),
     # a default eps that underflows to 0.0 names delta
     (["jump-search", "--delta", "1e-999"], DEFAULT_EPS_ZERO),
     (["ellipsoid", "--delta", "1e-999"], DEFAULT_EPS_ZERO),
-    (["oracle", "--m", "0"], "m must be >= 1"),
-    # the generator has 1024 steps: one more period than MAX_STEPS allows
-    (["oracle", "--m", "1025"],
-     f"the 1025-fold iterate would have 1025 x 1024 sample steps, more than {MAX_STEPS}"),
 ])
 def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, message):
     f, data = rot_fixture
