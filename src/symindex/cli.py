@@ -48,7 +48,6 @@ from .oracle import (
 )
 from .scalars import (
     PrecisionError,
-    Scalar,
     format_multiple,
     get_precision,
     parse_scalar,
@@ -271,12 +270,11 @@ def _cmd_splitting(args: argparse.Namespace) -> int:
     else:
         table = []
         for ang, mult in unit_spectrum(d):
-            if ang == Scalar.rational(0):
-                pair = splitting_numbers(d, 1)
-                label = "1"
-            else:
-                pair = splitting_numbers(d, ang)
-                label = f"{ang.fraction}" if ang.is_rational else scalar_to_json(ang)["irrational"]
+            # the eigenvalues 1 and -1 sit at theta/pi = 0 and 1
+            pair = splitting_numbers(d, ang)
+            label = ("1" if ang == 0 else "-1" if ang == 1
+                     else f"{ang.fraction}" if ang.is_rational
+                     else scalar_to_json(ang)["irrational"])
             table.append({"angle_over_pi": label, "multiplicity": mult,
                           "s_plus": pair.s_plus, "s_minus": pair.s_minus})
         out["spectrum"] = table

@@ -7,6 +7,11 @@ through two independent closed forms (one written directly in block counts,
 one through splitting numbers), which the test suite holds against each
 other and against the geometric crossing-count oracle.  A decomposition is
 checked once, when it is built, so the formulas take it as valid.
+
+The splitting form, the unit spectrum and validate's parity check read one
+table, _blocks: each block's unit eigenvalues with their algebraic
+multiplicities and splitting pairs (S^+, S^-), and the parity of i1 that
+the block needs when it is alone.
 """
 
 from __future__ import annotations
@@ -254,12 +259,8 @@ def s_minus_angles(decomp) -> list:
     block, then for each nontrivial N2 its angle and the conjugate 2 - angle.
     This fixed order defines the coordinate layout of the jump vector.
     """
-    out = list(decomp.thetas)
-    out += [ONE] * (decomp.q_zero + decomp.q_plus)
-    for al in decomp.alphas:
-        out.append(al)
-        out.append(TWO - al)
-    return out
+    return [theta for count, rows, _ in _blocks(decomp) for theta, _mult, _sp, s_minus in rows
+            if theta != ZERO for _ in range(count * s_minus)]
 
 
 @dataclass(frozen=True)
@@ -306,45 +307,53 @@ def _phi_half(x: Scalar, m: int) -> int:
     return 1
 
 
-# ----- splitting numbers (table rows summed by diamond additivity) -------
+# ----- the block table ---------------------------------------------------
+
+
+def _blocks(decomp: NormalFormDecomposition) -> list:
+    """The block table of decomp, cached on it: (count, rows, parity) per
+    rotation, nontrivial and trivial N2 angle (count 1) and per real or
+    hyperbolic kind present (count its field).  rows holds a row (theta/pi,
+    algebraic multiplicity, S^+, S^-) per unit eigenvalue of one block, at
+    theta/pi 0 for 1 and 1 for -1; parity is the parity of i1 the block
+    needs alone, None for a hyperbolic block.  The order (rotations, the six
+    real kinds in field order, N2 nontrivial, trivial, hyperbolic) is that
+    of s_minus_angles."""
+    table = decomp.__dict__.get("_table")
+    if table is None:
+        real = ((decomp.p_minus, (ZERO, 2, 1, 1), "odd"),     # N1(1,1)
+                (decomp.p_zero, (ZERO, 2, 1, 1), "odd"),      # I2
+                (decomp.p_plus, (ZERO, 2, 0, 0), "even"),     # N1(1,-1)
+                (decomp.q_minus, (ONE, 2, 0, 0), "odd"),      # N1(-1,1)
+                (decomp.q_zero, (ONE, 2, 1, 1), "odd"),       # -I2
+                (decomp.q_plus, (ONE, 2, 1, 1), "odd"))       # N1(-1,-1)
+        table = ([(1, ((th, 1, 0, 1), (TWO - th, 1, 1, 0)), "odd") for th in decomp.thetas]
+                 + [(count, (row,), parity) for count, row, parity in real if count]
+                 + [(1, ((al, 2, 1, 1), (TWO - al, 2, 1, 1)), "even") for al in decomp.alphas]
+                 + [(1, ((be, 2, 0, 0), (TWO - be, 2, 0, 0)), "even") for be in decomp.betas])
+        if decomp.k:
+            table.append((decomp.k, (), None))
+        object.__setattr__(decomp, "_table", table)
+    return table
 
 
 def splitting_numbers(decomp: NormalFormDecomposition, omega) -> SplittingPair:
     """S^+-/S^- of the realized monodromy at omega.
 
     omega is 1 or -1 (the real unit eigenvalues) or a Scalar angle theta/pi
-    in (0,2) for e^(i theta).  Per-block table rows are summed; the
-    conjugation rule S^+-(conj omega) = S^-+(omega) is built in through the
-    paired angle entries.
+    in (0,2) for e^(i theta), 0 and 1 standing for 1 and -1.  The rows of
+    _blocks at omega are summed; the conjugation rule S^+-(conj omega) =
+    S^-+(omega) is built in through the paired rows.
     """
-    if omega == 1 and not isinstance(omega, Scalar):
-        s = decomp.p_minus + decomp.p_zero
-        return SplittingPair(s, s)
-    if omega == -1 and not isinstance(omega, Scalar):
-        s = decomp.q_zero + decomp.q_plus
-        return SplittingPair(s, s)
     if not isinstance(omega, Scalar):
-        raise DecompositionError("omega must be +-1 or a Scalar angle theta/pi")
-    if omega == ZERO:
-        s = decomp.p_minus + decomp.p_zero
-        return SplittingPair(s, s)
-    if omega == ONE:
-        s = decomp.q_zero + decomp.q_plus
-        return SplittingPair(s, s)
-    _check_angle(omega, "omega")
-    s_plus = 0
-    s_minus = 0
-    for th in decomp.thetas:
-        if omega == th:
-            s_minus += 1          # (0,1) at the rotation eigenvalue itself
-        if omega == TWO - th:
-            s_plus += 1           # conjugate eigenvalue: (1,0)
-    for al in decomp.alphas:
-        if omega == al or omega == TWO - al:
-            s_plus += 1           # nontrivial N2 contributes (1,1) on both
-            s_minus += 1
-    # trivial N2 blocks contribute (0,0); hyperbolic blocks never hit U
-    return SplittingPair(s_plus, s_minus)
+        if omega not in (1, -1):
+            raise DecompositionError("omega must be +-1 or a Scalar angle theta/pi")
+        omega = ZERO if omega == 1 else ONE
+    elif omega != ZERO and omega != ONE:
+        _check_angle(omega, "omega")
+    at = [(count, row) for count, rows, _ in _blocks(decomp) for row in rows if row[0] == omega]
+    return SplittingPair(sum(count * row[2] for count, row in at),
+                         sum(count * row[3] for count, row in at))
 
 
 def C_of_M(decomp: NormalFormDecomposition) -> int:
@@ -354,42 +363,24 @@ def C_of_M(decomp: NormalFormDecomposition) -> int:
 
 def S_plus_one(decomp: NormalFormDecomposition) -> int:
     """S^+ at omega = 1: the N1(1,1) and I2 blocks."""
-    return decomp.p_minus + decomp.p_zero
+    return splitting_numbers(decomp, 1).s_plus
 
 
 def unit_spectrum(decomp: NormalFormDecomposition):
-    """Unit-circle eigenvalues as (theta/pi, algebraic multiplicity) pairs.
+    """Unit-circle eigenvalues as (theta/pi, algebraic multiplicity) pairs,
+    in increasing theta/pi, the rows of _blocks at one eigenvalue merged.
 
     The real eigenvalues appear as theta/pi = 0 (eigenvalue 1) and 1
     (eigenvalue -1); every complex angle is reported together with its
     conjugate 2 - theta/pi.
     """
-    entries = []
-    plus_mult = 2 * (decomp.p_minus + decomp.p_zero + decomp.p_plus)
-    if plus_mult:
-        entries.append((ZERO, plus_mult))
-    minus_mult = 2 * (decomp.q_minus + decomp.q_zero + decomp.q_plus)
-    if minus_mult:
-        entries.append((ONE, minus_mult))
-    for th in decomp.thetas:
-        entries.append((th, 1))
-        entries.append((TWO - th, 1))
-    for al in decomp.alphas:
-        entries.append((al, 2))
-        entries.append((TWO - al, 2))
-    for be in decomp.betas:
-        entries.append((be, 2))
-        entries.append((TWO - be, 2))
-    # aggregate duplicates, deterministic order by numeric value
     merged = []
-    for ang, mult in entries:
-        for i, (a0, m0) in enumerate(merged):
-            if ang == a0:
-                merged[i] = (a0, m0 + mult)
-                break
+    for ang, mult in sorted(((row[0], count * row[1]) for count, rows, _ in _blocks(decomp)
+                             for row in rows), key=lambda pair: pair[0]):
+        if merged and merged[-1][0] == ang:
+            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
         else:
             merged.append((ang, mult))
-    merged.sort(key=lambda t: float(t[0]))
     return merged
 
 
@@ -470,18 +461,6 @@ def I_value(data: PathIndexData, m: int) -> int:
 # ----- validation -----------------------------------------------------------
 
 
-_SINGLE_BLOCK_PARITY = {
-    # field name -> required parity of i1 for a decomposition consisting of
-    # that single block; hyperbolic blocks put no constraint.
-    "p_minus": "odd",   # N1(1,1)
-    "p_zero": "odd",    # I2
-    "p_plus": "even",   # N1(1,-1)
-    "q_minus": "odd",   # N1(-1,1)
-    "q_zero": "odd",    # -I2
-    "q_plus": "odd",    # N1(-1,-1)
-}
-
-
 def validate(data: PathIndexData) -> dict:
     """Diagnostics, not exceptions: single-block parity violations of i1 and
     convex-mode requirements (the counts and angles were checked when the
@@ -489,25 +468,10 @@ def validate(data: PathIndexData) -> dict:
     problems = []
     d = data.decomp
     # parity is only pinned down for single-block decompositions
-    counts = {
-        "p_minus": d.p_minus, "p_zero": d.p_zero, "p_plus": d.p_plus,
-        "q_minus": d.q_minus, "q_zero": d.q_zero, "q_plus": d.q_plus,
-    }
-    nonzero = [(name, c) for name, c in counts.items() if c]
-    block_total = sum(c for _, c in nonzero) + d.r + d.r_star + d.r_zero + d.k
-    if block_total == 1:
-        if d.r == 1:
-            want = "odd"
-        elif d.r_star == 1 or d.r_zero == 1:
-            want = "even"
-        elif d.k == 1:
-            want = None
-        else:
-            want = _SINGLE_BLOCK_PARITY[nonzero[0][0]]
-        if want is not None:
-            got = "odd" if data.i1 % 2 else "even"
-            if got != want:
-                problems.append(f"single-block decomposition requires i1 {want}, got {data.i1}")
+    blocks = _blocks(d)
+    want = blocks[0][2] if len(blocks) == 1 and blocks[0][0] == 1 else None
+    if want is not None and want != ("odd" if data.i1 % 2 else "even"):
+        problems.append(f"single-block decomposition requires i1 {want}, got {data.i1}")
 
     if data.convex_mode:
         if d.p_minus < 1:

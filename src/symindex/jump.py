@@ -412,14 +412,16 @@ def _residual(v: JumpVector, N: int, bits, dps: int):
     vertex 1 when 2 (N p mod q) > q.  Each irrational one is read once as
     r = (N X) mod 2**F, X as in Scalar._fixed, within N of {N x} 2**F for
     the stored x (the storage error adds N |x| 2**(F - F_s) units), so
-    slack is N when there is one; it is nearest vertex 1 when
-    r >= 2**(F - 1).  An r inside the guard band of Scalar.mul_frac
-    (guard_tol) raises mul_frac's PrecisionError.
+    slack is N, or 0 when there is none or when the largest irrational
+    distance plus N is at most a rational one: worst is then exact.  An
+    irrational coordinate is nearest vertex 1 when r >= 2**(F - 1).  An r
+    inside the guard band of Scalar.mul_frac (guard_tol) raises mul_frac's
+    PrecisionError.
     """
     F = fixed_bits(dps)
     one = 1 << F
     tol = guard_tol(F, N)
-    worst = slack = packed = 0
+    worst = irr = packed = 0
     for i, coord in enumerate(v.coords):
         if coord.is_rational:
             fr = coord.fraction
@@ -435,11 +437,13 @@ def _residual(v: JumpVector, N: int, bits, dps: int):
                 coord.mul_frac(N, F)   # inside the guard band: raises
             b = r >> (F - 1) if bits is None else bits[i]
             dist = one - r if b else r
-            slack = N
+            if dist > irr:
+                irr = dist
         packed |= b << i
         if dist > worst:
             worst = dist
-    return worst, slack, F, packed
+    # an irrational distance is never 0: r = 0 lies in the guard band
+    return worst, N if irr and irr + N > worst else 0, F, packed
 
 
 def _closer_than(worst, slack: int, F: int, eps: Fraction):

@@ -650,6 +650,71 @@ def test_splitting_labels_irrational_rows_with_their_stored_digits(tmp_path, cap
     assert len(set(labels)) == 4 and all(label.startswith("1.69999") for label in labels[2:])
 
 
+def _every_kind(thetas, alphas, betas):
+    # one block of each kind: three rotations, the six real kinds, a
+    # nontrivial and a trivial N2 and a hyperbolic block
+    return PathIndexData(NormalFormDecomposition(
+        n=14, p_minus=1, p_zero=1, p_plus=1, q_minus=1, q_zero=1, q_plus=1,
+        thetas=thetas, alphas=alphas, betas=betas, k=1), i1=5)
+
+
+EVERY_KIND = _every_kind((Scalar.rational(1, 3), 2 - Scalar.sqrt(2), Scalar.rational(3, 2)),
+                         (Scalar.rational(2, 5),), (Scalar.sqrt(3) / 3,))
+
+
+@pytest.mark.parametrize("omega, expected", [
+    # stdout digests of --omega recorded at commit 1059a98
+    ("1", "a9ce1e7cb793c5df93a92b5322ec48dae01d5fa3719e983b2933d8e804cb397d"),
+    ("-1", "9e5f9e9f0f038477aa89febff03f9f8143893d3b09e6a8942ae686fe5cb8c400"),
+    ("1/3", "986e8791319c1085f661fc3cd01a25dfe063b11144dc32f27d900f9a88c94c11"),
+    ("2/5", "cf47d2e5ddaac8273eca581bfc2ee9cf0cafb94d19d29b4cdf3dfd7caf5a3fdf"),
+    ("8/5", "83b4a403732bcf25e8cc942b96b4967d5fff7967cdf9be3c39b7401d3bf81b6c"),
+    ("sqrt2", "86c85865b87cf8df70ad838ee32bb2ed115df3b2383a30952d5eec223dd38818"),
+    # the whole spectrum, with the eigenvalue -1 row labelled "-1"
+    (None, "e951a142154b24d96ddf0be0f5d29b0653f885e20ff0f0bd836f7bb612d5d8db"),
+], ids=["1", "-1", "1/3", "2/5", "8/5", "sqrt2", "spectrum"])
+def test_splitting_golden_bytes_on_every_block_kind(tmp_path, capsys, omega, expected):
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(EVERY_KIND.to_json()))
+    flags = [] if omega is None else ["--omega", omega]
+    assert main(["splitting", "--data", str(f), *flags]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == expected
+
+
+@pytest.mark.parametrize("data", [
+    PathIndexData(NormalFormDecomposition(n=2, p_minus=1, q_minus=1), i1=2),
+    _every_kind((Scalar.rational(1, 3), Scalar.rational(1, 2), Scalar.rational(3, 2)),
+                (Scalar.rational(2, 5),), (Scalar.rational(1, 7),)),
+], ids=["real", "every_kind"])
+def test_splitting_row_labels_are_the_omega_of_their_row(tmp_path, capsys, data):
+    # each label, passed back as --omega, gives its row's pair: the
+    # eigenvalue 1 is "1", -1 is "-1" and an angle its theta/pi
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(data.to_json()))
+    assert main(["splitting", "--data", str(f)]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["spectrum"]
+    assert len({r["angle_over_pi"] for r in rows}) == len(rows)
+    for r in rows:
+        assert main(["splitting", "--data", str(f), "--omega", r["angle_over_pi"]]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)["splitting"]
+        assert out == {"s_plus": r["s_plus"], "s_minus": r["s_minus"]}, r
+
+
+def test_jump_search_decides_a_rational_distance_equal_to_eps(tmp_path, capsys):
+    # N1(1,1) with i1 = 3 (mean index 4) beside the golden rotation: at N = 3
+    # the coordinate 1/4 lies exactly 1/4 from vertex 1, so at eps = 0.25 it
+    # is not close; this once exited 2 with "residual at N = 3 is within
+    # 3 * 2**-F of eps"
+    shear = PathIndexData(NormalFormDecomposition(n=1, p_minus=1), i1=3)
+    golden = PathIndexData(NormalFormDecomposition(n=1, thetas=(Scalar.golden(),)), i1=1)
+    f = tmp_path / "paths.json"
+    f.write_text(json.dumps([shear.to_json(), golden.to_json()]))
+    assert main(["jump-search", "--paths", str(f), "--eps", "0.25", "--n-max", "2000"]) == EXIT_OK
+    solutions = json.loads(capsys.readouterr().out)["search"]["solutions"]
+    assert solutions and 3 not in [s["N"] for s in solutions]
+
+
 @pytest.mark.parametrize("command", ["iterate", "jump-search"])
 @pytest.mark.parametrize("text, pq", [("0.5", "1/2"), ("0." + "6" * 119 + "7", "2/3")])
 def test_an_irrational_tag_on_a_rational_exits_1(tmp_path, capsys, command, text, pq):

@@ -73,6 +73,35 @@ def test_splitting_trivial_n2_zero():
     assert splitting_numbers(d, Scalar.rational(2, 5)).as_tuple() == (0, 0)
 
 
+def test_unit_spectrum_covers_the_unit_eigenvalues_in_increasing_order(rng):
+    # the multiplicities of every block on the circle add up to 2 (n - k),
+    # and each row lies strictly above the one before in Scalar's order
+    for _ in range(200):
+        d = random_decomposition(rng, n_max=8)
+        spectrum = unit_spectrum(d)
+        assert sum(mult for _ang, mult in spectrum) == 2 * (d.n - d.k)
+        assert all(a < b for (a, _), (b, _) in zip(spectrum, spectrum[1:]))
+
+
+def test_the_table_counts_blocks_without_listing_them():
+    # 10**9 blocks of a kind are one entry of the table, so the splitting
+    # pair, the spectrum and the parity check answer without listing them
+    d = NormalFormDecomposition(n=3 * 10 ** 9, p_minus=10 ** 9, p_plus=10 ** 9, k=10 ** 9)
+    assert splitting_numbers(d, 1).as_tuple() == (10 ** 9, 10 ** 9)
+    assert unit_spectrum(d) == [(Scalar.rational(0), 4 * 10 ** 9)]
+    assert validate(PathIndexData(d, i1=0))["ok"]
+
+
+@pytest.mark.parametrize("theta", ["0." + "9" * 30, "1." + "0" * 29 + "1"])
+def test_unit_spectrum_orders_angles_a_double_cannot_tell_apart(theta):
+    # theta = 1 -+ 1e-30 and its conjugate 1 +- 1e-30 round to the float 1.0
+    # of the -I2 block's eigenvalue -1; the rows follow the exact values
+    th = Scalar.irrational(theta)
+    spectrum = unit_spectrum(NormalFormDecomposition(n=2, q_zero=1, thetas=(th,)))
+    assert [mult for _ang, mult in spectrum] == [1, 2, 1]
+    assert spectrum[0][0] < Scalar.rational(1) == spectrum[1][0] < spectrum[2][0]
+
+
 # ----- C(M) and S^+(1) -------------------------------------------------------
 
 def test_C_of_M_zero():
@@ -327,6 +356,31 @@ def test_validate_rotation_parity():
     assert not rep["ok"]
     assert any("odd" in p for p in rep["problems"])
     assert validate(rot_data(HALF, i1=1)) == {"ok": True, "problems": []}
+
+
+@pytest.mark.parametrize("decomp, want", [
+    (dict(n=1, p_minus=1), "odd"),                       # N1(1,1)
+    (dict(n=1, p_zero=1), "odd"),                        # I2
+    (dict(n=1, p_plus=1), "even"),                       # N1(1,-1)
+    (dict(n=1, q_minus=1), "odd"),                       # N1(-1,1)
+    (dict(n=1, q_zero=1), "odd"),                        # -I2
+    (dict(n=1, q_plus=1), "odd"),                        # N1(-1,-1)
+    (dict(n=1, thetas=(HALF,)), "odd"),                  # R
+    (dict(n=2, alphas=(Scalar.rational(2, 5),)), "even"),  # nontrivial N2
+    (dict(n=2, betas=(Scalar.rational(2, 5),)), "even"),   # trivial N2
+    (dict(n=1, k=1), None),                              # hyperbolic
+])
+def test_validate_single_block_parity(decomp, want):
+    d = NormalFormDecomposition(**decomp)
+    for i1 in range(-3, 4):
+        problems = validate(PathIndexData(d, i1=i1))["problems"]
+        if want is None or want == ("odd" if i1 % 2 else "even"):
+            assert problems == []
+        else:
+            assert problems == [f"single-block decomposition requires i1 {want}, got {i1}"]
+    # a second block lifts the constraint
+    two = NormalFormDecomposition(**{**decomp, "n": decomp["n"] + 1, "k": decomp.get("k", 0) + 1})
+    assert all(validate(PathIndexData(two, i1=i1))["ok"] for i1 in (0, 1))
 
 
 def test_validate_convex_requirements():

@@ -586,6 +586,20 @@ def test_close_shortcut_accepts_only_what_closer_than_accepts(paths, monkeypatch
     assert shortcut
 
 
+def test_close_decides_a_rational_worst_at_eps():
+    # v = (1/4, sqrt2/100) at N = 1: the distance is exactly 1/4, from the
+    # rational coordinate, and the irrational one lies far below it, so
+    # _residual gives slack 0 and eps = 1/4 + 2**-F decides it
+    v = JumpVector(q=1, mu=(1,), coords=(Scalar.rational(1, 4), Scalar.sqrt(2) / 100), M=1,
+                   M0=1, mean_indices=(Scalar.rational(4),))
+    dps = get_precision()
+    F = fixed_bits(dps)
+    assert _residual(v, 1, None, dps) == (1 << (F - 2), 0, F, 0)
+    eps = Fraction(1, 4) + Fraction(1, 1 << F)
+    assert _close(v, None, eps, int(eps * (1 << F)), dps, 1) == (1, 0, 0.25)
+    assert _close(v, None, Fraction(1, 4), 1 << (F - 2), dps, 1) is None
+
+
 def test_explicit_chi_gives_the_auto_solutions_of_its_vertex():
     # h = 5 with four rational coordinates (1/(M ihat) and both angles of
     # the second path, and phi / phi of the first): each vertex that auto
