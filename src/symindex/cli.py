@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -126,65 +125,33 @@ def _check_out(out_path: str | None) -> None:
     raise InputError(f"cannot write --out {out_path}: {os.strerror(code)}")
 
 
-def _emit(text: str, out_path: str | None):
-    with _output(out_path) as write:
-        write(text)
+# what json.dumps writes for a SearchResult, which then writes its own text
+# in its place; no string of a report holds a NUL: argv cannot, and the
+# reports echo no string of their input files
+_RESULT_MARK = "\0search result\0"
 
 
 def _dump_json(obj, out_path: str | None):
-    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, streamed
-    piece by piece as it is encoded: no string of the whole document is built."""
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline.  Each
+    SearchResult in obj writes its solution rows from its columns
+    (SearchResult.write_json), so no dict per solution is built."""
+    results = []
+
+    def default(o):
+        if isinstance(o, SearchResult):
+            results.append(o)
+            return _RESULT_MARK
+        return json.JSONEncoder().default(o)   # the TypeError json.dumps raises
+
+    text = json.dumps(obj, sort_keys=True, indent=2, default=default)
+    pieces = text.split(json.dumps(_RESULT_MARK))
     with _output(out_path) as write:
-        _write_json(obj, write, "\n")
+        write(pieces[0])
+        for result, before, after in zip(results, pieces, pieces[1:]):
+            line = before.rpartition("\n")[2]   # the mark's line, up to the mark
+            result.write_json(write, "\n" + " " * (len(line) - len(line.lstrip(" "))))
+            write(after)
         write("\n")
-
-
-def _json_key(key) -> str:
-    # a non-str key is converted as json.dumps converts it, TypeError included
-    return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
-
-
-def _write_json(obj, write, newline: str):
-    """json.dumps(obj, sort_keys=True, indent=2) as write calls; newline is
-    the line break and indentation of obj's own level."""
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, float):  # NaN and +-inf as json.dumps spells them
-        write(float.__repr__(obj) if math.isfinite(obj) else json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            write(sep)
-            _write_json(item, write, inner)
-            sep = "," + inner
-        write(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            write(sep + _json_key(key) + ": ")
-            _write_json(value, write, inner)
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(obj, SearchResult):   # written from its columns
-        obj.write_json(write, newline)
-    else:  # json.dumps raises the TypeError of an unserializable object
-        write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _parse_literal(flag: str, parse, text: str):
@@ -259,23 +226,31 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _row_label(ang) -> str:
+    """The splitting table's label of the angle theta/pi = ang, which
+    --omega takes back for its row: "1" and "-1" for theta/pi = 0 and 1, a
+    rational's fraction, an irrational's stored decimal."""
+    return ("1" if ang == 0 else "-1" if ang == 1 else f"{ang.fraction}" if ang.is_rational
+            else scalar_to_json(ang)["irrational"])
+
+
 def _cmd_splitting(args: argparse.Namespace) -> int:
     data = _load_path_data(_load_json(args.input))
     d = data.decomp
     out = {"validation": validate(data)}
     if args.omega is not None:
-        pair = splitting_numbers(d, _parse_literal("omega", _parse_omega_tagged, args.omega))
+        rows = {_row_label(ang): ang for ang, _ in unit_spectrum(d)}
+        omega = rows.get(args.omega)
+        if omega is None:
+            omega = _parse_literal("omega", _parse_omega_tagged, args.omega)
+        pair = splitting_numbers(d, omega)
         out["omega"] = args.omega
         out["splitting"] = {"s_plus": pair.s_plus, "s_minus": pair.s_minus}
     else:
         table = []
         for ang, mult in unit_spectrum(d):
-            # the eigenvalues 1 and -1 sit at theta/pi = 0 and 1
             pair = splitting_numbers(d, ang)
-            label = ("1" if ang == 0 else "-1" if ang == 1
-                     else f"{ang.fraction}" if ang.is_rational
-                     else scalar_to_json(ang)["irrational"])
-            table.append({"angle_over_pi": label, "multiplicity": mult,
+            table.append({"angle_over_pi": _row_label(ang), "multiplicity": mult,
                           "s_plus": pair.s_plus, "s_minus": pair.s_minus})
         out["spectrum"] = table
     _dump_json(out, args.out)
@@ -339,14 +314,10 @@ def _cmd_ellipsoid(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     results = selftest_mod.run_all(seed=args.seed)
-    ok_all = True
-    lines = []
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        ok_all &= ok
-        lines.append(f"selftest {name}: {status} ({detail})")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if ok_all else EXIT_INTERNAL
+    with _output(args.out) as write:
+        for name, ok, detail in results:
+            write(f"selftest {name}: {'PASS' if ok else 'FAIL'} ({detail})\n")
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_INTERNAL
 
 
 _HANDLERS = {

@@ -698,8 +698,9 @@ _CERTIFY_BATCH = 1 << 15
 def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     """The close candidates (N, bits, residual) of N = M0, 2 M0, ... <= N_max,
     in increasing N, yielded as the scan reaches them: _close of each N the
-    prefilter of _scan_chunk keeps.  A coordinate the scan cannot read at
-    dps raises PrecisionError here."""
+    prefilter of _scan_chunk keeps.  An irrational coordinate the scan
+    cannot read at dps raises PrecisionError here; a rational one may have
+    any denominator."""
     F = fixed_bits(dps)
     Xs = [_scaled_coord(c, F) for c in v.coords]
     # The prefilter keeps every N that _close accepts.  _close accepts only
@@ -711,10 +712,6 @@ def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     # distance from 0 mod 2**F is at most the exact term; so c is below
     # worst + N.  Either way c < eps 2**F + N_max < eps_int, the window of
     # the prefilter, and _close decides each survivor exactly.
-    for k, c in enumerate(v.coords):
-        if c.is_rational and c.fraction.denominator * N_max >= 1 << F:
-            raise PrecisionError(f"coordinate {k} = {c.fraction} has denominator * N_max "
-                                 f">= 2**{F}; stage 1 needs a higher precision")
     eps_floor = int(eps * (1 << F))
     eps_int = eps_floor + N_max + 2
     close = partial(_close, v, explicit_bits, eps, eps_floor, dps)

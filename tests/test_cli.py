@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -686,10 +687,12 @@ def test_splitting_golden_bytes_on_every_block_kind(tmp_path, capsys, omega, exp
     PathIndexData(NormalFormDecomposition(n=2, p_minus=1, q_minus=1), i1=2),
     _every_kind((Scalar.rational(1, 3), Scalar.rational(1, 2), Scalar.rational(3, 2)),
                 (Scalar.rational(2, 5),), (Scalar.rational(1, 7),)),
-], ids=["real", "every_kind"])
+    EVERY_KIND,
+], ids=["real", "every_kind", "every_kind_irrational"])
 def test_splitting_row_labels_are_the_omega_of_their_row(tmp_path, capsys, data):
     # each label, passed back as --omega, gives its row's pair: the
-    # eigenvalue 1 is "1", -1 is "-1" and an angle its theta/pi
+    # eigenvalue 1 is "1", -1 is "-1", a rational angle its theta/pi and an
+    # irrational one its stored decimal
     f = tmp_path / "path.json"
     f.write_text(json.dumps(data.to_json()))
     assert main(["splitting", "--data", str(f)]) == EXIT_OK
@@ -765,10 +768,24 @@ def test_dump_json_on_empty_containers_and_special_values(tmp_path, capsys):
         nested = {"a": nested, "b": [], "c": (), "d": [{}, [], ()], "e": [nested]}
     specials = [True, False, None, 0, -1, 2 ** 100, -(3 ** 70), -0.0, 1e-7, 1e16, 5e-324,
                 math.nan, math.inf, -math.inf, "", "\"quoted\" \\ \n\t", "é∮😀", ("tuple", 1)]
-    # 20,001 pieces, 127 KB: stdout gets them in two batches of about _FLUSH characters
+    # 127 KB, past _FLUSH: stdout gets the text at once and the newline at the end
     for obj in ({}, [], (), nested, specials, {"z": specials, "A": nested, "": None},
                 [{"N": n, "m": [n, -n]} for n in range(2000)]):
         _check_dump_json(obj, tmp_path / "out.json", capsys)
+
+
+def test_dump_json_raises_the_type_error_of_json_dumps(tmp_path):
+    # beside a search result too, and before the --out file is opened
+    with pytest.raises(TypeError) as want:
+        json.dumps({"a": [{1, 2}]})
+    res = SearchResult(N=[], chi=[], m=[[]], delta=[[]], residual=[], h=1,
+                       delta_threshold=Fraction(1, 8), gates={})
+    out = tmp_path / "out.json"
+    # the result sorts first, so json.dumps has passed it to default
+    for obj in ({"a": [{1, 2}]}, {"a": [{1, 2}], "0": res}):
+        with pytest.raises(TypeError, match=f"^{want.value}$"):
+            _dump_json(obj, str(out))
+        assert not out.exists()
 
 
 def test_chi_auto_runs_at_h16(tmp_path, capsys):

@@ -148,9 +148,10 @@ def test_S_plus_one_examples():
 
 
 def test_S_plus_one_matches_table(rng):
+    # S+(1) is 1 for each N1(1,1) block and each I2 block, 0 for every other
     for _ in range(25):
         d = random_decomposition(rng)
-        assert S_plus_one(d) == splitting_numbers(d, 1).s_plus
+        assert S_plus_one(d) == d.p_minus + d.p_zero
 
 
 # ----- index iteration -------------------------------------------------------

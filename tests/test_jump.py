@@ -1011,18 +1011,22 @@ def test_stage1_matches_the_stepping_loop_and_the_exact_gate(case):
             == raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps)))
 
 
-def test_stage1_rational_coordinate_past_2_to_the_F():
-    # x = 1 - 1/q with q > 2**F reads as X = 2**F, though N x lies within
-    # N/q of 1: stage 1 refuses a rational coordinate with q N_max >= 2**F
+@pytest.mark.parametrize("q_of_F", [lambda F: 7, lambda F: (1 << F) + 1, lambda F: 3 * (1 << F) + 7,
+                                    lambda F: (1 << (F + 5)) + 3],
+                         ids=["7", "2**F + 1", "3 * 2**F + 7", "2**(F + 5) + 3"])
+def test_stage1_reads_a_rational_coordinate_of_any_denominator(q_of_F):
+    # x = 1 - 1/q reads as ceil(x 2**F), which is 2**F once q > 2**F, though
+    # N x lies N/q below an integer: the prefilter still keeps every N that
+    # _close accepts, whatever q is
     dps = get_precision()
-    q = (1 << fixed_bits(dps)) + 1
+    F = fixed_bits(dps)
+    q = q_of_F(F)
     v = JumpVector(q=1, mu=(1,), coords=(HALF, Scalar.from_fraction(Fraction(q - 1, q))),
                    M=1, M0=1, mean_indices=(Scalar.rational(2),))
-    message = f"coordinate 1 = {q - 1}/{q} has denominator \\* N_max >= 2\\*\\*"
-    with pytest.raises(PrecisionError, match=message):
-        _stage1(v, None, Fraction(1, 4), 40, dps)
-    with pytest.raises(PrecisionError, match=message):
-        search_N(v, "auto", eps=0.25, N_max=40, paths=[], delta=Fraction(1, 8))
+    eps = Fraction(1, 4)
+    want = [c for N in range(1, 41)
+            if (c := _close(v, None, eps, int(eps * (1 << F)), dps, N)) is not None]
+    assert want and list(_stage1(v, None, eps, 40, dps)) == want
 
 
 def test_integer_rational_coordinates_are_on_vertex_0():
@@ -1135,8 +1139,20 @@ WRITER_FIXTURES = {
 }
 
 
+# objects that hold the results r and s, and the empty result e: at top
+# level, under "search" as jump-search and ellipsoid print them, three
+# levels deep in a dict and in a list, and all three in one object
+DUMP_SHAPES = [
+    lambda r, s, e: r,
+    lambda r, s, e: {"schema_version": 1, "search": r},
+    lambda r, s, e: {"a": 1, "b": {"c": {"d": r, "e": [2]}, "f": None}},
+    lambda r, s, e: [0.5, [[r, "x"], {}], []],
+    lambda r, s, e: {"first": r, "next": {"second": s, "k": [e, 3]}},
+]
+
+
 @pytest.mark.parametrize("name", list(WRITER_FIXTURES))
-def test_write_json_gives_the_bytes_of_json_dumps(name):
+def test_write_json_gives_the_bytes_of_json_dumps(name, tmp_path, capsys):
     res = WRITER_FIXTURES[name]()
     assert (len(res.N) == 0) == (name == "empty")
     want = json.dumps(res.to_json(), sort_keys=True, indent=2)
@@ -1144,11 +1160,17 @@ def test_write_json_gives_the_bytes_of_json_dumps(name):
         pieces = []
         res.write_json(pieces.append, newline)
         assert "".join(pieces) == want.replace("\n", newline)
-    # under "search" of the object jump-search and ellipsoid print
-    pieces = []
-    cli._write_json({"schema_version": 1, "search": res}, pieces.append, "\n")
-    assert "".join(pieces) == json.dumps({"schema_version": 1, "search": res.to_json()},
-                                         sort_keys=True, indent=2)
+    # cli._dump_json, to --out and to stdout: json.dumps with each result's
+    # to_json() in its place
+    other, empty = WRITER_FIXTURES["golden, chi 10"](), WRITER_FIXTURES["empty"]()
+    out = tmp_path / "out.json"
+    for shape in DUMP_SHAPES:
+        want = json.dumps(shape(res.to_json(), other.to_json(), empty.to_json()),
+                          sort_keys=True, indent=2) + "\n"
+        cli._dump_json(shape(res, other, empty), str(out))
+        assert out.read_text() == want
+        cli._dump_json(shape(res, other, empty), None)
+        assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("name", ["golden", "loose golden", "-I2 block and N2 pair",
