@@ -15,11 +15,9 @@ identities, so no closed-subgroup machinery is needed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from json import dumps
 from math import ceil, floor, lcm
@@ -292,11 +290,11 @@ def _scaled_coord(s: Scalar, F: int) -> int:
     return s._fixed(F)[0]
 
 
-def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close):
-    """close(N) of N = first_step step_N, ... in n_steps steps of step_N,
-    where it is not None, in increasing N.  close is called only on the N
-    that a numpy uint64 prefilter keeps, which keeps every N whose residues
-    N X mod 2**F all lie within eps_int of 0 or 2**F."""
+def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int):
+    """The steps j, increasing, of the N = (first_step + j) step_N,
+    0 <= j < n_steps, that a numpy uint64 prefilter keeps, as a uint64
+    array: every N whose residues N X mod 2**F all lie within eps_int of 0
+    or 2**F, and some others."""
     N0 = first_step * step_N
     N_last = N0 + (n_steps - 1) * step_N
     # Prefilter on the top 64 of the F >= fixed_bits(0) = 149 fraction bits,
@@ -319,7 +317,7 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int, close):
             start = np.uint64((N0 * Xh + E + N_last) % _WRAP)
             inc = np.uint64(step_N * Xh % _WRAP)
             steps = steps[steps * inc + start < np.uint64(window)]
-    return [c for j in steps.tolist() if (c := close(N0 + j * step_N)) is not None]
+    return steps
 
 
 # ----- exact gates -----------------------------------------------------------
@@ -462,7 +460,10 @@ def _close(v: JumpVector, bits, eps: Fraction, eps_floor: int, dps: int, N: int)
     vertex bits (the nearest one when bits is None), else None, from one
     read of _residual at dps: close at once when worst + slack < eps_floor
     = floor(eps 2**F), else as _closer_than decides; PrecisionError when
-    eps lies within the slack.  The residual is worst / 2**F as a float."""
+    eps lies within the slack.  The residual is worst / 2**F as a float.
+
+    The reference decision of stage 1: _windows makes it for a chunk's
+    survivors at once, and hands those it cannot prove to this one."""
     worst, slack, F, packed = _residual(v, N, bits, dps)
     if not worst < eps_floor - slack:
         close = _closer_than(worst, slack, F, eps)
@@ -471,6 +472,124 @@ def _close(v: JumpVector, bits, eps: Fraction, eps_floor: int, dps: int, N: int)
         if not close:
             return None
     return N, packed, float(worst / (1 << F))
+
+
+# ----- stage 1 on 128-bit windows ----------------------------------------------
+#
+# _close of a batch of survivors at once, in numpy, for N < 2**64, h <= 64
+# and rational denominators q < 2**32.  Let s = F - 128 (>= 121, as
+# F >= fixed_bits(30)).  An irrational coordinate, X as in _residual, has
+# Xw = (X mod 2**F) >> s < 2**128 and the window W = N Xw mod 2**128, as
+# two uint64 words from _top and _mulhi (32-bit limbs, Knuth 4.3.1).  As
+# X mod 2**F = Xw 2**s + low with 0 <= low < 2**s, the read
+# r = N X mod 2**F of _residual is W 2**s + N low: r lies in
+# [W 2**s, (W + N) 2**s) unless W + N wraps, the carry N low / 2**s being
+# below N.  A rational p/q has the exact residue d = N p mod q, and its
+# distance d' / q from the vertex (d' = d or q - d) lies in units of 2**-128
+# in [floor(d' 2**128 / q), that + 1], four 32-bit digits of long division.
+# So each distance times 2**F lies in [lo 2**s, hi 2**s], and _close's
+# decision is proven where
+#
+# - every irrational A <= W and W + N <= B, without wrapping, for
+#   A 2**s >= tol and B 2**s <= 2**F - tol, tol = guard_tol(F, N): r
+#   misses the guard band;
+# - with chi auto, no irrational [W, W + N] holds 2**127: the nearest
+#   vertex of r is that of W;
+# - either every hi < floor(eps 2**128), and it is close: worst + slack <
+#   (hi + 1) 2**s <= eps 2**F, as slack <= N < 2**s; or some
+#   lo > ceil(eps 2**128), or a rational distance exceeds 1/2, and it is
+#   not: worst - slack >= eps 2**F;
+# - when close, the largest lo and the largest hi round to the same float,
+#   which is then the residual: rounding is monotone.
+#
+# Every other survivor goes to _close, in increasing N, so a PrecisionError
+# keeps its text and its first N.
+
+
+def _below(x, c: int):
+    """x < c for the (high, low) uint64 words x of 128-bit values and an
+    int 0 <= c < 2**128."""
+    c1, c0 = np.uint64(c >> 64), np.uint64(c & (_WRAP - 1))
+    return (x[0] < c1) | ((x[0] == c1) & (x[1] < c0))
+
+
+def _add(x, y):
+    """x + y mod 2**128 for 128-bit words x and a uint64 (or bool) array y."""
+    low = x[1] + y
+    return x[0] + (low < x[1]), low
+
+
+def _negate(x):
+    """2**128 - x mod 2**128 for 128-bit words x."""
+    return np.uint64(0) - x[0] - (x[1] != 0), np.uint64(0) - x[1]
+
+
+def _to_float(x):
+    """The floats nearest (x1 2**64 + x0) / 2**128, ties to even, for the
+    128-bit words x = (x1, x0).  numpy's uint64 -> float is correctly
+    rounded; a shift by 64 gives 0."""
+    x1, x0 = x
+    # k = (the bit length of x, or one more) - 64, clipped to [0, 64]: x >> k
+    # has 63 or 64 bits, or is x itself
+    k = np.frexp(np.where(x1 > 0, x1, x0).astype(float))[1] + np.where(x1 > 0, 0, -64)
+    k = np.clip(k, 0, 64).astype(np.uint64)
+    # x >> k with a sticky last bit for the bits shifted out, which then
+    # rounds as x does
+    head = (x1 << (np.uint64(64) - k)) | (x0 >> k) | ((x0 << (np.uint64(64) - k)) != 0)
+    return np.ldexp(head.astype(float), k.astype(np.int64) - 128)
+
+
+def _windows(v: JumpVector, bits, eps: Fraction, N, F: int):
+    """(close, packed, residual, undecided) of the survivors N, a uint64
+    array in increasing N: _close's decision, vertex bits and residual, as
+    arrays, proven on 128-bit windows (the comment above) where undecided
+    is False."""
+    s = F - 128
+    tol = guard_tol(F, int(N[-1]))
+    band_lo, band_hi = -(-tol >> s), (((1 << F) - tol) >> s) + 1
+    eps_lo = (eps.numerator << 128) // eps.denominator
+    eps_hi = 1 - (-eps.numerator << 128) // eps.denominator   # ceil + 1
+    K = len(N)
+    close, far, undecided = np.ones(K, bool), np.zeros(K, bool), np.zeros(K, bool)
+    packed = np.zeros(K, np.uint64)
+    lo_f, hi_f = np.zeros(K), np.zeros(K)
+    for i, c in enumerate(v.coords):
+        if c.is_rational:
+            fr = c.fraction
+            q = np.uint64(fr.denominator)
+            d = N % q * np.uint64(fr.numerator % fr.denominator) % q
+            b = d + d > q if bits is None else bits[i]
+            d = np.where(b, q - d, d)
+            off = d + d > q     # beyond 1/2: not close
+            far |= off
+            t, digits = np.where(off, np.uint64(0), d), []
+            for _ in range(4):
+                t = t << np.uint64(32)
+                digits.append(t // q)
+                t = t % q
+            lo = (digits[0] << np.uint64(32) | digits[1], digits[2] << np.uint64(32) | digits[3])
+            hi = _add(lo, t != 0)
+        else:
+            X = c._fixed(F)[0]
+            W0, Xw0, _ = _top(N, X << 64, F)
+            W = (_top(N, X, F)[0] + _mulhi(N, Xw0), W0)
+            U = _add(W, N)
+            undecided |= _below(W, band_lo) | ~_below(U, band_hi) | (U[0] < W[0])
+            near = W[0] >> np.uint64(63)
+            if bits is None:
+                b = near
+                undecided |= U[0] >> np.uint64(63) != near
+            else:
+                b = bits[i]
+            lo = tuple(np.where(b, n, w) for n, w in zip(_negate(U), W))
+            hi = tuple(np.where(b, n, u) for n, u in zip(_negate(W), U))
+        packed |= np.asarray(b, np.uint64) << np.uint64(i)
+        far |= ~_below(lo, eps_hi)
+        close &= _below(hi, eps_lo)
+        lo_f, hi_f = np.maximum(lo_f, _to_float(lo)), np.maximum(hi_f, _to_float(hi))
+    close &= ~far
+    undecided |= ~(close | far) | (close & (lo_f != hi_f))
+    return close, packed, lo_f, undecided
 
 
 def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, dps: int):
@@ -657,50 +776,53 @@ def _batch_gates(v: JumpVector, recs, N, packed, delta: Fraction, F: int):
     return code, ms.astype(np.int64), deltas
 
 
-def _certify(v: JumpVector, candidates, paths, delta: Fraction, dps: int) -> SearchResult:
-    """The certified solutions of the close stage-1 candidates (N, bits,
-    residual), a list in increasing N, as SearchResult columns in the same
-    order, with gates: the number of candidates at each gate code, by gate
-    name (_GATES).  A solution keeps its candidate's residual."""
+def _certify(v: JumpVector, N, packed, residual, paths, delta: Fraction,
+             dps: int) -> SearchResult:
+    """The certified solutions of the close stage-1 candidates N, with
+    their packed vertex bits and residuals, arrays in increasing N as
+    _stage1 yields them, as SearchResult columns in the same order, with
+    gates: the number of candidates at each gate code, by gate name
+    (_GATES).  A solution keeps its candidate's residual."""
     F = fixed_bits(dps)
     recs = [(path_record(paths[k]), paths[k]) for k in range(v.q)]
-    n_batch = bisect_left(candidates, (_batch_limit(v, recs, F),))
-    low = (1 << v.q) - 1
-    N = np.fromiter((c[0] for c in candidates[:n_batch]), np.uint64, n_batch)
-    packed = np.fromiter((c[1] & low for c in candidates[:n_batch]), np.uint64, n_batch)
-    code, ms, deltas = _batch_gates(v, recs, N, packed, delta, F)
-    code = np.concatenate([code, np.full(len(candidates) - n_batch, _EXACT, np.int8)])
+    n_batch = int(np.searchsorted(N, _batch_limit(v, recs, F)))
+    # the batch reads the q chi bits of m_k; _batch_limit is 0 when q > 64
+    code, ms, deltas = _batch_gates(v, recs, N[:n_batch].astype(np.uint64), (
+        packed[:n_batch] & ((1 << v.q) - 1)).astype(np.uint64), delta, F)
+    code = np.concatenate([code, np.full(len(N) - n_batch, _EXACT, np.int8)])
     # the exact gates, in candidate order
     exact = {}   # candidate index -> (ms, deltas) of an exact solution
     for i in np.flatnonzero(code == _EXACT).tolist():
-        n, p, _ = candidates[i]
-        code[i], out = _certify_exact(v, paths, n, p, delta, dps)
+        code[i], out = _certify_exact(v, paths, int(N[i]), int(packed[i]), delta, dps)
         if out is not None:
             exact[i] = out
     if exact:   # merge them in by candidate index, as Python ints of any size
         ms, deltas = (np.concatenate([a.astype(object), np.zeros(
-            (v.q, len(candidates) - n_batch), object)], axis=1) for a in (ms, deltas))
+            (v.q, len(N) - n_batch), object)], axis=1) for a in (ms, deltas))
         for i, (m, d) in exact.items():
             ms[:, i], deltas[:, i] = m, d
     s = np.flatnonzero(code == _SOLVED)
-    solved = [candidates[i] for i in s.tolist()]
     return SearchResult(
-        N=[c[0] for c in solved], chi=[c[1] for c in solved],
-        m=ms[:, s].tolist(), delta=deltas[:, s].tolist(), residual=[c[2] for c in solved],
+        N=N[s].tolist(), chi=packed[s].tolist(), m=ms[:, s].tolist(),
+        delta=deltas[:, s].tolist(), residual=residual[s].tolist(),
         h=v.h, delta_threshold=delta,
         gates=dict(zip(_GATES, np.bincount(code, minlength=len(_GATES)).tolist())))
 
 
-# close candidates certified at once: bounds the candidate list of a long search
-_CERTIFY_BATCH = 1 << 15
+_CHUNK = 1 << 15            # steps of N per scan chunk: bounds its numpy arrays
+_CERTIFY_BATCH = 1 << 15    # prefilter survivors decided and certified at once, at least
 
 
 def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
-    """The close candidates (N, bits, residual) of N = M0, 2 M0, ... <= N_max,
-    in increasing N, yielded as the scan reaches them: _close of each N the
-    prefilter of _scan_chunk keeps.  An irrational coordinate the scan
-    cannot read at dps raises PrecisionError here; a rational one may have
-    any denominator."""
+    """The close candidates of N = M0, 2 M0, ... <= N_max: arrays (N,
+    packed vertex bits, residual) in increasing N, yielded as the scan
+    reaches them, a batch for the prefilter survivors (_scan_chunk) of
+    whole chunks, at least _CERTIFY_BATCH of them but in the last batch,
+    which may be empty.  N is uint64 when N_max < 2**64 and packed when
+    h <= 64, else they hold Python ints.  _windows decides a batch's
+    survivors at once, and _close those it leaves undecided, so the
+    candidates are _close's.  An irrational coordinate the scan cannot read
+    at dps raises PrecisionError; a rational one may have any denominator."""
     F = fixed_bits(dps)
     Xs = [_scaled_coord(c, F) for c in v.coords]
     # The prefilter keeps every N that _close accepts.  _close accepts only
@@ -714,12 +836,37 @@ def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     # the prefilter, and _close decides each survivor exactly.
     eps_floor = int(eps * (1 << F))
     eps_int = eps_floor + N_max + 2
-    close = partial(_close, v, explicit_bits, eps, eps_floor, dps)
-    # chunks of 2**15 steps bound the memory of the scan's numpy arrays
+    windows = v.h <= 64 and F - 128 >= 64 and all(
+        c.fraction.denominator < 1 << 32 for c in v.coords if c.is_rational)
+
+    def decide(N):
+        K = len(N)
+        if windows and K and N.dtype != object:
+            close, packed, residual, undecided = _windows(v, explicit_bits, eps, N, F)
+        else:
+            close, packed, residual, undecided = (np.zeros(K, bool), np.zeros(
+                K, np.uint64 if v.h <= 64 else object), np.zeros(K), np.ones(K, bool))
+        for i in np.flatnonzero(undecided).tolist():
+            c = _close(v, explicit_bits, eps, eps_floor, dps, int(N[i]))
+            close[i] = c is not None
+            if close[i]:
+                packed[i], residual[i] = c[1], c[2]
+        return N[close], packed[close], residual[close]
+
+    held, count = [np.zeros(0, np.uint64)], 0
     total_steps = N_max // v.M0
-    chunk = 1 << 15
-    return (c for s in range(1, total_steps + 1, chunk)
-            for c in _scan_chunk(s, min(chunk, total_steps - s + 1), v.M0, Xs, F, eps_int, close))
+    for first in range(1, total_steps + 1, _CHUNK):
+        n_steps = min(_CHUNK, total_steps - first + 1)
+        steps = _scan_chunk(first, n_steps, v.M0, Xs, F, eps_int)
+        if len(steps):
+            N0 = first * v.M0
+            held.append(np.uint64(N0) + steps * np.uint64(v.M0)
+                        if N0 + (n_steps - 1) * v.M0 < _WRAP else N0 + steps.astype(object) * v.M0)
+            count += len(steps)
+        if count >= _CERTIFY_BATCH:
+            yield decide(np.concatenate(held))
+            held, count = [np.zeros(0, np.uint64)], 0
+    yield decide(np.concatenate(held))
 
 
 def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
@@ -729,12 +876,12 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     chi is a bit tuple of length h, or "auto" to accept every vertex the
     orbit actually approaches (the nearest vertex is tested for each N).
     Gates, in order: max-norm closeness |{N v} - chi| < eps, decided by the
-    stage-1 scan; then, for the close candidates in batches of
-    _CERTIFY_BATCH taken as the scan yields them (_certify), divisibility
-    (N/(M ihat_k) in Z for rational mean indices), m_nonpositive (every
-    m_k > 0), angle (the near-integrality of every m_k theta/pi) and
-    identity (I(k, m_k) = N + Delta_k).  So at most one batch of candidates
-    is held at a time.  The result holds the solutions as columns in
+    stage-1 scan; then, for the close candidates in the batches the scan
+    yields (_certify), divisibility (N/(M ihat_k) in Z for rational mean
+    indices), m_nonpositive (every m_k > 0), angle (the near-integrality of
+    every m_k theta/pi) and identity (I(k, m_k) = N + Delta_k).  So at most
+    one batch of fewer than _CERTIFY_BATCH + _CHUNK candidates is held at a
+    time.  The result holds the solutions as columns in
     increasing N, and counts, by gate name (_GATES), the close candidates
     each of these four stopped, and the certified ones.  An empty result is
     a valid outcome.  workers is accepted and ignored: the scan runs in the
@@ -753,12 +900,10 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
             raise JumpError("chi bits must be 0 or 1")
 
     dps = get_precision()
-    candidates = _stage1(v, explicit_bits, Fraction(eps), N_max, dps)
-    batch = list(islice(candidates, _CERTIFY_BATCH))
-    result = _certify(v, batch, paths, delta, dps)
-    while len(batch) == _CERTIFY_BATCH:
-        batch = list(islice(candidates, _CERTIFY_BATCH))
-        result.extend(_certify(v, batch, paths, delta, dps))
+    batches = _stage1(v, explicit_bits, Fraction(eps), N_max, dps)
+    result = _certify(v, *next(batches), paths, delta, dps)
+    for batch in batches:
+        result.extend(_certify(v, *batch, paths, delta, dps))
     result.params = {"eps": eps, "delta": str(delta), "M": v.M, "M0": v.M0,
                      "N_max": N_max, "chi": "auto" if explicit_bits is None else list(explicit_bits)}
     return result

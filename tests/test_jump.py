@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -685,28 +686,22 @@ def ref_survivors(first_step, n_steps, step_N, Xs, F, eps_int, explicit_bits):
         N += step_N
 
 
-def fake_close(N):
+def fake_close(v, bits, eps, eps_floor, dps, N):
     """A stand-in for _close: drops a third of the N."""
     return None if N % 3 == 0 else (N, N % 7, float(N % 5))
 
 
 def assert_scan_reaches_the_survivors(chunk):
-    """_scan_chunk(*chunk, close) calls close once per N, in increasing N,
-    on N of the chunk only, and on every N that ref_survivors keeps within
-    eps_int of a vertex; it returns close's results that are not None.
-    Returns the N that reached close."""
+    """_scan_chunk(*chunk) gives steps j, a uint64 array, increasing, whose
+    N = (first_step + j) step_N lie in the chunk and include every N that
+    ref_survivors keeps within eps_int of a vertex.  Returns those N."""
     first_step, n_steps, step_N = chunk[:3]
-    seen = []
-
-    def close(N):
-        seen.append(N)
-        return fake_close(N)
-
-    got = _scan_chunk(*chunk, close)
+    steps = _scan_chunk(*chunk)
+    assert steps.dtype == np.uint64
+    seen = [(first_step + j) * step_N for j in steps.tolist()]
     assert all(a < b for a, b in zip(seen, seen[1:]))
     assert set(seen) <= set(range(first_step * step_N, (first_step + n_steps) * step_N, step_N))
     assert {N for N, _, _ in ref_survivors(*chunk, None)} <= set(seen)
-    assert got == [c for c in map(fake_close, seen) if c is not None]
     return seen
 
 
@@ -770,6 +765,215 @@ def test_scan_chunk_at_the_eps_boundary():
                 if 2 <= eps_int <= one // 2:
                     seen = assert_scan_reaches_the_survivors((1, 1, N, [X], F, eps_int))
                     assert seen == [N] or min(r, one - r) >= eps_int, (Xh, N, eps_int)
+
+
+# ----- stage 1 on 128-bit windows against _close ------------------------------
+
+def test_to_float_rounds_as_python_float():
+    # random 128-bit values, and halfway cases between two floats (53-bit
+    # mantissas m and m + 1 at 2**e) with their neighbours, at every shift
+    # _to_float takes
+    rng = random.Random(20240811)
+    xs = [rng.getrandbits(rng.randint(1, 128)) for _ in range(4000)]
+    xs += [0, 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, 1 << 127, (1 << 128) - 1]
+    for e in range(1, 76, 3):
+        half = (2 * (rng.getrandbits(52) | 1 << 52) + 1) << (e - 1)
+        xs += [half - 1, half, half + 1]
+    words = (np.array([x >> 64 for x in xs], np.uint64),
+             np.array([x & ((1 << 64) - 1) for x in xs], np.uint64))
+    assert jump._to_float(words).tolist() == [x / (1 << 128) for x in xs]
+
+
+def dyadic(X, F):
+    """The irrational-tagged X / 2**F, exactly: its read at F is X."""
+    with mp.workprec(F + 64):
+        x = Scalar.irrational(mp.mpf(X) / (1 << F))
+    assert x._fixed(F)[0] == X
+    return x
+
+
+def set_coordinate(T, N, F):
+    """An irrational coordinate x with N X mod 2**F in [T, T + N), X its read."""
+    return dyadic(-(-(T % (1 << F)) // N), F)
+
+
+def close_of_survivors(v, bits, eps, N_max, dps):
+    """[_close(N) for N in the prefilter survivors] where not None, or the
+    PrecisionError of the first one that raises, for N_max / M0 within one
+    scan chunk."""
+    F = fixed_bits(dps)
+    eps_floor = int(eps * (1 << F))
+    steps = _scan_chunk(1, N_max // v.M0, v.M0, [_scaled_coord(c, F) for c in v.coords], F,
+                        eps_floor + N_max + 2).tolist()
+    return raised_or(lambda: [c for j in steps if (
+        c := _close(v, bits, eps, eps_floor, dps, (1 + j) * v.M0)) is not None])
+
+
+@st.composite
+def window_cases(draw):
+    """A jump vector of h = 1 to 6 coordinates, chi auto or explicit, eps
+    and N_max, with N up to 7 * 150, or near 2**50, or across 2**64.  A
+    coordinate is a quadratic irrational, a rational p/q with q up to 12,
+    near 2**32 or near 2**63 / N_max, or set at a target N* to a read
+    N* X mod 2**F within three carries N* 2**(F - 128) of eps 2**F, of the
+    guard band, of a float rounding boundary below eps, of 2**(F - 1), or
+    of a residue below eps 2**F, on either side of 0."""
+    F = fixed_bits(get_precision())
+    steps = draw(st.integers(1, 150))
+    M0 = draw(st.one_of(st.integers(1, 7), st.integers(2 ** 50 // steps, 2 ** 51 // steps),
+                        st.integers(-9, 9).map(lambda d: 2 ** 64 // steps + d)))
+    N_max = M0 * steps
+    Nt = M0 * draw(st.integers(1, steps))
+    carry = Nt << (F - 128)
+    eps = Fraction(draw(st.integers(1, 2 ** 14 - 1)), 2 ** 15)
+    coords = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("quadratic", "rational", "set", "set", "set")))
+        if kind == "quadratic":
+            coords.append(draw(quadratic_angles()))
+        elif kind == "rational":
+            q = draw(st.one_of(st.integers(1, 12), st.integers(-3, 3).map(lambda d: 2 ** 32 + d),
+                               st.integers(-3, 3).map(lambda d: max(1, 2 ** 63 // N_max + d))))
+            coords.append(Scalar.from_fraction(Fraction(draw(st.integers(0, 2 * q)), q)))
+        else:
+            at = draw(st.sampled_from(("eps", "band", "round", "half", "below")))
+            if at == "eps":
+                T = int(eps * (1 << F))
+            elif at == "band":
+                T = guard_tol(F, Nt)
+            elif at == "round":
+                f = float(eps) * draw(st.floats(0.001, 1))
+                T = int((Fraction(f) + Fraction(np.nextafter(f, 1.0))) / 2 * (1 << F))
+            elif at == "half":
+                T = 1 << (F - 1)
+            else:
+                T = draw(st.integers(0, int(eps * (1 << F))))
+            T += draw(st.integers(-3 * carry, 3 * carry))
+            coords.append(set_coordinate(T if draw(st.booleans()) else -T, Nt, F))
+    v = JumpVector(q=1, mu=(len(coords) - 1,), coords=tuple(coords), M=1, M0=M0,
+                   mean_indices=(Scalar.rational(1),))
+    near = tuple(int(exact_frac(c, Nt) > Fraction(1, 2)) for c in coords)
+    bits = draw(st.sampled_from((None, near, tuple(1 - b for b in near))))
+    return v, bits, eps, N_max
+
+
+@seed(20240811)
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(window_cases())
+def test_windows_decide_as_close(case):
+    # the batch decision is _close's on every prefilter survivor, residual
+    # bits and PrecisionError text included, whether _windows or _close
+    # decides it
+    v, bits, eps, N_max = case
+    dps = get_precision()
+    assert raised_or(lambda: rows(_stage1(v, bits, eps, N_max, dps))) == close_of_survivors(
+        v, bits, eps, N_max, dps)
+
+
+def test_windows_leave_the_boundaries_to_close():
+    # one set coordinate at N* = 1000 with its read at a boundary: eps, the
+    # guard band, a rounding boundary of the residual and 1/2, on either
+    # side of 0, beside x = 1/16000 at distance 1/16, which outweighs a
+    # distance at the band: its residual needs more bits than a window
+    # holds.  _windows leaves N* to _close there, and inside the band; four
+    # carries away it decides N* as _close does
+    dps = get_precision()
+    F = fixed_bits(dps)
+    Nt, eps, f = 1000, Fraction(3, 16), 0.1
+    carry = Nt << (F - 128)
+    mid = (Fraction(f) + Fraction(np.nextafter(f, 1.0))) / 2
+    for at, T0 in (("eps", int(eps * (1 << F))), ("band", guard_tol(F, Nt)),
+                   ("round", int(mid * (1 << F))), ("half", 1 << (F - 1))):
+        for sign in (1, -1):
+            for off in (0, 4 * carry, -4 * carry):
+                v = JumpVector(q=1, mu=(1,), coords=(set_coordinate(sign * (T0 + off), Nt, F),
+                                                     Scalar.rational(1, 16000)),
+                               M=1, M0=Nt, mean_indices=(Scalar.rational(1),))
+                close, packed, residual, undecided = jump._windows(
+                    v, None, eps, np.array([Nt], np.uint64), F)
+                assert undecided[0] == (off == 0 or (at, off) == ("band", -4 * carry)), (at, off)
+                want = raised_or(lambda: _close(v, None, eps, int(eps * (1 << F)), dps, Nt))
+                if not undecided[0]:
+                    assert want == ((Nt, int(packed[0]), float(residual[0])) if close[0] else None)
+                if at != "half":   # a survivor of the prefilter
+                    assert raised_or(lambda: rows(_stage1(v, None, eps, Nt, dps))) == (
+                        want if isinstance(want, tuple) and want[0] is PrecisionError
+                        else [want] if want else [])
+    # reads next to eps 2**F = E, an integer: at N = 1 the carry is 0 and the
+    # slack 1, so _close raises at E - 1 and E and decides one unit further
+    # out, and stage 1 gives its decision
+    E = int(eps * (1 << F))
+    for r in range(E - 3, E + 4):
+        v = JumpVector(q=1, mu=(0,), coords=(dyadic(r, F),), M=1, M0=1,
+                       mean_indices=(Scalar.rational(1),))
+        got = raised_or(lambda: rows(_stage1(v, None, eps, 1, dps)))
+        assert got == close_of_survivors(v, None, eps, 1, dps)
+        assert (got[0] is PrecisionError if got else False) == (r in (E - 1, E)), r
+
+
+def test_stage1_hands_each_undecided_survivor_to_close(monkeypatch):
+    # _windows patched to leave every other survivor undecided, and _close
+    # replaced by fake_close: _stage1 calls it on exactly those survivors,
+    # in increasing N, and merges its results, where not None, with the
+    # window decisions in N order
+    data = rot_data(PHI)
+    v = build_jump_vector([data])
+    eps = Fraction(default_eps([data], v.M, default_delta([data])))
+    dps, N_max = get_precision(), 20000
+    F = fixed_bits(dps)
+    steps = _scan_chunk(1, N_max // v.M0, v.M0, [_scaled_coord(c, F) for c in v.coords], F,
+                        int(eps * (1 << F)) + N_max + 2)
+    survivors = [(1 + j) * v.M0 for j in steps.tolist()]
+    by_N = {c[0]: c for c in rows(_stage1(v, None, eps, N_max, dps))}
+    windows = jump._windows
+    calls = []
+
+    def every_other(*args):
+        close, packed, residual, undecided = windows(*args)
+        undecided[::2] = True
+        return close, packed, residual, undecided
+
+    monkeypatch.setattr(jump, "_windows", every_other)
+    monkeypatch.setattr(jump, "_close", lambda *a: calls.append(a[-1]) or fake_close(*a))
+    got = rows(_stage1(v, None, eps, N_max, dps))
+    assert len(survivors) > 100 and calls == survivors[::2]
+    assert got == [c for i, N in enumerate(survivors) if (
+        c := fake_close(v, None, eps, 0, dps, N) if i % 2 == 0 else by_N.get(N)) is not None]
+
+
+ROUTE_CASES = {
+    # the golden search of CI at N_max 1e6, and the one-path goldens of
+    # test_one_path_golden_bytes
+    "golden": ([rot_data(PHI)], 10 ** 6),
+    "golden_q_zero": ([PathIndexData(NormalFormDecomposition(
+        n=2, q_zero=1, thetas=(PHI - 1,)), i1=3)], 300000),
+    "sqrt2_q_plus": ([PathIndexData(NormalFormDecomposition(
+        n=3, q_plus=1, alphas=(Scalar.sqrt(2) - 1,)), i1=4)], 300000),
+    "two_fifths_p_minus": ([PathIndexData(NormalFormDecomposition(
+        n=3, p_minus=1, alphas=(Scalar.rational(2, 5),)), i1=5)], 300000),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_every_survivor_through_close_gives_the_same_search(name, monkeypatch):
+    paths, N_max = ROUTE_CASES[name]
+    v = build_jump_vector(paths)
+    delta = default_delta(paths)
+    eps = default_eps(paths, v.M, delta)
+    windowed = search_N(v, "auto", eps=eps, N_max=N_max, paths=paths, delta=delta)
+    calls = []
+
+    def undecided(v, bits, eps, N, F):
+        calls.append(len(N))
+        return np.zeros(len(N), bool), np.zeros(len(N), np.uint64), np.zeros(len(N)), np.ones(
+            len(N), bool)
+
+    monkeypatch.setattr(jump, "_windows", undecided)
+    exact = search_N(v, "auto", eps=eps, N_max=N_max, paths=paths, delta=delta)
+    assert sum(calls) >= sum(exact.gates.values()) > 0
+    for col in ("N", "chi", "m", "delta", "residual", "gates", "params"):
+        assert getattr(exact, col) == getattr(windowed, col), col
 
 
 @pytest.fixture(scope="module")
@@ -864,7 +1068,7 @@ def assert_certify_matches(v, cands, paths, eps, delta):
     are those of ref_certify, and the counts cover every candidate; returns
     ref_certify's counts."""
     ref_sol, ref_gates = ref_certify(v, cands, paths, eps, delta)
-    res = _certify(v, cands, paths, delta, get_precision())
+    res = certify(v, cands, paths, delta)
     gates = res.gates
     assert list(res.solutions) == ref_sol
     assert tuple(gates) == _GATES
@@ -872,10 +1076,28 @@ def assert_certify_matches(v, cands, paths, eps, delta):
     return ref_gates
 
 
+def rows(batches):
+    """The candidates of _stage1's batches as (N, packed, residual) tuples
+    of Python numbers."""
+    return [row for N, p, r in batches for row in zip(N.tolist(), p.tolist(), r.tolist())]
+
+
+def columns(v, cands):
+    """The (N, packed, residual) tuples cands as the arrays _stage1 yields."""
+    N, packed, residual = (list(c) for c in zip(*cands)) if cands else ([], [], [])
+    return (np.array(N, np.uint64 if all(n < 1 << 64 for n in N) else object),
+            np.array(packed, np.uint64 if v.h <= 64 else object), np.array(residual, float))
+
+
+def certify(v, cands, paths, delta):
+    """_certify of the candidate tuples cands."""
+    return _certify(v, *columns(v, cands), paths, delta, get_precision())
+
+
 def stage1(v, chi, eps, N_max):
     """The close stage-1 candidates of search_N."""
     explicit = None if chi == "auto" else tuple(chi)
-    return list(_stage1(v, explicit, Fraction(eps), N_max, get_precision()))
+    return rows(_stage1(v, explicit, Fraction(eps), N_max, get_precision()))
 
 
 def batch_codes(v, paths, candidates, delta):
@@ -1007,7 +1229,7 @@ def test_stage1_matches_the_stepping_loop_and_the_exact_gate(case):
     v, explicit, eps, N_max = case
     dps = get_precision()
 
-    assert (raised_or(lambda: list(_stage1(v, explicit, eps, N_max, dps)))
+    assert (raised_or(lambda: rows(_stage1(v, explicit, eps, N_max, dps)))
             == raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps)))
 
 
@@ -1026,7 +1248,7 @@ def test_stage1_reads_a_rational_coordinate_of_any_denominator(q_of_F):
     eps = Fraction(1, 4)
     want = [c for N in range(1, 41)
             if (c := _close(v, None, eps, int(eps * (1 << F)), dps, N)) is not None]
-    assert want and list(_stage1(v, None, eps, 40, dps)) == want
+    assert want and rows(_stage1(v, None, eps, 40, dps)) == want
 
 
 def test_integer_rational_coordinates_are_on_vertex_0():
@@ -1097,7 +1319,7 @@ def test_exact_solutions_merge_in_by_N(theta, monkeypatch):
 
     monkeypatch.setattr(jump, "_batch_gates", every_other_exact)
     monkeypatch.setattr(jump, "_certify_exact", record)
-    res = _certify(v, cands, [data], LIMIT_DELTA, get_precision())
+    res = certify(v, cands, [data], LIMIT_DELTA)
     batch_N = sorted(set(res.N) - set(exact_N))
     assert min(exact_N) < max(batch_N) and min(batch_N) < max(exact_N)
     assert all(a < b for a, b in zip(res.N, res.N[1:]))
@@ -1116,7 +1338,7 @@ def _golden_search(N_max, chi="auto"):
 def _past_the_batch_limit():
     # exact-gate solutions, object columns, with m_k >= 2**50
     data, v, L, cands = limit_candidates(LIMIT_THETAS[1])
-    res = _certify(v, cands, [data], LIMIT_DELTA, get_precision())
+    res = certify(v, cands, [data], LIMIT_DELTA)
     assert max(max(col) for col in res.m) >= 1 << 50
     return res
 
@@ -1182,10 +1404,17 @@ def test_certifying_in_small_batches_changes_nothing(name, monkeypatch):
     eps = default_eps(paths, v.M, delta) if eps is None else eps
     assert len(stage1(v, chi, eps, N_max)) > 3 * 64
     one = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
+    # scan chunks of 200 steps, decided and certified once 64 prefilter
+    # survivors are held
+    batches = []
+    monkeypatch.setattr(jump, "_CHUNK", 200)
     monkeypatch.setattr(jump, "_CERTIFY_BATCH", 64)
+    monkeypatch.setattr(jump, "_certify",
+                        lambda v, N, *a: batches.append(len(N)) or _certify(v, N, *a))
     small = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
     assert small.to_json() == one.to_json()
     assert tuple(small.gates) == _GATES and small.gates == one.gates
+    assert len(batches) > 3 and sum(batches) == sum(one.gates.values())
 
 
 def test_a_search_builds_no_solution_object(monkeypatch):
@@ -1242,7 +1471,7 @@ def test_precision_error_from_the_exact_fallback():
     with pytest.raises(PrecisionError) as ref_exc:
         ref_certify(v, cands, [data], eps, t)
     with pytest.raises(PrecisionError) as exc:
-        _certify(v, cands, [data], t, get_precision())
+        certify(v, cands, [data], t)
     assert str(exc.value) == str(ref_exc.value)
 
 
