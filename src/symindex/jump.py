@@ -290,11 +290,21 @@ def _scaled_coord(s: Scalar, F: int) -> int:
     return s._fixed(F)[0]
 
 
+def _window(F: int, eps_int: int, N_last: int):
+    """(E, window) of the prefilter of the N <= N_last (_scan_chunk)."""
+    E = -(-eps_int >> (F - 64))
+    return E, 2 * E + N_last
+
+
 def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int):
-    """The steps j, increasing, of the N = (first_step + j) step_N,
-    0 <= j < n_steps, that a numpy uint64 prefilter keeps, as a uint64
-    array: every N whose residues N X mod 2**F all lie within eps_int of 0
-    or 2**F, and some others."""
+    """(steps, n): the steps j, increasing, of the N = (first_step + j)
+    step_N, 0 <= j < n, that a numpy uint64 prefilter keeps, as a uint64
+    array: every such N whose residues N X mod 2**F all lie within eps_int
+    of 0 or 2**F, and some others.  The window is that of the last of all
+    n_steps steps, and n <= n_steps is as far as the first coordinate's
+    hits reach: _window_hits gives at most 2 _CERTIFY_BATCH of them, so
+    n = n_steps for a range of at most _CHUNK steps with no more hits than
+    that.  Each further coordinate tests the steps kept so far."""
     N0 = first_step * step_N
     N_last = N0 + (n_steps - 1) * step_N
     # Prefilter on the top 64 of the F >= fixed_bits(0) = 149 fraction bits,
@@ -307,17 +317,142 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int):
     # (N Xh + E + N_last) mod 2**64 < 2 E + N_last.  When that window
     # covers the whole circle, every N is kept.
     s = F - 64
-    E = -(-eps_int >> s)
-    window = 2 * E + N_last
-    steps = np.arange(n_steps, dtype=np.uint64)
-    if window < _WRAP:
-        mask = (1 << F) - 1
-        for X in Xs:
-            Xh = (X & mask) >> s
-            start = np.uint64((N0 * Xh + E + N_last) % _WRAP)
-            inc = np.uint64(step_N * Xh % _WRAP)
-            steps = steps[steps * inc + start < np.uint64(window)]
-    return steps
+    E, window = _window(F, eps_int, N_last)
+    cap = 2 * _CERTIFY_BATCH
+    if window >= _WRAP:
+        n = min(n_steps, cap)
+        return np.arange(n, dtype=np.uint64), n
+    mask = (1 << F) - 1
+    steps = n = None
+    for X in Xs:
+        Xh = (X & mask) >> s
+        start = (N0 * Xh + E + N_last) % _WRAP
+        inc = step_N * Xh % _WRAP
+        if steps is None:
+            steps, n = _window_hits(start, inc, window, n_steps, cap)
+        else:
+            steps = steps[steps * np.uint64(inc) + np.uint64(start) < np.uint64(window)]
+    return steps, n
+
+
+# ----- the steps in a window, listed by a continued-fraction stride -----------
+#
+# The steps j < L with x_j = (start + j inc) mod 2**64 < W (W < 2**64), after
+# Slater (1967): take a convergent p/q of inc / 2**64, and d = q inc - p 2**64.
+# In the residue class r < q, x_(r + k q) = x_r + k d mod 2**64 moves by d
+# per step k.  While the class moves no more than the gap 2**64 - W in all,
+# |d| (K - 1) <= 2**64 - W over its K steps, it cannot leave the window and
+# come back, which takes more than the gap: its hits form one interval of k.
+# For d > 0 that is [0, floor((W - 1 - x_r) / d) + 1) when x_r < W, and
+# [floor((2**64 - 1 - x_r) / d) + 1, floor((2**64 + W - 1 - x_r) / d) + 1)
+# else, that is, where x_r + k d has wrapped and is still below 2**64 + W;
+# both uppers are floor(((W - 1 - x_r) mod 2**64) / d) + 1.  d < 0 is the
+# mirror image: x -> W - 1 - x maps the window onto itself and d to -d;
+# d = 0 keeps a class in or out of the window.  So the classes give the hits
+# in O(q + hits), two uint64 divisions per class.  _stride takes the first
+# convergent whose classes hold all L steps; q is then about sqrt(L) for a
+# typical inc.  When that q would exceed _CHUNK (a large partial quotient,
+# or a window of nearly the whole circle), it takes the last convergent
+# with q <= _CHUNK and lists the steps in pieces, each as long as its
+# classes can hold.  Pieces shorter than _CHUNK would cost more than testing
+# each step, and so would a range of at most _CHUNK steps: then one chunk is
+# tested.  Classes of a piece shorter than q hold one step each.
+#
+# The hits are as many as the steps in the worst case (an integer or
+# rational coordinate, whose residues take few values), so _window_hits
+# counts each piece's hits before it lists them, and stops at a cap.
+
+
+def _convergents(a: int):
+    """(q, d) of the convergents p/q of a / 2**64, 0 <= a < 2**64, in
+    order, d = q a - p 2**64; the last one is a / 2**64 itself, d = 0."""
+    num, den = _WRAP, a
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    while True:
+        yield q1, q1 * a - p1 * _WRAP
+        if not den:
+            return
+        c = num // den
+        num, den = den, num - c * den
+        p0, q0, p1, q1 = p1, q1, c * p1 + p0, c * q1 + q0
+
+
+def _stride(inc: int, window: int, n_steps: int):
+    """(q, d, length): a stride q <= _CHUNK and its d (the comment above),
+    and the length of the pieces of the n_steps steps that its classes
+    list."""
+    gap = _WRAP - window
+    for q, d in _convergents(inc):
+        if q > _CHUNK:
+            break
+        # a class of K <= gap // |d| + 1 steps moves |d| (K - 1) <= gap
+        found = q, d, q * (gap // abs(d) + 1) if d else n_steps
+        if found[2] >= n_steps:
+            break
+    return found
+
+
+def _classes(x0: int, inc: int, q: int, d: int, W, L: int):
+    """(r, lo, count): the residue classes r < n = min(q, L) of L steps
+    from the residue x0 (the comment above); class r holds the hits
+    r + k n, lo <= k < lo + count, as uint64, uint64 and int64 arrays."""
+    n, one = min(q, L), np.uint64(1)
+    r = np.arange(n, dtype=np.uint64)
+    x = np.uint64(x0) + r * np.uint64(inc)
+    K = (np.uint64(L - 1) - r) // np.uint64(n) + one    # the steps of class r
+    if d == 0:
+        lo, hi = np.zeros(n, np.uint64), np.where(x < W, K, np.uint64(0))
+    else:
+        if d < 0:
+            x = W - one - x
+        a = np.uint64(abs(d))
+        lo = np.where(x < W, np.uint64(0), ~x // a + one)
+        hi = np.minimum((W - one - x) // a, K - one) + one
+    return r, lo, np.where(hi > lo, hi - lo, np.uint64(0)).astype(np.int64)
+
+
+def _window_hits(start: int, inc: int, window: int, n_steps: int, cap: int):
+    """(hits, n): the steps j, 0 <= j < n, with (start + j inc) mod 2**64 <
+    window, increasing, as a uint64 array, for ints 0 <= start, inc < 2**64,
+    0 < window < 2**64 and cap >= 1; 0 < n <= n_steps, and there are at most
+    cap hits.  A range of at most _CHUNK steps, or one whose stride lists
+    pieces shorter than _CHUNK, has one chunk tested step by step, cut at
+    the cap.  Any other is listed by the classes of _stride, in one numpy
+    pass over them per piece, then sorted, up to the end of the range or
+    the cap: a piece that would take the hits past the cap is shortened
+    until they fit, and ends the list."""
+    if n_steps > _CHUNK:
+        q, d, length = _stride(inc, window, n_steps)
+    W = np.uint64(window)
+    if n_steps <= _CHUNK or length < _CHUNK:
+        j = np.arange(min(n_steps, _CHUNK), dtype=np.uint64)
+        hits = j[j * np.uint64(inc) + np.uint64(start) < W]
+        return (hits, len(j)) if len(hits) <= cap else (hits[:cap], int(hits[cap]))
+    pieces, total, j0 = [], 0, 0
+    while j0 < n_steps and total < cap:
+        L = min(length, n_steps - j0)
+        x0 = (start + j0 * inc) % _WRAP
+        r, lo, count = _classes(x0, inc, q, d, W, L)
+        fits = total + count.sum() <= cap
+        while (c := int(count.sum())) > cap - total:
+            # to the steps that would hold the room left if the hits were
+            # spread evenly, and at least by half
+            L = min(L // 2, L * (cap - total) // c)
+            r, lo, count = _classes(x0, inc, q, d, W, L)
+        n = min(q, L)
+        # class r lists j0 + r + k n for lo <= k < lo + count, at the places
+        # from before = count[:r].sum() on of the hits (uint64 arithmetic
+        # wraps)
+        before = (np.cumsum(count) - count).astype(np.uint64)
+        hits = np.repeat(np.uint64(j0) + r + (lo - before) * np.uint64(n), count)
+        hits += np.arange(0, len(hits) * n, n, dtype=np.uint64)
+        if n > 1:
+            hits.sort()
+        pieces.append(hits)
+        total, j0 = total + len(hits), j0 + L
+        if not fits:
+            break
+    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), j0
 
 
 # ----- exact gates -----------------------------------------------------------
@@ -809,20 +944,35 @@ def _certify(v: JumpVector, N, packed, residual, paths, delta: Fraction,
         gates=dict(zip(_GATES, np.bincount(code, minlength=len(_GATES)).tolist())))
 
 
-_CHUNK = 1 << 15            # steps of N per scan chunk: bounds its numpy arrays
-_CERTIFY_BATCH = 1 << 15    # prefilter survivors decided and certified at once, at least
+_CHUNK = 1 << 15            # steps of N tested at once, and the largest stride listed
+_CERTIFY_BATCH = 1 << 15    # prefilter survivors decided and certified at once; a
+                            # segment lists at most twice as many (_scan_chunk)
 
 
 def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     """The close candidates of N = M0, 2 M0, ... <= N_max: arrays (N,
     packed vertex bits, residual) in increasing N, yielded as the scan
-    reaches them, a batch for the prefilter survivors (_scan_chunk) of
-    whole chunks, at least _CERTIFY_BATCH of them but in the last batch,
-    which may be empty.  N is uint64 when N_max < 2**64 and packed when
-    h <= 64, else they hold Python ints.  _windows decides a batch's
-    survivors at once, and _close those it leaves undecided, so the
-    candidates are _close's.  An irrational coordinate the scan cannot read
-    at dps raises PrecisionError; a rational one may have any denominator."""
+    reaches them: a batch for each _CERTIFY_BATCH prefilter survivors
+    (_scan_chunk), and one for the rest, which may be empty.  N is uint64
+    when N_max < 2**64 and packed when h <= 64, else they hold Python
+    ints.  _windows decides a batch's survivors at once, and _close those
+    it leaves undecided, so the candidates are _close's.  An irrational
+    coordinate the scan cannot read at dps raises PrecisionError; a
+    rational one may have any denominator.
+
+    A range of at most _CHUNK steps is one segment, and each of its steps
+    is tested.  A longer one is cut into segments of
+    ceil(_CERTIFY_BATCH 2**64 / window) steps, at least _CHUNK, for the
+    prefilter window of the whole range, so that each segment expects
+    about _CERTIFY_BATCH steps in the first coordinate's window.  Those
+    steps are listed, not tested: the residue classes of a continued-
+    fraction stride q (_window_hits) give them in O(q + hits), q about the
+    square root of the segment's steps.  A segment whose first coordinate
+    has more than 2 _CERTIFY_BATCH hits (a rational coordinate with a
+    small denominator, say) ends at that many or fewer, and the next one
+    starts there, so a segment's arrays stay bounded by its hits.  Each
+    segment's window is that of its last N, which covers every N of the
+    segment, so the proof below holds for segments of any length."""
     F = fixed_bits(dps)
     Xs = [_scaled_coord(c, F) for c in v.coords]
     # The prefilter keeps every N that _close accepts.  _close accepts only
@@ -855,17 +1005,26 @@ def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
 
     held, count = [np.zeros(0, np.uint64)], 0
     total_steps = N_max // v.M0
-    for first in range(1, total_steps + 1, _CHUNK):
-        n_steps = min(_CHUNK, total_steps - first + 1)
-        steps = _scan_chunk(first, n_steps, v.M0, Xs, F, eps_int)
+    # segments that each expect about _CERTIFY_BATCH hits of the first
+    # coordinate at the window of the whole range, the widest of any
+    # segment; a segment that holds more than 2 _CERTIFY_BATCH ends early
+    size = max(_CHUNK, -(-_CERTIFY_BATCH * _WRAP // _window(F, eps_int, N_max)[1]))
+    first = 1
+    while first <= total_steps:
+        steps, n_steps = _scan_chunk(first, min(size, total_steps - first + 1), v.M0, Xs, F,
+                                     eps_int)
         if len(steps):
             N0 = first * v.M0
             held.append(np.uint64(N0) + steps * np.uint64(v.M0)
                         if N0 + (n_steps - 1) * v.M0 < _WRAP else N0 + steps.astype(object) * v.M0)
             count += len(steps)
+        first += n_steps
         if count >= _CERTIFY_BATCH:
-            yield decide(np.concatenate(held))
-            held, count = [np.zeros(0, np.uint64)], 0
+            N = np.concatenate(held)
+            done = count - count % _CERTIFY_BATCH
+            for i in range(0, done, _CERTIFY_BATCH):
+                yield decide(N[i:i + _CERTIFY_BATCH])
+            held, count = [N[done:]], count - done
     yield decide(np.concatenate(held))
 
 
@@ -880,12 +1039,17 @@ def search_N(v: JumpVector, chi, eps: float, N_max: int, paths, delta,
     yields (_certify), divisibility (N/(M ihat_k) in Z for rational mean
     indices), m_nonpositive (every m_k > 0), angle (the near-integrality of
     every m_k theta/pi) and identity (I(k, m_k) = N + Delta_k).  So at most
-    one batch of fewer than _CERTIFY_BATCH + _CHUNK candidates is held at a
-    time.  The result holds the solutions as columns in
-    increasing N, and counts, by gate name (_GATES), the close candidates
-    each of these four stopped, and the certified ones.  An empty result is
-    a valid outcome.  workers is accepted and ignored: the scan runs in the
-    calling process.
+    _CERTIFY_BATCH candidates are decided and certified at a time, from
+    fewer than 3 _CERTIFY_BATCH survivors held at once: fewer than
+    _CERTIFY_BATCH left from earlier segments, and at most 2 _CERTIFY_BATCH
+    of one segment.  Stage 1 tests each N of a range of at most _CHUNK
+    steps; in a longer range it lists the N in the first
+    coordinate's window from a continued-fraction stride q, in
+    O(q + hits) per segment rather than one test per N (_stage1).  The
+    result holds the solutions as columns in increasing N, and counts, by
+    gate name (_GATES), the close candidates each of these four stopped,
+    and the certified ones.  An empty result is a valid outcome.  workers
+    is accepted and ignored: the scan runs in the calling process.
     """
     paths = list(paths)
     delta = _checked_delta(delta)

@@ -3,11 +3,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
 import pytest
-from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -43,6 +44,7 @@ from symindex.jump import (
     _scan_chunk,
     _scaled_coord,
     _stage1,
+    _window_hits,
     build_jump_vector,
     compute_m,
     default_delta,
@@ -691,13 +693,34 @@ def fake_close(v, bits, eps, eps_floor, dps, N):
     return None if N % 3 == 0 else (N, N % 7, float(N % 5))
 
 
+def scan_through(first_step, n_steps, *rest):
+    """The steps of _scan_chunk over all n_steps steps, called again from
+    where each call's n ends, as lists of Python ints; each call keeps at
+    most 2 _CERTIFY_BATCH steps and gets at least one step further."""
+    steps, done = [], 0
+    while done < n_steps:
+        got, n = _scan_chunk(first_step + done, n_steps - done, *rest)
+        assert got.dtype == np.uint64 and len(got) <= 2 * jump._CERTIFY_BATCH
+        assert 0 < n <= n_steps - done
+        steps += [done + j for j in got.tolist()]
+        done += n
+    return steps
+
+
 def assert_scan_reaches_the_survivors(chunk):
-    """_scan_chunk(*chunk) gives steps j, a uint64 array, increasing, whose
-    N = (first_step + j) step_N lie in the chunk and include every N that
-    ref_survivors keeps within eps_int of a vertex.  Returns those N."""
+    """_scan_chunk(*chunk) gives steps j, a uint64 array, increasing, over
+    all its steps, whose N = (first_step + j) step_N lie in the chunk and
+    include every N that ref_survivors keeps within eps_int of a vertex.
+    With chunks of 8 steps, so that a range of more than 8 steps takes a
+    stride of at most 8 and pieces, or tests a chunk at a time, and with a
+    cap of 2**16 or 4 steps per call, scan_through gives the same steps.
+    Returns those N."""
     first_step, n_steps, step_N = chunk[:3]
-    steps = _scan_chunk(*chunk)
-    assert steps.dtype == np.uint64
+    steps, n = _scan_chunk(*chunk)
+    assert steps.dtype == np.uint64 and n == n_steps
+    for batch in (1 << 15, 2):
+        with mock.patch.multiple(jump, _CHUNK=8, _CERTIFY_BATCH=batch):
+            assert scan_through(*chunk) == steps.tolist()
     seen = [(first_step + j) * step_N for j in steps.tolist()]
     assert all(a < b for a, b in zip(seen, seen[1:]))
     assert set(seen) <= set(range(first_step * step_N, (first_step + n_steps) * step_N, step_N))
@@ -749,6 +772,91 @@ def scan_chunks(draw):
 @given(scan_chunks())
 def test_scan_chunk_reaches_every_survivor_of_the_stepping_loop(chunk):
     assert_scan_reaches_the_survivors(chunk)
+
+
+def window_hits_ref(start, inc, window, n_steps):
+    """The steps j < n_steps with (start + j inc) mod 2**64 < window, by
+    testing each one."""
+    return [j for j in range(n_steps) if (start + j * inc) % (1 << 64) < window]
+
+
+@st.composite
+def window_hit_cases(draw):
+    """start, inc, window and n_steps for _window_hits, at the edges: inc 0,
+    1, 2**63, 2**64 - 1, near 2**64 / 3 (a huge partial quotient) or near
+    p 2**64 / q; a window of a few units, or within a few units of 2**64;
+    n_steps 1; starts past 2**63."""
+    wrap = 1 << 64
+    inc = draw(st.one_of(
+        st.integers(0, wrap - 1), st.sampled_from((0, 1, 2, 1 << 63, wrap - 1)),
+        st.integers(-4, 4).map(lambda d: wrap // 3 + d),
+        st.tuples(st.integers(1, 40), st.integers(0, 39), st.integers(-1 << 30, 1 << 30)).map(
+            lambda t: (t[1] % t[0] * wrap // t[0] + t[2]) % wrap),
+        st.integers(0, 63).map(lambda k: (1 << k) - 1)))
+    start = draw(st.one_of(st.integers(0, wrap - 1), st.integers(1 << 63, wrap - 1),
+                           st.sampled_from((0, wrap - 1, 1 << 63))))
+    window = draw(st.one_of(st.integers(1, wrap - 1), st.integers(1, 4),
+                            st.integers(wrap - 4, wrap - 1), st.integers(0, 63).map(lambda k: 1 << k)))
+    n_steps = draw(st.one_of(st.just(1), st.integers(1, 3000)))
+    return start, inc, window, n_steps
+
+
+def window_hits_through(start, inc, window, n_steps, cap):
+    """The steps of _window_hits over all n_steps steps, called again from
+    where each call's n ends, as a list of Python ints; each call gives at
+    most cap steps, increasing, and gets at least one step further."""
+    steps, done = [], 0
+    while done < n_steps:
+        got, n = _window_hits((start + done * inc) % (1 << 64), inc, window, n_steps - done, cap)
+        assert got.dtype == np.uint64 and len(got) <= cap and 0 < n <= n_steps - done
+        assert np.all(got[1:] > got[:-1]) and (not len(got) or got[-1] < n)
+        steps += [done + j for j in got.tolist()]
+        done += n
+    return steps
+
+
+@seed(20240811)
+@settings(max_examples=600, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(window_hit_cases(), st.sampled_from((1 << 15, 64, 7)), st.sampled_from((1 << 62, 300, 20, 5)))
+# a second piece cut at the room the first one left, and q = 2 classes both
+# in the window, whose hits interleave
+@example((8356352752729052758, 11297753893155662659, 13938115850328320577, 327), 7, 20)
+@example((9276255585004361513, 1 << 63, (1 << 64) - 4, 260), 7, 5)
+def test_window_hits_lists_the_steps_in_the_window(case, chunk, cap):
+    # the class intervals of a convergent's stride, at _CHUNK and at chunks
+    # of 64 and 7 steps, which cap the stride, so that long ranges take
+    # pieces or test a chunk at a time, and with at most 5 or 300 hits a
+    # call, so that pieces are shortened: exactly the steps the direct filter
+    # keeps.  A range of at most _CHUNK steps is done in one call when its
+    # hits fit
+    want = window_hits_ref(*case)
+    with mock.patch.object(jump, "_CHUNK", chunk):
+        assert window_hits_through(*case, cap) == want
+        if case[3] <= chunk and len(want) <= cap:
+            assert _window_hits(*case, cap)[1] == case[3]
+
+
+def test_window_hits_on_long_ranges():
+    # against the numpy filter, at 2**15 steps and more: golden-ratio incs,
+    # whose stride is about sqrt(n_steps); an inc near 2**44, whose first
+    # convergent past q = 1 has q near 2**20, so the steps come in pieces;
+    # an inc so small that q = 1 holds them all; a window of nearly the
+    # whole circle, where a chunk at a time is tested; inc 0 and 2**64 / 3,
+    # the increments of an integer and of a rational coordinate, whose hits
+    # are all or a third of the steps, listed at most 2**16 a call
+    wrap = 1 << 64
+    phi = 0x9E3779B97F4A7C15
+    for start, inc, window, n_steps in ((12345, phi, wrap // 300, 3_000_000),
+                                        (wrap - 7, wrap - phi, wrap // 7, 100_000),
+                                        (1 << 63, (1 << 44) + 12345, wrap // 2, 1 << 21),
+                                        (5, 3 << 40, wrap // 1000, 1 << 20),
+                                        (0, phi, wrap - 5, 70_000),
+                                        (7, 0, wrap // 1000, 1_000_000),
+                                        (wrap - 3, wrap // 3, wrap // 1000, 1_000_000)):
+        j = np.arange(n_steps, dtype=np.uint64)
+        want = j[j * np.uint64(inc) + np.uint64(start) < np.uint64(window)]
+        assert window_hits_through(start, inc, window, n_steps, 1 << 16) == want.tolist()
 
 
 def test_scan_chunk_at_the_eps_boundary():
@@ -804,7 +912,7 @@ def close_of_survivors(v, bits, eps, N_max, dps):
     F = fixed_bits(dps)
     eps_floor = int(eps * (1 << F))
     steps = _scan_chunk(1, N_max // v.M0, v.M0, [_scaled_coord(c, F) for c in v.coords], F,
-                        eps_floor + N_max + 2).tolist()
+                        eps_floor + N_max + 2)[0].tolist()
     return raised_or(lambda: [c for j in steps if (
         c := _close(v, bits, eps, eps_floor, dps, (1 + j) * v.M0)) is not None])
 
@@ -922,8 +1030,8 @@ def test_stage1_hands_each_undecided_survivor_to_close(monkeypatch):
     eps = Fraction(default_eps([data], v.M, default_delta([data])))
     dps, N_max = get_precision(), 20000
     F = fixed_bits(dps)
-    steps = _scan_chunk(1, N_max // v.M0, v.M0, [_scaled_coord(c, F) for c in v.coords], F,
-                        int(eps * (1 << F)) + N_max + 2)
+    steps, _ = _scan_chunk(1, N_max // v.M0, v.M0, [_scaled_coord(c, F) for c in v.coords], F,
+                           int(eps * (1 << F)) + N_max + 2)
     survivors = [(1 + j) * v.M0 for j in steps.tolist()]
     by_N = {c[0]: c for c in rows(_stage1(v, None, eps, N_max, dps))}
     windows = jump._windows
@@ -940,6 +1048,65 @@ def test_stage1_hands_each_undecided_survivor_to_close(monkeypatch):
     assert len(survivors) > 100 and calls == survivors[::2]
     assert got == [c for i, N in enumerate(survivors) if (
         c := fake_close(v, None, eps, 0, dps, N) if i % 2 == 0 else by_N.get(N)) is not None]
+
+
+def floor_sum(n, m, a, b):
+    """The sum of floor((a i + b) / m) over 0 <= i < n, for ints a and b
+    and m > 0, by the Euclid-like recursion of Graham, Knuth and Patashnik,
+    Concrete Mathematics, ch. 3: O(log m) steps."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
+def count_near_integers(X, F, eps, N_max):
+    """The number of N in [1, N_max] with ||N X / 2**F|| < eps, eps a
+    Fraction: the integers k with |N X / 2**F - k| < eps, summed as
+    floor((N X q + e - 1) / D) - floor((N X q - e) / D) for eps = p / q,
+    e = p 2**F and D = q 2**F."""
+    p, q = eps.numerator, eps.denominator
+    D, e, A = q << F, p << F, X * q
+    return floor_sum(N_max, D, A, A + e - 1) - floor_sum(N_max, D, A, A - e)
+
+
+def test_floor_sum_counts_as_the_loop():
+    rng = random.Random(20240811)
+    for _ in range(300):
+        n, m = rng.randint(0, 60), rng.randint(1, 50)
+        a, b = rng.randint(-200, 200), rng.randint(-200, 200)
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    F = 20
+    for _ in range(100):
+        X, N_max = rng.randint(0, 1 << F), rng.randint(1, 300)
+        eps = Fraction(rng.randint(1, 499), 1000)
+        assert count_near_integers(X, F, eps, N_max) == sum(
+            min(N * X % (1 << F), -N * X % (1 << F)) < eps * (1 << F) for N in range(1, N_max + 1))
+
+
+def test_golden_search_finds_every_close_N():
+    # completeness, counted apart from the scan: the golden vector is
+    # (1/phi, 1), so the close candidates up to N_max are the N with
+    # ||N X / 2**F|| < eps for the read X of 1/phi.  The floor sums count
+    # them exactly; a read within N_max 2**-F of +-eps would leave the count
+    # undecided, and fails the test
+    data = rot_data(PHI)
+    v = build_jump_vector([data])
+    assert v.M0 == 1 and v.coords[1].is_rational and v.coords[1].fraction == 1
+    delta = default_delta([data])
+    eps, N_max = default_eps([data], v.M, delta), 10 ** 6
+    F = fixed_bits(get_precision())
+    X = v.coords[0]._fixed(F)[0]
+    band = Fraction(N_max, 1 << F)
+    low, high = (count_near_integers(X, F, Fraction(eps) + d, N_max) for d in (-band, band))
+    assert low == high, "a read N X / 2**F lies within N_max 2**-F of eps: undecided"
+    res = search_N(v, "auto", eps=eps, N_max=N_max, paths=[data], delta=delta)
+    assert sum(res.gates.values()) == low == 38628
 
 
 ROUTE_CASES = {
@@ -1225,12 +1392,40 @@ def stage1_cases(draw):
 def test_stage1_matches_the_stepping_loop_and_the_exact_gate(case):
     # the close candidates, each with the residual of the precision that
     # decided it (the working one for the candidates stage 1 finds close),
-    # or the PrecisionError of the first undecided one
+    # or the PrecisionError of the first undecided one.  With chunks of 64
+    # steps and batches of 16, a range of more than 64 steps is cut into
+    # segments whose first-coordinate window hits are listed, not tested
     v, explicit, eps, N_max = case
     dps = get_precision()
+    want = raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps))
+    assert raised_or(lambda: rows(_stage1(v, explicit, eps, N_max, dps))) == want
+    with mock.patch.multiple(jump, _CHUNK=64, _CERTIFY_BATCH=16):
+        assert raised_or(lambda: rows(_stage1(v, explicit, eps, N_max, dps))) == want
 
-    assert (raised_or(lambda: rows(_stage1(v, explicit, eps, N_max, dps)))
-            == raised_or(lambda: ref_stage1(v, explicit, eps, N_max, dps)))
+
+@pytest.mark.parametrize("data", [rot_data(HALF), rot_data(Scalar.rational(1, 3), i1=3)],
+                         ids=["integer", "1/7"])
+def test_a_segment_lists_at_most_twice_a_batch(data, monkeypatch):
+    # a rational mean index makes the first coordinate 1/(M ihat) an
+    # integer (ihat = 1/2) or 1/7 (ihat = 7/3), which hits the window at
+    # every step or every seventh whatever eps is.  With eps 1e-9, chunks of
+    # 64 steps and batches of 16, the whole range is one planned segment
+    # (about 8e9 steps expect 16 hits), yet each _scan_chunk call keeps at
+    # most 32 steps, and the candidates are the stepping loop's
+    v = build_jump_vector([data])
+    eps, dps, N_max = Fraction(1, 10 ** 9), get_precision(), 30_000
+    scan, kept = jump._scan_chunk, []
+
+    def recording(*args):
+        steps, n = scan(*args)
+        kept.append(len(steps))
+        return steps, n
+
+    monkeypatch.setattr(jump, "_scan_chunk", recording)
+    with mock.patch.multiple(jump, _CHUNK=64, _CERTIFY_BATCH=16):
+        got = rows(_stage1(v, None, eps, N_max, dps))
+    assert got == ref_stage1(v, None, eps, N_max, dps)
+    assert len(got) >= (N_max // v.M0) // 7 and max(kept) <= 32 and len(kept) >= len(got) // 32
 
 
 @pytest.mark.parametrize("q_of_F", [lambda F: 7, lambda F: (1 << F) + 1, lambda F: 3 * (1 << F) + 7,
@@ -1404,8 +1599,8 @@ def test_certifying_in_small_batches_changes_nothing(name, monkeypatch):
     eps = default_eps(paths, v.M, delta) if eps is None else eps
     assert len(stage1(v, chi, eps, N_max)) > 3 * 64
     one = search_N(v, chi, eps=eps, N_max=N_max, paths=paths, delta=delta)
-    # scan chunks of 200 steps, decided and certified once 64 prefilter
-    # survivors are held
+    # ranges of more than 200 steps cut into segments of at least 200, and
+    # the prefilter survivors decided and certified 64 at a time
     batches = []
     monkeypatch.setattr(jump, "_CHUNK", 200)
     monkeypatch.setattr(jump, "_CERTIFY_BATCH", 64)
