@@ -125,22 +125,23 @@ def _check_out(out_path: str | None) -> None:
     raise InputError(f"cannot write --out {out_path}: {os.strerror(code)}")
 
 
-# what json.dumps writes for a SearchResult, which then writes its own text
-# in its place; no string of a report holds a NUL: argv cannot, and the
-# reports echo no string of their input files
+# what json.dumps writes for the solutions of a SearchResult, which then
+# writes their array in its place; no string of a report holds a NUL: argv
+# cannot, and the reports echo no string of their input files
 _RESULT_MARK = "\0search result\0"
 
 
 def _dump_json(obj, out_path: str | None):
-    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline.  Each
-    SearchResult in obj writes its solution rows from its columns
-    (SearchResult.write_json), so no dict per solution is built."""
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, each
+    SearchResult in obj as the object of its to_json().  json.dumps writes
+    that object, its gates and params; its solutions array comes from the
+    columns (SearchResult.write_json), so no dict per solution is built."""
     results = []
 
     def default(o):
         if isinstance(o, SearchResult):
             results.append(o)
-            return _RESULT_MARK
+            return {"gates": o.gates, "params": o.params, "solutions": _RESULT_MARK}
         return json.JSONEncoder().default(o)   # the TypeError json.dumps raises
 
     text = json.dumps(obj, sort_keys=True, indent=2, default=default)

@@ -93,15 +93,11 @@ class EllipsoidSpec:
 def _rotation_angle(ratio: Scalar) -> Scalar:
     """theta_j/pi = 2 alpha_j/alpha_i reduced mod 2; half-integer ratios are
     resonant and rejected rather than mapped onto the +-1 eigenvalue blocks."""
-    if ratio.is_rational:
-        fr = 2 * ratio.fraction
-        red = fr - 2 * (fr.numerator // (2 * fr.denominator))
-        if red == 0 or red == 1:
-            raise EllipsoidError(
-                f"resonant frequency ratio {ratio.fraction}: rotation angle lands on +-1")
-        return Scalar.from_fraction(red)
     two_r = ratio * 2
-    red = two_r - 2 * (two_r.mul_div_floor(1, 2))
+    red = two_r - 2 * two_r.mul_div_floor(1, 2)
+    if red == 0 or red == 1:
+        raise EllipsoidError(
+            f"resonant frequency ratio {ratio.fraction}: rotation angle lands on +-1")
     return red
 
 

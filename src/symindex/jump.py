@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from json import dumps
 from math import ceil, floor, lcm
 from typing import Optional
 
@@ -37,6 +36,7 @@ from .iteration import (
 from .scalars import (
     PrecisionError,
     Scalar,
+    convergents,
     detect_rational,
     fixed_bits,
     get_precision,
@@ -148,7 +148,8 @@ class SearchResult:
     delta_threshold.  A search builds no object per solution: those objects
     and their tuples cost more than the batch gates, and kept the cyclic GC
     busy.  solutions reads the rows as JumpSolutions; write_json prints
-    the JSON text straight from the columns, and to_json builds its dicts.
+    the solutions array's JSON text straight from the columns, and to_json
+    builds its dicts.
     """
 
     N: list
@@ -186,25 +187,22 @@ class SearchResult:
         return {"solutions": solutions, "gates": self.gates, "params": self.params}
 
     def write_json(self, write, newline: str) -> None:
-        """The text of json.dumps(self.to_json(), sort_keys=True, indent=2)
-        as write calls, with newline the line break and indentation of the
-        object's own level; no dict or list is built per solution.
+        """The text of json.dumps(self.to_json()["solutions"], sort_keys=True,
+        indent=2) as write calls, with newline the line break and indentation
+        of the array's own level; no dict or list is built per solution.
+        cli._dump_json writes the object around it.
 
-        gates and params go through json.dumps.  Each solution is one
-        %-format of its column values in a row template that holds the
-        indentation and the quoted threshold (a Fraction's str needs no
-        escapes), with one cached chi text per distinct packed value.  The
-        ints print as int.__repr__ and the residual, a finite float, as
-        float.__repr__, as json.dumps prints them.  Rows go out about
-        _JSON_CHUNK characters per write call.
+        Each solution is one %-format of its column values in a row template
+        that holds the indentation, the sorted keys and the quoted threshold
+        (a Fraction's str needs no escapes), with one cached chi text per
+        distinct packed value.  The ints print as int.__repr__ and the
+        residual, a finite float, as float.__repr__, as json.dumps prints
+        them.  Rows go out about _JSON_CHUNK characters per write call.
         """
-        head = dumps({"gates": self.gates, "params": self.params}, sort_keys=True, indent=2)
-        inner = newline + "  "
-        write(head[:-2].replace("\n", newline) + "," + inner + '"solutions": ')
         if not self.N:
-            write("[]" + newline + "}")
+            write("[]")
             return
-        row = inner + "  "    # a solution's own level
+        row = newline + "  "  # a solution's own level
         key = row + "  "      # its keys
         item = key + "  "     # their list items
 
@@ -223,7 +221,7 @@ class SearchResult:
         step = max(1, _JSON_CHUNK // len(first))
         while chunk := ",".join(islice(rows, step)):
             write("," + chunk)
-        write(inner + "]" + newline + "}")
+        write(newline + "]")
 
 
 def default_M(paths) -> int:
@@ -307,7 +305,7 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int):
     that.  Each further coordinate tests the steps kept so far."""
     N0 = first_step * step_N
     N_last = N0 + (n_steps - 1) * step_N
-    # Prefilter on the top 64 of the F >= fixed_bits(0) = 149 fraction bits,
+    # Prefilter on the top 64 of the F >= fixed_bits(30) = 249 fraction bits,
     # s = F - 64 > 0.  X is reduced mod 2**F first, so that Xh < 2**64: an
     # integer-valued coordinate has X = 2**F.  With Xh = (X mod 2**F) >> s,
     # the exact top bits (N X mod 2**F) >> s exceed N Xh mod 2**64 by
@@ -338,11 +336,12 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int):
 # ----- the steps in a window, listed by a continued-fraction stride -----------
 #
 # The steps j < L with x_j = (start + j inc) mod 2**64 < W (W < 2**64), after
-# Slater (1967): take a convergent p/q of inc / 2**64, and d = q inc - p 2**64.
-# In the residue class r < q, x_(r + k q) = x_r + k d mod 2**64 moves by d
-# per step k.  While the class moves no more than the gap 2**64 - W in all,
-# |d| (K - 1) <= 2**64 - W over its K steps, it cannot leave the window and
-# come back, which takes more than the gap: its hits form one interval of k.
+# Slater (1967): take a convergent p/q of inc / 2**64 (scalars.convergents)
+# and d = q inc - p 2**64.  In the residue class r < q, x_(r + k q) =
+# x_r + k d mod 2**64 moves by d per step k.  While the class moves no more
+# than the gap 2**64 - W in all, |d| (K - 1) <= 2**64 - W over its K steps,
+# it cannot leave the window and come back, which takes more than the gap:
+# its hits form one interval of k.
 # For d > 0 that is [0, floor((W - 1 - x_r) / d) + 1) when x_r < W, and
 # [floor((2**64 - 1 - x_r) / d) + 1, floor((2**64 + W - 1 - x_r) / d) + 1)
 # else, that is, where x_r + k d has wrapped and is still below 2**64 + W;
@@ -363,28 +362,15 @@ def _scan_chunk(first_step, n_steps, step_N, Xs, F, eps_int):
 # counts each piece's hits before it lists them, and stops at a cap.
 
 
-def _convergents(a: int):
-    """(q, d) of the convergents p/q of a / 2**64, 0 <= a < 2**64, in
-    order, d = q a - p 2**64; the last one is a / 2**64 itself, d = 0."""
-    num, den = _WRAP, a
-    p0, q0, p1, q1 = 1, 0, 0, 1
-    while True:
-        yield q1, q1 * a - p1 * _WRAP
-        if not den:
-            return
-        c = num // den
-        num, den = den, num - c * den
-        p0, q0, p1, q1 = p1, q1, c * p1 + p0, c * q1 + q0
-
-
 def _stride(inc: int, window: int, n_steps: int):
     """(q, d, length): a stride q <= _CHUNK and its d (the comment above),
     and the length of the pieces of the n_steps steps that its classes
     list."""
     gap = _WRAP - window
-    for q, d in _convergents(inc):
+    for p, q in convergents(inc, _WRAP):
         if q > _CHUNK:
             break
+        d = q * inc - p * _WRAP
         # a class of K <= gap // |d| + 1 steps moves |d| (K - 1) <= gap
         found = q, d, q * (gap // abs(d) + 1) if d else n_steps
         if found[2] >= n_steps:
@@ -754,7 +740,7 @@ def _certify_exact(v: JumpVector, paths, N: int, packed: int, delta: Fraction, d
 # Stage 1 has decided closeness; the gates that need m_k are decided for all
 # candidates at once on numpy uint64 arrays.  For an irrational x with
 # X = floor(x 2**F) and a multiplier 1 <= w < 2**50 (N for the floor of
-# N / (M ihat_k), or some m_k), let s = F - 64 (>= 85, as F >= 149),
+# N / (M ihat_k), or some m_k), let s = F - 64 (>= 185, as F >= 249),
 # Xh = (X mod 2**F) >> s, rh = w Xh mod 2**64 and H = floor(w Xh / 2**64).
 # As X mod 2**F = Xh 2**s + low with 0 <= low < 2**s, whenever
 #
@@ -986,7 +972,7 @@ def _stage1(v: JumpVector, explicit_bits, eps: Fraction, N_max: int, dps: int):
     # the prefilter, and _close decides each survivor exactly.
     eps_floor = int(eps * (1 << F))
     eps_int = eps_floor + N_max + 2
-    windows = v.h <= 64 and F - 128 >= 64 and all(
+    windows = v.h <= 64 and all(
         c.fraction.denominator < 1 << 32 for c in v.coords if c.is_rational)
 
     def decide(N):
@@ -1146,7 +1132,7 @@ def search_report(paths, N_max: int, chi="auto", eps=None, delta=None, M=None, M
                   reports: int = REPORT_SOLUTIONS) -> dict:
     """The search over a path collection as the object that jump-search and
     ellipsoid print: the jump vector, varrho_n at n = the largest
-    half-dimension, the SearchResult itself (printed by its write_json; its
+    half-dimension, the SearchResult itself (printed by cli._dump_json; its
     to_json is the same JSON as dicts), and the theorem-2.11 report of each
     of the first `reports` solutions.  delta and eps default to default_delta
     and default_eps, M and M0 to build_jump_vector's; a parameter out of

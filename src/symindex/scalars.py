@@ -28,6 +28,7 @@ from mpmath.libmp import dps_to_prec, to_fixed
 __all__ = [
     "PrecisionError",
     "Scalar",
+    "convergents",
     "get_precision",
     "set_precision",
     "detect_rational",
@@ -345,13 +346,25 @@ def _guard(r: int, F: int, m: int, d: int, x: Scalar) -> None:
             "increase precision or fix the rationality tag")
 
 
+def convergents(num: int, den: int):
+    """The convergents (p, q) of the continued fraction of num / den, den > 0,
+    in order: p/q in lowest terms, q > 0, from floor(num / den) / 1 to
+    num / den itself."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den:
+        a, r = divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+        num, den = den, r
+
+
 def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
     """Detect a rational p/q hiding in an irrational-tagged Scalar.
 
     Runs the continued fraction of X_s / 2**F_s, the storage read of
-    Scalar._fixed, in integers, and accepts the first convergent p/q with
-    q <= max_denominator and |X_s/2**F_s - p/q| below the precision floor
-    10**-(storage digits - 8), decided exactly as
+    Scalar._fixed, in integers (convergents), and accepts the first
+    convergent p/q with q <= max_denominator and |X_s/2**F_s - p/q| below
+    the precision floor 10**-(storage digits - 8), decided exactly as
     |X_s q - p 2**F_s| 10**(storage digits - 8) < 2**F_s q.  X_s/2**F_s is
     within 2**-F_s (about 1e-9 of the floor) of the value.  Returns a
     Fraction or None; a rational-tagged Scalar returns its fraction.  A genuine quadratic
@@ -362,17 +375,11 @@ def detect_rational(value: Scalar, max_denominator: int = 10 ** 6):
         return value.fraction
     X, F = value._fixed(value._bits)
     one, scale = 1 << F, 10 ** (_storage_dps() - 8)
-    num, den = X, one
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while den:
-        a, r = divmod(num, den)
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        if q1 > max_denominator:
+    for p, q in convergents(X, one):
+        if q > max_denominator:
             return None
-        if abs(X * q1 - p1 * one) * scale < one * q1:
-            return Fraction(p1, q1)
-        num, den = den, r
+        if abs(X * q - p * one) * scale < one * q:
+            return Fraction(p, q)
     return None
 
 

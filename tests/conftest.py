@@ -16,6 +16,17 @@ from symindex.oracle import path_from_quadratic_hamiltonian  # noqa: E402
 from symindex.selftest import realize_path  # noqa: E402
 
 
+def assert_same_text(got, want):
+    """got == want for two str or two bytes, reporting on a mismatch the
+    lengths and the first differing offset: pytest's own diff of two
+    multi-megabyte texts runs for minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"texts of lengths {len(got)} and {len(want)} differ from offset {i}: "
+                    f"{got[i:i + 60]!r} != {want[i:i + 60]!r}", pytrace=False)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

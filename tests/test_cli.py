@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symindex
+from conftest import assert_same_text
 from symindex import cli, jump
 from symindex.cli import EXIT_INPUT, EXIT_OK, _dump_json, main
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
@@ -231,7 +232,7 @@ def test_stdout_and_out_give_the_same_bytes(golden_file, tmp_path, monkeypatch, 
     stdout = _Stdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(argv) == EXIT_OK
-    assert "".join(stdout.writes) == (tmp_path / "out.json").read_text()
+    assert_same_text("".join(stdout.writes), (tmp_path / "out.json").read_text())
     assert json.loads("".join(stdout.writes))["search"]["solutions"]
     assert len(stdout.writes) > 1
     assert max(map(len, stdout.writes)) < cli._FLUSH + 2 * jump._JSON_CHUNK
@@ -623,7 +624,7 @@ def test_iterate_writes_its_rows_as_they_are_computed(rot_fixture, tmp_path, mon
     stdout = _Stdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(argv) == EXIT_OK
-    assert "".join(stdout.writes) == (tmp_path / "out.csv").read_text()
+    assert_same_text("".join(stdout.writes), (tmp_path / "out.csv").read_text())
     assert len(stdout.writes) > 1
     assert max(map(len, stdout.writes)) < cli._FLUSH + 100
 

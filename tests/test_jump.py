@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from conftest import assert_same_text
 from symindex import cli, jump
 from symindex.ellipsoid import EllipsoidSpec, orbit_data
 
@@ -44,6 +45,7 @@ from symindex.jump import (
     _scan_chunk,
     _scaled_coord,
     _stage1,
+    _stride,
     _window_hits,
     build_jump_vector,
     compute_m,
@@ -780,6 +782,34 @@ def window_hits_ref(start, inc, window, n_steps):
     return [j for j in range(n_steps) if (start + j * inc) % (1 << 64) < window]
 
 
+def convergents_ref(a):
+    """(q, d) of the convergents p/q of a / 2**64, 0 <= a < 2**64, in order,
+    d = q a - p 2**64, by their own recurrence: the loop _stride ran before
+    it took scalars.convergents."""
+    wrap = 1 << 64
+    num, den = wrap, a
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    while True:
+        yield q1, q1 * a - p1 * wrap
+        if not den:
+            return
+        c = num // den
+        num, den = den, num - c * den
+        p0, q0, p1, q1 = p1, q1, c * p1 + p0, c * q1 + q0
+
+
+def stride_ref(inc, window, n_steps):
+    """_stride's (q, d, length) on convergents_ref."""
+    gap = (1 << 64) - window
+    for q, d in convergents_ref(inc):
+        if q > jump._CHUNK:
+            break
+        found = q, d, q * (gap // abs(d) + 1) if d else n_steps
+        if found[2] >= n_steps:
+            break
+    return found
+
+
 @st.composite
 def window_hit_cases(draw):
     """start, inc, window and n_steps for _window_hits, at the edges: inc 0,
@@ -829,9 +859,10 @@ def test_window_hits_lists_the_steps_in_the_window(case, chunk, cap):
     # pieces or test a chunk at a time, and with at most 5 or 300 hits a
     # call, so that pieces are shortened: exactly the steps the direct filter
     # keeps.  A range of at most _CHUNK steps is done in one call when its
-    # hits fit
+    # hits fit.  The stride is that of the reference convergent loop
     want = window_hits_ref(*case)
     with mock.patch.object(jump, "_CHUNK", chunk):
+        assert _stride(*case[1:]) == stride_ref(*case[1:])
         assert window_hits_through(*case, cap) == want
         if case[3] <= chunk and len(want) <= cap:
             assert _window_hits(*case, cap)[1] == case[3]
@@ -1160,7 +1191,7 @@ def test_jump_search_json_identical_across_workers(sqrt2_pair_paths, tmp_path):
             assert cli.main(["jump-search", "--paths", str(f), "--n-max", "100000",
                              "--workers", workers, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert_same_text(outs[0], outs[1])
         assert json.loads(outs[0])["search"]["solutions"]
 
 
@@ -1572,11 +1603,11 @@ DUMP_SHAPES = [
 def test_write_json_gives_the_bytes_of_json_dumps(name, tmp_path, capsys):
     res = WRITER_FIXTURES[name]()
     assert (len(res.N) == 0) == (name == "empty")
-    want = json.dumps(res.to_json(), sort_keys=True, indent=2)
+    want = json.dumps(res.to_json()["solutions"], sort_keys=True, indent=2)
     for newline in ("\n", "\n  ", "\n      "):
         pieces = []
         res.write_json(pieces.append, newline)
-        assert "".join(pieces) == want.replace("\n", newline)
+        assert_same_text("".join(pieces), want.replace("\n", newline))
     # cli._dump_json, to --out and to stdout: json.dumps with each result's
     # to_json() in its place
     other, empty = WRITER_FIXTURES["golden, chi 10"](), WRITER_FIXTURES["empty"]()
@@ -1585,9 +1616,9 @@ def test_write_json_gives_the_bytes_of_json_dumps(name, tmp_path, capsys):
         want = json.dumps(shape(res.to_json(), other.to_json(), empty.to_json()),
                           sort_keys=True, indent=2) + "\n"
         cli._dump_json(shape(res, other, empty), str(out))
-        assert out.read_text() == want
+        assert_same_text(out.read_text(), want)
         cli._dump_json(shape(res, other, empty), None)
-        assert capsys.readouterr().out == want
+        assert_same_text(capsys.readouterr().out, want)
 
 
 @pytest.mark.parametrize("name", ["golden", "loose golden", "-I2 block and N2 pair",

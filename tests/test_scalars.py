@@ -10,6 +10,7 @@ from symindex.scalars import (
     PrecisionError,
     Scalar,
     _storage_dps,
+    convergents,
     detect_rational,
     fixed_bits,
     get_precision,
@@ -53,6 +54,29 @@ def test_arithmetic_tag_propagation():
     b = Scalar.sqrt(2) + Scalar.rational(1)
     assert not b.is_rational
     assert abs(float(b) - (2 ** 0.5 + 1)) < 1e-12
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(-(1 << 200), 1 << 200) | st.integers(-50, 50),
+       st.integers(1, 1 << 200) | st.integers(1, 50) | st.just(1 << 64))
+def test_convergents_are_the_truncated_continued_fraction(num, den):
+    # the partial quotients a_k of num / den from Fractions; the k-th
+    # convergent is [a_0; a_1, ..., a_k] in lowest terms, and the last one
+    # is num / den
+    x, quotients = Fraction(num, den), []
+    while True:
+        quotients.append(math.floor(x))
+        if x == quotients[-1]:
+            break
+        x = 1 / (x - quotients[-1])
+    got = list(convergents(num, den))
+    assert len(got) == len(quotients)
+    for k, (p, q) in enumerate(got):
+        value = Fraction(quotients[k])
+        for a in reversed(quotients[:k]):
+            value = a + 1 / value
+        assert q > 0 and math.gcd(p, q) == 1 and Fraction(p, q) == value
+    assert Fraction(*got[-1]) == Fraction(num, den)
 
 
 def test_detect_rational():
