@@ -14,6 +14,7 @@ import argparse
 import cmath
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -353,6 +354,9 @@ def dispatch(args: argparse.Namespace) -> int:
         set_precision(old_precision)
 
 
+# built once per process: no part of the parser reads the environment, and
+# parse_args does not change it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="symindex",

@@ -191,6 +191,13 @@ class SampledSymplecticPath:
     count halves a sample step with it.  An evaluator takes a float, giving
     one 2n x 2n matrix, or a 1-D numpy array of times, giving the stack of
     those matrices (bitwise the same as one call per time).
+
+    period is None on a plain path; on an iterate it is the plain path it
+    iterates, whose ts and mats it shares (an iterate of an iterate points
+    at the root).  bounds holds what the index count needs of a period
+    alone (_period_bounds), computed on the period's first count and kept
+    on it, so that every iterate of it reads them.  That relies on ts and
+    mats: they are not written after construction.
     """
 
     n: int
@@ -200,6 +207,8 @@ class SampledSymplecticPath:
     evaluator: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     m: int = 1
     powers: np.ndarray = field(init=False, repr=False)
+    period: Optional[SampledSymplecticPath] = field(default=None, init=False, repr=False)
+    bounds: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -373,7 +382,9 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
     """The m-fold iterate gamma^m(t) = gamma(t - j tau) gamma(tau)^j on [0, m tau],
     held as gamma's one period, m and the powers of gamma(tau); with an
     evaluator only when the path has one; refused past MAX_STEPS sample
-    steps.  An iterate of an iterate has the product of their m."""
+    steps.  An iterate of an iterate has the product of their m.  The
+    iterate's period is gamma's root period, so the counts of every iterate
+    of one period share its bounds (_period_bounds)."""
     if m < 1:
         raise OracleError("m must be >= 1")
     if m == 1:
@@ -383,6 +394,7 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
         raise OracleError(f"the {m}-fold iterate would have {m} x {len(path.ts) - 1} "
                           f"sample steps, more than {MAX_STEPS}")
     iterate = SampledSymplecticPath(n=path.n, tau=path.tau, ts=path.ts, mats=path.mats, m=m)
+    iterate.period = path.period or path
     base_eval, tau, powers = path.evaluator, path.tau, iterate.powers
 
     def evaluator(t):
@@ -443,7 +455,10 @@ def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     sample.  r is the step's change relative to M, so it is the same in
     every period of an iterate: (dM P^j)(M P^j)^-1 = dM M^-1.  M^-1 =
     [[D^T, -B^T], [-C^T, A^T]] is taken by slicing.  The bound trusts the
-    path not to stray between samples."""
+    path not to stray between samples.  A period's sample-step bounds are
+    taken once, on its first count (_period_bounds), so a patched _motion
+    bounds them only for periods first counted after the patch; the
+    refinement's halves see it at once."""
     dM = np.diff(mats, axis=-3)
     MT = mats[..., :-1, :, :].swapaxes(-1, -2)
     inv = np.empty_like(MT)
@@ -510,6 +525,24 @@ def _samples(path: SampledSymplecticPath, k: np.ndarray) -> tuple[np.ndarray, np
     return path.ts[i] + j * path.tau, path.mats[i] @ path.powers[j]
 
 
+def _period_bounds(path: SampledSymplecticPath) -> tuple[np.ndarray, float, np.ndarray]:
+    """(S, start, cum_base) of the path's period: its xi start sample S =
+    extend_with_xi(gamma), the motion bound of the start step from S to
+    gamma(0) = I, and the summed motion bounds of its sample steps,
+    cum_base[i] over steps 0..i-1.  They depend on the period alone, so
+    they are computed on its first count, CHUNK sample steps at a time, and
+    kept on it (SampledSymplecticPath.bounds)."""
+    period = path.period or path
+    if period.bounds is None:
+        n, L = period.n, len(period.ts) - 1
+        S = extend_with_xi(period)
+        start = _motion(np.stack((S, period.mats[0])), n)[0]
+        base = np.concatenate([_motion(period.mats[lo:min(lo + CHUNK, L) + 1], n)
+                               for lo in range(0, L, CHUNK)])
+        period.bounds = S, start, np.concatenate(([0.0], np.cumsum(base)))
+    return period.bounds
+
+
 def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarray) -> int:
     """The signed count of eigen-phases of W passing 0 over the start step
     from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
@@ -518,10 +551,11 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     the phases at gamma(tau), from the read that gave nu_omega and g.
 
     Scan point 0 is S, and scan point p >= 1 is sample p - 1 of the iterate
-    (_samples).  The base's steps are bounded once: copy j's step has its
-    base step's bound (_motion), so the summed bound up to sample j L + i is
-    the start step's, plus j times the base's total, plus the base's up to
-    i.  No phase has passed 0 before S, and its phases are resolved for
+    (_samples).  The period's steps are bounded once per process, on its
+    first count (_period_bounds): copy j's step has its base step's bound
+    (_motion), so the summed bound up to sample j L + i is the start
+    step's, plus j times the base's total, plus the base's up to i.  No
+    phase has passed 0 before S, and its phases are resolved for
     every omega.  The phases at I and at gamma(tau), 0 up to rounding when
     degenerate, are read once and shared by the two steps that meet there,
     so a passage there counts once.
@@ -543,12 +577,8 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     bound is about 2e-3 sqrt(n) rad.  An evaluator or arc step is halved at
     most MAX_HALVINGS times."""
     n, m, L = path.n, path.m, len(path.ts) - 1
-    S = extend_with_xi(path)
+    S, start, cum_base = _period_bounds(path)
     N = m * L + 1  # the iterate's samples; scan points 0..N
-    start = _motion(np.stack((S, path.mats[0])), n)[0]
-    base = np.concatenate([_motion(path.mats[lo:min(lo + CHUNK, L) + 1], n)
-                           for lo in range(0, L, CHUNK)])
-    cum_base = np.concatenate(([0.0], np.cumsum(base)))
     total = cum_base[-1]
 
     def cum(p):  # the summed motion bound from scan point 0 to each of the scan points p
@@ -568,7 +598,7 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     # on the arc, has scan point -1, and an arc point holds s for t
     i = np.concatenate((coarse, np.full(len(arc), -1)))
     t = np.concatenate(([0.0], t, arc))
-    M = np.concatenate((S[None], M, _arc(E, arc)))
+    M = np.concatenate((S[None], M, _arc(E, arc) if eps else M[:0]))
     last = len(coarse) - 1  # gamma(tau), whose phases are end
     ph = _phases(np.concatenate((M[:last], M[last + 1:])), omega)
     ph = np.concatenate((ph[:last], end[None], ph[last:]))

@@ -471,13 +471,32 @@ def test_generator_times_may_be_json_integers(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["i"] == 1
 
 
-def run_fresh_python(*lines: str) -> None:
-    """Run lines of code in a new interpreter importing this symindex; it must exit 0."""
+def fresh_python(*args: str) -> str:
+    """The stdout of a new interpreter importing this symindex, run with
+    args; it must exit 0."""
     src = str(Path(symindex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def run_fresh_python(*lines: str) -> None:
+    """Run lines of code in a new interpreter importing this symindex; it must exit 0."""
+    fresh_python("-c", "\n".join(lines))
+
+
+def test_main_parses_each_call_afresh(rot_fixture, gen_fixture, capsys):
+    # the parser is built once per process; each call, whatever subcommand
+    # and flags came before it, prints what a fresh process prints
+    f, _ = rot_fixture
+    for argv in (["iterate", "--data", str(f), "--m-max", "3", "--precision", "60"],
+                 ["iterate", "--data", str(f)],
+                 ["oracle", "--generator", str(gen_fixture), "--m", "3", "--splitting"],
+                 ["splitting", "--data", str(f), "--omega", "1/2"]):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == fresh_python("-m", "symindex.cli", *argv), argv
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_commands_that_sample_no_path_leave_scipy_unloaded(rot_fixture, tmp_path):

@@ -713,6 +713,84 @@ def test_a_long_iterate_is_counted_from_one_period():
     assert peak < 4 * 1024 * 1024, peak
 
 
+# ----- the period's bounds ---------------------------------------------------
+#
+# Copy j of an iterate's base step has that step's motion bound, so a
+# period's sample steps are bounded once, on its first count, and every
+# iterate of it reads those bounds.  A test that patches _motion builds its
+# paths after the patch.
+
+def test_a_period_is_bounded_once_for_all_its_iterates(monkeypatch):
+    passes = []  # the _motion calls over the period's whole sample stack
+    motion = oracle._motion
+
+    def counted(mats, n):
+        if mats.shape[:-2] == (257,):
+            passes.append(n)
+        return motion(mats, n)
+
+    monkeypatch.setattr(oracle, "_motion", counted)
+    base, data = realize_path(NormalFormDecomposition(n=1, thetas=(Scalar.rational(37, 100),)),
+                              steps=256)
+    for m in range(2, 17):
+        path = iterate_path(base, m)
+        assert path.period is base and path.bounds is None
+        assert cz_index(path, 1) == (index_iterate(data, m), nullity_iterate(data, m)), m
+    twice = iterate_path(iterate_path(base, 3), 5)
+    assert twice.period is base
+    assert cz_index(twice, 1) == (index_iterate(data, 15), nullity_iterate(data, 15))
+    assert passes == [1]
+
+
+@pytest.mark.parametrize("steps", [1024, 2500])
+def test_the_kept_bounds_are_a_fresh_motion_pass(steps):
+    base = rotation_path(0.37, steps=steps)
+    cz_index(iterate_path(base, 7), 1)
+    S, start, cum_base = base.bounds
+    assert S.tobytes() == extend_with_xi(base).tobytes()
+    assert start.tobytes() == oracle._motion(np.stack((S, base.mats[0])), 1)[0].tobytes()
+    fresh = np.concatenate(([0.0], np.cumsum(oracle._motion(base.mats, 1))))
+    assert cum_base.tobytes() == fresh.tobytes()
+
+
+def test_a_diamond_of_iterates_is_its_own_period():
+    a = iterate_path(rotation_path(0.3, steps=128), 2)
+    b = iterate_path(rotation_path(1.1, steps=128), 2)
+    path = diamond_paths(a, b, steps=256)
+    assert path.period is None and path.m == 1
+    # the index of a diamond is the sum of its parts' indices
+    assert cz_index(path, 1) == tuple(map(sum, zip(cz_index(a, 1), cz_index(b, 1))))
+    cum_base = path.bounds[2]
+    assert len(cum_base) == 257 and len(a.period.bounds[2]) == len(b.period.bounds[2]) == 129
+    fresh = np.concatenate(([0.0], np.cumsum(oracle._motion(path.mats, 2))))
+    assert cum_base.tobytes() == fresh.tobytes()
+    cz_index(iterate_path(path, 3), 1)
+    assert path.bounds[2] is cum_base
+
+
+def test_a_motion_mutant_bounds_the_periods_counted_after_it(monkeypatch):
+    before, data = realize_path(NormalFormDecomposition(n=1, thetas=(Scalar.rational(37, 100),)),
+                                steps=256)
+    assert cz_index(iterate_path(before, 3), 1) == (index_iterate(data, 3), 0)
+    monkeypatch.setattr(oracle, "_motion",  # past every cut
+                        lambda mats, n: np.full(mats.shape[:-3] + (len(mats) - 1,), 4.0))
+    assert cz_index(iterate_path(before, 5), 1) == (index_iterate(data, 5), 0)
+    after = realize_path(data.decomp, steps=256)[0]
+    with pytest.raises(OracleError, match="over the start step from diag"):
+        cz_index(iterate_path(after, 5), 1)
+
+
+def test_a_count_without_the_endpoint_arc_builds_no_arc(monkeypatch):
+    arcs = []
+    arc = oracle._arc
+    monkeypatch.setattr(oracle, "_arc", lambda M, s: arcs.append(len(s)) or arc(M, s))
+    path = iterate_path(shear_path(1, steps=256), 4)
+    cz_index(path, cmath.exp(0.3j))  # nu_omega = 0: eps = 0
+    assert arcs == []
+    assert cz_index(path, 1)[1] > 0
+    assert arcs[0] == 2  # the arc's points eps / 2 and eps
+
+
 # a generator with a zero row and column, |gamma(tau)^6| about 2.7e8
 LARGE_B = [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, -1.0, -0.6, -1.4, -2.2, -0.9],
            [0.0, -0.6, 1.4, -1.6, -1.0, -2.7], [0.0, -1.4, -1.6, -2.5, 0.2, 1.2],
