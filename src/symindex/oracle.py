@@ -178,6 +178,15 @@ def _logm(M: np.ndarray) -> np.ndarray:
     return math.ldexp(1.0, k + 1) * X
 
 
+def _frozen(a) -> np.ndarray:
+    """a as a read-only float array; a view is copied first."""
+    a = np.asarray(a, dtype=float)
+    if not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class SampledSymplecticPath:
     """A discretized path in Sp(2n) starting at the identity: the m-fold
@@ -192,12 +201,12 @@ class SampledSymplecticPath:
     one 2n x 2n matrix, or a 1-D numpy array of times, giving the stack of
     those matrices (bitwise the same as one call per time).
 
-    period is None on a plain path; on an iterate it is the plain path it
-    iterates, whose ts and mats it shares (an iterate of an iterate points
-    at the root).  bounds holds what the index count needs of a period
-    alone (_period_bounds), computed on the period's first count and kept
-    on it, so that every iterate of it reads them.  That relies on ts and
-    mats: they are not written after construction.
+    ts, mats and powers are read-only arrays: a path takes its ts and mats
+    as they are and freezes them, copying a view first (its base could
+    still be written), and an iterate shares its period's.  bounds holds
+    what the index count needs of the period alone (_period_bounds),
+    filled on the period's first count; an iterate holds its period's
+    list, so every iterate of one period reads the same bounds.
     """
 
     n: int
@@ -207,12 +216,10 @@ class SampledSymplecticPath:
     evaluator: Optional[Callable[[float | np.ndarray], np.ndarray]] = None
     m: int = 1
     powers: np.ndarray = field(init=False, repr=False)
-    period: Optional[SampledSymplecticPath] = field(default=None, init=False, repr=False)
-    bounds: Optional[tuple] = field(default=None, init=False, repr=False)
+    bounds: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.mats = np.asarray(self.mats, dtype=float)
+        self.ts, self.mats = _frozen(self.ts), _frozen(self.mats)
         if self.mats.shape[1:] != (2 * self.n, 2 * self.n):
             raise OracleError("sample shape does not match half-dimension")
         if len(self.ts) != len(self.mats):
@@ -221,6 +228,7 @@ class SampledSymplecticPath:
         self.powers[0] = np.eye(2 * self.n)
         for j in range(self.m):
             np.matmul(self.mats[-1], self.powers[j], out=self.powers[j + 1])
+        self.powers.flags.writeable = False
 
     def validate(self):
         # NaN fails every comparison below, so the step and defect bounds
@@ -301,8 +309,9 @@ def path_from_quadratic_hamiltonian(B, tau: float,
 def path_from_samples(ts, mats, n: int, tau: float) -> SampledSymplecticPath:
     """A path known only by its samples.  The times must run from exactly 0
     to exactly tau without decreasing; two equal neighbouring times are
-    allowed.  There are at most MAX_STEPS sample steps."""
-    ts = np.asarray(ts, dtype=float)
+    allowed.  There are at most MAX_STEPS sample steps.  The path holds
+    copies of ts and mats, so the caller's arrays stay writable."""
+    ts, mats = np.array(ts, dtype=float), np.array(mats, dtype=float)
     if ts.ndim != 1 or len(ts) < 2:
         raise OracleError("a sample list needs at least 2 samples")
     _check_grid(tau, len(ts) - 1)
@@ -383,8 +392,8 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
     held as gamma's one period, m and the powers of gamma(tau); with an
     evaluator only when the path has one; refused past MAX_STEPS sample
     steps.  An iterate of an iterate has the product of their m.  The
-    iterate's period is gamma's root period, so the counts of every iterate
-    of one period share its bounds (_period_bounds)."""
+    iterate holds gamma's bounds list, so the counts of every iterate of
+    one period, however nested, share its bounds (_period_bounds)."""
     if m < 1:
         raise OracleError("m must be >= 1")
     if m == 1:
@@ -394,7 +403,7 @@ def iterate_path(path: SampledSymplecticPath, m: int) -> SampledSymplecticPath:
         raise OracleError(f"the {m}-fold iterate would have {m} x {len(path.ts) - 1} "
                           f"sample steps, more than {MAX_STEPS}")
     iterate = SampledSymplecticPath(n=path.n, tau=path.tau, ts=path.ts, mats=path.mats, m=m)
-    iterate.period = path.period or path
+    iterate.bounds = path.bounds
     base_eval, tau, powers = path.evaluator, path.tau, iterate.powers
 
     def evaluator(t):
@@ -525,22 +534,20 @@ def _samples(path: SampledSymplecticPath, k: np.ndarray) -> tuple[np.ndarray, np
     return path.ts[i] + j * path.tau, path.mats[i] @ path.powers[j]
 
 
-def _period_bounds(path: SampledSymplecticPath) -> tuple[np.ndarray, float, np.ndarray]:
-    """(S, start, cum_base) of the path's period: its xi start sample S =
-    extend_with_xi(gamma), the motion bound of the start step from S to
-    gamma(0) = I, and the summed motion bounds of its sample steps,
-    cum_base[i] over steps 0..i-1.  They depend on the period alone, so
-    they are computed on its first count, CHUNK sample steps at a time, and
-    kept on it (SampledSymplecticPath.bounds)."""
-    period = path.period or path
-    if period.bounds is None:
-        n, L = period.n, len(period.ts) - 1
-        S = extend_with_xi(period)
-        start = _motion(np.stack((S, period.mats[0])), n)[0]
-        base = np.concatenate([_motion(period.mats[lo:min(lo + CHUNK, L) + 1], n)
+def _period_bounds(path: SampledSymplecticPath, S: np.ndarray) -> list:
+    """[start, cum_base] of the path's period: the motion bound of the
+    start step from S = extend_with_xi(gamma) to gamma(0) = I, and the
+    summed motion bounds of its sample steps, cum_base[i] over steps
+    0..i-1.  They depend on the period alone, so they are computed on its
+    first count, CHUNK sample steps at a time, and kept in path.bounds,
+    the list the period shares with its iterates."""
+    if not path.bounds:
+        n, L = path.n, len(path.ts) - 1
+        base = np.concatenate([_motion(path.mats[lo:min(lo + CHUNK, L) + 1], n)
                                for lo in range(0, L, CHUNK)])
-        period.bounds = S, start, np.concatenate(([0.0], np.cumsum(base)))
-    return period.bounds
+        path.bounds.extend((_motion(np.stack((S, path.mats[0])), n)[0],
+                            np.concatenate(([0.0], np.cumsum(base)))))
+    return path.bounds
 
 
 def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarray) -> int:
@@ -577,7 +584,8 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
     bound is about 2e-3 sqrt(n) rad.  An evaluator or arc step is halved at
     most MAX_HALVINGS times."""
     n, m, L = path.n, path.m, len(path.ts) - 1
-    S, start, cum_base = _period_bounds(path)
+    S = extend_with_xi(path)
+    start, cum_base = _period_bounds(path, S)
     N = m * L + 1  # the iterate's samples; scan points 0..N
     total = cum_base[-1]
 

@@ -734,10 +734,10 @@ def test_a_period_is_bounded_once_for_all_its_iterates(monkeypatch):
                               steps=256)
     for m in range(2, 17):
         path = iterate_path(base, m)
-        assert path.period is base and path.bounds is None
+        assert path.bounds is base.bounds
         assert cz_index(path, 1) == (index_iterate(data, m), nullity_iterate(data, m)), m
     twice = iterate_path(iterate_path(base, 3), 5)
-    assert twice.period is base
+    assert twice.bounds is base.bounds
     assert cz_index(twice, 1) == (index_iterate(data, 15), nullity_iterate(data, 15))
     assert passes == [1]
 
@@ -746,8 +746,8 @@ def test_a_period_is_bounded_once_for_all_its_iterates(monkeypatch):
 def test_the_kept_bounds_are_a_fresh_motion_pass(steps):
     base = rotation_path(0.37, steps=steps)
     cz_index(iterate_path(base, 7), 1)
-    S, start, cum_base = base.bounds
-    assert S.tobytes() == extend_with_xi(base).tobytes()
+    start, cum_base = base.bounds
+    S = extend_with_xi(base)
     assert start.tobytes() == oracle._motion(np.stack((S, base.mats[0])), 1)[0].tobytes()
     fresh = np.concatenate(([0.0], np.cumsum(oracle._motion(base.mats, 1))))
     assert cum_base.tobytes() == fresh.tobytes()
@@ -757,15 +757,15 @@ def test_a_diamond_of_iterates_is_its_own_period():
     a = iterate_path(rotation_path(0.3, steps=128), 2)
     b = iterate_path(rotation_path(1.1, steps=128), 2)
     path = diamond_paths(a, b, steps=256)
-    assert path.period is None and path.m == 1
+    assert path.m == 1 and path.bounds is not a.bounds and path.bounds is not b.bounds
     # the index of a diamond is the sum of its parts' indices
     assert cz_index(path, 1) == tuple(map(sum, zip(cz_index(a, 1), cz_index(b, 1))))
-    cum_base = path.bounds[2]
-    assert len(cum_base) == 257 and len(a.period.bounds[2]) == len(b.period.bounds[2]) == 129
+    cum_base = path.bounds[1]
+    assert len(cum_base) == 257 and len(a.bounds[1]) == len(b.bounds[1]) == 129
     fresh = np.concatenate(([0.0], np.cumsum(oracle._motion(path.mats, 2))))
     assert cum_base.tobytes() == fresh.tobytes()
     cz_index(iterate_path(path, 3), 1)
-    assert path.bounds[2] is cum_base
+    assert path.bounds[1] is cum_base
 
 
 def test_a_motion_mutant_bounds_the_periods_counted_after_it(monkeypatch):
@@ -778,6 +778,26 @@ def test_a_motion_mutant_bounds_the_periods_counted_after_it(monkeypatch):
     after = realize_path(data.decomp, steps=256)[0]
     with pytest.raises(OracleError, match="over the start step from diag"):
         cz_index(iterate_path(after, 5), 1)
+
+
+def test_a_paths_samples_cannot_be_written():
+    # the kept bounds would go stale, so a write raises instead
+    base = rotation_path(0.37, steps=64)
+    cz_index(iterate_path(base, 3), 1)
+    for path in (base, iterate_path(base, 3)):
+        for a in (path.ts, path.mats, path.powers):
+            with pytest.raises(ValueError, match="read-only"):
+                a[-1] = 0.0
+    # path_from_samples copies the caller's arrays, and a view is copied
+    # before it is frozen, so the caller's arrays stay writable and their
+    # writes leave the path as it was
+    ts, mats = base.ts.copy(), base.mats.copy()
+    path = path_from_samples(ts, mats, n=1, tau=1.0)
+    view = SampledSymplecticPath(n=1, tau=1.0, ts=ts[:], mats=mats[:])
+    mats[-1] = np.eye(2)
+    for p in (path, view):
+        assert p.mats.tobytes() == base.mats.tobytes() and p.endpoint().tobytes() == base.endpoint().tobytes()
+    assert cz_index(path, 1) == cz_index(base, 1)
 
 
 def test_a_count_without_the_endpoint_arc_builds_no_arc(monkeypatch):
