@@ -2,9 +2,11 @@
 
 Each axis orbit of sum_i (alpha_i/2)(p_i^2 + q_i^2) = 1 carries a linearized
 path that is a diamond product of rotations R(alpha_j t) over one period
-2 pi / alpha_i.  The module constructs the matching normal-form data (base
-index measured by the geometric oracle, never assumed), runs the jump
-search over all orbits, and reports the stability/mean-ratio conclusions
+2 pi / alpha_i.  The module constructs the matching normal-form data, with
+the base index in closed form, n + 2 sum_{j != i} floor(alpha_j / alpha_i)
+(Ekeland 1990), checked against the geometric oracle's count on the
+sampled orbit: a disagreement is reported as a problem.  It runs the jump
+search over all orbits and reports the stability/mean-ratio conclusions
 the model is expected to exhibit.
 """
 
@@ -82,9 +84,19 @@ class EllipsoidSpec:
         return len(self.alphas)
 
     def ratio(self, j: int, i: int) -> Scalar:
-        """alpha_j / alpha_i with the rationality tag re-derived, so exact
-        rational dependencies between tagged-irrational inputs are caught."""
-        return retag(self.alphas[j] / self.alphas[i])
+        """alpha_j / alpha_i, tagged rational exactly when it is rational.
+        When both squares are known exactly (rational and sqrtK literals,
+        Scalar.square), the ratio is rational exactly when
+        Scalar.sqrt(alpha_j^2 / alpha_i^2) is, and is then that fraction;
+        an irrational one is the quotient alpha_j / alpha_i.  Any other
+        input (phi, a decimal-tagged irrational) has the quotient's tag
+        re-derived by retag, which catches rational dependencies with
+        denominators up to 1e6 only."""
+        a, b = self.alphas[j], self.alphas[i]
+        if a.square is None or b.square is None:
+            return retag(a / b)
+        exact = Scalar.sqrt(a.square / b.square)
+        return exact if exact.is_rational else a / b
 
     def to_json(self) -> dict:
         return {"alphas": [scalar_to_json(a) for a in self.alphas], "mode": self.mode}
@@ -125,15 +137,21 @@ def orbit_data(spec: EllipsoidSpec, i: int):
 
     The decomposition has one rotation block per other axis with angle
     2 pi alpha_j / alpha_i (mod 2 pi) and, on the orbit's own axis, I2 in
-    quadratic mode or N1(1,1) in convex mode.  The base index comes from
-    the crossing-count oracle on the sampled path e^{tJB}, B = diag(alpha,
-    alpha), every alpha_k > 0.  It has ceil(2 pi (alpha_max / alpha_i) /
-    STEP_BOUND) steps, so alpha_max dt <= STEP_BOUND, and the count is
-    exact on that grid: e^{sJB} turns each (q_k, p_k) plane by alpha_k s,
-    so |e^{sJB} - I|_F = (sum_k 8 sin^2(alpha_k s / 2))^{1/2}, which grows
-    with s while alpha_max s <= pi.  The relative change that the count
-    reads over a sample step then bounds every part of that step, and the
-    path does not stray between samples.  EllipsoidError past MAX_STEPS.
+    quadratic mode or N1(1,1) in convex mode.  The base index is the closed
+    form n + 2 sum_{j != i} floor(alpha_j / alpha_i) of the quadratic orbit,
+    plus _convex_adjustment() in convex mode: the orbit turns its own
+    (q, p) plane once, which counts 1 with its degenerate endpoint, and
+    plane j by 2 pi alpha_j / alpha_i, which counts 2 floor(alpha_j /
+    alpha_i) + 1 off resonance (Ekeland 1990).  The path
+    is e^{tJB}, B = diag(alpha, alpha), every alpha_k > 0, on which
+    run_pipeline checks the closed form with the crossing-count oracle.  It
+    has ceil(2 pi (alpha_max / alpha_i) / STEP_BOUND) steps, so alpha_max
+    dt <= STEP_BOUND, and the count is exact on that grid: e^{sJB} turns
+    each (q_k, p_k) plane by alpha_k s, so |e^{sJB} - I|_F = (sum_k 8
+    sin^2(alpha_k s / 2))^{1/2}, which grows with s while alpha_max s <=
+    pi.  The relative change that the count reads over a sample step then
+    bounds every part of that step, and the path does not stray between
+    samples.  EllipsoidError past MAX_STEPS.
     """
     if not (1 <= i <= spec.n):
         raise EllipsoidError(f"axis index {i} out of range 1..{spec.n}")
@@ -149,13 +167,9 @@ def orbit_data(spec: EllipsoidSpec, i: int):
                              f"orbit, more than {MAX_STEPS}")
     path = path_from_quadratic_hamiltonian(B, tau, math.ceil(need))
 
-    thetas = []
-    for j in range(spec.n):
-        if j == idx:
-            continue
-        thetas.append(_rotation_angle(spec.ratio(j, idx)))
-
-    i1_quad, _ = cz_index(path, 1)
+    ratios = [spec.ratio(j, idx) for j in range(spec.n) if j != idx]
+    thetas = [_rotation_angle(r) for r in ratios]
+    i1_quad = spec.n + 2 * sum(r.mul_floor(1) for r in ratios)
     if spec.mode == "quadratic":
         decomp = NormalFormDecomposition(n=spec.n, p_zero=1, thetas=tuple(thetas))
         data = PathIndexData(decomp, i1=i1_quad, convex_mode=False)
@@ -167,8 +181,10 @@ def orbit_data(spec: EllipsoidSpec, i: int):
 
 def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi="auto",
                  eps=None, delta=None) -> dict:
-    """Construct all axis orbits, tabulate iterates, search for common index
-    jumps (jump.search_report), and check the model-scale stability claims.
+    """Construct all axis orbits, check each closed-form base index against
+    the oracle's count on its orbit (a disagreement is a problem), tabulate
+    iterates, search for common index jumps (jump.search_report), and check
+    the model-scale stability claims.
     Returns the report the CLI prints, whose "search" is the SearchResult; a
     search parameter out of range raises JumpError."""
     n = spec.n
@@ -179,6 +195,11 @@ def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi
     for i in range(1, n + 1):
         data, path = orbit_data(spec, i)
         datas.append(data)
+        counted = cz_index(path, 1)[0]
+        closed = data.i1 - (_convex_adjustment() if data.convex_mode else 0)
+        if counted != closed:
+            problems.append(f"orbit {i}: the oracle counts base index {counted} on the "
+                            f"quadratic orbit, the closed form gives {closed}")
         vrep = validate(data)
         problems.extend(f"orbit {i}: {p}" for p in vrep["problems"])
         table = [{"m": m,

@@ -283,28 +283,31 @@ def graph_phases(U: np.ndarray, omega) -> np.ndarray:
     return np.angle(np.linalg.eigvals(_times_u_omega(U, omega)))
 
 
-def read_graph(M: np.ndarray, omega) -> tuple[int, float, np.ndarray, np.ndarray]:
+def read_graph(M: np.ndarray, omega):
     """(nu_omega(M), g, U, p) from one read of M: U = U(M) from
     graph_unitary, and p the eigen-phases of W at omega.  nu_omega is the
     number of them within PHASE_TOL of 0, and the gap g is the distance
     from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or pi if there
-    is none.  omega off the unit circle is refused with NormalFormError.
-    A symplectic defect of M moves the phases by about d = |a*a - I|_F, a
-    the frame, and a phase within 2 d of PHASE_TOL could fall on either
-    side of it: the count is then refused with NormalFormError too."""
+    is none.  For a stack M (k, 2n, 2n), read in one batch, nu_omega and g
+    are arrays, one entry per matrix.  omega off the unit circle is refused
+    with NormalFormError.  A symplectic defect of M moves the phases by
+    about d = |a*a - I|_F, a the frame, and a phase within 2 d of PHASE_TOL
+    could fall on either side of it: the read is then refused with
+    NormalFormError too."""
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
     U, a = graph_unitary(M)
-    d = np.linalg.norm(a.conj().T @ a - np.eye(len(a)))
+    d = np.linalg.norm(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]), axis=(-2, -1))
     p = graph_phases(U, omega)
     dist = np.abs(p)
-    if np.any(np.abs(dist - PHASE_TOL) <= 2 * d):
-        raise NormalFormError(f"an eigen-phase of W lies within 2 x {d:.3g} (the symplectic "
-                              f"defect of M) of PHASE_TOL = {PHASE_TOL:g}, so nu_omega "
-                              f"is undecided")
-    far = dist[dist > PHASE_TOL]
-    return len(p) - len(far), float(far.min()) if len(far) else math.pi, U, p
+    if np.any(np.abs(dist - PHASE_TOL) <= 2 * d[..., None]):
+        raise NormalFormError(f"an eigen-phase of W lies within 2 x {np.max(d):.3g} (the "
+                              f"symplectic defect of M) of PHASE_TOL = {PHASE_TOL:g}, so "
+                              f"nu_omega is undecided")
+    far = dist > PHASE_TOL
+    nu, gap = np.sum(~far, axis=-1), np.min(np.where(far, dist, math.pi), axis=-1)
+    return (nu, gap, U, p) if M.ndim == 3 else (int(nu), float(gap), U, p)
 
 
 def nu_omega(M: np.ndarray, omega) -> int:

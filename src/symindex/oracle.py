@@ -11,7 +11,8 @@ then runs over gamma's own samples, where gamma(0) = I is a sample like
 any other.  The count trusts the sample spacing, which validate bounds by
 STEP_BOUND, takes eigen-data at coarse points and refines a step only to
 find a cut far enough from its end phases: two crossings inside one sample
-step count 2, and a touch nets 0.
+step count 2, and a touch nets 0.  It runs one diamond factor of the path
+at a time, and sums their counts.
 
 A degenerate endpoint follows the convention gamma(T) e^{-eps J}: its index
 is that of gamma e^{-eps (t/T) J}, which realizes the infimum over nearby
@@ -40,6 +41,7 @@ import numpy as np
 
 from .normal_forms import (
     NormalFormError,
+    _times_u_omega,
     diamond,
     graph_phases,
     graph_unitary,
@@ -445,10 +447,24 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # (_arc_motion):
 # Gr(M e^{-sJ}) = diag(e^{sJ}, I) Gr(M), and diag(e^{sJ}, I) commutes with H
 # and acts on its +1 and -1 eigenspaces as unitaries that move by at most
-# |e^{ih} - 1| = 2 sin(h/2) each.  Every phase the count takes is read through
+# |e^{ih} - 1| = 2 sin(h/2) each.
+#
+# The count runs along the path's diamond factors (_factors).  When no
+# sample of a period couples the (p_k, q_k) pairs of one factor with those
+# of another, every matrix the count reads is their diamond product:
+# Gr(M_1 <> M_2) = Gr(M_1) + Gr(M_2), and H and U(omega I) split the same
+# way, so W is the direct sum of the factors' W, its eigen-phases are the
+# union of theirs, and the count is the sum of the factors' counts (the
+# symplectic additivity of the index, Long 2002).  Each factor is counted at
+# a cut of its own, against the bound of its own blocks, r_f = |dM_f M_f^-1|_F
+# <= r.  A factor of one pair has a 2 x 2 W, whose phases are read in closed
+# form (_phases2); a larger one's are read by eigvals.  A path that does not
+# split, and a path whose factors differ in size, is counted as one factor,
+# the whole matrix.  Every phase the count takes is read through
 # normal_forms.graph_unitary, from an orthonormal basis of the graph, so W is
 # unitary to rounding and the phases' error does not grow with |beta(t)|;
-# the endpoint's are those of the read that gave nu_omega and g.  An
+# the endpoint's are those of the read of its factor blocks that gave
+# nu_omega and g.  An
 # iterate's points are gathered from its one period (_samples).
 
 COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
@@ -463,10 +479,11 @@ def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     2n): 2 asin(min(1, sqrt2 r)) with r = |dM M^-1|_F, M the step's first
     sample.  r is the step's change relative to M, so it is the same in
     every period of an iterate: (dM P^j)(M P^j)^-1 = dM M^-1.  M^-1 =
-    [[D^T, -B^T], [-C^T, A^T]] is taken by slicing.  The bound trusts the
-    path not to stray between samples.  A period's sample-step bounds are
-    taken once, on its first count (_period_bounds), so a patched _motion
-    bounds them only for periods first counted after the patch; the
+    [[D^T, -B^T], [-C^T, A^T]] is taken by slicing.  The count applies it to
+    each diamond factor's blocks, n the factor's half-dimension.  The bound
+    trusts the path not to stray between samples.  A period's sample-step
+    bounds are taken once, on its first count (_period_bounds), so a patched
+    _motion bounds them only for periods first counted after the patch; the
     refinement's halves see it at once."""
     dM = np.diff(mats, axis=-3)
     MT = mats[..., :-1, :, :].swapaxes(-1, -2)
@@ -516,10 +533,32 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
     return net, room[np.arange(len(best)), best] > bound
 
 
+def _phases2(W: np.ndarray) -> np.ndarray:
+    """The eigen-phases of each 2 x 2 unitary of a stack W, in closed form.
+    With half = arg(det W) / 2, V = W e^{-i half} has determinant 1, so it
+    is [[a, -conj b], [b, conj a]] with |a|^2 + |b|^2 = 1, up to rounding;
+    a and b are read symmetrized from both of their entries.  V's
+    eigenvalues are e^{+-i phi} with cos phi = Re a and sin phi =
+    |(Im a, |b|)|, so W's phases are half +- atan2(|(Im a, |b|)|, Re a).
+    atan2 keeps their error O(u) at a double eigenvalue too, where the
+    roots of the characteristic polynomial lose sqrt(u)."""
+    det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
+    half = 0.5 * np.angle(det)
+    V = W * np.exp(-1j * half)[..., None, None]
+    a = 0.5 * (V[..., 0, 0] + V[..., 1, 1].conj())
+    b = 0.5 * (V[..., 1, 0] - V[..., 0, 1].conj())
+    turn = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
+    return np.stack((half + turn, half - turn), axis=-1)
+
+
 def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
-    """W's eigen-phases in [0, 2pi), per matrix of a stack M, read CHUNK
-    matrices at a time."""
-    return np.concatenate([graph_phases(graph_unitary(M[lo:lo + CHUNK])[0], omega)
+    """W's eigen-phases in [0, 2pi), per block of a stack M of 2k x 2k
+    factor blocks, read CHUNK blocks at a time: in closed form for k = 1
+    (_phases2), by eigvals for a larger k."""
+    def read(U):
+        return _phases2(_times_u_omega(U, omega)) if U.shape[-1] == 2 else graph_phases(U, omega)
+
+    return np.concatenate([read(graph_unitary(M[lo:lo + CHUNK])[0])
                            for lo in range(0, len(M), CHUNK)]) % (2 * math.pi)
 
 
@@ -534,97 +573,151 @@ def _samples(path: SampledSymplecticPath, k: np.ndarray) -> tuple[np.ndarray, np
     return path.ts[i] + j * path.tau, path.mats[i] @ path.powers[j]
 
 
+def _factors(path: SampledSymplecticPath) -> np.ndarray:
+    """The diamond factors of the path's period, one row per factor: the
+    coordinates p_k of its pairs, then their q_k.  Pairs k and l share a
+    factor when some sample of the period, P = gamma(tau) among them, has a
+    nonzero entry coupling them; a sample keeps every iterate's matrices on
+    the same pattern, and S and the endpoint arc keep it by construction.
+    Factors of different sizes are taken as one, so that one count runs
+    them along one axis; a path that does not split is that one factor, the
+    whole matrix, row 0..2n-1."""
+    n = path.n
+    nz = (path.mats.max(axis=0) != 0) | (path.mats.min(axis=0) != 0)
+    reach = nz[:n, :n] | nz[:n, n:] | nz[n:, :n] | nz[n:, n:] | np.eye(n, dtype=bool)
+    reach = reach | reach.T
+    for _ in range(n.bit_length()):  # the transitive closure, by squaring
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    label = reach.argmax(axis=1)  # each pair's first partner names its factor
+    pairs = [np.flatnonzero(label == k) for k in sorted(set(label.tolist()))]
+    if len({len(p) for p in pairs}) > 1:
+        pairs = [np.arange(n)]
+    pairs = np.array(pairs)
+    return np.concatenate((pairs, pairs + n), axis=1)
+
+
+def _blocks(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The factor blocks (..., F, 2k, 2k) of a stack M (..., 2n, 2n), idx
+    the F factors of _factors."""
+    return M[..., idx[:, :, None], idx[:, None, :]]
+
+
 def _period_bounds(path: SampledSymplecticPath, S: np.ndarray) -> list:
-    """[start, cum_base] of the path's period: the motion bound of the
-    start step from S = extend_with_xi(gamma) to gamma(0) = I, and the
-    summed motion bounds of its sample steps, cum_base[i] over steps
-    0..i-1.  They depend on the period alone, so they are computed on its
-    first count, CHUNK sample steps at a time, and kept in path.bounds,
-    the list the period shares with its iterates."""
+    """[idx, start, cum_base, cum_max] of the path's period: its factors
+    (_factors), each factor's motion bound over the start step from S =
+    extend_with_xi(gamma) to gamma(0) = I, the summed motion bounds of the
+    factors' sample steps, cum_base[i, f] over steps 0..i-1 of factor f, and
+    the same sum of each step's largest factor bound, cum_max[i], on which
+    the coarse points are placed.  They depend on the period alone, so they
+    are computed on its first count, CHUNK sample steps at a time, and kept
+    in path.bounds, the list the period shares with its iterates."""
     if not path.bounds:
-        n, L = path.n, len(path.ts) - 1
-        base = np.concatenate([_motion(path.mats[lo:min(lo + CHUNK, L) + 1], n)
-                               for lo in range(0, L, CHUNK)])
-        path.bounds.extend((_motion(np.stack((S, path.mats[0])), n)[0],
-                            np.concatenate(([0.0], np.cumsum(base)))))
+        L = len(path.ts) - 1
+        idx = _factors(path)
+        k = idx.shape[1] // 2
+
+        def motion(mats):  # (F, steps): each factor's bound over each step of a stack
+            return _motion(np.swapaxes(_blocks(mats, idx), 0, 1), k)
+
+        base = np.concatenate([motion(path.mats[lo:min(lo + CHUNK, L) + 1])
+                               for lo in range(0, L, CHUNK)], axis=1).T
+        path.bounds.extend((idx, motion(np.stack((S, path.mats[0])))[:, 0],
+                            np.concatenate((np.zeros((1, len(idx))), np.cumsum(base, axis=0))),
+                            np.concatenate(([0.0], np.cumsum(base.max(axis=1))))))
     return path.bounds
 
 
-def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarray) -> int:
+def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float,
+          end: np.ndarray) -> int:
     """The signed count of eigen-phases of W passing 0 over the start step
     from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
     and, for eps > 0, over the endpoint arc gamma(tau) e^{-sJ}, s from 0 to
     eps / 2 to eps; no phase may pass 0 on the arc's second half.  end holds
-    the phases at gamma(tau), from the read that gave nu_omega and g.
+    the phases at gamma(tau), one row per factor, from the reads that gave
+    nu_omega and g.
 
-    Scan point 0 is S, and scan point p >= 1 is sample p - 1 of the iterate
-    (_samples).  The period's steps are bounded once per process, on its
-    first count (_period_bounds): copy j's step has its base step's bound
-    (_motion), so the summed bound up to sample j L + i is the start
+    The count runs along the factors of the period (_period_bounds): each
+    step is one row per factor, counted from that factor's phases at a cut
+    of its own, against that factor's motion bound, and the index is the sum
+    over every row.  Scan point 0 is S, and scan point p >= 1 is sample
+    p - 1 of the iterate (_samples).  The period's steps are bounded once
+    per process, on its first count: copy j's step has its base step's
+    bound (_motion), so the summed bound up to sample j L + i is the start
     step's, plus j times the base's total, plus the base's up to i.  No
-    phase has passed 0 before S, and its phases are resolved for
-    every omega.  The phases at I and at gamma(tau), 0 up to rounding when
+    phase has passed 0 before S, and its phases are resolved for every
+    omega.  The phases at I and at gamma(tau), 0 up to rounding when
     degenerate, are read once and shared by the two steps that meet there,
     so a passage there counts once.
 
-    Sample steps are grouped into coarse steps of motion bound about
-    COARSE_BOUND.  A coarse step's bound is the sum of its sample steps'
-    bounds, and a step whose best cut is not farther than its bound is
-    refined until each of its parts is counted at a cut farther than that
-    part's bound; so COARSE_BOUND sets only the cost, never the count.  The
-    refinement runs in rounds, each over every step still unresolved: a
-    step between two scan points at least 2 apart is halved at the scan
-    point between them, any other sample step at its mid-time through the
-    evaluator, and an arc step at its mid-s through _arc.  A round gathers
-    all its midpoints in one _samples product, one path.evaluate call and
-    one _arc call, reads their phases in one _phases call, bounds the
-    halves by the summed bounds, one batched _motion of the (M0, mid, M1)
-    triples and _arc_motion, and counts them in one _count.  The start step
-    is never halved: its ends depend only on n and omega, and its motion
-    bound is about 2e-3 sqrt(n) rad.  An evaluator or arc step is halved at
-    most MAX_HALVINGS times."""
+    Sample steps are grouped into coarse steps whose largest factor bound is
+    about COARSE_BOUND.  A coarse row's bound is the sum of its factor's
+    sample-step bounds, and a row whose best cut is not farther than its
+    bound is refined until each of its parts is counted at a cut farther
+    than that part's bound; so COARSE_BOUND sets only the cost, never the
+    count.  The refinement runs in rounds, each over every row still
+    unresolved: a step between two scan points at least 2 apart is halved
+    at the scan point between them, any other sample step at its mid-time
+    through the evaluator, and an arc step at its mid-s through _arc.  A
+    round gathers all its midpoints in one _samples product, one
+    path.evaluate call and one _arc call, reads their factor blocks' phases
+    in one _phases call, bounds the halves by the summed bounds, one batched
+    _motion of the (M0, mid, M1) blocks and _arc_motion, and counts them in
+    one _count.  An evaluator midpoint must keep the factors apart, as the
+    samples do, or the count is refused.  The start step is never halved:
+    its ends depend only on n and omega, and its motion bound is about
+    2e-3 sqrt(n) rad.  An evaluator or arc step is halved at most
+    MAX_HALVINGS times."""
     n, m, L = path.n, path.m, len(path.ts) - 1
-    S = extend_with_xi(path)
-    start, cum_base = _period_bounds(path, S)
+    idx, start, cum_base, cum_max = _period_bounds(path, S)
+    F, k = idx.shape[0], idx.shape[1] // 2
     N = m * L + 1  # the iterate's samples; scan points 0..N
     total = cum_base[-1]
 
-    def cum(p):  # the summed motion bound from scan point 0 to each of the scan points p
-        k = np.maximum(p - 1, 0)
-        j = np.minimum(k // L, m - 1)
-        return np.where(p == 0, 0.0, start + j * total + cum_base[k - j * L])
+    def cum(p):  # the summed motion bounds, one per factor, from scan point 0 to scan points p
+        q = np.maximum(p - 1, 0)
+        j = np.minimum(q // L, m - 1)
+        return np.where((p == 0)[..., None], 0.0,
+                        start + j[..., None] * total + cum_base[q - j * L])
 
-    goal = np.arange(COARSE_BOUND, start + m * total, COARSE_BOUND) - start
-    j = np.clip(goal // total, 0, m - 1).astype(int)
-    marks = j * L + np.minimum(np.searchsorted(cum_base, goal - j * total), L) + 1
-    coarse = np.unique(np.concatenate(([0], marks, [N])))
+    first, whole = start.max(), cum_max[-1]
+    goal = np.arange(COARSE_BOUND, first + m * whole, COARSE_BOUND) - first
+    j = np.clip(goal // whole, 0, m - 1).astype(int)
+    marks = j * L + np.minimum(np.searchsorted(cum_max, goal - j * whole), L) + 1
+    coarse = np.sort(np.concatenate(([0], marks, [N])))
+    coarse = coarse[np.diff(coarse, prepend=-1) > 0]  # np.unique would import numpy.ma
     arc = np.array([0.5 * eps, eps] if eps else [])
     E = path.endpoint()
     t, M = _samples(path, coarse[1:] - 1)
-    # point q is (scan point, t, M, phases) at coarse[q], then at the arc
-    # points; a point off the samples, a midpoint through the evaluator or
-    # on the arc, has scan point -1, and an arc point holds s for t
+    # point q is (scan point, t, factor blocks, phases) at coarse[q], then at
+    # the arc points; a point off the samples, a midpoint through the
+    # evaluator or on the arc, has scan point -1, and an arc point holds s
+    # for t
     i = np.concatenate((coarse, np.full(len(arc), -1)))
     t = np.concatenate(([0.0], t, arc))
-    M = np.concatenate((S[None], M, _arc(E, arc) if eps else M[:0]))
+    M = _blocks(np.concatenate((S[None], M, _arc(E, arc) if eps else M[:0])), idx)
     last = len(coarse) - 1  # gamma(tau), whose phases are end
-    ph = _phases(np.concatenate((M[:last], M[last + 1:])), omega)
+    ph = _phases(np.concatenate((M[:last], M[last + 1:])).reshape(-1, 2 * k, 2 * k), omega)
+    ph = ph.reshape(-1, F, 2 * k)
     ph = np.concatenate((ph[:last], end[None], ph[last:]))
-    bound = np.concatenate((np.diff(cum(coarse)), np.full(len(arc), _arc_motion(0.5 * eps))))
-    counts, ok = _count(ph[:-1], ph[1:], bound)
+    bound = np.concatenate((np.diff(cum(coarse), axis=0),
+                            np.full((len(arc), F), _arc_motion(0.5 * eps))))
+    counts, ok = _count(ph[:-1].reshape(-1, 2 * k), ph[1:].reshape(-1, 2 * k), bound.reshape(-1))
 
-    # the steps whose cut is too near, in path order, each held as its ends
-    # (lo, hi) and the coarse step it is part of
-    step = np.flatnonzero(~ok)
-    counts[step] = 0
-    lo = (i[step], t[step], M[step], ph[step])
-    hi = (i[step + 1], t[step + 1], M[step + 1], ph[step + 1])
-    depth = np.full(len(step), MAX_HALVINGS)
+    # the rows (step, factor) whose cut is too near, in path order, each
+    # held as its ends (lo, hi), its row of counts, its step and its factor
+    row = np.flatnonzero(~ok)
+    counts[row] = 0
+    step, f = np.divmod(row, F)
+    lo = (i[step], t[step], M[step, f], ph[step, f])
+    hi = (i[step + 1], t[step + 1], M[step + 1, f], ph[step + 1, f])
+    depth = np.full(len(row), MAX_HALVINGS)
+    apart = np.ones((2 * n, 2 * n), dtype=bool)  # the entries that couple two factors
+    apart[idx[:, :, None], idx[:, None, :]] = False
 
-    def pairs(x, y):  # each step's left half, then its right half
+    def pairs(x, y):  # each row's left half, then its right half
         return np.stack((x, y), axis=1).reshape((-1,) + x.shape[1:])
 
-    while len(step):
+    while len(row):
         (i0, t0, M0, _), (i1, t1, M1, _) = lo, hi
         on_samples = (i0 >= 0) & (i1 - i0 >= 2)
         on_arc = ~on_samples & (step >= last)
@@ -645,36 +738,48 @@ def _scan(path: SampledSymplecticPath, omega: complex, eps: float, end: np.ndarr
                                   f"t = {t0[q]:.6g}, and the path has no evaluator to halve it")
             raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
                               f"of the sample step at t = {t0[q]:.6g}")
-        k = np.where(on_samples, (i0 + i1) // 2, -1)
-        tk, Mk, halves = np.empty_like(t0), np.empty_like(M0), np.empty((len(step), 2))
+        mid = np.where(on_samples, (i0 + i1) // 2, -1)
+        tk, Mk = np.empty_like(t0), np.empty((len(row), 2 * n, 2 * n))
+        halves = np.empty((len(row), 2))
         if on_samples.any():
-            tk[on_samples], Mk[on_samples] = _samples(path, k[on_samples] - 1)
-            halves[on_samples] = np.diff(cum(np.stack((i0, k, i1), axis=1)[on_samples]), axis=1)
+            tk[on_samples], Mk[on_samples] = _samples(path, mid[on_samples] - 1)
+            c = cum(np.stack((i0, mid, i1), axis=1)[on_samples])
+            halves[on_samples] = np.diff(c[np.arange(len(c)), :, f[on_samples]], axis=1)
         if through.any():
             tk[through] = 0.5 * (t0[through] + t1[through])
             Mk[through] = path.evaluate(tk[through])
-            halves[through] = _motion(np.stack((M0[through], Mk[through], M1[through]), axis=1), n)
+            coupled = np.any(Mk[through][:, apart] != 0, axis=1)
+            if coupled.any():
+                raise OracleError(f"the path's value at t = {tk[through][coupled][0]:.6g} "
+                                  f"couples diamond factors that its samples keep apart")
         if on_arc.any():
             tk[on_arc] = 0.5 * (s0[on_arc] + t1[on_arc])
             Mk[on_arc] = _arc(E, tk[on_arc])
             halves[on_arc] = _arc_motion(0.5 * (t1[on_arc] - s0[on_arc]))[:, None]
-        mid = (k, tk, Mk, _phases(Mk, omega))
+        rows = idx[f]
+        Mk = Mk[np.arange(len(row))[:, None, None], rows[:, :, None], rows[:, None, :]]
+        if through.any():
+            halves[through] = _motion(np.stack((M0[through], Mk[through], M1[through]), axis=1), k)
+        mid = (mid, tk, Mk, _phases(Mk, omega))
         lo, hi = tuple(map(pairs, lo, mid)), tuple(map(pairs, mid, hi))
-        step = np.repeat(step, 2)
+        row, step, f = np.repeat(row, 2), np.repeat(step, 2), np.repeat(f, 2)
         depth = np.repeat(np.where(on_samples, depth, depth - 1), 2)
         net, ok = _count(lo[3], hi[3], halves.reshape(-1))
-        np.add.at(counts, step[ok], net[ok])
-        step, depth = step[~ok], depth[~ok]
+        np.add.at(counts, row[ok], net[ok])
+        row, step, f, depth = row[~ok], step[~ok], f[~ok], depth[~ok]
         lo, hi = (tuple(x[~ok] for x in ends) for ends in (lo, hi))
-    if eps and counts[-1]:
+    counts = counts.reshape(-1, F)
+    if eps and counts[-1].any():
         index = int(np.sum(counts[:-1]))
-        raise OracleError(f"unstable count under perturbation ({index + counts[-1]} vs {index})")
+        raise OracleError(f"unstable count under perturbation "
+                          f"({index + int(np.sum(counts[-1]))} vs {index})")
     return int(np.sum(counts))
 
 
-def _endpoint(M: np.ndarray, omega: complex) -> tuple[int, float, np.ndarray, np.ndarray]:
+def _endpoint(M: np.ndarray, omega: complex):
     """(nu_omega(M), g, U(M), W's phases in [0, 2pi)) from
-    normal_forms.read_graph, a refusal raised as OracleError."""
+    normal_forms.read_graph, a refusal raised as OracleError; for a stack M
+    of factor blocks, nu_omega and g are arrays, one entry per block."""
     try:
         nu, gap, U, p = read_graph(M, omega)
     except NormalFormError as exc:
@@ -695,23 +800,28 @@ def cz_index(path: SampledSymplecticPath, omega):
 
     omega is a unit-circle complex number (1 and -1 included).  The count
     runs once, unperturbed, over gamma's own samples, from the one xi sample
-    extend_with_xi(gamma) on.  When nu_omega(gamma(tau)) > 0, the index is
-    that of gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J};
-    a homotopy with fixed end points, (t, s) -> gamma(t) e^{-sJ}, takes that
+    extend_with_xi(gamma) on, along the diamond factors of gamma's period
+    (_scan).  When nu_omega(gamma(tau)) > 0, the index is that of
+    gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J}; a
+    homotopy with fixed end points, (t, s) -> gamma(t) e^{-sJ}, takes that
     path to gamma followed by the arc gamma(tau) e^{-sJ}, s in [0, eps], so
     the scan goes on over that arc.  eps = min(ARC_LENGTH, 2 asin(sin(g/4)
     / 2)) (_arc_length), g the distance from 0 of W's nearest nonzero
-    eigen-phase, read with nu_omega: the arc moves every phase by at most
-    g / 2, so only the phases at 0 pass 0 on it, and the index is Long's
-    i_omega, shared by every eps small against g.  The counts at eps and
-    eps / 2 must agree.
+    eigen-phase: the arc moves every phase by at most g / 2, so only the
+    phases at 0 pass 0 on it, and the index is Long's i_omega, shared by
+    every eps small against g.  The counts at eps and eps / 2 must agree.
+    gamma(tau) is read once, one read_graph of the stack of its factor
+    blocks: nu_omega is the sum of the factors' and g the least of theirs.
 
     An undecided nu_omega(gamma(tau)), a phase of W too near PHASE_TOL to
     be told from it, raises OracleError.
     """
     omega = complex(omega)
-    nu, gap, _, end = _endpoint(path.endpoint(), omega)
-    return _scan(path, omega, _arc_length(gap) if nu else 0.0, end), nu
+    S = extend_with_xi(path)
+    idx = _period_bounds(path, S)[0]
+    nu, gap, _, end = _endpoint(_blocks(path.endpoint(), idx), omega)
+    nu = int(np.sum(nu))
+    return _scan(path, S, omega, _arc_length(float(np.min(gap))) if nu else 0.0, end), nu
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):

@@ -96,10 +96,12 @@ class Scalar:
     and otherwise produces an irrational-tagged result computed at storage
     precision, whose F_s (``_bits``) is the least of the storage bits and of
     its operands'.  The integer read X_s is cached (``_Xs``), so a single
-    Scalar can be swept over large iterate ranges cheaply.
+    Scalar can be swept over large iterate ranges cheaply.  An irrational
+    made by Scalar.sqrt keeps its radicand (``_square``), so its square is
+    known exactly (``square``).
     """
 
-    __slots__ = ("_frac", "_mpf", "_bits", "_Xs")
+    __slots__ = ("_frac", "_mpf", "_bits", "_Xs", "_square")
 
     def __init__(self, frac=None, mpf_value=None, bits=None):
         if (frac is None) == (mpf_value is None):
@@ -110,6 +112,7 @@ class Scalar:
             bits = dps_to_prec(_storage_dps())
         self._bits = bits
         self._Xs = None
+        self._square = None
 
     # ----- constructors -------------------------------------------------
 
@@ -140,7 +143,9 @@ class Scalar:
             return cls.rational(num_r, den_r)
         with mp.workdps(_storage_dps()):
             v = mp.sqrt(mp.mpf(fr.numerator)) / mp.sqrt(mp.mpf(fr.denominator))
-        return cls(mpf_value=v)
+        root = cls(mpf_value=v)
+        root._square = fr
+        return root
 
     @classmethod
     def golden(cls) -> "Scalar":
@@ -153,6 +158,12 @@ class Scalar:
     @property
     def is_rational(self) -> bool:
         return self._frac is not None
+
+    @property
+    def square(self) -> Fraction | None:
+        """The exact square of the value, when it is known: a rational's, or
+        the radicand of Scalar.sqrt; None for every other irrational."""
+        return self._square if self._frac is None else self._frac ** 2
 
     @property
     def fraction(self) -> Fraction:

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from symindex import ellipsoid
 from symindex.cli import _dump_json
 from symindex.ellipsoid import (
     EllipsoidError,
@@ -90,7 +91,9 @@ def random_frequency(rng):
 def test_oracle_base_index_matches_the_closed_form(mode, seed):
     # i1 = n + 2 sum_{j != i} [alpha_j / alpha_i]: the orbit turns its own
     # axis once and axis j by 2 pi alpha_j / alpha_i, on generated tuples
-    # of 1 to 5 frequencies; resonant tuples are refused and skipped.  On
+    # of 1 to 5 frequencies; resonant tuples are refused and skipped.  The
+    # data carries the closed form, and the oracle's count on the orbit
+    # must equal it.  On
     # the first four orbits a grid of at least DEFAULT_STEPS steps gives
     # the same count as the orbit's own, coarser one.
     rng = random.Random(seed)
@@ -107,6 +110,7 @@ def test_oracle_base_index_matches_the_closed_form(mode, seed):
             want = spec.n + 2 * sum(spec.ratio(j, i - 1).mul_div_floor(1, 1)
                                     for j in range(spec.n) if j != i - 1)
             assert data.i1 == want, (spec.alphas, i)
+            assert cz_index(path, 1)[0] == want, (spec.alphas, i)
             assert len(path.ts) - 1 == orbit_steps(spec, i)
             if rebuilt < 4:
                 freqs = [float(a) for a in spec.alphas]
@@ -196,3 +200,44 @@ def test_pipeline_json_serializable(spec12, tmp_path):
     text = out.read_text()
     assert "schema_version" in text
     assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+
+def test_an_oracle_miscount_of_a_base_index_is_a_problem(monkeypatch, spec12):
+    # the closed form is the base index, and the oracle's count on each
+    # orbit is its check: a count off by 2 is reported, and the data keeps
+    # the closed form
+    ellipsoid._convex_adjustment()  # cached, and counted before the patch
+    count = ellipsoid.cz_index
+    monkeypatch.setattr(ellipsoid, "cz_index", lambda path, omega: (count(path, omega)[0] + 2, 0))
+    rep = run_pipeline(spec12, m_max=3, N_max=2000)
+    assert rep["problems"] == [
+        "orbit 1: the oracle counts base index 6 on the quadratic orbit, the closed form gives 4",
+        "orbit 2: the oracle counts base index 4 on the quadratic orbit, the closed form gives 2"]
+    assert [orbit["i1"] for orbit in rep["orbits"]] == [4, 2]
+
+
+def test_a_rational_ratio_of_square_roots_is_decided_exactly():
+    # 1000003 sqrt2 and 1000033 sqrt2: a ratio of two sqrtK literals is
+    # rational exactly when the ratio of their radicands is a square.  Its
+    # continued fraction has a denominator past retag's 1e6, so the ratio
+    # was called irrational, and so was theta = 60/1000003 of orbit 1
+    spec = EllipsoidSpec(alphas=("sqrt2000012000018", "sqrt2000132002178"))
+    assert spec.ratio(1, 0).fraction == Fraction(1000033, 1000003)
+    assert spec.ratio(0, 1).fraction == Fraction(1000003, 1000033)
+    assert orbit_data(spec, 1)[0].decomp.thetas[0].fraction == Fraction(60, 1000003)
+    rep = run_pipeline(spec, m_max=3, N_max=1000)
+    assert rep["mean_ratio_matrix"][0][1] == {"type": "rational", "value": "1000033/1000003"}
+    assert rep["claims"]["pairwise_irrational_at_least_varrho"] is False
+    assert "not enough orbits with pairwise irrational mean-index ratios" in rep["problems"]
+
+
+@pytest.mark.parametrize("alphas", [("1", "sqrt2"), ("sqrt3", "sqrt5"), ("phi", "sqrt2"),
+                                    ("2/3", "sqrt7"), ("sqrt6", "sqrt15")])
+def test_an_irrational_ratio_is_the_quotient(alphas):
+    # the exact decision changes no irrational ratio's value: it is the
+    # quotient alpha_j / alpha_i, bit for bit
+    spec = EllipsoidSpec(alphas=alphas)
+    for j, i in ((0, 1), (1, 0)):
+        got, want = spec.ratio(j, i), spec.alphas[j] / spec.alphas[i]
+        assert not got.is_rational
+        assert got.mpf(200) == want.mpf(200) and got._bits == want._bits

@@ -447,9 +447,9 @@ def count_scans(monkeypatch):
     arcs = []
     scan = oracle._scan
 
-    def counted_scan(path, omega, eps, end):
+    def counted_scan(path, S, omega, eps, end):
         arcs.append(eps)
-        return scan(path, omega, eps, end)
+        return scan(path, S, omega, eps, end)
 
     monkeypatch.setattr(oracle, "_scan", counted_scan)
     return arcs
@@ -716,16 +716,17 @@ def test_a_long_iterate_is_counted_from_one_period():
 # ----- the period's bounds ---------------------------------------------------
 #
 # Copy j of an iterate's base step has that step's motion bound, so a
-# period's sample steps are bounded once, on its first count, and every
-# iterate of it reads those bounds.  A test that patches _motion builds its
-# paths after the patch.
+# period's factors and sample steps are found and bounded once, on its first
+# count, and every iterate of it reads them.  The bounds are kept per
+# factor, [idx, start, cum_base, cum_max] (_period_bounds).  A test that
+# patches _motion builds its paths after the patch.
 
 def test_a_period_is_bounded_once_for_all_its_iterates(monkeypatch):
     passes = []  # the _motion calls over the period's whole sample stack
     motion = oracle._motion
 
     def counted(mats, n):
-        if mats.shape[:-2] == (257,):
+        if mats.shape[:-2] == (1, 257):  # the one factor's 257 samples
             passes.append(n)
         return motion(mats, n)
 
@@ -744,13 +745,16 @@ def test_a_period_is_bounded_once_for_all_its_iterates(monkeypatch):
 
 @pytest.mark.parametrize("steps", [1024, 2500])
 def test_the_kept_bounds_are_a_fresh_motion_pass(steps):
+    # one factor, the whole 2 x 2 matrix: its bounds are those of the whole
     base = rotation_path(0.37, steps=steps)
     cz_index(iterate_path(base, 7), 1)
-    start, cum_base = base.bounds
+    idx, start, cum_base, cum_max = base.bounds
+    assert idx.tolist() == [[0, 1]]
     S = extend_with_xi(base)
-    assert start.tobytes() == oracle._motion(np.stack((S, base.mats[0])), 1)[0].tobytes()
+    assert start.tobytes() == oracle._motion(np.stack((S, base.mats[0])), 1)[:1].tobytes()
     fresh = np.concatenate(([0.0], np.cumsum(oracle._motion(base.mats, 1))))
-    assert cum_base.tobytes() == fresh.tobytes()
+    assert cum_base.shape == (steps + 1, 1)
+    assert cum_base[:, 0].tobytes() == cum_max.tobytes() == fresh.tobytes()
 
 
 def test_a_diamond_of_iterates_is_its_own_period():
@@ -760,12 +764,16 @@ def test_a_diamond_of_iterates_is_its_own_period():
     assert path.m == 1 and path.bounds is not a.bounds and path.bounds is not b.bounds
     # the index of a diamond is the sum of its parts' indices
     assert cz_index(path, 1) == tuple(map(sum, zip(cz_index(a, 1), cz_index(b, 1))))
-    cum_base = path.bounds[1]
-    assert len(cum_base) == 257 and len(a.bounds[1]) == len(b.bounds[1]) == 129
-    fresh = np.concatenate(([0.0], np.cumsum(oracle._motion(path.mats, 2))))
+    # two factors, (p1, q1) and (p2, q2), each bounded over its own blocks
+    idx, _, cum_base, cum_max = path.bounds
+    assert idx.tolist() == [[0, 2], [1, 3]]
+    assert cum_base.shape == (257, 2) and len(a.bounds[2]) == len(b.bounds[2]) == 129
+    steps = np.stack([oracle._motion(path.mats[:, rows][:, :, rows], 1) for rows in idx], axis=1)
+    fresh = np.concatenate((np.zeros((1, 2)), np.cumsum(steps, axis=0)))
     assert cum_base.tobytes() == fresh.tobytes()
+    assert cum_max.tobytes() == np.concatenate(([0.0], np.cumsum(steps.max(axis=1)))).tobytes()
     cz_index(iterate_path(path, 3), 1)
-    assert path.bounds[1] is cum_base
+    assert path.bounds[2] is cum_base
 
 
 def test_a_motion_mutant_bounds_the_periods_counted_after_it(monkeypatch):
@@ -773,7 +781,7 @@ def test_a_motion_mutant_bounds_the_periods_counted_after_it(monkeypatch):
                                 steps=256)
     assert cz_index(iterate_path(before, 3), 1) == (index_iterate(data, 3), 0)
     monkeypatch.setattr(oracle, "_motion",  # past every cut
-                        lambda mats, n: np.full(mats.shape[:-3] + (len(mats) - 1,), 4.0))
+                        lambda mats, n: np.full(mats.shape[:-3] + (mats.shape[-3] - 1,), 4.0))
     assert cz_index(iterate_path(before, 5), 1) == (index_iterate(data, 5), 0)
     after = realize_path(data.decomp, steps=256)[0]
     with pytest.raises(OracleError, match="over the start step from diag"):
@@ -1221,8 +1229,9 @@ def test_the_count_does_not_depend_on_the_coarse_grid(monkeypatch, coarse_bound)
 def test_a_refinement_round_reads_its_midpoints_at_once(monkeypatch):
     # at 8 rad every coarse step is refined.  Each round reads the phases of
     # all its midpoints in one call and counts all its halves in one
-    # _count, so a count reads the endpoint, the coarse points and then
-    # once per round; halving depth-first read once per halved point
+    # _count, so a count reads the endpoint's four factor blocks in one
+    # read_graph, the coarse points and then once per round; halving
+    # depth-first read once per halved point
     monkeypatch.setattr(oracle, "COARSE_BOUND", 8.0)
     path, data = rotation_diamond(FOUR_THETAS)
     reads, counts = [], []
@@ -1244,6 +1253,7 @@ def test_a_refinement_round_reads_its_midpoints_at_once(monkeypatch):
         counts.clear()
         assert cz_index(path, cmath.exp(1j * math.pi * over_pi)) == bott_index(data, 1, over_pi)
         rounds = len(counts) - 1  # the coarse steps' _count, then one per round
+        assert len(path.bounds[0]) == reads[0] == 4  # the endpoint's factor blocks
         assert rounds >= 2 and len(reads) == 2 + rounds, (over_pi, reads, counts)
         assert sum(reads[2:]) > rounds  # some round reads more than one midpoint
 
@@ -1269,3 +1279,148 @@ def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
             cz_index(path, -1)
     with pytest.raises(OracleError, match="known only at its samples"):
         diamond_paths(bare, coarse, steps=4)
+
+
+# ----- the count along diamond factors ----------------------------------------
+#
+# A path whose samples keep groups of (p_k, q_k) pairs apart is counted one
+# factor at a time: W is the direct sum of the factors' W, and the index is
+# the sum of their counts (Long 2002).  The same path conjugated by an
+# orthogonal Q = diag(R, R), whose R mixes every pair, has one factor, the
+# whole matrix; the index is invariant under symplectic conjugation, so both
+# counts must equal the closed forms.
+
+KINDS = ("theta", "p_minus", "p_zero", "p_plus", "q_minus", "q_zero", "q_plus", "k")
+
+
+def mixing(n: int, turn: float = 0.6) -> np.ndarray:
+    """diag(R, R), R the product of the Givens turns by turn in the planes
+    (1, 2), (2, 3), ..., (n - 1, n): orthogonal and symplectic, and it
+    mixes every pair (p_k, q_k) with every other."""
+    R = np.eye(n)
+    c, s = math.cos(turn), math.sin(turn)
+    for k in range(n - 1):
+        G = np.eye(n)
+        G[k:k + 2, k:k + 2] = [[c, -s], [s, c]]
+        R = R @ G
+    return np.kron(np.eye(2), R)
+
+
+def conjugated(path: SampledSymplecticPath, Q: np.ndarray) -> SampledSymplecticPath:
+    """t -> Q gamma(t) Q^T, sampled on gamma's grid, with its evaluator."""
+    return SampledSymplecticPath(n=path.n, tau=path.tau, ts=path.ts, mats=Q @ path.mats @ Q.T,
+                                 evaluator=lambda t: Q @ path.evaluate(t) @ Q.T).validate()
+
+
+def nullity(decomp: NormalFormDecomposition, m: int, omega_over_pi) -> int:
+    """nu_omega(gamma^m) = sum over z^m = omega of nu_z(M) for a diamond of
+    2 x 2 blocks M: a shear N1(+-1, b) has nullity 1 at its eigenvalue, the
+    multiple +-I of the identity 2, a rotation R(theta) 1 at each of
+    e^{+-i theta}."""
+    thetas = [t.fraction for t in decomp.thetas]
+    nu = 0
+    for k in range(m):
+        a = (omega_over_pi + 2 * k) / m  # arg z / pi, in [0, 2)
+        for at, shears, scalar in ((0, decomp.p_minus + decomp.p_plus, decomp.p_zero),
+                                   (1, decomp.q_minus + decomp.q_plus, decomp.q_zero)):
+            if a == at:
+                nu += shears + 2 * scalar
+        nu += sum((a == t) + (a == 2 - t) for t in thetas)
+    return nu
+
+
+@st.composite
+def two_by_two_diamonds(draw):
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
+    # theta / pi = r / 97 in (0, 2), r != 97, so no angle is an integer
+    thetas = tuple(Fraction(draw(st.integers(1, 193).filter(lambda r: r != 97)), 97)
+                   for kind in kinds if kind == "theta")
+    decomp = NormalFormDecomposition(
+        n=len(kinds), thetas=tuple(map(Scalar.from_fraction, thetas)),
+        **{kind: kinds.count(kind) for kind in KINDS[1:] if kind in kinds})
+    m = draw(st.integers(1, 16))
+    if thetas and draw(st.booleans()):
+        point = (m * draw(st.sampled_from(thetas))) % 2  # on the spectrum of gamma^m
+    else:
+        point = Fraction(draw(st.integers(1, 23)), 12)
+    return decomp, m, point
+
+
+@seed(20241020)
+@settings(max_examples=60, deadline=None, database=None)
+@given(two_by_two_diamonds())
+def test_a_diamond_counts_the_closed_forms_factor_by_factor_and_whole(drawn):
+    decomp, m, point = drawn
+    n = decomp.n
+    path, data = realize_path(decomp, steps=256)
+    whole = conjugated(path, mixing(n))
+    for omega, over_pi in ((1, Fraction(0)), (-1, Fraction(1)),
+                           (cmath.exp(1j * math.pi * point), point)):
+        want = (bott_index(data, m, over_pi)[0], nullity(decomp, m, over_pi))
+        for p in (path, whole):
+            assert cz_index(iterate_path(p, m), omega) == want, (n, over_pi, p is whole)
+    assert path.bounds[0].tolist() == [[k, n + k] for k in range(n)]  # n factors of one pair
+    assert whole.bounds[0].tolist() == [list(range(2 * n))]  # one factor, the whole matrix
+
+
+@pytest.mark.parametrize("maker", [nontrivial_n2_block, trivial_n2_block])
+def test_factors_of_different_sizes_are_counted_whole(maker):
+    # R(0.3 pi) <> N2: a factor of one pair and one of two, counted as one
+    # factor, the whole 6 x 6 matrix; the index is the sum of the parts'
+    rot = rotation_path(0.3, steps=256)
+    n2 = path_from_logm(realize(maker(Scalar.rational(2, 5))).as_float(), steps=256)
+    path = diamond_paths(rot, n2, steps=256)
+    for m in (1, 3, 5):
+        for omega in (1, -1, cmath.exp(0.4j * math.pi), cmath.exp(0.9j * math.pi)):
+            parts = [cz_index(iterate_path(p, m), omega) for p in (rot, n2)]
+            assert cz_index(iterate_path(path, m), omega) == tuple(map(sum, zip(*parts)))
+    assert path.bounds[0].tolist() == [[0, 1, 2, 3, 4, 5]]
+    assert n2.bounds[0].tolist() == [[0, 1, 2, 3]] and rot.bounds[0].tolist() == [[0, 1]]
+
+
+def test_an_evaluator_that_couples_the_factors_is_refused():
+    # four sample steps of the four-rotation diamond, which keep its pairs
+    # apart, and an evaluator whose values mix pairs 1 and 2: the count
+    # halves a step through it, and its midpoint breaks the pattern
+    ts = np.linspace(0.0, 1.0, 5)
+    fine, data = rotation_diamond(FOUR_THETAS)
+    Q = mixing(2, 0.1)
+    mix = diamond(Q, np.eye(4))
+    coupled = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=fine.evaluate(ts),
+                                    evaluator=lambda t: mix @ fine.evaluate(t) @ mix.T)
+    with pytest.raises(OracleError, match=r"the path's value at t = 0\.\d+ couples diamond "
+                                          r"factors that its samples keep apart"):
+        cz_index(coupled, cmath.exp(1j * math.pi / 6))
+
+
+def test_the_closed_form_phases_match_eigvals():
+    # random 2 x 2 unitaries with simple, double and nearly double
+    # eigenvalues, and the scalar ones e^{i phi} I: the closed form is within
+    # a few ulps of the drawn phases and of eigvals' at every one
+    rng = np.random.default_rng(20241020)
+    k = 3000
+    Z = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+    V = np.linalg.qr(Z)[0]
+    ph = rng.uniform(-math.pi, math.pi, size=(k, 2))
+    ph[:1000, 1] = ph[:1000, 0]
+    ph[1000:2000, 1] = ph[1000:2000, 0] + 10.0 ** rng.uniform(-12, -4, 1000)
+    W = V @ (np.exp(1j * ph)[..., None] * np.eye(2)) @ V.conj().swapaxes(-1, -2)
+    W = np.concatenate((W, np.exp(1j * ph[:500, :1, None]) * np.eye(2)))
+    ph = np.concatenate((ph, ph[:500, :1].repeat(2, axis=1)))
+    got = oracle._phases2(W)
+    assert got.shape == (k + 500, 2)
+
+    def distance(a, b):  # of two phase pairs, matched either way, mod 2 pi
+        def wrap(x):
+            return np.abs((x + math.pi) % (2 * math.pi) - math.pi)
+        return np.minimum(np.maximum(wrap(a[:, 0] - b[:, 0]), wrap(a[:, 1] - b[:, 1])),
+                          np.maximum(wrap(a[:, 0] - b[:, 1]), wrap(a[:, 1] - b[:, 0])))
+
+    ulp = np.finfo(float).eps
+    assert distance(got, ph).max() <= 16 * ulp
+    assert distance(got, np.angle(np.linalg.eigvals(W))).max() <= 16 * ulp
+    # at omega = 1, R(phi) has W = e^{i phi} I: both phases are phi
+    for phi in (1e-9, 0.3, math.pi / 2, 3.0):
+        R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        p = oracle._phases(R[None], 1)[0]
+        assert np.abs(p - phi).max() <= 4 * ulp, (phi, p)
