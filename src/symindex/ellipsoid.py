@@ -35,7 +35,7 @@ from .oracle import (
     path_from_matrix_function,
     path_from_quadratic_hamiltonian,
 )
-from .scalars import Scalar, parse_scalar, retag, scalar_to_json
+from .scalars import Scalar, parse_scalar, rational_sqrt, retag, scalar_to_json
 
 __all__ = [
     "EllipsoidError",
@@ -86,17 +86,17 @@ class EllipsoidSpec:
     def ratio(self, j: int, i: int) -> Scalar:
         """alpha_j / alpha_i, tagged rational exactly when it is rational.
         When both squares are known exactly (rational and sqrtK literals,
-        Scalar.square), the ratio is rational exactly when
-        Scalar.sqrt(alpha_j^2 / alpha_i^2) is, and is then that fraction;
-        an irrational one is the quotient alpha_j / alpha_i.  Any other
-        input (phi, a decimal-tagged irrational) has the quotient's tag
-        re-derived by retag, which catches rational dependencies with
-        denominators up to 1e6 only."""
+        Scalar.square), the ratio is rational exactly when alpha_j^2 /
+        alpha_i^2 is the square of a fraction (rational_sqrt), and is then
+        that fraction; an irrational one is the quotient alpha_j / alpha_i.
+        Any other input (phi, a decimal-tagged irrational) has the
+        quotient's tag re-derived by retag, which catches rational
+        dependencies with denominators up to 1e6 only."""
         a, b = self.alphas[j], self.alphas[i]
         if a.square is None or b.square is None:
             return retag(a / b)
-        exact = Scalar.sqrt(a.square / b.square)
-        return exact if exact.is_rational else a / b
+        exact = rational_sqrt(a.square / b.square)
+        return a / b if exact is None else Scalar.from_fraction(exact)
 
     def to_json(self) -> dict:
         return {"alphas": [scalar_to_json(a) for a in self.alphas], "mode": self.mode}
@@ -142,16 +142,16 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     plus _convex_adjustment() in convex mode: the orbit turns its own
     (q, p) plane once, which counts 1 with its degenerate endpoint, and
     plane j by 2 pi alpha_j / alpha_i, which counts 2 floor(alpha_j /
-    alpha_i) + 1 off resonance (Ekeland 1990).  The path
-    is e^{tJB}, B = diag(alpha, alpha), every alpha_k > 0, on which
-    run_pipeline checks the closed form with the crossing-count oracle.  It
-    has ceil(2 pi (alpha_max / alpha_i) / STEP_BOUND) steps, so alpha_max
-    dt <= STEP_BOUND, and the count is exact on that grid: e^{sJB} turns
-    each (q_k, p_k) plane by alpha_k s, so |e^{sJB} - I|_F = (sum_k 8
-    sin^2(alpha_k s / 2))^{1/2}, which grows with s while alpha_max s <=
-    pi.  The relative change that the count reads over a sample step then
-    bounds every part of that step, and the path does not stray between
-    samples.  EllipsoidError past MAX_STEPS.
+    alpha_i) + 1 off resonance (Ekeland 1990).  The path is e^{tJB}, B =
+    diag(alpha, alpha), every alpha_k > 0, on which run_pipeline checks the
+    closed form with the crossing-count oracle.  It has ceil(2 pi (alpha_max
+    / alpha_i) / STEP_BOUND) steps, so alpha_max dt <= STEP_BOUND, and the
+    count is exact on that grid: e^{sJB} turns each (q_k, p_k) plane by
+    alpha_k s, so |e^{sJB} - I|_F = (sum_k 8 sin^2(alpha_k s / 2))^{1/2},
+    which grows with s while alpha_max s <= pi.  The relative change that
+    the count reads over a sample step then bounds every part of that step,
+    and the path does not stray between samples.  EllipsoidError past
+    MAX_STEPS.
     """
     if not (1 <= i <= spec.n):
         raise EllipsoidError(f"axis index {i} out of range 1..{spec.n}")

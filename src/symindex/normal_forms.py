@@ -301,12 +301,12 @@ def read_graph(M: np.ndarray, omega):
     d = np.linalg.norm(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]), axis=(-2, -1))
     p = graph_phases(U, omega)
     dist = np.abs(p)
-    if np.any(np.abs(dist - PHASE_TOL) <= 2 * d[..., None]):
+    if (np.abs(dist - PHASE_TOL) <= 2 * d[..., None]).any():
         raise NormalFormError(f"an eigen-phase of W lies within 2 x {np.max(d):.3g} (the "
                               f"symplectic defect of M) of PHASE_TOL = {PHASE_TOL:g}, so "
                               f"nu_omega is undecided")
     far = dist > PHASE_TOL
-    nu, gap = np.sum(~far, axis=-1), np.min(np.where(far, dist, math.pi), axis=-1)
+    nu, gap = (~far).sum(axis=-1), np.where(far, dist, math.pi).min(axis=-1)
     return (nu, gap, U, p) if M.ndim == 3 else (int(nu), float(gap), U, p)
 
 

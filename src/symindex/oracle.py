@@ -464,8 +464,8 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # normal_forms.graph_unitary, from an orthonormal basis of the graph, so W is
 # unitary to rounding and the phases' error does not grow with |beta(t)|;
 # the endpoint's are those of the read of its factor blocks that gave
-# nu_omega and g.  An
-# iterate's points are gathered from its one period (_samples).
+# nu_omega and g.  An iterate's points are gathered from its one period
+# (_samples).
 
 COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps, points or steps per batch of bounds, phases or counts
@@ -529,7 +529,7 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
         np.minimum(room, np.subtract(2 * math.pi, d, out=d), out=room)
     best = room.argmax(axis=-1)
     cut = CUTS[best, None]
-    net = np.sum(p1 < cut, axis=-1) - np.sum(p0 < cut, axis=-1)
+    net = (p1 < cut).sum(axis=-1) - (p0 < cut).sum(axis=-1)
     return net, room[np.arange(len(best)), best] > bound
 
 
@@ -543,12 +543,12 @@ def _phases2(W: np.ndarray) -> np.ndarray:
     atan2 keeps their error O(u) at a double eigenvalue too, where the
     roots of the characteristic polynomial lose sqrt(u)."""
     det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
-    half = 0.5 * np.angle(det)
+    half = 0.5 * np.arctan2(det.imag, det.real)
     V = W * np.exp(-1j * half)[..., None, None]
     a = 0.5 * (V[..., 0, 0] + V[..., 1, 1].conj())
     b = 0.5 * (V[..., 1, 0] - V[..., 0, 1].conj())
     turn = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
-    return np.stack((half + turn, half - turn), axis=-1)
+    return np.concatenate(((half + turn)[..., None], (half - turn)[..., None]), axis=-1)
 
 
 def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
@@ -583,7 +583,7 @@ def _factors(path: SampledSymplecticPath) -> np.ndarray:
     them along one axis; a path that does not split is that one factor, the
     whole matrix, row 0..2n-1."""
     n = path.n
-    nz = (path.mats.max(axis=0) != 0) | (path.mats.min(axis=0) != 0)
+    nz = (path.mats != 0).any(axis=0)
     reach = nz[:n, :n] | nz[:n, n:] | nz[n:, :n] | nz[n:, n:] | np.eye(n, dtype=bool)
     reach = reach | reach.T
     for _ in range(n.bit_length()):  # the transitive closure, by squaring
@@ -598,8 +598,8 @@ def _factors(path: SampledSymplecticPath) -> np.ndarray:
 
 def _blocks(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The factor blocks (..., F, 2k, 2k) of a stack M (..., 2n, 2n), idx
-    the F factors of _factors."""
-    return M[..., idx[:, :, None], idx[:, None, :]]
+    the F factors of _factors; one factor is the whole matrix, a view."""
+    return M[..., None, :, :] if len(idx) == 1 else M[..., idx[:, :, None], idx[:, None, :]]
 
 
 def _period_bounds(path: SampledSymplecticPath, S: np.ndarray) -> list:
@@ -683,8 +683,10 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     goal = np.arange(COARSE_BOUND, first + m * whole, COARSE_BOUND) - first
     j = np.clip(goal // whole, 0, m - 1).astype(int)
     marks = j * L + np.minimum(np.searchsorted(cum_max, goal - j * whole), L) + 1
-    coarse = np.sort(np.concatenate(([0], marks, [N])))
-    coarse = coarse[np.diff(coarse, prepend=-1) > 0]  # np.unique would import numpy.ma
+    # marks never decrease, so dropping repeats leaves the coarse points in
+    # order; np.unique would import numpy.ma on its first call
+    coarse = np.concatenate(([0], marks, [N]))
+    coarse = coarse[np.concatenate(([True], coarse[1:] > coarse[:-1]))]
     arc = np.array([0.5 * eps, eps] if eps else [])
     E = path.endpoint()
     t, M = _samples(path, coarse[1:] - 1)
@@ -711,8 +713,6 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     lo = (i[step], t[step], M[step, f], ph[step, f])
     hi = (i[step + 1], t[step + 1], M[step + 1, f], ph[step + 1, f])
     depth = np.full(len(row), MAX_HALVINGS)
-    apart = np.ones((2 * n, 2 * n), dtype=bool)  # the entries that couple two factors
-    apart[idx[:, :, None], idx[:, None, :]] = False
 
     def pairs(x, y):  # each row's left half, then its right half
         return np.stack((x, y), axis=1).reshape((-1,) + x.shape[1:])
@@ -748,7 +748,9 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
         if through.any():
             tk[through] = 0.5 * (t0[through] + t1[through])
             Mk[through] = path.evaluate(tk[through])
-            coupled = np.any(Mk[through][:, apart] != 0, axis=1)
+            apart = np.ones((2 * n, 2 * n), dtype=bool)  # the entries that couple two factors
+            apart[idx[:, :, None], idx[:, None, :]] = False
+            coupled = np.any(Mk[through][:, apart], axis=1)
             if coupled.any():
                 raise OracleError(f"the path's value at t = {tk[through][coupled][0]:.6g} "
                                   f"couples diamond factors that its samples keep apart")
@@ -756,8 +758,7 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
             tk[on_arc] = 0.5 * (s0[on_arc] + t1[on_arc])
             Mk[on_arc] = _arc(E, tk[on_arc])
             halves[on_arc] = _arc_motion(0.5 * (t1[on_arc] - s0[on_arc]))[:, None]
-        rows = idx[f]
-        Mk = Mk[np.arange(len(row))[:, None, None], rows[:, :, None], rows[:, None, :]]
+        Mk = _blocks(Mk, idx)[np.arange(len(row)), f]
         if through.any():
             halves[through] = _motion(np.stack((M0[through], Mk[through], M1[through]), axis=1), k)
         mid = (mid, tk, Mk, _phases(Mk, omega))
@@ -773,7 +774,7 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
         index = int(np.sum(counts[:-1]))
         raise OracleError(f"unstable count under perturbation "
                           f"({index + int(np.sum(counts[-1]))} vs {index})")
-    return int(np.sum(counts))
+    return int(counts.sum())
 
 
 def _endpoint(M: np.ndarray, omega: complex):
@@ -820,8 +821,8 @@ def cz_index(path: SampledSymplecticPath, omega):
     S = extend_with_xi(path)
     idx = _period_bounds(path, S)[0]
     nu, gap, _, end = _endpoint(_blocks(path.endpoint(), idx), omega)
-    nu = int(np.sum(nu))
-    return _scan(path, S, omega, _arc_length(float(np.min(gap))) if nu else 0.0, end), nu
+    nu = int(nu.sum())
+    return _scan(path, S, omega, _arc_length(float(gap.min())) if nu else 0.0, end), nu
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):

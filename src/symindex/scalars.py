@@ -88,6 +88,12 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
+def rational_sqrt(fr: Fraction) -> Fraction | None:
+    """sqrt(fr) for a non-negative Fraction fr when it is rational, else None."""
+    num_r, den_r = _isqrt_exact(fr.numerator), _isqrt_exact(fr.denominator)
+    return None if num_r is None or den_r is None else Fraction(num_r, den_r)
+
+
 class Scalar:
     """A real number that knows whether it is rational.
 
@@ -137,10 +143,9 @@ class Scalar:
         fr = Fraction(k)
         if fr < 0:
             raise ValueError("sqrt of negative value")
-        num_r = _isqrt_exact(fr.numerator)
-        den_r = _isqrt_exact(fr.denominator)
-        if num_r is not None and den_r is not None:
-            return cls.rational(num_r, den_r)
+        root = rational_sqrt(fr)
+        if root is not None:
+            return cls.from_fraction(root)
         with mp.workdps(_storage_dps()):
             v = mp.sqrt(mp.mpf(fr.numerator)) / mp.sqrt(mp.mpf(fr.denominator))
         root = cls(mpf_value=v)
