@@ -132,8 +132,9 @@ def _convex_adjustment() -> int:
 
 
 def orbit_data(spec: EllipsoidSpec, i: int):
-    """PathIndexData and the sampled linearized path of the i-th axis orbit
-    (1-based index), period 2 pi / alpha_i.
+    """(PathIndexData, the sampled linearized path, problems) of the i-th
+    axis orbit (1-based index), period 2 pi / alpha_i; problems lists a
+    disagreement of the oracle's count with the closed-form base index.
 
     The decomposition has one rotation block per other axis with angle
     2 pi alpha_j / alpha_i (mod 2 pi) and, on the orbit's own axis, I2 in
@@ -143,8 +144,8 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     (q, p) plane once, which counts 1 with its degenerate endpoint, and
     plane j by 2 pi alpha_j / alpha_i, which counts 2 floor(alpha_j /
     alpha_i) + 1 off resonance (Ekeland 1990).  The path is e^{tJB}, B =
-    diag(alpha, alpha), every alpha_k > 0, on which run_pipeline checks the
-    closed form with the crossing-count oracle.  It has ceil(2 pi (alpha_max
+    diag(alpha, alpha), every alpha_k > 0, on which the crossing-count
+    oracle checks the closed form.  It has ceil(2 pi (alpha_max
     / alpha_i) / STEP_BOUND) steps, so alpha_max dt <= STEP_BOUND, and the
     count is exact on that grid: e^{sJB} turns each (q_k, p_k) plane by
     alpha_k s, so |e^{sJB} - I|_F = (sum_k 8 sin^2(alpha_k s / 2))^{1/2},
@@ -170,13 +171,17 @@ def orbit_data(spec: EllipsoidSpec, i: int):
     ratios = [spec.ratio(j, idx) for j in range(spec.n) if j != idx]
     thetas = [_rotation_angle(r) for r in ratios]
     i1_quad = spec.n + 2 * sum(r.mul_floor(1) for r in ratios)
+    counted, _ = cz_index(path, 1)
+    problems = [] if counted == i1_quad else [
+        f"the oracle counts base index {counted} on the quadratic orbit, "
+        f"the closed form gives {i1_quad}"]
     if spec.mode == "quadratic":
         decomp = NormalFormDecomposition(n=spec.n, p_zero=1, thetas=tuple(thetas))
         data = PathIndexData(decomp, i1=i1_quad, convex_mode=False)
     else:
         decomp = NormalFormDecomposition(n=spec.n, p_minus=1, thetas=tuple(thetas))
         data = PathIndexData(decomp, i1=i1_quad + _convex_adjustment(), convex_mode=True)
-    return data, path
+    return data, path, problems
 
 
 def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi="auto",
@@ -193,15 +198,10 @@ def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi
     datas = []
     orbit_reports = []
     for i in range(1, n + 1):
-        data, path = orbit_data(spec, i)
+        data, _, checked = orbit_data(spec, i)
         datas.append(data)
-        counted = cz_index(path, 1)[0]
-        closed = data.i1 - (_convex_adjustment() if data.convex_mode else 0)
-        if counted != closed:
-            problems.append(f"orbit {i}: the oracle counts base index {counted} on the "
-                            f"quadratic orbit, the closed form gives {closed}")
         vrep = validate(data)
-        problems.extend(f"orbit {i}: {p}" for p in vrep["problems"])
+        problems.extend(f"orbit {i}: {p}" for p in checked + vrep["problems"])
         table = [{"m": m,
                   "i": index_iterate(data, m),
                   "nu": nullity_iterate(data, m)}

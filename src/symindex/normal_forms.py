@@ -298,7 +298,8 @@ def read_graph(M: np.ndarray, omega):
     if abs(abs(omega) - 1.0) > 1e-9:
         raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
     U, a = graph_unitary(M)
-    d = np.linalg.norm(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1]), axis=(-2, -1))
+    e = a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])
+    d = np.sqrt((e.conj() * e).real.sum(axis=(-2, -1)))  # np.linalg.norm's, without its checks
     p = graph_phases(U, omega)
     dist = np.abs(p)
     if (np.abs(dist - PHASE_TOL) <= 2 * d[..., None]).any():

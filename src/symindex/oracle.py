@@ -596,10 +596,17 @@ def _factors(path: SampledSymplecticPath) -> np.ndarray:
     return np.concatenate((pairs, pairs + n), axis=1)
 
 
-def _blocks(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _blocks(M: np.ndarray, idx: np.ndarray, f: Optional[np.ndarray] = None) -> np.ndarray:
     """The factor blocks (..., F, 2k, 2k) of a stack M (..., 2n, 2n), idx
-    the F factors of _factors; one factor is the whole matrix, a view."""
-    return M[..., None, :, :] if len(idx) == 1 else M[..., idx[:, :, None], idx[:, None, :]]
+    the F factors of _factors, or with f, the block (q, 2k, 2k) of factor
+    f[r] of each matrix r of a stack (q, 2n, 2n); one factor is the whole
+    matrix, a view."""
+    if len(idx) == 1:
+        return M if f is not None else M[..., None, :, :]
+    if f is None:
+        return M[..., idx[:, :, None], idx[:, None, :]]
+    own = idx[f]
+    return M[np.arange(len(M))[:, None, None], own[:, :, None], own[:, None, :]]
 
 
 def _period_bounds(path: SampledSymplecticPath, S: np.ndarray) -> list:
@@ -659,11 +666,12 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     at the scan point between them, any other sample step at its mid-time
     through the evaluator, and an arc step at its mid-s through _arc.  A
     round gathers all its midpoints in one _samples product, one
-    path.evaluate call and one _arc call, reads their factor blocks' phases
-    in one _phases call, bounds the halves by the summed bounds, one batched
-    _motion of the (M0, mid, M1) blocks and _arc_motion, and counts them in
-    one _count.  An evaluator midpoint must keep the factors apart, as the
-    samples do, or the count is refused.  The start step is never halved:
+    path.evaluate call, which evaluates each distinct time once (the
+    factors of a step share its midpoints), and one _arc call, reads their
+    factor blocks' phases in one _phases call, bounds the halves by the
+    summed bounds, one batched _motion of the (M0, mid, M1) blocks and
+    _arc_motion, and counts them in one _count.  An evaluator midpoint must
+    keep the factors apart, as the samples do, or the count is refused.  The start step is never halved:
     its ends depend only on n and omega, and its motion bound is about
     2e-3 sqrt(n) rad.  An evaluator or arc step is halved at most
     MAX_HALVINGS times."""
@@ -673,11 +681,10 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     N = m * L + 1  # the iterate's samples; scan points 0..N
     total = cum_base[-1]
 
-    def cum(p):  # the summed motion bounds, one per factor, from scan point 0 to scan points p
+    def cum(p, f):  # the summed motion bounds of factors f from scan point 0 to scan points p
         q = np.maximum(p - 1, 0)
         j = np.minimum(q // L, m - 1)
-        return np.where((p == 0)[..., None], 0.0,
-                        start + j[..., None] * total + cum_base[q - j * L])
+        return np.where(p == 0, 0.0, start[f] + j * total[f] + cum_base[q - j * L, f])
 
     first, whole = start.max(), cum_max[-1]
     goal = np.arange(COARSE_BOUND, first + m * whole, COARSE_BOUND) - first
@@ -701,17 +708,18 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     ph = _phases(np.concatenate((M[:last], M[last + 1:])).reshape(-1, 2 * k, 2 * k), omega)
     ph = ph.reshape(-1, F, 2 * k)
     ph = np.concatenate((ph[:last], end[None], ph[last:]))
-    bound = np.concatenate((np.diff(cum(coarse), axis=0),
+    bound = np.concatenate((np.diff(cum(coarse[:, None], np.arange(F)), axis=0),
                             np.full((len(arc), F), _arc_motion(0.5 * eps))))
     counts, ok = _count(ph[:-1].reshape(-1, 2 * k), ph[1:].reshape(-1, 2 * k), bound.reshape(-1))
 
     # the rows (step, factor) whose cut is too near, in path order, each
-    # held as its ends (lo, hi), its row of counts, its step and its factor
+    # held as its ends (lo, hi) and its row of counts, step F + factor
     row = np.flatnonzero(~ok)
     counts[row] = 0
-    step, f = np.divmod(row, F)
-    lo = (i[step], t[step], M[step, f], ph[step, f])
-    hi = (i[step + 1], t[step + 1], M[step + 1, f], ph[step + 1, f])
+    step = row // F
+    M, ph = M.reshape(-1, 2 * k, 2 * k), ph.reshape(-1, 2 * k)  # one row per (point, factor)
+    lo = (i[step], t[step], M[row], ph[row])
+    hi = (i[step + 1], t[step + 1], M[row + F], ph[row + F])
     depth = np.full(len(row), MAX_HALVINGS)
 
     def pairs(x, y):  # each row's left half, then its right half
@@ -719,6 +727,7 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
 
     while len(row):
         (i0, t0, M0, _), (i1, t1, M1, _) = lo, hi
+        step, f = np.divmod(row, F)
         on_samples = (i0 >= 0) & (i1 - i0 >= 2)
         on_arc = ~on_samples & (step >= last)
         through = ~on_samples & ~on_arc
@@ -743,32 +752,36 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
         halves = np.empty((len(row), 2))
         if on_samples.any():
             tk[on_samples], Mk[on_samples] = _samples(path, mid[on_samples] - 1)
-            c = cum(np.stack((i0, mid, i1), axis=1)[on_samples])
-            halves[on_samples] = np.diff(c[np.arange(len(c)), :, f[on_samples]], axis=1)
+            c = cum(np.stack((i0, mid, i1), axis=1)[on_samples], f[on_samples, None])
+            halves[on_samples] = np.diff(c, axis=1)
         if through.any():
             tk[through] = 0.5 * (t0[through] + t1[through])
-            Mk[through] = path.evaluate(tk[through])
+            # the factors of one step share its midpoints: each is evaluated once
+            at, each = np.unique(tk[through], return_inverse=True)
+            Mt = path.evaluate(at)
             apart = np.ones((2 * n, 2 * n), dtype=bool)  # the entries that couple two factors
             apart[idx[:, :, None], idx[:, None, :]] = False
-            coupled = np.any(Mk[through][:, apart], axis=1)
+            coupled = np.any(Mt[:, apart], axis=1)
             if coupled.any():
-                raise OracleError(f"the path's value at t = {tk[through][coupled][0]:.6g} "
+                raise OracleError(f"the path's value at t = {at[coupled][0]:.6g} "
                                   f"couples diamond factors that its samples keep apart")
+            Mk[through] = Mt[each]
         if on_arc.any():
             tk[on_arc] = 0.5 * (s0[on_arc] + t1[on_arc])
             Mk[on_arc] = _arc(E, tk[on_arc])
             halves[on_arc] = _arc_motion(0.5 * (t1[on_arc] - s0[on_arc]))[:, None]
-        Mk = _blocks(Mk, idx)[np.arange(len(row)), f]
+        Mk = _blocks(Mk, idx, f)
         if through.any():
             halves[through] = _motion(np.stack((M0[through], Mk[through], M1[through]), axis=1), k)
         mid = (mid, tk, Mk, _phases(Mk, omega))
         lo, hi = tuple(map(pairs, lo, mid)), tuple(map(pairs, mid, hi))
-        row, step, f = np.repeat(row, 2), np.repeat(step, 2), np.repeat(f, 2)
+        row = np.repeat(row, 2)
         depth = np.repeat(np.where(on_samples, depth, depth - 1), 2)
         net, ok = _count(lo[3], hi[3], halves.reshape(-1))
         np.add.at(counts, row[ok], net[ok])
-        row, step, f, depth = row[~ok], step[~ok], f[~ok], depth[~ok]
-        lo, hi = (tuple(x[~ok] for x in ends) for ends in (lo, hi))
+        todo = ~ok
+        row, depth = row[todo], depth[todo]
+        lo, hi = (tuple(x[todo] for x in ends) for ends in (lo, hi))
     counts = counts.reshape(-1, F)
     if eps and counts[-1].any():
         index = int(np.sum(counts[:-1]))

@@ -28,7 +28,7 @@ def spec12():
 
 def test_single_frequency_has_no_rotation_blocks():
     spec = EllipsoidSpec(alphas=("1",), mode="quadratic")
-    data, path = orbit_data(spec, 1)
+    data, path, _ = orbit_data(spec, 1)
     d = data.decomp
     assert d.r == 0 and d.p_zero == 1 and d.n == 1
     assert data.i1 == 1  # the circle orbit
@@ -37,7 +37,7 @@ def test_single_frequency_has_no_rotation_blocks():
 
 def test_convex_mode_n1_matches_classical_sequence():
     spec = EllipsoidSpec(alphas=("1",), mode="convex")
-    data, _ = orbit_data(spec, 1)
+    data, _, _ = orbit_data(spec, 1)
     assert data.decomp.p_minus == 1
     for m in range(1, 8):
         assert index_iterate(data, m) == 2 * m - 1
@@ -45,15 +45,15 @@ def test_convex_mode_n1_matches_classical_sequence():
 
 
 def test_rotation_block_tag_and_angle(spec12):
-    data, _ = orbit_data(spec12, 1)
+    data, _, _ = orbit_data(spec12, 1)
     (theta,) = data.decomp.thetas
     assert not theta.is_rational
     assert abs(float(theta) - (2 * math.sqrt(2) - 2)) < 1e-12
 
 
 def test_base_indices(spec12):
-    d1, _ = orbit_data(spec12, 1)
-    d2, _ = orbit_data(spec12, 2)
+    d1, _, _ = orbit_data(spec12, 1)
+    d2, _, _ = orbit_data(spec12, 2)
     assert (d1.i1, d2.i1) == (4, 2)
     assert validate(d1)["ok"] and validate(d2)["ok"]
 
@@ -68,7 +68,7 @@ def test_orbit_grid_follows_the_frequency_spread():
     # each orbit of (1, sqrt300) takes ceil(2 pi (alpha_max / alpha_i) /
     # STEP_BOUND) steps: 2177 on the slow one, 126 on the fast one
     spec = EllipsoidSpec(alphas=("1", "sqrt300"))
-    (d1, p1), (d2, p2) = orbit_data(spec, 1), orbit_data(spec, 2)
+    (d1, p1, _), (d2, p2, _) = orbit_data(spec, 1), orbit_data(spec, 2)
     assert len(p1.ts) - 1 == math.ceil(2 * math.pi * math.sqrt(300) / STEP_BOUND) == 2177
     assert len(p2.ts) - 1 == orbit_steps(spec, 2) == 126
     assert (d1.i1, d2.i1) == (2 * 17 + 2, 2)   # 2 [alpha_j / alpha_i] + 2
@@ -93,9 +93,9 @@ def test_oracle_base_index_matches_the_closed_form(mode, seed):
     # axis once and axis j by 2 pi alpha_j / alpha_i, on generated tuples
     # of 1 to 5 frequencies; resonant tuples are refused and skipped.  The
     # data carries the closed form, and the oracle's count on the orbit
-    # must equal it.  On
-    # the first four orbits a grid of at least DEFAULT_STEPS steps gives
-    # the same count as the orbit's own, coarser one.
+    # must equal it, so orbit_data reports no problem.  On the first four
+    # orbits a grid of at least DEFAULT_STEPS steps gives the same count as
+    # the orbit's own, coarser one.
     rng = random.Random(seed)
     orbits = rebuilt = 0
     while orbits < 200:
@@ -106,11 +106,12 @@ def test_oracle_base_index_matches_the_closed_form(mode, seed):
         except EllipsoidError as exc:
             assert "resonant" in str(exc)
             continue
-        for i, (data, path) in enumerate(got, 1):
+        for i, (data, path, problems) in enumerate(got, 1):
             want = spec.n + 2 * sum(spec.ratio(j, i - 1).mul_div_floor(1, 1)
                                     for j in range(spec.n) if j != i - 1)
             assert data.i1 == want, (spec.alphas, i)
             assert cz_index(path, 1)[0] == want, (spec.alphas, i)
+            assert problems == [], (spec.alphas, i)
             assert len(path.ts) - 1 == orbit_steps(spec, i)
             if rebuilt < 4:
                 freqs = [float(a) for a in spec.alphas]
@@ -122,8 +123,8 @@ def test_oracle_base_index_matches_the_closed_form(mode, seed):
 
 
 def test_mean_index_ratio_exact(spec12):
-    d1, _ = orbit_data(spec12, 1)
-    d2, _ = orbit_data(spec12, 2)
+    d1, _, _ = orbit_data(spec12, 1)
+    d2, _, _ = orbit_data(spec12, 2)
     with mpmath.mp.workdps(60):
         ratio = mean_index(d1).mpf(60) / mean_index(d2).mpf(60)
         assert abs(ratio - mpmath.mp.sqrt(2)) < mpmath.mpf(10) ** -40
@@ -151,7 +152,7 @@ def test_masked_rational_ratio_detected():
 
 def test_non_half_integer_rational_ratio_allowed():
     spec = EllipsoidSpec(alphas=("3", "4"), mode="quadratic")
-    data, _ = orbit_data(spec, 1)
+    data, _, _ = orbit_data(spec, 1)
     (theta,) = data.decomp.thetas
     assert theta.fraction == Fraction(2, 3)
 
@@ -159,7 +160,7 @@ def test_non_half_integer_rational_ratio_allowed():
 def test_quadratic_mode_oracle_agreement(spec12):
     spec = EllipsoidSpec(alphas=("1", "sqrt2"), mode="quadratic")
     for axis, ms in ((1, range(1, 21)), (2, range(1, 11))):
-        data, path = orbit_data(spec, axis)
+        data, path, _ = orbit_data(spec, axis)
         for m in ms:
             got = cz_index(iterate_path(path, m), 1)
             want = (index_iterate(data, m), nullity_iterate(data, m))

@@ -1393,6 +1393,26 @@ def test_an_evaluator_that_couples_the_factors_is_refused():
         cz_index(coupled, cmath.exp(1j * math.pi / 6))
 
 
+def test_the_factors_of_a_step_share_its_evaluator_midpoints():
+    # four sample steps of the four-rotation diamond: every factor turns by
+    # up to 0.9 pi over a step, so each step is halved through the evaluator
+    # for several factors at once, and each midpoint is evaluated once
+    ts = np.linspace(0.0, 1.0, 5)
+    fine, data = rotation_diamond(FOUR_THETAS)
+    calls = []
+
+    def evaluator(t):
+        calls.append(np.array(t))
+        return fine.evaluate(t)
+
+    sparse = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=fine.evaluate(ts),
+                                   evaluator=evaluator)
+    for k in (0, 2, 6):
+        want = bott_index(data, 1, Fraction(k, 6))
+        assert cz_index(sparse, cmath.exp(1j * math.pi * k / 6)) == want
+    assert calls and all(len(set(t.tolist())) == len(t) for t in calls)
+
+
 def test_the_closed_form_phases_match_eigvals():
     # random 2 x 2 unitaries with simple, double and nearly double
     # eigenvalues, and the scalar ones e^{i phi} I: the closed form is within
