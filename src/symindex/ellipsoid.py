@@ -189,10 +189,12 @@ def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi
     """Construct all axis orbits, check each closed-form base index against
     the oracle's count on its orbit (a disagreement is a problem), tabulate
     iterates, search for common index jumps (jump.search_report), and check
-    the model-scale stability claims.
+    the model-scale stability claims, which need n >= 2 (else EllipsoidError).
     Returns the report the CLI prints, whose "search" is the SearchResult; a
     search parameter out of range raises JumpError."""
     n = spec.n
+    if n < 2:
+        raise EllipsoidError(f"the ellipsoid claims need at least two frequencies, got {n}")
     problems = []
 
     datas = []
@@ -233,11 +235,11 @@ def run_pipeline(spec: EllipsoidSpec, m_max: int = 50, N_max: int = 10 ** 6, chi
     elliptic_count = sum(1 for rep in orbit_reports if rep["elliptic"])
 
     claims = {
-        "at_least_two_elliptic": elliptic_count >= 2 if n >= 2 else elliptic_count >= 1,
+        "at_least_two_elliptic": elliptic_count >= 2,
         "varrho_bound_met": rho >= bound,
         "pairwise_irrational_at_least_varrho": irr_count >= min(rho, n),
     }
-    if n >= 2 and not claims["at_least_two_elliptic"]:
+    if not claims["at_least_two_elliptic"]:
         problems.append("fewer than two elliptic orbits")
     if not claims["varrho_bound_met"]:
         problems.append(f"varrho = {rho} below the bound {bound}")

@@ -4,11 +4,11 @@ Coordinates are ordered (p_1..p_n, q_1..q_n), so the standard symplectic
 form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: the
 eigen-phases of W, nu_omega and the diamond layout are implemented here
 once, and the crossing-count oracle runs them on its sampled paths.  Every
-eigen-phase of W is read from one unitary U(M), graph_unitary, taken from
-an orthonormal basis of the graph of M, so its error does not grow with
-|M|; read_graph and nu_omega are built on it.  The formulas take plain
-float64 arrays and do no per-call validation; SymplecticMatrix checks the
-symplectic relation once, when it is built.
+eigen-phase of W is read from one unitary U(M), graph_unitary (in closed
+form for a 2 x 2 M, else from an orthonormal basis of the graph of M), so
+its error is M's own O(u |M|); read_graph and nu_omega are built on it.
+The formulas take plain float64 arrays and do no per-call validation;
+SymplecticMatrix checks the symplectic relation once, when it is built.
 """
 
 from __future__ import annotations
@@ -256,16 +256,40 @@ def _times_u_omega(U: np.ndarray, omega) -> np.ndarray:
     return np.concatenate((omega.conj() * U[..., n:, :], omega * U[..., :n, :]), axis=-2)
 
 
+def _unitary2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """graph_unitary of a stack of 2 x 2 M = [[a, b], [c, d]]: [I; M] has
+    the frame A = [[1, i], [a - ic, b - id]], so U(M) = conj(A) A^-1 =
+    [[s + t, -2i], [-2i det M, s - t]] / D, s = b + c, t = i(a - d), D =
+    det A = (b-c) - i(a+d).  Z*HZ = i (det M - 1) G^T J G for the
+    orthonormal Z = [I; M] G, so the frame defect is sqrt2 |det M - 1| /
+    |(D, det M - 1)|, the root of 1 + |M|_F^2 + det^2 M.  det M's rounding,
+    2u (|ad| + |bc|), is added to |det M - 1|, and 16u to the defect, above
+    a QR frame's floor (about 9u).  D = 0, a singular A, is refused."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    ad, bc = a * d, b * c
+    det, size = ad - bc, np.abs(ad) + np.abs(bc)
+    D = (b - c) - 1j * (a + d)
+    if not D.all():
+        raise NormalFormError("the graph of M has a singular frame: M is far from symplectic")
+    s, t = b + c, 1j * (a - d)
+    U = np.empty(M.shape, dtype=complex)
+    U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = s + t, -2j, -2j * det, s - t
+    U /= D[..., None, None]
+    q, u = det - 1, np.finfo(float).eps
+    return U, math.sqrt(2) * (np.abs(q) + 2 * u * size) / np.hypot(np.abs(D), q) + 16 * u
+
+
 def graph_unitary(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U(M), a), per matrix of a stack M: a = sqrt2 B+* Z is the frame of
-    the orthonormal basis Z of Gr(M) that a QR of [I; M] gives.  B+ and B-
+    """(U(M), d) per matrix of a stack M, d = |a*a - I|_F the defect of the
+    frame a = sqrt2 B+* Z of an orthonormal basis Z of Gr(M).  B+ and B-
     are the orthonormal +1 and -1 eigenbases of H spanned by (u, -iu, 0, 0),
-    (0, 0, u, iu) and by (u, iu, 0, 0), (0, 0, u, -iu), u in C^n; Z is
-    real, so sqrt2 B-* Z is conj(a), and U(M) = conj(a) a^{-1}.  a*a - I =
-    Z*HZ is the form of H on Gr(M), which vanishes when M is symplectic:
-    then a is unitary, whatever |M|, and U(M) is taken as conj(a) a*, with
-    no solve."""
+    (0, 0, u, iu) and by (u, iu, 0, 0), (0, 0, u, -iu), u in C^n; Z is real,
+    so sqrt2 B-* Z is conj(a), and U(M) = conj(a) a^{-1} for any basis.
+    a*a - I = Z*HZ vanishes when M is symplectic: then a is unitary, so past
+    2 x 2 (_unitary2), U(M) is taken as conj(a) a* from the QR Z of [I; M]."""
     k = M.shape[-1]
+    if k == 2:
+        return _unitary2(M)
     n = k // 2
     Z = np.empty(M.shape[:-2] + (2 * k, k))
     Z[..., :k, :] = np.eye(k)
@@ -273,14 +297,35 @@ def graph_unitary(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Z = np.linalg.qr(Z)[0]
     a = np.concatenate((Z[..., :n, :] + 1j * Z[..., n:k, :],
                         Z[..., k:k + n, :] - 1j * Z[..., k + n:, :]), axis=-2)
-    return (a @ a.swapaxes(-1, -2)).conj(), a
+    e = a.conj().swapaxes(-1, -2) @ a - np.eye(k)
+    return (a @ a.swapaxes(-1, -2)).conj(), np.sqrt((e.conj() * e).real.sum(axis=(-2, -1)))
+
+
+def _phases2(W: np.ndarray) -> np.ndarray:
+    """The eigen-phases in (-pi, pi] of each 2 x 2 unitary of a stack W.
+    With half = arg(det W) / 2, V = W e^{-i half} has determinant 1, so it
+    is [[a, -conj b], [b, conj a]] with |a|^2 + |b|^2 = 1, up to rounding;
+    a and b are read symmetrized from both of their entries.  V's
+    eigenvalues are e^{+-i phi} with cos phi = Re a and sin phi =
+    |(Im a, |b|)|, so W's phases are half +- atan2(|(Im a, |b|)|, Re a),
+    wrapped once.  atan2 keeps their error O(u) at a double eigenvalue
+    too, where the roots of the characteristic polynomial lose sqrt(u)."""
+    det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
+    half = 0.5 * np.arctan2(det.imag, det.real)
+    V = W * np.exp(-1j * half)[..., None, None]
+    a = 0.5 * (V[..., 0, 0] + V[..., 1, 1].conj())
+    b = 0.5 * (V[..., 1, 0] - V[..., 0, 1].conj())
+    turn = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
+    p = np.concatenate(((half + turn)[..., None], (half - turn)[..., None]), axis=-1)
+    return np.where(p > math.pi, p - 2 * math.pi, np.where(p <= -math.pi, p + 2 * math.pi, p))
 
 
 def graph_phases(U: np.ndarray, omega) -> np.ndarray:
     """The eigen-phases in (-pi, pi] of W = U(omega I)* U for a U(M) of
     graph_unitary: per U of a stack at one omega, or one row per omega of
-    an array of them."""
-    return np.angle(np.linalg.eigvals(_times_u_omega(U, omega)))
+    an array of them; by _phases2 for a 2 x 2 W, else by eigvals."""
+    W = _times_u_omega(U, omega)
+    return _phases2(W) if W.shape[-1] == 2 else np.angle(np.linalg.eigvals(W))
 
 
 def read_graph(M: np.ndarray, omega):
@@ -291,15 +336,13 @@ def read_graph(M: np.ndarray, omega):
     is none.  For a stack M (k, 2n, 2n), read in one batch, nu_omega and g
     are arrays, one entry per matrix.  omega off the unit circle is refused
     with NormalFormError.  A symplectic defect of M moves the phases by
-    about d = |a*a - I|_F, a the frame, and a phase within 2 d of PHASE_TOL
-    could fall on either side of it: the read is then refused with
+    about d, the frame defect of graph_unitary, and a phase within 2 d of
+    PHASE_TOL could fall on either side of it: the read is then refused with
     NormalFormError too."""
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-9:
         raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
-    U, a = graph_unitary(M)
-    e = a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])
-    d = np.sqrt((e.conj() * e).real.sum(axis=(-2, -1)))  # np.linalg.norm's, without its checks
+    U, d = graph_unitary(M)
     p = graph_phases(U, omega)
     dist = np.abs(p)
     if (np.abs(dist - PHASE_TOL) <= 2 * d[..., None]).any():

@@ -41,7 +41,6 @@ import numpy as np
 
 from .normal_forms import (
     NormalFormError,
-    _times_u_omega,
     diamond,
     graph_phases,
     graph_unitary,
@@ -457,15 +456,13 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # union of theirs, and the count is the sum of the factors' counts (the
 # symplectic additivity of the index, Long 2002).  Each factor is counted at
 # a cut of its own, against the bound of its own blocks, r_f = |dM_f M_f^-1|_F
-# <= r.  A factor of one pair has a 2 x 2 W, whose phases are read in closed
-# form (_phases2); a larger one's are read by eigvals.  A path that does not
-# split, and a path whose factors differ in size, is counted as one factor,
-# the whole matrix.  Every phase the count takes is read through
-# normal_forms.graph_unitary, from an orthonormal basis of the graph, so W is
-# unitary to rounding and the phases' error does not grow with |beta(t)|;
-# the endpoint's are those of the read of its factor blocks that gave
-# nu_omega and g.  An iterate's points are gathered from its one period
-# (_samples).
+# <= r.  A path that does not split, and a path whose factors differ in
+# size, is counted as one factor, the whole matrix.  Every phase the count
+# takes is read by normal_forms.graph_unitary and graph_phases, in closed
+# form for a one-pair factor and by a QR and eigvals past it; W is unitary
+# to rounding, so the phases carry only the O(u |beta(t)|) error of the
+# sample.  The endpoint's phases are those of the read that gave nu_omega
+# and g; an iterate's points are gathered from its one period (_samples).
 
 COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps, points or steps per batch of bounds, phases or counts
@@ -533,32 +530,10 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
     return net, room[np.arange(len(best)), best] > bound
 
 
-def _phases2(W: np.ndarray) -> np.ndarray:
-    """The eigen-phases of each 2 x 2 unitary of a stack W, in closed form.
-    With half = arg(det W) / 2, V = W e^{-i half} has determinant 1, so it
-    is [[a, -conj b], [b, conj a]] with |a|^2 + |b|^2 = 1, up to rounding;
-    a and b are read symmetrized from both of their entries.  V's
-    eigenvalues are e^{+-i phi} with cos phi = Re a and sin phi =
-    |(Im a, |b|)|, so W's phases are half +- atan2(|(Im a, |b|)|, Re a).
-    atan2 keeps their error O(u) at a double eigenvalue too, where the
-    roots of the characteristic polynomial lose sqrt(u)."""
-    det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
-    half = 0.5 * np.arctan2(det.imag, det.real)
-    V = W * np.exp(-1j * half)[..., None, None]
-    a = 0.5 * (V[..., 0, 0] + V[..., 1, 1].conj())
-    b = 0.5 * (V[..., 1, 0] - V[..., 0, 1].conj())
-    turn = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
-    return np.concatenate(((half + turn)[..., None], (half - turn)[..., None]), axis=-1)
-
-
 def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
-    """W's eigen-phases in [0, 2pi), per block of a stack M of 2k x 2k
-    factor blocks, read CHUNK blocks at a time: in closed form for k = 1
-    (_phases2), by eigvals for a larger k."""
-    def read(U):
-        return _phases2(_times_u_omega(U, omega)) if U.shape[-1] == 2 else graph_phases(U, omega)
-
-    return np.concatenate([read(graph_unitary(M[lo:lo + CHUNK])[0])
+    """W's eigen-phases in [0, 2pi), per block of a stack M of factor
+    blocks, read CHUNK blocks at a time (normal_forms.graph_phases)."""
+    return np.concatenate([graph_phases(graph_unitary(M[lo:lo + CHUNK])[0], omega)
                            for lo in range(0, len(M), CHUNK)]) % (2 * math.pi)
 
 

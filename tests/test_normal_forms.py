@@ -1,9 +1,12 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from symindex.normal_forms import (
@@ -11,6 +14,8 @@ from symindex.normal_forms import (
     NormalFormError,
     SymplecticMatrix,
     diamond,
+    graph_phases,
+    graph_unitary,
     nontrivial_n2_block,
     nu_omega,
     read_graph,
@@ -122,6 +127,87 @@ def test_omega_off_the_unit_circle_is_refused():
             nu_omega(M, 2.0)
     with pytest.raises(NormalFormError, match="omega must lie on the unit circle, got"):
         read_graph(np.eye(2), 0.5j)
+
+
+def test_a_graph_with_no_unitary_is_refused():
+    # det M = -|M|_F^2 / 2 makes the closed form's denominator (b-c) - i(a+d)
+    # vanish; the read is refused, with no division by zero
+    for M in (np.diag([1.0, -1.0]), np.zeros((2, 2))):
+        for read in (read_graph, nu_omega):
+            with pytest.raises(NormalFormError):
+                read(M, 1)
+
+
+# ----- the closed-form read of a 2 x 2 M against a QR reference ----------------
+
+
+def graph_draws(rng, k):
+    """k each of R(t1) diag(lam, 1/lam) R(t2), lam up to 1e6, and of
+    R(t1) N1(1, s) R(t2), |s| up to 1e6, a quarter of them unturned, with
+    +-I and k rotations; then all of them again with the first row scaled by
+    1 + 1e-9 x, a symplectic defect of 1e-9 |x|."""
+    def rot(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
+
+    def turned(A):
+        return rot(rng.uniform(0, 2 * math.pi, k) * (rng.random(k) < 0.75)) @ A @ rot(
+            rng.uniform(0, 2 * math.pi, k) * (rng.random(k) < 0.75))
+
+    lam = 10.0 ** rng.uniform(0, 6, k)
+    hyperbolic = np.zeros((k, 2, 2))
+    hyperbolic[:, 0, 0], hyperbolic[:, 1, 1] = lam, 1 / lam
+    shear = np.tile(np.eye(2), (k, 1, 1))
+    shear[:, 0, 1] = rng.choice((-1.0, 1.0), k) * 10.0 ** rng.uniform(-3, 6, k)
+    M = np.concatenate((turned(hyperbolic), turned(shear), [np.eye(2), -np.eye(2)],
+                        rot(rng.uniform(0, 2 * math.pi, k))))
+    defective = M.copy()
+    defective[:, 0, :] *= 1 + 1e-9 * rng.normal(size=(len(M), 1))
+    return np.concatenate((M, defective))
+
+
+def qr_reference(M):
+    """(U(M), |a*a - I|_F) per 2 x 2 matrix of a stack, a the frame of the
+    orthonormal basis Z of Gr(M) that a QR of [I; M] gives: U(M) = conj(a)
+    a^-1, with a solve."""
+    Z = np.linalg.qr(np.concatenate((np.broadcast_to(np.eye(2), M.shape), M), axis=-2))[0]
+    a = np.stack((Z[:, 0] + 1j * Z[:, 1], Z[:, 2] - 1j * Z[:, 3]), axis=1)
+    e = a.conj().swapaxes(-1, -2) @ a - np.eye(2)
+    return a.conj() @ np.linalg.inv(a), np.sqrt((np.abs(e) ** 2).sum(axis=(-2, -1)))
+
+
+def closed_form_failures(draw_seed: int) -> list:
+    """Which of U, the eigen-phases of W at a drawn omega and the frame
+    defect, read by graph_unitary and graph_phases on graph_draws, disagree
+    with qr_reference: U and the phases (mod 2pi) must lie within
+    8u (1 + |M|_F) of it, the rounding the inputs carry, and the defect must
+    not read below it."""
+    rng = np.random.default_rng(draw_seed)
+    M = graph_draws(rng, 40)
+    omega = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    (U, d), (U_ref, d_ref) = graph_unitary(M), qr_reference(M)
+    tol = 8 * np.finfo(float).eps * (1 + np.sqrt((M * M).sum(axis=(-2, -1))))
+    W_ref = np.array([[omega.conjugate()], [omega]]) * U_ref[:, ::-1]  # U(omega I)* U_ref
+    p, p_ref = graph_phases(U, omega), np.sort(np.angle(np.linalg.eigvals(W_ref)))
+
+    def apart(q):  # of each pair from p_ref, mod 2pi
+        return np.max(np.abs((q - p_ref + math.pi) % (2 * math.pi) - math.pi), axis=1)
+
+    failures = []
+    if not (np.abs(U - U_ref).max(axis=(-2, -1)) <= tol).all():
+        failures.append("U")
+    if not (np.minimum(apart(p), apart(p[:, ::-1])) <= tol).all():
+        failures.append("phases")
+    if not (d >= d_ref).all():
+        failures.append("defect")
+    return failures
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_the_closed_form_read_matches_a_qr_reference(draw_seed):
+    assert closed_form_failures(draw_seed) == []
 
 
 def test_nu_omega_additive_over_diamond():

@@ -1427,7 +1427,7 @@ def test_the_closed_form_phases_match_eigvals():
     W = V @ (np.exp(1j * ph)[..., None] * np.eye(2)) @ V.conj().swapaxes(-1, -2)
     W = np.concatenate((W, np.exp(1j * ph[:500, :1, None]) * np.eye(2)))
     ph = np.concatenate((ph, ph[:500, :1].repeat(2, axis=1)))
-    got = oracle._phases2(W)
+    got = normal_forms._phases2(W)
     assert got.shape == (k + 500, 2)
 
     def distance(a, b):  # of two phase pairs, matched either way, mod 2 pi
