@@ -287,8 +287,6 @@ DEFAULT_EPS_ZERO = ("the default eps = delta / (4 M max mean index) is 0.0 at th
     (["oracle", "--omega", "abc"], "--omega: cannot parse 'abc'"),
     (["iterate", "--precision", "10"], "precision must be >= 30, got 10"),
     (["ellipsoid", "--alphas", ","], "--alphas requires a comma-separated list, e.g. 1,sqrt2"),
-    # the claims are about n >= 2 orbits; orbit_data keeps n = 1
-    (["ellipsoid", "--alphas", "1"], "the ellipsoid claims need at least two frequencies, got 1"),
     (["jump-search", "--chi", "1x"], "chi must be 'auto' or a 0/1 string, got '1x'"),
     (["jump-search", "--eps", "0.9"], "eps must lie in (0, 1/2)"),
     (["jump-search", "--delta", "1/2"], "delta must lie in (0, 1/2)"),
@@ -302,6 +300,8 @@ DEFAULT_EPS_ZERO = ("the default eps = delta / (4 M max mean index) is 0.0 at th
     # a default eps that underflows to 0.0 names delta
     (["jump-search", "--delta", "1e-999"], DEFAULT_EPS_ZERO),
     (["ellipsoid", "--delta", "1e-999"], DEFAULT_EPS_ZERO),
+    # the claims are about n >= 2 orbits; orbit_data keeps n = 1
+    (["ellipsoid", "--alphas", "1"], "the ellipsoid claims need at least two frequencies, got 1"),
 ])
 def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, message):
     f, data = rot_fixture
