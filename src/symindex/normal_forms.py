@@ -302,14 +302,15 @@ def graph_unitary(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phases2(W: np.ndarray) -> np.ndarray:
-    """The eigen-phases in (-pi, pi] of each 2 x 2 unitary of a stack W.
+    """The eigen-phases in [0, 2pi) of each 2 x 2 unitary of a stack W.
     With half = arg(det W) / 2, V = W e^{-i half} has determinant 1, so it
     is [[a, -conj b], [b, conj a]] with |a|^2 + |b|^2 = 1, up to rounding;
     a and b are read symmetrized from both of their entries.  V's
     eigenvalues are e^{+-i phi} with cos phi = Re a and sin phi =
     |(Im a, |b|)|, so W's phases are half +- atan2(|(Im a, |b|)|, Re a),
-    wrapped once.  atan2 keeps their error O(u) at a double eigenvalue
-    too, where the roots of the characteristic polynomial lose sqrt(u)."""
+    taken mod 2pi (a phase just below 0 may round to 2pi).  atan2 keeps
+    their error O(u) at a double eigenvalue too, where the roots of the
+    characteristic polynomial lose sqrt(u)."""
     det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
     half = 0.5 * np.arctan2(det.imag, det.real)
     V = W * np.exp(-1j * half)[..., None, None]
@@ -317,23 +318,23 @@ def _phases2(W: np.ndarray) -> np.ndarray:
     b = 0.5 * (V[..., 1, 0] - V[..., 0, 1].conj())
     turn = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
     p = np.concatenate(((half + turn)[..., None], (half - turn)[..., None]), axis=-1)
-    return np.where(p > math.pi, p - 2 * math.pi, np.where(p <= -math.pi, p + 2 * math.pi, p))
+    return p % (2 * math.pi)
 
 
 def graph_phases(U: np.ndarray, omega) -> np.ndarray:
-    """The eigen-phases in (-pi, pi] of W = U(omega I)* U for a U(M) of
+    """The eigen-phases in [0, 2pi) of W = U(omega I)* U for a U(M) of
     graph_unitary: per U of a stack at one omega, or one row per omega of
     an array of them; by _phases2 for a 2 x 2 W, else by eigvals."""
     W = _times_u_omega(U, omega)
-    return _phases2(W) if W.shape[-1] == 2 else np.angle(np.linalg.eigvals(W))
+    return _phases2(W) if W.shape[-1] == 2 else np.angle(np.linalg.eigvals(W)) % (2 * math.pi)
 
 
 def read_graph(M: np.ndarray, omega):
     """(nu_omega(M), g, U, p) from one read of M: U = U(M) from
-    graph_unitary, and p the eigen-phases of W at omega.  nu_omega is the
-    number of them within PHASE_TOL of 0, and the gap g is the distance
-    from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or pi if there
-    is none.  For a stack M (k, 2n, 2n), read in one batch, nu_omega and g
+    graph_unitary, and p the eigen-phases of W at omega in [0, 2pi).
+    nu_omega is the number of them within PHASE_TOL of 0, and the gap g is
+    the distance from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or
+    pi if there is none.  For a stack M (k, 2n, 2n), read in one batch, nu_omega and g
     are arrays, one entry per matrix.  omega off the unit circle is refused
     with NormalFormError.  A symplectic defect of M moves the phases by
     about d, the frame defect of graph_unitary, and a phase within 2 d of
@@ -344,7 +345,7 @@ def read_graph(M: np.ndarray, omega):
         raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
     U, d = graph_unitary(M)
     p = graph_phases(U, omega)
-    dist = np.abs(p)
+    dist = np.minimum(p, 2 * math.pi - p)
     if (np.abs(dist - PHASE_TOL) <= 2 * d[..., None]).any():
         raise NormalFormError(f"an eigen-phase of W lies within 2 x {np.max(d):.3g} (the "
                               f"symplectic defect of M) of PHASE_TOL = {PHASE_TOL:g}, so "

@@ -14,20 +14,16 @@ find a cut far enough from its end phases: two crossings inside one sample
 step count 2, and a touch nets 0.  It runs one diamond factor of the path
 at a time, and sums their counts.
 
-A degenerate endpoint follows the convention gamma(T) e^{-eps J}: its index
-is that of gamma e^{-eps (t/T) J}, which realizes the infimum over nearby
-nondegenerate paths when eps is small against the endpoint's other
-eigenvalues.  So eps is read from the endpoint: the arc moves no phase of W
-by more than half the distance g from 0 of its nearest nonzero one
-(_arc_length).  The count is invariant under homotopies with fixed
-end points, and (t, s) -> gamma(t) e^{-sJ} on [0, T] x [0, eps] is one from
-that path to gamma followed by the arc gamma(T) e^{-sJ}, s in [0, eps]; so
-the count runs once over gamma's own samples, unperturbed, and goes on
-over that short arc.  The sign convention is pinned by agreement with the
+A degenerate endpoint follows Long's convention, the index of
+gamma e^{-eps (t/T) J} as eps -> 0+: the count runs once over gamma's own
+samples, unperturbed, and ends with the nu_omega phases of W at 0^-, where
+gamma(T) e^{-sJ} takes them whatever gamma(T) (_endpoint; the argument is
+in cz_index).  The sign convention is pinned by agreement with the
 iteration formulas on rotation paths and recorded here: an eigen-phase
 passing 0 counterclockwise, as the phases at 0 do along M e^{sJ} with s
 increasing, counts +1.  The splitting estimate reads the endpoint alone,
-with probes also bounded by g, and refuses a g too small for its probes to
+with the same 0^- placement and probes bounded by the distance g from 0
+of W's nearest nonzero phase, and refuses a g too small for its probes to
 move the phases at 0 past rounding (estimate_splitting).
 """
 
@@ -44,6 +40,7 @@ from .normal_forms import (
     diamond,
     graph_phases,
     graph_unitary,
+    PHASE_TOL,
     read_graph,
     standard_J,
     SYMPLECTIC_TOL,
@@ -66,9 +63,8 @@ __all__ = [
 
 DEFAULT_STEPS = 2048
 MAX_STEPS = 1 << 20
-ARC_LENGTH = 1e-4  # the longest endpoint arc e^{-sJ} of a degenerate endpoint
 STEP_BOUND = 0.05  # max entry change between consecutive samples
-SPLITTING_PROBES = (1e-3, 1e-4)  # angles e of the arcs omega -> omega e^{+-ie} of estimate_splitting
+SPLITTING_PROBES = (1e-3, 1e-4)  # angles e of the turns omega -> omega e^{+-ie} of estimate_splitting
 
 
 class OracleError(RuntimeError):
@@ -227,8 +223,14 @@ class SampledSymplecticPath:
             raise OracleError("ts and mats length mismatch")
         self.powers = np.empty((self.m + 1, 2 * self.n, 2 * self.n))
         self.powers[0] = np.eye(2 * self.n)
-        for j in range(self.m):
-            np.matmul(self.mats[-1], self.powers[j], out=self.powers[j + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.m):
+                np.matmul(self.mats[-1], self.powers[j], out=self.powers[j + 1])
+        # a non-finite power stays non-finite in every later one; gamma(tau)
+        # itself is checked with the samples (validate)
+        if self.m > 1 and not np.isfinite(self.powers[-1]).all():
+            raise OracleError(f"the {self.m}-fold iterate overflows: gamma(tau)^{self.m} is not "
+                              f"finite")
         self.powers.flags.writeable = False
 
     def validate(self):
@@ -441,12 +443,7 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # number passing 0 is the change of #{phases in [0, c)}.  A sample step
 # moves them by at most 2 asin(min(1, sqrt2 r)), r = |dM M^-1|_F the step's
 # change relative to its first sample M, which is the same in every period
-# of an iterate (_motion).  An arc step M e^{-sJ}, s over an interval of
-# length h, moves them by at most 2 asin(min(1, 2 sin(h/2))) whatever M
-# (_arc_motion):
-# Gr(M e^{-sJ}) = diag(e^{sJ}, I) Gr(M), and diag(e^{sJ}, I) commutes with H
-# and acts on its +1 and -1 eigenspaces as unitaries that move by at most
-# |e^{ih} - 1| = 2 sin(h/2) each.
+# of an iterate (_motion).
 #
 # The count runs along the path's diamond factors (_factors).  When no
 # sample of a period couples the (p_k, q_k) pairs of one factor with those
@@ -461,13 +458,14 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # takes is read by normal_forms.graph_unitary and graph_phases, in closed
 # form for a one-pair factor and by a QR and eigvals past it; W is unitary
 # to rounding, so the phases carry only the O(u |beta(t)|) error of the
-# sample.  The endpoint's phases are those of the read that gave nu_omega
-# and g; an iterate's points are gathered from its one period (_samples).
+# sample.  The endpoint's phases are those of the read that gave nu_omega,
+# its nu_omega phases placed at 0^- (_endpoint); an iterate's points are
+# gathered from its one period (_samples).
 
 COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps, points or steps per batch of bounds, phases or counts
 CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
-MAX_HALVINGS = 10  # halvings of one sample step through the evaluator, or of one arc step
+MAX_HALVINGS = 10  # halvings of one sample step through the evaluator
 
 
 def _motion(mats: np.ndarray, n: int) -> np.ndarray:
@@ -492,20 +490,6 @@ def _motion(mats: np.ndarray, n: int) -> np.ndarray:
     rel = dM @ inv
     r = np.sqrt(np.einsum("...ij,...ij->...", rel, rel))
     return 2 * np.arcsin(np.minimum(1.0, math.sqrt(2) * r))
-
-
-def _arc(M: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """M e^{-sJ} = M (cos s I - sin s J) at each s of a 1-D array, the arc
-    that moves a degenerate endpoint M off its eigenvalue."""
-    n = len(M) // 2
-    c, si = np.cos(s)[:, None, None], np.sin(s)[:, None, None]
-    return M @ (c * np.eye(2 * n) - si * standard_J(n))
-
-
-def _arc_motion(h):
-    """A bound on the eigen-phase motion of W over the arc M e^{-sJ} as s
-    runs over an interval of length h, whatever M; h a float or an array."""
-    return 2 * np.arcsin(np.minimum(1.0, 2 * np.sin(0.5 * np.abs(h))))
 
 
 def _count(p0: np.ndarray, p1: np.ndarray, bound):
@@ -534,7 +518,7 @@ def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
     """W's eigen-phases in [0, 2pi), per block of a stack M of factor
     blocks, read CHUNK blocks at a time (normal_forms.graph_phases)."""
     return np.concatenate([graph_phases(graph_unitary(M[lo:lo + CHUNK])[0], omega)
-                           for lo in range(0, len(M), CHUNK)]) % (2 * math.pi)
+                           for lo in range(0, len(M), CHUNK)])
 
 
 def _samples(path: SampledSymplecticPath, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +537,7 @@ def _factors(path: SampledSymplecticPath) -> np.ndarray:
     coordinates p_k of its pairs, then their q_k.  Pairs k and l share a
     factor when some sample of the period, P = gamma(tau) among them, has a
     nonzero entry coupling them; a sample keeps every iterate's matrices on
-    the same pattern, and S and the endpoint arc keep it by construction.
+    the same pattern, and S keeps it by construction.
     Factors of different sizes are taken as one, so that one count runs
     them along one axis; a path that does not split is that one factor, the
     whole matrix, row 0..2n-1."""
@@ -609,14 +593,12 @@ def _period_bounds(path: SampledSymplecticPath, S: np.ndarray) -> list:
     return path.bounds
 
 
-def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float,
-          end: np.ndarray) -> int:
+def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, end: np.ndarray) -> int:
     """The signed count of eigen-phases of W passing 0 over the start step
-    from S = extend_with_xi(gamma) to gamma(0) = I, over gamma's own samples
-    and, for eps > 0, over the endpoint arc gamma(tau) e^{-sJ}, s from 0 to
-    eps / 2 to eps; no phase may pass 0 on the arc's second half.  end holds
-    the phases at gamma(tau), one row per factor, from the reads that gave
-    nu_omega and g.
+    from S = extend_with_xi(gamma) to gamma(0) = I and over gamma's own
+    samples.  end holds the phases at gamma(tau), one row per factor, from
+    the read that gave nu_omega, with its nu_omega phases at 0^- (_endpoint,
+    cz_index).
 
     The count runs along the factors of the period (_period_bounds): each
     step is one row per factor, counted from that factor's phases at a cut
@@ -627,9 +609,8 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     bound (_motion), so the summed bound up to sample j L + i is the start
     step's, plus j times the base's total, plus the base's up to i.  No
     phase has passed 0 before S, and its phases are resolved for every
-    omega.  The phases at I and at gamma(tau), 0 up to rounding when
-    degenerate, are read once and shared by the two steps that meet there,
-    so a passage there counts once.
+    omega.  The phases at each scan point are read once and shared by the
+    two steps that meet there, so a passage there counts once.
 
     Sample steps are grouped into coarse steps whose largest factor bound is
     about COARSE_BOUND.  A coarse row's bound is the sum of its factor's
@@ -639,17 +620,16 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     count.  The refinement runs in rounds, each over every row still
     unresolved: a step between two scan points at least 2 apart is halved
     at the scan point between them, any other sample step at its mid-time
-    through the evaluator, and an arc step at its mid-s through _arc.  A
-    round gathers all its midpoints in one _samples product, one
-    path.evaluate call, which evaluates each distinct time once (the
-    factors of a step share its midpoints), and one _arc call, reads their
-    factor blocks' phases in one _phases call, bounds the halves by the
-    summed bounds, one batched _motion of the (M0, mid, M1) blocks and
-    _arc_motion, and counts them in one _count.  An evaluator midpoint must
-    keep the factors apart, as the samples do, or the count is refused.  The start step is never halved:
-    its ends depend only on n and omega, and its motion bound is about
-    2e-3 sqrt(n) rad.  An evaluator or arc step is halved at most
-    MAX_HALVINGS times."""
+    through the evaluator.  A round gathers all its midpoints in one
+    _samples product and one path.evaluate call, which evaluates each
+    distinct time once (the factors of a step share its midpoints), reads
+    their factor blocks' phases in one _phases call, bounds the halves by
+    the summed bounds and one batched _motion of the (M0, mid, M1) blocks,
+    and counts them in one _count.  An evaluator midpoint must keep the
+    factors apart, as the samples do, or the count is refused.  The start
+    step is never halved: its ends depend only on n and omega, and its
+    motion bound is about 2e-3 sqrt(n) rad.  A sample step is halved
+    through the evaluator at most MAX_HALVINGS times."""
     n, m, L = path.n, path.m, len(path.ts) - 1
     idx, start, cum_base, cum_max = _period_bounds(path, S)
     F, k = idx.shape[0], idx.shape[1] // 2
@@ -669,22 +649,13 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     # order; np.unique would import numpy.ma on its first call
     coarse = np.concatenate(([0], marks, [N]))
     coarse = coarse[np.concatenate(([True], coarse[1:] > coarse[:-1]))]
-    arc = np.array([0.5 * eps, eps] if eps else [])
-    E = path.endpoint()
     t, M = _samples(path, coarse[1:] - 1)
-    # point q is (scan point, t, factor blocks, phases) at coarse[q], then at
-    # the arc points; a point off the samples, a midpoint through the
-    # evaluator or on the arc, has scan point -1, and an arc point holds s
-    # for t
-    i = np.concatenate((coarse, np.full(len(arc), -1)))
-    t = np.concatenate(([0.0], t, arc))
-    M = _blocks(np.concatenate((S[None], M, _arc(E, arc) if eps else M[:0])), idx)
-    last = len(coarse) - 1  # gamma(tau), whose phases are end
-    ph = _phases(np.concatenate((M[:last], M[last + 1:])).reshape(-1, 2 * k, 2 * k), omega)
-    ph = ph.reshape(-1, F, 2 * k)
-    ph = np.concatenate((ph[:last], end[None], ph[last:]))
-    bound = np.concatenate((np.diff(cum(coarse[:, None], np.arange(F)), axis=0),
-                            np.full((len(arc), F), _arc_motion(0.5 * eps))))
+    # point q is (scan point, t, factor blocks, phases) at coarse[q]; a
+    # midpoint through the evaluator, off the samples, has scan point -1
+    t, M = np.concatenate(([0.0], t)), _blocks(np.concatenate((S[None], M)), idx)
+    ph = _phases(M[:-1].reshape(-1, 2 * k, 2 * k), omega).reshape(-1, F, 2 * k)
+    ph = np.concatenate((ph, end[None]))
+    bound = np.diff(cum(coarse[:, None], np.arange(F)), axis=0)
     counts, ok = _count(ph[:-1].reshape(-1, 2 * k), ph[1:].reshape(-1, 2 * k), bound.reshape(-1))
 
     # the rows (step, factor) whose cut is too near, in path order, each
@@ -693,8 +664,8 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
     counts[row] = 0
     step = row // F
     M, ph = M.reshape(-1, 2 * k, 2 * k), ph.reshape(-1, 2 * k)  # one row per (point, factor)
-    lo = (i[step], t[step], M[row], ph[row])
-    hi = (i[step + 1], t[step + 1], M[row + F], ph[row + F])
+    lo = (coarse[step], t[step], M[row], ph[row])
+    hi = (coarse[step + 1], t[step + 1], M[row + F], ph[row + F])
     depth = np.full(len(row), MAX_HALVINGS)
 
     def pairs(x, y):  # each row's left half, then its right half
@@ -702,17 +673,12 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
 
     while len(row):
         (i0, t0, M0, _), (i1, t1, M1, _) = lo, hi
-        step, f = np.divmod(row, F)
+        f = row % F
         on_samples = (i0 >= 0) & (i1 - i0 >= 2)
-        on_arc = ~on_samples & (step >= last)
-        through = ~on_samples & ~on_arc
-        s0 = np.where(i0 >= 0, 0.0, t0)  # the arc starts at scan point N
-        refused = ~on_samples & (depth == 0) | through & ((i0 == 0) | (path.evaluator is None))
+        through = ~on_samples
+        refused = through & ((depth == 0) | (i0 == 0) | (path.evaluator is None))
         if refused.any():
             q = int(np.argmax(refused))
-            if on_arc[q]:
-                raise OracleError(f"eigen-phases not resolved after {MAX_HALVINGS} halvings "
-                                  f"of the endpoint arc gamma(tau) e^{{-sJ}} at s = {s0[q]:.6g}")
             if i0[q] == 0:
                 raise OracleError(f"eigen-phases move too far over the start step from "
                                   f"diag({XI_START}, {1 / XI_START}) to gamma(0) = I at "
@@ -741,10 +707,6 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
                 raise OracleError(f"the path's value at t = {at[coupled][0]:.6g} "
                                   f"couples diamond factors that its samples keep apart")
             Mk[through] = Mt[each]
-        if on_arc.any():
-            tk[on_arc] = 0.5 * (s0[on_arc] + t1[on_arc])
-            Mk[on_arc] = _arc(E, tk[on_arc])
-            halves[on_arc] = _arc_motion(0.5 * (t1[on_arc] - s0[on_arc]))[:, None]
         Mk = _blocks(Mk, idx, f)
         if through.any():
             halves[through] = _motion(np.stack((M0[through], Mk[through], M1[through]), axis=1), k)
@@ -757,31 +719,22 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, eps: float
         todo = ~ok
         row, depth = row[todo], depth[todo]
         lo, hi = (tuple(x[todo] for x in ends) for ends in (lo, hi))
-    counts = counts.reshape(-1, F)
-    if eps and counts[-1].any():
-        index = int(np.sum(counts[:-1]))
-        raise OracleError(f"unstable count under perturbation "
-                          f"({index + int(np.sum(counts[-1]))} vs {index})")
     return int(counts.sum())
 
 
 def _endpoint(M: np.ndarray, omega: complex):
-    """(nu_omega(M), g, U(M), W's phases in [0, 2pi)) from
-    normal_forms.read_graph, a refusal raised as OracleError; for a stack M
-    of factor blocks, nu_omega and g are arrays, one entry per block."""
+    """(nu_omega(M), g, U(M), p) from normal_forms.read_graph, a refusal
+    raised as OracleError; for a stack M of factor blocks, nu_omega and g
+    are arrays, one entry per block.  p holds W's phases in [0, 2pi), and
+    every phase read within PHASE_TOL of 0, which are the nu_omega phases,
+    is set to 2pi: the 0^- to which M e^{-sJ} takes them as s -> 0+
+    (cz_index)."""
     try:
         nu, gap, U, p = read_graph(M, omega)
     except NormalFormError as exc:
         raise OracleError(f"at gamma(tau), omega = {omega:.6g}: {exc}") from exc
-    return nu, gap, U, p % (2 * math.pi)
-
-
-def _arc_length(gap: float) -> float:
-    """The length eps of the endpoint arc at an endpoint whose nearest
-    nonzero eigen-phase of W lies gap from 0: min(ARC_LENGTH,
-    2 asin(sin(gap/4) / 2)), so that _arc_motion(eps) <= gap / 2 and no
-    nonzero phase reaches 0 on the arc."""
-    return min(ARC_LENGTH, 2 * math.asin(0.5 * math.sin(0.25 * gap)))
+    p[np.minimum(p, 2 * math.pi - p) <= PHASE_TOL] = 2 * math.pi
+    return nu, gap, U, p
 
 
 def cz_index(path: SampledSymplecticPath, omega):
@@ -790,17 +743,26 @@ def cz_index(path: SampledSymplecticPath, omega):
     omega is a unit-circle complex number (1 and -1 included).  The count
     runs once, unperturbed, over gamma's own samples, from the one xi sample
     extend_with_xi(gamma) on, along the diamond factors of gamma's period
-    (_scan).  When nu_omega(gamma(tau)) > 0, the index is that of
-    gamma e^{-eps (t/tau) J}, whose endpoint is gamma(tau) e^{-eps J}; a
-    homotopy with fixed end points, (t, s) -> gamma(t) e^{-sJ}, takes that
-    path to gamma followed by the arc gamma(tau) e^{-sJ}, s in [0, eps], so
-    the scan goes on over that arc.  eps = min(ARC_LENGTH, 2 asin(sin(g/4)
-    / 2)) (_arc_length), g the distance from 0 of W's nearest nonzero
-    eigen-phase: the arc moves every phase by at most g / 2, so only the
-    phases at 0 pass 0 on it, and the index is Long's i_omega, shared by
-    every eps small against g.  The counts at eps and eps / 2 must agree.
-    gamma(tau) is read once, one read_graph of the stack of its factor
-    blocks: nu_omega is the sum of the factors' and g the least of theirs.
+    (_scan).  gamma(tau) is read once, one read_graph of the stack of its
+    factor blocks (_endpoint): nu_omega is the sum of the factors'.
+
+    When nu_omega(gamma(tau)) > 0, the index is Long's limit: that of
+    gamma e^{-eps (t/tau) J} as eps -> 0+.  A homotopy with fixed end
+    points, (t, s) -> gamma(t) e^{-sJ}, takes that path to gamma followed
+    by the perturbation gamma(tau) e^{-sJ}, s in [0, eps].  The scan's last
+    step ends with the nu_omega phases at 0^- (_endpoint), and that count
+    is the limit, exactly:
+    - along M e^{-sJ} the crossing form is that of the Hamiltonian -I,
+      which is negative definite, so every phase at 0 leaves it clockwise,
+      whatever M = gamma(tau);
+    - every other phase lies at least g from 0, g the distance of W's
+      nearest nonzero phase, and the perturbation moves it by at most
+      2 asin(2 sin(eps/2)), which goes to 0 with eps;
+    - the last step was counted at a cut farther than its motion bound, a
+      strict inequality, so for every small eps the step followed by the
+      perturbation keeps that cut, and its end phases tend to the 0^-
+      placement.
+    So the count is that limit, with no eps chosen.
 
     An undecided nu_omega(gamma(tau)), a phase of W too near PHASE_TOL to
     be told from it, raises OracleError.
@@ -808,23 +770,21 @@ def cz_index(path: SampledSymplecticPath, omega):
     omega = complex(omega)
     S = extend_with_xi(path)
     idx = _period_bounds(path, S)[0]
-    nu, gap, _, end = _endpoint(_blocks(path.endpoint(), idx), omega)
-    nu = int(nu.sum())
-    return _scan(path, S, omega, _arc_length(float(gap.min())) if nu else 0.0, end), nu
+    nu, _, _, end = _endpoint(_blocks(path.endpoint(), idx), omega)
+    return _scan(path, S, omega, end), int(nu.sum())
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):
     """Oracle estimate of (S^+, S^-) at omega from the endpoint M alone (Long
     2002): the net number of eigen-phases of W = U(w I)* U(M) passing 0 as w
     runs from omega to omega e^{+-ie}, for M e^{-dJ} with d -> 0+ when M is
-    degenerate, as in cz_index.  Along M e^{-sJ} the nu_omega phases at 0
-    leave it clockwise, whatever M, so they are read at 0^-, outside every
-    [0, c).  The phases move by at most e, so each count is read at a cut
-    farther than e from them.  The probes are min(e, g/4) for e in
-    SPLITTING_PROBES, g the distance from 0 of W's nearest nonzero
-    eigen-phase, so that no nonzero phase reaches 0; they must agree.
-    Every phase is read from the one unitary U(M) that also gives nu_omega
-    and g (normal_forms.read_graph).
+    degenerate, as in cz_index: the nu_omega phases at 0 start from 0^-,
+    outside every [0, c) (_endpoint).  The phases move by at most e, so
+    each count is read at a cut farther than e from them.  The probes are
+    min(e, g/4) for e in SPLITTING_PROBES, g the distance from 0 of W's
+    nearest nonzero eigen-phase, so that no nonzero phase reaches 0; they
+    must agree.  Every phase is read from the one unitary U(M) that also
+    gives nu_omega and g (normal_forms.read_graph).
 
     The floor: a probe e moves a phase at 0 of a sheared block B (N1(1, b),
     N2) by only about e^2 / |B|, and a read of W's phases from U(M) is exact
@@ -837,11 +797,10 @@ def estimate_splitting(path: SampledSymplecticPath, omega):
     nu, gap, U, p0 = _endpoint(path.endpoint(), omega)
     probes = [min(e, 0.25 * gap) for e in SPLITTING_PROBES]
     turns = [complex(math.cos(e), sign * math.sin(e)) for e in probes for sign in (1, -1)]
-    p = graph_phases(U, [omega * t for t in turns]) % (2 * math.pi)
+    p = graph_phases(U, [omega * t for t in turns])
     if nu and np.any(np.minimum(p, 2 * math.pi - p) <= np.finfo(float).eps):
         raise OracleError(f"the nearest nonzero eigen-phase of W lies {gap:.3g} from 0: a probe "
                           f"of {min(probes):.3g} cannot move the phases at 0 past rounding")
-    p0[np.argsort(np.minimum(p0, 2 * math.pi - p0))[:nu]] = 2 * math.pi  # at 0^-
     bounds = np.repeat(probes, 2)
     net, ok = _count(np.broadcast_to(p0, p.shape), p, bounds)
     if not ok.all():

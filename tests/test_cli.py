@@ -63,6 +63,23 @@ def test_oracle_subcommand(gen_fixture, capsys):
     assert (out["i"], out["nu"]) == (3, 0)
 
 
+def test_an_iterate_that_overflows_exits_1(tmp_path, capsys):
+    # B = -ln2 [[0, 1], [1, 0]] gives D(2) = e^{J B}, so |gamma(tau)^j| is
+    # about 2^j: m = 1000 is counted, and at m = 1100 the powers leave the
+    # float range and the iterate is refused before any count.  The suite
+    # runs RuntimeWarnings as errors, so neither run may raise one
+    log2 = math.log(2)
+    f = tmp_path / "hyp.json"
+    f.write_text(json.dumps({"n": 1, "tau": 1.0, "steps": 64, "B": [[0.0, -log2], [-log2, 0.0]]}))
+    assert main(["oracle", "--generator", str(f), "--m", "1000"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert (out["i"], out["nu"]) == (0, 0)
+    assert main(["oracle", "--generator", str(f), "--m", "1100"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: the 1100-fold iterate overflows: gamma(tau)^")
+    assert err.endswith(" is not finite\n") and err.count("\n") == 1
+
+
 def test_oracle_sample_list_generator(tmp_path, capsys):
     ts = [i / 512 for i in range(513)]
     samples = [{"t": t, "mat": [[math.cos(math.pi / 2 * t), -math.sin(math.pi / 2 * t)],
@@ -318,7 +335,8 @@ def test_range_checks_exit_1(rot_fixture, gen_fixture, tmp_path, capsys, argv, m
 
 
 def test_oracle_eps_is_an_unrecognized_argument(gen_fixture, capsys):
-    # the endpoint arc's length is read from the endpoint's own eigen-phases
+    # a degenerate endpoint is counted in the limit eps -> 0+, with no eps
+    # to choose
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--generator", str(gen_fixture), "--eps", "1e-4"])
     assert exc.value.code == 2

@@ -442,17 +442,16 @@ def flat_start(phi_over_pi: float):
 
 
 def count_scans(monkeypatch):
-    """Record the endpoint arc length eps of every scan in the list returned;
-    0.0 is a scan without the arc."""
-    arcs = []
+    """Record the omega of every scan in the list returned."""
+    scans = []
     scan = oracle._scan
 
-    def counted_scan(path, S, omega, eps, end):
-        arcs.append(eps)
-        return scan(path, S, omega, eps, end)
+    def counted_scan(path, S, omega, end):
+        scans.append(omega)
+        return scan(path, S, omega, end)
 
     monkeypatch.setattr(oracle, "_scan", counted_scan)
-    return arcs
+    return scans
 
 
 @pytest.mark.parametrize("sample_only", [False, True], ids=["function", "sample-only"])
@@ -468,16 +467,17 @@ def test_a_flat_start_is_counted_in_one_unperturbed_scan(monkeypatch, phi_over_p
     else:
         path = path_from_matrix_function(f, 1.0, 1)
     calls = count_point_evaluations(monkeypatch)
-    arcs = count_scans(monkeypatch)
+    scans = count_scans(monkeypatch)
     assert cz_index(path, 1) == (want, 0)
     assert calls == []
-    assert arcs == [0.0]
+    assert scans == [1]
 
 
-# ----- the endpoint arc --------------------------------------------------------
+# ----- the degenerate endpoint --------------------------------------------------
 #
-# A degenerate endpoint M = gamma(tau) is counted by going on from M over the
-# arc M e^{-sJ}, s from 0 to eps, in the one scan of gamma's own samples.
+# A degenerate endpoint M = gamma(tau) is counted as gamma followed by
+# M e^{-sJ}, s -> 0+: the scan of gamma's own samples ends with the nu_omega
+# phases of W at 0^-, where M e^{-sJ} takes them whatever M (_endpoint).
 
 def orbit_path():
     # the first axis orbit of the ellipsoid with alphas (1, sqrt2): one full
@@ -492,26 +492,45 @@ DEGENERATE_ENDPOINTS = [
 ]
 
 
+def degenerate_endpoint(decomp, m):
+    """(path, the closed forms' (i, nu) at omega = 1) of a DEGENERATE_ENDPOINTS row."""
+    if decomp is None:
+        return orbit_path(), (4, 2)
+    base, data = realize_path(decomp, steps=256)
+    return iterate_path(base, m), (index_iterate(data, m), nullity_iterate(data, m))
+
+
 @pytest.mark.parametrize("name, decomp, m", DEGENERATE_ENDPOINTS,
                          ids=[row[0] for row in DEGENERATE_ENDPOINTS])
 def test_a_degenerate_endpoint_is_counted_in_one_scan(monkeypatch, name, decomp, m):
-    if decomp is None:
-        path, want = orbit_path(), (4, 2)
-    else:
-        base, data = realize_path(decomp, steps=256)
-        path, want = iterate_path(base, m), (index_iterate(data, m), nullity_iterate(data, m))
+    path, want = degenerate_endpoint(decomp, m)
     calls = count_point_evaluations(monkeypatch)
-    arcs = count_scans(monkeypatch)
+    scans = count_scans(monkeypatch)
     assert cz_index(path, 1) == want
     assert calls == []
-    assert arcs == [oracle.ARC_LENGTH]
+    assert scans == [1]
+
+
+def test_the_phases_at_0_are_placed_at_0_minus():
+    # W = e^{i phi} I at omega = 1 for R(phi): the phases read at -1e-13, 0
+    # and 1e-13 are the nu_omega phases and come back as 2 pi; one at 2e-10,
+    # past PHASE_TOL, is left alone
+    phis = (-1e-13, 0.0, 1e-13, 2e-10)
+    M = np.stack([[[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+                  for phi in phis])
+    read = normal_forms.read_graph(M, 1)[3]
+    assert read[0].min() > 6.28 and read[2].max() < 1e-12  # read on both sides of 0
+    nu, _, _, p = oracle._endpoint(M, 1)
+    assert nu.tolist() == [2, 2, 2, 0]
+    assert (p[:3] == 2 * math.pi).all()
+    assert p[3].tobytes() == read[3].tobytes() and abs(p[3] - 2e-10).max() < 1e-15
 
 
 @pytest.mark.parametrize("m, want", [(16, (7, 2)), (20, (9, 2))])
-def test_a_large_endpoint_is_counted_on_the_arc(m, want):
-    # gamma(tau) = diag(2^m, 2^-m) diamond I has norm 2^m, and the arc's
-    # motion bound does not depend on it: the arc needs no halving and no
-    # evaluator.  i of R(pi/2)^m at I is m - 1, the hyperbolic part 0.
+def test_a_large_endpoint_is_counted_at_0_minus(m, want):
+    # gamma(tau) = diag(2^m, 2^-m) diamond I has norm 2^m, and placing its
+    # phases at 0 at 0^- does not depend on it: the count needs no halving
+    # and no evaluator.  i of R(pi/2)^m at I is m - 1, the hyperbolic part 0.
     base = realize_path(NormalFormDecomposition(n=2, k=1, thetas=(HALF,)), steps=256)[0]
     path = iterate_path(base, m)
     ts, mats = oracle._samples(path, np.arange(m * 256 + 1))  # the iterate's every sample
@@ -520,35 +539,25 @@ def test_a_large_endpoint_is_counted_on_the_arc(m, want):
     assert cz_index(bare, 1) == want
 
 
-@pytest.mark.parametrize("phi_over_eps, want", [(0.25, ((0, 1), (1, 1))), (1.5, ((0, 1), (1, 1))),
-                                                (0.75, ((0, 1), (1, 1)))])
-def test_the_counts_at_eps_and_eps_over_2_must_agree(phi_over_eps, want):
-    # gamma = N1(1, +-1) diamond R(phi), phi a fraction of ARC_LENGTH: W's
-    # phases of R(phi) lie phi from 0, so the arc is about phi / 4 long
-    # and never turns R(phi) back through I; a fixed arc of ARC_LENGTH read
-    # (-2, 1) at phi = 0.25 ARC_LENGTH and raised at 0.75 ARC_LENGTH.  The
+@pytest.mark.parametrize("phi, want", [(0.25e-4, ((0, 1), (1, 1))), (1.5e-4, ((0, 1), (1, 1))),
+                                       (0.75e-4, ((0, 1), (1, 1)))])
+def test_a_phase_near_0_is_not_moved_by_the_endpoint_rule(phi, want):
+    # gamma = N1(1, +-1) diamond R(phi): W's phases of R(phi) lie phi from
+    # 0, a gap below 1e-4, and stay where they are read, while N1's phase at
+    # 0 goes to 0^-.  A perturbation M e^{-sJ} of fixed length 1e-4 turned
+    # R(phi) back through I, which read (-2, 1) at phi = 0.25e-4.  The
     # values are the closed forms'.
-    phi = phi_over_eps * oracle.ARC_LENGTH
     for b, pair in zip((1, -1), want):
         path, data = sheared_rotation(b, phi)
         assert pair == (index_iterate(data, 1), nullity_iterate(data, 1))
         assert cz_index(path, 1) == pair, b
 
 
-def test_an_arc_past_the_gap_is_refused(monkeypatch):
-    # an arc longer than the gap turns R(phi) back through I at s = phi,
-    # which counts -2, on the arc's second half: the counts at eps and eps / 2
-    # disagree
-    monkeypatch.setattr(oracle, "_arc_length", lambda gap: 1e-4)
-    with pytest.raises(OracleError, match=r"unstable count under perturbation \(-2 vs 0\)"):
-        cz_index(sheared_rotation(1, 0.75e-4)[0], 1)
-
-
 @pytest.mark.parametrize("b", [1, -1])
 def test_cz_index_needs_no_floor_above_the_phase_tolerance(b):
     # (N1(1, b) diamond R(1e-11) diamond hyperbolic)^20: |M| = 2^20 and W's
-    # nearest nonzero phase 2e-10, twice PHASE_TOL; the arc, about 5e-11
-    # long, still moves the phases at 0 past the rounding of the count
+    # nearest nonzero phase 2e-10, twice PHASE_TOL; the phase at 0 is
+    # placed at 0^- however near the others lie
     path, data = sheared_rotation(b, 1e-11, m=20, steps=64, k=1)
     assert np.linalg.norm(path.endpoint(), 2) > 2 ** 19.9
     assert oracle._endpoint(path.endpoint(), 1)[:2] == (1, pytest.approx(2e-10, rel=1e-3))
@@ -592,27 +601,6 @@ def test_the_endpoint_is_read_once(monkeypatch, maker):
     assert sum(reads) == 1
     estimate_splitting(path, 1)
     assert sum(reads) == 2
-
-
-def test_an_arc_step_is_halved_through_the_closed_form(monkeypatch):
-    path = iterate_path(shear_path(1, steps=256), 4)
-    want = cz_index(path, 1)
-    arc_motion, arc = oracle._arc_motion, oracle._arc
-    arcs = []
-
-    def counted_arc(M, s):
-        arcs.extend(s)
-        return arc(M, s)
-
-    monkeypatch.setattr(oracle, "_arc", counted_arc)
-    # a bound 2^20 times too wide: each half of the arc is halved about six times
-    monkeypatch.setattr(oracle, "_arc_motion", lambda h: 2 ** 20 * arc_motion(h))
-    assert cz_index(path, 1) == want
-    assert len(arcs) > 2 and all(0 < s <= oracle.ARC_LENGTH for s in arcs)
-    monkeypatch.setattr(oracle, "_arc_motion", lambda h: np.full_like(h, 4.0))  # past every cut
-    with pytest.raises(OracleError, match=f"not resolved after {oracle.MAX_HALVINGS} halvings "
-                                          f"of the endpoint arc"):
-        cz_index(path, 1)
 
 
 # ----- iteration -------------------------------------------------------------
@@ -806,17 +794,6 @@ def test_a_paths_samples_cannot_be_written():
     for p in (path, view):
         assert p.mats.tobytes() == base.mats.tobytes() and p.endpoint().tobytes() == base.endpoint().tobytes()
     assert cz_index(path, 1) == cz_index(base, 1)
-
-
-def test_a_count_without_the_endpoint_arc_builds_no_arc(monkeypatch):
-    arcs = []
-    arc = oracle._arc
-    monkeypatch.setattr(oracle, "_arc", lambda M, s: arcs.append(len(s)) or arc(M, s))
-    path = iterate_path(shear_path(1, steps=256), 4)
-    cz_index(path, cmath.exp(0.3j))  # nu_omega = 0: eps = 0
-    assert arcs == []
-    assert cz_index(path, 1)[1] > 0
-    assert arcs[0] == 2  # the arc's points eps / 2 and eps
 
 
 # a generator with a zero row and column, |gamma(tau)^6| about 2.7e8
@@ -1047,7 +1024,7 @@ def test_cz_index_near_one_on_sheared_iterates():
     # i_omega(N1(1,1)^m) = sum over z^m = omega of i_z(N1(1,1)) = 0 off omega = 1.
     # W's phase near 0 is about 1e-8 / m.  A rank test relative to the largest
     # singular value of N1(1,m) - omega I (about m) read nu = 1 here, and the
-    # count went on over the endpoint arc: (-1, 1) at m = 4 and 8.
+    # count took the degenerate-endpoint convention: (-1, 1) at m = 4 and 8.
     got = [cz_index(iterate_path(shear_path(1, steps=64), m), cmath.exp(1e-4j))
            for m in (4, 8, 16, 64)]
     assert got == [(0, 0)] * 4
@@ -1215,8 +1192,8 @@ FOUR_THETAS = (Fraction(13, 10), Fraction(-29, 10), Fraction(7, 10), Fraction(18
 def test_the_count_does_not_depend_on_the_coarse_grid(monkeypatch, coarse_bound):
     # at 8 rad every coarse step is too long for its cut and is refined at
     # samples; at 1.5 rad (the default) only some are.  gamma^3(tau) has the
-    # eigenvalue e^{i 3 (7/10) pi} = e^{i pi / 10}, so that count goes on
-    # over the endpoint arc
+    # eigenvalue e^{i 3 (7/10) pi} = e^{i pi / 10}, so that count ends with
+    # a phase placed at 0^-
     monkeypatch.setattr(oracle, "COARSE_BOUND", coarse_bound)
     path, data = rotation_diamond(FOUR_THETAS)
     degenerate = 3 * FOUR_THETAS[2] % 2
@@ -1429,6 +1406,7 @@ def test_the_closed_form_phases_match_eigvals():
     ph = np.concatenate((ph, ph[:500, :1].repeat(2, axis=1)))
     got = normal_forms._phases2(W)
     assert got.shape == (k + 500, 2)
+    assert ((got >= 0) & (got <= 2 * math.pi)).all()  # mod 2 pi: just below 0 may round to 2 pi
 
     def distance(a, b):  # of two phase pairs, matched either way, mod 2 pi
         def wrap(x):
@@ -1439,8 +1417,8 @@ def test_the_closed_form_phases_match_eigvals():
     ulp = np.finfo(float).eps
     assert distance(got, ph).max() <= 16 * ulp
     assert distance(got, np.angle(np.linalg.eigvals(W))).max() <= 16 * ulp
-    # at omega = 1, R(phi) has W = e^{i phi} I: both phases are phi
-    for phi in (1e-9, 0.3, math.pi / 2, 3.0):
+    # at omega = 1, R(phi) has W = e^{i phi} I: both phases are phi mod 2 pi
+    for phi in (1e-9, 0.3, math.pi / 2, 3.0, -0.3):
         R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
         p = oracle._phases(R[None], 1)[0]
-        assert np.abs(p - phi).max() <= 4 * ulp, (phi, p)
+        assert np.abs(p - phi % (2 * math.pi)).max() <= 4 * ulp, (phi, p)
