@@ -463,8 +463,7 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # gathered from its one period (_samples).
 
 COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
-CHUNK = 1024  # sample steps, points or steps per batch of bounds, phases or counts
-CUTS = np.linspace(0.25, 2 * math.pi - 0.25, 64)  # the cuts a step may count at
+CHUNK = 1024  # sample steps or points per batch of bounds or phases
 MAX_HALVINGS = 10  # halvings of one sample step through the evaluator
 
 
@@ -494,24 +493,19 @@ def _motion(mats: np.ndarray, n: int) -> np.ndarray:
 
 def _count(p0: np.ndarray, p1: np.ndarray, bound):
     """The step rule, for steps whose end phases are the rows of p0 and p1:
-    (net, ok), net the change of #{phases in [0, c)} at the cut c of CUTS
-    farthest from every end phase, and ok that c is farther than the step's
-    motion bound, so that net is the number of phases passing 0 over it.
-    Steps are taken CHUNK at a time, which bounds the temporaries."""
-    if len(p0) > CHUNK:
-        parts = [_count(p0[lo:lo + CHUNK], p1[lo:lo + CHUNK], bound[lo:lo + CHUNK])
-                 for lo in range(0, len(p0), CHUNK)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    room = np.full((len(p0), len(CUTS)), math.pi)
-    d = np.empty_like(room)
-    for p in np.concatenate((p0, p1), axis=-1).T:  # one end phase of every step at a time
-        np.abs(np.subtract(p[:, None], CUTS, out=d), out=d)
-        np.minimum(room, d, out=room)
-        np.minimum(room, np.subtract(2 * math.pi, d, out=d), out=room)
-    best = room.argmax(axis=-1)
-    cut = CUTS[best, None]
+    (net, ok), net the change of #{phases in [0, c)} at the cut c in the
+    middle of the widest circular gap between the row's end phases, the cut
+    farthest from all of them, and ok that c is farther than the step's
+    motion bound, so that net is the number of phases passing 0 over it.  At
+    any cut that no phase can reach, the net is the same; a phase at 2pi
+    (0^-, _endpoint) lies outside [0, c), since c < 2pi."""
+    p = np.sort(np.concatenate((p0, p1), axis=-1), axis=-1)
+    gap = np.diff(p, axis=-1, append=p[:, :1] + 2 * math.pi)  # the last one wraps past 0
+    best = gap.argmax(axis=-1)[:, None]
+    room = 0.5 * np.take_along_axis(gap, best, axis=-1)
+    cut = (np.take_along_axis(p, best, axis=-1) + room) % (2 * math.pi)
     net = (p1 < cut).sum(axis=-1) - (p0 < cut).sum(axis=-1)
-    return net, room[np.arange(len(best)), best] > bound
+    return net, room[:, 0] > bound
 
 
 def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
@@ -610,18 +604,19 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, end: np.nd
     step's, plus j times the base's total, plus the base's up to i.  No
     phase has passed 0 before S, and its phases are resolved for every
     omega.  The phases at each scan point are read once and shared by the
-    two steps that meet there, so a passage there counts once.
+    two steps that meet there, and each step's net is the same at any cut
+    farther than its bound, so a passage there counts once.
 
     Sample steps are grouped into coarse steps whose largest factor bound is
     about COARSE_BOUND.  A coarse row's bound is the sum of its factor's
-    sample-step bounds, and a row whose best cut is not farther than its
-    bound is refined until each of its parts is counted at a cut farther
-    than that part's bound; so COARSE_BOUND sets only the cost, never the
-    count.  The refinement runs in rounds, each over every row still
-    unresolved: a step between two scan points at least 2 apart is halved
-    at the scan point between them, any other sample step at its mid-time
-    through the evaluator.  A round gathers all its midpoints in one
-    _samples product and one path.evaluate call, which evaluates each
+    sample-step bounds, and a row whose widest-gap cut (_count) is not
+    farther than its bound is refined until each of its parts is counted at
+    a cut farther than that part's bound; so COARSE_BOUND sets only the
+    cost, never the count.  The refinement runs in rounds, each over every
+    row still unresolved: a step between two scan points at least 2 apart
+    is halved at the scan point between them, any other sample step at its
+    mid-time through the evaluator.  A round gathers all its midpoints in
+    one _samples product and one path.evaluate call, which evaluates each
     distinct time once (the factors of a step share its midpoints), reads
     their factor blocks' phases in one _phases call, bounds the halves by
     the summed bounds and one batched _motion of the (M0, mid, M1) blocks,

@@ -4,17 +4,25 @@ Each row changes one piece of the source of one function of a module,
 patches the changed function in, in process, and names the check that must
 tell the mutant from the code: the generated property of the closed-form
 2 x 2 read (test_normal_forms.closed_form_failures) for a normal_forms row,
-and a count against the closed forms for an oracle row.
+and a count against the closed forms, or a refusal, for an oracle row.
+
+No count yet tells the whole-gap row from the code: _motion's bound is
+loose enough that twice the room still never reaches a phase on the
+rotation diamonds tried.  It is told apart by the refusal of a sample
+step too long to count; a miscount check for it needs an input whose
+motion bound is tight.
 """
 
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
 from symindex import normal_forms, oracle
+from symindex.oracle import OracleError, SampledSymplecticPath
 from test_normal_forms import closed_form_failures
-from test_oracle import DEGENERATE_ENDPOINTS, degenerate_endpoint
+from test_oracle import DEGENERATE_ENDPOINTS, FOUR_THETAS, degenerate_endpoint, rotation_diamond
 
 SEEDS = range(3)
 
@@ -25,9 +33,12 @@ ROWS = [
     (normal_forms, "_phases2", "half = 0.5 * np.arctan2", "half = 0.0 * np.arctan2"),  # half dropped
     (oracle, "_endpoint", "] = 2 * math.pi", "] = 0.0"),  # the nu_omega phases at 0^+
     (oracle, "_endpoint", "<= PHASE_TOL", "< 0.0"),  # no phase moved to 0^-
+    (oracle, "_count", "+ room) %", ") %"),  # the cut on the gap's lower end phase
+    (oracle, "_count", "room[:, 0] > bound", "2 * room[:, 0] > bound"),  # the whole gap as room
 ]
 FORMULA_ROWS = [row[1:] for row in ROWS if row[0] is normal_forms]
-ENDPOINT_ROWS = [row[1:] for row in ROWS if row[0] is oracle]
+ENDPOINT_ROWS = [row[1:] for row in ROWS if row[1] == "_endpoint"]
+COUNT_ROWS = [row[1:] for row in ROWS if row[1] == "_count"]
 
 
 def mutant(module, name: str, old: str, new: str):
@@ -65,3 +76,28 @@ def miscounts() -> list:
 def test_each_endpoint_mutant_miscounts_a_degenerate_endpoint(monkeypatch, name, old, new):
     monkeypatch.setattr(oracle, name, mutant(oracle, name, old, new))
     assert miscounts()
+
+
+def counts_a_long_step() -> bool:
+    """Whether cz_index counts, at omega = -1, the FOUR_THETAS diamond
+    sampled at four steps with no evaluator: a single step moves its phases
+    too far for any cut, and with nothing to halve it through, the count
+    must be refused
+    (test_oracle.test_a_long_sample_step_is_halved_through_the_evaluator)."""
+    ts = np.linspace(0.0, 1.0, 5)
+    mats = rotation_diamond(FOUR_THETAS)[0].evaluate(ts)
+    bare = SampledSymplecticPath(n=4, tau=1.0, ts=ts, mats=mats)
+    try:
+        oracle.cz_index(bare, -1)
+    except OracleError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name, old, new, check",
+                         [row + (check,) for row, check in
+                          zip(COUNT_ROWS, (miscounts, counts_a_long_step))],
+                         ids=["cut on a phase", "whole gap"])
+def test_each_step_rule_mutant_fails_its_check(monkeypatch, name, old, new, check):
+    monkeypatch.setattr(oracle, name, mutant(oracle, name, old, new))
+    assert check()

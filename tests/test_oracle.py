@@ -357,13 +357,13 @@ def test_the_count_starts_at_one_xi_sample():
 
 
 def test_the_start_step_is_never_halved(monkeypatch):
-    # the one cut is placed on a phase of W at the start sample: the first
-    # coarse step is halved at scan points down to the start step, which is
-    # refused; on a constant path every other step has bound 0
+    # every step is bounded by pi, the largest motion bound, so no step finds
+    # a cut farther than its bound: the first coarse step is halved at scan
+    # points down to the start step, which is refused
     path = path_from_quadratic_hamiltonian(np.zeros((2, 2)), 1.0, steps=64)
     omega = cmath.exp(0.3j)
-    start = graph_phases(graph_unitary(extend_with_xi(path))[0], omega) % (2 * math.pi)
-    monkeypatch.setattr(oracle, "CUTS", start[:1].copy())
+    motion = oracle._motion
+    monkeypatch.setattr(oracle, "_motion", lambda mats, n: np.full_like(motion(mats, n), math.pi))
     with pytest.raises(OracleError, match="over the start step from diag"):
         cz_index(path, omega)
 
@@ -1178,6 +1178,52 @@ def test_oracle_matches_the_bott_formula_on_rotation_diamonds(drawn):
                            (cmath.exp(1e-3j), eps_over_pi), (cmath.exp(-1e-3j), 2 - eps_over_pi),
                            (cmath.exp(1j * math.pi * point), point)):
         assert cz_index(iterate, omega) == bott_index(data, m, over_pi), (omega, over_pi)
+
+
+# ----- the step rule -----------------------------------------------------------
+#
+# _count reads each step at the middle of the widest circular gap between
+# its end phases, the cut farthest from all of them.  Over a step whose
+# phases each move by less than its bound, every cut farther than the bound
+# from the end phases gives the same net.
+
+def test_the_step_rule_matches_every_cut_of_a_dense_grid():
+    # each phase moves by less than the bound, some from or to exactly 0 or
+    # 2 pi (0^-); wherever a grid cut is farther than the bound from every
+    # end phase, the rule resolves the row with that cut's net
+    gen = np.random.default_rng(20240811)
+    grid = np.arange(2048) * (2 * math.pi / 2048)
+    for k in (1, 2, 4):
+        rows = 400
+        bound = gen.uniform(0.05, 1.5, rows)
+        delta = gen.uniform(-1.0, 1.0, (rows, 2 * k)) * bound[:, None]
+        p0 = gen.uniform(0.0, 2 * math.pi, (rows, 2 * k))
+        at0 = gen.random((rows, 2 * k)) < 0.1
+        p0[at0] = gen.choice([0.0, 2 * math.pi], at0.sum())
+        p1 = (p0 + delta) % (2 * math.pi)
+        at1 = gen.random((rows, 2 * k)) < 0.1
+        p1[at1] = gen.choice([0.0, 2 * math.pi], at1.sum())
+        p0[at1] = (p1[at1] - delta[at1]) % (2 * math.pi)
+        net, ok = oracle._count(p0, p1, bound)
+        room = np.full((rows, len(grid)), math.pi)
+        for p in np.concatenate((p0, p1), axis=1).T:
+            d = np.abs(p[:, None] - grid)
+            room = np.minimum(room, np.minimum(d, 2 * math.pi - d))
+        at = room > bound[:, None]
+        grid_net = (p1[:, :, None] < grid).sum(axis=1) - (p0[:, :, None] < grid).sum(axis=1)
+        some = at.any(axis=1)
+        assert some.sum() > rows // 2, k
+        assert ok[some].all(), k
+        assert (grid_net == net[:, None])[at].all(), k
+        assert (room.max(axis=1) > bound - math.pi / len(grid))[ok].all(), k
+
+
+def test_the_step_rule_finds_a_gap_that_straddles_0():
+    # eight phases evenly over [0.5, 2 pi - 0.5]: the widest gap, 1.0, wraps
+    # past 0, so the room is 0.5; between the phases it is only 0.377
+    p = np.tile(np.linspace(0.5, 2 * math.pi - 0.5, 8), (2, 1))
+    net, ok = oracle._count(p[:, :4], p[:, 4:], np.array([0.45, 0.51]))
+    assert net.tolist() == [0, 0] and ok.tolist() == [True, False]
 
 
 # ----- halving a step whose cut is too near ------------------------------------
