@@ -4,9 +4,10 @@ Coordinates are ordered (p_1..p_n, q_1..q_n), so the standard symplectic
 form is J = [[0, -I], [I, 0]].  This is the one float matrix layer: the
 eigen-phases of W, nu_omega and the diamond layout are implemented here
 once, and the crossing-count oracle runs them on its sampled paths.  Every
-eigen-phase of W is read from one unitary U(M), graph_unitary (in closed
-form for a 2 x 2 M, else from an orthonormal basis of the graph of M), so
-its error is M's own O(u |M|); read_graph and nu_omega are built on it.
+eigen-phase of W is read by one reader, graph_phases: in real closed form
+from M's four entries and omega for a 2 x 2 M, else from the unitary U(M)
+of an orthonormal basis of the graph of M, so its error is M's own
+O(u |M|).  read_graph and nu_omega are built on it and on phase_nullity.
 The formulas take plain float64 arrays and do no per-call validation;
 SymplecticMatrix checks the symplectic relation once, when it is built.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,8 +33,10 @@ __all__ = [
     "diamond",
     "realize",
     "realize_decomposition",
-    "graph_unitary",
+    "unit_omega",
     "graph_phases",
+    "frame_defect",
+    "phase_nullity",
     "read_graph",
     "nu_omega",
     "nontrivial_n2_block",
@@ -247,104 +250,123 @@ def realize_decomposition(decomp) -> SymplecticMatrix:
 # value of W - I, and its phases do not scale with |M|.
 
 
-def _times_u_omega(U: np.ndarray, omega) -> np.ndarray:
-    """U(omega I)* U, per omega of an array of them and per U of a stack:
-    U(omega I) = [[0, conj(omega) I], [omega I, 0]] is its own adjoint, so
-    the product swaps the two row blocks of U and scales them."""
-    omega = np.asarray(omega, dtype=complex)[..., None, None]
-    n = U.shape[-1] // 2
-    return np.concatenate((omega.conj() * U[..., n:, :], omega * U[..., :n, :]), axis=-2)
+def unit_omega(omega) -> complex:
+    """omega as a complex number, refused with NormalFormError off the unit
+    circle (to 1e-9), where W's eigenvalue 1 no longer has the multiplicity
+    of the eigenvalue omega of M: at 2, diag(2, 1/2) reads 0 and I reads 2."""
+    omega = complex(omega)
+    if abs(abs(omega) - 1.0) > 1e-9:
+        raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
+    return omega
 
 
-def _unitary2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """graph_unitary of a stack of 2 x 2 M = [[a, b], [c, d]]: [I; M] has
-    the frame A = [[1, i], [a - ic, b - id]], so U(M) = conj(A) A^-1 =
-    [[s + t, -2i], [-2i det M, s - t]] / D, s = b + c, t = i(a - d), D =
-    det A = (b-c) - i(a+d).  Z*HZ = i (det M - 1) G^T J G for the
-    orthonormal Z = [I; M] G, so the frame defect is sqrt2 |det M - 1| /
-    |(D, det M - 1)|, the root of 1 + |M|_F^2 + det^2 M.  det M's rounding,
-    2u (|ad| + |bc|), is added to |det M - 1|, and 16u to the defect, above
-    a QR frame's floor (about 9u).  D = 0, a singular A, is refused."""
-    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
-    ad, bc = a * d, b * c
-    det, size = ad - bc, np.abs(ad) + np.abs(bc)
-    D = (b - c) - 1j * (a + d)
-    if not D.all():
-        raise NormalFormError("the graph of M has a singular frame: M is far from symplectic")
-    s, t = b + c, 1j * (a - d)
-    U = np.empty(M.shape, dtype=complex)
-    U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = s + t, -2j, -2j * det, s - t
-    U /= D[..., None, None]
-    q, u = det - 1, np.finfo(float).eps
-    return U, math.sqrt(2) * (np.abs(q) + 2 * u * size) / np.hypot(np.abs(D), q) + 16 * u
-
-
-def graph_unitary(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U(M), d) per matrix of a stack M, d = |a*a - I|_F the defect of the
-    frame a = sqrt2 B+* Z of an orthonormal basis Z of Gr(M).  B+ and B-
-    are the orthonormal +1 and -1 eigenbases of H spanned by (u, -iu, 0, 0),
-    (0, 0, u, iu) and by (u, iu, 0, 0), (0, 0, u, -iu), u in C^n; Z is real,
-    so sqrt2 B-* Z is conj(a), and U(M) = conj(a) a^{-1} for any basis.
-    a*a - I = Z*HZ vanishes when M is symplectic: then a is unitary, so past
-    2 x 2 (_unitary2), U(M) is taken as conj(a) a* from the QR Z of [I; M]."""
+def _frame(M: np.ndarray) -> np.ndarray:
+    """a = sqrt2 B+* Z per matrix of a stack M, Z the orthonormal basis of
+    Gr(M) that a QR of [I; M] gives.  B+ and B- are the orthonormal +1 and
+    -1 eigenbases of H spanned by (u, -iu, 0, 0), (0, 0, u, iu) and by
+    (u, iu, 0, 0), (0, 0, u, -iu), u in C^n; Z is real, so sqrt2 B-* Z is
+    conj(a), and U(M) = conj(a) a^{-1} for any basis.  a*a - I = Z*HZ
+    vanishes when M is symplectic: then a is unitary, and U(M) = conj(a) a*."""
     k = M.shape[-1]
-    if k == 2:
-        return _unitary2(M)
     n = k // 2
     Z = np.empty(M.shape[:-2] + (2 * k, k))
     Z[..., :k, :] = np.eye(k)
     Z[..., k:, :] = M
     Z = np.linalg.qr(Z)[0]
-    a = np.concatenate((Z[..., :n, :] + 1j * Z[..., n:k, :],
-                        Z[..., k:k + n, :] - 1j * Z[..., k + n:, :]), axis=-2)
-    e = a.conj().swapaxes(-1, -2) @ a - np.eye(k)
-    return (a @ a.swapaxes(-1, -2)).conj(), np.sqrt((e.conj() * e).real.sum(axis=(-2, -1)))
+    return np.concatenate((Z[..., :n, :] + 1j * Z[..., n:k, :],
+                           Z[..., k:k + n, :] - 1j * Z[..., k + n:, :]), axis=-2)
 
 
-def _phases2(W: np.ndarray) -> np.ndarray:
-    """The eigen-phases in [0, 2pi) of each 2 x 2 unitary of a stack W.
-    With half = arg(det W) / 2, V = W e^{-i half} has determinant 1, so it
-    is [[a, -conj b], [b, conj a]] with |a|^2 + |b|^2 = 1, up to rounding;
-    a and b are read symmetrized from both of their entries.  V's
-    eigenvalues are e^{+-i phi} with cos phi = Re a and sin phi =
-    |(Im a, |b|)|, so W's phases are half +- atan2(|(Im a, |b|)|, Re a),
-    taken mod 2pi (a phase just below 0 may round to 2pi).  atan2 keeps
-    their error O(u) at a double eigenvalue too, where the roots of the
-    characteristic polynomial lose sqrt(u)."""
-    det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
-    half = 0.5 * np.arctan2(det.imag, det.real)
-    V = W * np.exp(-1j * half)[..., None, None]
-    a = 0.5 * (V[..., 0, 0] + V[..., 1, 1].conj())
-    b = 0.5 * (V[..., 1, 0] - V[..., 0, 1].conj())
-    turn = np.arctan2(np.hypot(a.imag, np.abs(b)), a.real)
-    p = np.concatenate(((half + turn)[..., None], (half - turn)[..., None]), axis=-1)
-    return p % (2 * math.pi)
+def _times_u_omega(U: np.ndarray, omega) -> np.ndarray:
+    """U(omega I)* U per U of a stack, with one leading row per omega of an
+    array of them: U(omega I) = [[0, conj(omega) I], [omega I, 0]] is its
+    own adjoint, so the product swaps the two row blocks of U and scales
+    them."""
+    omega = np.asarray(omega, dtype=complex)
+    omega = omega.reshape(omega.shape + (1,) * U.ndim)
+    n = U.shape[-1] // 2
+    return np.concatenate((omega.conj() * U[..., n:, :], omega * U[..., :n, :]), axis=-2)
 
 
-def graph_phases(U: np.ndarray, omega) -> np.ndarray:
-    """The eigen-phases in [0, 2pi) of W = U(omega I)* U for a U(M) of
-    graph_unitary: per U of a stack at one omega, or one row per omega of
-    an array of them; by _phases2 for a 2 x 2 W, else by eigvals."""
-    W = _times_u_omega(U, omega)
-    return _phases2(W) if W.shape[-1] == 2 else np.angle(np.linalg.eigvals(W)) % (2 * math.pi)
+def _read2(M: np.ndarray):
+    """graph_phases of a stack of 2 x 2 M = [[a, b], [c, d]], in real
+    arithmetic.  [I; M] has the frame A = [[1, i], [a - ic, b - id]], so
+    U(M) = conj(A) A^-1 = [[s + t, -2i], [-2i det M, s - t]] / D, with
+    s = b + c, t = i(a - d) and D = det A = (b - c) - i(a + d).  At
+    omega = e^{i phi}, det W = -conj(D) / D, so W e^{-i half}, half =
+    pi/2 + atan2(a + d, b - c), has determinant 1: it is [[x, -conj y],
+    [y, conj x]] with x = -conj(omega) e / |D|, e = det M + 1, and
+    y = -i omega (s + t) / |D|.  Its eigenvalues are e^{+-i turn} with
+    cos turn = Re x and sin turn = |(Im x, |y|)|, where |D| cancels: turn =
+    atan2(|(e sin phi, b + c, a - d)|, -e cos phi), and W's phases are
+    half +- turn, taken mod 2pi (a phase just below 0 may round to 2pi).
+    atan2 keeps their error O(u (1 + |M|_F)) at a double eigenvalue too,
+    where the roots of the characteristic polynomial lose sqrt(u).  D = 0,
+    a singular A, is refused."""
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    trace, skew = a + d, b - c
+    if not np.logical_or(trace, skew).all():
+        raise NormalFormError("the graph of M has a singular frame: M is far from symplectic")
+    half = np.arctan2(trace, skew) + 0.5 * math.pi
+    e = a * d - b * c + 1.0
+    r = np.hypot(b + c, a - d)
+
+    def phases(omega):
+        w = np.asarray(omega, dtype=complex)
+        w = w.reshape(w.shape + (1,) * half.ndim)
+        turn = np.arctan2(np.hypot(w.imag * e, r), -w.real * e)
+        p = np.empty(turn.shape + (2,))
+        np.add(half, turn, out=p[..., 0])
+        np.subtract(half, turn, out=p[..., 1])
+        return np.remainder(p, 2 * math.pi, out=p)
+
+    return phases
 
 
-def read_graph(M: np.ndarray, omega):
-    """(nu_omega(M), g, U, p) from one read of M: U = U(M) from
-    graph_unitary, and p the eigen-phases of W at omega in [0, 2pi).
-    nu_omega is the number of them within PHASE_TOL of 0, and the gap g is
-    the distance from 0 (mod 2pi) of the nearest phase above PHASE_TOL, or
-    pi if there is none.  For a stack M (k, 2n, 2n), read in one batch, nu_omega and g
-    are arrays, one entry per matrix.  omega off the unit circle is refused
-    with NormalFormError.  A symplectic defect of M moves the phases by
-    about d, the frame defect of graph_unitary, and a phase within 2 d of
-    PHASE_TOL could fall on either side of it: the read is then refused with
-    NormalFormError too."""
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-9:
-        raise NormalFormError(f"omega must lie on the unit circle, got {omega!r}")
-    U, d = graph_unitary(M)
-    p = graph_phases(U, omega)
+def graph_phases(M: np.ndarray) -> Callable:
+    """The one reader of W's eigen-phases.  For a stack M (..., 2n, 2n), the
+    function of omega that gives the eigen-phases in [0, 2pi) of W =
+    U(omega I)* U(M), shape M.shape[:-2] + (2n,) at one omega, with one
+    leading row per omega of an array of them.  M is read once, and each
+    call at omega reads only its phases: for a 2 x 2 M in real closed form
+    (_read2), else from U(M) = conj(a) a* of the QR frame a (_frame), by
+    eigvals.  omega is taken as it is (unit_omega refuses one off the unit
+    circle)."""
+    if M.shape[-1] == 2:
+        return _read2(M)
+    a = _frame(M)
+    U = (a @ a.swapaxes(-1, -2)).conj()
+    return lambda omega: np.angle(np.linalg.eigvals(_times_u_omega(U, omega))) % (2 * math.pi)
+
+
+def frame_defect(M: np.ndarray) -> np.ndarray:
+    """d = |a*a - I|_F per matrix of a stack M, the defect of the frame a of
+    an orthonormal basis of Gr(M) (_frame); a symplectic defect of M moves
+    W's phases by about d.  For a 2 x 2 M it is taken in closed form:
+    Z*HZ = i (det M - 1) G^T J G for the orthonormal Z = [I; M] G, so
+    d = sqrt2 |det M - 1| / |(D, det M - 1)|, the root of 1 + |M|_F^2 +
+    det^2 M (D of _read2).  det M's rounding, 2u (|ad| + |bc|), is added to
+    |det M - 1|, and 16u to d, above a QR frame's floor (about 9u)."""
+    if M.shape[-1] == 2:
+        a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+        ad, bc = a * d, b * c
+        q, u = ad - bc - 1, np.finfo(float).eps
+        return (math.sqrt(2) * (np.abs(q) + 2 * u * (np.abs(ad) + np.abs(bc)))
+                / np.hypot(np.hypot(b - c, a + d), q) + 16 * u)
+    a = _frame(M)
+    e = a.conj().swapaxes(-1, -2) @ a - np.eye(M.shape[-1])
+    return np.sqrt((e.conj() * e).real.sum(axis=(-2, -1)))
+
+
+def phase_nullity(p: np.ndarray, d):
+    """(nu_omega, g) from W's eigen-phases p in [0, 2pi) at omega, one row
+    per matrix, and the frame defects d of the matrices (frame_defect).
+    nu_omega is the number of phases within PHASE_TOL of 0, and the gap g
+    is the distance from 0 (mod 2pi) of the nearest phase above PHASE_TOL,
+    or pi if there is none: arrays, one entry per row, or an int and a
+    float for one row.  A symplectic defect of M moves the phases by about
+    d, and a phase within 2 d of PHASE_TOL could fall on either side of it:
+    the read is then refused with NormalFormError."""
     dist = np.minimum(p, 2 * math.pi - p)
     if (np.abs(dist - PHASE_TOL) <= 2 * d[..., None]).any():
         raise NormalFormError(f"an eigen-phase of W lies within 2 x {np.max(d):.3g} (the "
@@ -352,7 +374,19 @@ def read_graph(M: np.ndarray, omega):
                               f"nu_omega is undecided")
     far = dist > PHASE_TOL
     nu, gap = (~far).sum(axis=-1), np.where(far, dist, math.pi).min(axis=-1)
-    return (nu, gap, U, p) if M.ndim == 3 else (int(nu), float(gap), U, p)
+    return (nu, gap) if p.ndim > 1 else (int(nu), float(gap))
+
+
+def read_graph(M: np.ndarray, omega):
+    """(nu_omega(M), g, p): p the eigen-phases of W at omega in [0, 2pi)
+    from one read of M (graph_phases), and nu_omega and g from them and M's
+    frame defect (phase_nullity), refused as there.  For a stack M
+    (k, 2n, 2n), read in one batch, nu_omega and g are arrays, one entry per
+    matrix.  omega off the unit circle is refused with NormalFormError
+    (unit_omega)."""
+    omega = unit_omega(omega)
+    p = graph_phases(M)(omega)
+    return phase_nullity(p, frame_defect(M)) + (p,)
 
 
 def nu_omega(M: np.ndarray, omega) -> int:

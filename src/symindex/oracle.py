@@ -38,13 +38,14 @@ import numpy as np
 from .normal_forms import (
     NormalFormError,
     diamond,
+    frame_defect,
     graph_phases,
-    graph_unitary,
     PHASE_TOL,
-    read_graph,
+    phase_nullity,
     standard_J,
     SYMPLECTIC_TOL,
     symplectic_defect,
+    unit_omega,
 )
 
 __all__ = [
@@ -455,12 +456,13 @@ def extend_with_xi(path: SampledSymplecticPath) -> np.ndarray:
 # a cut of its own, against the bound of its own blocks, r_f = |dM_f M_f^-1|_F
 # <= r.  A path that does not split, and a path whose factors differ in
 # size, is counted as one factor, the whole matrix.  Every phase the count
-# takes is read by normal_forms.graph_unitary and graph_phases, in closed
-# form for a one-pair factor and by a QR and eigvals past it; W is unitary
-# to rounding, so the phases carry only the O(u |beta(t)|) error of the
-# sample.  The endpoint's phases are those of the read that gave nu_omega,
-# its nu_omega phases placed at 0^- (_endpoint); an iterate's points are
-# gathered from its one period (_samples).
+# takes is read by the one reader normal_forms.graph_phases, in real closed
+# form from the entries of a one-pair factor and omega, and by a QR and
+# eigvals past it; W is unitary to rounding, so the phases carry only the
+# O(u |beta(t)|) error of the sample.  The endpoint is read in the coarse
+# batch: its rows give nu_omega, and its nu_omega phases are placed at 0^-
+# (_endpoint); an iterate's points are gathered from its one period
+# (_samples).
 
 COARSE_BOUND = 1.5  # motion bound (rad) between the points that get eigen-data
 CHUNK = 1024  # sample steps or points per batch of bounds or phases
@@ -499,19 +501,23 @@ def _count(p0: np.ndarray, p1: np.ndarray, bound):
     motion bound, so that net is the number of phases passing 0 over it.  At
     any cut that no phase can reach, the net is the same; a phase at 2pi
     (0^-, _endpoint) lies outside [0, c), since c < 2pi."""
-    p = np.sort(np.concatenate((p0, p1), axis=-1), axis=-1)
-    gap = np.diff(p, axis=-1, append=p[:, :1] + 2 * math.pi)  # the last one wraps past 0
-    best = gap.argmax(axis=-1)[:, None]
-    room = 0.5 * np.take_along_axis(gap, best, axis=-1)
-    cut = (np.take_along_axis(p, best, axis=-1) + room) % (2 * math.pi)
-    net = (p1 < cut).sum(axis=-1) - (p0 < cut).sum(axis=-1)
-    return net, room[:, 0] > bound
+    q = np.concatenate((p0, p1), axis=-1)
+    p = np.sort(q, axis=-1)
+    gap = np.empty_like(p)
+    np.subtract(p[:, 1:], p[:, :-1], out=gap[:, :-1])
+    gap[:, -1] = p[:, 0] + 2 * math.pi - p[:, -1]  # the one that wraps past 0
+    rows = np.arange(len(p))
+    best = gap.argmax(axis=-1)
+    room = 0.5 * gap[rows, best]
+    cut = ((p[rows, best] + room) % (2 * math.pi))[:, None]
+    net = (q < cut) @ np.repeat((-1, 1), p0.shape[-1])  # p1's phases below the cut less p0's
+    return net, room > bound
 
 
 def _phases(M: np.ndarray, omega: complex) -> np.ndarray:
     """W's eigen-phases in [0, 2pi), per block of a stack M of factor
     blocks, read CHUNK blocks at a time (normal_forms.graph_phases)."""
-    return np.concatenate([graph_phases(graph_unitary(M[lo:lo + CHUNK])[0], omega)
+    return np.concatenate([graph_phases(M[lo:lo + CHUNK])(omega)
                            for lo in range(0, len(M), CHUNK)])
 
 
@@ -587,12 +593,13 @@ def _period_bounds(path: SampledSymplecticPath, S: np.ndarray) -> list:
     return path.bounds
 
 
-def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, end: np.ndarray) -> int:
-    """The signed count of eigen-phases of W passing 0 over the start step
-    from S = extend_with_xi(gamma) to gamma(0) = I and over gamma's own
-    samples.  end holds the phases at gamma(tau), one row per factor, from
-    the read that gave nu_omega, with its nu_omega phases at 0^- (_endpoint,
-    cz_index).
+def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex) -> tuple[int, int]:
+    """(count, nu_omega(gamma(tau))): count is the signed number of
+    eigen-phases of W passing 0 over the start step from S =
+    extend_with_xi(gamma) to gamma(0) = I and over gamma's own samples.
+    The endpoint gamma(tau) is read in the coarse batch, one row per factor:
+    its rows give nu_omega, the sum of the factors', and the count ends with
+    its nu_omega phases at 0^- (_endpoint, cz_index).
 
     The count runs along the factors of the period (_period_bounds): each
     step is one row per factor, counted from that factor's phases at a cut
@@ -608,11 +615,13 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, end: np.nd
     farther than its bound, so a passage there counts once.
 
     Sample steps are grouped into coarse steps whose largest factor bound is
-    about COARSE_BOUND.  A coarse row's bound is the sum of its factor's
+    about COARSE_BOUND.  S, the coarse points and gamma(tau) are read in
+    one _phases call.  A coarse row's bound is the sum of its factor's
     sample-step bounds, and a row whose widest-gap cut (_count) is not
     farther than its bound is refined until each of its parts is counted at
     a cut farther than that part's bound; so COARSE_BOUND sets only the
-    cost, never the count.  The refinement runs in rounds, each over every
+    cost, never the count.  When every coarse row finds its cut, the count
+    ends there.  The refinement runs in rounds, each over every
     row still unresolved: a step between two scan points at least 2 apart
     is halved at the scan point between them, any other sample step at its
     mid-time through the evaluator.  A round gathers all its midpoints in
@@ -645,13 +654,16 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, end: np.nd
     coarse = np.concatenate(([0], marks, [N]))
     coarse = coarse[np.concatenate(([True], coarse[1:] > coarse[:-1]))]
     t, M = _samples(path, coarse[1:] - 1)
+    M[-1] = path.endpoint()  # gamma(tau) as P^m, the matrix that nu_omega is read from
     # point q is (scan point, t, factor blocks, phases) at coarse[q]; a
     # midpoint through the evaluator, off the samples, has scan point -1
     t, M = np.concatenate(([0.0], t)), _blocks(np.concatenate((S[None], M)), idx)
-    ph = _phases(M[:-1].reshape(-1, 2 * k, 2 * k), omega).reshape(-1, F, 2 * k)
-    ph = np.concatenate((ph, end[None]))
+    ph = _phases(M.reshape(-1, 2 * k, 2 * k), omega).reshape(-1, F, 2 * k)
+    nu = int(_endpoint(M[-1], omega, ph[-1])[0].sum())
     bound = np.diff(cum(coarse[:, None], np.arange(F)), axis=0)
     counts, ok = _count(ph[:-1].reshape(-1, 2 * k), ph[1:].reshape(-1, 2 * k), bound.reshape(-1))
+    if ok.all():
+        return int(counts.sum()), nu
 
     # the rows (step, factor) whose cut is too near, in path order, each
     # held as its ends (lo, hi) and its row of counts, step F + factor
@@ -714,32 +726,45 @@ def _scan(path: SampledSymplecticPath, S: np.ndarray, omega: complex, end: np.nd
         todo = ~ok
         row, depth = row[todo], depth[todo]
         lo, hi = (tuple(x[todo] for x in ends) for ends in (lo, hi))
-    return int(counts.sum())
+    return int(counts.sum()), nu
 
 
-def _endpoint(M: np.ndarray, omega: complex):
-    """(nu_omega(M), g, U(M), p) from normal_forms.read_graph, a refusal
-    raised as OracleError; for a stack M of factor blocks, nu_omega and g
-    are arrays, one entry per block.  p holds W's phases in [0, 2pi), and
-    every phase read within PHASE_TOL of 0, which are the nu_omega phases,
-    is set to 2pi: the 0^- to which M e^{-sJ} takes them as s -> 0+
-    (cz_index)."""
+def _on_circle(omega) -> complex:
+    """omega as a complex number.  Off the unit circle, the refusal of
+    normal_forms.unit_omega is raised as OracleError, in the words of
+    _endpoint's refusals."""
+    omega = complex(omega)
     try:
-        nu, gap, U, p = read_graph(M, omega)
+        return unit_omega(omega)
+    except NormalFormError as exc:
+        raise OracleError(f"at gamma(tau), omega = {omega:.6g}: {exc}") from exc
+
+
+def _endpoint(M: np.ndarray, omega: complex, p: np.ndarray):
+    """(nu_omega(M), g) of gamma(tau) = M, or of the stack M of its factor
+    blocks, from W's phases p at omega, one row per block, and M's frame
+    defect (normal_forms.phase_nullity), a refusal raised as OracleError;
+    for a stack, nu_omega and g are arrays, one entry per block.  Every
+    phase of p read within PHASE_TOL of 0, which are the nu_omega phases,
+    is set in place to 2pi: the 0^- to which M e^{-sJ} takes them as
+    s -> 0+ (cz_index)."""
+    try:
+        nu, gap = phase_nullity(p, frame_defect(M))
     except NormalFormError as exc:
         raise OracleError(f"at gamma(tau), omega = {omega:.6g}: {exc}") from exc
     p[np.minimum(p, 2 * math.pi - p) <= PHASE_TOL] = 2 * math.pi
-    return nu, gap, U, p
+    return nu, gap
 
 
 def cz_index(path: SampledSymplecticPath, omega):
     """(i_omega, nu_omega) of a sampled path by the eigen-phase count.
 
-    omega is a unit-circle complex number (1 and -1 included).  The count
-    runs once, unperturbed, over gamma's own samples, from the one xi sample
-    extend_with_xi(gamma) on, along the diamond factors of gamma's period
-    (_scan).  gamma(tau) is read once, one read_graph of the stack of its
-    factor blocks (_endpoint): nu_omega is the sum of the factors'.
+    omega is a unit-circle complex number (1 and -1 included); one off the
+    circle is refused.  The count runs once, unperturbed, over gamma's own
+    samples, from the one xi sample extend_with_xi(gamma) on, along the
+    diamond factors of gamma's period (_scan).  gamma(tau) is read once, its
+    factor blocks in the coarse batch (_endpoint): nu_omega is the sum of
+    the factors'.
 
     When nu_omega(gamma(tau)) > 0, the index is Long's limit: that of
     gamma e^{-eps (t/tau) J} as eps -> 0+.  A homotopy with fixed end
@@ -762,11 +787,7 @@ def cz_index(path: SampledSymplecticPath, omega):
     An undecided nu_omega(gamma(tau)), a phase of W too near PHASE_TOL to
     be told from it, raises OracleError.
     """
-    omega = complex(omega)
-    S = extend_with_xi(path)
-    idx = _period_bounds(path, S)[0]
-    nu, _, _, end = _endpoint(_blocks(path.endpoint(), idx), omega)
-    return _scan(path, S, omega, end), int(nu.sum())
+    return _scan(path, extend_with_xi(path), _on_circle(omega))
 
 
 def estimate_splitting(path: SampledSymplecticPath, omega):
@@ -778,8 +799,8 @@ def estimate_splitting(path: SampledSymplecticPath, omega):
     each count is read at a cut farther than e from them.  The probes are
     min(e, g/4) for e in SPLITTING_PROBES, g the distance from 0 of W's
     nearest nonzero eigen-phase, so that no nonzero phase reaches 0; they
-    must agree.  Every phase is read from the one unitary U(M) that also
-    gives nu_omega and g (normal_forms.read_graph).
+    must agree.  M is read once (normal_forms.graph_phases): the phases at
+    omega, which give nu_omega and g (_endpoint), and at the probes.
 
     The floor: a probe e moves a phase at 0 of a sheared block B (N1(1, b),
     N2) by only about e^2 / |B|, and a read of W's phases from U(M) is exact
@@ -788,11 +809,14 @@ def estimate_splitting(path: SampledSymplecticPath, omega):
     can be, the estimate is refused with OracleError.  For |B| about 1 that
     is g below about 6e-8, whatever else M holds.
     """
-    omega = complex(omega)
-    nu, gap, U, p0 = _endpoint(path.endpoint(), omega)
+    omega = _on_circle(omega)
+    M = path.endpoint()
+    phases = graph_phases(M)
+    p0 = phases(omega)
+    nu, gap = _endpoint(M, omega, p0)
     probes = [min(e, 0.25 * gap) for e in SPLITTING_PROBES]
     turns = [complex(math.cos(e), sign * math.sin(e)) for e in probes for sign in (1, -1)]
-    p = graph_phases(U, [omega * t for t in turns])
+    p = phases([omega * t for t in turns])
     if nu and np.any(np.minimum(p, 2 * math.pi - p) <= np.finfo(float).eps):
         raise OracleError(f"the nearest nonzero eigen-phase of W lies {gap:.3g} from 0: a probe "
                           f"of {min(probes):.3g} cannot move the phases at 0 past rounding")

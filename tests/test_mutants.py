@@ -28,13 +28,13 @@ SEEDS = range(3)
 
 # (module, function, source piece, its mutant)
 ROWS = [
-    (normal_forms, "_unitary2", "s + t, -2j", "s - t, -2j"),  # the sign of U_00's (a - d) term
-    (normal_forms, "_unitary2", "-2j * det,", "-2j,"),  # det M dropped from U_10
-    (normal_forms, "_phases2", "half = 0.5 * np.arctan2", "half = 0.0 * np.arctan2"),  # half dropped
+    (normal_forms, "_read2", "-w.real * e", "w.real * e"),  # the sign of the cos phi term
+    (normal_forms, "_read2", "- b * c + 1.0", "- b * c"),  # e = det M, the 1 dropped
+    (normal_forms, "_read2", " + 0.5 * math.pi", ""),  # pi/2 dropped from half
     (oracle, "_endpoint", "] = 2 * math.pi", "] = 0.0"),  # the nu_omega phases at 0^+
     (oracle, "_endpoint", "<= PHASE_TOL", "< 0.0"),  # no phase moved to 0^-
     (oracle, "_count", "+ room) %", ") %"),  # the cut on the gap's lower end phase
-    (oracle, "_count", "room[:, 0] > bound", "2 * room[:, 0] > bound"),  # the whole gap as room
+    (oracle, "_count", "room > bound", "2 * room > bound"),  # the whole gap as room
 ]
 FORMULA_ROWS = [row[1:] for row in ROWS if row[0] is normal_forms]
 ENDPOINT_ROWS = [row[1:] for row in ROWS if row[1] == "_endpoint"]
@@ -55,7 +55,7 @@ def test_the_code_passes_the_property_on_the_mutant_seeds():
     assert [closed_form_failures(s) for s in SEEDS] == [[]] * len(SEEDS)
 
 
-@pytest.mark.parametrize("name, old, new", FORMULA_ROWS, ids=["a-d sign", "U10 det", "half"])
+@pytest.mark.parametrize("name, old, new", FORMULA_ROWS, ids=["cos sign", "e without 1", "half"])
 def test_each_mutant_fails_the_closed_form_property(monkeypatch, name, old, new):
     monkeypatch.setattr(normal_forms, name, mutant(normal_forms, name, old, new))
     assert any(closed_form_failures(s) for s in SEEDS)

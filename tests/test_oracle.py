@@ -22,7 +22,6 @@ from symindex.ellipsoid import EllipsoidSpec, orbit_data
 from symindex.normal_forms import (
     diamond,
     graph_phases,
-    graph_unitary,
     nontrivial_n2_block,
     nu_omega,
     realize,
@@ -116,11 +115,12 @@ def test_diamond_paths_uses_the_normal_form_layout():
 
 
 def test_oracle_shares_the_matrix_layer():
-    # one nu_omega read and one J: the oracle must not grow its own copies;
-    # it counts eigen-phases and takes no determinant or kernel of its own
-    assert oracle.read_graph is normal_forms.read_graph
+    # one phase reader, one nu_omega rule and one J: the oracle must not
+    # grow its own copies; it counts eigen-phases and takes no determinant
+    # or kernel of its own
     assert oracle.graph_phases is normal_forms.graph_phases
-    assert oracle.graph_unitary is normal_forms.graph_unitary
+    assert oracle.phase_nullity is normal_forms.phase_nullity
+    assert oracle.frame_defect is normal_forms.frame_defect
     assert not hasattr(normal_forms, "eigen_phases")
     assert oracle.standard_J is normal_forms.standard_J
     assert not hasattr(oracle, "d_omega") and not hasattr(oracle, "kernel")
@@ -446,9 +446,9 @@ def count_scans(monkeypatch):
     scans = []
     scan = oracle._scan
 
-    def counted_scan(path, S, omega, end):
+    def counted_scan(path, S, omega):
         scans.append(omega)
-        return scan(path, S, omega, end)
+        return scan(path, S, omega)
 
     monkeypatch.setattr(oracle, "_scan", counted_scan)
     return scans
@@ -518,9 +518,10 @@ def test_the_phases_at_0_are_placed_at_0_minus():
     phis = (-1e-13, 0.0, 1e-13, 2e-10)
     M = np.stack([[[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
                   for phi in phis])
-    read = normal_forms.read_graph(M, 1)[3]
+    read = normal_forms.read_graph(M, 1)[2]
     assert read[0].min() > 6.28 and read[2].max() < 1e-12  # read on both sides of 0
-    nu, _, _, p = oracle._endpoint(M, 1)
+    p = read.copy()
+    nu = oracle._endpoint(M, 1, p)[0]
     assert nu.tolist() == [2, 2, 2, 0]
     assert (p[:3] == 2 * math.pi).all()
     assert p[3].tobytes() == read[3].tobytes() and abs(p[3] - 2e-10).max() < 1e-15
@@ -560,7 +561,8 @@ def test_cz_index_needs_no_floor_above_the_phase_tolerance(b):
     # placed at 0^- however near the others lie
     path, data = sheared_rotation(b, 1e-11, m=20, steps=64, k=1)
     assert np.linalg.norm(path.endpoint(), 2) > 2 ** 19.9
-    assert oracle._endpoint(path.endpoint(), 1)[:2] == (1, pytest.approx(2e-10, rel=1e-3))
+    M = path.endpoint()
+    assert oracle._endpoint(M, 1, graph_phases(M)(1)) == (1, pytest.approx(2e-10, rel=1e-3))
     assert cz_index(path, 1) == (index_iterate(data, 20), nullity_iterate(data, 20))
 
 
@@ -584,23 +586,27 @@ def test_cz_index_on_a_conjugated_large_endpoint(turn):
                                    lambda: rotation_path(0.4, steps=64)],
                          ids=["degenerate", "nondegenerate"])
 def test_the_endpoint_is_read_once(monkeypatch, maker):
-    # nu_omega, the gap, the count's and the probes' phases at gamma(tau) all
-    # come from one graph_unitary of it
+    # nu_omega, the gap and the count's phases at gamma(tau) come from one
+    # read of it, in the count's first batch with S and the coarse points;
+    # estimate_splitting reads it once, alone, for its phases at omega and
+    # at the probes.  Each read is (matrices read, of them gamma(tau))
     path = maker()
     reads = []
-    unitary = normal_forms.graph_unitary
+    reader = normal_forms.graph_phases
 
     def counted(M):
         stack = M.reshape((-1,) + M.shape[-2:])
-        reads.append(sum(np.array_equal(m, path.endpoint()) for m in stack))
-        return unitary(M)
+        reads.append((len(stack), sum(np.array_equal(m, path.endpoint()) for m in stack)))
+        return reader(M)
 
-    monkeypatch.setattr(normal_forms, "graph_unitary", counted)
-    monkeypatch.setattr(oracle, "graph_unitary", counted)
+    monkeypatch.setattr(normal_forms, "graph_phases", counted)
+    monkeypatch.setattr(oracle, "graph_phases", counted)
     cz_index(path, 1)
-    assert sum(reads) == 1
+    assert reads[0][0] > 2 and reads[0][1] == 1  # the coarse batch
+    assert sum(ends for _, ends in reads) == 1
+    reads.clear()
     estimate_splitting(path, 1)
-    assert sum(reads) == 2
+    assert reads == [(1, 1)]
 
 
 # ----- iteration -------------------------------------------------------------
@@ -1042,7 +1048,7 @@ def test_nu_omega_reads_a_phase_within_the_tolerance_as_0():
     # the boundary of the fixed tolerance: N1(1,1) at e^{i theta} has its phase
     # at theta^2, which reads as 0 from theta = 1e-5 down
     M = shear_path(1, steps=64).endpoint()
-    p = graph_phases(graph_unitary(M)[0], cmath.exp(1e-5j))
+    p = graph_phases(M)(cmath.exp(1e-5j))
     assert abs(np.min(np.abs(p)) - 1e-10) < 1e-14
     assert [nu_omega(M, cmath.exp(1j * t)) for t in (1e-4, 2e-5, 1e-6)] == [0, 0, 1]
 
@@ -1053,7 +1059,7 @@ def test_an_undecided_nullity_is_refused(monkeypatch):
     # N1(1,1) at e^{i 1e-4}, about 1e-8, and then just past it.
     path = shear_path(1, steps=64)
     omega = cmath.exp(1e-4j)
-    phase = np.min(np.abs(graph_phases(graph_unitary(path.endpoint())[0], omega)))
+    phase = np.min(np.abs(graph_phases(path.endpoint())(omega)))
     monkeypatch.setattr(normal_forms, "PHASE_TOL", phase)
     with pytest.raises(OracleError, match="so nu_omega is undecided"):
         cz_index(path, omega)
@@ -1252,33 +1258,37 @@ def test_the_count_does_not_depend_on_the_coarse_grid(monkeypatch, coarse_bound)
 def test_a_refinement_round_reads_its_midpoints_at_once(monkeypatch):
     # at 8 rad every coarse step is refined.  Each round reads the phases of
     # all its midpoints in one call and counts all its halves in one
-    # _count, so a count reads the endpoint's four factor blocks in one
-    # read_graph, the coarse points and then once per round; halving
+    # _count, so a count reads S, the coarse points and the endpoint's four
+    # factor blocks in one batch, and then once per round; halving
     # depth-first read once per halved point
     monkeypatch.setattr(oracle, "COARSE_BOUND", 8.0)
     path, data = rotation_diamond(FOUR_THETAS)
     reads, counts = [], []
-    unitary, count = normal_forms.graph_unitary, oracle._count
+    reader, count = normal_forms.graph_phases, oracle._count
 
-    def counted_unitary(M):
-        reads.append(len(M.reshape((-1,) + M.shape[-2:])))
-        return unitary(M)
+    def counted_reader(M):
+        reads.append(M.reshape((-1,) + M.shape[-2:]))
+        return reader(M)
 
     def counted_count(p0, p1, bound):
         counts.append(len(p0))
         return count(p0, p1, bound)
 
-    monkeypatch.setattr(normal_forms, "graph_unitary", counted_unitary)
-    monkeypatch.setattr(oracle, "graph_unitary", counted_unitary)
+    monkeypatch.setattr(normal_forms, "graph_phases", counted_reader)
+    monkeypatch.setattr(oracle, "graph_phases", counted_reader)
     monkeypatch.setattr(oracle, "_count", counted_count)
     for over_pi in (Fraction(1, 6), Fraction(5, 6), Fraction(3, 2)):
         reads.clear()
         counts.clear()
         assert cz_index(path, cmath.exp(1j * math.pi * over_pi)) == bott_index(data, 1, over_pi)
         rounds = len(counts) - 1  # the coarse steps' _count, then one per round
-        assert len(path.bounds[0]) == reads[0] == 4  # the endpoint's factor blocks
-        assert rounds >= 2 and len(reads) == 2 + rounds, (over_pi, reads, counts)
-        assert sum(reads[2:]) > rounds  # some round reads more than one midpoint
+        sizes = [len(r) for r in reads]
+        idx = path.bounds[0]
+        assert len(idx) == 4 and sizes[0] % 4 == 0 and sizes[0] > 8
+        end = path.endpoint()[idx[:, :, None], idx[:, None, :]]  # the endpoint's factor blocks
+        assert np.array_equal(reads[0][-4:], end)  # the last of the coarse batch
+        assert rounds >= 2 and len(reads) == 1 + rounds, (over_pi, sizes, counts)
+        assert sum(sizes[1:]) > rounds  # some round reads more than one midpoint
 
 
 def test_a_long_sample_step_is_halved_through_the_evaluator(monkeypatch):
@@ -1437,32 +1447,34 @@ def test_the_factors_of_a_step_share_its_evaluator_midpoints():
 
 
 def test_the_closed_form_phases_match_eigvals():
-    # random 2 x 2 unitaries with simple, double and nearly double
-    # eigenvalues, and the scalar ones e^{i phi} I: the closed form is within
-    # a few ulps of the drawn phases and of eigvals' at every one
+    # R(alpha) at omega = e^{i phi} has W's phases alpha +- phi: a double
+    # eigenvalue at phi = 0 and pi, a nearly double one for phi from 1e-12
+    # to 1e-4, and simple ones.  The closed form is within a few ulps of
+    # them, and of eigvals' on the diamond of two rotations, whose 4 x 4 W
+    # the QR route reads
     rng = np.random.default_rng(20241020)
-    k = 3000
-    Z = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
-    V = np.linalg.qr(Z)[0]
-    ph = rng.uniform(-math.pi, math.pi, size=(k, 2))
-    ph[:1000, 1] = ph[:1000, 0]
-    ph[1000:2000, 1] = ph[1000:2000, 0] + 10.0 ** rng.uniform(-12, -4, 1000)
-    W = V @ (np.exp(1j * ph)[..., None] * np.eye(2)) @ V.conj().swapaxes(-1, -2)
-    W = np.concatenate((W, np.exp(1j * ph[:500, :1, None]) * np.eye(2)))
-    ph = np.concatenate((ph, ph[:500, :1].repeat(2, axis=1)))
-    got = normal_forms._phases2(W)
-    assert got.shape == (k + 500, 2)
+    alpha = rng.uniform(-math.pi, math.pi, 200)
+    c, s = np.cos(alpha), np.sin(alpha)
+    R = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=-2)
+    near = rng.choice((-1.0, 1.0), 20) * 10.0 ** rng.uniform(-12, -4, 20)
+    phi = np.concatenate(([0.0, math.pi], near, rng.uniform(-math.pi, math.pi, 10)))
+    omega = np.cos(phi) + 1j * np.sin(phi)
+    got = graph_phases(R)(omega)
+    assert got.shape == (len(phi), len(alpha), 2)
     assert ((got >= 0) & (got <= 2 * math.pi)).all()  # mod 2 pi: just below 0 may round to 2 pi
 
-    def distance(a, b):  # of two phase pairs, matched either way, mod 2 pi
-        def wrap(x):
-            return np.abs((x + math.pi) % (2 * math.pi) - math.pi)
-        return np.minimum(np.maximum(wrap(a[:, 0] - b[:, 0]), wrap(a[:, 1] - b[:, 1])),
-                          np.maximum(wrap(a[:, 0] - b[:, 1]), wrap(a[:, 1] - b[:, 0])))
+    def wrap(x):
+        return np.abs((x + math.pi) % (2 * math.pi) - math.pi)
 
     ulp = np.finfo(float).eps
-    assert distance(got, ph).max() <= 16 * ulp
-    assert distance(got, np.angle(np.linalg.eigvals(W))).max() <= 16 * ulp
+    want = alpha[:, None] + np.stack((phi, -phi), axis=-1)[:, None, :]
+    # each pair from want, matched either way
+    apart = np.minimum(wrap(got - want).max(axis=-1), wrap(got - want[..., ::-1]).max(axis=-1))
+    assert apart.max() <= 16 * ulp
+    pairs = np.concatenate((got[:, 0::2], got[:, 1::2]), axis=-1)
+    qr = graph_phases(diamond(R[0::2], R[1::2]))(omega)  # the QR route: eigvals of each 4 x 4 W
+    for a, b in ((pairs, qr), (qr, pairs)):  # each phase near one of the other's, both ways
+        assert wrap(a[..., :, None] - b[..., None, :]).min(axis=-1).max() <= 16 * ulp
     # at omega = 1, R(phi) has W = e^{i phi} I: both phases are phi mod 2 pi
     for phi in (1e-9, 0.3, math.pi / 2, 3.0, -0.3):
         R = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
